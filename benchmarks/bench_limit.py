@@ -8,8 +8,8 @@ pins both properties on the join-heavy workload (few labels, ~5M matches
 on the full run):
 
 * **Prefix parity** — for every limit and every backend (serial executor,
-  thread pool, process pool with its shared-memory cooperative budget) the
-  limited result must equal, row for row, the first ``k`` rows of the
+  process pool with its shared-memory cooperative budget) the limited
+  result must equal, row for row, the first ``k`` rows of the
   serial unlimited join.  Any mismatch hard-fails the run.
 * **Bounded materialization** — ``join_peak_intermediate_rows`` after a
   limited query must stay within a small multiple of ``limit + chunk``,
@@ -52,7 +52,7 @@ from repro.runtime import create_executor
 
 RESULTS_PATH = Path(__file__).parent / "results" / "limit_streaming.json"
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 LIMITS = (16, 64, 256, 1024, 4096)
 #: Largest allowed t(max_limit) / t(min_limit) ratio, with an absolute
 #: floor below which timer noise dominates and the ratio is meaningless.
@@ -122,7 +122,7 @@ def sweep_backend(
     matches = len(reference)
     executor = create_executor(RuntimeConfig(backend=backend))
     try:
-        if backend in ("thread", "process"):
+        if backend == "process":
             # Fault in the pool (and the process backend's shared-memory
             # graph publication) before anything is timed or counted.
             assemble_results(cloud, plan, exploration, result_limit=1,

@@ -1,4 +1,4 @@
-"""Serial vs. thread vs. process cluster runtime, end to end.
+"""Serial vs. process cluster runtime, end to end.
 
 The paper's cluster matches STwigs on every machine *concurrently*; the
 reproduction's process executor models that on one host — worker processes
@@ -71,7 +71,7 @@ QUICK_SWEEP = ((40_000, 8, 6, 1e-3, 20_000, 0, 0),)
 MULTICORE_FULL = ((300_000, 8, 2e-4, 3, 100_000, 2_000_000),)
 MULTICORE_QUICK = ((40_000, 8, 1e-3, 2, 5_000, 1_000_000),)
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 MACHINE_COUNT = 4
 QUERY_NODES = 6
 
@@ -121,7 +121,7 @@ def run_backend(
     )
     matcher = SubgraphMatcher(cloud, MatcherConfig(), executor=executor)
     try:
-        if backend in ("thread", "process"):
+        if backend == "process":
             # Fault in the pool (and, for processes, the shared-memory
             # publication) before timing: the paper's cluster is
             # provisioned before queries arrive.
@@ -297,7 +297,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     add_report_arguments(parser)
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="pool size for thread/process backends (default: min(machines, CPUs))",
+        help="pool size for the process backend (default: min(machines, CPUs))",
     )
     parser.add_argument(
         "--multicore", action="store_true",
@@ -323,7 +323,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report = {
             "benchmark": (
                 "cluster runtime, join-heavy multi-core sweep: "
-                "serial vs thread vs process executors"
+                "serial vs process executors"
             ),
             "mode": "quick" if args.quick else "full",
             "cpu_count": os.cpu_count(),
@@ -344,7 +344,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "process_speedup": largest["backends"]["process"][
                     "speedup_vs_serial"
                 ],
-                "thread_speedup": largest["backends"]["thread"]["speedup_vs_serial"],
             },
         }
         print(json.dumps(report["aggregate"], indent=2))
@@ -365,7 +364,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     largest = points[-1]
     headline = largest["workloads"].get("heavy") or largest["workloads"]["selective"]
     report = {
-        "benchmark": "cluster runtime: serial vs thread vs process executors",
+        "benchmark": "cluster runtime: serial vs process executors",
         "mode": "quick" if args.quick else "full",
         "cpu_count": os.cpu_count(),
         "machine_count": MACHINE_COUNT,
@@ -379,7 +378,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "aggregate": {
             "nodes": largest["nodes"],
             "process_speedup": headline["backends"]["process"]["speedup_vs_serial"],
-            "thread_speedup": headline["backends"]["thread"]["speedup_vs_serial"],
         },
     }
     print(json.dumps(report["aggregate"], indent=2))

@@ -218,8 +218,7 @@ class Session:
         The result materializes rows lazily from its
         :class:`~repro.core.tasks.TableHandle`: ``result.rows``,
         ``result.external_rows()`` and ``result.as_dicts()`` share a
-        single gather and are the stable result API
-        (``result.matches`` — the raw table — is deprecated).
+        single gather and are the stable result API.
 
         Args:
             q: a :class:`QueryGraph` or query text for
@@ -323,9 +322,9 @@ def connect(
         source: dataset name/path/graph, snapshot directory, or cloud.
         machines: cluster size when the source must be partitioned.
         executor: default runtime backend for queries
-            (``"serial"``/``"thread"``/``"process"``, a RuntimeConfig, or
+            (``"serial"``/``"process"``, a RuntimeConfig, or
             an Executor; ``None`` = ``REPRO_EXECUTOR`` env, then serial).
-        workers: pool size for thread/process backends.
+        workers: pool size for the process backend.
         limit: default row budget for queries submitted without one.
         max_row_budget: hard upper bound on any query's row budget.
         max_in_flight: concurrent-query admission bound.

@@ -65,7 +65,12 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence
 from repro.bench import experiments, future_work
 from repro.bench.reporting import format_table
 from repro.cloud.cluster import MemoryCloud
-from repro.cloud.config import EXECUTOR_BACKENDS, ClusterConfig, RuntimeConfig
+from repro.cloud.config import (
+    EXECUTOR_BACKENDS,
+    ClusterConfig,
+    RuntimeConfig,
+    resolve_backend,
+)
 from repro.core.engine import SubgraphMatcher
 from repro.core.planner import MatcherConfig
 from repro.graph.generators import (
@@ -97,6 +102,11 @@ EXPERIMENTS: Dict[str, Callable[[], List[dict]]] = {
     "transmitted-data": future_work.transmitted_data_vs_machines,
     "latency-bounds": future_work.response_time_bounds,
 }
+
+_EXECUTOR_HELP = (
+    f"cluster runtime backend, one of {', '.join(EXECUTOR_BACKENDS)} "
+    "(default: REPRO_EXECUTOR env or serial)"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,15 +149,15 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--limit", type=int, default=1024)
     query.add_argument(
         "--executor",
-        choices=list(EXECUTOR_BACKENDS),
+        type=resolve_backend,
         default=None,
-        help="cluster runtime backend (default: REPRO_EXECUTOR env or serial)",
+        help=_EXECUTOR_HELP,
     )
     query.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="thread/process pool size (default: min(machines, CPU cores))",
+        help="process pool size (default: min(machines, CPU cores))",
     )
     query.add_argument("--max-stwig-leaves", type=int, default=None)
     query.add_argument("--show", type=int, default=5, help="number of matches to print")
@@ -188,9 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--executor",
-        choices=list(EXECUTOR_BACKENDS),
+        type=resolve_backend,
         default=None,
-        help="cluster runtime backend (default: REPRO_EXECUTOR env or serial)",
+        help=_EXECUTOR_HELP,
     )
     serve.add_argument("--workers", type=int, default=None)
     serve.add_argument("--show", type=int, default=3, help="matches to print per query")
@@ -213,9 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench_serve.add_argument("--seed", type=int, default=1)
     bench_serve.add_argument(
         "--executor",
-        choices=list(EXECUTOR_BACKENDS),
+        type=resolve_backend,
         default=None,
-        help="cluster runtime backend (default: REPRO_EXECUTOR env or serial)",
+        help=_EXECUTOR_HELP,
     )
     bench_serve.add_argument("--workers", type=int, default=None)
 

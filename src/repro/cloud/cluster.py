@@ -900,9 +900,9 @@ class MemoryCloud:
     def flush_staged(self) -> None:
         """Flush every machine's staged cell/index data into CSR arrays.
 
-        Concurrency-safety barrier for the thread executor and the query
-        service: the lazy merges reassign arrays non-atomically, so they
-        must complete before machines are read in parallel.  Serialized on
+        Concurrency-safety barrier for the query service: the lazy merges
+        reassign arrays non-atomically, so they must complete before
+        machines are read in parallel.  Serialized on
         the owning cloud so overlapping queries cannot run two merges of the
         same machine at once (the common case — nothing staged — only takes
         an uncontended lock).

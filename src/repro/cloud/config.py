@@ -11,7 +11,7 @@ from repro.graph.partition import HashPartitioner, Partitioner
 from repro.utils.validation import require_non_negative, require_positive
 
 #: Executor backends of the cluster runtime (see :mod:`repro.runtime`).
-EXECUTOR_BACKENDS: Tuple[str, ...] = ("serial", "thread", "process")
+EXECUTOR_BACKENDS: Tuple[str, ...] = ("serial", "process")
 
 #: Environment variable selecting the default executor backend.
 EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
@@ -39,55 +39,24 @@ class RuntimeConfig:
     """Execution-runtime knobs: which executor runs the task batches.
 
     Attributes:
-        backend: ``"serial"`` (in-process, the parity oracle), ``"thread"``
-            (thread pool over the shared store), or ``"process"`` (worker
-            processes over shared-memory CSR partitions).  ``None`` defers
-            to the ``REPRO_EXECUTOR`` environment variable.
-        workers: pool size for the thread/process backends; ``None``
-            sizes the pool to ``min(machine_count, cpu_count)``.
+        backend: ``"serial"`` (in-process, the parity oracle) or
+            ``"process"`` (worker processes over shared-memory CSR
+            partitions).  ``None`` defers to the ``REPRO_EXECUTOR``
+            environment variable.
+        workers: pool size for the process backend; ``None`` sizes the
+            pool to ``min(machine_count, cpu_count)``.
         start_method: multiprocessing start method (``"fork"``, ``"spawn"``,
             ``"forkserver"``); ``None`` uses the platform default.
-        stealing: whether the thread/process backends split skewed
-            machines' exploration roots into chunks idle workers can
-            steal.  Results and metrics are schedule-independent; this is
-            a wall-clock knob only.
-
-    ``max_workers=`` is the deprecated spelling of ``workers=`` (kept as a
-    warning constructor alias; reads of ``.max_workers`` return
-    ``.workers``).
+        stealing: whether the process backend splits skewed machines'
+            exploration roots into chunks idle workers can steal.
+            Results and metrics are schedule-independent; this is a
+            wall-clock knob only.
     """
 
     backend: Optional[str] = None
     workers: Optional[int] = None
     start_method: Optional[str] = None
     stealing: bool = True
-
-    def __init__(
-        self,
-        backend: Optional[str] = None,
-        workers: Optional[int] = None,
-        start_method: Optional[str] = None,
-        stealing: bool = True,
-        **deprecated,
-    ) -> None:
-        from repro.utils.deprecation import shim_renamed_kwarg
-
-        workers = shim_renamed_kwarg(
-            deprecated, "max_workers", "workers", workers, RuntimeConfig
-        )
-        if deprecated:
-            raise TypeError(
-                f"unexpected keyword arguments {sorted(deprecated)} for RuntimeConfig"
-            )
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "workers", workers)
-        object.__setattr__(self, "start_method", start_method)
-        object.__setattr__(self, "stealing", stealing)
-
-    @property
-    def max_workers(self) -> Optional[int]:
-        """Deprecated alias of :attr:`workers` (reads do not warn)."""
-        return self.workers
 
     def validate(self) -> None:
         if self.backend is not None:

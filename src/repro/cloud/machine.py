@@ -89,9 +89,9 @@ class Machine:
         """Merge any staged ``store_cell`` data into the CSR arrays now.
 
         The lazy merge reassigns the four CSR arrays non-atomically, so a
-        concurrent reader could pair new IDs with old offsets.  The thread
-        executor flushes every machine (store + label index) before fanning
-        out, making the subsequent parallel reads safe.
+        concurrent reader could pair new IDs with old offsets.  The query
+        service flushes every machine (store + label index) before serving,
+        making the subsequent parallel reads safe.
         """
         self._ensure()
         self.label_index.flush_staged()

@@ -39,7 +39,6 @@ from repro.cloud.cluster import MemoryCloud
 from repro.core.exploration import ExplorationOutcome, ExplorationTables
 from repro.core.tasks import JoinTask
 from repro.core.join import (
-    CooperativeJoinBudget,
     JoinBudget,
     JoinCounters,
     LocalJoinBudget,
@@ -81,8 +80,9 @@ def assemble_results(
         plan: the query plan being executed.
         exploration: per-machine STwig tables from the exploration phase.
         result_limit: stop once this many global matches are assembled.
-        executor: optional :class:`~repro.runtime.Executor` receiving one
-            :class:`~repro.core.tasks.JoinTask` per machine.  The tasks
+        executor: the :class:`~repro.runtime.Executor` receiving one
+            :class:`~repro.core.tasks.JoinTask` per machine; ``None`` uses
+            a :class:`~repro.runtime.SerialExecutor`.  The tasks
             carry the exploration *handles*, so a process backend's
             workers attach the very tables they published during
             exploration — zero-copy, no driver round trip.  Limited
@@ -112,41 +112,24 @@ def assemble_results(
     # same joins it would have anyway and comes back un-truncated.
     probe_limit = None if result_limit is None else result_limit + 1
 
-    if executor is not None:
-        tasks = [
-            JoinTask(
-                machine_id=machine_id,
-                plan=plan,
-                tables=exploration.handles,
-                bindings=bindings,
-                row_limit=probe_limit,
-            )
-            for machine_id in range(cloud.machine_count)
-        ]
-        row_blocks = [result.rows for result in executor.run(cloud, tasks)]
-    else:
-        # Executor-less fallback: the sequential loop *is* the serial
-        # schedule of the cooperative budget — machine k's view telescopes
-        # to exactly the historical "remaining" countdown, including the
-        # early exit before any gather work once the budget fills.
-        slots = [0] * cloud.machine_count
-        filtered_cache: FilteredTables = {}
-        row_blocks = [
-            machine_result_rows(
-                cloud,
-                plan,
-                exploration.tables,
-                machine_id,
-                bindings,
-                budget=CooperativeJoinBudget(slots, machine_id, probe_limit),
-                filtered_cache=filtered_cache,
-            )
-            for machine_id in range(cloud.machine_count)
-        ]
+    if executor is None:
+        # Deferred import: repro.runtime imports this module.
+        from repro.runtime.executors import SerialExecutor
 
-    for rows in row_blocks:
-        if len(rows):
-            final.add_rows(rows)
+        executor = SerialExecutor()
+    tasks = [
+        JoinTask(
+            machine_id=machine_id,
+            plan=plan,
+            tables=exploration.handles,
+            bindings=bindings,
+            row_limit=probe_limit,
+        )
+        for machine_id in range(cloud.machine_count)
+    ]
+    for result in executor.run(cloud, tasks):
+        if len(result.rows):
+            final.add_rows(result.rows)
 
     # Under a parallel schedule machines may overshoot the shared budget
     # slightly (each saw a stale lower bound of the others' production);
@@ -172,11 +155,10 @@ def machine_result_rows(
 
     The per-machine unit of the join phase: gather ``R_k(q_t)`` for every
     STwig, run the cost-ordered multi-way join, and normalize the surviving
-    rows to the query's sorted column order.  The sequential driver above
-    and every runtime executor backend (thread pool, process pool) call
-    exactly this function, so the communication accounting — result
-    transfers, sender-side filter counts — is structurally identical across
-    backends.
+    rows to the query's sorted column order.  Every runtime executor
+    backend (inline, process pool) calls exactly this function, so the
+    communication accounting — result transfers, sender-side filter
+    counts — is structurally identical across backends.
 
     ``budget`` is this machine's view of the (possibly shared) join budget;
     the plain ``remaining`` countdown is kept as a convenience spelling for

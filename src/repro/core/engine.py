@@ -28,13 +28,7 @@ from repro.core.exploration import explore
 from repro.core.planner import MatcherConfig, QueryPlan, QueryPlanner
 from repro.core.result import MatchResult, StageStats
 from repro.query.query_graph import QueryGraph
-from repro.runtime import (
-    Executor,
-    ExecutorSpec,
-    create_executor,
-    normalize_executor_spec,
-)
-from repro.utils.deprecation import shim_renamed_kwarg as _shim_deprecated
+from repro.runtime import Executor, ExecutorSpec, create_executor
 
 
 class SubgraphMatcher:
@@ -55,7 +49,6 @@ class SubgraphMatcher:
         statistics=None,
         executor: ExecutorSpec = None,
         workers: Optional[int] = None,
-        **deprecated,
     ) -> None:
         """Create a matcher.
 
@@ -67,30 +60,21 @@ class SubgraphMatcher:
                 statistics-aware edge selection when
                 ``config.use_edge_statistics`` is set.
             executor: runtime backend driving the per-machine fan-outs — a
-                backend name (``"serial"``/``"thread"``/``"process"``), a
+                backend name (``"serial"``/``"process"``), a
                 :class:`~repro.cloud.config.RuntimeConfig`, or an existing
                 :class:`~repro.runtime.Executor` (shared executors are not
                 closed by this matcher).  ``None`` resolves the
                 ``REPRO_EXECUTOR`` environment variable, defaulting to
                 serial execution.
-            workers: pool size for the thread/process backends (same
+            workers: pool size for the process backend (same
                 spelling as ``QueryService`` and the CLI's ``--workers``);
                 not combinable with an ``Executor`` instance.
         """
-        workers = _shim_deprecated(
-            deprecated, "max_workers", "workers", workers, SubgraphMatcher
-        )
-        if deprecated:
-            raise TypeError(
-                f"unexpected keyword arguments {sorted(deprecated)} "
-                "for SubgraphMatcher"
-            )
-        executor = normalize_executor_spec(executor, workers)
         self.cloud = cloud
         self.config = config or MatcherConfig()
         self._planner = QueryPlanner(cloud, self.config, statistics=statistics)
         self._owns_executor = not isinstance(executor, Executor)
-        self._executor = create_executor(executor)
+        self._executor = create_executor(executor, workers)
 
     @property
     def executor(self) -> Executor:

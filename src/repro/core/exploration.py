@@ -24,14 +24,12 @@ binding-delta message per contributing machine per stage.
 
 from __future__ import annotations
 
-import inspect
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.cloud.cluster import MemoryCloud
 from repro.core.bindings import BindingTable
-from repro.core.matcher import match_stwig
 from repro.core.planner import QueryPlan
 from repro.core.result import MatchTable
 from repro.core.stwig import STwig
@@ -58,16 +56,8 @@ class ExplorationOutcome:
     published blocks outlive the query.
     """
 
-    def __init__(self, tables, bindings: BindingTable) -> None:
-        self.handles: ExplorationHandles = [
-            [
-                table
-                if isinstance(table, TableHandle)
-                else TableHandle.from_table(table)
-                for table in machine
-            ]
-            for machine in tables
-        ]
+    def __init__(self, handles: ExplorationHandles, bindings: BindingTable) -> None:
+        self.handles = handles
         self.bindings = bindings
         self._empty: Optional[bool] = None
         self._tables: Optional[ExplorationTables] = None
@@ -125,104 +115,71 @@ class ExplorationOutcome:
         release_matrix(self.handles)
 
 
-def explore(
-    cloud: MemoryCloud, plan: QueryPlan, match_fn=match_stwig, executor=None
-) -> ExplorationOutcome:
+def explore(cloud: MemoryCloud, plan: QueryPlan, executor=None) -> ExplorationOutcome:
     """Run the exploration phase of ``plan`` over ``cloud``.
 
     Args:
         cloud: the memory cloud holding the data graph.
         plan: the query plan to execute.
-        match_fn: the per-machine STwig matcher; defaults to
-            :func:`~repro.core.matcher.match_stwig`.  Benchmarks inject
-            alternative matchers (e.g. the pre-CSR per-node-probe matcher)
-            to compare substrates under the identical exploration driver.
-            A matcher that accepts a ``roots`` keyword receives each
-            stage's owner-partitioned root array; one that does not (a
-            legacy baseline) derives its own roots per machine.
-        executor: optional :class:`~repro.runtime.Executor` running each
+        executor: the :class:`~repro.runtime.Executor` running each
             stage's per-machine :class:`~repro.core.tasks.ExploreTask`
-            batch (thread or process pool, possibly with work stealing).
-            Only the default matcher routes through it — injected matchers
-            keep the inline loop.  Stage root partitioning stays on the
-            driver (the query proxy), and the proxy-side binding merge
-            *overlaps* the stage barrier: each machine's distinct sets are
-            absorbed (and their transfer charged) as that machine's result
-            arrives, so only the final intersection waits for the slowest
-            machine.  The accounting is exactly the serial model's.
+            batch; ``None`` uses a
+            :class:`~repro.runtime.SerialExecutor`.  Stage root
+            partitioning stays on the driver (the query proxy), and the
+            proxy-side binding merge *overlaps* the stage barrier: each
+            machine's distinct sets are absorbed (and their transfer
+            charged) as that machine's result arrives, so only the final
+            intersection waits for the slowest machine.  The accounting is
+            exactly the serial model's.
     """
+    if executor is None:
+        # Deferred import: repro.runtime imports this package.
+        from repro.runtime.executors import SerialExecutor
+
+        executor = SerialExecutor()
     query = plan.query
     config = plan.config
     machine_count = cloud.machine_count
     bindings = BindingTable(query)
-    tables: List[list] = [[] for _ in range(machine_count)]
-    batch_roots = _supports_roots(match_fn)
-    use_executor = executor is not None and match_fn is match_stwig
+    handles: ExplorationHandles = [[] for _ in range(machine_count)]
 
     try:
         for stwig in plan.stwigs:
             stage_filter = bindings if config.use_binding_filter else None
-            stage_roots = (
-                _stage_root_partition(
-                    cloud, stwig, query.label(stwig.root), stage_filter
-                )
-                if batch_roots
-                else None
+            stage_roots = _stage_root_partition(
+                cloud, stwig, query.label(stwig.root), stage_filter
             )
-            if use_executor:
-                tasks = [
-                    ExploreTask(
-                        machine_id=machine_id,
-                        stwig=stwig,
-                        query=query,
-                        bindings=stage_filter,
-                        roots=stage_roots[machine_id],
-                    )
-                    for machine_id in range(machine_count)
-                ]
-                merger = _BindingMerger(cloud, stwig.nodes)
-                results = executor.run(cloud, tasks, on_result=merger.absorb)
-                for machine_id, result in enumerate(results):
-                    tables[machine_id].append(result.table)
-                merger.bind_into(bindings)
-            else:
-                per_machine = []
-                for machine_id in range(machine_count):
-                    if stage_roots is None:
-                        table = match_fn(
-                            cloud, machine_id, stwig, query, bindings=stage_filter
-                        )
-                    else:
-                        table = match_fn(
-                            cloud,
-                            machine_id,
-                            stwig,
-                            query,
-                            bindings=stage_filter,
-                            roots=stage_roots[machine_id],
-                        )
-                    per_machine.append(table)
-                    tables[machine_id].append(table)
-                _update_bindings(cloud, bindings, stwig.nodes, per_machine)
+            tasks = [
+                ExploreTask(
+                    machine_id=machine_id,
+                    stwig=stwig,
+                    query=query,
+                    bindings=stage_filter,
+                    roots=stage_roots[machine_id],
+                )
+                for machine_id in range(machine_count)
+            ]
+            merger = _BindingMerger(cloud, stwig.nodes)
+            results = executor.run(cloud, tasks, on_result=merger.absorb)
+            for machine_id, result in enumerate(results):
+                handles[machine_id].append(result.table)
+            merger.bind_into(bindings)
 
             if config.use_binding_filter and bindings.any_empty():
                 # Some query node has no surviving candidate: fill the
                 # remaining STwigs with empty tables so downstream code sees
                 # a uniform structure, then stop exploring.
                 for machine_id in range(machine_count):
-                    for skipped in plan.stwigs[len(tables[machine_id]):]:
-                        tables[machine_id].append(TableHandle.empty(skipped.nodes))
+                    for skipped in plan.stwigs[len(handles[machine_id]):]:
+                        handles[machine_id].append(TableHandle.empty(skipped.nodes))
                 break
     except BaseException:
         # Don't leak earlier stages' published tables when a later stage
         # fails (the executor already retired the failing batch's own).
-        for machine in tables:
-            for table in machine:
-                if isinstance(table, TableHandle):
-                    table.release()
+        release_matrix(handles)
         raise
 
-    return ExplorationOutcome(tables, bindings)
+    return ExplorationOutcome(handles, bindings)
 
 
 class _BindingMerger:
@@ -265,23 +222,6 @@ class _BindingMerger:
             bindings.bind(node, merged)
 
 
-def _supports_roots(match_fn) -> bool:
-    """True if ``match_fn`` accepts the precomputed ``roots`` keyword.
-
-    Only an explicitly *named* ``roots`` parameter opts in: a ``**kwargs``
-    matcher that silently swallowed (and ignored) the partitioned roots
-    would derive its own root candidates again and double-charge the
-    per-stage index lookups, breaking the identical-counters contract.
-    """
-    if match_fn is match_stwig:
-        return True
-    try:
-        parameters = inspect.signature(match_fn).parameters.values()
-    except (TypeError, ValueError):
-        return False
-    return any(parameter.name == "roots" for parameter in parameters)
-
-
 def _stage_root_partition(
     cloud: MemoryCloud,
     stwig: STwig,
@@ -315,43 +255,3 @@ def _stage_root_partition(
         cloud.get_local_ids_array(machine_id, root_label)
         for machine_id in range(machine_count)
     ]
-
-
-def _update_bindings(
-    cloud: MemoryCloud,
-    bindings: BindingTable,
-    stwig_nodes: tuple,
-    per_machine: List[MatchTable],
-) -> None:
-    """Merge the machines' contributions for one STwig into the binding table.
-
-    The union of each machine's column values is computed first, then
-    intersected with any previous binding of the same query node.  The
-    binding deltas are charged as (small) proxy messages.
-
-    Distinct values come straight off the columnar storage: one
-    ``np.unique`` per (machine, column), one merging ``np.unique`` over the
-    per-machine chunks, and the merged sorted-unique array feeds
-    :meth:`BindingTable.bind` directly — the narrowing intersection runs on
-    arrays end to end, never through a Python set.
-    """
-    union_per_node: Dict[str, List[np.ndarray]] = {node: [] for node in stwig_nodes}
-    for machine_id, table in enumerate(per_machine):
-        if table.row_count == 0:
-            continue
-        # Binding synchronisation traffic: each machine ships its distinct
-        # column values to the proxy once per STwig.
-        distinct_total = 0
-        for node in stwig_nodes:
-            values = table.column_distinct(node)
-            union_per_node[node].append(values)
-            distinct_total += len(values)
-        cloud.metrics.record_result_transfer(
-            sender=machine_id, receiver=-1, rows=distinct_total, row_width=1
-        )
-    for node, chunks in union_per_node.items():
-        if chunks:
-            merged = np.unique(np.concatenate(chunks))
-        else:
-            merged = np.empty(0, dtype=NODE_DTYPE)
-        bindings.bind(node, merged)

@@ -128,8 +128,8 @@ class CooperativeJoinBudget(JoinBudget):
     """Machine-ordered view of one budget shared by every machine's join.
 
     ``slots[k]`` is the monotone count of rows machine ``k`` has produced —
-    each slot has exactly one writer, so no lock is needed (plain list for
-    threads, an int64 shared-memory array for the process backend).
+    each slot has exactly one writer, so no lock is needed (a plain list
+    in-process, an int64 shared-memory array for the process backend).
     Machine ``k``'s remaining budget is ``limit`` minus the production of
     machines ``0..k`` *only*: a machine never yields budget to a higher ID,
     so the driver's machine-ordered concatenation truncated to the limit is

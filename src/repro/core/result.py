@@ -10,7 +10,6 @@ original list-of-tuples implementation (``rows``, ``as_dicts``, iteration,
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
@@ -296,9 +295,6 @@ class MatchResult:
     (:meth:`as_dicts`, :meth:`external_rows`) translate back to the
     caller's original IDs — one vectorized gather over the final result,
     never per intermediate row.
-
-    :attr:`matches` (the raw :class:`MatchTable`) is deprecated in favor
-    of the accessors above; it still works but warns.
     """
 
     def __init__(
@@ -353,21 +349,6 @@ class MatchResult:
     def rows(self) -> List[Tuple[int, ...]]:
         """Match rows (internal IDs) in result column order."""
         return self._gathered().rows
-
-    @property
-    def matches(self) -> MatchTable:
-        """Deprecated: the raw result table.
-
-        Use :attr:`rows`, :meth:`external_rows` or :meth:`as_dicts` (all
-        one shared gather), or :attr:`table` for the zero-copy handle.
-        """
-        warnings.warn(
-            "MatchResult.matches is deprecated; use .rows / .external_rows() / "
-            ".as_dicts(), or .table for the zero-copy handle",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._gathered()
 
     def external_rows(self) -> List[Tuple]:
         """Match rows in the caller's original (external) node IDs.

@@ -3,8 +3,8 @@
 The runtime's :meth:`~repro.runtime.Executor.run` interface is a uniform
 task graph: the engine describes *what* to compute — one
 :class:`ExploreTask` per (stage, machine), one :class:`JoinTask` per
-machine — and backends differ only in *scheduling* (inline, thread pool,
-process pool with work stealing).  Results reference their data through
+machine — and backends differ only in *scheduling* (inline, or a process
+pool with work stealing).  Results reference their data through
 :class:`TableHandle`, the single-part descriptor that keeps exploration
 tables in shared memory end to end:
 
@@ -16,7 +16,7 @@ tables in shared memory end to end:
   cluster exchanges only small control messages while bulk data stays
   resident;
 * small tables stay inline (an ordinary array riding the handle), so the
-  serial and thread backends pay no publication cost at all.
+  serial backend pays no publication cost at all.
 
 Handles are *owning* descriptors: whoever holds the last reference to a
 published handle must call :meth:`TableHandle.release` (the engine does,

@@ -3,10 +3,10 @@
 The engine's two distributed phases — STwig exploration and the per-machine
 gather+join — are described as batches of :class:`ExploreTask` /
 :class:`JoinTask` and submitted through the uniform
-:meth:`Executor.run` interface; backends (serial / thread pool / process
-pool over shared-memory CSR partitions, with work stealing) differ only in
-scheduling while preserving, exactly, the serial model's results and
-communication counters.  Results carry their tables as zero-copy
+:meth:`Executor.run` loop; the two backends (serial / process pool over
+shared-memory CSR partitions, with work stealing) differ only in how the
+loop's units get run while preserving, exactly, the serial model's results
+and communication counters.  Results carry their tables as zero-copy
 :class:`TableHandle`\\ s end to end.  See :mod:`repro.runtime.executors`
 for the backends, :mod:`repro.core.tasks` for the task/handle types, and
 :mod:`repro.runtime.shared_cloud` for the graph publication layer.
@@ -35,9 +35,7 @@ from repro.runtime.executors import (
     ExecutorSpec,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     create_executor,
-    normalize_executor_spec,
 )
 from repro.runtime.shared_cloud import (
     CloudHandle,
@@ -59,9 +57,7 @@ __all__ = [
     "RuntimeConfig",
     "SerialExecutor",
     "TableHandle",
-    "ThreadExecutor",
     "create_executor",
-    "normalize_executor_spec",
     "publish_cloud",
     "rebuild_cloud",
     "resolve_backend",

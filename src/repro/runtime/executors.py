@@ -5,13 +5,12 @@ its partition *concurrently*, and every machine assembles its share of the
 answer concurrently.  The reproduction models that cluster with one
 process; the engine describes each fan-out as a batch of tasks
 (:class:`~repro.core.tasks.ExploreTask` / :class:`~repro.core.tasks.JoinTask`)
-and an executor schedules them:
+and :meth:`Executor.run` — the one fan-out loop — schedules them.  A
+backend is only *how the loop's units get run*:
 
-* :class:`SerialExecutor` — runs tasks inline, in machine order.  This is
-  the parity oracle: the other backends must produce row-for-row identical
+* :class:`SerialExecutor` — runs units inline, in machine order.  This is
+  the parity oracle: the other backend must produce row-for-row identical
   results **and** identical communication counters.
-* :class:`ThreadExecutor` — a thread pool over the shared in-process store.
-  Numpy kernels release the GIL, so batched matching overlaps.
 * :class:`ProcessExecutor` — a process pool over shared-memory CSR
   partitions (see :mod:`repro.runtime.shared_cloud`).  The graph is
   published once; workers rebuild zero-copy views lazily.  Exploration
@@ -21,40 +20,36 @@ and an executor schedules them:
   re-pickles, or re-publishes an intermediate table (the
   ``transport_counters`` make that claim observable).
 
-Work stealing: the thread and process backends split each exploration
-task's root array into bounded chunks queued individually, so idle workers
-steal from skewed machines.  Chunked sub-results concatenate in chunk
-order to exactly the unchunked table (``match_stwig`` emits rows in root
-order and charges per root/neighbor), and join tasks are never split, so
-the cooperative budget's exact-prefix guarantee survives any schedule.
+Work stealing: a backend whose units run concurrently has the loop split
+each exploration task's root array into bounded chunks queued
+individually, so idle workers steal from skewed machines.  Chunked
+sub-results concatenate in chunk order to exactly the unchunked table
+(``match_stwig`` emits rows in root order and charges per root/neighbor),
+and join tasks are never split, so the cooperative budget's exact-prefix
+guarantee survives any schedule.
 
-Metric faithfulness is structural: every task chunk runs against a
+Metric faithfulness is structural: every unit runs against a
 metrics-scoped view of the cloud (:meth:`MemoryCloud.with_metrics`), and
-the isolated counters are merged back in (task, chunk) order after the
-batch completes.  Counter totals are sums, so any schedule aggregates to
-exactly the serial model's metrics — the invariant the parity suite
-asserts.  ``run`` reports each task's result through an optional
-``on_result`` callback *as it completes* (always from the calling thread),
-which is what lets the proxy-side binding merge overlap with the stage
-barrier instead of waiting for the slowest machine.
+the loop merges the isolated counters back in (task, chunk) order.
+Counter totals are sums, so any schedule aggregates to exactly the serial
+model's metrics — the invariant the parity suite asserts.
 """
 
 from __future__ import annotations
 
-import functools
 import multiprocessing
 import os
 import threading
 import weakref
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor, as_completed, wait
-from contextlib import ExitStack, contextmanager
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from contextlib import ExitStack, closing, contextmanager
+from dataclasses import replace
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.cloud.cluster import MemoryCloud
-from repro.cloud.config import RuntimeConfig, resolve_backend
+from repro.cloud.config import RuntimeConfig
 from repro.cloud.metrics import CloudMetrics
 from repro.core.distributed import machine_result_rows
 from repro.core.join import CooperativeJoinBudget
@@ -69,7 +64,7 @@ from repro.core.tasks import (
     explore_result,
     matrix_is_published,
 )
-from repro.errors import ExecutionError
+from repro.errors import ConfigurationError, ExecutionError
 from repro.graph.labeled_graph import NODE_DTYPE
 from repro.query.query_graph import QueryGraph
 from repro.runtime.shared_cloud import (
@@ -80,8 +75,8 @@ from repro.runtime.shared_cloud import (
     publish_cloud,
     rebuild_cloud,
 )
-from repro.utils.deprecation import shim_renamed_kwarg as _shim_deprecated
 from repro.utils.shm import (
+    SegmentRegistry,
     SharedArraySpec,
     attach_array,
     publish_array,
@@ -115,14 +110,12 @@ def _root_chunks(roots: np.ndarray, stealing: bool) -> List[np.ndarray]:
 def _shared_join_limit(tasks: Sequence[object]) -> Optional[int]:
     """The single row limit shared by every join task of one batch."""
     limits = {task.row_limit for task in tasks if isinstance(task, JoinTask)}
-    if not limits:
-        return None
     if len(limits) > 1:
         raise ExecutionError(
             "join tasks submitted in one Executor.run batch must share one "
             f"row_limit, got {limits}"
         )
-    return limits.pop()
+    return limits.pop() if limits else None
 
 
 def _ship_array(array: np.ndarray):
@@ -147,32 +140,27 @@ def _receive_array(shipped) -> np.ndarray:
         segment.unlink()
 
 
-def _discard_shipped(shipped) -> None:
-    """Driver-side: retire a shipped block without materializing it."""
-    if isinstance(shipped, SharedArraySpec):
-        unlink_block(shipped)
-
-
-def _ship_bindings(bindings, query: QueryGraph):
+def _ship_bindings(bindings, query: QueryGraph, registries: List):
     """Driver-side: large binding tables go to workers via shared memory.
 
-    Returns ``(payload, registry)``: small (or absent) bindings pass
-    through as the pickled object with no registry; large ones are
-    published once and replaced by a :class:`BindingsHandle`, so the pool
-    pipe never carries the same multi-megabyte arrays once per machine.
-    The caller closes the registry after the fan-out completes.
+    Small (or absent) bindings pass through as the pickled object; large
+    ones are published once and replaced by a :class:`BindingsHandle`, so
+    the pool pipe never carries the same multi-megabyte arrays once per
+    machine.  The publication's registry joins ``registries``, which the
+    caller closes after the fan-out completes.
     """
     if bindings is None:
-        return None, None
+        return None
     total = sum(
         len(array)
         for node in query.nodes()
         if (array := bindings.candidates_array(node)) is not None
     )
     if total < _SHIP_THRESHOLD_ENTRIES:
-        return bindings, None
+        return bindings
     handle, registry = publish_bindings(bindings, query)
-    return handle, registry
+    registries.append(registry)
+    return handle
 
 
 @contextmanager
@@ -185,12 +173,54 @@ def _resolved_bindings(payload, query: QueryGraph):
         yield payload
 
 
+def _explore_unit(cloud: MemoryCloud, machine_id, stwig, query, bindings, roots):
+    """Match one root chunk against isolated metrics: ``(table, metrics)``."""
+    metrics = CloudMetrics()
+    scoped = cloud.with_metrics(metrics)
+    table = match_stwig(scoped, machine_id, stwig, query, bindings=bindings, roots=roots)
+    return table, metrics
+
+
+class _Unit(NamedTuple):
+    """One schedulable piece of a batch: a join task, or one chunk of an
+    exploration task's roots (``roots`` is ``None`` for joins)."""
+
+    task_index: int
+    chunk_index: int
+    chunk_count: int
+    task: object
+    roots: Optional[np.ndarray]
+
+
+def _coalesce(task: object, chunks: Sequence[object]) -> object:
+    """One task's result from its units' results, in chunk order."""
+    if len(chunks) == 1:
+        return chunks[0]
+    # A chunk-split (stolen-from) machine: coalesce its parts into one
+    # inline handle so downstream consumers still see single-part handles.
+    columns = task.stwig.nodes
+    arrays = [chunk.table.materialize().to_array() for chunk in chunks if chunk.table.row_count]
+    if not arrays:
+        return ExploreResult(task.machine_id, TableHandle.empty(columns))
+    distincts = {
+        node: np.unique(
+            np.concatenate([chunk.distincts[node] for chunk in chunks if chunk.distincts])
+        )
+        for node in columns
+    }
+    handle = TableHandle.from_array(columns, np.concatenate(arrays, axis=0))
+    return ExploreResult(task.machine_id, handle, distincts)
+
+
 class Executor(ABC):
-    """Schedules the engine's task batches and merges their metrics."""
+    """The fan-out loop; a backend supplies only :meth:`_run_units`."""
 
     name: str = "abstract"
 
-    @abstractmethod
+    #: Whether exploration tasks are split into stealable chunks — worth it
+    #: only for a backend whose units run concurrently.
+    stealing: bool = False
+
     def run(
         self,
         cloud: MemoryCloud,
@@ -215,9 +245,65 @@ class Executor(ABC):
         rows and the driver's ordered concatenation stays an exact prefix
         of the unlimited result on every backend.
 
-        Each task chunk's isolated :class:`CloudMetrics` are merged into
+        Each unit's isolated :class:`CloudMetrics` are merged into
         ``cloud.metrics`` in (task, chunk) order after the batch; totals
-        are sums, so every schedule reproduces the serial counters.
+        are sums, so every schedule reproduces the serial counters.  A
+        failed batch merges nothing and retires every table its finished
+        units published.
+        """
+        units: List[_Unit] = []
+        # buffers[task][chunk] -> (result, metrics) once that unit completed.
+        buffers: List[List[Optional[tuple]]] = []
+        for index, task in enumerate(tasks):
+            if isinstance(task, ExploreTask):
+                chunks = _root_chunks(task.roots, self.stealing)
+            elif isinstance(task, JoinTask):
+                chunks = [None]
+            else:
+                raise ExecutionError(f"unknown task type {type(task).__name__}")
+            units.extend(
+                _Unit(index, chunk_index, len(chunks), task, roots)
+                for chunk_index, roots in enumerate(chunks)
+            )
+            buffers.append([None] * len(chunks))
+        pending = [len(chunks) for chunks in buffers]
+        results: List[object] = [None] * len(tasks)
+        try:
+            with closing(self._run_units(cloud, tasks, units)) as completed:
+                for unit, result, metrics in completed:
+                    index = unit.task_index
+                    buffers[index][unit.chunk_index] = (result, metrics)
+                    pending[index] -= 1
+                    if pending[index] == 0:
+                        results[index] = _coalesce(
+                            unit.task, [chunk for chunk, _ in buffers[index]]
+                        )
+                        if on_result is not None:
+                            on_result(index, results[index])
+        except BaseException:
+            # Retire every table the finished units published (inline
+            # handles no-op), assembled or still buffered.
+            finished = [entry[0] for chunks in buffers for entry in chunks if entry]
+            for result in results + finished:
+                if isinstance(result, ExploreResult):
+                    result.table.release()
+            raise
+        for chunks in buffers:
+            for _, metrics in chunks:
+                cloud.metrics.merge(metrics)
+        return results
+
+    @abstractmethod
+    def _run_units(
+        self, cloud: MemoryCloud, tasks: Sequence[object], units: Sequence[_Unit]
+    ) -> Iterator[Tuple[_Unit, object, CloudMetrics]]:
+        """Run every unit, yielding ``(unit, result, metrics)`` as each completes.
+
+        ``result`` is the unit's :class:`~repro.core.tasks.ExploreResult` /
+        :class:`~repro.core.tasks.JoinResult` (a chunk of a split task —
+        ``unit.chunk_count > 1`` — must come back inline), ``metrics`` the
+        isolated counters it ran against.  Any order is allowed; :meth:`run`
+        closes the generator if the batch is abandoned.
         """
 
     def close(self) -> None:
@@ -228,105 +314,6 @@ class Executor(ABC):
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def _pool_size(requested: Optional[int], machine_count: int) -> int:
-    """Default pool sizing: one worker per machine, capped at the host CPUs."""
-    if requested is not None:
-        return max(1, requested)
-    return max(1, min(machine_count, os.cpu_count() or 1))
-
-
-class _AttachedJoinTables:
-    """Driver-side shared state for the join tasks of one ``run`` batch.
-
-    Attaches each distinct handle matrix once (all tasks of a batch share
-    the exploration matrix), keeps one binding-filtered-table cache per
-    matrix, and owns the budget slot array.  Thread-safe: the thread
-    backend calls :meth:`tables_for` concurrently.
-    """
-
-    def __init__(self, cloud: MemoryCloud, tasks: Sequence[object]) -> None:
-        self._lock = threading.Lock()
-        self._stack = ExitStack()
-        self._entries: Dict[int, tuple] = {}
-        self.limit = _shared_join_limit(tasks)
-        # One produced-count slot per machine, single writer each; list
-        # item reads/writes are atomic under the GIL, and a stale read of
-        # another machine's slot only under-counts (the final truncate in
-        # assemble_results restores the exact limit).
-        self.slots = [0] * cloud.machine_count if self.limit is not None else None
-
-    def tables_for(self, task: JoinTask):
-        """``(tables, any_published, filtered_cache)`` for one task's matrix."""
-        key = id(task.tables)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                tables = self._stack.enter_context(attached_matrix(task.tables))
-                entry = (tables, matrix_is_published(task.tables), {})
-                self._entries[key] = entry
-        return entry
-
-    def budget_for(self, machine_id: int) -> Optional[CooperativeJoinBudget]:
-        if self.limit is None:
-            return None
-        return CooperativeJoinBudget(self.slots, machine_id, self.limit)
-
-    def close(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._stack.close()
-
-
-def _join_inline(cloud, shared: _AttachedJoinTables, task: JoinTask) -> JoinResult:
-    """Run one join task in-process against the batch's shared attachments."""
-    tables, published, filtered_cache = shared.tables_for(task)
-    rows = machine_result_rows(
-        cloud,
-        task.plan,
-        tables,
-        task.machine_id,
-        task.bindings,
-        budget=shared.budget_for(task.machine_id),
-        filtered_cache=filtered_cache,
-    )
-    if published and len(rows):
-        # The attachments close when the batch ends; detach the result rows
-        # from the shared pages before they do.
-        rows = np.array(rows, dtype=NODE_DTYPE, copy=True)
-    return JoinResult(task.machine_id, rows)
-
-
-def _explore_chunk_inline(cloud: MemoryCloud, task: ExploreTask, chunk: np.ndarray):
-    metrics = CloudMetrics()
-    table = match_stwig(
-        cloud.with_metrics(metrics),
-        task.machine_id,
-        task.stwig,
-        task.query,
-        bindings=task.bindings,
-        roots=chunk,
-    )
-    return table, metrics
-
-
-def _join_unit_inline(cloud: MemoryCloud, shared: _AttachedJoinTables, task: JoinTask):
-    metrics = CloudMetrics()
-    return _join_inline(cloud.with_metrics(metrics), shared, task), metrics
-
-
-def _assemble_inline(task: object, entries: Sequence[tuple]) -> object:
-    """Combine one task's chunk payloads (in-process backends)."""
-    if isinstance(task, JoinTask):
-        return entries[0][0]
-    tables = [table for table, _ in entries]
-    if len(tables) == 1:
-        return explore_result(task, tables[0])
-    merged = np.concatenate([table.to_array() for table in tables], axis=0)
-    from repro.core.result import MatchTable
-
-    return explore_result(task, MatchTable.from_array(task.stwig.nodes, merged))
 
 
 class SerialExecutor(Executor):
@@ -340,140 +327,43 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def run(self, cloud, tasks, on_result=None):
-        results: List[object] = [None] * len(tasks)
-        shared = _AttachedJoinTables(cloud, tasks)
-        try:
-            for index, task in enumerate(tasks):
-                metrics = CloudMetrics()
-                scoped = cloud.with_metrics(metrics)
+    def _run_units(self, cloud, tasks, units):
+        limit = _shared_join_limit(tasks)
+        # One produced-count slot per machine, single writer each.
+        slots = [0] * cloud.machine_count
+        # Each distinct handle matrix is attached once per batch (all join
+        # tasks of a batch share the exploration matrix) and carries one
+        # binding-filtered-table cache: id -> (tables, published, cache).
+        attached: Dict[int, tuple] = {}
+        with ExitStack() as stack:
+            for unit in units:
+                task = unit.task
                 if isinstance(task, ExploreTask):
-                    table = match_stwig(
-                        scoped,
-                        task.machine_id,
-                        task.stwig,
-                        task.query,
-                        bindings=task.bindings,
-                        roots=task.roots,
+                    table, metrics = _explore_unit(
+                        cloud, task.machine_id, task.stwig, task.query, task.bindings, unit.roots
                     )
-                    result = explore_result(task, table)
-                elif isinstance(task, JoinTask):
-                    result = _join_inline(scoped, shared, task)
-                else:
-                    raise ExecutionError(f"unknown task type {type(task).__name__}")
-                cloud.metrics.merge(metrics)
-                results[index] = result
-                if on_result is not None:
-                    on_result(index, result)
-        finally:
-            shared.close()
-        return results
-
-
-class ThreadExecutor(Executor):
-    """Thread-pool execution over the shared in-process partition store."""
-
-    name = "thread"
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        stealing: bool = True,
-        **deprecated,
-    ) -> None:
-        workers = _shim_deprecated(
-            deprecated, "max_workers", "workers", workers, ThreadExecutor
-        )
-        if deprecated:
-            raise TypeError(
-                f"unexpected keyword arguments {sorted(deprecated)} "
-                "for ThreadExecutor"
-            )
-        self._workers = workers
-        self._stealing = stealing
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_workers = 0
-        self._lock = threading.Lock()
-
-    def _ensure_pool(self, machine_count: int) -> ThreadPoolExecutor:
-        # Serialized: the query service submits fan-outs from many threads,
-        # and two of them must not both decide to (re)build the pool.
-        with self._lock:
-            wanted = _pool_size(self._workers, machine_count)
-            if self._pool is not None and wanted > self._pool_workers:
-                # A later cloud has more machines than the pool was sized for
-                # (shared executors outlive their first cloud): resize up.
-                self._pool.shutdown(wait=True)
-                self._pool = None
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(wanted, thread_name_prefix="repro-runtime")
-                self._pool_workers = wanted
-            return self._pool
-
-    def run(self, cloud, tasks, on_result=None):
-        if not tasks:
-            return []
-        pool = self._ensure_pool(cloud.machine_count)
-        if any(isinstance(task, ExploreTask) for task in tasks):
-            # Safety barrier: complete any staged-store lazy merges before
-            # the machines are read from several threads (the merge
-            # reassigns the CSR arrays non-atomically).
-            cloud.flush_staged()
-        shared = _AttachedJoinTables(cloud, tasks)
-        chunk_counts = [1] * len(tasks)
-        units = []
-        for index, task in enumerate(tasks):
-            if isinstance(task, ExploreTask):
-                chunks = _root_chunks(task.roots, self._stealing)
-                chunk_counts[index] = len(chunks)
-                for chunk_index, chunk in enumerate(chunks):
-                    units.append(
-                        (
-                            index,
-                            chunk_index,
-                            functools.partial(_explore_chunk_inline, cloud, task, chunk),
-                        )
-                    )
-            elif isinstance(task, JoinTask):
-                units.append(
-                    (index, 0, functools.partial(_join_unit_inline, cloud, shared, task))
+                    yield unit, explore_result(task, table), metrics
+                    continue
+                metrics = CloudMetrics()
+                key = id(task.tables)
+                if key not in attached:
+                    tables = stack.enter_context(attached_matrix(task.tables))
+                    attached[key] = (tables, matrix_is_published(task.tables), {})
+                tables, published, filtered_cache = attached[key]
+                rows = machine_result_rows(
+                    cloud.with_metrics(metrics),
+                    task.plan,
+                    tables,
+                    task.machine_id,
+                    task.bindings,
+                    budget=CooperativeJoinBudget(slots, task.machine_id, limit),
+                    filtered_cache=filtered_cache,
                 )
-            else:
-                raise ExecutionError(f"unknown task type {type(task).__name__}")
-        buffers: List[List] = [[None] * count for count in chunk_counts]
-        pending = list(chunk_counts)
-        results: List[object] = [None] * len(tasks)
-        futures: Dict = {}
-        try:
-            futures = {
-                pool.submit(thunk): (task_index, chunk_index)
-                for task_index, chunk_index, thunk in units
-            }
-            for future in as_completed(futures):
-                task_index, chunk_index = futures[future]
-                buffers[task_index][chunk_index] = future.result()
-                pending[task_index] -= 1
-                if pending[task_index] == 0:
-                    results[task_index] = _assemble_inline(
-                        tasks[task_index], buffers[task_index]
-                    )
-                    if on_result is not None:
-                        on_result(task_index, results[task_index])
-        finally:
-            # On error the attachments must outlive still-running units.
-            wait(list(futures))
-            shared.close()
-        for chunk_list in buffers:
-            for entry in chunk_list:
-                if entry is not None:
-                    cloud.metrics.merge(entry[1])
-        return results
-
-    def close(self) -> None:
-        with self._lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
+                if published and len(rows):
+                    # The attachments close when the batch ends; detach the
+                    # result rows from the shared pages before they do.
+                    rows = np.array(rows, dtype=NODE_DTYPE, copy=True)
+                yield unit, JoinResult(task.machine_id, rows), metrics
 
 
 # -- process backend ---------------------------------------------------------
@@ -499,35 +389,22 @@ def _worker_cloud() -> MemoryCloud:
 
 def _worker_explore(args):
     machine_id, stwig, query, shipped_bindings, roots = args
-    metrics = CloudMetrics()
     with _resolved_bindings(shipped_bindings, query) as bindings:
-        table = match_stwig(
-            _worker_cloud().with_metrics(metrics),
-            machine_id,
-            stwig,
-            query,
-            bindings=bindings,
-            roots=roots,
+        table, metrics = _explore_unit(
+            _worker_cloud(), machine_id, stwig, query, bindings, roots
         )
     part = None
-    published = 0
     distincts = {}
     if table.row_count:
-        array = table.to_array()
-        if array.size >= _SHIP_THRESHOLD_ENTRIES:
-            # The end-to-end shared-memory path: publish once, return only
-            # the spec.  The block lives until a TableHandle.release() (or
-            # an executor error path) unlinks it — the driver never maps it.
-            segment, spec = publish_array(array)
-            segment.close()
-            part = spec
-            published = 1
-        else:
-            part = array
+        # The end-to-end shared-memory path: a large table is published
+        # once and only its spec returns.  The block lives until a
+        # TableHandle.release() (or an executor error path) unlinks it —
+        # the driver never maps it.
+        part = _ship_array(table.to_array())
         distincts = {
             node: _ship_array(table.column_distinct(node)) for node in stwig.nodes
         }
-    return table.row_count, part, distincts, published, metrics
+    return (table.row_count, part, distincts), metrics
 
 
 def _worker_join(args):
@@ -556,14 +433,12 @@ def _worker_run(payload):
 
     A worker that raised through ``imap_unordered`` would abort the whole
     iteration and strand every sibling's shipped shared-memory block; the
-    driver instead collects ``("error", ...)`` outcomes, drains the batch,
+    driver instead receives an ``("error", ...)`` outcome, drains the batch,
     unlinks everything the successful siblings shipped, and re-raises.
     """
-    unit_index, kind, args = payload
+    unit_index, work, args = payload
     try:
-        if kind == "explore":
-            return "ok", unit_index, _worker_explore(args)
-        return "ok", unit_index, _worker_join(args)
+        return "ok", unit_index, work(args)
     except Exception as error:  # noqa: BLE001 - transported to the driver
         return "error", unit_index, error
 
@@ -602,13 +477,8 @@ class _SharedBudgetSlots:
         if segment is not None:
             segment.close()
 
-    def __getstate__(self):
-        return {"spec": self._spec}
-
-    def __setstate__(self, state) -> None:
-        self._spec = state["spec"]
-        self._segment = None
-        self._view = None
+    def __reduce__(self):
+        return _SharedBudgetSlots, (self._spec,)
 
 
 class _ProcessState:
@@ -671,19 +541,10 @@ class ProcessExecutor(Executor):
         workers: Optional[int] = None,
         start_method: Optional[str] = None,
         stealing: bool = True,
-        **deprecated,
     ) -> None:
-        workers = _shim_deprecated(
-            deprecated, "max_workers", "workers", workers, ProcessExecutor
-        )
-        if deprecated:
-            raise TypeError(
-                f"unexpected keyword arguments {sorted(deprecated)} "
-                "for ProcessExecutor"
-            )
         self._workers = workers
         self._start_method = start_method
-        self._stealing = stealing
+        self.stealing = stealing
         self._state = _ProcessState()
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
@@ -746,7 +607,8 @@ class ProcessExecutor(Executor):
             state.load_generation = owner.load_generation
             context = multiprocessing.get_context(self._start_method)
             state.pool = context.Pool(
-                processes=_pool_size(self._workers, owner.machine_count),
+                # Default sizing: one worker per machine, capped at the host CPUs.
+                processes=self._workers or min(owner.machine_count, os.cpu_count() or 1),
                 initializer=_worker_initialize,
                 initargs=(handle,),
             )
@@ -778,181 +640,101 @@ class ProcessExecutor(Executor):
                 self.transport_counters["join_cache_hits"] += 1
         return TableHandle(handle.columns, handle.row_count, spec, handle.fingerprint)
 
-    def _assemble(self, task: object, bodies: Sequence[tuple]) -> object:
-        counters = self.transport_counters
+    def _decode(self, unit: _Unit, payload, counts: Dict[str, int]) -> object:
+        """A worker's payload as the unit's result; transport tallied in ``counts``."""
+        task = unit.task
         if isinstance(task, JoinTask):
-            shipped_rows, _ = bodies[0]
-            return JoinResult(task.machine_id, _receive_array(shipped_rows))
-        columns = task.stwig.nodes
-        if len(bodies) == 1:
-            row_count, part, distincts, published, _ = bodies[0]
-            counters["explore_publications"] += published
-            received = {
-                node: _receive_array(shipped) for node, shipped in distincts.items()
-            }
-            return ExploreResult(
-                task.machine_id, TableHandle(columns, row_count, part), received
-            )
-        # A chunk-split (stolen-from) machine: coalesce its parts into one
-        # inline handle so downstream consumers still see single-part
-        # handles.  This is the only driver-side table materialization in
-        # the backend, and it is charged to its own counters.
-        arrays: List[np.ndarray] = []
-        distinct_chunks: Dict[str, List[np.ndarray]] = {}
-        for row_count, part, distincts, published, _ in bodies:
-            counters["explore_publications"] += published
-            if part is not None:
-                counters["driver_table_receives"] += 1
-                arrays.append(_receive_array(part))
-            for node, shipped in distincts.items():
-                distinct_chunks.setdefault(node, []).append(_receive_array(shipped))
-        counters["explore_coalesced"] += 1
-        if arrays:
-            handle = TableHandle.from_array(columns, np.concatenate(arrays, axis=0))
-        else:
-            handle = TableHandle.empty(columns)
-        received = {
-            node: np.unique(np.concatenate(chunks))
-            for node, chunks in distinct_chunks.items()
-        }
+            return JoinResult(task.machine_id, _receive_array(payload))
+        row_count, part, distincts = payload
+        counts["explore_publications"] += isinstance(part, SharedArraySpec)
+        if unit.chunk_count > 1 and part is not None:
+            # A chunk of a split (stolen-from) machine is coalesced by the
+            # loop, so the driver has to receive it.  This is the only
+            # driver-side table materialization in the backend, and it is
+            # charged to its own counter.
+            counts["driver_table_receives"] += 1
+            part = _receive_array(part)
+        received = {node: _receive_array(shipped) for node, shipped in distincts.items()}
+        handle = TableHandle(task.stwig.nodes, row_count, part)
         return ExploreResult(task.machine_id, handle, received)
 
-    @staticmethod
-    def _discard_partial(results: List[object], buffers: List[List]) -> None:
-        """Error path: retire every block a failed batch left behind."""
-        for result in results:
-            if isinstance(result, ExploreResult):
-                result.table.release()
-        for chunk_list in buffers:
-            for body in chunk_list or ():
-                if body is None:
-                    continue
-                if len(body) == 2:  # join body: (shipped_rows, metrics)
-                    _discard_shipped(body[0])
-                else:  # explore body: (rows, part, distincts, published, metrics)
-                    _discard_shipped(body[1])
-                    for shipped in body[2].values():
-                        _discard_shipped(shipped)
+    def _run_units(self, cloud, tasks, units):
+        # Tallied per batch and folded in once, under the lock: the query
+        # service runs batches from several threads at once.
+        counts = {
+            "explore_publications": 0,
+            "explore_coalesced": len(
+                {unit.task_index for unit in units if unit.chunk_count > 1}
+            ),
+            "driver_table_receives": 0,
+        }
+        registries: List = []
+        bindings_cache: Dict[int, object] = {}
+        matrix_cache: Dict[int, tuple] = {}
+        join_limit = _shared_join_limit(tasks)
+        slots = None
 
-    def run(self, cloud, tasks, on_result=None):
-        if not tasks:
-            return []
-        results: List[object] = [None] * len(tasks)
-        unit_metrics: List[List] = []
+        def shipped_bindings_for(bindings, query):
+            key = id(bindings)
+            if key not in bindings_cache:
+                bindings_cache[key] = _ship_bindings(bindings, query, registries)
+            return bindings_cache[key]
+
+        def shipped_matrix_for(matrix):
+            key = id(matrix)
+            if key not in matrix_cache:
+                matrix_cache[key] = tuple(
+                    tuple(self._shipped_handle(handle) for handle in machine)
+                    for machine in matrix
+                )
+            return matrix_cache[key]
+
+        def encode(unit_index: int, unit: _Unit) -> tuple:
+            task = unit.task
+            if isinstance(task, ExploreTask):
+                shipped = shipped_bindings_for(task.bindings, task.query)
+                args = (task.machine_id, task.stwig, task.query, shipped, unit.roots)
+                return unit_index, _worker_explore, args
+            shipped = shipped_bindings_for(task.bindings, task.plan.query)
+            budget = (
+                CooperativeJoinBudget(slots, task.machine_id, join_limit)
+                if join_limit is not None
+                else None
+            )
+            matrix = shipped_matrix_for(task.tables)
+            return unit_index, _worker_join, (task.machine_id, task.plan, matrix, shipped, budget)
+
         with self._inflight_map():
             pool = self._ensure_pool(cloud)
-            registries: List = []
-            bindings_cache: Dict[int, object] = {}
-            matrix_cache: Dict[int, tuple] = {}
-            budget_segment = None
-            slots = None
-            join_limit = _shared_join_limit(tasks)
-            if join_limit is not None:
-                budget_segment, spec = publish_array(
-                    np.zeros(cloud.machine_count, dtype=np.int64)
-                )
-                slots = _SharedBudgetSlots(spec)
-
-            def shipped_bindings_for(bindings, query):
-                if bindings is None:
-                    return None
-                key = id(bindings)
-                if key not in bindings_cache:
-                    payload, registry = _ship_bindings(bindings, query)
-                    if registry is not None:
-                        registries.append(registry)
-                    bindings_cache[key] = payload
-                return bindings_cache[key]
-
-            def shipped_matrix_for(matrix):
-                key = id(matrix)
-                if key not in matrix_cache:
-                    matrix_cache[key] = tuple(
-                        tuple(self._shipped_handle(handle) for handle in machine)
-                        for machine in matrix
-                    )
-                return matrix_cache[key]
-
-            payloads: List[tuple] = []
-            meta: List[tuple] = []
-            chunk_counts = [1] * len(tasks)
-            for index, task in enumerate(tasks):
-                if isinstance(task, ExploreTask):
-                    shipped = shipped_bindings_for(task.bindings, task.query)
-                    chunks = _root_chunks(task.roots, self._stealing)
-                    chunk_counts[index] = len(chunks)
-                    for chunk_index, chunk in enumerate(chunks):
-                        meta.append((index, chunk_index))
-                        payloads.append(
-                            (
-                                len(payloads),
-                                "explore",
-                                (task.machine_id, task.stwig, task.query, shipped, chunk),
-                            )
-                        )
-                elif isinstance(task, JoinTask):
-                    shipped = shipped_bindings_for(task.bindings, task.plan.query)
-                    budget = (
-                        CooperativeJoinBudget(slots, task.machine_id, join_limit)
-                        if join_limit is not None
-                        else None
-                    )
-                    meta.append((index, 0))
-                    payloads.append(
-                        (
-                            len(payloads),
-                            "join",
-                            (
-                                task.machine_id,
-                                task.plan,
-                                shipped_matrix_for(task.tables),
-                                shipped,
-                                budget,
-                            ),
-                        )
-                    )
-                else:
-                    raise ExecutionError(f"unknown task type {type(task).__name__}")
-
-            buffers: List[List] = [[None] * count for count in chunk_counts]
-            unit_metrics = [[None] * count for count in chunk_counts]
-            pending = list(chunk_counts)
-            errors: List[BaseException] = []
             try:
-                for status, unit_index, body in pool.imap_unordered(
-                    _worker_run, payloads, chunksize=1
-                ):
-                    task_index, chunk_index = meta[unit_index]
-                    if status == "error":
-                        errors.append(body)
-                        continue
-                    unit_metrics[task_index][chunk_index] = body[-1]
-                    buffers[task_index][chunk_index] = body
-                    pending[task_index] -= 1
-                    if pending[task_index] == 0 and not errors:
-                        result = self._assemble(tasks[task_index], buffers[task_index])
-                        buffers[task_index] = ()
-                        results[task_index] = result
-                        if on_result is not None:
-                            on_result(task_index, result)
-                if errors:
-                    raise errors[0]
-            except BaseException:
-                self._discard_partial(results, buffers)
-                raise
+                if join_limit is not None:
+                    registries.append(SegmentRegistry())
+                    slots = _SharedBudgetSlots(
+                        registries[-1].publish(np.zeros(cloud.machine_count, dtype=np.int64))
+                    )
+                payloads = [encode(index, unit) for index, unit in enumerate(units)]
+                outcomes = pool.imap_unordered(_worker_run, payloads, chunksize=1)
+                try:
+                    for status, unit_index, body in outcomes:
+                        if status == "error":
+                            raise body
+                        unit = units[unit_index]
+                        yield unit, self._decode(unit, body[0], counts), body[1]
+                finally:
+                    # A failed or abandoned batch: wait for the sibling
+                    # units and retire what they shipped, so no block is
+                    # stranded and nothing is unlinked under a live worker.
+                    for status, unit_index, body in outcomes:
+                        if status == "ok":
+                            result = self._decode(units[unit_index], body[0], counts)
+                            if isinstance(result, ExploreResult):
+                                result.table.release()
             finally:
                 for registry in registries:
                     registry.close()
-                if budget_segment is not None:
-                    budget_segment.close()
-                    try:
-                        budget_segment.unlink()
-                    except FileNotFoundError:  # pragma: no cover
-                        pass
-        for metrics_list in unit_metrics:
-            for metrics in metrics_list:
-                cloud.metrics.merge(metrics)
-        return results
+                with self._lock:
+                    for key, count in counts.items():
+                        self.transport_counters[key] += count
 
     def published_segment_names(self) -> List[str]:
         """Names of the live graph segments (empty after close)."""
@@ -975,72 +757,40 @@ class ProcessExecutor(Executor):
             self._state.teardown()
 
 
-#: Backend name -> executor class.
-_EXECUTORS = {
-    SerialExecutor.name: SerialExecutor,
-    ThreadExecutor.name: ThreadExecutor,
-    ProcessExecutor.name: ProcessExecutor,
-}
-
 ExecutorSpec = Union[None, str, RuntimeConfig, Executor]
 
 
-def create_executor(spec: ExecutorSpec = None) -> Executor:
+def create_executor(spec: ExecutorSpec = None, workers: Optional[int] = None) -> Executor:
     """Build an executor from a backend name, a RuntimeConfig, or nothing.
 
     ``None`` resolves the backend from the ``REPRO_EXECUTOR`` environment
     variable (default ``serial``); an existing :class:`Executor` instance
-    passes through unchanged.
-    """
-    if isinstance(spec, Executor):
-        return spec
-    if isinstance(spec, RuntimeConfig):
-        spec.validate()
-        backend = spec.resolved_backend()
-        if backend == "thread":
-            return ThreadExecutor(workers=spec.workers, stealing=spec.stealing)
-        if backend == "process":
-            return ProcessExecutor(
-                workers=spec.workers,
-                start_method=spec.start_method,
-                stealing=spec.stealing,
-            )
-        return SerialExecutor()
-    backend = resolve_backend(spec)
-    return _EXECUTORS[backend]()
-
-
-def normalize_executor_spec(
-    executor: ExecutorSpec = None, workers: "int | None" = None
-) -> ExecutorSpec:
-    """Fold the public ``executor=``/``workers=`` kwarg pair into one spec.
-
-    This is the normalization behind every entry point that accepts the
-    pair (``SubgraphMatcher``, ``QueryService``, ``repro.api.connect``, the
-    CLI's ``--executor``/``--workers``): ``workers`` bounds the pool of a
-    thread/process backend and is meaningless for an already-built
-    :class:`Executor` (whose pool size is fixed) — passing both raises.
+    passes through unchanged.  ``workers`` is the ``workers=`` kwarg every
+    entry point pairs with ``executor=`` (``SubgraphMatcher``,
+    ``QueryService``, ``repro.api.connect``, the CLI): it bounds the
+    process backend's pool, overriding the spec's own value.
 
     Raises:
-        ConfigurationError: ``workers`` with an :class:`Executor` instance,
-            or a non-positive ``workers``.
+        ConfigurationError: an unknown backend, a non-positive ``workers``,
+            or ``workers`` with an :class:`Executor` instance (whose pool
+            size is fixed).
     """
-    if workers is None:
-        return executor
-    from repro.errors import ConfigurationError
-
-    if isinstance(executor, Executor):
-        raise ConfigurationError(
-            "workers= cannot resize an existing Executor instance; "
-            "pass a backend name or RuntimeConfig instead"
+    if isinstance(spec, Executor):
+        if workers is not None:
+            raise ConfigurationError(
+                "workers= cannot resize an existing Executor instance; "
+                "pass a backend name or RuntimeConfig instead"
+            )
+        return spec
+    if not isinstance(spec, RuntimeConfig):
+        spec = RuntimeConfig(backend=spec)
+    if workers is not None:
+        spec = replace(spec, workers=workers)
+    spec.validate()
+    if spec.resolved_backend() == "process":
+        return ProcessExecutor(
+            workers=spec.workers,
+            start_method=spec.start_method,
+            stealing=spec.stealing,
         )
-    if workers <= 0:
-        raise ConfigurationError(f"workers must be positive, got {workers}")
-    if isinstance(executor, RuntimeConfig):
-        return RuntimeConfig(
-            backend=executor.backend,
-            workers=workers,
-            start_method=executor.start_method,
-            stealing=executor.stealing,
-        )
-    return RuntimeConfig(backend=executor, workers=workers)
+    return SerialExecutor()

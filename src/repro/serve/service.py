@@ -51,8 +51,7 @@ from repro.core.planner import MatcherConfig
 from repro.core.result import MatchResult
 from repro.errors import AdmissionError, ConfigurationError, ServiceError
 from repro.query.query_graph import QueryGraph
-from repro.runtime import ExecutorSpec, normalize_executor_spec
-from repro.utils.deprecation import shim_renamed_kwarg as _shim_deprecated
+from repro.runtime import ExecutorSpec
 
 
 @dataclass(frozen=True)
@@ -67,8 +66,6 @@ class ServiceConfig:
             ``None`` waits indefinitely.
         limit: row budget applied to queries submitted without one;
             ``None`` leaves unlimited queries unlimited.
-            (``default_limit=`` is the deprecated spelling; reads of
-            ``.default_limit`` return ``.limit``.)
         max_row_budget: upper bound on any query's row budget; submissions
             asking for more (or for no limit at all, when set) are rejected.
             ``None`` accepts any budget.  The admitted budget is a true
@@ -88,33 +85,6 @@ class ServiceConfig:
     limit: Optional[int] = None
     max_row_budget: Optional[int] = None
     drain_timeout: Optional[float] = 60.0
-
-    def __init__(
-        self,
-        max_in_flight: int = 8,
-        admission_timeout: Optional[float] = None,
-        limit: Optional[int] = None,
-        max_row_budget: Optional[int] = None,
-        drain_timeout: Optional[float] = 60.0,
-        **deprecated,
-    ) -> None:
-        limit = _shim_deprecated(
-            deprecated, "default_limit", "limit", limit, ServiceConfig
-        )
-        if deprecated:
-            raise TypeError(
-                f"unexpected keyword arguments {sorted(deprecated)} for ServiceConfig"
-            )
-        object.__setattr__(self, "max_in_flight", max_in_flight)
-        object.__setattr__(self, "admission_timeout", admission_timeout)
-        object.__setattr__(self, "limit", limit)
-        object.__setattr__(self, "max_row_budget", max_row_budget)
-        object.__setattr__(self, "drain_timeout", drain_timeout)
-
-    @property
-    def default_limit(self) -> Optional[int]:
-        """Deprecated alias of :attr:`limit` (reads do not warn)."""
-        return self.limit
 
     def validate(self) -> None:
         if self.max_in_flight < 1:
@@ -180,7 +150,6 @@ class QueryService:
         max_row_budget: Optional[int] = None,
         max_in_flight: Optional[int] = None,
         service_config: Optional[ServiceConfig] = None,
-        **deprecated,
     ) -> None:
         """Create (and immediately start serving from) a query service.
 
@@ -205,7 +174,7 @@ class QueryService:
             executor: runtime backend spec shared by every query (a backend
                 name, :class:`~repro.cloud.config.RuntimeConfig`, or an
                 existing executor).
-            workers: pool size for thread/process backends — the same
+            workers: pool size for the process backend — the same
                 spelling as ``SubgraphMatcher`` and the CLI's ``--workers``.
             limit: default row budget for queries submitted without one
                 (``ServiceConfig.limit``).
@@ -215,17 +184,6 @@ class QueryService:
                 exclusive with the ``limit``/``max_row_budget``/
                 ``max_in_flight`` conveniences.
         """
-        limit = _shim_deprecated(
-            deprecated, "default_limit", "limit", limit, QueryService
-        )
-        workers = _shim_deprecated(
-            deprecated, "max_workers", "workers", workers, QueryService
-        )
-        if deprecated:
-            raise TypeError(
-                f"unexpected keyword arguments {sorted(deprecated)} "
-                "for QueryService"
-            )
         sources = sum(source is not None for source in (cloud, graph, snapshot))
         if sources != 1:
             raise ConfigurationError(
@@ -250,7 +208,6 @@ class QueryService:
             service_config = replace(ServiceConfig(), **overrides)
         self.service_config = service_config or ServiceConfig()
         self.service_config.validate()
-        executor = normalize_executor_spec(executor, workers)
         self._owns_cloud = cloud is None
         if cloud is not None:
             self.cloud = cloud
@@ -259,7 +216,11 @@ class QueryService:
         else:
             self.cloud = MemoryCloud.open_snapshot(snapshot, cluster_config)
         self._matcher = SubgraphMatcher(
-            self.cloud, matcher_config, statistics=statistics, executor=executor
+            self.cloud,
+            matcher_config,
+            statistics=statistics,
+            executor=executor,
+            workers=workers,
         )
         # Barrier: complete any staged lazy CSR merges now, while the
         # service is still single-threaded — concurrent queries then only

@@ -1,11 +1,10 @@
 """Shared fixtures for the test suite.
 
 The suite runs against a configurable cluster-runtime backend: the
-``REPRO_EXECUTOR`` environment variable (``serial`` / ``thread`` /
-``process``) selects the executor every :class:`SubgraphMatcher` defaults
-to.  The CI matrix sets it per job (serial and process on every python,
-thread once on the newest) so the whole suite exercises each backend.
-Locally, plain ``pytest`` runs serial.
+``REPRO_EXECUTOR`` environment variable (``serial`` / ``process``) selects
+the executor every :class:`SubgraphMatcher` defaults to.  The CI matrix
+sets it per job (serial and process on every python) so the whole suite
+exercises each backend.  Locally, plain ``pytest`` runs serial.
 """
 
 from __future__ import annotations

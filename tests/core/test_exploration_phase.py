@@ -353,32 +353,3 @@ class TestBatchedRootPartition:
                 assert (owners == machine_id).all()
                 # Ascending within each machine, as the per-machine slice was.
                 assert roots.tolist() == sorted(roots.tolist())
-
-    def test_explore_equals_legacy_per_machine_driver(self):
-        # A match_fn without the `roots` keyword forces the legacy path:
-        # both drivers must produce identical tables and metrics.
-        from repro.core.matcher import match_stwig
-
-        def legacy_match_fn(cloud, machine_id, stwig, query, bindings=None):
-            return match_stwig(cloud, machine_id, stwig, query, bindings=bindings)
-
-        graph = seeded_graph(seed=5, nodes=60, edges=180, labels=2)
-        query = dfs_query(graph, 4, seed=4)
-
-        cloud_batched = make_cloud(graph, machine_count=3)
-        plan = QueryPlanner(cloud_batched).plan(query)
-        cloud_batched.reset_metrics()
-        batched = explore(cloud_batched, plan)
-        batched_metrics = cloud_batched.metrics.snapshot()
-
-        cloud_legacy = make_cloud(graph, machine_count=3)
-        plan_legacy = QueryPlanner(cloud_legacy).plan(query)
-        cloud_legacy.reset_metrics()
-        legacy = explore(cloud_legacy, plan_legacy, match_fn=legacy_match_fn)
-        legacy_metrics = cloud_legacy.metrics.snapshot()
-
-        assert batched_metrics == legacy_metrics
-        for machine_batched, machine_legacy in zip(batched.tables, legacy.tables):
-            for table_batched, table_legacy in zip(machine_batched, machine_legacy):
-                assert table_batched.rows == table_legacy.rows
-        assert batched.bindings.bound_nodes() == legacy.bindings.bound_nodes()

@@ -1,6 +1,6 @@
 """Parity suite for the cluster runtime executors.
 
-The serial executor is the oracle: the thread and process backends must
+The serial executor is the oracle: the process backend must
 produce *identical* result rows (same order), identical communication
 metrics (scalar counters and per-machine-pair messages), and VF2-verified
 answers on seeded graphs.  The process backend must additionally leave no
@@ -9,6 +9,7 @@ shared-memory segment behind once the cloud is closed.
 
 from __future__ import annotations
 
+import os
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -30,7 +31,6 @@ from repro.query.generators import dfs_query
 from repro.runtime import (
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     create_executor,
     publish_cloud,
     rebuild_cloud,
@@ -38,7 +38,7 @@ from repro.runtime import (
 from repro.utils.shm import SegmentRegistry, publish_array
 from tests.helpers import assert_same_matches
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 @pytest.fixture(scope="module")
@@ -80,19 +80,18 @@ class TestBackendParity:
         reference, reference_pairs = run_backend(
             parity_graph, parity_queries, "serial"
         )
-        for backend in ("thread", "process"):
-            outputs, pairs = run_backend(parity_graph, parity_queries, backend)
-            for serial_out, backend_out in zip(reference, outputs):
-                # Row-for-row: same rows in the same order, not just the
-                # same set — the merge is deterministic by machine ID.
-                assert backend_out["rows"] == serial_out["rows"], backend
-                assert backend_out["metrics"] == serial_out["metrics"], backend
-            assert pairs == reference_pairs, backend
+        outputs, pairs = run_backend(parity_graph, parity_queries, "process")
+        for serial_out, backend_out in zip(reference, outputs):
+            # Row-for-row: same rows in the same order, not just the
+            # same set — the merge is deterministic by machine ID.
+            assert backend_out["rows"] == serial_out["rows"]
+            assert backend_out["metrics"] == serial_out["metrics"]
+        assert pairs == reference_pairs
 
     def test_limited_queries_identical_rows(self, parity_graph, parity_queries):
         """Limited queries: row-for-row + truncation parity on every backend.
 
-        Metrics are deliberately *not* compared for parallel backends: the
+        Metrics are deliberately *not* compared for the parallel backend: the
         cooperative shared budget lets concurrently running machines do
         gather/join work the serial schedule's early exit would skip, so
         limited-query communication counters are schedule-dependent.  The
@@ -100,22 +99,20 @@ class TestBackendParity:
         prefix-parity invariant the streaming budgeted join guarantees.
         """
         reference, _ = run_backend(parity_graph, parity_queries, "serial", limit=50)
-        for backend in ("thread", "process"):
-            outputs, _ = run_backend(parity_graph, parity_queries, backend, limit=50)
-            for serial_out, backend_out in zip(reference, outputs):
-                assert backend_out["rows"] == serial_out["rows"], backend
-                assert backend_out["truncated"] == serial_out["truncated"], backend
+        outputs, _ = run_backend(parity_graph, parity_queries, "process", limit=50)
+        for serial_out, backend_out in zip(reference, outputs):
+            assert backend_out["rows"] == serial_out["rows"]
+            assert backend_out["truncated"] == serial_out["truncated"]
 
     def test_limited_queries_deterministic_per_backend(
         self, parity_graph, parity_queries
     ):
-        """Two runs of the same backend agree row-for-row on limited queries."""
-        for backend in ("thread", "process"):
-            first, _ = run_backend(parity_graph, parity_queries, backend, limit=50)
-            second, _ = run_backend(parity_graph, parity_queries, backend, limit=50)
-            for out_a, out_b in zip(first, second):
-                assert out_a["rows"] == out_b["rows"], backend
-                assert out_a["truncated"] == out_b["truncated"], backend
+        """Two process-backend runs agree row-for-row on limited queries."""
+        first, _ = run_backend(parity_graph, parity_queries, "process", limit=50)
+        second, _ = run_backend(parity_graph, parity_queries, "process", limit=50)
+        for out_a, out_b in zip(first, second):
+            assert out_a["rows"] == out_b["rows"]
+            assert out_a["truncated"] == out_b["truncated"]
 
     def test_limited_queries_dispatch_through_executor(
         self, parity_graph, parity_queries
@@ -126,30 +123,27 @@ class TestBackendParity:
         from repro.core.tasks import JoinTask
 
         query = parity_queries[0]
-        for executor_cls in (ThreadExecutor, ProcessExecutor):
-            observed_limits = []
+        observed_limits = []
 
-            class RecordingExecutor(executor_cls):  # noqa: B903
-                def run(self, cloud, tasks, on_result=None):
-                    observed_limits.extend(
-                        task.row_limit
-                        for task in tasks
-                        if isinstance(task, JoinTask)
-                    )
-                    return super().run(cloud, tasks, on_result=on_result)
+        class RecordingExecutor(ProcessExecutor):  # noqa: B903
+            def run(self, cloud, tasks, on_result=None):
+                observed_limits.extend(
+                    task.row_limit for task in tasks if isinstance(task, JoinTask)
+                )
+                return super().run(cloud, tasks, on_result=on_result)
 
-            cloud = MemoryCloud.from_graph(parity_graph, ClusterConfig(machine_count=4))
-            executor = RecordingExecutor(workers=2)
-            try:
-                with SubgraphMatcher(cloud, MatcherConfig(), executor=executor) as m:
-                    result = m.match(query, limit=25)
-            finally:
-                executor.close()
-                cloud.close()
-            # One join fan-out — a JoinTask per machine — each carrying the
-            # probe budget (limit + 1 proves truncation exactly).
-            assert observed_limits == [26] * 4, executor_cls.name
-            assert result.match_count <= 25
+        cloud = MemoryCloud.from_graph(parity_graph, ClusterConfig(machine_count=4))
+        executor = RecordingExecutor(workers=2)
+        try:
+            with SubgraphMatcher(cloud, MatcherConfig(), executor=executor) as m:
+                result = m.match(query, limit=25)
+        finally:
+            executor.close()
+            cloud.close()
+        # One join fan-out — a JoinTask per machine — each carrying the
+        # probe budget (limit + 1 proves truncation exactly).
+        assert observed_limits == [26] * 4
+        assert result.match_count <= 25
 
     def test_vf2_cross_check(self, parity_graph, parity_queries):
         expected = [
@@ -360,38 +354,52 @@ class TestProcessRuntimeLifecycle:
             assert process_out["rows"] == serial_out["rows"]
             assert process_out["metrics"] == serial_out["metrics"]
 
-    def test_worker_error_does_not_leak_shipped_blocks(self):
+    def test_worker_error_does_not_leak_shipped_blocks(
+        self, parity_graph, parity_queries, monkeypatch
+    ):
         """A failed batch must not strand blocks shipped by finished units.
 
-        Exercises ``_discard_partial`` with one of every block-bearing
-        shape the driver may hold when a sibling unit raises: an assembled
-        ExploreResult over a published table, a buffered explore body
-        (shipped part + shipped distincts), and a buffered join body.
+        Every table and distinct set is forced through shared memory, then
+        one exploration batch fails inside a worker (a task for a machine
+        that does not exist) and another is abandoned by the driver (its
+        ``on_result`` raises).  Both errors surface, and afterwards
+        ``/dev/shm`` holds exactly what it held before: whatever the sibling
+        units shipped — assembled, buffered or still in flight — is gone.
         """
-        from repro.core.tasks import ExploreResult, TableHandle
-        from repro.runtime.executors import ProcessExecutor as executor_cls
+        import repro.runtime.executors as executors_module
+        from repro.core.planner import QueryPlanner
+        from repro.core.tasks import ExploreTask
 
-        specs = []
+        if not os.path.isdir("/dev/shm"):
+            pytest.skip("needs a /dev/shm listing to see stranded blocks")
+        monkeypatch.setattr(executors_module, "_SHIP_THRESHOLD_ENTRIES", 1)
+        cloud = MemoryCloud.from_graph(parity_graph, ClusterConfig(machine_count=4))
+        query = parity_queries[0]
+        stwig = QueryPlanner(cloud).plan(query).stwigs[0]
+        label = query.label(stwig.root)
+        tasks = [
+            ExploreTask(machine, stwig, query, None, cloud.get_local_ids_array(machine, label))
+            for machine in range(4)
+        ]
+        no_such_machine = ExploreTask(99, stwig, query, None, tasks[0].roots)
 
-        def shipped():
-            segment, spec = publish_array(np.arange(1_000, dtype=np.int64))
-            segment.close()
-            specs.append(spec)
-            return spec
+        def boom(index, result):
+            raise RuntimeError("driver-side merge failed")
 
-        assembled = ExploreResult(
-            0, TableHandle(("qa",), 500, shipped()), {"qa": np.arange(3)}
-        )
-        explore_body = (500, shipped(), {"qa": shipped()}, True, None)
-        join_body = (shipped(), None)
-        executor_cls._discard_partial(
-            [assembled, None], [(), [explore_body, None], [join_body]]
-        )
-        assert len(specs) == 4
-        for spec in specs:
-            with pytest.raises(FileNotFoundError):
-                leftover = shared_memory.SharedMemory(name=spec.name)
-                leftover.close()
+        executor = ProcessExecutor(workers=2)
+        try:
+            for result in executor.run(cloud, tasks):
+                result.table.release()
+            assert executor.transport_counters["explore_publications"] > 0
+            resident = set(os.listdir("/dev/shm"))  # the graph publication
+            with pytest.raises(IndexError):
+                executor.run(cloud, tasks + [no_such_machine])
+            with pytest.raises(RuntimeError, match="merge failed"):
+                executor.run(cloud, tasks, on_result=boom)
+            assert set(os.listdir("/dev/shm")) == resident
+        finally:
+            executor.close()
+            cloud.close()
 
     def test_explore_tables_stay_in_shared_memory(
         self, parity_graph, parity_queries, monkeypatch
@@ -431,12 +439,11 @@ class TestProcessRuntimeLifecycle:
 
         reference, reference_pairs = run_backend(parity_graph, parity_queries, "serial")
         monkeypatch.setattr(executors_module, "_STEAL_MIN_ROOTS", 8)
-        for backend in ("thread", "process"):
-            outputs, pairs = run_backend(parity_graph, parity_queries, backend)
-            for serial_out, backend_out in zip(reference, outputs):
-                assert backend_out["rows"] == serial_out["rows"], backend
-                assert backend_out["metrics"] == serial_out["metrics"], backend
-            assert pairs == reference_pairs, backend
+        outputs, pairs = run_backend(parity_graph, parity_queries, "process")
+        for serial_out, backend_out in zip(reference, outputs):
+            assert backend_out["rows"] == serial_out["rows"]
+            assert backend_out["metrics"] == serial_out["metrics"]
+        assert pairs == reference_pairs
 
     def test_interleaved_joins_publish_each_table_once(self):
         """Regression: repeated join batches over the same resident table
@@ -502,6 +509,90 @@ class TestProcessRuntimeLifecycle:
             registry.close()
 
 
+class TestSingleExecutionPath:
+    """Every fan-out goes through ``Executor.run``; two backends remain."""
+
+    def test_executor_less_calls_run_through_serial_executor(
+        self, parity_graph, parity_queries, monkeypatch
+    ):
+        from repro.core.distributed import assemble_results
+        from repro.core.exploration import explore
+        from repro.core.planner import QueryPlanner
+        from repro.core.tasks import ExploreTask, JoinTask
+
+        batches = []
+        inherited_run = SerialExecutor.run
+
+        def spy(self, cloud, tasks, on_result=None):
+            batches.append({type(task) for task in tasks})
+            return inherited_run(self, cloud, tasks, on_result)
+
+        monkeypatch.setattr(SerialExecutor, "run", spy)
+        cloud = MemoryCloud.from_graph(parity_graph, ClusterConfig(machine_count=4))
+        plan = QueryPlanner(cloud).plan(parity_queries[0])
+        outcome = explore(cloud, plan)
+        assert batches == [{ExploreTask}] * len(plan.stwigs)
+        joined = assemble_results(cloud, plan, outcome)
+        assert batches[-1] == {JoinTask}
+        assert joined.row_count > 0
+
+    def test_thread_backend_is_gone(self, monkeypatch, tmp_path):
+        from repro.cli import main
+
+        names = r"\('serial', 'process'\)"
+        with pytest.raises(ConfigurationError, match=names):
+            create_executor("thread")
+        with pytest.raises(ConfigurationError, match=names):
+            main(["query", "--dataset", "tiny", "--query-file", str(tmp_path / "q"),
+                  "--executor", "thread"])
+        monkeypatch.setenv(EXECUTOR_ENV_VAR, "thread")
+        with pytest.raises(ConfigurationError, match=names):
+            create_executor()
+
+    def test_transport_counters_exact_under_concurrent_batches(
+        self, parity_graph, parity_queries, monkeypatch
+    ):
+        """The service runs batches from several threads at once: 4 threads
+        x 8 identical queries through one ProcessExecutor must total exactly
+        32x one query's transport counters (no lost update)."""
+        import sys
+        import threading
+
+        import repro.runtime.executors as executors_module
+
+        monkeypatch.setattr(executors_module, "_SHIP_THRESHOLD_ENTRIES", 1)
+        monkeypatch.setattr(executors_module, "_STEAL_MIN_ROOTS", 8)
+        query = parity_queries[0]
+        cloud = MemoryCloud.from_graph(parity_graph, ClusterConfig(machine_count=4))
+        executor = ProcessExecutor(workers=2)
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with SubgraphMatcher(cloud, MatcherConfig(), executor=executor) as matcher:
+                matcher.match(query)
+                single = dict(executor.transport_counters)
+                assert single["explore_publications"] > 0
+                assert single["driver_table_receives"] > 0
+
+                def client() -> None:
+                    for _ in range(8):
+                        matcher.match(query)
+
+                clients = [threading.Thread(target=client) for _ in range(4)]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch_interval)
+            executor.close()
+            cloud.close()
+        assert executor.transport_counters == {
+            name: 33 * count for name, count in single.items()
+        }
+
+
 class TestBackendSelection:
     def test_suite_backend_reaches_default_matchers(
         self, runtime_backend, parity_graph
@@ -526,9 +617,8 @@ class TestBackendSelection:
 
     def test_explicit_backend_beats_environment(self, monkeypatch):
         monkeypatch.setenv(EXECUTOR_ENV_VAR, "process")
-        assert resolve_backend("thread") == "thread"
+        assert resolve_backend("serial") == "serial"
         assert isinstance(create_executor("serial"), SerialExecutor)
-        assert isinstance(create_executor("thread"), ThreadExecutor)
 
     def test_runtime_config_validation(self):
         RuntimeConfig(backend="process", workers=2).validate()
@@ -550,6 +640,10 @@ class TestBackendSelection:
 
 
 class TestThreadStagedStores:
+    """Staged per-cell stores flush into CSR before they are read in
+    parallel (the class name predates the thread backend's removal and is
+    kept so the test ID stays stable)."""
+
     @staticmethod
     def staged_cloud():
         """A cloud loaded via the legacy per-cell path: everything pending."""
@@ -575,19 +669,6 @@ class TestThreadStagedStores:
         for machine in cloud.machines:
             assert not machine._pending
             assert not machine.label_index._pending_ids
-
-    def test_thread_backend_matches_serial_on_staged_cloud(self):
-        """The thread fan-out's flush barrier makes a freshly staged cloud
-        (where the first reads would otherwise race the lazy CSR merges)
-        behave exactly like the serial oracle."""
-        from repro.query.query_graph import QueryGraph
-
-        query = QueryGraph({"qa": "a", "qb": "b"}, [("qa", "qb")])
-        serial = SubgraphMatcher(self.staged_cloud(), executor="serial").match(query)
-        threaded = SubgraphMatcher(self.staged_cloud(), executor="thread").match(query)
-        assert serial.match_count > 0
-        assert threaded.rows == serial.rows
-        assert threaded.metrics == serial.metrics
 
 
 class TestSharedMemoryHelpers:

@@ -2,7 +2,7 @@
 
 The streaming budgeted join's contract is that a limited query returns
 *row for row* the first ``k`` rows of the unlimited result — across the
-serial oracle and both parallel backends, whose machines race each other
+serial oracle and the process backend, whose machines race each other
 for one cooperative shared budget.  Hypothesis drives random ``k`` (and
 random query choices) against module-scoped matchers so the process pool
 and shared-memory publication are paid once, not per example.
@@ -21,7 +21,7 @@ from repro.core.planner import MatcherConfig
 from repro.graph.generators.power_law import generate_power_law
 from repro.query.generators import dfs_query
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 @pytest.fixture(scope="module")

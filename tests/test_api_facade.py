@@ -1,4 +1,4 @@
-"""Tests of the repro.api facade and the normalized-kwarg deprecation shims."""
+"""Tests of the repro.api facade and its normalized constructor kwargs."""
 
 from __future__ import annotations
 
@@ -141,36 +141,19 @@ class TestSessionLifecycle:
 
 
 class TestDeprecationShims:
-    """The renamed kwargs keep working, warn, and forward correctly."""
-
-    def test_matcher_max_workers_forwards_to_workers(self, tiny_cloud):
-        with pytest.warns(DeprecationWarning, match="max_workers.*workers"):
-            matcher = SubgraphMatcher(tiny_cloud, executor="thread", max_workers=2)
-        try:
-            assert matcher.executor._workers == 2
-        finally:
-            matcher.close()
-
-    def test_matcher_both_spellings_rejected(self, tiny_cloud):
-        with pytest.raises(TypeError, match="max_workers"):
-            SubgraphMatcher(tiny_cloud, executor="thread", workers=2, max_workers=2)
+    """The shims are gone: one spelling per knob, Python's own TypeError
+    for anything else (the class keeps its name so test IDs stay stable)."""
 
     def test_matcher_unknown_kwarg_rejected(self, tiny_cloud):
-        with pytest.raises(TypeError, match="bogus"):
-            SubgraphMatcher(tiny_cloud, bogus=1)
-
-    def test_service_default_limit_forwards_to_limit(self, tiny_cloud):
-        with pytest.warns(DeprecationWarning, match="default_limit.*limit"):
-            service = QueryService(tiny_cloud, default_limit=5)
-        try:
-            assert service.service_config.default_limit == 5
-        finally:
-            service.close()
+        for constructor in (SubgraphMatcher, QueryService):
+            for retired in ("max_workers", "default_limit", "bogus"):
+                with pytest.raises(TypeError, match=retired):
+                    constructor(tiny_cloud, **{retired: 2})
 
     def test_service_convenience_kwargs_fold_into_config(self, tiny_cloud):
         service = QueryService(tiny_cloud, limit=5, max_row_budget=50, max_in_flight=2)
         try:
-            assert service.service_config.default_limit == 5
+            assert service.service_config.limit == 5
             assert service.service_config.max_row_budget == 50
             assert service.service_config.max_in_flight == 2
         finally:

@@ -11,10 +11,9 @@ Checks, for each guarded module:
   so a new facade symbol cannot ship undocumented, and re-exported
   internals cannot leak in silently.
 
-It also greps ``src/`` for deprecated spellings (``max_workers=``,
-``default_limit=``, the pre-task-API executor methods): the shims exist
-for *callers*, and internal code that still uses them would warn on every
-run and keep the old names alive indefinitely.
+It also greps ``src/`` for retired spellings (``max_workers=``,
+``default_limit=``, the pre-task-API executor methods): the names are gone
+from the API, and nothing in ``src/`` may bring them back.
 
 Run from the repo root (CI's lint job does):
 
@@ -43,8 +42,8 @@ GUARDED = [
 #: Modules additionally held to the sorted/complete standard.
 STRICT = ["repro.api", "repro.ingest"]
 
-#: Deprecated spellings no *internal* code may use (shims are for callers).
-DEPRECATED_SPELLINGS = [
+#: Retired spellings banned from ``src/`` outright.
+RETIRED_SPELLINGS = [
     "max_workers=",
     "default_limit=",
     "map_explore(",
@@ -53,36 +52,18 @@ DEPRECATED_SPELLINGS = [
     "attached_tables(",
 ]
 
-#: Files allowed to mention the old names: the shim itself, and the modules
-#: that implement/document the deprecated aliases.
-DEPRECATION_ALLOWED = {
-    Path("src/repro/utils/deprecation.py"),
-}
 
-#: Line markers that legitimize an old name outside the allowed files:
-#: shim plumbing, alias properties, docstring mentions, and stdlib calls
-#: that happen to share a keyword name (ThreadPoolExecutor's max_workers).
-DEPRECATION_LINE_MARKERS = (
-    "deprecated",
-    "ThreadPoolExecutor(",
-)
-
-
-def check_deprecated_spellings(root: Path) -> List[str]:
+def check_retired_spellings(root: Path) -> List[str]:
     errors = []
     for path in sorted((root / "src").rglob("*.py")):
         relative = path.relative_to(root)
-        if relative in DEPRECATION_ALLOWED:
-            continue
         for line_number, line in enumerate(
             path.read_text(encoding="utf-8").splitlines(), start=1
         ):
-            if any(marker in line for marker in DEPRECATION_LINE_MARKERS):
-                continue
-            for spelling in DEPRECATED_SPELLINGS:
+            for spelling in RETIRED_SPELLINGS:
                 if spelling in line:
                     errors.append(
-                        f"{relative}:{line_number}: deprecated spelling "
+                        f"{relative}:{line_number}: retired spelling "
                         f"{spelling!r} — use the current API"
                     )
     return errors
@@ -131,13 +112,13 @@ def main() -> int:
     for name in GUARDED:
         failures.extend(check_module(name, strict=name in STRICT))
     failures.extend(
-        check_deprecated_spellings(Path(__file__).resolve().parent.parent)
+        check_retired_spellings(Path(__file__).resolve().parent.parent)
     )
     if failures:
         for failure in failures:
             print(f"API LINT: {failure}", file=sys.stderr)
         return 1
-    print(f"api lint passed ({len(GUARDED)} modules + deprecation grep)")
+    print(f"api lint passed ({len(GUARDED)} modules + retired-spelling grep)")
     return 0
 
 
