@@ -1,7 +1,5 @@
 """Substrate benchmarks for the Section 2.2 / Section 3 claims.
 
-* flat memory-blob cell storage vs. per-object storage (Trinity's
-  heap-vs-trunk comparison);
 * k-hop neighborhood exploration rate (the "3-hop neighborhood in under
   100 ms" claim that motivates index-free matching);
 * STwig engine vs. naive backtracking exploration over the same cloud
@@ -16,7 +14,6 @@ import time
 
 from repro.baselines.naive_exploration import naive_exploration_match
 from repro.bench.harness import build_cloud, run_suite
-from repro.cloud.blob_store import BlobCellStore, object_store_footprint_bytes
 from repro.core.engine import SubgraphMatcher
 from repro.core.planner import MatcherConfig
 from repro.core.statistics import EdgeStatistics
@@ -25,38 +22,6 @@ from repro.workloads.suites import PAPER_RESULT_LIMIT, dfs_suite
 from repro.utils.rng import ensure_rng
 
 from conftest import save_rows
-
-
-def test_blob_store_vs_object_store(benchmark, results_dir):
-    """Reproduce the memory-trunk vs. heap-objects footprint comparison."""
-    graph = rmat_graph()
-    cells = [graph.cell(node) for node in graph.nodes()]
-
-    def build_blob() -> BlobCellStore:
-        blob = BlobCellStore()
-        for cell in cells:
-            blob.store_cell(cell.node_id, cell.label, cell.neighbors)
-        return blob
-
-    blob = benchmark(build_blob)
-    object_bytes = object_store_footprint_bytes(cells)
-    rows = [
-        {
-            "storage": "flat memory blob (Trinity trunk)",
-            "payload_mb": round(blob.payload_bytes() / 1e6, 3),
-            "total_mb": round(blob.footprint_bytes() / 1e6, 3),
-        },
-        {
-            "storage": "per-object heap storage",
-            "payload_mb": round(object_bytes / 1e6, 3),
-            "total_mb": round(object_bytes / 1e6, 3),
-        },
-    ]
-    save_rows(
-        results_dir, "substrate_blob_store", rows,
-        "Cell storage footprint: flat blob vs. per-object (Section 2.2)",
-    )
-    assert blob.footprint_bytes() < object_bytes
 
 
 def test_three_hop_exploration_rate(benchmark, results_dir):

@@ -1,12 +1,10 @@
 """Simulated Trinity-style memory cloud: partitioned in-memory graph store."""
 
-from repro.cloud.blob_store import BlobCellStore
 from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import ClusterConfig, NetworkModel
 from repro.cloud.label_index import LabelIndex
 from repro.cloud.machine import Machine
 from repro.cloud.metrics import CloudMetrics
-from repro.cloud.proxy import QueryProxy
 
 __all__ = [
     "MemoryCloud",
@@ -14,7 +12,5 @@ __all__ = [
     "NetworkModel",
     "Machine",
     "LabelIndex",
-    "BlobCellStore",
     "CloudMetrics",
-    "QueryProxy",
 ]

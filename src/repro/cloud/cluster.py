@@ -32,18 +32,47 @@ from repro.cloud.metrics import CloudMetrics
 from repro.errors import CloudError, NodeNotFoundError
 from repro.graph.label_table import LabelTable
 from repro.graph.labeled_graph import NODE_DTYPE, OFFSET_DTYPE, LabeledGraph, NodeCell
-from repro.graph.partition import PartitionAssignment
+from repro.graph.partition import PartitionAssignment, cross_machine_label_pairs
 from repro.utils.arrays import (
     dense_table_profitable,
     dense_value_table,
-    fast_unique,
     sorted_lookup,
     table_position_lookup,
 )
 
 
+#: Column names of one machine's CSR partition inside the cloud image.
+MACHINE_COLUMNS = ("node_ids", "label_ids", "offsets", "neighbors")
+
+
+def column_names(machine_count: int) -> Tuple[str, ...]:
+    """Names of every array in a ``machine_count``-machine cloud's image.
+
+    These are the snapshot manifest's array names; :meth:`MemoryCloud.columns`,
+    the worker-publication handle and ``storage_publication`` all key on them.
+    """
+    return (
+        "assignment/ids",
+        "assignment/machines",
+        *(
+            f"machine{machine_id}/{column}"
+            for machine_id in range(machine_count)
+            for column in MACHINE_COLUMNS
+        ),
+        "graph/node_ids",
+        "graph/label_ids",
+    )
+
+
 class MemoryCloud:
-    """A cluster of :class:`Machine` objects holding one partitioned graph."""
+    """A cluster of :class:`Machine` objects holding one partitioned graph.
+
+    A loaded cloud *is* its :meth:`columns`: an immutable set of named
+    arrays, installed in one place (:meth:`_install`) whether they come
+    from partitioning a graph, from a snapshot file, or from another
+    process's publication.  Nothing writes to a loaded cloud; graph updates
+    go through the snapshot delta log and a reload.
+    """
 
     def __init__(self, config: ClusterConfig | None = None) -> None:
         self.config = config or ClusterConfig()
@@ -53,26 +82,6 @@ class MemoryCloud:
         ]
         self.metrics = CloudMetrics()
         self.loading_seconds: float = 0.0
-        self._assignment: PartitionAssignment | None = None
-        # Per machine pair: sorted packed (label_lo * base + label_hi) keys.
-        # Decoded into label-string sets lazily (see label_pairs_between);
-        # the packed form is what the cluster-graph probe binary-searches.
-        self._label_pairs_packed: Dict[Tuple[int, int], np.ndarray] = {}
-        self._label_pairs_cache: Dict[Tuple[int, int], Set[FrozenSet[str]]] = {}
-        self._label_pair_base = 1
-        self._graph_node_count = 0
-        self._graph_edge_count = 0
-        # Cluster-wide sorted node IDs + parallel label IDs (set by
-        # load_graph).  The per-machine label indexes answer the same
-        # queries; these arrays let batch_has_label answer a whole candidate
-        # array with one binary search while the *accounting* stays
-        # per-owner-machine.
-        self._global_node_ids: np.ndarray | None = None
-        self._global_label_ids: np.ndarray | None = None
-        self._label_table = None
-        # Dense node->label-ID table (-1 = absent) for O(1) batched probes
-        # on the usual contiguous ID domains; None when IDs are too sparse.
-        self._label_by_node: np.ndarray | None = None
         # Runtime resources (process pools, shared-memory publications)
         # registered against this cloud; close() tears them down.
         self._runtime_resources: List = []
@@ -81,18 +90,22 @@ class MemoryCloud:
         # key on that owner, never on a short-lived view.
         self._metrics_parent: "MemoryCloud | None" = None
         self._metrics_lock = threading.Lock()
-        # Bumped by every load_graph so runtime publications keyed on this
-        # cloud can detect a reload and republish instead of serving the
-        # previous graph's shared-memory state.
+        # The loaded state: nothing until _install (which documents each).
         self._load_generation = 0
-        # Set by load_snapshot's fast path: picklable mmap specs for every
-        # published array, letting publish_cloud ship file-backed state to
-        # worker processes without copying it into shared memory first.
-        self._storage_specs: Dict[str, object] | None = None
-        self._storage_handles: List = []
-        # External->dense ID map of an ingested graph (repro.ingest.IdMap);
-        # carried so result materialization reports the caller's IDs.
+        self._columns: Dict[str, np.ndarray] | None = None
+        self._assignment: PartitionAssignment | None = None
+        self._global_node_ids: np.ndarray | None = None
+        self._global_label_ids: np.ndarray | None = None
+        self._label_by_node: np.ndarray | None = None
+        self._label_table: LabelTable | None = None
+        self._graph_node_count = 0
+        self._graph_edge_count = 0
         self._id_map = None
+        self._label_pair_base = 1
+        self._label_pairs_packed: Dict[Tuple[int, int], np.ndarray] = {}
+        self._label_pairs_cache: Dict[Tuple[int, int], Set[FrozenSet[str]]] = {}
+        self._backing: List = []
+        self._file_specs: Dict[str, object] | None = None
 
     # -- construction --------------------------------------------------------
 
@@ -114,17 +127,7 @@ class MemoryCloud:
         recording cross-machine label-pair metadata.
         """
         started = time.perf_counter()
-        self._load_generation += 1
-        # An in-RAM load supersedes any snapshot backing; workers must get
-        # fresh shm publications, not stale file-backed specs.
-        self._storage_specs = None
-        self._storage_handles = []
         assignment = self.config.partitioner.assign(graph, self.config.machine_count)
-        self._assignment = assignment
-        self._graph_node_count = graph.node_count
-        self._graph_edge_count = graph.edge_count
-        self._id_map = getattr(graph, "id_map", None)
-
         node_ids = graph.node_id_array()
         label_ids = graph.label_id_array()
         offsets = graph.offset_array()
@@ -132,14 +135,14 @@ class MemoryCloud:
         counts = np.diff(offsets)
         machine_of_row = assignment.machine_array_for(node_ids)
 
-        # Every machine shares the graph's label table, so label IDs stay
-        # comparable cluster-wide and CSR slices can be adopted verbatim.
-        for machine in self.machines:
-            local = machine_of_row == machine.machine_id
-            local_ids = node_ids[local]
-            local_labels = label_ids[local]
+        columns: Dict[str, np.ndarray] = {}
+        columns["assignment/ids"], columns["assignment/machines"] = (
+            assignment.as_arrays()
+        )
+        for machine_id in range(self.config.machine_count):
+            local = machine_of_row == machine_id
             local_counts = counts[local]
-            local_offsets = np.zeros(len(local_ids) + 1, dtype=OFFSET_DTYPE)
+            local_offsets = np.zeros(len(local_counts) + 1, dtype=OFFSET_DTYPE)
             np.cumsum(local_counts, out=local_offsets[1:])
             starts = offsets[:-1][local]
             # Gather each local row out of the graph's flat neighbor array.
@@ -147,333 +150,164 @@ class MemoryCloud:
                 np.arange(local_offsets[-1], dtype=OFFSET_DTYPE)
                 + np.repeat(starts - local_offsets[:-1], local_counts)
             )
-            machine.label_table = graph.label_table
-            machine.label_index.label_table = graph.label_table
-            machine.adopt_partition(
-                local_ids, local_labels, local_offsets, neighbors[gather]
+            partition = (
+                node_ids[local], label_ids[local], local_offsets, neighbors[gather]
             )
+            for column, array in zip(MACHINE_COLUMNS, partition):
+                columns[f"machine{machine_id}/{column}"] = array
+        columns["graph/node_ids"] = node_ids
+        columns["graph/label_ids"] = label_ids
 
-        self._global_node_ids = node_ids
-        self._global_label_ids = label_ids
-        self._label_table = graph.label_table
-        if dense_table_profitable(node_ids, probe_count=0):
-            self._label_by_node = dense_value_table(
-                node_ids, label_ids, dtype=np.int32
-            )
-        else:
-            self._label_by_node = None
-
-        if self.config.track_label_pairs:
-            self._record_label_pairs(graph, machine_of_row)
-
+        label_pairs = (
+            cross_machine_label_pairs(graph, machine_of_row, self.config.machine_count)
+            if self.config.track_label_pairs
+            else (1, {})
+        )
+        # Every machine shares the graph's label table, so label IDs stay
+        # comparable cluster-wide and CSR slices are adopted verbatim.
+        self._install(
+            columns,
+            label_table=graph.label_table,
+            edge_count=graph.edge_count,
+            id_map=getattr(graph, "id_map", None),
+            label_pairs=label_pairs,
+        )
         self.loading_seconds = time.perf_counter() - started
         return self.loading_seconds
 
-    @classmethod
-    def from_partition_state(
-        cls,
-        config: ClusterConfig,
+    def _install(
+        self,
+        columns: Dict[str, np.ndarray],
+        *,
         label_table: LabelTable,
-        machine_arrays: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
-        assignment: PartitionAssignment,
-        global_node_ids: np.ndarray,
-        global_label_ids: np.ndarray,
-        node_count: int,
         edge_count: int,
-    ) -> "MemoryCloud":
-        """Reconstruct a cloud from already-partitioned CSR state.
-
-        This is the worker-side constructor of the multiprocess runtime:
-        ``machine_arrays`` holds one ``(ids, label_ids, offsets, neighbors)``
-        tuple per machine — typically zero-copy shared-memory views published
-        by :meth:`~repro.cloud.machine.Machine.csr_arrays` — and the arrays
-        are adopted without copying.  Label-pair metadata is not rebuilt
-        (cluster graphs are planned on the driver), and the dense
-        node->label table is re-derived lazily per process so every worker
-        owns its own caches.
-        """
-        if len(machine_arrays) != config.machine_count:
-            raise CloudError(
-                f"{len(machine_arrays)} machine partitions for "
-                f"{config.machine_count} machines"
-            )
-        cloud = cls(config)
-        for machine, (ids, label_ids, offsets, neighbors) in zip(
-            cloud.machines, machine_arrays
-        ):
-            machine.label_table = label_table
-            machine.label_index.label_table = label_table
-            machine.adopt_partition(ids, label_ids, offsets, neighbors)
-        cloud._assignment = assignment
-        cloud._global_node_ids = global_node_ids
-        cloud._global_label_ids = global_label_ids
-        cloud._label_table = label_table
-        cloud._graph_node_count = node_count
-        cloud._graph_edge_count = edge_count
-        if dense_table_profitable(global_node_ids, probe_count=0):
-            cloud._label_by_node = dense_value_table(
-                global_node_ids, global_label_ids, dtype=np.int32
-            )
-        return cloud
-
-    def _record_label_pairs(
-        self, graph: LabeledGraph, machine_of_row: np.ndarray
+        id_map=None,
+        label_pairs: Tuple[int, Dict[Tuple[int, int], np.ndarray]] = (1, {}),
+        backing: Sequence = (),
+        file_specs: Dict[str, object] | None = None,
     ) -> None:
-        """Record label pairs per machine pair for cluster-graph construction.
+        """Make ``columns`` this cloud's loaded state — the one way in.
 
-        Fully vectorized: every undirected edge is reduced to a packed
-        ``(machine pair, label pair)`` integer, deduplicated with
-        ``np.unique``, and only the distinct combinations are converted back
-        to Python objects.
+        Called by :meth:`load_graph` (freshly partitioned arrays), by
+        :mod:`repro.storage.cloud_snapshot` (``np.memmap`` views) and by
+        :func:`repro.runtime.shared_cloud.rebuild_cloud` (worker-side
+        shm/mmap views).  ``columns`` holds one array per
+        :func:`column_names` entry, adopted without copying; ``label_pairs``
+        is in :meth:`packed_label_pairs` form.  ``backing`` is whatever must
+        stay referenced while the views are alive (attach handles);
+        ``file_specs`` the per-column mmap specs when the arrays live in a
+        snapshot file.
         """
-        node_ids = graph.node_id_array()
-        label_ids = graph.label_id_array()
-        neighbors = graph.neighbor_array()
-        counts = np.diff(graph.offset_array())
-        source_rows = np.repeat(
-            np.arange(len(node_ids), dtype=OFFSET_DTYPE), counts
+        # Runtime publications and plan caches keyed on this cloud compare
+        # generations to detect a reload.
+        self._load_generation += 1
+        self._columns = {
+            name: columns[name] for name in column_names(self.config.machine_count)
+        }
+        self._assignment = PartitionAssignment.from_arrays(
+            self.config.machine_count,
+            columns["assignment/ids"],
+            columns["assignment/machines"],
         )
-        forward = node_ids[source_rows] < neighbors
-        source_rows = source_rows[forward]
-        target_rows = np.searchsorted(node_ids, neighbors[forward])
-
-        machine_u = machine_of_row[source_rows].astype(np.int64)
-        machine_v = machine_of_row[target_rows].astype(np.int64)
-        label_u = label_ids[source_rows].astype(np.int64)
-        label_v = label_ids[target_rows].astype(np.int64)
-        machine_lo = np.minimum(machine_u, machine_v)
-        machine_hi = np.maximum(machine_u, machine_v)
-        label_lo = np.minimum(label_u, label_v)
-        label_hi = np.maximum(label_u, label_v)
-
-        machine_count = max(self.config.machine_count, 1)
-        label_count = max(len(graph.label_table), 1)
-        pair_span = label_count * label_count
-        packed = fast_unique(
-            (machine_lo * machine_count + machine_hi) * pair_span
-            + label_lo * label_count
-            + label_hi
-        )
-        # ``packed`` is sorted, so all keys of one machine pair are one
-        # contiguous run; slice per distinct machine pair instead of looping
-        # over every (machine pair, label pair) combination in Python.
-        machine_keys = packed // pair_span
-        label_keys = packed % pair_span
-        self._label_pairs_packed = {}
-        self._label_pairs_cache = {}
-        self._label_pair_base = label_count
-        for machine_key in np.unique(machine_keys).tolist():
-            start, stop = np.searchsorted(
-                machine_keys, [machine_key, machine_key + 1]
+        for machine in self.machines:
+            machine.label_table = machine.label_index.label_table = label_table
+            machine.adopt_partition(
+                *(
+                    columns[f"machine{machine.machine_id}/{column}"]
+                    for column in MACHINE_COLUMNS
+                )
             )
-            pair = (machine_key // machine_count, machine_key % machine_count)
-            self._label_pairs_packed[pair] = label_keys[start:stop]
+        # Cluster-wide sorted node IDs + parallel label IDs: batch_has_label
+        # answers a whole candidate array with one lookup (a dense
+        # node->label-ID table when the ID domain allows, else a binary
+        # search) while the *accounting* stays per-owner-machine.
+        node_ids = self._global_node_ids = columns["graph/node_ids"]
+        label_ids = self._global_label_ids = columns["graph/label_ids"]
+        self._label_by_node = (
+            dense_value_table(node_ids, label_ids, dtype=np.int32)
+            if dense_table_profitable(node_ids, probe_count=0)
+            else None
+        )
+        self._label_table = label_table
+        self._graph_node_count = len(node_ids)
+        self._graph_edge_count = int(edge_count)
+        # External->dense IdMap of an ingested graph: result materialization
+        # reports the caller's IDs through it.
+        self._id_map = id_map
+        # Per machine pair, sorted packed (label_lo * base + label_hi) keys:
+        # the form the cluster-graph probe binary-searches; decoded into
+        # label-string sets lazily (label_pairs_between).
+        self._label_pair_base = int(label_pairs[0])
+        self._label_pairs_packed = dict(label_pairs[1])
+        self._label_pairs_cache = {}
+        self._backing = list(backing)
+        self._file_specs = file_specs
+
+    def columns(self) -> Dict[str, np.ndarray]:
+        """The loaded cloud as named arrays — its whole bulk state.
+
+        Keys are the snapshot manifest's array names (:func:`column_names`):
+        ``assignment/ids|machines`` (the partition map),
+        ``machine{i}/node_ids|label_ids|offsets|neighbors`` (each machine's
+        CSR partition) and ``graph/node_ids|label_ids`` (the cluster-wide
+        label arrays).  Snapshot save and worker publication both consume
+        exactly this map, and feeding it back through the installer yields
+        an equivalent cloud.  Treat the arrays as read-only.
+        """
+        if self._columns is None:
+            raise CloudError("no graph has been loaded into the cloud")
+        return dict(self._columns)
+
+    def packed_label_pairs(self) -> Tuple[int, Dict[Tuple[int, int], np.ndarray]]:
+        """``(base, {(machine_lo, machine_hi): sorted packed keys})``.
+
+        The label-pair metadata in the form snapshots persist it; each key
+        is ``label_lo * base + label_hi`` over label-table IDs.
+        """
+        return self._label_pair_base, dict(self._label_pairs_packed)
 
     # -- persistent snapshots -------------------------------------------------
 
-    #: Column names of one machine partition inside a snapshot.
-    _MACHINE_COLUMNS = ("node_ids", "label_ids", "offsets", "neighbors")
-
     def save_snapshot(self, directory, *, generation: int = 1):
-        """Persist the loaded graph *and* its partition state to ``directory``.
+        """Persist this cloud's image to ``directory``; returns the manifest.
 
-        Beyond the ``graph/*`` CSR columns a cloud snapshot stores the
-        partition map, each machine's CSR partition, and the packed
-        cross-machine label-pair metadata, so :meth:`load_snapshot` can
-        reopen on the fast path — adopting ``np.memmap`` views without
-        re-partitioning or re-deriving anything.  Returns the
-        :class:`~repro.storage.snapshot.SnapshotManifest` written.
+        See :func:`repro.storage.cloud_snapshot.save_cloud_snapshot`.
         """
-        from repro.storage.snapshot import write_snapshot
+        from repro.storage.cloud_snapshot import save_cloud_snapshot
 
-        if self._assignment is None or self._label_table is None:
-            raise CloudError("no graph has been loaded into the cloud")
-        self.flush_staged()
-        node_ids = self._global_node_ids
-        label_ids = self._global_label_ids
-
-        # Reconstruct the global CSR by scattering every machine's rows
-        # back into global row order (the inverse of load_graph's gather).
-        machine_columns = [machine.csr_arrays() for machine in self.machines]
-        total = len(node_ids)
-        counts = np.zeros(total, dtype=OFFSET_DTYPE)
-        for ids_m, _labels_m, offsets_m, _neighbors_m in machine_columns:
-            if len(ids_m):
-                counts[np.searchsorted(node_ids, ids_m)] = np.diff(offsets_m)
-        offsets = np.zeros(total + 1, dtype=OFFSET_DTYPE)
-        np.cumsum(counts, out=offsets[1:])
-        neighbors = np.empty(int(offsets[-1]), dtype=NODE_DTYPE)
-        for ids_m, _labels_m, offsets_m, neighbors_m in machine_columns:
-            if not len(ids_m):
-                continue
-            rows = np.searchsorted(node_ids, ids_m)
-            starts = offsets[:-1][rows]
-            local_counts = np.diff(offsets_m)
-            scatter = (
-                np.arange(int(offsets_m[-1]), dtype=OFFSET_DTYPE)
-                + np.repeat(starts - offsets_m[:-1], local_counts)
-            )
-            neighbors[scatter] = neighbors_m
-
-        arrays = {
-            "graph/node_ids": node_ids,
-            "graph/label_ids": label_ids,
-            "graph/offsets": offsets,
-            "graph/neighbors": neighbors,
-        }
-        assignment_ids, assignment_machines = self._assignment.as_arrays()
-        arrays["assignment/ids"] = assignment_ids
-        arrays["assignment/machines"] = assignment_machines
-        for machine, columns in zip(self.machines, machine_columns):
-            for column_name, column in zip(self._MACHINE_COLUMNS, columns):
-                arrays[f"machine{machine.machine_id}/{column_name}"] = column
-        label_pair_keys = []
-        for (low, high), packed in sorted(self._label_pairs_packed.items()):
-            arrays[f"labelpairs/{low}_{high}"] = packed
-            label_pair_keys.append([int(low), int(high)])
-        cloud_meta = {
-            "machine_count": self.machine_count,
-            "partitioner": _partitioner_name(self.config.partitioner),
-            "track_label_pairs": self.config.track_label_pairs,
-            "label_pair_base": int(self._label_pair_base),
-            "label_pairs": label_pair_keys,
-        }
-        return write_snapshot(
-            directory,
-            arrays,
-            node_count=self._graph_node_count,
-            edge_count=self._graph_edge_count,
-            labels=self._label_table.labels(),
-            cloud=cloud_meta,
-            generation=generation,
-            id_map=self._id_map,
-        )
+        return save_cloud_snapshot(self, directory, generation=generation)
 
     def load_snapshot(self, directory, *, verify: bool = False) -> float:
-        """(Re)load this cloud from a snapshot directory.
+        """(Re)load this cloud from a snapshot; returns the loading seconds.
 
-        When the snapshot stores cloud state for this machine count and its
-        delta log is empty, every array — partition map, machine CSR
-        columns, global label arrays, packed label pairs — is adopted as a
-        read-only ``np.memmap`` view: opening costs file metadata, not a
-        data scan, and the picklable mmap specs are retained so the process
-        executor publishes them to workers without an shm copy.  Otherwise
-        (pending deltas, graph-only snapshot, or a different machine count)
-        the graph is opened with the delta overlay replayed and loaded via
-        :meth:`load_graph`.
-
-        Either way ``load_generation`` is bumped, so plan caches and worker
-        publications keyed on this cloud invalidate.  Returns the loading
-        wall-clock seconds (recorded in :attr:`loading_seconds`).
+        See :func:`repro.storage.cloud_snapshot.load_cloud_snapshot`.
         """
-        from repro.storage.delta import DeltaLog
-        from repro.storage.snapshot import open_graph_snapshot, read_manifest
+        from repro.storage.cloud_snapshot import load_cloud_snapshot
 
-        started = time.perf_counter()
-        manifest = read_manifest(directory, verify=verify)
-        pending_deltas = DeltaLog(directory).count()
-        if (
-            pending_deltas
-            or not manifest.has_cloud_state
-            or manifest.machine_count != self.config.machine_count
-        ):
-            graph = open_graph_snapshot(directory, replay=True)
-            return self.load_graph(graph)
-
-        self._load_generation += 1
-        handles: List = []
-
-        def attach(name: str):
-            handle, view = manifest.attach(name)
-            handles.append(handle)
-            return view
-
-        label_table = LabelTable(manifest.labels)
-        assignment_ids = attach("assignment/ids")
-        assignment_machines = attach("assignment/machines")
-        self._assignment = PartitionAssignment.from_arrays(
-            manifest.machine_count, assignment_ids, assignment_machines
-        )
-        for machine in self.machines:
-            columns = [
-                attach(f"machine{machine.machine_id}/{column_name}")
-                for column_name in self._MACHINE_COLUMNS
-            ]
-            machine.label_table = label_table
-            machine.label_index.label_table = label_table
-            machine.adopt_partition(*columns)
-        self._global_node_ids = attach("graph/node_ids")
-        self._global_label_ids = attach("graph/label_ids")
-        self._label_table = label_table
-        self._graph_node_count = manifest.node_count
-        self._graph_edge_count = manifest.edge_count
-        if dense_table_profitable(self._global_node_ids, probe_count=0):
-            self._label_by_node = dense_value_table(
-                self._global_node_ids, self._global_label_ids, dtype=np.int32
-            )
-        else:
-            self._label_by_node = None
-
-        cloud_meta = manifest.cloud
-        self._label_pairs_packed = {}
-        self._label_pairs_cache = {}
-        self._label_pair_base = int(cloud_meta.get("label_pair_base", 1))
-        if self.config.track_label_pairs:
-            for low, high in cloud_meta.get("label_pairs", ()):
-                self._label_pairs_packed[(int(low), int(high))] = attach(
-                    f"labelpairs/{low}_{high}"
-                )
-
-        self._id_map = manifest.load_id_map()
-        self._storage_handles = handles
-        self._storage_specs = {
-            "machines": tuple(
-                tuple(
-                    manifest.spec(f"machine{machine.machine_id}/{column_name}")
-                    for column_name in self._MACHINE_COLUMNS
-                )
-                for machine in self.machines
-            ),
-            "global_nodes": manifest.spec("graph/node_ids"),
-            "global_labels": manifest.spec("graph/label_ids"),
-            "assignment_ids": manifest.spec("assignment/ids"),
-            "assignment_machines": manifest.spec("assignment/machines"),
-        }
-        self.loading_seconds = time.perf_counter() - started
-        return self.loading_seconds
+        return load_cloud_snapshot(self, directory, verify=verify)
 
     @classmethod
     def open_snapshot(
         cls, directory, config: ClusterConfig | None = None, *, verify: bool = False
     ) -> "MemoryCloud":
-        """Open a snapshot as a fresh cloud (``MemoryCloud``'s third constructor).
+        """Open a snapshot as a fresh cloud (``MemoryCloud``'s other constructor).
 
-        Without an explicit ``config`` the cluster shape (machine count,
-        partitioner) recorded in the snapshot manifest is used, so a cloud
-        round-trips through ``save_snapshot``/``open_snapshot`` unchanged.
+        See :func:`repro.storage.cloud_snapshot.open_cloud_snapshot`.
         """
-        if config is None:
-            from repro.storage.snapshot import read_manifest
+        from repro.storage.cloud_snapshot import open_cloud_snapshot
 
-            manifest = read_manifest(directory)
-            config = (
-                cluster_config_from_manifest(manifest)
-                if manifest.has_cloud_state
-                else ClusterConfig()
-            )
-        cloud = cls(config)
-        cloud.load_snapshot(directory, verify=verify)
-        return cloud
+        return open_cloud_snapshot(directory, config, verify=verify)
 
     @property
     def storage_publication(self) -> Dict[str, object] | None:
-        """Mmap specs of a snapshot-backed cloud (``None`` after RAM loads).
+        """``{column name: mmap spec}`` of a file-backed cloud, else ``None``.
 
-        The process-executor publication path checks this first: when the
-        cloud's arrays already live in a file, workers attach the file
-        instead of copying everything through shared memory.
+        Observed, not chosen: set when the installed columns are views into
+        a snapshot's data file, so worker publication ships these specs
+        instead of copying the arrays into shared memory; ``None`` after any
+        in-RAM load.
         """
-        return self._storage_specs
+        return self._file_specs
 
     # -- Trinity-style operators ----------------------------------------------
 
@@ -487,12 +321,10 @@ class MemoryCloud:
         """
         owner = self.owner_of(node_id)
         cell = self.machines[owner].load(node_id)
-        requester_id = owner if requester is None else requester
-        if requester is None:
-            # Client access: count one remote round trip from a virtual proxy.
-            self.metrics.record_load(-1, owner, len(cell.neighbors))
-        else:
-            self.metrics.record_load(requester_id, owner, len(cell.neighbors))
+        # Client access counts one remote round trip from a virtual proxy.
+        self.metrics.record_load(
+            -1 if requester is None else requester, owner, len(cell.neighbors)
+        )
         return cell
 
     def load_neighbors(self, node_id: int, requester: int | None = None) -> np.ndarray:
@@ -504,76 +336,30 @@ class MemoryCloud:
         """
         owner = self.owner_of(node_id)
         neighbors = self.machines[owner].neighbor_slice(node_id)
-        if requester is None:
-            self.metrics.record_load(-1, owner, len(neighbors))
-        else:
-            self.metrics.record_load(requester, owner, len(neighbors))
+        self.metrics.record_load(
+            -1 if requester is None else requester, owner, len(neighbors)
+        )
         return neighbors
 
     def load_neighbors_batch(
-        self, node_ids: np.ndarray, requester: int, owner: int | None = None
+        self, node_ids: np.ndarray, requester: int, owner: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched ``Cloud.Load`` of many cells' neighbor lists.
+        """Batched ``Cloud.Load`` of many cells stored on machine ``owner``.
 
         Returns ``(neighbors, counts)``: the concatenated neighbor IDs of
         every requested cell (in input order) plus each cell's neighbor
-        count.  One load is charged per cell against its owner machine, with
-        the same message/byte accounting as :meth:`load`.
+        count.  One load is charged per cell against ``owner``, with the
+        same message/byte accounting as :meth:`load`.  The STwig matcher's
+        root loads are local by construction, so the caller always knows
+        the owner; owner resolution was never charged.
 
-        Pass ``owner`` when every requested cell is known to live on one
-        machine (the STwig matcher's root loads: roots are local by
-        construction) to skip per-node owner resolution; the accounting is
-        unchanged, owner resolution was never charged.
+        Raises:
+            NodeNotFoundError: if any ID is not stored on ``owner``.
         """
-        if self._assignment is None:
-            raise CloudError("no graph has been loaded into the cloud")
-        if len(node_ids) == 0:
-            return (
-                np.empty(0, dtype=NODE_DTYPE),
-                np.empty(0, dtype=OFFSET_DTYPE),
-            )
-        if owner is not None:
-            neighbors, counts = self.machines[owner].load_rows(node_ids)
-            self.metrics.record_loads(
-                requester, owner, len(node_ids), int(counts.sum())
-            )
-            return neighbors, counts
-        owners = self._assignment.machine_array_for(node_ids)
-        distinct = np.unique(owners).tolist()
-        if len(distinct) == 1:
-            owner = distinct[0]
-            neighbors, counts = self.machines[owner].load_rows(node_ids)
-            self.metrics.record_loads(
-                requester, owner, len(node_ids), int(counts.sum())
-            )
-            return neighbors, counts
-        counts = np.zeros(len(node_ids), dtype=OFFSET_DTYPE)
-        parts: Dict[int, np.ndarray] = {}
-        for owner in distinct:
-            selector = owners == owner
-            part_neighbors, part_counts = self.machines[owner].load_rows(
-                node_ids[selector]
-            )
-            counts[selector] = part_counts
-            parts[owner] = part_neighbors
-            self.metrics.record_loads(
-                requester, owner, int(selector.sum()), int(part_counts.sum())
-            )
-        # Reassemble the per-owner gathers back into input order.
-        offsets = np.zeros(len(node_ids) + 1, dtype=OFFSET_DTYPE)
-        np.cumsum(counts, out=offsets[1:])
-        neighbors = np.empty(int(offsets[-1]), dtype=NODE_DTYPE)
-        for owner in distinct:
-            selector = owners == owner
-            starts = offsets[:-1][selector]
-            owner_counts = counts[selector]
-            span = np.zeros(len(owner_counts) + 1, dtype=OFFSET_DTYPE)
-            np.cumsum(owner_counts, out=span[1:])
-            scatter = (
-                np.arange(span[-1], dtype=OFFSET_DTYPE)
-                + np.repeat(starts - span[:-1], owner_counts)
-            )
-            neighbors[scatter] = parts[owner]
+        neighbors, counts = self.machines[owner].load_rows(node_ids)
+        self.metrics.record_loads(
+            requester, owner, len(node_ids), int(counts.sum())
+        )
         return neighbors, counts
 
     def batch_has_label(
@@ -605,14 +391,6 @@ class MemoryCloud:
             np.bincount(owners, minlength=len(self.machines)).tolist()
         ):
             self.metrics.record_label_probes(requester, owner, count)
-        if self._global_node_ids is None or len(self._global_node_ids) == 0:
-            mask = np.zeros(len(node_ids), dtype=bool)
-            for owner in np.unique(owners).tolist():
-                selector = owners == owner
-                mask[selector] = self.machines[owner].label_index.has_label_mask(
-                    node_ids[selector], label
-                )
-            return mask
         label_id = self._label_table.id_of(label) if self._label_table else -1
         if label_id < 0:
             return np.zeros(len(node_ids), dtype=bool)
@@ -829,29 +607,12 @@ class MemoryCloud:
 
     @property
     def load_generation(self) -> int:
-        """Monotonic counter of :meth:`load_graph` calls.
+        """Monotonic counter of loads (graph, snapshot, or published image).
 
         Runtime publications snapshot this value; a mismatch later means
         the cloud was reloaded and the published state is stale.
         """
         return self._load_generation
-
-    @property
-    def assignment(self) -> PartitionAssignment:
-        """The node -> machine assignment of the loaded graph."""
-        if self._assignment is None:
-            raise CloudError("no graph has been loaded into the cloud")
-        return self._assignment
-
-    def global_label_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Cluster-wide ``(sorted node IDs, parallel label IDs)`` arrays.
-
-        The batched ``hasLabel`` substrate; published to worker processes by
-        the multiprocess runtime.  Treat as read-only.
-        """
-        if self._global_node_ids is None or self._global_label_ids is None:
-            raise CloudError("no graph has been loaded into the cloud")
-        return self._global_node_ids, self._global_label_ids
 
     def with_metrics(self, metrics: CloudMetrics) -> "MemoryCloud":
         """A shallow view of this cloud recording into ``metrics``.
@@ -897,21 +658,6 @@ class MemoryCloud:
         """Zero the communication counters (between benchmark runs)."""
         self.metrics.reset()
 
-    def flush_staged(self) -> None:
-        """Flush every machine's staged cell/index data into CSR arrays.
-
-        Concurrency-safety barrier for the query service: the lazy merges
-        reassign arrays non-atomically, so they must complete before
-        machines are read in parallel.  Serialized on
-        the owning cloud so overlapping queries cannot run two merges of the
-        same machine at once (the common case — nothing staged — only takes
-        an uncontended lock).
-        """
-        owner = self.runtime_owner
-        with owner._metrics_lock:
-            for machine in self.machines:
-                machine.flush_staged()
-
     # -- runtime lifecycle ---------------------------------------------------
 
     def register_runtime_resource(self, resource) -> None:
@@ -956,50 +702,3 @@ class MemoryCloud:
             f"MemoryCloud(machines={self.machine_count}, nodes={self.node_count}, "
             f"edges={self.edge_count})"
         )
-
-
-def _partitioner_name(partitioner) -> str:
-    """Stable manifest name of a partitioner (``"custom"`` when unknown)."""
-    from repro.graph.partition import (
-        BlockPartitioner,
-        HashPartitioner,
-        RoundRobinPartitioner,
-    )
-
-    for name, cls in (
-        ("hash", HashPartitioner),
-        ("round_robin", RoundRobinPartitioner),
-        ("block", BlockPartitioner),
-    ):
-        if type(partitioner) is cls:
-            return name
-    return "custom"
-
-
-def cluster_config_from_manifest(manifest) -> ClusterConfig:
-    """Rebuild a :class:`ClusterConfig` from a snapshot manifest's cloud section.
-
-    Unknown (custom) partitioner names fall back to the paper-default hash
-    partitioner — compaction repartitions with it in that case, which is
-    safe because query results are partition invariant.
-    """
-    from repro.graph.partition import (
-        BlockPartitioner,
-        HashPartitioner,
-        RoundRobinPartitioner,
-    )
-
-    cloud_meta = manifest.cloud or {}
-    partitioners = {
-        "hash": HashPartitioner,
-        "round_robin": RoundRobinPartitioner,
-        "block": BlockPartitioner,
-    }
-    partitioner_cls = partitioners.get(
-        cloud_meta.get("partitioner", "hash"), HashPartitioner
-    )
-    return ClusterConfig(
-        machine_count=manifest.machine_count or ClusterConfig().machine_count,
-        partitioner=partitioner_cls(),
-        track_label_pairs=bool(cloud_meta.get("track_label_pairs", True)),
-    )

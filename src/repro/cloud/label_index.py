@@ -18,7 +18,7 @@ parallel sorted ``numpy`` arrays (local node IDs + their label IDs), so
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -34,64 +34,20 @@ class LabelIndex:
         self.label_table = label_table if label_table is not None else LabelTable()
         self._ids = np.empty(0, dtype=NODE_DTYPE)
         self._label_ids = np.empty(0, dtype=LABEL_DTYPE)
-        self._pending_ids: List[int] = []
-        self._pending_labels: List[int] = []
         self._by_label: Dict[int, np.ndarray] = {}
 
     # -- loading -----------------------------------------------------------
-
-    def add(self, node_id: int, label: str) -> None:
-        """Register a local node under ``label``."""
-        self._pending_ids.append(node_id)
-        self._pending_labels.append(self.label_table.intern(label))
-
-    def add_many(self, items: Iterable[Tuple[int, str]]) -> None:
-        """Register many (node_id, label) pairs."""
-        for node_id, label in items:
-            self.add(node_id, label)
 
     def adopt(self, node_ids: np.ndarray, label_ids: np.ndarray) -> None:
         """Adopt pre-built parallel arrays (``node_ids`` sorted ascending).
 
         Label IDs must come from this index's :attr:`label_table`.  This is
-        the bulk-load path used when a partitioned graph's CSR slices are
-        handed straight to the machines.
+        the only way in (via :meth:`Machine.adopt_partition
+        <repro.cloud.machine.Machine.adopt_partition>`); the index is
+        read-only afterwards.
         """
         self._ids = node_ids
         self._label_ids = label_ids
-        self._pending_ids.clear()
-        self._pending_labels.clear()
-        self._by_label.clear()
-
-    def flush_staged(self) -> None:
-        """Merge any staged ``add`` calls into the index arrays now.
-
-        Concurrent runtime backends call this before fanning out: the lazy
-        merge reassigns several arrays non-atomically, which is safe only
-        when no other thread is reading.
-        """
-        self._ensure()
-
-    def _ensure(self) -> None:
-        if not self._pending_ids:
-            return
-        ids = np.concatenate(
-            [self._ids, np.array(self._pending_ids, dtype=NODE_DTYPE)]
-        )
-        labels = np.concatenate(
-            [self._label_ids, np.array(self._pending_labels, dtype=LABEL_DTYPE)]
-        )
-        order = np.argsort(ids, kind="stable")
-        # Re-adding a node overwrites its label (dict semantics): the stable
-        # sort keeps duplicates in insertion order, so keep the last of each
-        # run.
-        ids = ids[order]
-        last_of_run = np.ones(len(ids), dtype=bool)
-        last_of_run[:-1] = ids[:-1] != ids[1:]
-        self._ids = ids[last_of_run]
-        self._label_ids = labels[order[last_of_run]]
-        self._pending_ids.clear()
-        self._pending_labels.clear()
         self._by_label.clear()
 
     # -- lookups -----------------------------------------------------------
@@ -102,7 +58,6 @@ class LabelIndex:
 
     def get_ids_array(self, label: str) -> np.ndarray:
         """Sorted local node IDs carrying ``label`` (cached array, no copy)."""
-        self._ensure()
         label_id = self.label_table.id_of(label)
         if label_id == NO_LABEL:
             return np.empty(0, dtype=NODE_DTYPE)
@@ -114,7 +69,6 @@ class LabelIndex:
 
     def has_label(self, node_id: int, label: str) -> bool:
         """True if the local node ``node_id`` carries ``label``."""
-        self._ensure()
         label_id = self.label_table.id_of(label)
         if label_id == NO_LABEL:
             return False
@@ -124,7 +78,6 @@ class LabelIndex:
     def has_label_mask(self, candidates: np.ndarray, label: str) -> np.ndarray:
         """Vectorized ``hasLabel``: a boolean mask over ``candidates`` marking
         the local nodes carrying ``label``."""
-        self._ensure()
         label_id = self.label_table.id_of(label)
         if label_id == NO_LABEL or len(self._ids) == 0 or len(candidates) == 0:
             return np.zeros(len(candidates), dtype=bool)
@@ -142,7 +95,6 @@ class LabelIndex:
 
     def label_of(self, node_id: int) -> Optional[str]:
         """Return the label of a local node, or None if not local."""
-        self._ensure()
         row = self._row_of(node_id)
         if row is None:
             return None
@@ -150,14 +102,12 @@ class LabelIndex:
 
     def contains_node(self, node_id: int) -> bool:
         """True if ``node_id`` is indexed on this machine."""
-        self._ensure()
         return self._row_of(node_id) is not None
 
     # -- statistics --------------------------------------------------------
 
     def labels(self) -> Tuple[str, ...]:
         """Return the sorted distinct labels present on this machine."""
-        self._ensure()
         return tuple(
             sorted(
                 self.label_table.label_of(int(label_id))
@@ -172,17 +122,14 @@ class LabelIndex:
     @property
     def node_count(self) -> int:
         """Number of (distinct) local nodes indexed."""
-        self._ensure()
         return len(self._ids)
 
     def size_in_entries(self) -> int:
         """Index size measured in entries (for the Table 1 index-size column)."""
-        self._ensure()
         return len(self._ids) + len(np.unique(self._label_ids))
 
     def storage_nbytes(self) -> int:
         """Bytes held by the index arrays."""
-        self._ensure()
         return self._ids.nbytes + self._label_ids.nbytes
 
     def _row_of(self, node_id: int) -> Optional[int]:

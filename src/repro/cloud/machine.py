@@ -8,16 +8,16 @@ neighbors regardless of where those neighbors live, exactly as in Trinity.
 
 Instead of one Python ``NodeCell`` object per node, the partition is four
 ``numpy`` arrays (sorted local node IDs, parallel label IDs, CSR offsets,
-and one flat neighbor array).  Cells can still be stored one at a time via
-:meth:`store_cell` (they are staged and merged lazily), but the fast path is
-:meth:`adopt_partition`, which adopts CSR slices produced by the cloud's
-bulk loader without copying per node.  :meth:`neighbor_slice` returns a
-zero-copy view for the matcher's batched filtering.
+and one flat neighbor array).  :meth:`adopt_partition` is the only way in:
+it adopts the cloud installer's CSR columns without copying, and from then
+on the machine is read-only — graph updates go through the snapshot delta
+log and a reload, never through a per-cell write.  :meth:`neighbor_slice`
+returns a zero-copy view for the matcher's batched filtering.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -49,20 +49,9 @@ class Machine:
         self._label_ids = np.empty(0, dtype=LABEL_DTYPE)
         self._offsets = np.zeros(1, dtype=OFFSET_DTYPE)
         self._neighbors = np.empty(0, dtype=NODE_DTYPE)
-        self._pending: List[Tuple[int, int, Tuple[int, ...]]] = []
         self._dense_rows: np.ndarray | None = None
 
     # -- loading -----------------------------------------------------------
-
-    def store_cell(self, node_id: int, label: str, neighbors: Tuple[int, ...]) -> None:
-        """Store the cell for a local node (staged; merged lazily)."""
-        self._pending.append((node_id, self.label_table.intern(label), tuple(neighbors)))
-        self.label_index.add(node_id, label)
-
-    def store_cells(self, cells: Iterable[Tuple[int, str, Tuple[int, ...]]]) -> None:
-        """Store many cells at once."""
-        for node_id, label, neighbors in cells:
-            self.store_cell(node_id, label, neighbors)
 
     def adopt_partition(
         self,
@@ -81,56 +70,8 @@ class Machine:
         self._label_ids = label_ids
         self._offsets = offsets
         self._neighbors = neighbors
-        self._pending.clear()
         self._dense_rows = None
         self.label_index.adopt(node_ids, label_ids)
-
-    def flush_staged(self) -> None:
-        """Merge any staged ``store_cell`` data into the CSR arrays now.
-
-        The lazy merge reassigns the four CSR arrays non-atomically, so a
-        concurrent reader could pair new IDs with old offsets.  The query
-        service flushes every machine (store + label index) before serving,
-        making the subsequent parallel reads safe.
-        """
-        self._ensure()
-        self.label_index.flush_staged()
-
-    def _ensure(self) -> None:
-        if not self._pending:
-            return
-        staged_ids = np.array([entry[0] for entry in self._pending], dtype=NODE_DTYPE)
-        staged_labels = np.array(
-            [entry[1] for entry in self._pending], dtype=LABEL_DTYPE
-        )
-        existing_rows = [
-            self._neighbors[self._offsets[row] : self._offsets[row + 1]]
-            for row in range(len(self._ids))
-        ]
-        staged_rows = [
-            np.array(entry[2], dtype=NODE_DTYPE) for entry in self._pending
-        ]
-        ids = np.concatenate([self._ids, staged_ids])
-        labels = np.concatenate([self._label_ids, staged_labels])
-        rows = existing_rows + staged_rows
-        order = np.argsort(ids, kind="stable")
-        # Re-storing a node overwrites it (dict semantics): the stable sort
-        # keeps duplicates in insertion order, so keep the last of each run.
-        ids = ids[order]
-        last_of_run = np.ones(len(ids), dtype=bool)
-        last_of_run[:-1] = ids[:-1] != ids[1:]
-        order = order[last_of_run]
-        self._ids = ids[last_of_run]
-        self._label_ids = labels[order]
-        rows = [rows[position] for position in order.tolist()]
-        self._offsets = np.zeros(len(rows) + 1, dtype=OFFSET_DTYPE)
-        if rows:
-            np.cumsum([len(row) for row in rows], out=self._offsets[1:])
-            self._neighbors = np.concatenate(rows)
-        else:
-            self._neighbors = np.empty(0, dtype=NODE_DTYPE)
-        self._pending.clear()
-        self._dense_rows = None
 
     # -- local access ------------------------------------------------------
 
@@ -170,7 +111,6 @@ class Machine:
         Raises:
             NodeNotFoundError: if any ID is not stored on this machine.
         """
-        self._ensure()
         if len(node_ids) == 0:
             return np.empty(0, dtype=NODE_DTYPE), np.empty(0, dtype=OFFSET_DTYPE)
         dense = self._dense_row_table(len(node_ids))
@@ -195,7 +135,7 @@ class Machine:
         """Lazy id->row table for :meth:`load_rows` (None when too sparse).
 
         Built at most once per partition generation (invalidated by
-        :meth:`adopt_partition` / staged stores) so the hot batched-load
+        :meth:`adopt_partition`) so the hot batched-load
         path resolves rows with one gather instead of a binary search per
         node.  Only the *build* is memoized: a borderline domain that a
         tiny first batch left table-less is re-evaluated (the check is
@@ -221,40 +161,23 @@ class Machine:
 
     # -- introspection -------------------------------------------------------
 
-    def csr_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The partition's CSR columns ``(ids, label_ids, offsets, neighbors)``.
-
-        This is the publication surface of the multiprocess runtime: the
-        four arrays fully describe the partition store, so publishing them
-        into shared memory and re-adopting views via
-        :meth:`adopt_partition` reconstructs an equivalent machine in a
-        worker process without pickling any per-node data.  Treat the
-        returned arrays as read-only.
-        """
-        self._ensure()
-        return self._ids, self._label_ids, self._offsets, self._neighbors
-
     @property
     def node_count(self) -> int:
         """Number of (distinct) nodes stored on this machine."""
-        self._ensure()
         return len(self._ids)
 
     def local_nodes(self) -> Tuple[int, ...]:
         """Sorted IDs of the nodes stored on this machine."""
-        self._ensure()
         return tuple(self._ids.tolist())
 
     def memory_footprint_entries(self) -> int:
         """Approximate store size in entries (cells + adjacency + index)."""
-        self._ensure()
         return (
             len(self._ids) + len(self._neighbors) + self.label_index.size_in_entries()
         )
 
     def storage_nbytes(self) -> int:
         """Bytes held by the partition's CSR arrays and label index."""
-        self._ensure()
         return (
             self._ids.nbytes
             + self._label_ids.nbytes
@@ -267,7 +190,6 @@ class Machine:
         # Scalar counterpart of utils.arrays.sorted_lookup (kept inline: this
         # sits under per-node load()/owns() and an array round-trip per call
         # would dominate).
-        self._ensure()
         position = int(np.searchsorted(self._ids, node_id))
         if position < len(self._ids) and int(self._ids[position]) == node_id:
             return position

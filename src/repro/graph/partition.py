@@ -22,10 +22,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import PartitionError
-from repro.graph.labeled_graph import NODE_DTYPE, LabeledGraph
+from repro.graph.labeled_graph import NODE_DTYPE, OFFSET_DTYPE, LabeledGraph
 from repro.utils.arrays import (
     dense_table_profitable,
     dense_value_table,
+    fast_unique,
     sorted_lookup,
     table_position_lookup,
 )
@@ -166,6 +167,57 @@ class PartitionAssignment:
         ).tolist()
 
 
+def cross_machine_label_pairs(
+    graph: LabeledGraph, machine_of_row: np.ndarray, machine_count: int
+) -> Tuple[int, Dict[Tuple[int, int], np.ndarray]]:
+    """Label pairs connected by an edge, per (unordered) machine pair.
+
+    The load-time metadata the paper builds the query-specific *cluster
+    graph* from (Section 5.3).  ``machine_of_row`` is the owner of each row
+    of ``graph``.  Returns ``(base, {(machine_lo, machine_hi): sorted
+    packed keys})`` with each key ``label_lo * base + label_hi`` over label
+    IDs.  Fully vectorized: every undirected edge is reduced to a packed
+    ``(machine pair, label pair)`` integer and deduplicated in one pass.
+    """
+    node_ids = graph.node_id_array()
+    label_ids = graph.label_id_array()
+    neighbors = graph.neighbor_array()
+    counts = np.diff(graph.offset_array())
+    source_rows = np.repeat(np.arange(len(node_ids), dtype=OFFSET_DTYPE), counts)
+    forward = node_ids[source_rows] < neighbors
+    source_rows = source_rows[forward]
+    target_rows = np.searchsorted(node_ids, neighbors[forward])
+
+    machine_u = machine_of_row[source_rows].astype(np.int64)
+    machine_v = machine_of_row[target_rows].astype(np.int64)
+    label_u = label_ids[source_rows].astype(np.int64)
+    label_v = label_ids[target_rows].astype(np.int64)
+    machine_lo = np.minimum(machine_u, machine_v)
+    machine_hi = np.maximum(machine_u, machine_v)
+    label_lo = np.minimum(label_u, label_v)
+    label_hi = np.maximum(label_u, label_v)
+
+    machine_count = max(machine_count, 1)
+    label_count = max(len(graph.label_table), 1)
+    pair_span = label_count * label_count
+    packed = fast_unique(
+        (machine_lo * machine_count + machine_hi) * pair_span
+        + label_lo * label_count
+        + label_hi
+    )
+    # ``packed`` is sorted, so all keys of one machine pair are one
+    # contiguous run; slice per distinct machine pair instead of looping
+    # over every (machine pair, label pair) combination in Python.
+    machine_keys = packed // pair_span
+    label_keys = packed % pair_span
+    pairs: Dict[Tuple[int, int], np.ndarray] = {}
+    for machine_key in np.unique(machine_keys).tolist():
+        start, stop = np.searchsorted(machine_keys, [machine_key, machine_key + 1])
+        pair = (machine_key // machine_count, machine_key % machine_count)
+        pairs[pair] = label_keys[start:stop]
+    return label_count, pairs
+
+
 class Partitioner:
     """Strategy interface mapping every node of a graph to a machine."""
 
@@ -217,3 +269,28 @@ class BlockPartitioner(Partitioner):
             np.arange(len(node_ids), dtype=np.int64) // block, machine_count - 1
         ).astype(MACHINE_DTYPE)
         return PartitionAssignment.from_arrays(machine_count, node_ids, machines)
+
+
+#: Stable names of the built-in partitioners, as snapshot manifests record them.
+PARTITIONERS: Dict[str, type] = {
+    "hash": HashPartitioner,
+    "round_robin": RoundRobinPartitioner,
+    "block": BlockPartitioner,
+}
+
+
+def partitioner_name(partitioner: Partitioner) -> str:
+    """Manifest name of ``partitioner`` (``"custom"`` when not built in)."""
+    for name, cls in PARTITIONERS.items():
+        if type(partitioner) is cls:
+            return name
+    return "custom"
+
+
+def partitioner_from_name(name: str) -> Partitioner:
+    """The partitioner a manifest names; unknown names get the paper's hash.
+
+    Falling back is safe because query results are partition invariant: a
+    snapshot written with a custom partitioner merely repartitions.
+    """
+    return PARTITIONERS.get(name, HashPartitioner)()

@@ -3,23 +3,19 @@
 The process executor's contract is that the graph is **never pickled per
 task**.  Instead:
 
-* :func:`publish_cloud` exposes every machine's CSR columns (sorted node
-  IDs, label IDs, offsets, flat neighbor IDs), the cluster-wide label
-  arrays, and the partition assignment through a storage provider
-  (:mod:`repro.storage`) — by default one copy into ``multiprocessing``
-  shared-memory blocks, made once per cloud.  A snapshot-backed cloud
-  (:meth:`MemoryCloud.load_snapshot`) skips even that copy: its arrays
-  already live in a file, so the handle carries the picklable mmap specs
-  as-is and nothing is published;
-* :func:`rebuild_cloud` runs inside each worker process and reconstructs a
-  fully functional :class:`~repro.cloud.cluster.MemoryCloud` whose arrays
-  are zero-copy views over those same pages — shm and mmap specs attach
-  through the same :func:`~repro.storage.provider.attach_spec` dispatch
-  (via :meth:`MemoryCloud.from_partition_state`).  Dense lookup tables —
-  the node->row, node->machine, and node->label acceleration structures —
-  are deliberately *not* shipped: each worker derives its own lazily, so
-  the caches live in per-process memory while the billion-edge-shaped
-  payload stays shared.
+* :func:`publish_cloud` turns the cloud's image — the named arrays of
+  :meth:`MemoryCloud.columns` — into a name -> spec map.  A cloud whose
+  columns already live in a snapshot file (``storage_publication``) ships
+  the manifest's own mmap specs and copies nothing; otherwise each column
+  is published once into ``multiprocessing`` shared memory;
+* :func:`rebuild_cloud` runs inside each worker process, attaches every
+  spec by name — shm and mmap specs go through the same
+  :func:`~repro.storage.provider.attach_spec` dispatch — and hands the
+  views to the cloud's one installer.  Dense lookup tables — the
+  node->row, node->machine, and node->label acceleration structures — are
+  deliberately *not* shipped: each worker derives its own, so the caches
+  live in per-process memory while the billion-edge-shaped payload stays
+  shared.
 
 Exploration result tables no longer pass through here at all: workers
 publish their own ``G_k(q_i)`` relations and hand back
@@ -32,41 +28,32 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, Tuple
 
 from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import ClusterConfig
 from repro.core.bindings import BindingTable
 from repro.graph.label_table import LabelTable
-from repro.graph.partition import PartitionAssignment
 from repro.query.query_graph import QueryGraph
-from repro.storage.provider import ArraySpec, ShmStorageProvider, attach_spec
+from repro.storage.provider import ArraySpec, ShmStorageProvider, attach_columns
 from repro.utils.shm import SegmentRegistry, SharedArraySpec, attach_array
-
-#: Per-machine CSR publication: (ids, label_ids, offsets, neighbors).
-MachineSpec = Tuple[ArraySpec, ArraySpec, ArraySpec, ArraySpec]
 
 
 @dataclass(frozen=True)
 class CloudHandle:
-    """Picklable description of a published cloud (names, shapes, scalars).
+    """Picklable description of a published cloud: its image, by name.
 
-    Everything a worker needs to rebuild the cloud: the storage spec of
-    every array — shm or mmap, workers attach either — plus the small
-    plain-data state (label strings, machine count, graph size).  The
-    handle itself is a few hundred bytes — it is shipped once per worker
-    via the pool initializer.
+    ``specs`` maps every :func:`~repro.cloud.cluster.column_names` entry to
+    the storage spec of that column — shm or mmap, workers attach either —
+    and the rest is the small plain-data state (label strings, machine
+    count, edge count).  The handle is shipped once per worker via the pool
+    initializer.
     """
 
     machine_count: int
     labels: Tuple[str, ...]
-    node_count: int
     edge_count: int
-    machines: Tuple[MachineSpec, ...]
-    global_nodes: ArraySpec
-    global_labels: ArraySpec
-    assignment_ids: ArraySpec
-    assignment_machines: ArraySpec
+    specs: Dict[str, ArraySpec]
 
 
 @dataclass(frozen=True)
@@ -83,108 +70,55 @@ class BindingsHandle:
 
 
 def publish_cloud(cloud: MemoryCloud) -> Tuple[CloudHandle, SegmentRegistry]:
-    """Publish ``cloud``'s partitioned CSR state for worker processes.
+    """Publish ``cloud``'s image for worker processes.
 
     Returns the worker-facing :class:`CloudHandle` and the provider
     (a :class:`~repro.storage.provider.ShmStorageProvider`, i.e. a
     :class:`SegmentRegistry`) owning any published blocks; closing it
     unlinks every segment.  Called once per (executor, cloud) pair.
 
-    A snapshot-backed cloud short-circuits: its arrays already live in a
-    snapshot's data file, so the handle ships the recorded mmap specs and
-    the returned provider is empty (nothing to unlink — the file outlives
-    every process by design).
+    For a file-backed cloud the returned provider is empty: nothing is
+    copied, and there is nothing to unlink — the file outlives every
+    process by design.
     """
     registry = ShmStorageProvider()
     specs = cloud.storage_publication
-    if specs is not None:
-        label_table = cloud.label_table
-        handle = CloudHandle(
-            machine_count=cloud.machine_count,
-            labels=label_table.labels() if label_table is not None else (),
-            node_count=cloud.node_count,
-            edge_count=cloud.edge_count,
-            machines=tuple(specs["machines"]),
-            global_nodes=specs["global_nodes"],
-            global_labels=specs["global_labels"],
-            assignment_ids=specs["assignment_ids"],
-            assignment_machines=specs["assignment_machines"],
-        )
-        return handle, registry
-    try:
-        machine_specs: List[MachineSpec] = []
-        for machine in cloud.machines:
-            ids, label_ids, offsets, neighbors = machine.csr_arrays()
-            machine_specs.append(
-                (
-                    registry.publish(ids),
-                    registry.publish(label_ids),
-                    registry.publish(offsets),
-                    registry.publish(neighbors),
-                )
-            )
-        global_nodes, global_labels = cloud.global_label_arrays()
-        assignment_ids, assignment_machines = cloud.assignment.as_arrays()
-        label_table = cloud.label_table
-        handle = CloudHandle(
-            machine_count=cloud.machine_count,
-            labels=label_table.labels() if label_table is not None else (),
-            node_count=cloud.node_count,
-            edge_count=cloud.edge_count,
-            machines=tuple(machine_specs),
-            global_nodes=registry.publish(global_nodes),
-            global_labels=registry.publish(global_labels),
-            assignment_ids=registry.publish(assignment_ids),
-            assignment_machines=registry.publish(assignment_machines),
-        )
-    except Exception:
-        registry.close()
-        raise
+    if specs is None:
+        try:
+            specs = {
+                name: registry.publish(column)
+                for name, column in cloud.columns().items()
+            }
+        except Exception:
+            registry.close()
+            raise
+    handle = CloudHandle(
+        machine_count=cloud.machine_count,
+        labels=cloud.label_table.labels(),
+        edge_count=cloud.edge_count,
+        specs=specs,
+    )
     return handle, registry
 
 
 def rebuild_cloud(handle: CloudHandle) -> MemoryCloud:
-    """Worker-side: reconstruct a cloud over zero-copy shared-memory views.
+    """Worker-side: reconstruct a cloud over zero-copy views of its image.
 
-    The rebuilt cloud holds references to its attached segments (they stay
+    The rebuilt cloud keeps its attached segments referenced (they stay
     mapped for the worker's lifetime) and owns fresh per-process lazy
     caches; label-pair metadata is absent because plans — including load
-    sets — are computed on the driver and shipped with each task.  Specs
-    go through :func:`~repro.storage.provider.attach_spec`, so an
-    shm-published cloud and a snapshot-backed (mmap) one rebuild
-    identically.
+    sets — are computed on the driver and shipped with each task.
     """
-    segments = []
-
-    def attach(spec: ArraySpec):
-        segment, view = attach_spec(spec)
-        segments.append(segment)
-        return view
-
-    machine_arrays = [
-        tuple(attach(spec) for spec in machine_spec)
-        for machine_spec in handle.machines
-    ]
-    assignment = PartitionAssignment.from_arrays(
-        handle.machine_count,
-        attach(handle.assignment_ids),
-        attach(handle.assignment_machines),
+    columns, segments = attach_columns(handle.specs)
+    cloud = MemoryCloud(
+        ClusterConfig(machine_count=handle.machine_count, track_label_pairs=False)
     )
-    cloud = MemoryCloud.from_partition_state(
-        config=ClusterConfig(
-            machine_count=handle.machine_count, track_label_pairs=False
-        ),
+    cloud._install(
+        columns,
         label_table=LabelTable(handle.labels),
-        machine_arrays=machine_arrays,
-        assignment=assignment,
-        global_node_ids=attach(handle.global_nodes),
-        global_label_ids=attach(handle.global_labels),
-        node_count=handle.node_count,
         edge_count=handle.edge_count,
+        backing=segments,
     )
-    # Keep the mappings alive as long as the cloud: every array above is a
-    # view into these segments.
-    cloud._attached_segments = segments  # type: ignore[attr-defined]
     return cloud
 
 

@@ -222,10 +222,6 @@ class QueryService:
             executor=executor,
             workers=workers,
         )
-        # Barrier: complete any staged lazy CSR merges now, while the
-        # service is still single-threaded — concurrent queries then only
-        # ever read the machines.
-        self.cloud.flush_staged()
         self._slots = threading.BoundedSemaphore(self.service_config.max_in_flight)
         self._state = threading.Condition()
         self._stats = ServiceStats()

@@ -19,8 +19,12 @@ the snapshot layer records them in a versioned manifest with checksums.
 Layered on the mmap backend:
 
 * :mod:`repro.storage.snapshot` — persistent CSR snapshots: save a
-  :class:`~repro.graph.labeled_graph.LabeledGraph` (and optionally its
-  partitioned cloud state) once, reopen in near-constant time;
+  :class:`~repro.graph.labeled_graph.LabeledGraph` once, reopen in
+  near-constant time;
+* :mod:`repro.storage.cloud_snapshot` — the same for a loaded
+  :class:`~repro.cloud.cluster.MemoryCloud`: persists its ``columns()``
+  and reopens them through the cloud's installer (imported on demand —
+  it depends on :mod:`repro.cloud`);
 * :mod:`repro.storage.delta` — a log-structured write path: an append-only
   edge/label delta log replayed over the base snapshot at open time, with
   explicit compaction into a new base generation;

@@ -39,7 +39,7 @@ from repro.errors import GraphError, StorageError
 from repro.storage.snapshot import (
     DELTA_LOG_NAME,
     SnapshotManifest,
-    open_graph_snapshot,
+    graph_from_manifest,
     read_manifest,
     save_graph_snapshot,
 )
@@ -226,24 +226,25 @@ def compact_snapshot(directory: str | Path, verify: bool = False) -> SnapshotMan
     and truncates the log.  A snapshot that stored cloud state is
     re-partitioned with the partitioner recorded in its manifest, so the
     compacted base reopens on the fast path again.  With an empty log this
-    is a no-op returning the current manifest.
+    is a no-op returning the current manifest.  ``manifest.json`` and
+    ``deltas.log`` are each parsed once.
 
     Callers holding an open cloud over this directory should reopen (or
     :meth:`~repro.cloud.cluster.MemoryCloud.load_snapshot`, which bumps
     ``load_generation`` and thereby invalidates plan caches).
     """
     manifest = read_manifest(directory, verify=verify)
-    log = DeltaLog(directory)
+    log = DeltaLog(manifest.directory)
     records = log.read()
     if not records:
         return manifest
-    merged = open_graph_snapshot(directory, replay=True)
+    merged = graph_from_manifest(manifest, records)
     generation = manifest.generation + 1
     if manifest.has_cloud_state:
-        from repro.cloud.cluster import MemoryCloud, cluster_config_from_manifest
+        from repro.cloud.cluster import MemoryCloud
+        from repro.storage.cloud_snapshot import cluster_config_from_manifest
 
-        config = cluster_config_from_manifest(manifest)
-        cloud = MemoryCloud.from_graph(merged, config)
+        cloud = MemoryCloud.from_graph(merged, cluster_config_from_manifest(manifest))
         new_manifest = cloud.save_snapshot(directory, generation=generation)
     else:
         new_manifest = save_graph_snapshot(

@@ -29,7 +29,7 @@ import zlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Tuple, Union
+from typing import Dict, List, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -119,6 +119,20 @@ def attach_spec(spec: ArraySpec, writable: bool = False):
         )
         return _MmapHandle(view), view
     raise StorageError(f"unknown array spec type {type(spec).__name__}")
+
+
+def attach_columns(specs: Mapping) -> Tuple[Dict, List]:
+    """Attach a ``{key: spec}`` map, returning ``({key: view}, handles)``.
+
+    The handles keep the views mapped; whoever adopts the views keeps the
+    list referenced for as long as it uses them.
+    """
+    views: Dict = {}
+    handles: List = []
+    for key, spec in specs.items():
+        handle, views[key] = attach_spec(spec)
+        handles.append(handle)
+    return views, handles
 
 
 def discard_spec(spec: ArraySpec) -> None:

@@ -235,7 +235,7 @@ def write_snapshot(
     # Data first, manifest last: the manifest is the commit point.
     os.replace(data_tmp, target / DATA_NAME)
     os.replace(manifest_tmp, target / MANIFEST_NAME)
-    return read_manifest(target)
+    return _manifest_from_doc(target, manifest_doc)
 
 
 def read_manifest(directory: str | Path, verify: bool = False) -> SnapshotManifest:
@@ -258,6 +258,15 @@ def read_manifest(directory: str | Path, verify: bool = False) -> SnapshotManife
         doc = json.loads(manifest_path.read_text())
     except (OSError, json.JSONDecodeError) as error:
         raise StorageError(f"unreadable snapshot manifest {manifest_path}: {error}")
+    manifest = _manifest_from_doc(target, doc)
+    if verify:
+        manifest.verify()
+    return manifest
+
+
+def _manifest_from_doc(target: Path, doc: dict) -> SnapshotManifest:
+    """Validate a parsed manifest document and bind it to ``target``."""
+    manifest_path = target / MANIFEST_NAME
     if doc.get("format") != SNAPSHOT_FORMAT:
         raise StorageError(
             f"{manifest_path} is not a {SNAPSHOT_FORMAT} manifest "
@@ -302,8 +311,6 @@ def read_manifest(directory: str | Path, verify: bool = False) -> SnapshotManife
             raise StorageError(
                 f"snapshot {target} is missing required array {name!r}"
             )
-    if verify:
-        manifest.verify()
     return manifest
 
 
@@ -354,10 +361,25 @@ def open_graph_snapshot(
     Returns the graph; its ``snapshot_manifest`` attribute carries the
     parsed :class:`SnapshotManifest` for callers that need the metadata.
     """
+    manifest = read_manifest(directory, verify=verify)
+    records = ()
+    if replay:
+        from repro.storage.delta import DeltaLog
+
+        records = DeltaLog(manifest.directory).read()
+    return graph_from_manifest(manifest, records)
+
+
+def graph_from_manifest(manifest: SnapshotManifest, records: Sequence = ()):
+    """The graph of an already-parsed snapshot, ``records`` replayed over it.
+
+    The body of :func:`open_graph_snapshot`, for callers that have parsed
+    ``manifest.json`` and ``deltas.log`` themselves (a cloud open or a
+    compaction needs both for its own decisions and must not parse twice).
+    """
     from repro.graph.label_table import LabelTable
     from repro.graph.labeled_graph import LabeledGraph
 
-    manifest = read_manifest(directory, verify=verify)
     views = {}
     for name in GRAPH_ARRAY_NAMES:
         _handle, view = manifest.attach(name)
@@ -370,13 +392,10 @@ def open_graph_snapshot(
         views["graph/neighbors"],
         manifest.edge_count,
     )
-    if replay:
-        from repro.storage.delta import DeltaLog, replay_deltas
+    if records:
+        from repro.storage.delta import replay_deltas
 
-        log = DeltaLog(manifest.directory)
-        records = log.read()
-        if records:
-            graph = replay_deltas(graph, records)
+        graph = replay_deltas(graph, records)
     id_map = manifest.load_id_map()
     if id_map is not None:
         if graph.node_count and int(graph.node_id_array()[-1]) >= len(id_map):

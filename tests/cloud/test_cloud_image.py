@@ -1,0 +1,130 @@
+"""The cloud image round trip: ``columns()`` through every transport.
+
+A loaded :class:`MemoryCloud` is its named columns plus a little plain
+metadata.  Whatever carries those columns — the arrays themselves, a
+shared-memory publication, a snapshot file — installing them into a fresh
+cloud must give back the same image, the same answers and the same
+simulated-communication counters, on both executors, and leave
+``/dev/shm`` as it found it.
+"""
+
+from __future__ import annotations
+
+import os
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.cloud.cluster import MemoryCloud, column_names
+from repro.cloud.config import ClusterConfig
+from repro.core.engine import SubgraphMatcher
+from repro.errors import CloudError
+from repro.graph.partition import (
+    BlockPartitioner,
+    HashPartitioner,
+    RoundRobinPartitioner,
+)
+from repro.query.query_graph import QueryGraph
+from repro.storage.provider import ShmStorageProvider, attach_columns
+
+from tests.property.strategies import labeled_graphs
+
+#: A path over the strategy's label alphabet: small enough to match often.
+MOTIF = QueryGraph(
+    {"a": "red", "b": "green", "c": "blue"}, [("a", "b"), ("b", "c")]
+)
+
+
+def reinstall(cloud: MemoryCloud, columns, backing=()) -> MemoryCloud:
+    """A fresh cloud holding ``columns`` plus ``cloud``'s plain metadata."""
+    fresh = MemoryCloud(cloud.config)
+    fresh._install(
+        columns,
+        label_table=cloud.label_table,
+        edge_count=cloud.edge_count,
+        label_pairs=cloud.packed_label_pairs(),
+        backing=backing,
+    )
+    return fresh
+
+
+def via_arrays(cloud, directory):
+    return reinstall(cloud, cloud.columns()), lambda: None
+
+
+def via_shm(cloud, directory):
+    provider = ShmStorageProvider()
+    specs = {name: provider.publish(array) for name, array in cloud.columns().items()}
+    columns, handles = attach_columns(specs)
+
+    def release():
+        for handle in handles:
+            handle.close()
+        provider.close()
+
+    return reinstall(cloud, columns, backing=handles), release
+
+
+def via_snapshot(cloud, directory):
+    cloud.save_snapshot(directory)
+    reopened = MemoryCloud.open_snapshot(directory)
+    assert tuple(reopened.storage_publication) == column_names(cloud.machine_count)
+    return reopened, lambda: None
+
+
+def run(cloud, executor):
+    with SubgraphMatcher(cloud, executor=executor, workers=2) as matcher:
+        result = matcher.match(MOTIF)
+    return result.rows, result.metrics
+
+
+@pytest.mark.parametrize("transport", [via_arrays, via_shm, via_snapshot])
+@settings(
+    max_examples=5,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(
+    graph=labeled_graphs(min_nodes=6),
+    machine_count=st.integers(1, 4),
+    partitioner=st.sampled_from(
+        [HashPartitioner, RoundRobinPartitioner, BlockPartitioner]
+    ),
+)
+def test_cloud_image_round_trip(
+    transport, tmp_path_factory, graph, machine_count, partitioner
+):
+    shm_before = set(os.listdir("/dev/shm"))
+    config = ClusterConfig(machine_count=machine_count, partitioner=partitioner())
+    original = MemoryCloud.from_graph(graph, config)
+    image = original.columns()
+    assert tuple(image) == column_names(machine_count)
+    expected = run(original, "serial")
+
+    restored, release = transport(original, tmp_path_factory.mktemp("image"))
+    try:
+        assert restored.load_generation == 1
+        assert (restored.node_count, restored.edge_count) == (
+            original.node_count,
+            original.edge_count,
+        )
+        carried = restored.columns()
+        assert tuple(carried) == tuple(image)
+        for name, array in image.items():
+            assert carried[name].dtype == array.dtype, name
+            assert carried[name].shape == array.shape, name
+            assert np.asarray(carried[name]).tobytes() == array.tobytes(), name
+        assert run(restored, "serial") == expected
+        assert run(restored, "process") == expected
+    finally:
+        restored.close()
+        original.close()
+        release()
+    assert set(os.listdir("/dev/shm")) == shm_before
+
+
+def test_columns_of_an_unloaded_cloud_is_an_error():
+    with pytest.raises(CloudError):
+        MemoryCloud(ClusterConfig(machine_count=2)).columns()

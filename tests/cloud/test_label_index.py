@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.cloud.label_index import LabelIndex
+
+from tests.helpers import label_index_from_pairs
 
 
 def make_index() -> LabelIndex:
-    index = LabelIndex()
-    index.add_many([(5, "a"), (3, "a"), (7, "b")])
-    return index
+    return label_index_from_pairs([(5, "a"), (3, "a"), (7, "b")])
 
 
 class TestLookups:
@@ -54,6 +56,15 @@ class TestStatistics:
         assert index.size_in_entries() == 3 + 2
 
     def test_incremental_add_keeps_sorted(self):
+        # The index has no incremental add any more (the name is historical):
+        # growing it means adopting the larger arrays, which must replace the
+        # contents and drop the per-label ID arrays cached from the old ones.
         index = make_index()
-        index.add(1, "a")
+        assert index.get_ids("a") == (3, 5)  # fills the per-label cache
+        a, b = index.label_table.id_of("a"), index.label_table.id_of("b")
+        index.adopt(
+            np.array([1, 3, 5, 7], dtype=np.int64),
+            np.array([a, a, a, b], dtype=np.int32),
+        )
         assert index.get_ids("a") == (1, 3, 5)
+        assert index.node_count == 4

@@ -7,17 +7,18 @@ import pytest
 from repro.cloud.machine import Machine
 from repro.errors import NodeNotFoundError
 
+from tests.helpers import machine_from_cells
+
 
 def make_machine() -> Machine:
-    machine = Machine(machine_id=2)
-    machine.store_cells(
+    return machine_from_cells(
+        2,
         [
             (10, "a", (11, 12)),
             (11, "b", (10,)),
             (12, "c", (10, 99)),  # 99 lives on another machine
-        ]
+        ],
     )
-    return machine
 
 
 class TestStorage:

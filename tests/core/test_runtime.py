@@ -639,38 +639,6 @@ class TestBackendSelection:
         assert shared.name == "serial"
 
 
-class TestThreadStagedStores:
-    """Staged per-cell stores flush into CSR before they are read in
-    parallel (the class name predates the thread backend's removal and is
-    kept so the test ID stays stable)."""
-
-    @staticmethod
-    def staged_cloud():
-        """A cloud loaded via the legacy per-cell path: everything pending."""
-        from repro.workloads.datasets import tiny_example_graph
-
-        graph = tiny_example_graph()
-        reference = MemoryCloud.from_graph(graph, ClusterConfig(machine_count=2))
-        cloud = MemoryCloud(ClusterConfig(machine_count=2))
-        cloud._assignment = reference._assignment
-        cloud._graph_node_count = graph.node_count
-        cloud._graph_edge_count = graph.edge_count
-        for node_id in graph.nodes():
-            cell = graph.cell(node_id)
-            cloud.machines[cloud.owner_of(node_id)].store_cell(
-                node_id, cell.label, cell.neighbors
-            )
-        return cloud
-
-    def test_flush_staged_merges_everything(self):
-        cloud = self.staged_cloud()
-        cloud.flush_staged()
-        assert sum(machine.node_count for machine in cloud.machines) == 6
-        for machine in cloud.machines:
-            assert not machine._pending
-            assert not machine.label_index._pending_ids
-
-
 class TestSharedMemoryHelpers:
     def test_publish_attach_round_trip(self):
         from repro.utils.shm import attach_array

@@ -18,7 +18,6 @@ import pytest
 
 from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import ClusterConfig
-from repro.cloud.label_index import LabelIndex
 from repro.cloud.machine import Machine
 from repro.errors import GraphError, NodeNotFoundError
 from repro.graph.builder import GraphBuilder
@@ -26,7 +25,12 @@ from repro.graph.label_table import NO_LABEL, LabelTable
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.partition import RoundRobinPartitioner
 
-from tests.helpers import make_cloud, seeded_graph
+from tests.helpers import (
+    label_index_from_pairs,
+    machine_from_cells,
+    make_cloud,
+    seeded_graph,
+)
 
 
 class TestLabelTable:
@@ -119,11 +123,14 @@ class TestRoundTripThroughMachines:
             assert machine.label_table is graph.label_table
 
     def test_store_cell_equivalent_to_adopt(self):
-        # Incrementally stored cells answer exactly like bulk-adopted ones.
+        # A partition assembled cell by cell answers exactly like the one
+        # the cloud loader gathers in bulk (the name predates the removal
+        # of Machine.store_cell; the cell-by-cell side is now a test helper).
         graph = seeded_graph(seed=7, nodes=25, edges=50, labels=3)
-        manual = Machine(machine_id=0)
-        for node in graph.nodes():
-            manual.store_cell(node, graph.label(node), graph.neighbors(node))
+        manual = machine_from_cells(
+            0,
+            [(node, graph.label(node), graph.neighbors(node)) for node in graph.nodes()],
+        )
         cloud = make_cloud(graph, machine_count=1)
         bulk = cloud.machines[0]
         assert manual.local_nodes() == bulk.local_nodes()
@@ -133,44 +140,40 @@ class TestRoundTripThroughMachines:
                 bulk.neighbor_slice(node).tolist()
             )
 
-    def test_restore_overwrites_cell(self):
-        # Dict semantics of the seed store: re-storing a node replaces it.
-        machine = Machine(machine_id=0)
-        machine.store_cell(1, "a", (2,))
-        machine.store_cell(1, "b", (3, 4))
-        assert machine.node_count == 1
-        cell = machine.load(1)
-        assert cell.label == "b"
-        assert cell.neighbors == (3, 4)
-        assert machine.label_index.label_of(1) == "b"
-        assert machine.get_ids("a") == ()
-
     def test_load_rows_on_empty_machine_raises_not_found(self):
         machine = Machine(machine_id=0)
         with pytest.raises(NodeNotFoundError):
             machine.load_rows(np.array([5], dtype=np.int64))
 
-    def test_interleaved_store_and_read(self):
-        machine = Machine(machine_id=1)
-        machine.store_cell(5, "a", (6,))
-        assert machine.load(5).neighbors == (6,)
-        machine.store_cell(3, "b", (5, 9))
-        assert machine.local_nodes() == (3, 5)
-        assert machine.load(3).label == "b"
-        assert machine.get_ids("a") == (5,)
-
 
 class TestBatchedOperators:
+    @staticmethod
+    def nodes_by_owner(cloud, nodes):
+        """``nodes`` split per owner machine (the batched load's unit)."""
+        owners = cloud.owners_of_array(nodes)
+        return [
+            (owner, nodes[owners == owner]) for owner in range(cloud.machine_count)
+        ]
+
     def test_load_neighbors_batch_matches_per_node(self):
         graph = seeded_graph(seed=13)
         cloud = make_cloud(graph, machine_count=3)
         nodes = np.array(sorted(graph.nodes())[:20], dtype=np.int64)
-        batch_neighbors, counts = cloud.load_neighbors_batch(nodes, requester=0)
-        cursor = 0
-        for node, count in zip(nodes.tolist(), counts.tolist()):
-            expected = graph.neighbors(node)
-            assert tuple(batch_neighbors[cursor : cursor + count].tolist()) == expected
-            cursor += count
+        checked = 0
+        for owner, local in self.nodes_by_owner(cloud, nodes):
+            batch_neighbors, counts = cloud.load_neighbors_batch(
+                local, requester=0, owner=owner
+            )
+            cursor = 0
+            for node, count in zip(local.tolist(), counts.tolist()):
+                expected = graph.neighbors(node)
+                assert (
+                    tuple(batch_neighbors[cursor : cursor + count].tolist())
+                    == expected
+                )
+                cursor += count
+                checked += 1
+        assert checked == len(nodes)
 
     def test_load_neighbors_batch_metric_parity(self):
         graph = seeded_graph(seed=13)
@@ -179,10 +182,20 @@ class TestBatchedOperators:
         nodes = np.array(sorted(graph.nodes())[:25], dtype=np.int64)
         batch_cloud.reset_metrics()
         scalar_cloud.reset_metrics()
-        batch_cloud.load_neighbors_batch(nodes, requester=1)
+        # Requester 1 makes one owner's batch local and the others remote.
+        for owner, local in self.nodes_by_owner(batch_cloud, nodes):
+            batch_cloud.load_neighbors_batch(local, requester=1, owner=owner)
         for node in nodes.tolist():
             scalar_cloud.load(node, requester=1)
         assert batch_cloud.metrics.snapshot() == scalar_cloud.metrics.snapshot()
+
+    def test_load_neighbors_batch_rejects_nodes_of_another_machine(self):
+        graph = seeded_graph(seed=13)
+        cloud = make_cloud(graph, machine_count=3)
+        nodes = np.array(sorted(graph.nodes())[:20], dtype=np.int64)
+        wrong_owner = (int(cloud.owner_of(int(nodes[0]))) + 1) % 3
+        with pytest.raises(NodeNotFoundError):
+            cloud.load_neighbors_batch(nodes[:1], requester=0, owner=wrong_owner)
 
     def test_batch_has_label_matches_per_node(self):
         graph = seeded_graph(seed=17)
@@ -230,8 +243,7 @@ class TestBatchedOperators:
         assert limited_loads < full_loads
 
     def test_label_index_vectorized_filter(self):
-        index = LabelIndex()
-        index.add_many([(5, "a"), (3, "a"), (7, "b"), (9, "a")])
+        index = label_index_from_pairs([(5, "a"), (3, "a"), (7, "b"), (9, "a")])
         candidates = np.array([1, 3, 5, 7, 8, 9], dtype=np.int64)
         assert index.filter_ids_with_label(candidates, "a").tolist() == [3, 5, 9]
         assert index.has_label_mask(candidates, "b").tolist() == [

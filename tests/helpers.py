@@ -12,18 +12,31 @@ source for those fixtures:
   random graphs for cross-validation against the baselines;
 * :func:`canonical_queries` — a deterministic batch of DFS + random query
   shapes for a given graph;
-* :func:`make_cloud` — a `MemoryCloud` with the given machine count.
+* :func:`make_cloud` — a `MemoryCloud` with the given machine count;
+* :func:`csr_from_cells` / :func:`machine_from_cells` /
+  :func:`label_index_from_pairs` — CSR columns, a standalone `Machine`,
+  and a `LabelIndex` adopted from hand-written cells.
 
 All randomness is seed-parameterized, never global.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Tuple
+
+import numpy as np
 
 from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import ClusterConfig
-from repro.graph.labeled_graph import LabeledGraph
+from repro.cloud.label_index import LabelIndex
+from repro.cloud.machine import Machine
+from repro.graph.label_table import LabelTable
+from repro.graph.labeled_graph import (
+    LABEL_DTYPE,
+    NODE_DTYPE,
+    OFFSET_DTYPE,
+    LabeledGraph,
+)
 from repro.graph.generators.erdos_renyi import generate_gnm
 from repro.graph.generators.power_law import generate_power_law
 from repro.graph.partition import RoundRobinPartitioner
@@ -141,3 +154,52 @@ def striped_path_cloud(length: int = 6, machine_count: int = 3) -> MemoryCloud:
         path_graph(length),
         ClusterConfig(machine_count=machine_count, partitioner=RoundRobinPartitioner()),
     )
+
+
+# -- standalone machines / indexes -----------------------------------------
+
+
+def csr_from_cells(
+    cells: Iterable[Tuple[int, str, Tuple[int, ...]]]
+) -> Tuple[LabelTable, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """``(label table, (ids, label_ids, offsets, neighbors))`` of some cells.
+
+    Builds the CSR columns cell by cell (sorted by node ID) — independent of
+    the cloud loader's vectorized gather, so it doubles as its oracle.
+    """
+    ordered = sorted(cells)
+    table = LabelTable()
+    label_ids = [table.intern(label) for _, label, _ in ordered]
+    offsets = np.zeros(len(ordered) + 1, dtype=OFFSET_DTYPE)
+    np.cumsum([len(neighbors) for _, _, neighbors in ordered], out=offsets[1:])
+    flat = [neighbor for _, _, neighbors in ordered for neighbor in neighbors]
+    return table, (
+        np.array([node_id for node_id, _, _ in ordered], dtype=NODE_DTYPE),
+        np.array(label_ids, dtype=LABEL_DTYPE),
+        offsets,
+        np.array(flat, dtype=NODE_DTYPE),
+    )
+
+
+def machine_from_cells(
+    machine_id: int, cells: Iterable[Tuple[int, str, Tuple[int, ...]]]
+) -> Machine:
+    """A :class:`Machine` adopted from ``(node_id, label, neighbors)`` cells."""
+    table, columns = csr_from_cells(cells)
+    machine = Machine(machine_id, table)
+    machine.adopt_partition(*columns)
+    return machine
+
+
+def label_index_from_pairs(pairs: Iterable[Tuple[int, str]]) -> LabelIndex:
+    """A :class:`LabelIndex` adopted from ``(node_id, label)`` pairs."""
+    ordered = sorted(pairs)
+    index = LabelIndex()
+    index.adopt(
+        np.array([node_id for node_id, _ in ordered], dtype=NODE_DTYPE),
+        np.array(
+            [index.label_table.intern(label) for _, label in ordered],
+            dtype=LABEL_DTYPE,
+        ),
+    )
+    return index

@@ -1,4 +1,4 @@
-"""Property-based tests for the substrate additions: blob store, statistics,
+"""Property-based tests for the substrate: the flat cell store, statistics,
 naive exploration, and k-hop exploration."""
 
 from __future__ import annotations
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.baselines.naive_exploration import naive_exploration_match
 from repro.baselines.vf2 import vf2_match
-from repro.cloud.blob_store import BlobCellStore
 from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import ClusterConfig
 from repro.core.statistics import EdgeStatistics
@@ -26,28 +25,30 @@ def normalize(matches):
 
 
 class TestBlobStoreProperties:
-    @RELAXED
-    @given(graph=labeled_graphs())
-    def test_blob_roundtrip_preserves_every_cell(self, graph):
-        blob = BlobCellStore()
-        for node in graph.nodes():
-            cell = graph.cell(node)
-            blob.store_cell(node, cell.label, cell.neighbors)
-        assert blob.node_count == graph.node_count
-        for node in graph.nodes():
-            assert blob.load(node) == graph.cell(node)
-            assert blob.label_of(node) == graph.label(node)
-            assert blob.degree_of(node) == graph.degree(node)
+    """The flat cell store is the machines' CSR columns (the class name
+    predates the removal of the standalone ``BlobCellStore``)."""
 
     @RELAXED
-    @given(graph=labeled_graphs())
-    def test_blob_payload_matches_formula(self, graph):
-        blob = BlobCellStore()
+    @given(graph=labeled_graphs(), machine_count=st.integers(1, 4))
+    def test_blob_roundtrip_preserves_every_cell(self, graph, machine_count):
+        cloud = MemoryCloud.from_graph(graph, ClusterConfig(machine_count=machine_count))
+        assert sum(machine.node_count for machine in cloud.machines) == graph.node_count
         for node in graph.nodes():
-            cell = graph.cell(node)
-            blob.store_cell(node, cell.label, cell.neighbors)
-        expected = 8 * graph.node_count + 8 * 2 * graph.edge_count
-        assert blob.payload_bytes() == expected
+            machine = cloud.machines[cloud.owner_of(node)]
+            assert machine.load(node) == graph.cell(node)
+            assert machine.label_index.label_of(node) == graph.label(node)
+            assert len(machine.neighbor_slice(node)) == graph.degree(node)
+
+    @RELAXED
+    @given(graph=labeled_graphs(), machine_count=st.integers(1, 4))
+    def test_blob_payload_matches_formula(self, graph, machine_count):
+        cloud = MemoryCloud.from_graph(graph, ClusterConfig(machine_count=machine_count))
+        # Per node: an 8-byte ID, a 4-byte label ID and an 8-byte offset, the
+        # first two again in the label index; 8 bytes per stored neighbor
+        # (each edge twice); one closing offset per machine.
+        expected = (8 + 4 + 8 + 8 + 4) * graph.node_count + 8 * 2 * graph.edge_count
+        expected += 8 * machine_count
+        assert sum(m.storage_nbytes() for m in cloud.machines) == expected
 
 
 class TestStatisticsProperties:

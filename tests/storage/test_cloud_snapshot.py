@@ -5,15 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.vf2 import vf2_match
-from repro.cloud.cluster import (
-    MemoryCloud,
-    cluster_config_from_manifest,
-)
+from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import ClusterConfig
 from repro.core.engine import SubgraphMatcher
 from repro.graph.generators import generate_gnm
 from repro.graph.partition import BlockPartitioner, RoundRobinPartitioner
 from repro.query.query_graph import QueryGraph
+from repro.storage.cloud_snapshot import cluster_config_from_manifest
 from repro.storage.delta import DeltaLog, compact_snapshot
 from repro.storage.snapshot import read_manifest, save_graph_snapshot
 
@@ -93,6 +91,56 @@ class TestCloudRoundTrip:
         assert cloud.storage_publication is None
 
 
+#: The on-disk vocabulary of a 3-machine cloud snapshot of the fixture
+#: graph, as written since PR 8.  ``MemoryCloud.columns()``, the worker
+#: publication handle and ``storage_publication`` key on the same names; a
+#: change here means older snapshots stop reopening on the fast path.
+PINNED_ARRAY_NAMES = [
+    "graph/node_ids", "graph/label_ids", "graph/offsets", "graph/neighbors",
+    "assignment/ids", "assignment/machines",
+    "machine0/node_ids", "machine0/label_ids", "machine0/offsets", "machine0/neighbors",
+    "machine1/node_ids", "machine1/label_ids", "machine1/offsets", "machine1/neighbors",
+    "machine2/node_ids", "machine2/label_ids", "machine2/offsets", "machine2/neighbors",
+    "labelpairs/0_0", "labelpairs/0_1", "labelpairs/0_2",
+    "labelpairs/1_1", "labelpairs/1_2", "labelpairs/2_2",
+]
+PINNED_CLOUD_SECTION = {
+    "machine_count": 3,
+    "partitioner": "hash",
+    "track_label_pairs": True,
+    "label_pair_base": 4,
+    "label_pairs": [[0, 0], [0, 1], [0, 2], [1, 1], [1, 2], [2, 2]],
+}
+PINNED_MANIFEST_KEYS = {
+    "format", "version", "generation", "created_unix", "node_count",
+    "edge_count", "labels", "data_file", "arrays", "cloud",
+}
+
+
+class TestFormatPin:
+    def test_manifest_vocabulary_is_pinned(self, tmp_path, cloud):
+        import json
+
+        from repro.storage.snapshot import SNAPSHOT_VERSION
+
+        cloud.save_snapshot(tmp_path / "snap")
+        doc = json.loads((tmp_path / "snap" / "manifest.json").read_text())
+        assert SNAPSHOT_VERSION == doc["version"] == 1
+        assert set(doc) == PINNED_MANIFEST_KEYS
+        assert [entry["name"] for entry in doc["arrays"]] == PINNED_ARRAY_NAMES
+        assert set(doc["arrays"][0]) == {"name", "offset", "shape", "dtype", "crc32"}
+        assert doc["cloud"] == PINNED_CLOUD_SECTION
+
+        reopened = MemoryCloud.open_snapshot(tmp_path / "snap")
+        # The image is the pinned names minus what the format derives from it.
+        derived = ("graph/offsets", "graph/neighbors")
+        assert set(reopened.storage_publication) == set(reopened.columns()) == {
+            name
+            for name in PINNED_ARRAY_NAMES
+            if name not in derived and not name.startswith("labelpairs/")
+        }
+
+
 class TestFallbackPaths:
     def test_pending_deltas_force_replayed_reload(self, tmp_path, cloud):
         cloud.save_snapshot(tmp_path / "snap")
@@ -129,6 +177,41 @@ class TestFallbackPaths:
         cloud.save_snapshot(tmp_path / "snap")
         reopened = MemoryCloud.open_snapshot(tmp_path / "snap")
         assert reopened.partition_sizes() == cloud.partition_sizes()
+
+
+class TestParseOnce:
+    def test_open_and_compact_parse_each_file_once(self, tmp_path, cloud, monkeypatch):
+        """The cold-open path pays one manifest parse and one log parse."""
+        import repro.storage.snapshot as snapshot_module
+
+        cloud.save_snapshot(tmp_path / "snap")
+        DeltaLog(tmp_path / "snap").append_edges([(0, 79), (1, 78)])
+        parses = {"manifest": 0, "log": 0}
+        real_loads, real_read = snapshot_module.json.loads, DeltaLog.read
+
+        def counting_loads(text, *args, **kwargs):
+            parses["manifest"] += 1
+            return real_loads(text, *args, **kwargs)
+
+        def counting_read(log):
+            parses["log"] += 1
+            return real_read(log)
+
+        monkeypatch.setattr(snapshot_module.json, "loads", counting_loads)
+        monkeypatch.setattr(DeltaLog, "read", counting_read)
+
+        overlay = MemoryCloud.open_snapshot(tmp_path / "snap")
+        assert overlay.storage_publication is None  # replayed
+        assert parses == {"manifest": 1, "log": 1}
+
+        parses.update(manifest=0, log=0)
+        compact_snapshot(tmp_path / "snap")
+        assert parses == {"manifest": 1, "log": 1}
+
+        parses.update(manifest=0, log=0)
+        clean = MemoryCloud.open_snapshot(tmp_path / "snap")
+        assert clean.storage_publication is not None
+        assert parses == {"manifest": 1, "log": 1}
 
 
 class TestQueryParity:

@@ -12,8 +12,9 @@ Checks, for each guarded module:
   internals cannot leak in silently.
 
 It also greps ``src/`` for retired spellings (``max_workers=``,
-``default_limit=``, the pre-task-API executor methods): the names are gone
-from the API, and nothing in ``src/`` may bring them back.
+``default_limit=``, the pre-task-API executor methods, the per-cell cloud
+write path): the names are gone from the API, and nothing in ``src/`` may
+bring them back.
 
 Run from the repo root (CI's lint job does):
 
@@ -34,8 +35,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 GUARDED = [
     "repro",
     "repro.api",
+    "repro.cloud",
     "repro.ingest",
     "repro.runtime",
+    "repro.storage",
     "repro.workloads",
 ]
 
@@ -50,6 +53,9 @@ RETIRED_SPELLINGS = [
     "map_join(",
     "publish_tables(",
     "attached_tables(",
+    "store_cell(",
+    "flush_staged(",
+    "from_partition_state(",
 ]
 
 
