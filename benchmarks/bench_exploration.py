@@ -43,6 +43,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import product
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -60,7 +61,6 @@ from repro.core.engine import SubgraphMatcher
 from repro.core.exploration import ExplorationOutcome, ExplorationTables
 from repro.core.exploration import explore as array_explore
 from repro.core.join import multiway_join
-from repro.core.matcher import _stwig_rows
 from repro.core.planner import MatcherConfig, QueryPlan, QueryPlanner
 from repro.core.result import MatchTable
 from repro.graph.generators.erdos_renyi import generate_gnm
@@ -306,12 +306,48 @@ def baseline_match_stwig(cloud, machine_id, stwig, query, bindings=None):
             values[bounds[index] : bounds[index + 1]]
             for values, bounds in zip(slot_values, slot_bounds)
         ]
-        block = _stwig_rows(root_node, slots)
+        block = baseline_stwig_rows(root_node, slots)
         if len(block):
             blocks.append(block)
     if blocks:
         table.add_rows(np.concatenate(blocks, axis=0))
     return table
+
+
+def baseline_stwig_rows(root_node: int, slots: List[np.ndarray]) -> np.ndarray:
+    """The frozen per-root row builder: one shape per leaf count.
+
+    ``repeat``/``tile`` products for one and two leaves, a Python
+    ``itertools.product`` with a per-tuple distinctness check beyond that.
+    """
+    if not slots:
+        return np.array([[root_node]], dtype=NODE_DTYPE)
+    if len(slots) == 1:
+        values = slots[0]
+        values = values[values != root_node]
+        block = np.empty((len(values), 2), dtype=NODE_DTYPE)
+        block[:, 0] = root_node
+        block[:, 1] = values
+        return block
+    if len(slots) == 2:
+        first = slots[0][slots[0] != root_node]
+        second = slots[1][slots[1] != root_node]
+        a = np.repeat(first, len(second))
+        b = np.tile(second, len(first))
+        keep = a != b
+        block = np.empty((int(keep.sum()), 3), dtype=NODE_DTYPE)
+        block[:, 0] = root_node
+        block[:, 1] = a[keep]
+        block[:, 2] = b[keep]
+        return block
+    rows = [
+        (root_node, *assignment)
+        for assignment in product(*(slot.tolist() for slot in slots))
+        if len(set(assignment)) == len(assignment) and root_node not in assignment
+    ]
+    if not rows:
+        return np.empty((0, len(slots) + 1), dtype=NODE_DTYPE)
+    return np.array(rows, dtype=NODE_DTYPE)
 
 
 def baseline_update_bindings(cloud, bindings, stwig_nodes, per_machine) -> None:

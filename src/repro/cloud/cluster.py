@@ -31,7 +31,7 @@ from repro.cloud.machine import Machine
 from repro.cloud.metrics import CloudMetrics
 from repro.errors import CloudError, NodeNotFoundError
 from repro.graph.label_table import LabelTable
-from repro.graph.labeled_graph import NODE_DTYPE, OFFSET_DTYPE, LabeledGraph, NodeCell
+from repro.graph.labeled_graph import OFFSET_DTYPE, LabeledGraph, NodeCell
 from repro.graph.partition import PartitionAssignment, cross_machine_label_pairs
 from repro.utils.arrays import (
     dense_table_profitable,
@@ -401,17 +401,6 @@ class MemoryCloud:
             return found & (labels == label_id)
         positions, found = sorted_lookup(self._global_node_ids, node_ids)
         return found & (self._global_label_ids[positions] == label_id)
-
-    def filter_neighbors_by_label(
-        self, node_ids: np.ndarray, label: str, requester: int
-    ) -> np.ndarray:
-        """Batched ``Index.hasLabel`` keeping the IDs whose label matches.
-
-        Same accounting as :meth:`batch_has_label`; input order preserved.
-        """
-        if len(node_ids) == 0:
-            return np.empty(0, dtype=NODE_DTYPE)
-        return node_ids[self.batch_has_label(node_ids, label, requester)]
 
     def get_local_ids(self, machine_id: int, label: str) -> Tuple[int, ...]:
         """``Index.getID(label)`` on one machine: IDs of *local* nodes with ``label``."""

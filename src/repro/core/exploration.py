@@ -35,6 +35,7 @@ from repro.core.result import MatchTable
 from repro.core.stwig import STwig
 from repro.core.tasks import ExploreResult, ExploreTask, TableHandle, release_matrix
 from repro.graph.labeled_graph import NODE_DTYPE
+from repro.utils.arrays import fast_unique
 
 #: Per-machine tables: explored[machine_id][stwig_index] -> MatchTable.
 ExplorationTables = List[List[MatchTable]]
@@ -216,7 +217,7 @@ class _BindingMerger:
     def bind_into(self, bindings: BindingTable) -> None:
         for node, chunks in self._chunks.items():
             if chunks:
-                merged = np.unique(np.concatenate(chunks))
+                merged = fast_unique(np.concatenate(chunks))
             else:
                 merged = np.empty(0, dtype=NODE_DTYPE)
             bindings.bind(node, merged)

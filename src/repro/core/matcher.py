@@ -13,22 +13,26 @@ whose root resides on that machine:
 4. the per-slot candidate lists are combined into rows, enforcing that
    distinct query leaves map to distinct data nodes.
 
-Step 3 is executed *batched across all roots*: the neighbor slices of every
-root candidate are concatenated once, and each leaf slot is resolved with a
-single vectorized label probe (or binding intersection) over that flat
-array.  Step 4 rides on the columnar :class:`MatchTable`: row blocks are
-assembled with ``repeat``/``tile`` products per root (fully vectorized
-across roots for the common single-leaf shape) and appended as one array.
-The communication accounting is unchanged and faithful to the per-node
-model — one ``hasLabel`` probe is charged per neighbor, per unbound leaf,
-only for roots still alive (a root whose earlier slot came up empty stops
-probing, exactly like the per-node loop did).
+Steps 2-3 run *batched across all roots* (:func:`_resolve_slots`): the
+neighbor slices of every root are concatenated once and each leaf slot is
+resolved with a single vectorized label probe (or binding intersection)
+over that flat array, leaving every slot as a CSR column — flat values
+plus per-root bounds.  Step 4 is batched the same way (:func:`_row_blocks`):
+the candidate rows of *all* roots are numbered by one flat index (a root
+owns as many as the product of its slot lengths), and any range of that
+index is decoded into rows by mixed-radix arithmetic over the per-root
+slot lengths — one gather per column, whatever the leaf count.  Rows come
+out in nested-loop order (roots ascending, first leaf slowest) in blocks
+of at most ``_BLOCK_ROWS`` candidates, so memory stays bounded and a
+``row_limit`` stops construction mid-root.  The communication accounting
+is faithful to the per-node model — one ``hasLabel`` probe is charged per
+neighbor, per unbound leaf, only for roots still alive (a root whose
+earlier slot came up empty stops probing, exactly like a per-node loop).
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,9 +40,16 @@ from repro.cloud.cluster import MemoryCloud
 from repro.core.bindings import BindingTable
 from repro.core.result import MatchTable
 from repro.core.stwig import STwig
+from repro.errors import ExecutionError
 from repro.graph.labeled_graph import NODE_DTYPE, OFFSET_DTYPE
 from repro.query.query_graph import QueryGraph
 from repro.utils.arrays import membership_mask
+
+#: Candidate rows decoded per block: bounds the builder's working set.
+_BLOCK_ROWS = 1 << 15
+
+#: Row counts are float64 products; below this bound they are exact integers.
+_MAX_EXACT_ROWS = float(1 << 53)
 
 
 def match_stwig(
@@ -71,42 +82,70 @@ def match_stwig(
         nodes may be remote.
     """
     table = MatchTable(stwig.nodes)
-    root_label = query.label(stwig.root)
     if roots is None:
-        roots = _root_candidates(cloud, machine_id, stwig, root_label, bindings)
-    if len(roots) == 0:
-        return table
-
-    leaf_labels = [query.label(leaf) for leaf in stwig.leaves]
-    leaf_bindings = [
-        bindings.candidates_array(leaf) if bindings is not None else None
-        for leaf in stwig.leaves
-    ]
-
-    if row_limit is not None:
-        # Truncated runs charge loads/probes root by root, so the metrics
-        # reflect only the work performed before the limit hit — the same
-        # accounting as the per-node execution model.
-        return _match_stwig_limited(
-            cloud, machine_id, table, stwig, bindings, roots,
-            leaf_labels, leaf_bindings, row_limit,
+        roots = _root_candidates(
+            cloud, machine_id, stwig, query.label(stwig.root), bindings
         )
+    # Unlimited: every root in one batch.  Limited: root chunks of 1, 2, 4, ...
+    # so loads and probes are charged only for the chunks the limit reached —
+    # the same accounting as the per-node execution model.
+    start, step = 0, (len(roots) if row_limit is None else 1)
+    while start < len(roots):
+        chunk = roots[start : start + step]
+        for block in _stwig_blocks(cloud, machine_id, stwig, query, bindings, chunk):
+            table.add_rows(block)
+            if row_limit is not None and table.row_count >= row_limit:
+                table.truncate(row_limit)
+                return table
+        start, step = start + step, 2 * step
+    return table
 
+
+def _stwig_blocks(
+    cloud: MemoryCloud,
+    machine_id: int,
+    stwig: STwig,
+    query: QueryGraph,
+    bindings,
+    roots: np.ndarray,
+) -> Iterator[np.ndarray]:
+    """Row blocks of ``stwig`` for ``roots``, in root order (steps 2-4)."""
+    labels = [query.label(node) for node in stwig.nodes]
+    # Injectivity only needs checking between columns of equal label: a data
+    # node has one label, so differently-labeled columns cannot collide.
+    distinct_pairs = [
+        (low, high)
+        for high in range(len(labels))
+        for low in range(high)
+        if labels[low] == labels[high]
+    ]
+    slots = _resolve_slots(cloud, machine_id, stwig, labels[1:], bindings, roots)
+    if slots is not None:
+        yield from _row_blocks(roots, *slots, distinct_pairs, stwig)
+
+
+def _resolve_slots(
+    cloud: MemoryCloud,
+    machine_id: int,
+    stwig: STwig,
+    leaf_labels: Sequence[str],
+    bindings,
+    roots: np.ndarray,
+) -> Optional[Tuple[List[np.ndarray], List[np.ndarray]]]:
+    """Leaf candidates of every root as CSR columns ``(values, bounds)``.
+
+    ``values[k][bounds[k][i] : bounds[k][i + 1]]`` are the neighbors of
+    ``roots[i]`` that may fill leaf ``k``, in neighbor order.  ``None``
+    means no root has a candidate for every leaf.
+    """
     # Load every root's cell once (one Cloud.Load each, as in Algorithm 1),
     # gathered in a single batched call into one flat neighbor array.  Roots
     # are local to this machine by construction, so the owner is known.
     neighbors, counts = cloud.load_neighbors_batch(
         roots, requester=machine_id, owner=machine_id
     )
-    if not leaf_labels:
-        # Leafless STwig: every root matches by itself (the loads above are
-        # still part of Algorithm 1's accounting).
-        table.add_rows(roots.reshape(-1, 1))
-        return table
     offsets = np.zeros(len(roots) + 1, dtype=OFFSET_DTYPE)
     np.cumsum(counts, out=offsets[1:])
-    if offsets[-1] == 0:
-        return table
     entry_root = np.repeat(np.arange(len(roots), dtype=OFFSET_DTYPE), counts)
     owners: Optional[np.ndarray] = None  # computed on the first unbound leaf
 
@@ -115,7 +154,8 @@ def match_stwig(
     alive = np.ones(len(roots), dtype=bool)
     slot_values: List[np.ndarray] = []
     slot_bounds: List[np.ndarray] = []
-    for leaf, leaf_label, bound in zip(stwig.leaves, leaf_labels, leaf_bindings):
+    for leaf, leaf_label in zip(stwig.leaves, leaf_labels):
+        bound = bindings.candidates_array(leaf) if bindings is not None else None
         entry_alive = alive[entry_root]
         if bound is not None:
             # Membership in the binding set already implies the right label,
@@ -137,36 +177,67 @@ def match_stwig(
             entry_root[kept], minlength=len(roots)
         ).astype(bool)
         if not alive.any():
-            return table
+            return None
         slot_values.append(neighbors[kept])
         slot_bounds.append(np.searchsorted(np.flatnonzero(kept), offsets))
+    return slot_values, slot_bounds
 
-    if len(leaf_labels) == 1:
-        # Single-leaf STwigs (the most common decomposition shape) build the
-        # whole row block in one shot: the kept entries of dead roots are
-        # empty by construction, so repeat() drops them for free.
-        values = slot_values[0]
-        root_column = np.repeat(roots, np.diff(slot_bounds[0]))
-        keep = values != root_column
-        block = np.empty((int(keep.sum()), 2), dtype=NODE_DTYPE)
-        block[:, 0] = root_column[keep]
-        block[:, 1] = values[keep]
-        table.add_rows(block)
-        return table
 
-    blocks: List[np.ndarray] = []
-    for index in np.flatnonzero(alive).tolist():
-        root_node = int(roots[index])
-        slots = [
-            values[bounds[index] : bounds[index + 1]]
-            for values, bounds in zip(slot_values, slot_bounds)
-        ]
-        block = _stwig_rows(root_node, slots)
-        if len(block):
-            blocks.append(block)
-    if blocks:
-        table.add_rows(np.concatenate(blocks, axis=0))
-    return table
+def _row_blocks(
+    roots: np.ndarray,
+    slot_values: Sequence[np.ndarray],
+    slot_bounds: Sequence[np.ndarray],
+    distinct_pairs: Sequence[Tuple[int, int]],
+    stwig: STwig,
+    block_rows: int = _BLOCK_ROWS,
+) -> Iterator[np.ndarray]:
+    """The one STwig row constructor: ``(rows, 1 + k)`` blocks for any ``k``.
+
+    Root ``i`` owns ``prod_k len_k[i]`` candidate rows — one per choice of a
+    value from each of its slots — numbered consecutively across roots by a
+    flat row index.  A row's offset within its root is a mixed-radix number
+    whose digits (last slot least significant) are its slot positions, so
+    rows come out in nested-loop order: roots ascending, first slot slowest.
+    Blocks are cut on the flat index, ``block_rows`` candidates at a time
+    (a boundary may fall mid-root); each keeps the candidates whose
+    ``distinct_pairs`` columns (0 = root) differ.
+
+    Raises:
+        ExecutionError: when the candidate count is too large to index.
+    """
+    lengths = [bounds[1:] - bounds[:-1] for bounds in slot_bounds]
+    per_root = np.ones(len(roots))
+    for length in lengths:
+        per_root *= length
+    if not per_root.sum() < _MAX_EXACT_ROWS:
+        worst = int(np.argmax(per_root))
+        raise ExecutionError(
+            f"{stwig} has {per_root.sum():.3g} candidate rows in one root chunk "
+            f"({per_root[worst]:.3g} under root {int(roots[worst])}): "
+            "too many to enumerate"
+        )
+    row_starts = np.zeros(len(roots) + 1, dtype=OFFSET_DTYPE)
+    np.cumsum(per_root, out=row_starts[1:], dtype=OFFSET_DTYPE)
+    total = int(row_starts[-1])
+    for low in range(0, total, block_rows):
+        high = min(low + block_rows, total)
+        first, last = np.searchsorted(row_starts, (low, high - 1), side="right") - 1
+        cuts = np.minimum(np.maximum(row_starts[first : last + 2], low), high)
+        owner = np.repeat(np.arange(first, last + 1), cuts[1:] - cuts[:-1])
+        digits = np.arange(low, high, dtype=OFFSET_DTYPE) - row_starts[owner]
+        block = np.empty((high - low, 1 + len(lengths)), dtype=NODE_DTYPE)
+        block[:, 0] = roots[owner]
+        for slot in range(len(lengths) - 1, -1, -1):
+            # The most significant digit is whatever the others left over.
+            if slot:
+                digits, position = np.divmod(digits, lengths[slot][owner])
+            else:
+                position = digits
+            block[:, slot + 1] = slot_values[slot][slot_bounds[slot][owner] + position]
+        keep = np.ones(len(block), dtype=bool)
+        for left, right in distinct_pairs:
+            keep &= block[:, left] != block[:, right]
+        yield block if keep.all() else block.compress(keep, axis=0)
 
 
 def _binding_mask(
@@ -182,80 +253,6 @@ def _binding_mask(
     if mask_fn is not None:
         return mask_fn(leaf, values)
     return membership_mask(bound, values)
-
-
-def _match_stwig_limited(
-    cloud: MemoryCloud,
-    machine_id: int,
-    table: MatchTable,
-    stwig: STwig,
-    bindings,
-    roots: np.ndarray,
-    leaf_labels: Sequence[str],
-    leaf_bindings: Sequence[Optional[np.ndarray]],
-    row_limit: int,
-) -> MatchTable:
-    """Row-limited matching: one root at a time, stopping at the limit."""
-    for root_node in roots.tolist():
-        neighbors = cloud.load_neighbors(root_node, requester=machine_id)
-        slots: Optional[List[np.ndarray]] = []
-        for leaf, leaf_label, bound in zip(stwig.leaves, leaf_labels, leaf_bindings):
-            if bound is not None:
-                candidates = neighbors[_binding_mask(bindings, leaf, bound, neighbors)]
-            else:
-                candidates = cloud.filter_neighbors_by_label(
-                    neighbors, leaf_label, requester=machine_id
-                )
-            if len(candidates) == 0:
-                slots = None
-                break
-            slots.append(candidates)
-        if slots is None:
-            continue
-        table.add_rows(_stwig_rows(int(root_node), slots))
-        if table.row_count >= row_limit:
-            table.truncate(row_limit)
-            return table
-    return table
-
-
-def _stwig_rows(root_node: int, slots: List[np.ndarray]) -> np.ndarray:
-    """Row block for one root: injective slot assignments excluding the root.
-
-    The one- and two-leaf shapes (the overwhelming majority under the
-    paper's decompositions) are built with ``repeat``/``tile`` products;
-    wider STwigs fall back to the generic injective product.  Row order
-    matches the historical nested loops, so row-limit prefixes and tests
-    comparing against them are stable.
-    """
-    if not slots:
-        return np.array([[root_node]], dtype=NODE_DTYPE)
-    if len(slots) == 1:
-        values = slots[0]
-        values = values[values != root_node]
-        block = np.empty((len(values), 2), dtype=NODE_DTYPE)
-        block[:, 0] = root_node
-        block[:, 1] = values
-        return block
-    if len(slots) == 2:
-        first = slots[0][slots[0] != root_node]
-        second = slots[1][slots[1] != root_node]
-        a = np.repeat(first, len(second))
-        b = np.tile(second, len(first))
-        keep = a != b
-        block = np.empty((int(keep.sum()), 3), dtype=NODE_DTYPE)
-        block[:, 0] = root_node
-        block[:, 1] = a[keep]
-        block[:, 2] = b[keep]
-        return block
-    rows = [
-        (root_node, *assignment)
-        for assignment in _injective_products([slot.tolist() for slot in slots])
-        if root_node not in assignment
-    ]
-    if not rows:
-        return np.empty((0, len(slots) + 1), dtype=NODE_DTYPE)
-    return np.array(rows, dtype=NODE_DTYPE)
 
 
 def _root_candidates(
@@ -278,17 +275,3 @@ def _root_candidates(
         owners = cloud.owners_of_array(bound)
         return bound[owners == machine_id]
     return cloud.get_local_ids_array(machine_id, root_label)
-
-
-def _injective_products(slots: List[List[int]]):
-    """Yield tuples drawing one value per slot with all values distinct.
-
-    STwig leaves are distinct query nodes, so the subgraph-isomorphism
-    bijection forbids assigning the same data node to two of them.
-    """
-    if not slots:
-        yield ()
-        return
-    for combination in product(*slots):
-        if len(set(combination)) == len(combination):
-            yield combination

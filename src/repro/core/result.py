@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.graph.labeled_graph import NODE_DTYPE
+from repro.utils.arrays import fast_unique
 
 #: Rows accepted by the constructor / ``add_rows``: tuples or a 2-D array.
 RowsLike = Union[Iterable[Tuple[int, ...]], np.ndarray]
@@ -179,7 +180,7 @@ class MatchTable:
 
     def column_distinct(self, column: str) -> np.ndarray:
         """Distinct values appearing in ``column`` as a sorted array."""
-        return np.unique(self.column_array(column))
+        return fast_unique(self.column_array(column))
 
     def as_dicts(self) -> List[Dict[str, int]]:
         """Rows as dictionaries keyed by query-node name."""

@@ -75,6 +75,7 @@ from repro.runtime.shared_cloud import (
     publish_cloud,
     rebuild_cloud,
 )
+from repro.utils.arrays import fast_unique
 from repro.utils.shm import (
     SegmentRegistry,
     SharedArraySpec,
@@ -203,7 +204,7 @@ def _coalesce(task: object, chunks: Sequence[object]) -> object:
     if not arrays:
         return ExploreResult(task.machine_id, TableHandle.empty(columns))
     distincts = {
-        node: np.unique(
+        node: fast_unique(
             np.concatenate([chunk.distincts[node] for chunk in chunks if chunk.distincts])
         )
         for node in columns

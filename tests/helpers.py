@@ -13,6 +13,8 @@ source for those fixtures:
 * :func:`canonical_queries` — a deterministic batch of DFS + random query
   shapes for a given graph;
 * :func:`make_cloud` — a `MemoryCloud` with the given machine count;
+* :func:`injective_products` / :func:`nested_loop_stwig_rows` — the
+  nested-loop STwig row builder, the matcher's row-for-row reference;
 * :func:`csr_from_cells` / :func:`machine_from_cells` /
   :func:`label_index_from_pairs` — CSR columns, a standalone `Machine`,
   and a `LabelIndex` adopted from hand-written cells.
@@ -22,7 +24,8 @@ All randomness is seed-parameterized, never global.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from itertools import product
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -63,6 +66,40 @@ def assert_same_matches(actual: Iterable[Dict[str, int]], expected: Iterable[Dic
     assert actual_normalized == expected_normalized, (
         f"match sets differ: {len(actual_normalized)} vs {len(expected_normalized)} rows"
     )
+
+
+# -- the nested-loop STwig row builder (reference) --------------------------
+
+
+def injective_products(slots: List[List[int]]):
+    """Yield tuples drawing one value per slot with all values distinct.
+
+    STwig leaves are distinct query nodes, so the subgraph-isomorphism
+    bijection forbids assigning the same data node to two of them.
+    """
+    if not slots:
+        yield ()
+        return
+    for combination in product(*slots):
+        if len(set(combination)) == len(combination):
+            yield combination
+
+
+def nested_loop_stwig_rows(
+    roots: Sequence[int], slots_per_root: Sequence[List[List[int]]]
+) -> List[tuple]:
+    """STwig rows by plain nested loops: roots in order, first slot slowest.
+
+    ``slots_per_root[i]`` holds root ``i``'s candidate list for every leaf.
+    The order of this list is the order the matcher must reproduce, so
+    every row-limit prefix is pinned by it.
+    """
+    return [
+        (root, *assignment)
+        for root, slots in zip(roots, slots_per_root)
+        for assignment in injective_products(slots)
+        if root not in assignment
+    ]
 
 
 # -- canonical small graphs/queries ----------------------------------------
