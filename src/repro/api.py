@@ -215,10 +215,11 @@ class Session:
     ) -> MatchResult:
         """Run one subgraph query and return its :class:`MatchResult`.
 
-        The result materializes rows lazily from its
-        :class:`~repro.core.tasks.TableHandle`: ``result.rows``,
-        ``result.external_rows()`` and ``result.as_dicts()`` share a
-        single gather and are the stable result API.
+        The answer is an array: ``result.to_array()`` (internal IDs) and
+        ``result.external_array()`` (the dataset's original IDs) hand it
+        out as it is, and ``result.rows``, ``result.external_rows()`` and
+        ``result.as_dicts()`` convert it to Python tuples / dicts anew on
+        every call.
 
         Args:
             q: a :class:`QueryGraph` or query text for

@@ -73,6 +73,7 @@ from repro.cloud.config import (
 )
 from repro.core.engine import SubgraphMatcher
 from repro.core.planner import MatcherConfig
+from repro.core.result import MatchResult
 from repro.graph.generators import (
     generate_gnm,
     generate_power_law,
@@ -361,6 +362,14 @@ def _open_cloud(args: argparse.Namespace) -> MemoryCloud:
     return MemoryCloud.from_graph(graph, ClusterConfig(machine_count=args.machines))
 
 
+def _first_assignments(result: MatchResult, count: int) -> List[dict]:
+    """The first ``count`` matches as dicts; only those rows leave the array."""
+    head = result.to_array()[:count]
+    if result.id_map is not None:
+        head = result.id_map.to_external(head)
+    return [dict(zip(result.columns, row)) for row in head.tolist()]
+
+
 def _command_query(args: argparse.Namespace) -> int:
     query = parse_query(Path(args.query_file).read_text(encoding="utf-8"))
     runtime = RuntimeConfig(backend=args.executor, workers=args.workers)
@@ -382,7 +391,7 @@ def _command_query(args: argparse.Namespace) -> int:
         f"communication: {result.metrics['messages']} messages, "
         f"{result.metrics['bytes_transferred']} bytes"
     )
-    for assignment in result.as_dicts()[: args.show]:
+    for assignment in _first_assignments(result, args.show):
         print("  ", assignment)
     return 0
 
@@ -470,7 +479,7 @@ def _command_serve(args: argparse.Namespace) -> int:
                 + "\n".join(f"    {line}" for line in format_query(query).splitlines()),
                 flush=True,
             )
-            for assignment in result.as_dicts()[: args.show]:
+            for assignment in _first_assignments(result, args.show):
                 print("   ", assignment, flush=True)
         stats = service.stats()
         print(

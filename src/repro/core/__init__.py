@@ -8,7 +8,6 @@ from repro.core.join import (
     JoinBudget,
     JoinCounters,
     LocalJoinBudget,
-    hash_join,
     multiway_join,
     select_join_order,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "stwig_order_selection",
     "BindingTable",
     "match_stwig",
-    "hash_join",
     "multiway_join",
     "select_join_order",
     "JoinBudget",

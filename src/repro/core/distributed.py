@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.cloud.cluster import MemoryCloud
 from repro.core.exploration import ExplorationOutcome, ExplorationTables
-from repro.core.tasks import JoinTask
+from repro.core.tasks import JoinTask, empty_rows
 from repro.core.join import (
     JoinBudget,
     JoinCounters,
@@ -46,7 +46,6 @@ from repro.core.join import (
 )
 from repro.core.planner import QueryPlan
 from repro.core.result import MatchTable
-from repro.graph.labeled_graph import NODE_DTYPE
 from repro.utils.arrays import membership_mask
 
 #: Cache of binding-filtered tables, keyed by (machine, stwig_index).
@@ -99,11 +98,9 @@ def assemble_results(
         one real match (queries with exactly ``result_limit`` matches are
         *not* truncated).
     """
-    query = plan.query
-    final_columns = query.nodes()
-    final = MatchTable(final_columns)
+    final_columns = plan.query.nodes()
     if exploration.empty:
-        return JoinOutcome(final, False)
+        return JoinOutcome(MatchTable(final_columns), False)
 
     config = plan.config
     bindings = exploration.bindings if config.use_final_binding_filter else None
@@ -127,18 +124,17 @@ def assemble_results(
         )
         for machine_id in range(cloud.machine_count)
     ]
-    for result in executor.run(cloud, tasks):
-        if len(result.rows):
-            final.add_rows(result.rows)
-
+    final = np.concatenate(
+        [result.rows for result in executor.run(cloud, tasks)], axis=0
+    )
     # Under a parallel schedule machines may overshoot the shared budget
     # slightly (each saw a stale lower bound of the others' production);
     # the machine-ordered concatenation is still an exact prefix, so one
-    # final truncate restores the precise limit.
-    truncated = result_limit is not None and final.row_count > result_limit
+    # final slice restores the precise limit.
+    truncated = result_limit is not None and len(final) > result_limit
     if truncated:
-        final.truncate(result_limit)
-    return JoinOutcome(final, truncated)
+        final = final[:result_limit]
+    return JoinOutcome(MatchTable.from_array(final_columns, final), truncated)
 
 
 def machine_result_rows(
@@ -154,11 +150,14 @@ def machine_result_rows(
     """One machine's share of the answer, as final-column-ordered rows.
 
     The per-machine unit of the join phase: gather ``R_k(q_t)`` for every
-    STwig, run the cost-ordered multi-way join, and normalize the surviving
-    rows to the query's sorted column order.  Every runtime executor
-    backend (inline, process pool) calls exactly this function, so the
-    communication accounting — result transfers, sender-side filter
-    counts — is structurally identical across backends.
+    STwig and run the cost-ordered multi-way join, which emits its rows in
+    the query's sorted column order and masks for injectivity only the
+    column pairs the query's labels allow to collide.  Every runtime
+    executor backend (inline, process pool) calls exactly this function, so
+    the communication accounting — result transfers, sender-side filter
+    counts — is structurally identical across backends.  The returned array
+    is the caller's own: it never aliases ``tables``, so it outlives their
+    attachment.
 
     ``budget`` is this machine's view of the (possibly shared) join budget;
     the plain ``remaining`` countdown is kept as a convenience spelling for
@@ -177,7 +176,7 @@ def machine_result_rows(
     if budget is None:
         budget = LocalJoinBudget(remaining)
     if budget.exhausted():
-        return np.empty((0, len(final_columns)), dtype=NODE_DTYPE)
+        return empty_rows(len(final_columns))
     if filtered_cache is None:
         filtered_cache = {}
     machine_tables = _gather_machine_tables(
@@ -186,7 +185,7 @@ def machine_result_rows(
     if any(table.row_count == 0 for table in machine_tables):
         # An empty R_k(q_t) (in particular an empty local head table)
         # makes the whole join empty: this machine contributes nothing.
-        return np.empty((0, len(final_columns)), dtype=NODE_DTYPE)
+        return empty_rows(len(final_columns))
     counters = JoinCounters()
     joined = multiway_join(
         machine_tables,
@@ -195,15 +194,13 @@ def machine_result_rows(
         rng=config.seed,
         budget=budget,
         counters=counters,
+        labels=query.labels(),
+        columns=final_columns,
     )
     cloud.metrics.record_join_materialization(
         counters.rows_materialized, counters.peak_intermediate_rows
     )
-    if joined.row_count == 0:
-        return np.empty((0, len(final_columns)), dtype=NODE_DTYPE)
-    # The budget already clipped production row by row; reordering columns
-    # never changes the row count.
-    return joined.reorder(final_columns).to_array()
+    return joined.to_array()
 
 
 def _filter_by_bindings(table: MatchTable, bindings) -> MatchTable:

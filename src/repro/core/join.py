@@ -3,16 +3,6 @@
 The exploration phase leaves each machine with one result table per STwig;
 this module assembles them into full matches:
 
-* :func:`hash_join` — equi-join of two :class:`MatchTable`s on their shared
-  query-node columns, enforcing the subgraph-isomorphism injectivity
-  constraint (distinct query nodes map to distinct data nodes).  Despite
-  the historical name, the kernel is a vectorized sort/``searchsorted``
-  merge join over the columnar storage: multi-column keys are
-  dictionary-encoded with ``np.unique``, matches are expanded with
-  ``repeat``-based gathers, and the injectivity filter is one row-wise
-  sort-and-compare mask.  Output rows appear in the same order as the
-  original per-row hash probe (probe side = larger table, build matches in
-  insertion order), so row limits keep their prefix semantics.
 * :func:`select_join_order` — cost-based greedy join ordering: the next
   table is the one minimizing the estimated intermediate size, where the
   estimate is sample-based (:func:`estimate_join_size`) once tables
@@ -20,26 +10,41 @@ this module assembles them into full matches:
   small tables.
 * :func:`multiway_join` — streaming budgeted multi-way join: the leading
   table is processed in head blocks, and every block is pushed through *all*
-  its join stages before the next block is touched.  One
-  :class:`JoinBudget` threads the remaining row budget end to end: every
-  stage — not just the final one — expands only the prefix of its probe
-  rows whose match pairs the downstream budget can still consume (chunked
-  via the O(probe) :func:`_match_runs` metadata), and execution stops the
-  instant the budget fills (the paper stops at 1024 matches).  A limited
-  query therefore materializes O(limit + chunk) intermediate rows per
-  stage, not O(total matches); :class:`JoinCounters` makes that claim
-  observable.  Stage joins always probe with the flowing partial (build on
-  the stage table), so output rows appear in nested head-row-major order
-  and any budget cut is an exact row prefix of the unlimited join — the
-  invariant that keeps limits, block pipelining, and cooperative
-  multi-machine budgets (see :class:`CooperativeJoinBudget`) row-for-row
-  deterministic.
+  its join stages before the next block is touched.  Each stage is a
+  sort/``searchsorted`` merge join against the stage table's key sort
+  (computed once per join, :class:`_StagePlan`).  One :class:`JoinBudget`
+  threads the remaining row budget end to end: every stage — not just the
+  final one — expands only the prefix of its probe rows whose match pairs
+  the downstream budget can still consume (chunked via the O(probe)
+  :meth:`_StagePlan.match_runs` metadata), and execution stops the instant
+  the budget fills (the paper stops at 1024 matches).  A limited query
+  therefore materializes O(limit + chunk) intermediate rows per stage, not
+  O(total matches); :class:`JoinCounters` makes that claim observable.
+  Stage joins always probe with the flowing partial (build on the stage
+  table), so output rows appear in nested head-row-major order and any
+  budget cut is an exact row prefix of the unlimited join — the invariant
+  that keeps limits, block pipelining, and cooperative multi-machine
+  budgets (see :class:`CooperativeJoinBudget`) row-for-row deterministic.
+
+Rows flow through the stages at the *output's* width and column order from
+the first head block on (columns a later stage fills are simply not written
+yet), so a stage expansion is one row gather plus one 1-D gather per new
+column, and the final stage's blocks are the answer: they are written once,
+with no growth copies and no column reorder.
+
+Subgraph isomorphism is injective — distinct query nodes map to distinct
+data nodes.  Only columns that *may* hold the same node need comparing: a
+data node has one label, so when the caller supplies the query's labels a
+stage masks just the (earlier column, new column) pairs of equal label —
+one ``!=`` per pair, none at all for a stage whose new columns share no
+label with what came before.  Without labels every pair may collide.  Rows
+that repeat a node *within* one input table are dropped once, up front.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -173,189 +178,46 @@ class CooperativeJoinBudget(JoinBudget):
             close()
 
 
-def _key_codes(
-    build_keys: np.ndarray, probe_keys: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Dictionary-encode two key-column blocks into comparable 1-D int codes.
+def _may_collide(labels: Optional[Mapping[str, object]], first: str, second: str) -> bool:
+    """Whether two distinct query nodes can map to one data node."""
+    return labels is None or labels[first] == labels[second]
 
-    Single-column keys are used raw; multi-column keys are jointly encoded
-    with one ``np.unique`` pass over the concatenation, so equal key tuples
-    (and only those) receive equal codes.
+
+def _within_row_pairs(
+    columns: Sequence[str], labels: Optional[Mapping[str, object]]
+) -> List[Tuple[int, int]]:
+    """Column-index pairs of one input table that may hold the same node."""
+    return [
+        (first, second)
+        for second in range(len(columns))
+        for first in range(second)
+        if _may_collide(labels, columns[first], columns[second])
+    ]
+
+
+def _distinct_rows(rows: np.ndarray, pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
+    """``rows`` without those holding one node in both columns of any pair."""
+    keep: Optional[np.ndarray] = None
+    for first, second in pairs:
+        differ = rows[:, first] != rows[:, second]
+        keep = differ if keep is None else np.logical_and(keep, differ, out=keep)
+    if keep is None or keep.all():
+        return rows
+    return rows.compress(keep, axis=0)
+
+
+def _at_slots(rows: np.ndarray, slots: Sequence[int], width: int) -> np.ndarray:
+    """``rows``' columns placed at ``slots`` of new ``width``-column rows.
+
+    The other columns are left unwritten: later stages fill them.
     """
-    if build_keys.shape[1] == 1:
-        return build_keys[:, 0], probe_keys[:, 0]
-    stacked = np.concatenate([build_keys, probe_keys], axis=0)
-    _, codes = np.unique(stacked, axis=0, return_inverse=True)
-    codes = codes.reshape(-1)
-    return codes[: len(build_keys)], codes[len(build_keys) :]
-
-
-def _match_runs(
-    build_codes: np.ndarray, probe_codes: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-probe-row match runs: ``(order, lo, counts)``.
-
-    ``order`` sorts the build rows by key (stably, so equal keys keep
-    build-row order — the bucket insertion order of the per-row hash join
-    this kernel replaced); probe row ``i`` matches the build rows
-    ``order[lo[i] : lo[i] + counts[i]]``.  The runs are O(probe) metadata:
-    expanding them into explicit index pairs is deferred so row-limited
-    joins can expand only a prefix.
-    """
-    order = np.argsort(build_codes, kind="stable")
-    sorted_codes = build_codes[order]
-    lo = np.searchsorted(sorted_codes, probe_codes, side="left")
-    hi = np.searchsorted(sorted_codes, probe_codes, side="right")
-    return order, lo, hi - lo
-
-
-def _expand_runs(
-    order: np.ndarray,
-    lo: np.ndarray,
-    counts: np.ndarray,
-    offsets: np.ndarray,
-    row_start: int,
-    row_end: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(build, probe) index pairs for probe rows ``[row_start, row_end)``.
-
-    Probe-major order with build matches in build-row order — the exact
-    order of the full expansion, so any probe-row prefix yields the exact
-    row prefix of the full join.
-    """
-    sub_counts = counts[row_start:row_end]
-    pair_count = int(offsets[row_end] - offsets[row_start])
-    probe_idx = np.repeat(np.arange(row_start, row_end, dtype=np.int64), sub_counts)
-    run_starts = offsets[row_start:row_end] - offsets[row_start]
-    within_run = np.arange(pair_count, dtype=np.int64) - np.repeat(run_starts, sub_counts)
-    build_idx = order[np.repeat(lo[row_start:row_end], sub_counts) + within_run]
-    return build_idx, probe_idx
-
-
-def _injective_mask(rows: np.ndarray) -> np.ndarray:
-    """Mask of rows whose values are pairwise distinct (row-wise sort + compare)."""
-    if rows.shape[1] <= 1:
-        return np.ones(len(rows), dtype=bool)
-    ranked = np.sort(rows, axis=1)
-    return (ranked[:, 1:] != ranked[:, :-1]).all(axis=1)
+    wide = np.empty((len(rows), width), dtype=NODE_DTYPE)
+    wide[:, slots] = rows
+    return wide
 
 
 #: Minimum match-pair chunk assembled at once under a row limit.
 _LIMIT_CHUNK = 4096
-
-
-def _gather_rows(
-    left: MatchTable,
-    right: MatchTable,
-    left_idx: np.ndarray,
-    right_idx: np.ndarray,
-    out_width: int,
-    right_extra_idx: Optional[np.ndarray],
-    enforce_injective: bool,
-) -> np.ndarray:
-    """Materialize the output rows for the given match-index pairs."""
-    out = np.empty((len(left_idx), out_width), dtype=NODE_DTYPE)
-    out[:, : left.width] = left.to_array()[left_idx]
-    if right_extra_idx is not None:
-        out[:, left.width :] = right.to_array()[right_idx[:, None], right_extra_idx]
-    if enforce_injective:
-        keep = _injective_mask(out)
-        if not keep.all():
-            out = out[keep]
-    return out
-
-
-def hash_join(
-    left: MatchTable,
-    right: MatchTable,
-    enforce_injective: bool = True,
-    row_limit: Optional[int] = None,
-) -> MatchTable:
-    """Equi-join two tables on their shared columns.
-
-    When the tables share no column the result is the (injectivity-filtered)
-    cartesian product; the engine only hits that case for queries whose STwig
-    covers touch disjoint node sets, which cannot happen for connected
-    queries but is supported for completeness.
-    """
-    shared = [column for column in left.columns if column in right.columns]
-    right_extra = [column for column in right.columns if column not in shared]
-    out_columns = (*left.columns, *right_extra)
-    if left.row_count == 0 or right.row_count == 0:
-        return MatchTable(out_columns)
-
-    # Build on the smaller input, probe with the larger (kept from the hash
-    # era so output row order — and thus row-limit prefixes — are unchanged).
-    build, probe, build_is_left = (
-        (left, right, True) if left.row_count <= right.row_count else (right, left, False)
-    )
-    if shared:
-        build_keys = build.to_array()[:, [build.column_index(c) for c in shared]]
-        probe_keys = probe.to_array()[:, [probe.column_index(c) for c in shared]]
-        build_codes, probe_codes = _key_codes(build_keys, probe_keys)
-        order, lo, counts = _match_runs(build_codes, probe_codes)
-    else:
-        # Cartesian product: every probe row matches every build row.
-        order = np.arange(build.row_count, dtype=np.int64)
-        lo = np.zeros(probe.row_count, dtype=np.int64)
-        counts = np.full(probe.row_count, build.row_count, dtype=np.int64)
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    total = int(offsets[-1])
-    if total == 0:
-        return MatchTable(out_columns)
-
-    right_extra_idx = (
-        np.array([right.column_index(c) for c in right_extra], dtype=np.int64)
-        if right_extra
-        else None
-    )
-    out_width = len(out_columns)
-
-    def gather(row_start: int, row_end: int) -> np.ndarray:
-        build_idx, probe_idx = _expand_runs(order, lo, counts, offsets, row_start, row_end)
-        left_idx, right_idx = (
-            (build_idx, probe_idx) if build_is_left else (probe_idx, build_idx)
-        )
-        return _gather_rows(
-            left, right, left_idx, right_idx, out_width, right_extra_idx, enforce_injective
-        )
-
-    if row_limit is None or total <= max(row_limit, _LIMIT_CHUNK):
-        out = gather(0, len(counts))
-        if row_limit is not None and len(out) > row_limit:
-            out = out[:row_limit]
-        return MatchTable.from_array(out_columns, out)
-
-    # Row-limited early stop: expand and assemble match pairs one chunk of
-    # probe rows at a time (probe order, so the result is the exact prefix
-    # of the full join) and stop as soon as the budget is filled — both the
-    # index expansion and the materialization past the limit are bounded by
-    # one chunk (plus one probe row's fan-out), not by the full match
-    # count.  Chunks grow geometrically in case the injectivity filter
-    # keeps discarding rows.
-    pieces: List[np.ndarray] = []
-    produced = 0
-    row_position = 0
-    pair_position = 0
-    chunk = max(row_limit, _LIMIT_CHUNK)
-    while row_position < len(counts) and produced < row_limit:
-        # Advance to the probe row covering the next `chunk` match pairs.
-        row_end = int(np.searchsorted(offsets, pair_position + chunk, side="left"))
-        row_end = min(max(row_end, row_position + 1), len(counts))
-        piece = gather(row_position, row_end)
-        pair_position = int(offsets[row_end])
-        row_position = row_end
-        if len(piece) > row_limit - produced:
-            piece = piece[: row_limit - produced]
-        if len(piece):
-            pieces.append(piece)
-            produced += len(piece)
-        chunk *= 2
-    if not pieces:
-        return MatchTable(out_columns)
-    out = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=0)
-    return MatchTable.from_array(out_columns, out)
 
 
 def estimate_join_size(
@@ -498,9 +360,9 @@ def _lex_keys(keys: np.ndarray) -> np.ndarray:
 
     Single columns compare raw; multi-column keys are viewed as one
     structured record per row (field-wise comparison == tuple comparison),
-    which keeps the build-side sort reusable across probe chunks — the
-    joint ``np.unique`` dictionary encoding the standalone kernel uses
-    would entangle the encoding with each probe block.
+    which keeps the build-side sort reusable across probe chunks — a
+    joint ``np.unique`` dictionary encoding of build and probe keys would
+    entangle the encoding with each probe block.
     """
     if keys.shape[1] == 1:
         return keys[:, 0]
@@ -517,59 +379,74 @@ class _StagePlan:
     equals the full expansion row for row — the prefix stability the
     streaming driver relies on.  Because the build side never changes, its
     key sort is computed once here instead of once per block.
+
+    ``slots`` maps every output column to its position in the flowing rows;
+    ``bound`` are the columns the lead table and earlier stages have written.
     """
 
     __slots__ = (
-        "table",
-        "out_columns",
-        "out_width",
-        "right_extra_idx",
-        "probe_key_idx",
+        "build_rows",
         "build_order",
         "sorted_keys",
+        "key_slots",
+        "new_slots",
+        "collision_pairs",
     )
 
-    def __init__(self, partial_columns: Tuple[str, ...], table: MatchTable) -> None:
-        shared = [c for c in partial_columns if c in table.columns]
-        right_extra = [c for c in table.columns if c not in shared]
-        self.table = table
-        self.out_columns: Tuple[str, ...] = (*partial_columns, *right_extra)
-        self.out_width = len(self.out_columns)
-        self.right_extra_idx = (
-            np.array([table.column_index(c) for c in right_extra], dtype=np.int64)
-            if right_extra
-            else None
+    def __init__(
+        self,
+        slots: Mapping[str, int],
+        bound: Sequence[str],
+        table: MatchTable,
+        labels: Optional[Mapping[str, object]],
+    ) -> None:
+        shared = [c for c in bound if c in table.columns]
+        new_columns = [c for c in table.columns if c not in shared]
+        self.build_rows = _distinct_rows(
+            table.to_array(), _within_row_pairs(table.columns, labels)
         )
-        self.probe_key_idx = [partial_columns.index(c) for c in shared]
-        if table.row_count and shared:
+        self.key_slots = [slots[c] for c in shared]
+        self.new_slots = [(slots[c], table.column_index(c)) for c in new_columns]
+        # A shared column equals the table's own, which the within-row check
+        # above compared with the table's other columns; only columns this
+        # table does not carry can still collide with the ones it adds.
+        self.collision_pairs = [
+            (slots[earlier], slots[new])
+            for new in new_columns
+            for earlier in bound
+            if earlier not in shared and _may_collide(labels, earlier, new)
+        ]
+        if len(self.build_rows) and shared:
             build_keys = _lex_keys(
-                table.to_array()[:, [table.column_index(c) for c in shared]]
+                self.build_rows[:, [table.column_index(c) for c in shared]]
             )
             self.build_order = np.argsort(build_keys, kind="stable")
             self.sorted_keys = build_keys[self.build_order]
         else:
             # Cartesian stage (or empty table): every probe row matches
             # every build row, in build-row order.
-            self.build_order = np.arange(table.row_count, dtype=np.int64)
+            self.build_order = np.arange(len(self.build_rows), dtype=np.int64)
             self.sorted_keys = None
 
     def match_runs(
-        self, partial: MatchTable
+        self, partial: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(lo, counts, offsets)`` runs of ``partial``'s rows vs the build.
 
-        O(probe log build) metadata only — expanding runs into rows is the
-        caller's (budget-bounded) decision.
+        Probe row ``i`` matches the build rows
+        ``build_order[lo[i] : lo[i] + counts[i]]``.  O(probe log build)
+        metadata only — expanding runs into rows is the caller's
+        (budget-bounded) decision.
         """
-        probe_rows = partial.row_count
-        if self.table.row_count == 0 or probe_rows == 0:
+        probe_rows = len(partial)
+        if len(self.build_rows) == 0 or probe_rows == 0:
             lo = np.zeros(probe_rows, dtype=np.int64)
             counts = np.zeros(probe_rows, dtype=np.int64)
         elif self.sorted_keys is None:
             lo = np.zeros(probe_rows, dtype=np.int64)
-            counts = np.full(probe_rows, self.table.row_count, dtype=np.int64)
+            counts = np.full(probe_rows, len(self.build_rows), dtype=np.int64)
         else:
-            probe_keys = _lex_keys(partial.to_array()[:, self.probe_key_idx])
+            probe_keys = _lex_keys(partial[:, self.key_slots])
             lo = np.searchsorted(self.sorted_keys, probe_keys, side="left")
             hi = np.searchsorted(self.sorted_keys, probe_keys, side="right")
             counts = hi - lo
@@ -579,7 +456,7 @@ class _StagePlan:
 
     def expand(
         self,
-        partial: MatchTable,
+        partial: np.ndarray,
         lo: np.ndarray,
         counts: np.ndarray,
         offsets: np.ndarray,
@@ -587,31 +464,39 @@ class _StagePlan:
         row_end: int,
         counters: JoinCounters,
     ) -> np.ndarray:
-        """Materialize (injectivity-filtered) rows for probe rows [start, end)."""
-        build_idx, probe_idx = _expand_runs(
-            self.build_order, lo, counts, offsets, row_start, row_end
-        )
-        counters.charge(len(probe_idx))
-        return _gather_rows(
-            partial,
-            self.table,
-            probe_idx,
-            build_idx,
-            self.out_width,
-            self.right_extra_idx,
-            enforce_injective=True,
-        )
+        """Materialize (injectivity-filtered) rows for probe rows [start, end).
+
+        Probe-major order with build matches in build-row order — the exact
+        order of the full expansion, so any probe-row prefix yields the
+        exact row prefix of the full join.
+        """
+        sub_counts = counts[row_start:row_end]
+        pair_count = int(offsets[row_end] - offsets[row_start])
+        counters.charge(pair_count)
+        out = np.repeat(partial[row_start:row_end], sub_counts, axis=0)
+        if self.new_slots:
+            # Output row r of probe row i reads build position
+            # lo[i] + (r - first output row of i).
+            run_shift = lo[row_start:row_end] - (
+                offsets[row_start:row_end] - offsets[row_start]
+            )
+            build_idx = self.build_order.take(
+                np.arange(pair_count, dtype=np.int64) + np.repeat(run_shift, sub_counts)
+            )
+            for slot, column in self.new_slots:
+                out[:, slot] = self.build_rows[:, column].take(build_idx)
+        return _distinct_rows(out, self.collision_pairs)
 
 
 def _stream_stages(
-    partial: MatchTable,
+    partial: np.ndarray,
     plans: Sequence[_StagePlan],
     stage: int,
     budget: JoinBudget,
     counters: JoinCounters,
-    result: MatchTable,
+    pieces: List[np.ndarray],
 ) -> None:
-    """Push ``partial`` through stages ``[stage:]``, streaming into ``result``.
+    """Push ``partial`` through stages ``[stage:]``, collecting into ``pieces``.
 
     Depth-first over the stage chain: each chunk of a stage's expansion is
     recursed through every later stage before the next chunk is expanded,
@@ -621,13 +506,12 @@ def _stream_stages(
     budget, by lower-ID machines too.
     """
     if stage == len(plans):
-        rows = partial.to_array()
         remaining = budget.remaining()
-        if remaining is not None and len(rows) > remaining:
-            rows = rows[: max(0, remaining)]
-        if len(rows):
-            result.add_rows(rows)
-            budget.note_produced(len(rows))
+        if remaining is not None and len(partial) > remaining:
+            partial = partial[: max(0, remaining)]
+        if len(partial):
+            pieces.append(partial)
+            budget.note_produced(len(partial))
         return
     plan = plans[stage]
     lo, counts, offsets = plan.match_runs(partial)
@@ -637,10 +521,7 @@ def _stream_stages(
     if remaining is None:
         out = plan.expand(partial, lo, counts, offsets, 0, len(counts), counters)
         if len(out):
-            _stream_stages(
-                MatchTable.from_array(plan.out_columns, out),
-                plans, stage + 1, budget, counters, result,
-            )
+            _stream_stages(out, plans, stage + 1, budget, counters, pieces)
         return
     # Budgeted: expand only as many probe rows as the remaining budget can
     # consume, one chunk of match pairs at a time.  Chunks grow
@@ -656,10 +537,7 @@ def _stream_stages(
         out = plan.expand(partial, lo, counts, offsets, row_position, row_end, counters)
         row_position = row_end
         if len(out):
-            _stream_stages(
-                MatchTable.from_array(plan.out_columns, out),
-                plans, stage + 1, budget, counters, result,
-            )
+            _stream_stages(out, plans, stage + 1, budget, counters, pieces)
         chunk *= 2
 
 
@@ -672,6 +550,8 @@ def multiway_join(
     rng: random.Random | int | None = None,
     budget: Optional[JoinBudget] = None,
     counters: Optional[JoinCounters] = None,
+    labels: Optional[Mapping[str, object]] = None,
+    columns: Optional[Sequence[str]] = None,
 ) -> MatchTable:
     """Join all ``tables`` into one result via the streaming block pipeline.
 
@@ -694,10 +574,16 @@ def multiway_join(
             rows produced here are noted against it as they stream out.
         counters: optional :class:`JoinCounters` accumulating
             materialization counts for this join.
+        labels: the label of every column's query node.  Columns of
+            different labels can never hold the same data node, so only
+            equal-label pairs are checked for injectivity; without labels
+            every pair is.
+        columns: the result's column order (a permutation of the tables'
+            columns); the order the join binds them in when omitted.
 
     Returns:
-        The joined :class:`MatchTable` — always an exact row prefix of the
-        unlimited join's output.
+        The joined :class:`MatchTable` (owning its array) — always an exact
+        row prefix of the unlimited join's output.
     """
     if not tables:
         raise ExecutionError("multiway_join requires at least one table")
@@ -707,43 +593,52 @@ def multiway_join(
         counters = JoinCounters()
 
     if len(tables) == 1:
-        table = tables[0]
-        remaining = budget.remaining()
-        take = (
-            table.row_count
-            if remaining is None
-            else max(0, min(table.row_count, remaining))
-        )
-        counters.charge(take)
-        budget.note_produced(take)
-        return MatchTable.from_array(table.columns, table.to_array()[:take].copy())
-
-    rng = ensure_rng(rng)
-    if order is None:
-        order = select_join_order(tables, sample_size=sample_size, rng=rng)
+        order = [0]
+    elif order is None:
+        order = select_join_order(tables, sample_size=sample_size, rng=ensure_rng(rng))
     if sorted(order) != list(range(len(tables))):
         raise ExecutionError(f"join order {order!r} is not a permutation of the table indices")
-
     lead = tables[order[0]]
-    plans: List[_StagePlan] = []
-    partial_columns: Tuple[str, ...] = lead.columns
+    # Each stage table with the columns bound before it, in join order.
+    stages: List[Tuple[MatchTable, Tuple[str, ...]]] = []
+    bound: List[str] = list(lead.columns)
     for index in order[1:]:
-        plan = _StagePlan(partial_columns, tables[index])
-        plans.append(plan)
-        partial_columns = plan.out_columns
-    result = MatchTable(partial_columns)
+        stages.append((tables[index], tuple(bound)))
+        bound.extend(c for c in tables[index].columns if c not in bound)
+    columns = tuple(bound) if columns is None else tuple(columns)
+    if sorted(columns) != sorted(bound):
+        raise ExecutionError(
+            f"result columns {columns} are not a permutation of the joined {tuple(bound)}"
+        )
+    slots = {column: slot for slot, column in enumerate(columns)}
+    lead_slots = [slots[c] for c in lead.columns]
+    lead_rows = lead.to_array()
 
-    if block_size is None or lead.row_count <= block_size:
-        blocks: Sequence[MatchTable] = (lead,)
-    else:
-        # Lazy zero-copy block views: blocks past an early stop are never built.
-        blocks = (
-            lead.slice_rows(start, start + block_size)
-            for start in range(0, lead.row_count, block_size)
+    if not stages:
+        # A single table is its own answer: the budget's prefix of it, as it
+        # stands (there is no stage to filter in).
+        remaining = budget.remaining()
+        if remaining is not None:
+            lead_rows = lead_rows[: max(0, remaining)]
+        counters.charge(len(lead_rows))
+        budget.note_produced(len(lead_rows))
+        return MatchTable.from_array(
+            columns, _at_slots(lead_rows, lead_slots, len(columns))
         )
 
-    for block in blocks:
+    plans = [_StagePlan(slots, before, table, labels) for table, before in stages]
+    lead_pairs = _within_row_pairs(lead.columns, labels)
+    if block_size is None:
+        block_size = max(len(lead_rows), 1)
+    pieces: List[np.ndarray] = []
+    for start in range(0, len(lead_rows), block_size):
         if budget.exhausted():
             break
-        _stream_stages(block, plans, 0, budget, counters, result)
-    return result
+        block = _distinct_rows(lead_rows[start : start + block_size], lead_pairs)
+        # Rows flow at the output's width from here on.
+        partial = _at_slots(block, lead_slots, len(columns))
+        _stream_stages(partial, plans, 0, budget, counters, pieces)
+    if not pieces:
+        return MatchTable(columns)
+    out = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=0)
+    return MatchTable.from_array(columns, out)

@@ -1,11 +1,13 @@
 """Result containers: STwig result tables and final match results.
 
-:class:`MatchTable` is a *columnar* relation: all rows live in one 2-D
-``NODE_DTYPE`` array, so the join phase (``repro.core.join``) and the
-binding bookkeeping (``repro.core.exploration``) run as a handful of numpy
-kernels instead of per-row Python loops.  The tuple-based API of the
-original list-of-tuples implementation (``rows``, ``as_dicts``, iteration,
-``add_row``/``add_rows`` with tuples) is kept source-compatible on top.
+The answer is an array until someone asks for Python objects.
+:class:`MatchTable` is a *columnar* relation — all rows live in one 2-D
+``NODE_DTYPE`` array, so exploration, the join and the result hand-off run
+as numpy kernels — and :class:`MatchResult` is the same array plus the
+query's metadata.  ``to_array()`` (and ``MatchResult.external_array()``)
+are the primary accessors; ``rows`` / ``external_rows()`` / ``as_dicts()``
+convert that array to Python objects on every call, column by column
+(:func:`rows_as_tuples`), and keep nothing.
 """
 
 from __future__ import annotations
@@ -23,6 +25,17 @@ from repro.utils.arrays import fast_unique
 RowsLike = Union[Iterable[Tuple[int, ...]], np.ndarray]
 
 
+def rows_as_tuples(array: np.ndarray) -> List[tuple]:
+    """An ``(n, width)`` array as a list of ``n`` tuples of Python scalars.
+
+    Built column-wise — one ``tolist`` per column, then one ``zip`` — which
+    allocates ``width`` intermediate lists instead of one per row.
+    """
+    if array.shape[1] == 0:
+        return [()] * len(array)
+    return list(zip(*[array[:, index].tolist() for index in range(array.shape[1])]))
+
+
 class MatchTable:
     """A relation over query nodes: columns are query-node names, rows are data-node IDs.
 
@@ -30,14 +43,14 @@ class MatchTable:
     final answer relation.
 
     Storage is columnar: one ``(row_count, width)`` ``NODE_DTYPE`` array
-    with amortized-doubling appends.  ``column_array`` exposes zero-copy
-    column views for vectorized consumers; ``rows`` materializes (and
-    caches) the familiar list of Python-int tuples for the tuple-era API.
+    with amortized-doubling appends.  ``to_array`` / ``column_array`` expose
+    zero-copy views for vectorized consumers; ``rows`` converts the array to
+    a list of Python-int tuples on every read.
     Tables follow bag semantics — no operation deduplicates rows except
     :meth:`project`, which is a true relational projection.
     """
 
-    __slots__ = ("columns", "_data", "_size", "_rows_cache")
+    __slots__ = ("columns", "_data", "_size")
 
     def __init__(self, columns: Tuple[str, ...], rows: RowsLike = ()) -> None:
         self.columns: Tuple[str, ...] = tuple(columns)
@@ -45,7 +58,6 @@ class MatchTable:
             raise ExecutionError(f"duplicate columns in match table: {self.columns}")
         self._data = np.empty((0, len(self.columns)), dtype=NODE_DTYPE)
         self._size = 0
-        self._rows_cache: List[Tuple[int, ...]] | None = None
         if isinstance(rows, np.ndarray):
             self.add_rows(rows)
         else:
@@ -83,26 +95,12 @@ class MatchTable:
         """Number of columns."""
         return len(self.columns)
 
-    # -- row access (tuple-era API) ---------------------------------------
+    # -- row access ----------------------------------------------------------
 
     @property
     def rows(self) -> List[Tuple[int, ...]]:
-        """Rows as a list of Python-int tuples (materialized snapshot).
-
-        The returned list is a fresh copy: mutating it does not touch the
-        table (assign to ``rows`` or use ``add_rows``/``truncate`` instead).
-        The underlying tuples are cached, so repeated access is cheap.
-        """
-        if self._rows_cache is None:
-            self._rows_cache = [tuple(row) for row in self._data[: self._size].tolist()]
-        return list(self._rows_cache)
-
-    @rows.setter
-    def rows(self, rows: RowsLike) -> None:
-        self._data = np.empty((0, self.width), dtype=NODE_DTYPE)
-        self._size = 0
-        self._rows_cache = None
-        self.add_rows(rows if isinstance(rows, np.ndarray) else list(rows))
+        """Rows as a new list of Python-int tuples, converted on every read."""
+        return rows_as_tuples(self.to_array())
 
     def to_array(self) -> np.ndarray:
         """The live ``(row_count, width)`` data array (zero-copy view)."""
@@ -113,18 +111,6 @@ class MatchTable:
         return self._data[: self._size, self.column_index(column)]
 
     # -- mutation ----------------------------------------------------------
-
-    def add_row(self, row: Tuple[int, ...]) -> None:
-        """Append one row (must match the column count)."""
-        if len(row) != self.width:
-            raise ExecutionError(
-                f"row width {len(row)} does not match column count {len(self.columns)}"
-            )
-        self._reserve(1)
-        if self.width:
-            self._data[self._size] = row
-        self._size += 1
-        self._rows_cache = None
 
     def add_rows(self, rows: RowsLike) -> None:
         """Append many rows at once: a list of tuples or a ``(n, width)`` array."""
@@ -148,13 +134,11 @@ class MatchTable:
         self._reserve(count)
         self._data[self._size : self._size + count] = block
         self._size += count
-        self._rows_cache = None
 
     def truncate(self, row_limit: int) -> None:
         """Drop all rows past ``row_limit`` (no-op when already smaller)."""
         if row_limit < self._size:
             self._size = max(0, row_limit)
-            self._rows_cache = None
 
     def _reserve(self, extra: int) -> None:
         needed = self._size + extra
@@ -282,20 +266,20 @@ class StageStats:
 class MatchResult:
     """The answer to one subgraph matching query plus execution metadata.
 
-    The result holds its data as a :class:`~repro.core.tasks.TableHandle`
-    and materializes lazily, at most once: :attr:`rows`,
-    :meth:`external_rows` and :meth:`as_dicts` all share a single gather,
-    so a result whose table still lives in shared memory costs nothing
-    until the caller actually reads rows.  These three accessors (plus
-    :attr:`match_count` and :attr:`columns`, which never materialize) are
-    the **stable result API**.
+    The answer is one ``(match_count, width)`` ``NODE_DTYPE`` array, held
+    behind a :class:`~repro.core.tasks.TableHandle` (a result whose table
+    still lives in shared memory is copied out on the first read, not
+    before).  :meth:`to_array` and :meth:`external_array` hand that array
+    out as it is; :attr:`rows`, :meth:`external_rows` and :meth:`as_dicts`
+    convert it to Python objects — a new list on every call, nothing kept —
+    for callers who want tuples or dicts.  :attr:`match_count` and
+    :attr:`columns` never touch the data.
 
-    Rows always hold the engine's internal (dense) node IDs.  For a graph
-    that came through the ingestion layer, ``id_map`` carries the
-    external<->dense bijection and the materializing accessors
-    (:meth:`as_dicts`, :meth:`external_rows`) translate back to the
-    caller's original IDs — one vectorized gather over the final result,
-    never per intermediate row.
+    The array always holds the engine's internal (dense) node IDs.  For a
+    graph that came through the ingestion layer, ``id_map`` carries the
+    external<->dense bijection and the ``external_*`` accessors (and
+    :meth:`as_dicts`) translate back to the caller's original IDs with one
+    vectorized gather over the final array, never per intermediate row.
     """
 
     def __init__(
@@ -331,7 +315,7 @@ class MatchResult:
         return self._handle
 
     def _gathered(self) -> MatchTable:
-        """The materialized table — one gather, cached for every accessor."""
+        """The handle's table, copied out of published storage at most once."""
         if self._materialized is None:
             self._materialized = self._handle.materialize()
         return self._materialized
@@ -346,28 +330,37 @@ class MatchResult:
         """Number of matches found (possibly truncated by a result limit)."""
         return self._handle.row_count
 
+    def to_array(self) -> np.ndarray:
+        """Matches as a ``(match_count, width)`` array of internal IDs."""
+        return self._gathered().to_array()
+
+    def external_array(self) -> np.ndarray:
+        """:meth:`to_array` in the caller's original (external) node IDs.
+
+        One :meth:`~repro.ingest.idmap.IdMap.to_external` gather over the
+        2-D array (an array of strings for a string-ID dataset); the dense
+        array itself when no :attr:`id_map` is attached or the map is the
+        identity.
+        """
+        dense = self.to_array()
+        if self.id_map is None or self.id_map.is_identity:
+            return dense
+        return self.id_map.to_external(dense)
+
     @property
     def rows(self) -> List[Tuple[int, ...]]:
-        """Match rows (internal IDs) in result column order."""
-        return self._gathered().rows
+        """Match rows (internal IDs) as a new list of Python-int tuples."""
+        return rows_as_tuples(self.to_array())
 
     def external_rows(self) -> List[Tuple]:
-        """Match rows in the caller's original (external) node IDs.
-
-        Identical to :attr:`rows` when no :attr:`id_map` is attached or
-        the map is the identity.
-        """
-        from repro.ingest.idmap import remap_results
-
-        return remap_results(self.id_map, self.rows)
+        """:meth:`external_array` as a new list of tuples of Python scalars."""
+        return rows_as_tuples(self.external_array())
 
     def as_dicts(self) -> List[Dict[str, int]]:
         """Matches as dictionaries keyed by query-node name.
 
         Values are external IDs when the result carries an :attr:`id_map`.
         """
-        if self.id_map is None:
-            return self._gathered().as_dicts()
         return [dict(zip(self.columns, row)) for row in self.external_rows()]
 
     def assignments(self) -> List[Dict[str, int]]:

@@ -183,11 +183,6 @@ def attached_matrix(handles: TableMatrix) -> Iterator[List[List[MatchTable]]]:
         ]
 
 
-def matrix_is_published(handles: TableMatrix) -> bool:
-    """True if any handle in the matrix is backed by published storage."""
-    return any(handle.is_published for machine in handles for handle in machine)
-
-
 def release_matrix(handles: TableMatrix) -> None:
     """Release every handle in the matrix (idempotent)."""
     for machine in handles:

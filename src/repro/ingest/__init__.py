@@ -19,7 +19,7 @@ from repro.ingest.edgelist import (
     ingest_edges,
     read_edge_list,
 )
-from repro.ingest.idmap import IdMap, remap_results
+from repro.ingest.idmap import IdMap
 
 __all__ = [
     "DBLP_MODES",
@@ -32,5 +32,4 @@ __all__ = [
     "ingest_edges",
     "iter_dblp_records",
     "read_edge_list",
-    "remap_results",
 ]

@@ -23,7 +23,7 @@ serializes into the PR-8 snapshot manifest (see :meth:`snapshot_arrays` /
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -112,7 +112,7 @@ class IdMap:
         return clamped.astype(NODE_DTYPE)
 
     def to_external(self, dense: np.ndarray) -> np.ndarray:
-        """Map dense IDs back to external IDs (one gather).
+        """Map dense IDs of any shape back to external IDs (one gather).
 
         Raises:
             GraphError: when any dense ID is outside ``0..len(self)-1``.
@@ -228,17 +228,3 @@ class IdMap:
         return np.asarray([str(value) for value in values]).astype(
             self._externals.dtype, copy=False
         )
-
-
-def remap_results(
-    id_map: Optional[IdMap], rows: Iterable[Tuple[int, ...]]
-) -> list:
-    """Map dense result rows back to external IDs (no-op without a map)."""
-    if id_map is None or id_map.is_identity:
-        return [tuple(row) for row in rows]
-    materialized = [tuple(row) for row in rows]
-    if not materialized:
-        return []
-    flat = np.asarray(materialized, dtype=np.int64)
-    external = id_map.to_external(flat.ravel()).reshape(flat.shape)
-    return [tuple(row) for row in external.tolist()]

@@ -62,10 +62,8 @@ from repro.core.tasks import (
     TableHandle,
     attached_matrix,
     explore_result,
-    matrix_is_published,
 )
 from repro.errors import ConfigurationError, ExecutionError
-from repro.graph.labeled_graph import NODE_DTYPE
 from repro.query.query_graph import QueryGraph
 from repro.runtime.shared_cloud import (
     BindingsHandle,
@@ -334,7 +332,7 @@ class SerialExecutor(Executor):
         slots = [0] * cloud.machine_count
         # Each distinct handle matrix is attached once per batch (all join
         # tasks of a batch share the exploration matrix) and carries one
-        # binding-filtered-table cache: id -> (tables, published, cache).
+        # binding-filtered-table cache: id -> (tables, cache).
         attached: Dict[int, tuple] = {}
         with ExitStack() as stack:
             for unit in units:
@@ -349,8 +347,10 @@ class SerialExecutor(Executor):
                 key = id(task.tables)
                 if key not in attached:
                     tables = stack.enter_context(attached_matrix(task.tables))
-                    attached[key] = (tables, matrix_is_published(task.tables), {})
-                tables, published, filtered_cache = attached[key]
+                    attached[key] = (tables, {})
+                tables, filtered_cache = attached[key]
+                # The rows are the join's own array, never a view of the
+                # attached pages, so they outlive the batch's attachments.
                 rows = machine_result_rows(
                     cloud.with_metrics(metrics),
                     task.plan,
@@ -360,10 +360,6 @@ class SerialExecutor(Executor):
                     budget=CooperativeJoinBudget(slots, task.machine_id, limit),
                     filtered_cache=filtered_cache,
                 )
-                if published and len(rows):
-                    # The attachments close when the batch ends; detach the
-                    # result rows from the shared pages before they do.
-                    rows = np.array(rows, dtype=NODE_DTYPE, copy=True)
                 yield unit, JoinResult(task.machine_id, rows), metrics
 
 
@@ -415,12 +411,10 @@ def _worker_join(args):
     try:
         with _resolved_bindings(shipped_bindings, plan.query) as bindings:
             with attached_matrix(matrix) as tables:
+                # The join's own array, not a view of the attached pages.
                 rows = machine_result_rows(
                     scoped, plan, tables, machine_id, bindings, budget=budget
                 )
-                # The attachments close on exit; detach the result from
-                # the shared pages before they do.
-                rows = np.array(rows, dtype=NODE_DTYPE, copy=True)
     finally:
         if budget is not None:
             # Drop this task's mapping of the budget-slot segment; the

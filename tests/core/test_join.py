@@ -1,56 +1,88 @@
-"""Unit tests for hash join, join-order selection, and the pipelined multi-way join."""
+"""Unit tests for the pairwise join cases, join-order selection, and the pipelined multi-way join."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.join import (
+    JoinCounters,
     estimate_join_size,
-    hash_join,
     multiway_join,
     select_join_order,
 )
 from repro.core.result import MatchTable
 from repro.errors import ExecutionError
+from tests.helpers import pair_join
 
 
 class TestHashJoin:
+    """The two-table cases, driven through the one join: ``multiway_join``."""
+
     def test_join_on_shared_column(self):
         left = MatchTable(("a", "b"), [(1, 10), (2, 20)])
         right = MatchTable(("b", "c"), [(10, 100), (10, 101), (30, 300)])
-        joined = hash_join(left, right)
+        joined = pair_join(left, right)
         assert joined.columns == ("a", "b", "c")
         assert sorted(joined.rows) == [(1, 10, 100), (1, 10, 101)]
 
     def test_join_multiple_shared_columns(self):
         left = MatchTable(("a", "b"), [(1, 2), (1, 3)])
         right = MatchTable(("a", "b", "c"), [(1, 2, 9), (1, 4, 8)])
-        joined = hash_join(left, right)
+        joined = pair_join(left, right)
         assert joined.rows == [(1, 2, 9)]
 
     def test_cartesian_product_when_no_shared_column(self):
         left = MatchTable(("a",), [(1,), (2,)])
         right = MatchTable(("b",), [(3,), (4,)])
-        joined = hash_join(left, right)
+        joined = pair_join(left, right)
         assert len(joined.rows) == 4
 
     def test_injectivity_enforced(self):
         # Same data node bound to two different query nodes must be dropped.
         left = MatchTable(("a", "b"), [(1, 2)])
         right = MatchTable(("b", "c"), [(2, 1), (2, 3)])
-        joined = hash_join(left, right)
+        joined = pair_join(left, right)
         assert joined.rows == [(1, 2, 3)]
 
-    def test_injectivity_can_be_disabled(self):
+    def test_within_row_duplicates_of_an_input_are_dropped(self):
+        # Hand-made tables may repeat a node inside one row; no stage pair
+        # covers two columns of the same input, so inputs are checked up front.
+        left = MatchTable(("a", "b"), [(1, 1), (1, 2)])
+        right = MatchTable(("b", "c", "d"), [(2, 3, 3), (2, 3, 4), (2, 2, 5)])
+        assert pair_join(left, right).rows == [(1, 2, 3, 4)]
+        assert pair_join(right, left).rows == [(2, 3, 4, 1)]
+
+    def test_labels_restrict_the_injectivity_check(self):
+        # a and c carry different labels, so they can never hold one data
+        # node and the pair is not compared; with equal labels it is.
         left = MatchTable(("a", "b"), [(1, 2)])
-        right = MatchTable(("b", "c"), [(2, 1)])
-        joined = hash_join(left, right, enforce_injective=False)
-        assert joined.rows == [(1, 2, 1)]
+        right = MatchTable(("b", "c"), [(2, 1), (2, 3)])
+        apart = pair_join(left, right, labels={"a": "x", "b": "y", "c": "z"})
+        assert apart.rows == [(1, 2, 1), (1, 2, 3)]
+        alike = pair_join(left, right, labels={"a": "x", "b": "y", "c": "x"})
+        assert alike.rows == [(1, 2, 3)]
+
+    def test_counters_charge_rows_before_the_mask(self):
+        left = MatchTable(("a", "b"), [(1, 2)])
+        right = MatchTable(("b", "c"), [(2, 1), (2, 3)])
+        counters = JoinCounters()
+        assert pair_join(left, right, counters=counters).row_count == 1
+        assert counters.rows_materialized == counters.peak_intermediate_rows == 2
+
+    def test_result_columns_order(self):
+        left = MatchTable(("b", "a"), [(10, 1), (20, 2)])
+        right = MatchTable(("c", "b"), [(100, 10), (200, 20)])
+        joined = pair_join(left, right, columns=("a", "b", "c"))
+        assert joined.columns == ("a", "b", "c")
+        assert joined.rows == [(1, 10, 100), (2, 20, 200)]
+        assert multiway_join([left], columns=("a", "b")).rows == [(1, 10), (2, 20)]
+        with pytest.raises(ExecutionError):
+            pair_join(left, right, columns=("a", "b"))
 
     def test_row_limit(self):
         left = MatchTable(("a",), [(i,) for i in range(10)])
         right = MatchTable(("b",), [(100 + i,) for i in range(10)])
-        joined = hash_join(left, right, row_limit=5)
+        joined = pair_join(left, right, row_limit=5)
         assert joined.row_count == 5
 
     def test_row_limit_chunked_prefix_on_large_join(self):
@@ -59,23 +91,23 @@ class TestHashJoin:
         # limit must yield the exact prefix of the full join.
         left = MatchTable(("a", "b"), [(i, 0) for i in range(1, 101)])
         right = MatchTable(("b", "c"), [(0, j) for j in range(1, 101)])
-        full = hash_join(left, right)
+        full = pair_join(left, right)
         assert full.row_count == 9900  # 10_000 pairs minus the i == j rows
         for limit in (10, 4096, 5000, 9900, 20000):
-            limited = hash_join(left, right, row_limit=limit)
+            limited = pair_join(left, right, row_limit=limit)
             assert limited.rows == full.rows[:limit]
 
     def test_empty_inputs(self):
         left = MatchTable(("a", "b"))
         right = MatchTable(("b", "c"), [(1, 2)])
-        assert hash_join(left, right).row_count == 0
-        assert hash_join(right, left).row_count == 0
+        assert pair_join(left, right).row_count == 0
+        assert pair_join(right, left).row_count == 0
 
     def test_join_is_symmetric_in_content(self):
         left = MatchTable(("a", "b"), [(1, 10), (2, 20)])
         right = MatchTable(("b", "c"), [(10, 100), (20, 200)])
-        lr = {tuple(sorted(d.items())) for d in hash_join(left, right).as_dicts()}
-        rl = {tuple(sorted(d.items())) for d in hash_join(right, left).as_dicts()}
+        lr = {tuple(sorted(d.items())) for d in pair_join(left, right).as_dicts()}
+        rl = {tuple(sorted(d.items())) for d in pair_join(right, left).as_dicts()}
         assert lr == rl
 
 
@@ -146,7 +178,7 @@ class TestJoinOrder:
         hot = [(1, i) for i in range(190)] + [(k, 0) for k in range(2, 12)]
         left = MatchTable(("a", "b"), [(i, 1) for i in range(200)])
         right = MatchTable(("b", "c"), hot)
-        true_size = hash_join(left, right, enforce_injective=False).row_count
+        true_size = sum(lhs[1] == rhs[0] for lhs in left.rows for rhs in right.rows)
         estimate = estimate_join_size(left, right, sample_size=64, rng=0)
         assert estimate == pytest.approx(true_size, rel=0.3)
 

@@ -13,8 +13,8 @@ from repro.graph.labeled_graph import NODE_DTYPE
 class TestMatchTable:
     def test_add_row_and_counts(self):
         table = MatchTable(("a", "b"))
-        table.add_row((1, 2))
-        table.add_row((3, 4))
+        table.add_rows([(1, 2)])
+        table.add_rows([(3, 4)])
         assert table.row_count == 2
         assert table.width == 2
         assert len(table) == 2
@@ -22,7 +22,7 @@ class TestMatchTable:
     def test_add_row_wrong_width(self):
         table = MatchTable(("a", "b"))
         with pytest.raises(ExecutionError):
-            table.add_row((1,))
+            table.add_rows([(1,)])
 
     def test_duplicate_columns_rejected(self):
         with pytest.raises(ExecutionError):
@@ -60,7 +60,7 @@ class TestMatchTable:
     def test_copy_is_independent(self):
         table = MatchTable(("a",), [(1,)])
         clone = table.copy()
-        clone.add_row((2,))
+        clone.add_rows([(2,)])
         assert table.row_count == 1
 
     def test_iteration(self):
@@ -108,10 +108,12 @@ class TestColumnarStorage:
         table.truncate(10)  # no-op
         assert table.row_count == 2
 
-    def test_rows_setter_rebuilds(self):
+    def test_tuple_era_mutators_are_gone(self):
         table = MatchTable(("a",), [(1,)])
-        table.rows = [(7,), (8,)]
-        assert table.rows == [(7,), (8,)]
+        with pytest.raises(AttributeError):
+            table.rows = [(7,), (8,)]
+        assert not hasattr(table, "add_row")
+        assert not hasattr(table, "_rows_cache")
 
     def test_slice_rows_view(self):
         table = MatchTable(("a", "b"), [(i, 10 * i) for i in range(6)])
@@ -122,8 +124,58 @@ class TestColumnarStorage:
     def test_growth_preserves_rows(self):
         table = MatchTable(("a",))
         for i in range(100):
-            table.add_row((i,))
+            table.add_rows([(i,)])
         assert table.rows == [(i,) for i in range(100)]
+
+
+def old_rows(array):
+    """The per-row conversion ``rows`` used before it was built column-wise."""
+    return [tuple(row) for row in array.tolist()]
+
+
+class TestRowsConversion:
+    """``rows`` is a plain, uncached conversion of ``to_array()``."""
+
+    TABLES = {
+        "empty": MatchTable(("a", "b")),
+        "one-row": MatchTable(("a", "b"), [(5, 6)]),
+        "many": MatchTable(("a", "b", "c"), [(i, 2 * i, 2**40 + i) for i in range(257)]),
+        "one-column": MatchTable(("a",), [(3,), (1,), (3,)]),
+        "strided": MatchTable.from_array(
+            ("a", "b"), np.arange(40, dtype=NODE_DTYPE).reshape(10, 4)[::2, 1:3]
+        ),
+        "truncated": MatchTable(("a", "b"), [(i, i) for i in range(9)]),
+    }
+    TABLES["truncated"].truncate(4)
+
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_rows_equal_the_per_row_conversion(self, name):
+        table = self.TABLES[name]
+        rows = table.rows
+        assert rows == old_rows(table.to_array())
+        assert type(rows) is list and len(rows) == table.row_count
+        assert all(type(row) is tuple for row in rows)
+        assert all(type(value) is int for row in rows for value in row)
+
+    def test_zero_width_projection_of_a_non_empty_table(self):
+        table = MatchTable(("a",), [(1,), (2,)]).project(())
+        assert table.rows == old_rows(table.to_array()) == [()]
+        assert MatchTable(()).rows == []
+
+    def test_two_reads_are_equal_and_independent(self):
+        table = MatchTable(("a", "b"), [(1, 2), (3, 4)])
+        first, second = table.rows, table.rows
+        assert first == second and first is not second
+        first.append((9, 9))
+        assert table.rows == second == [(1, 2), (3, 4)]
+
+    def test_rows_follow_the_array(self):
+        table = MatchTable(("a",), [(1,)])
+        assert table.rows == [(1,)]
+        table.add_rows([(2,)])
+        assert table.rows == [(1,), (2,)]
+        table.to_array()[0, 0] = 7  # nothing is cached beside the array
+        assert table.rows == [(7,), (2,)]
 
 
 class TestReorder:
@@ -160,6 +212,39 @@ class TestMatchResult:
         assert result.match_count == 1
         assert result.as_dicts() == [{"a": 1, "b": 2}]
         assert result.assignments() == result.as_dicts()
+
+    def test_array_accessors_are_primary(self):
+        table = MatchTable(("a", "b"), [(1, 2), (3, 4)])
+        result = MatchResult(query_nodes=("a", "b"), matches=table)
+        assert np.shares_memory(result.to_array(), table.to_array())
+        # No map: the external array is the array itself, not a copy.
+        assert np.shares_memory(result.external_array(), table.to_array())
+        assert result.rows == result.external_rows() == old_rows(result.to_array())
+        assert all(type(value) is int for row in result.rows for value in row)
+        first, second = result.rows, result.rows
+        assert first == second and first is not second
+        empty = MatchResult(query_nodes=("a",), matches=MatchTable(("a",)))
+        assert empty.to_array().shape == (0, 1)
+        assert empty.rows == empty.external_rows() == empty.as_dicts() == []
+
+    def test_external_accessors_apply_the_id_map_once(self):
+        from repro.ingest import IdMap
+
+        table = MatchTable(("a", "b"), [(0, 2), (1, 0)])
+        sparse = IdMap.from_external(np.array([7, 99, 2**40], dtype=np.int64))
+        result = MatchResult(query_nodes=("a", "b"), matches=table, id_map=sparse)
+        assert result.external_array().tolist() == [[7, 2**40], [99, 7]]
+        assert result.external_rows() == [(7, 2**40), (99, 7)]
+        assert result.as_dicts() == [{"a": 7, "b": 2**40}, {"a": 99, "b": 7}]
+        assert result.rows == [(0, 2), (1, 0)]  # internal IDs stay internal
+        names = IdMap.from_external(["carol", "alice", "bob"])
+        named = MatchResult(query_nodes=("a", "b"), matches=table, id_map=names)
+        assert named.external_array().dtype.kind == "U"
+        assert named.external_rows() == [("alice", "carol"), ("bob", "alice")]
+        identity = MatchResult(
+            query_nodes=("a", "b"), matches=table, id_map=IdMap.identity(3)
+        )
+        assert np.shares_memory(identity.external_array(), table.to_array())
 
     def test_default_stats(self):
         result = MatchResult(query_nodes=("a",), matches=MatchTable(("a",)))

@@ -24,8 +24,11 @@ from repro.cloud.config import (
     RuntimeConfig,
     resolve_backend,
 )
+from repro.core.distributed import _gather_machine_tables
 from repro.core.engine import SubgraphMatcher
-from repro.core.planner import MatcherConfig
+from repro.core.exploration import explore
+from repro.core.join import select_join_order
+from repro.core.planner import MatcherConfig, QueryPlanner
 from repro.graph.generators.power_law import generate_power_law
 from repro.query.generators import dfs_query
 from repro.runtime import (
@@ -36,7 +39,7 @@ from repro.runtime import (
     rebuild_cloud,
 )
 from repro.utils.shm import SegmentRegistry, publish_array
-from tests.helpers import assert_same_matches
+from tests.helpers import assert_same_matches, oracle_join
 
 BACKENDS = ("serial", "process")
 
@@ -153,6 +156,83 @@ class TestBackendParity:
             outputs, _ = run_backend(parity_graph, parity_queries, backend)
             for backend_out, vf2_answers in zip(outputs, expected):
                 assert_same_matches(backend_out["dicts"], vf2_answers)
+
+
+def final_arrays(graph, queries, limits_for, backend, stealing=True):
+    """``{(query index, limit): (final array, truncated)}`` on one backend."""
+    cloud = MemoryCloud.from_graph(graph, ClusterConfig(machine_count=4))
+    executor = create_executor(
+        RuntimeConfig(backend=backend, workers=2, stealing=stealing)
+    )
+    arrays = {}
+    try:
+        with SubgraphMatcher(cloud, MatcherConfig(), executor=executor) as matcher:
+            for index, query in enumerate(queries):
+                for limit in limits_for(index):
+                    result = matcher.match(query, limit=limit)
+                    arrays[index, limit] = (result.to_array(), result.stats.truncated)
+    finally:
+        executor.close()
+        cloud.close()
+    return arrays
+
+
+def oracle_arrays(graph, queries):
+    """Each query's unlimited answer, joined by the row-sort-mask oracle."""
+    config = MatcherConfig()
+    oracle = []
+    with MemoryCloud.from_graph(graph, ClusterConfig(machine_count=4)) as cloud:
+        planner = QueryPlanner(cloud, config)
+        for query in queries:
+            plan = planner.plan(query)
+            exploration = explore(cloud, plan)
+            shares = [np.empty((0, query.node_count), dtype=np.int64)]
+            for machine_id in range(cloud.machine_count):
+                tables = _gather_machine_tables(
+                    cloud, plan, exploration.tables, machine_id, exploration.bindings, {}
+                )
+                if all(table.row_count for table in tables):
+                    order = select_join_order(
+                        tables, sample_size=config.sample_size, rng=config.seed
+                    )
+                    shares.append(oracle_join(tables, order, query.nodes()))
+            oracle.append(np.concatenate(shares, axis=0))
+    return oracle
+
+
+class TestFinalArrayParity:
+    """The assembled array itself — before any tuple conversion — is the
+    row-sort-mask oracle's, row for row and in order, on every backend,
+    stealing on or off, unlimited and at every limit around the count."""
+
+    def test_final_array_identical_on_every_schedule(
+        self, parity_graph, parity_queries, monkeypatch
+    ):
+        import repro.runtime.executors as executors_module
+
+        oracle = oracle_arrays(parity_graph, parity_queries)
+        assert all(len(rows) > 1 for rows in oracle)
+
+        def limits_for(index):
+            count = len(oracle[index])
+            return (None, 1, count, count + 1)
+
+        schedules = {
+            "serial": final_arrays(parity_graph, parity_queries, limits_for, "serial"),
+            "process": final_arrays(
+                parity_graph, parity_queries, limits_for, "process", stealing=False
+            ),
+        }
+        monkeypatch.setattr(executors_module, "_STEAL_MIN_ROOTS", 8)
+        schedules["process+stealing"] = final_arrays(
+            parity_graph, parity_queries, limits_for, "process", stealing=True
+        )
+        for name, arrays in schedules.items():
+            for (index, limit), (array, truncated) in arrays.items():
+                expected = oracle[index][:limit]
+                assert array.dtype == expected.dtype, (name, index, limit)
+                assert np.array_equal(array, expected), (name, index, limit)
+                assert truncated == (limit is not None and limit < len(oracle[index]))
 
 
 class TestProcessRuntimeLifecycle:

@@ -15,6 +15,9 @@ source for those fixtures:
 * :func:`make_cloud` — a `MemoryCloud` with the given machine count;
 * :func:`injective_products` / :func:`nested_loop_stwig_rows` — the
   nested-loop STwig row builder, the matcher's row-for-row reference;
+* :func:`injective_mask` / :func:`oracle_join` — the row-sort injectivity
+  mask and an unbudgeted bucket join, the join's row-for-row reference
+  (:func:`pair_join` spells the two-table case of the real join);
 * :func:`csr_from_cells` / :func:`machine_from_cells` /
   :func:`label_index_from_pairs` — CSR columns, a standalone `Machine`,
   and a `LabelIndex` adopted from hand-written cells.
@@ -33,6 +36,7 @@ from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import ClusterConfig
 from repro.cloud.label_index import LabelIndex
 from repro.cloud.machine import Machine
+from repro.core.join import multiway_join
 from repro.graph.label_table import LabelTable
 from repro.graph.labeled_graph import (
     LABEL_DTYPE,
@@ -100,6 +104,63 @@ def nested_loop_stwig_rows(
         for assignment in injective_products(slots)
         if root not in assignment
     ]
+
+
+# -- the row-sort-mask join (reference) --------------------------------------
+
+
+def injective_mask(rows: np.ndarray) -> np.ndarray:
+    """Mask of rows whose values are pairwise distinct (row-wise sort + compare).
+
+    The join's injectivity filter until it learned which column pairs can
+    collide; kept here as the oracle for the pair masks.
+    """
+    if rows.shape[1] <= 1:
+        return np.ones(len(rows), dtype=bool)
+    ranked = np.sort(rows, axis=1)
+    return (ranked[:, 1:] != ranked[:, :-1]).all(axis=1)
+
+
+def pair_join(left, right, **kwargs):
+    """``left`` joined with ``right`` through the one join: probe left, build right."""
+    return multiway_join([left, right], order=[0, 1], **kwargs)
+
+
+def oracle_join(tables, order: Sequence[int], columns=None) -> np.ndarray:
+    """The unlimited join of ``tables`` in ``order``, as ``multiway_join`` must emit it.
+
+    Stage by stage: every (partial row, stage row) pair whose shared columns
+    agree, partial-major with stage rows in table order; after each stage
+    :func:`injective_mask` over the *whole* row drops repeated nodes.  Any
+    row limit is a prefix of the returned array.
+    """
+    lead = tables[order[0]]
+    names = list(lead.columns)
+    rows = lead.to_array()
+    for index in order[1:]:
+        table = tables[index]
+        build = table.to_array()
+        shared = [column for column in names if column in table.columns]
+        extra = [column for column in table.columns if column not in shared]
+        buckets: Dict[tuple, List[int]] = {}
+        build_keys = build[:, [table.column_index(column) for column in shared]]
+        for position, key in enumerate(map(tuple, build_keys.tolist())):
+            buckets.setdefault(key, []).append(position)
+        probe_keys = rows[:, [names.index(column) for column in shared]]
+        pairs = [
+            (probe, match)
+            for probe, key in enumerate(map(tuple, probe_keys.tolist()))
+            for match in buckets.get(key, ())
+        ]
+        probe_idx = np.array([pair[0] for pair in pairs], dtype=np.int64)
+        build_idx = np.array([pair[1] for pair in pairs], dtype=np.int64)
+        extra_idx = [table.column_index(column) for column in extra]
+        rows = np.concatenate([rows[probe_idx], build[build_idx][:, extra_idx]], axis=1)
+        rows = rows[injective_mask(rows)]
+        names.extend(extra)
+    if columns is not None:
+        rows = rows[:, [names.index(column) for column in columns]]
+    return rows
 
 
 # -- canonical small graphs/queries ----------------------------------------

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.ingest import IdMap, remap_results
+from repro.core.result import MatchResult, MatchTable
+from repro.ingest import IdMap
 
 
 class TestConstruction:
@@ -108,16 +109,32 @@ class TestSnapshotRoundTrip:
         assert len(rebuilt) == 0 and rebuilt.kind == "str"
 
 
+def external_rows(id_map, rows, columns=("a", "b")):
+    """``rows`` (dense IDs) as a query result read back in external IDs."""
+    result = MatchResult(columns, matches=MatchTable(columns, rows), id_map=id_map)
+    return result.external_rows()
+
+
 class TestRemapResults:
     def test_identity_and_none_are_passthrough(self):
         rows = [(0, 1), (2, 0)]
-        assert remap_results(None, rows) == rows
-        assert remap_results(IdMap.identity(3), rows) == rows
+        assert external_rows(None, rows) == rows
+        assert external_rows(IdMap.identity(3), rows) == rows
 
     def test_sparse_remap(self):
         id_map = IdMap.from_external(np.array([7, 99, 2**40], dtype=np.int64))
-        assert remap_results(id_map, [(0, 2), (1, 0)]) == [(7, 2**40), (99, 7)]
+        assert external_rows(id_map, [(0, 2), (1, 0)]) == [(7, 2**40), (99, 7)]
+        # The same gather, on the 2-D array itself.
+        dense = np.array([[0, 2], [1, 0]], dtype=np.int64)
+        assert id_map.to_external(dense).tolist() == [[7, 2**40], [99, 7]]
+
+    def test_string_ids(self):
+        id_map = IdMap.from_external(["carol", "alice", "bob"])
+        rows = external_rows(id_map, [(0, 2), (1, 0)])
+        assert rows == [("alice", "carol"), ("bob", "alice")]
+        assert all(type(value) is str for row in rows for value in row)
 
     def test_empty_rows(self):
         id_map = IdMap.from_external(np.array([7, 99], dtype=np.int64))
-        assert remap_results(id_map, []) == []
+        assert external_rows(id_map, []) == []
+        assert id_map.to_external(np.empty((0, 2), dtype=np.int64)).shape == (0, 2)

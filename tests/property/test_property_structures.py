@@ -5,9 +5,10 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.join import hash_join, multiway_join
+from repro.core.join import multiway_join
 from repro.core.result import MatchTable
 from repro.graph.partition import HashPartitioner, RoundRobinPartitioner
+from tests.helpers import pair_join
 from tests.property.strategies import labeled_graphs
 
 RELAXED = settings(
@@ -70,10 +71,10 @@ def dedup(rows):
 class TestJoinProperties:
     @RELAXED
     @given(left_rows=small_rows, right_rows=small_rows)
-    def test_hash_join_equals_nested_loop(self, left_rows, right_rows):
+    def test_pairwise_join_equals_nested_loop(self, left_rows, right_rows):
         left = MatchTable(("a", "b"), dedup(left_rows))
         right = MatchTable(("b", "c"), dedup(right_rows))
-        joined = hash_join(left, right)
+        joined = pair_join(left, right)
         expected = set()
         for a, b in left.rows:
             for b2, c in right.rows:
@@ -86,8 +87,8 @@ class TestJoinProperties:
     def test_join_commutative_up_to_column_order(self, left_rows, right_rows):
         left = MatchTable(("a", "b"), dedup(left_rows))
         right = MatchTable(("b", "c"), dedup(right_rows))
-        lr = {tuple(sorted(d.items())) for d in hash_join(left, right).as_dicts()}
-        rl = {tuple(sorted(d.items())) for d in hash_join(right, left).as_dicts()}
+        lr = {tuple(sorted(d.items())) for d in pair_join(left, right).as_dicts()}
+        rl = {tuple(sorted(d.items())) for d in pair_join(right, left).as_dicts()}
         assert lr == rl
 
     @RELAXED
@@ -114,7 +115,7 @@ class TestJoinProperties:
     def test_join_row_limit_is_prefix_of_full_join(self, left_rows, right_rows):
         left = MatchTable(("a", "b"), dedup(left_rows))
         right = MatchTable(("b", "c"), dedup(right_rows))
-        full = hash_join(left, right)
-        limited = hash_join(left, right, row_limit=3)
+        full = pair_join(left, right)
+        limited = pair_join(left, right, row_limit=3)
         assert limited.row_count <= 3
         assert set(limited.rows) <= set(full.rows)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+import random
+
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
@@ -60,6 +63,53 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "STwig plan" in output
         assert "matches in" in output
+
+    def test_show_converts_only_the_shown_rows(self, tmp_path, capsys, monkeypatch):
+        """``--show 3`` on a large result turns three rows into Python
+        objects — in the dataset's sparse external IDs — not all of them."""
+        from repro.core.result import MatchResult
+        from repro.ingest import IdMap
+
+        rng = random.Random(5)
+        externals = rng.sample(range(10**12), 300)
+        edges = {tuple(sorted(rng.sample(externals, 2))) for _ in range(1500)}
+        edge_file = tmp_path / "sparse.edges"
+        edge_file.write_text(
+            "".join(f"{u} {v}\n" for u, v in sorted(edges)), encoding="utf-8"
+        )
+        query_file = tmp_path / "edge.q"
+        query_file.write_text("node u rank2\nnode v rank2\nedge u v\n", encoding="utf-8")
+
+        def refuse(self):
+            raise AssertionError("the CLI converted the whole result")
+
+        for accessor in ("external_rows", "as_dicts"):
+            monkeypatch.setattr(MatchResult, accessor, refuse)
+        monkeypatch.setattr(MatchResult, "rows", property(refuse))
+        converted = []
+        to_external = IdMap.to_external
+
+        def recording(self, dense):
+            converted.append(len(dense))
+            return to_external(self, dense)
+
+        monkeypatch.setattr(IdMap, "to_external", recording)
+        assert main(
+            [
+                "query", "--dataset", str(edge_file), "--query-file", str(query_file),
+                "--machines", "2", "--show", "3",
+            ]
+        ) == 0
+        output = capsys.readouterr().out
+        assert int(output.split(" matches in")[0]) > 1000
+        shown = [
+            ast.literal_eval(line.strip())
+            for line in output.splitlines()
+            if line.startswith("   {")
+        ]
+        assert len(shown) == 3 and converted == [3]
+        assert all(set(match) == {"u", "v"} for match in shown)
+        assert all(value in externals for match in shown for value in match.values())
 
     def test_generate_powerlaw(self, tmp_path, capsys):
         prefix = tmp_path / "pl"

@@ -13,7 +13,8 @@ Checks, for each guarded module:
 
 It also greps ``src/`` for retired spellings (``max_workers=``,
 ``default_limit=``, the pre-task-API executor methods, the per-cell cloud
-write path): the names are gone from the API, and nothing in ``src/`` may
+write path, the standalone ``hash_join`` and the tuple-era result
+mutators): the names are gone from the API, and nothing in ``src/`` may
 bring them back.
 
 Run from the repo root (CI's lint job does):
@@ -56,6 +57,10 @@ RETIRED_SPELLINGS = [
     "store_cell(",
     "flush_staged(",
     "from_partition_state(",
+    "hash_join(",
+    "remap_results(",
+    "_rows_cache",
+    ".add_row(",
 ]
 
 
