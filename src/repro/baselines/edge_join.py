@@ -103,8 +103,7 @@ def edge_join_match(
     # Fixed seed: the baseline must stay deterministic now that join-order
     # selection actually samples rows.
     order = select_join_order(tables, rng=0)
-    joined = multiway_join(tables, order=order, row_limit=limit, block_size=None)
-    # Pure column normalization: reorder keeps bag semantics, so a row limit
-    # above cannot be silently re-shrunk by projection dedup.
-    normalized = joined.reorder(query.nodes())
-    return normalized.as_dicts()
+    joined = multiway_join(
+        tables, order=order, row_limit=limit, block_size=None, columns=query.nodes()
+    )
+    return joined.as_dicts()

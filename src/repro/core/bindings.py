@@ -7,18 +7,18 @@ which is the exploration-side pruning at the heart of the paper's method
 (Section 4.2, step 2).  Unbound query nodes carry ``None`` — "the set of all
 nodes that match the label" — rather than a materialized set.
 
-Bindings are stored *array-native*: one sorted, duplicate-free
-``NODE_DTYPE`` array per bound query node.  Narrowing is ``np.intersect1d``
-over two sorted-unique arrays, unioning is ``np.union1d``, and the matcher's
-vectorized membership filters consume the arrays directly — no set<->array
-conversion ever happens on the exploration hot path.  The set-returning
-API of the original implementation (:meth:`candidates`,
-:meth:`bound_nodes`) is kept source-compatible as materialized views.
+Bindings are arrays and nothing else: one sorted, duplicate-free
+``NODE_DTYPE`` array per bound query node (:meth:`BindingTable.candidates_array`).
+Narrowing is ``np.intersect1d`` over two sorted-unique arrays, and the
+matcher's and the gather's vectorized filters ask
+:meth:`BindingTable.membership_mask`.  :meth:`BindingTable.bind` accepts any
+iterable of node IDs — that is input normalisation, not a second
+representation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Union
+from typing import Dict, Iterable, Optional, Union
 
 import numpy as np
 
@@ -28,32 +28,30 @@ from repro.query.query_graph import QueryGraph
 from repro.utils.arrays import (
     dense_membership_table,
     dense_table_profitable,
+    fast_unique,
     membership_mask,
     table_membership_mask,
 )
 
-#: Anything accepted as a candidate collection by bind/merge_union.
+#: Anything accepted as a candidate collection by bind.
 NodesLike = Union[Iterable[int], np.ndarray]
 
 
 def _as_sorted_unique(data_nodes: NodesLike) -> np.ndarray:
     """Normalize ``data_nodes`` into a sorted, duplicate-free NODE_DTYPE array.
 
-    Arrays that are already strictly ascending (the common case: ``np.unique``
-    output handed over by the exploration loop, or an intersection result)
+    Arrays that are already strictly ascending (the common case: the merged
+    distincts handed over by the exploration loop, or an intersection result)
     are adopted as-is with one O(n) check instead of re-sorting.
     """
-    if isinstance(data_nodes, np.ndarray):
-        array = np.asarray(data_nodes, dtype=NODE_DTYPE)
-        if array.ndim != 1:
-            array = array.ravel()
-        if len(array) > 1 and not bool(np.all(array[1:] > array[:-1])):
-            array = np.unique(array)
-        return array
-    values = list(data_nodes)
-    if not values:
-        return np.empty(0, dtype=NODE_DTYPE)
-    return np.unique(np.array(values, dtype=NODE_DTYPE))
+    if not isinstance(data_nodes, np.ndarray):
+        data_nodes = list(data_nodes)
+    array = np.asarray(data_nodes, dtype=NODE_DTYPE)
+    if array.ndim != 1:
+        array = array.ravel()
+    if len(array) > 1 and not bool(np.all(array[1:] > array[:-1])):
+        array = fast_unique(array)
+    return array
 
 
 class BindingTable:
@@ -64,30 +62,12 @@ class BindingTable:
         self._bindings: Dict[str, Optional[np.ndarray]] = {
             node: None for node in query.nodes()
         }
-        self._set_cache: Dict[str, Set[int]] = {}
         self._mask_cache: Dict[str, np.ndarray] = {}
 
     def is_bound(self, node: str) -> bool:
         """True if ``node`` has an explicit candidate set."""
         self._check(node)
         return self._bindings[node] is not None
-
-    def candidates(self, node: str) -> Optional[Set[int]]:
-        """The candidate set of ``node`` (None when unbound).
-
-        A materialized view of the underlying sorted array, cached until the
-        binding changes.  Treat it as read-only; mutating the returned set
-        never affects the table.
-        """
-        self._check(node)
-        array = self._bindings[node]
-        if array is None:
-            return None
-        cached = self._set_cache.get(node)
-        if cached is None:
-            cached = set(array.tolist())
-            self._set_cache[node] = cached
-        return cached
 
     def candidates_array(self, node: str) -> Optional[np.ndarray]:
         """The candidate set of ``node`` as a sorted array (None when unbound).
@@ -98,15 +78,6 @@ class BindingTable:
         """
         self._check(node)
         return self._bindings[node]
-
-    def allows(self, node: str, data_node: int) -> bool:
-        """True if ``data_node`` is eligible for query node ``node``."""
-        self._check(node)
-        array = self._bindings[node]
-        if array is None:
-            return True
-        position = int(np.searchsorted(array, data_node))
-        return position < len(array) and int(array[position]) == data_node
 
     def membership_mask(self, node: str, values: np.ndarray) -> np.ndarray:
         """Boolean mask marking which ``values`` lie in the binding of ``node``.
@@ -149,43 +120,7 @@ class BindingTable:
             self._bindings[node] = array
         else:
             self._bindings[node] = np.intersect1d(current, array, assume_unique=True)
-        self._set_cache.pop(node, None)
         self._mask_cache.pop(node, None)
-
-    def merge_union(self, node: str, data_nodes: NodesLike) -> None:
-        """Accumulate ``data_nodes`` into a pending union for ``node``.
-
-        Used when aggregating per-machine contributions for the *same*
-        STwig: machine results for one STwig are unioned, and only then
-        intersected with previous bindings via :meth:`bind`.
-        """
-        self._check(node)
-        array = _as_sorted_unique(data_nodes)
-        current = self._bindings[node]
-        if current is None:
-            self._bindings[node] = array
-        else:
-            self._bindings[node] = np.union1d(current, array)
-        self._set_cache.pop(node, None)
-        self._mask_cache.pop(node, None)
-
-    def bound_nodes(self) -> Dict[str, Set[int]]:
-        """Mapping of currently-bound query nodes to their candidate sets."""
-        return {
-            node: set(array.tolist())
-            for node, array in self._bindings.items()
-            if array is not None
-        }
-
-    def all_bound(self) -> bool:
-        """True once every query node is bound."""
-        return all(array is not None for array in self._bindings.values())
-
-    def is_empty(self, node: str) -> bool:
-        """True if ``node`` is bound to the empty set (query has no results)."""
-        self._check(node)
-        array = self._bindings[node]
-        return array is not None and len(array) == 0
 
     def any_empty(self) -> bool:
         """True if any bound query node has an empty candidate set."""
@@ -194,15 +129,11 @@ class BindingTable:
             for array in self._bindings.values()
         )
 
-    def total_size(self) -> int:
-        """Total number of (query node, data node) binding entries."""
-        return sum(len(array) for array in self._bindings.values() if array is not None)
-
     def copy(self) -> "BindingTable":
         """Independent copy of the table.
 
-        Binding arrays are never mutated in place (``bind``/``merge_union``
-        replace them), so the copy can share them safely.
+        Binding arrays are never mutated in place (``bind`` replaces
+        them), so the copy can share them safely.
         """
         clone = BindingTable(self._query)
         clone._bindings = dict(self._bindings)
@@ -211,17 +142,15 @@ class BindingTable:
     def __getstate__(self) -> dict:
         """Pickle only the query and the binding arrays.
 
-        The materialized-set and dense-mask caches are per-process
-        acceleration structures: shipping them to runtime workers would
-        inflate every task payload, and each worker rebuilds them lazily
-        against its own memory anyway.
+        The dense-mask cache is a per-process acceleration structure:
+        shipping it to runtime workers would inflate every task payload,
+        and each worker rebuilds it lazily against its own memory anyway.
         """
         return {"query": self._query, "bindings": self._bindings}
 
     def __setstate__(self, state: dict) -> None:
         self._query = state["query"]
         self._bindings = state["bindings"]
-        self._set_cache = {}
         self._mask_cache = {}
 
     def _check(self, node: str) -> None:

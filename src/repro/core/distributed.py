@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cloud.cluster import MemoryCloud
+from repro.core.bindings import BindingTable
 from repro.core.exploration import ExplorationOutcome, ExplorationTables
 from repro.core.tasks import JoinTask, empty_rows
 from repro.core.join import (
@@ -46,7 +47,6 @@ from repro.core.join import (
 )
 from repro.core.planner import QueryPlan
 from repro.core.result import MatchTable
-from repro.utils.arrays import membership_mask
 
 #: Cache of binding-filtered tables, keyed by (machine, stwig_index).
 FilteredTables = Dict[Tuple[int, int], MatchTable]
@@ -134,7 +134,7 @@ def assemble_results(
     truncated = result_limit is not None and len(final) > result_limit
     if truncated:
         final = final[:result_limit]
-    return JoinOutcome(MatchTable.from_array(final_columns, final), truncated)
+    return JoinOutcome(MatchTable(final_columns, final), truncated)
 
 
 def machine_result_rows(
@@ -203,7 +203,7 @@ def machine_result_rows(
     return joined.to_array()
 
 
-def _filter_by_bindings(table: MatchTable, bindings) -> MatchTable:
+def _filter_by_bindings(table: MatchTable, bindings: BindingTable) -> MatchTable:
     """Drop rows whose values fell out of the final binding sets.
 
     Every full match assigns each query node a value that survived *all*
@@ -216,21 +216,15 @@ def _filter_by_bindings(table: MatchTable, bindings) -> MatchTable:
     """
     if table.row_count == 0:
         return table
-    mask_fn = getattr(bindings, "membership_mask", None)
     keep: Optional[np.ndarray] = None
     for column in table.columns:
-        candidates = bindings.candidates_array(column)
-        if candidates is None:
+        if not bindings.is_bound(column):
             continue
-        column_values = table.column_array(column)
-        if mask_fn is not None:
-            mask = mask_fn(column, column_values)
-        else:
-            mask = membership_mask(candidates, column_values)
+        mask = bindings.membership_mask(column, table.column_array(column))
         keep = mask if keep is None else keep & mask
     if keep is None or keep.all():
         return table
-    return MatchTable.from_array(table.columns, table.to_array()[keep])
+    return MatchTable(table.columns, table.to_array()[keep])
 
 
 def _filtered_table(
@@ -307,5 +301,5 @@ def _gather_machine_tables(
             tables.append(local)
         else:
             combined = np.concatenate([part.to_array() for part in parts], axis=0)
-            tables.append(MatchTable.from_array(local.columns, combined))
+            tables.append(MatchTable(local.columns, combined))
     return tables

@@ -184,35 +184,3 @@ class SubgraphMatcher:
     def match_count(self, query: QueryGraph, limit: Optional[int] = None) -> int:
         """Convenience wrapper returning only the number of matches."""
         return self.match(query, limit=limit).match_count
-
-
-def _metrics_delta(before: dict, after: dict) -> dict:
-    """Difference of two counter snapshots, over the *union* of their keys.
-
-    A counter present only in ``before`` (e.g. a snapshot taken by an older
-    schema, or a sink that was reset and re-snapshotted) must surface as a
-    negative delta, not silently vanish; one present only in ``after``
-    reads as starting from zero.  The engine's per-query accounting no
-    longer diffs shared snapshots (each query gets an isolated sink), but
-    benchmarks and tools diffing recorded snapshots still rely on this.
-    """
-    return {
-        key: after.get(key, 0) - before.get(key, 0)
-        for key in before.keys() | after.keys()
-    }
-
-
-def _simulated_seconds(delta: dict, cloud: MemoryCloud) -> float:
-    """Convert a metrics delta into simulated cluster seconds."""
-    scratch = CloudMetrics(
-        local_loads=delta.get("local_loads", 0),
-        remote_loads=delta.get("remote_loads", 0),
-        local_label_probes=delta.get("local_label_probes", 0),
-        remote_label_probes=delta.get("remote_label_probes", 0),
-        index_lookups=delta.get("index_lookups", 0),
-        messages=delta.get("messages", 0),
-        bytes_transferred=delta.get("bytes_transferred", 0),
-        result_rows_shipped=delta.get("result_rows_shipped", 0),
-        result_rows_filtered=delta.get("result_rows_filtered", 0),
-    )
-    return scratch.simulated_total_seconds(cloud.config.network)

@@ -102,10 +102,6 @@ class ExplorationOutcome:
         """Total intermediate rows produced across machines and STwigs."""
         return sum(handle.row_count for machine in self.handles for handle in machine)
 
-    def rows_for_stwig(self, stwig_index: int) -> int:
-        """Total rows produced for one STwig across all machines."""
-        return sum(machine[stwig_index].row_count for machine in self.handles)
-
     def release(self) -> None:
         """Retire any published table storage (idempotent).
 

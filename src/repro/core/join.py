@@ -154,11 +154,6 @@ class CooperativeJoinBudget(JoinBudget):
         self._machine_id = machine_id
         self._limit = limit
 
-    @classmethod
-    def for_machines(cls, slots, machine_count: int, limit: Optional[int]):
-        """One machine-ordered view per machine over a shared slot array."""
-        return [cls(slots, machine_id, limit) for machine_id in range(machine_count)]
-
     def remaining(self) -> Optional[int]:
         if self._limit is None:
             return None
@@ -622,9 +617,7 @@ def multiway_join(
             lead_rows = lead_rows[: max(0, remaining)]
         counters.charge(len(lead_rows))
         budget.note_produced(len(lead_rows))
-        return MatchTable.from_array(
-            columns, _at_slots(lead_rows, lead_slots, len(columns))
-        )
+        return MatchTable(columns, _at_slots(lead_rows, lead_slots, len(columns)))
 
     plans = [_StagePlan(slots, before, table, labels) for table, before in stages]
     lead_pairs = _within_row_pairs(lead.columns, labels)
@@ -641,4 +634,4 @@ def multiway_join(
     if not pieces:
         return MatchTable(columns)
     out = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=0)
-    return MatchTable.from_array(columns, out)
+    return MatchTable(columns, out)

@@ -43,7 +43,6 @@ from repro.core.stwig import STwig
 from repro.errors import ExecutionError
 from repro.graph.labeled_graph import NODE_DTYPE, OFFSET_DTYPE
 from repro.query.query_graph import QueryGraph
-from repro.utils.arrays import membership_mask
 
 #: Candidate rows decoded per block: bounds the builder's working set.
 _BLOCK_ROWS = 1 << 15
@@ -81,7 +80,8 @@ def match_stwig(
         data-node IDs.  Root nodes are always local to ``machine_id``; leaf
         nodes may be remote.
     """
-    table = MatchTable(stwig.nodes)
+    if row_limit is not None and row_limit <= 0:
+        return MatchTable(stwig.nodes)
     if roots is None:
         roots = _root_candidates(
             cloud, machine_id, stwig, query.label(stwig.root), bindings
@@ -89,16 +89,23 @@ def match_stwig(
     # Unlimited: every root in one batch.  Limited: root chunks of 1, 2, 4, ...
     # so loads and probes are charged only for the chunks the limit reached —
     # the same accounting as the per-node execution model.
+    blocks: List[np.ndarray] = []
+    missing = row_limit  # rows still wanted; None = all of them
     start, step = 0, (len(roots) if row_limit is None else 1)
-    while start < len(roots):
+    while start < len(roots) and missing != 0:
         chunk = roots[start : start + step]
         for block in _stwig_blocks(cloud, machine_id, stwig, query, bindings, chunk):
-            table.add_rows(block)
-            if row_limit is not None and table.row_count >= row_limit:
-                table.truncate(row_limit)
-                return table
+            if missing is not None:
+                block = block[:missing]
+                missing -= len(block)
+            blocks.append(block)
+            if missing == 0:
+                break
         start, step = start + step, 2 * step
-    return table
+    if not blocks:
+        return MatchTable(stwig.nodes)
+    # One write of the whole table; a single block is the table as it is.
+    return MatchTable(stwig.nodes, blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
 
 
 def _stwig_blocks(
@@ -106,7 +113,7 @@ def _stwig_blocks(
     machine_id: int,
     stwig: STwig,
     query: QueryGraph,
-    bindings,
+    bindings: Optional[BindingTable],
     roots: np.ndarray,
 ) -> Iterator[np.ndarray]:
     """Row blocks of ``stwig`` for ``roots``, in root order (steps 2-4)."""
@@ -129,7 +136,7 @@ def _resolve_slots(
     machine_id: int,
     stwig: STwig,
     leaf_labels: Sequence[str],
-    bindings,
+    bindings: Optional[BindingTable],
     roots: np.ndarray,
 ) -> Optional[Tuple[List[np.ndarray], List[np.ndarray]]]:
     """Leaf candidates of every root as CSR columns ``(values, bounds)``.
@@ -155,12 +162,11 @@ def _resolve_slots(
     slot_values: List[np.ndarray] = []
     slot_bounds: List[np.ndarray] = []
     for leaf, leaf_label in zip(stwig.leaves, leaf_labels):
-        bound = bindings.candidates_array(leaf) if bindings is not None else None
         entry_alive = alive[entry_root]
-        if bound is not None:
+        if bindings is not None and bindings.is_bound(leaf):
             # Membership in the binding set already implies the right label,
             # so no label probe (and no network traffic) is needed.
-            kept = entry_alive & _binding_mask(bindings, leaf, bound, neighbors)
+            kept = entry_alive & bindings.membership_mask(leaf, neighbors)
         else:
             if owners is None:
                 owners = cloud.owners_of_array(neighbors)
@@ -238,21 +244,6 @@ def _row_blocks(
         for left, right in distinct_pairs:
             keep &= block[:, left] != block[:, right]
         yield block if keep.all() else block.compress(keep, axis=0)
-
-
-def _binding_mask(
-    bindings, leaf: str, bound: np.ndarray, values: np.ndarray
-) -> np.ndarray:
-    """Membership of ``values`` in the binding of ``leaf``.
-
-    The engine's :class:`BindingTable` answers from its cached dense lookup
-    table; duck-typed binding tables (benchmark baselines) fall back to the
-    generic binary search over their sorted array.
-    """
-    mask_fn = getattr(bindings, "membership_mask", None)
-    if mask_fn is not None:
-        return mask_fn(leaf, values)
-    return membership_mask(bound, values)
 
 
 def _root_candidates(

@@ -37,7 +37,7 @@ from repro.core.result import MatchTable
 from repro.core.stwig import STwig
 from repro.errors import ExecutionError
 from repro.graph.labeled_graph import NODE_DTYPE
-from repro.storage.provider import ArraySpec, attach_spec, discard_spec
+from repro.storage.provider import attach_spec, discard_spec
 
 #: Process-wide monotone fingerprint source for table handles.  Fingerprints
 #: key the process backend's publication cache, so they must never repeat
@@ -55,6 +55,10 @@ class TableHandle:
     :func:`~repro.storage.provider.attach_spec`).  Keeping handles
     single-part is what makes the join phase's attachment zero-copy: a
     worker maps exactly one segment per table, never reassembles chunks.
+
+    The tables it yields are values over those very pages: an attached
+    published table's array is not writeable, and nothing on
+    :class:`MatchTable` would write to it anyway.
 
     ``fingerprint`` identifies the underlying data across pickling: the
     process backend keys its publication cache on it so one resident table
@@ -81,12 +85,6 @@ class TableHandle:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_table(cls, table: MatchTable) -> "TableHandle":
-        """Wrap a live table inline (no copy; the handle aliases its data)."""
-        part = table.to_array() if table.row_count else None
-        return cls(table.columns, table.row_count, part)
-
-    @classmethod
     def from_array(cls, columns: Sequence[str], array: np.ndarray) -> "TableHandle":
         """Wrap a ``(rows, width)`` array inline (no copy)."""
         return cls(columns, len(array), array if len(array) else None)
@@ -95,20 +93,6 @@ class TableHandle:
     def empty(cls, columns: Sequence[str]) -> "TableHandle":
         """Handle of a zero-row table."""
         return cls(columns, 0, None)
-
-    @classmethod
-    def published(
-        cls, columns: Sequence[str], row_count: int, spec: ArraySpec
-    ) -> "TableHandle":
-        """Handle over an already-published array (the caller publishes)."""
-        return cls(columns, row_count, spec)
-
-    # -- inspection --------------------------------------------------------
-
-    @property
-    def is_published(self) -> bool:
-        """True when the data lives behind a storage spec, not inline."""
-        return self.part is not None and not isinstance(self.part, np.ndarray)
 
     # -- access ------------------------------------------------------------
 
@@ -127,31 +111,23 @@ class TableHandle:
                 )
             yield MatchTable(self.columns)
         elif isinstance(self.part, np.ndarray):
-            yield MatchTable.from_array(self.columns, self.part)
+            yield MatchTable(self.columns, self.part)
         else:
             handle, view = attach_spec(self.part)
             try:
-                yield MatchTable.from_array(self.columns, view)
+                yield MatchTable(self.columns, view)
             finally:
                 handle.close()
 
     def materialize(self) -> MatchTable:
         """A table safe to keep: inline data is wrapped, published data copied."""
-        if self.part is None or isinstance(self.part, np.ndarray):
-            with self.attach() as table:
-                return table
         with self.attach() as table:
-            return table.copy()
+            return table if isinstance(self.part, np.ndarray) else table.copy()
 
     def release(self) -> None:
-        """Retire published storage (idempotent; inline handles no-op)."""
-        part, self.part = self.part, None
-        if part is not None and isinstance(part, np.ndarray):
-            # Inline data has no external storage; keep it referenced so an
-            # already-handed-out view (e.g. final result rows) stays valid.
-            self.part = part
-            return
-        if part is not None:
+        """Retire published storage (idempotent; empty and inline handles no-op)."""
+        if self.part is not None and not isinstance(self.part, np.ndarray):
+            part, self.part = self.part, None
             discard_spec(part)
 
     def __repr__(self) -> str:
@@ -252,7 +228,8 @@ def explore_result(task: ExploreTask, table: MatchTable) -> ExploreResult:
         distincts = {
             node: table.column_distinct(node) for node in task.stwig.nodes
         }
-    return ExploreResult(task.machine_id, TableHandle.from_table(table), distincts)
+    handle = TableHandle.from_array(table.columns, table.to_array())
+    return ExploreResult(task.machine_id, handle, distincts)
 
 
 def empty_rows(width: int) -> np.ndarray:

@@ -8,11 +8,10 @@ hashing function)".  :class:`HashPartitioner` reproduces that policy;
 ablation benchmarks can check that the engine's results are partition
 invariant.
 
-Assignments are array-backed (one sorted node-ID array + one parallel
-machine array, computed vectorized from the graph's CSR columns) so loading
-a million-node graph does not spend seconds building Python dicts; the
-``node_to_machine`` dict view is materialized lazily for callers that want
-it.
+Assignments are two parallel arrays and nothing else — sorted node IDs and
+their machine IDs, computed vectorized from the graph's CSR columns — so
+loading a million-node graph builds no Python dict; :meth:`as_arrays` hands
+them out and :meth:`from_arrays` takes them back.
 """
 
 from __future__ import annotations
@@ -40,31 +39,11 @@ class PartitionAssignment:
     """The result of partitioning: node -> machine, array-backed."""
 
     def __init__(
-        self,
-        machine_count: int,
-        node_to_machine: Optional[Dict[int, int]] = None,
-        *,
-        sorted_ids: Optional[np.ndarray] = None,
-        machines: Optional[np.ndarray] = None,
+        self, machine_count: int, *, sorted_ids: np.ndarray, machines: np.ndarray
     ) -> None:
-        """Build from a dict (legacy) or from parallel arrays (fast path).
-
-        Array construction requires ``sorted_ids`` ascending and
-        duplicate-free with ``machines`` parallel to it.
-        """
+        """Adopt ``sorted_ids`` (ascending, duplicate-free) and the parallel
+        ``machines`` array; neither is copied when its dtype already fits."""
         self.machine_count = machine_count
-        if node_to_machine is not None:
-            items = sorted(node_to_machine.items())
-            sorted_ids = np.array([node for node, _ in items], dtype=NODE_DTYPE)
-            machines = np.array(
-                [machine for _, machine in items], dtype=MACHINE_DTYPE
-            )
-            self._dict_cache: Optional[Dict[int, int]] = dict(node_to_machine)
-        else:
-            if sorted_ids is None or machines is None:
-                sorted_ids = np.empty(0, dtype=NODE_DTYPE)
-                machines = np.empty(0, dtype=MACHINE_DTYPE)
-            self._dict_cache = None
         self._sorted_ids = np.asarray(sorted_ids, dtype=NODE_DTYPE)
         self._machines = np.asarray(machines, dtype=MACHINE_DTYPE)
         self._dense_cache: Optional[tuple] = None
@@ -75,15 +54,6 @@ class PartitionAssignment:
     ) -> "PartitionAssignment":
         """Adopt pre-built (sorted node IDs, machine IDs) arrays (no copies)."""
         return cls(machine_count, sorted_ids=sorted_ids, machines=machines)
-
-    @property
-    def node_to_machine(self) -> Dict[int, int]:
-        """Dict view of the assignment (materialized lazily, then cached)."""
-        if self._dict_cache is None:
-            self._dict_cache = dict(
-                zip(self._sorted_ids.tolist(), self._machines.tolist())
-            )
-        return self._dict_cache
 
     def machine_array_for(self, node_ids: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`machine_of` over an array of node IDs.
@@ -262,8 +232,6 @@ class BlockPartitioner(Partitioner):
     def assign(self, graph: LabeledGraph, machine_count: int) -> PartitionAssignment:
         require_positive(machine_count, "machine_count")
         node_ids = graph.node_id_array()
-        if not len(node_ids):
-            return PartitionAssignment(machine_count, {})
         block = max(1, (len(node_ids) + machine_count - 1) // machine_count)
         machines = np.minimum(
             np.arange(len(node_ids), dtype=np.int64) // block, machine_count - 1

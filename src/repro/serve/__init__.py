@@ -13,7 +13,6 @@ from repro.serve.bench import (
     ServiceRun,
     percentile,
     run_concurrent_clients,
-    solo_baseline,
 )
 from repro.serve.service import QueryService, ServiceConfig, ServiceStats
 
@@ -25,5 +24,4 @@ __all__ = [
     "ServiceStats",
     "percentile",
     "run_concurrent_clients",
-    "solo_baseline",
 ]

@@ -142,12 +142,3 @@ def run_concurrent_clients(
         thread.join()
     run.wall_seconds = time.perf_counter() - window_started
     return run
-
-
-def solo_baseline(
-    service: QueryService,
-    queries: Sequence[QueryGraph],
-    limit: Optional[int] = None,
-) -> ServiceRun:
-    """The same workload, one query at a time (the parity/latency baseline)."""
-    return run_concurrent_clients(service, queries, clients=1, limit=limit)

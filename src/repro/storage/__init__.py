@@ -55,7 +55,7 @@ from repro.storage.delta import (
     compact_snapshot,
     replay_deltas,
 )
-from repro.storage.cache import cached_cloud, cached_graph
+from repro.storage.cache import cached_graph
 
 __all__ = [
     "ArraySpec",
@@ -75,6 +75,5 @@ __all__ = [
     "DeltaRecord",
     "compact_snapshot",
     "replay_deltas",
-    "cached_cloud",
     "cached_graph",
 ]

@@ -2,11 +2,11 @@
 
 Large benchmark graphs (the 1M-node nightly inputs) used to be regenerated
 on every run, spending most of the wall-clock before the first measurement.
-These helpers make generation a one-time cost: the first run generates and
-saves a snapshot under a cache directory, every later run reopens it via
-``np.memmap`` in near-constant time.  Both helpers report how the dataset
-was obtained and how long each step took, so benchmark output can show
-open-vs-generate time explicitly.
+:func:`cached_graph` makes generation a one-time cost: the first run
+generates and saves a snapshot under a cache directory, every later run
+reopens it via ``np.memmap`` in near-constant time.  It reports how the
+dataset was obtained and how long each step took, so benchmark output can
+show open-vs-generate time explicitly.
 """
 
 from __future__ import annotations
@@ -58,46 +58,6 @@ def cached_graph(
     info["save_seconds"] = time.perf_counter() - started
     info["source"] = "generated"
     return graph, info
-
-
-def cached_cloud(
-    cache_dir: str | Path,
-    name: str,
-    factory: Callable[[], object],
-    config=None,
-    *,
-    refresh: bool = False,
-) -> Tuple[object, Dict[str, object]]:
-    """Open a partitioned cloud from the cache, building + saving on a miss.
-
-    Like :func:`cached_graph` but the snapshot stores full cloud state
-    (partition map, per-machine CSR columns, label-pair metadata), so a hit
-    skips partitioning as well as generation.  ``factory`` must return the
-    :class:`~repro.graph.labeled_graph.LabeledGraph` to load; ``config`` is
-    the :class:`~repro.cloud.config.ClusterConfig` for the cloud (also used
-    when reopening, so a machine-count change transparently repartitions).
-    """
-    from repro.cloud.cluster import MemoryCloud
-
-    target = Path(cache_dir) / name
-    info: Dict[str, object] = {"name": name, "path": str(target)}
-    if not refresh and snapshot_exists(target):
-        started = time.perf_counter()
-        cloud = MemoryCloud.open_snapshot(target, config)
-        info["source"] = "snapshot"
-        info["open_seconds"] = time.perf_counter() - started
-        return cloud, info
-    started = time.perf_counter()
-    graph = factory()
-    info["generate_seconds"] = time.perf_counter() - started
-    started = time.perf_counter()
-    cloud = MemoryCloud.from_graph(graph, config)
-    info["load_seconds"] = time.perf_counter() - started
-    started = time.perf_counter()
-    cloud.save_snapshot(target)
-    info["save_seconds"] = time.perf_counter() - started
-    info["source"] = "generated"
-    return cloud, info
 
 
 def default_cache_dir(env_value: Optional[str] = None) -> Path:

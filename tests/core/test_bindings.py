@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.core.bindings import BindingTable
+from repro.core.exploration import _BindingMerger
+from repro.core.result import MatchTable
+from repro.core.stwig import STwig
+from repro.core.tasks import ExploreTask, explore_result
 from repro.errors import QueryError
 from repro.graph.labeled_graph import NODE_DTYPE
 from repro.query.query_graph import QueryGraph
+from tests.helpers import bound_set, make_cloud, path_graph
 
 
 @pytest.fixture
@@ -16,84 +23,103 @@ def query() -> QueryGraph:
     return QueryGraph({"a": "x", "b": "y", "c": "z"}, [("a", "b"), ("b", "c")])
 
 
+def merge_machine_columns(query, bindings, node, per_machine):
+    """Bind ``node`` the way the proxy does after one STwig: every machine's
+    distinct column values are unioned by the merger, then ``bind`` narrows."""
+    stwig = STwig(node, ())
+    merger = _BindingMerger(make_cloud(path_graph(2)), stwig.nodes)
+    for machine_id, values in enumerate(per_machine):
+        task = ExploreTask(machine_id, stwig, query, None, None)
+        table = MatchTable(stwig.nodes, [(value,) for value in values])
+        merger.absorb(machine_id, explore_result(task, table))
+    merger.bind_into(bindings)
+
+
 class TestBasicBinding:
     def test_initially_unbound(self, query):
         bindings = BindingTable(query)
         assert not bindings.is_bound("a")
-        assert bindings.candidates("a") is None
-        assert not bindings.all_bound()
+        assert bindings.candidates_array("a") is None
 
     def test_bind_sets_candidates(self, query):
         bindings = BindingTable(query)
         bindings.bind("a", [1, 2, 3])
         assert bindings.is_bound("a")
-        assert bindings.candidates("a") == {1, 2, 3}
+        assert bound_set(bindings, "a") == {1, 2, 3}
 
     def test_rebind_intersects(self, query):
         bindings = BindingTable(query)
         bindings.bind("a", [1, 2, 3])
         bindings.bind("a", [2, 3, 4])
-        assert bindings.candidates("a") == {2, 3}
+        assert bound_set(bindings, "a") == {2, 3}
 
     def test_allows_unbound_accepts_everything(self, query):
+        """Unbound means "every node with the label": there is no array to
+        probe (the matcher probes labels instead), so asking is a typed error."""
         bindings = BindingTable(query)
-        assert bindings.allows("a", 12345)
+        with pytest.raises(QueryError):
+            bindings.membership_mask("a", np.array([12345], dtype=NODE_DTYPE))
 
     def test_allows_bound_filters(self, query):
         bindings = BindingTable(query)
         bindings.bind("a", [1])
-        assert bindings.allows("a", 1)
-        assert not bindings.allows("a", 2)
+        probe = np.array([1, 2], dtype=NODE_DTYPE)
+        assert bindings.membership_mask("a", probe).tolist() == [True, False]
 
     def test_unknown_node_rejected(self, query):
         bindings = BindingTable(query)
         with pytest.raises(QueryError):
             bindings.bind("nope", [1])
         with pytest.raises(QueryError):
-            bindings.candidates("nope")
+            bindings.candidates_array("nope")
 
 
 class TestUnionAndState:
     def test_merge_union_accumulates(self, query):
         bindings = BindingTable(query)
-        bindings.merge_union("a", [1, 2])
-        bindings.merge_union("a", [2, 3])
-        assert bindings.candidates("a") == {1, 2, 3}
+        merge_machine_columns(query, bindings, "a", [[1, 2], [2, 3]])
+        assert bound_set(bindings, "a") == {1, 2, 3}
+        # The union of a later STwig's machines narrows, it does not widen.
+        merge_machine_columns(query, bindings, "a", [[3, 9], [1]])
+        assert bound_set(bindings, "a") == {1, 3}
 
     def test_all_bound(self, query):
         bindings = BindingTable(query)
         for node in query.nodes():
+            assert not bindings.is_bound(node)
             bindings.bind(node, [1])
-        assert bindings.all_bound()
+        assert all(bindings.is_bound(node) for node in query.nodes())
 
     def test_empty_binding_detected(self, query):
         bindings = BindingTable(query)
         bindings.bind("a", [1, 2])
+        assert not bindings.any_empty()
         bindings.bind("a", [3])
-        assert bindings.is_empty("a")
+        assert len(bindings.candidates_array("a")) == 0
         assert bindings.any_empty()
 
     def test_bound_nodes_view(self, query):
+        """Only bound nodes carry an array, and it is the table's own."""
         bindings = BindingTable(query)
         bindings.bind("b", [7, 8])
-        view = bindings.bound_nodes()
-        assert view == {"b": {7, 8}}
-        view["b"].add(999)
-        assert bindings.candidates("b") == {7, 8}
+        bound = {n: bound_set(bindings, n) for n in query.nodes() if bindings.is_bound(n)}
+        assert bound == {"b": {7, 8}}
+        assert bindings.candidates_array("b") is bindings.candidates_array("b")
 
     def test_total_size(self, query):
+        """Binding sizes are array lengths: duplicates in the input do not count."""
         bindings = BindingTable(query)
-        bindings.bind("a", [1, 2])
+        bindings.bind("a", [1, 2, 2])
         bindings.bind("b", [3])
-        assert bindings.total_size() == 3
+        assert [len(bindings.candidates_array(node)) for node in ("a", "b")] == [2, 1]
 
     def test_copy_is_independent(self, query):
         bindings = BindingTable(query)
         bindings.bind("a", [1])
         clone = bindings.copy()
         clone.bind("a", [2])
-        assert bindings.candidates("a") == {1}
-        assert clone.candidates("a") == set()
+        assert bound_set(bindings, "a") == {1}
+        assert bound_set(clone, "a") == set()
 
     def test_repr_shows_bound_counts(self, query):
         bindings = BindingTable(query)
@@ -136,22 +162,32 @@ class TestArrayNativeStorage:
 
     def test_merge_union_keeps_sorted_unique(self, query):
         bindings = BindingTable(query)
-        bindings.merge_union("a", [5, 3])
-        bindings.merge_union("a", np.array([4, 3, 99], dtype=NODE_DTYPE))
-        assert bindings.candidates_array("a").tolist() == [3, 4, 5, 99]
-        assert bindings.candidates("a") == {3, 4, 5, 99}
+        merge_machine_columns(query, bindings, "a", [[5, 3], [4, 3, 99]])
+        array = bindings.candidates_array("a")
+        assert array.dtype == NODE_DTYPE
+        assert array.tolist() == [3, 4, 5, 99]
 
     def test_set_view_is_cached_until_binding_changes(self, query):
+        """The one cache left — the dense membership table — is dropped when
+        ``bind`` narrows the node, and never travels with a pickle."""
         bindings = BindingTable(query)
         bindings.bind("a", [1, 2])
-        first = bindings.candidates("a")
-        assert bindings.candidates("a") is first
+        probe = np.arange(4, dtype=NODE_DTYPE)
+        assert bindings.membership_mask("a", probe).tolist() == [False, True, True, False]
+        assert "a" in bindings._mask_cache
         bindings.bind("a", [2])
-        assert bindings.candidates("a") == {2}
+        assert "a" not in bindings._mask_cache
+        assert bindings.membership_mask("a", probe).tolist() == [False, False, True, False]
+        state = bindings.__getstate__()
+        assert sorted(state) == ["bindings", "query"]
+        clone = pickle.loads(pickle.dumps(bindings))
+        assert clone._mask_cache == {}
+        assert bound_set(clone, "a") == {2}
 
     def test_allows_uses_binary_search(self, query):
+        """A sparse domain gets no dense table: membership is binary search."""
         bindings = BindingTable(query)
-        bindings.bind("a", [10, 20, 30])
-        assert bindings.allows("a", 20)
-        assert not bindings.allows("a", 25)
-        assert not bindings.allows("a", 35)
+        bindings.bind("a", [10, 2**40, 2**50])
+        probe = np.array([2**40, 25, 2**50 + 1, 10], dtype=NODE_DTYPE)
+        assert bindings.membership_mask("a", probe).tolist() == [True, False, False, True]
+        assert bindings._mask_cache == {}

@@ -8,7 +8,7 @@ import pytest
 
 from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import ClusterConfig
-from repro.core.engine import SubgraphMatcher, _metrics_delta
+from repro.core.engine import SubgraphMatcher
 from repro.core.planner import MatcherConfig
 from repro.query.generators import dfs_query
 from repro.query.query_graph import QueryGraph
@@ -194,25 +194,30 @@ class TestMetricsIsolation:
 
 
 class TestMetricsDelta:
-    def test_union_of_keys(self):
-        # Regression: keys present only in `before` used to vanish from the
-        # delta (the dict comprehension iterated `after` alone).
-        before = {"messages": 5, "gone": 2}
-        after = {"messages": 9, "new": 3}
-        delta = _metrics_delta(before, after)
-        assert delta == {"messages": 4, "gone": -2, "new": 3}
+    """``MatchResult.metrics`` is the query's own delta: the snapshot of an
+    isolated sink, folded into the cloud's totals once — nothing is diffed."""
 
-    def test_identical_snapshots_zero(self):
-        snapshot = {"messages": 1, "bytes_transferred": 10}
-        assert _metrics_delta(snapshot, dict(snapshot)) == {
-            "messages": 0,
-            "bytes_transferred": 0,
-        }
+    def test_union_of_keys(self, matcher, query):
+        # Every counter of the totals is in the delta, touched or not, so
+        # adding or diffing two results never loses a key.
+        result = matcher.match(query)
+        assert set(result.metrics) == set(matcher.cloud.metrics.snapshot())
+        solo = SubgraphMatcher(
+            MemoryCloud.from_graph(tiny_example_graph(), ClusterConfig(machine_count=1))
+        ).match(query)
+        assert solo.metrics["remote_loads"] == solo.metrics["remote_label_probes"] == 0
 
-    def test_empty_snapshots(self):
-        assert _metrics_delta({}, {}) == {}
-        assert _metrics_delta({}, {"messages": 2}) == {"messages": 2}
-        assert _metrics_delta({"messages": 2}, {}) == {"messages": -2}
+    def test_identical_snapshots_zero(self, matcher, query):
+        first = matcher.match(query)
+        second = matcher.match(query)
+        assert first.metrics == second.metrics
+        assert first.metrics is not second.metrics
+
+    def test_empty_snapshots(self, matcher, query):
+        assert not any(matcher.cloud.metrics.snapshot().values())
+        first = matcher.match(query)
+        assert first.metrics == matcher.cloud.metrics.snapshot()
+        assert first.metrics["local_loads"] > 0
 
 
 class TestConfigurationVariants:

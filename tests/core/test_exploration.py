@@ -10,8 +10,8 @@ from repro.core.planner import MatcherConfig, QueryPlanner
 from repro.query.query_graph import QueryGraph
 from repro.workloads.datasets import paper_figure5_graph, tiny_example_graph
 
+from tests.helpers import bound_set, triangle_tail_query
 from tests.helpers import make_cloud as build_cloud
-from tests.helpers import triangle_tail_query
 
 
 def make_cloud(machine_count: int = 3) -> MemoryCloud:
@@ -43,7 +43,7 @@ class TestExplore:
         cloud = make_cloud()
         plan = QueryPlanner(cloud).plan(query)
         outcome = explore(cloud, plan)
-        assert outcome.bindings.all_bound()
+        assert all(outcome.bindings.is_bound(node) for node in query.nodes())
 
     def test_bindings_contain_true_match_nodes(self, query):
         # The two known matches use nodes {1, 2} for qa, {3} for qb, {4} for
@@ -51,10 +51,10 @@ class TestExplore:
         cloud = make_cloud()
         plan = QueryPlanner(cloud).plan(query)
         outcome = explore(cloud, plan)
-        assert {1, 2} <= outcome.bindings.candidates("qa")
-        assert 3 in outcome.bindings.candidates("qb")
-        assert 4 in outcome.bindings.candidates("qc")
-        assert 5 in outcome.bindings.candidates("qd")
+        assert {1, 2} <= bound_set(outcome.bindings, "qa")
+        assert 3 in bound_set(outcome.bindings, "qb")
+        assert 4 in bound_set(outcome.bindings, "qc")
+        assert 5 in bound_set(outcome.bindings, "qd")
 
     def test_not_empty_for_satisfiable_query(self, query):
         cloud = make_cloud()
@@ -81,8 +81,12 @@ class TestExplore:
         cloud = make_cloud()
         plan = QueryPlanner(cloud).plan(query)
         outcome = explore(cloud, plan)
-        total = sum(outcome.rows_for_stwig(i) for i in range(len(plan.stwigs)))
-        assert total == outcome.total_rows()
+        per_stwig = [
+            sum(machine[index].row_count for machine in outcome.handles)
+            for index in range(len(plan.stwigs))
+        ]
+        assert all(per_stwig), "every STwig of a satisfiable query matches somewhere"
+        assert sum(per_stwig) == outcome.total_rows()
 
     def test_binding_filter_reduces_or_preserves_rows(self, query):
         cloud_filtered = make_cloud()

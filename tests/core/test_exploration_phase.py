@@ -6,9 +6,8 @@ These tests pin down the array-native exploration phase:
   sequential-intersection semantics of Section 4.2, step 2);
 * the early-exit padding shape after a mid-plan binding wipe-out, and the
   cached :attr:`ExplorationOutcome.empty` regression;
-* randomized equivalence of the array-native :class:`BindingTable` against
-  a faithful set-based reimplementation, and of the full engine against
-  VF2;
+* randomized equivalence of :class:`BindingTable` narrowing against a set
+  model, and of the full engine against VF2;
 * the filtered-gather accounting invariant
   ``shipped(filtered) + filtered == shipped(unfiltered)``.
 """
@@ -21,8 +20,13 @@ import numpy as np
 import pytest
 
 from repro.baselines.vf2 import vf2_match
+from repro.cloud.metrics import CloudMetrics
 from repro.core.bindings import BindingTable
-from repro.core.distributed import assemble_results
+from repro.core.distributed import (
+    _filter_by_bindings,
+    _gather_machine_tables,
+    assemble_results,
+)
 from repro.core.exploration import explore
 from repro.core.head_selection import full_load_sets
 from repro.core.planner import MatcherConfig, QueryPlan, QueryPlanner
@@ -33,7 +37,13 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.query.generators import dfs_query
 from repro.query.query_graph import QueryGraph
 
-from tests.helpers import make_cloud, seeded_graph
+from tests.helpers import (
+    bound_set,
+    canonical_queries,
+    make_cloud,
+    nested_loop_stwig_rows,
+    seeded_graph,
+)
 
 
 def manual_plan(query, stwigs, machine_count, config=MatcherConfig()):
@@ -75,9 +85,9 @@ class TestBindingNarrowing:
 
     def test_each_stage_narrows_shared_nodes(self):
         _, _, outcome = self.setup_outcome()
-        assert outcome.bindings.candidates("qa") == {1}
-        assert outcome.bindings.candidates("qb") == {2}
-        assert outcome.bindings.candidates("qc") == {3}
+        assert outcome.bindings.candidates_array("qa").tolist() == [1]
+        assert outcome.bindings.candidates_array("qb").tolist() == [2]
+        assert outcome.bindings.candidates_array("qc").tolist() == [3]
 
     def test_decoy_survives_first_stage_only(self):
         # STwig 0 (qa -> qb) has no narrowing information yet: the decoy
@@ -86,7 +96,7 @@ class TestBindingNarrowing:
         _, _, outcome = self.setup_outcome()
         stage0_qa = set()
         for machine_tables in outcome.tables:
-            stage0_qa |= machine_tables[0].column_values("qa")
+            stage0_qa |= set(machine_tables[0].column_array("qa").tolist())
         assert stage0_qa == {1, 4}
 
     def test_final_binding_is_sequential_intersection(self):
@@ -101,9 +111,9 @@ class TestBindingNarrowing:
                     continue
                 union = set()
                 for machine_tables in outcome.tables:
-                    union |= machine_tables[stwig_index].column_values(node)
+                    union |= set(machine_tables[stwig_index].column_array(node).tolist())
                 expected = union if expected is None else expected & union
-            assert outcome.bindings.candidates(node) == expected
+            assert bound_set(outcome.bindings, node) == expected
 
     def test_results_match_vf2(self):
         cloud, plan, outcome = self.setup_outcome()
@@ -141,8 +151,8 @@ class TestEarlyExitPadding:
 
     def test_wipeout_detected(self):
         _, _, outcome = self.wipeout_setup()
-        assert outcome.bindings.is_empty("qc")
-        assert outcome.bindings.is_empty("qd")
+        assert bound_set(outcome.bindings, "qc") == set()
+        assert bound_set(outcome.bindings, "qd") == set()
         assert outcome.bindings.any_empty()
 
     def test_padding_shape_is_uniform(self):
@@ -153,9 +163,12 @@ class TestEarlyExitPadding:
                 assert table.columns == stwig.nodes
         # The skipped stage (index 3) is empty everywhere; the earlier
         # stages produced the path rows before the wipe-out.
-        assert outcome.rows_for_stwig(0) > 0
-        assert outcome.rows_for_stwig(2) == 0
-        assert outcome.rows_for_stwig(3) == 0
+        stage_rows = [
+            sum(machine[index].row_count for machine in outcome.handles)
+            for index in range(len(plan.stwigs))
+        ]
+        assert stage_rows[0] > 0
+        assert stage_rows[2] == stage_rows[3] == 0
 
     def test_empty_after_wipeout_and_assembly_is_empty(self):
         cloud, plan, outcome = self.wipeout_setup()
@@ -169,7 +182,7 @@ class TestEarlyExitPadding:
         assert outcome.empty is True
         # Swapping the handles out from under the outcome must not change
         # the answer: the scan ran once and was cached.
-        outcome.handles = [[TableHandle.from_table(MatchTable(("x",), [(1,)]))]]
+        outcome.handles = [[TableHandle.from_array(("x",), MatchTable(("x",), [(1,)]).to_array())]]
         assert outcome.empty is True
 
     def test_empty_false_is_cached_too(self):
@@ -184,7 +197,7 @@ class TestEarlyExitPadding:
 
 
 class SetBindingTable:
-    """Faithful reimplementation of the pre-array (set-based) BindingTable."""
+    """The set model of a binding table: the oracle ``bind`` is checked against."""
 
     def __init__(self, query: QueryGraph) -> None:
         self._bindings = {node: None for node in query.nodes()}
@@ -198,30 +211,16 @@ class SetBindingTable:
         current = self._bindings[node]
         self._bindings[node] = new_set if current is None else current & new_set
 
-    def merge_union(self, node, data_nodes):
-        values = (
-            set(data_nodes.tolist())
-            if isinstance(data_nodes, np.ndarray)
-            else set(data_nodes)
-        )
-        current = self._bindings[node]
-        if current is None:
-            self._bindings[node] = set(values)
-        else:
-            current.update(values)
-
     def candidates(self, node):
         return self._bindings[node]
 
     def any_empty(self):
         return any(c is not None and not c for c in self._bindings.values())
 
-    def total_size(self):
-        return sum(len(c) for c in self._bindings.values() if c is not None)
 
 
 class TestRandomizedSetEquivalence:
-    """The array-native table behaves exactly like the set baseline."""
+    """The array table narrows exactly like the set model."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_op_sequences(self, seed):
@@ -237,26 +236,16 @@ class TestRandomizedSetEquivalence:
             values = [rng.randrange(0, 30) for _ in range(rng.randrange(0, 12))]
             as_array = rng.random() < 0.5
             payload = np.array(values, dtype=np.int64) if as_array else values
-            if rng.random() < 0.5:
-                array_table.bind(node, payload)
-                set_table.bind(node, payload)
-            else:
-                array_table.merge_union(node, payload)
-                set_table.merge_union(node, payload)
+            array_table.bind(node, payload)
+            set_table.bind(node, payload)
             for name in node_names:
                 expected = set_table.candidates(name)
-                got = array_table.candidates(name)
-                assert got == expected
                 array = array_table.candidates_array(name)
                 if expected is None:
                     assert array is None
                 else:
-                    assert array is not None
-                    values_list = array.tolist()
-                    assert values_list == sorted(set(values_list))
-                    assert set(values_list) == expected
+                    assert array.tolist() == sorted(expected)
             assert array_table.any_empty() == set_table.any_empty()
-            assert array_table.total_size() == set_table.total_size()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_engine_matches_vf2_on_random_graphs(self, seed):
@@ -307,6 +296,25 @@ class TestFilteredShippingAccounting:
             == delta_unfiltered["result_rows_shipped"]
         )
 
+    def test_filtered_gather_equals_gather_then_filter(self):
+        # Per machine and STwig, filtering each part before the union gives
+        # the table that filtering the unioned parts gives, row for row.
+        graph = seeded_graph(seed=1, nodes=80, edges=260, labels=2)
+        cloud = make_cloud(graph, machine_count=4)
+        plan = QueryPlanner(cloud).plan(dfs_query(graph, 6, seed=4))
+        outcome = explore(cloud, plan)
+        dropped = 0
+        for machine_id in range(cloud.machine_count):
+            filtered = _gather_machine_tables(
+                cloud, plan, outcome.tables, machine_id, outcome.bindings, {}
+            )
+            whole = _gather_machine_tables(cloud, plan, outcome.tables, machine_id, None, {})
+            for before_union, after_union in zip(filtered, whole):
+                expected = _filter_by_bindings(after_union, outcome.bindings)
+                assert before_union.rows == expected.rows
+                dropped += after_union.row_count - expected.row_count
+        assert dropped > 0
+
     def test_filtering_reduces_bytes_on_the_wire(self):
         _, delta_filtered = self.join_phase_delta(True)
         _, delta_unfiltered = self.join_phase_delta(False)
@@ -327,6 +335,70 @@ class TestFilteredShippingAccounting:
             return cloud.metrics.snapshot()
 
         assert exploration_delta(True) == exploration_delta(False)
+
+
+def per_node_explore(cloud, plan):
+    """``explore`` as the per-node model runs it, on the scalar Trinity
+    operators alone: ``(rows[machine][stwig], binding sets)``.  The operators
+    charge lookups, loads and probes to ``cloud.metrics``; the binding
+    shipment to the proxy is charged here."""
+    query, bound = plan.query, {}
+    rows = [[[] for _ in plan.stwigs] for _ in range(cloud.machine_count)]
+    for index, stwig in enumerate(plan.stwigs):
+        columns = {node: set() for node in stwig.nodes}
+        for machine in range(cloud.machine_count):
+            if stwig.root in bound:
+                roots = sorted(n for n in bound[stwig.root] if cloud.owner_of(n) == machine)
+            else:
+                roots = cloud.get_local_ids(machine, query.label(stwig.root))
+            slots_per_root = []
+            for root in roots:
+                neighbors = cloud.load(root, requester=machine).neighbors
+                slots = []
+                for leaf in stwig.leaves:
+                    if leaf in bound:
+                        slot = [n for n in neighbors if n in bound[leaf]]
+                    else:
+                        label = query.label(leaf)
+                        slot = [n for n in neighbors if cloud.has_label(n, label, machine)]
+                    slots.append(slot)
+                    if not slot:
+                        break  # a root that lost a slot stops probing
+                slots_per_root.append(slots)  # an empty slot yields no row
+            rows[machine][index] = nested_loop_stwig_rows(roots, slots_per_root)
+            shipped = [set(column) for column in zip(*rows[machine][index])]
+            if shipped:  # the machine's distinct column values go to the proxy
+                cloud.metrics.record_result_transfer(machine, -1, sum(map(len, shipped)), 1)
+            for node, values in zip(stwig.nodes, shipped):
+                columns[node] |= values
+        for node, values in columns.items():
+            bound[node] = bound[node] & values if node in bound else values
+        if not all(bound.values()):
+            break
+    return rows, bound
+
+
+class TestPerNodeCounterModel:
+    """Whole-pipeline parity against an independent model: the batched
+    exploration charges exactly what a per-node loop over ``get_local_ids`` /
+    ``load`` / ``has_label`` charges — ``index_lookups``, local and remote
+    loads and label probes, and the messages and bytes they imply — and
+    builds the same rows and bindings."""
+
+    @pytest.mark.parametrize("seed, machine_count", [(1, 1), (2, 3), (3, 4)])
+    def test_explore_charges_what_the_per_node_model_charges(self, seed, machine_count):
+        graph = seeded_graph(seed=seed, nodes=60, edges=170, labels=2 + seed % 2)
+        cloud = make_cloud(graph, machine_count=machine_count)
+        for query in canonical_queries(graph, seed=seed + 20):
+            plan = QueryPlanner(cloud).plan(query)
+            modelled, engine = CloudMetrics(), CloudMetrics()
+            rows, bound = per_node_explore(cloud.with_metrics(modelled), plan)
+            outcome = explore(cloud.with_metrics(engine), plan)
+            assert engine.snapshot() == modelled.snapshot()
+            assert engine.local_loads and engine.local_label_probes
+            assert [[table.rows for table in machine] for machine in outcome.tables] == rows
+            for node in query.nodes():
+                assert bound_set(outcome.bindings, node) == bound.get(node)
 
 
 class TestBatchedRootPartition:

@@ -38,7 +38,7 @@ from repro.runtime import (
     publish_cloud,
     rebuild_cloud,
 )
-from repro.utils.shm import SegmentRegistry, publish_array
+from repro.utils.shm import SegmentRegistry, SharedArraySpec, publish_array
 from tests.helpers import assert_same_matches, oracle_join
 
 BACKENDS = ("serial", "process")
@@ -538,7 +538,7 @@ class TestProcessRuntimeLifecycle:
         try:
             first = executor._shipped_handle(handle)
             again = executor._shipped_handle(handle)
-            assert first.is_published
+            assert isinstance(first.part, SharedArraySpec)
             assert again.part is first.part, "second batch must reuse the spec"
             assert first.fingerprint == handle.fingerprint
             assert executor.transport_counters["join_publications"] == 1
@@ -549,6 +549,40 @@ class TestProcessRuntimeLifecycle:
         with pytest.raises(FileNotFoundError):
             leftover = shared_memory.SharedMemory(name=name)
             leftover.close()
+
+    def test_published_handle_attaches_read_only_and_materializes_owned(self):
+        """A table attached over published pages is a value like any other:
+        its array is the segment itself, not writeable, and nothing on
+        ``MatchTable`` could detach or resize it; ``materialize`` owns a copy."""
+        from repro.core.tasks import TableHandle
+        from repro.graph.labeled_graph import NODE_DTYPE
+
+        array = np.arange(12, dtype=NODE_DTYPE).reshape(6, 2)
+        segment, spec = publish_array(array)
+        segment.close()
+        handle = TableHandle(("qa", "qb"), len(array), spec)
+        try:
+            with handle.attach() as attached:
+                view = attached.to_array()
+                assert not view.flags.writeable and not view.flags.owndata
+                with pytest.raises(ValueError):
+                    view[0, 0] = 99
+                assert attached.rows == [tuple(row) for row in array.tolist()]
+                assert not attached.column_array("qb").flags.writeable
+            owned = handle.materialize()
+            assert owned.to_array().flags.writeable
+        finally:
+            handle.release()
+        assert handle.part is None
+        handle.release()  # idempotent
+        owned.to_array()[0, 0] = 99  # outlives the segment
+        assert owned.rows[0] == (99, 1) and owned.rows[1:] == [tuple(r) for r in array[1:].tolist()]
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=spec.name).close()
+        inline = TableHandle.from_array(("qa", "qb"), array)
+        assert inline.materialize().to_array() is array
+        inline.release()  # inline data has no storage to retire
+        assert inline.part is array
 
     def test_root_chunks_partition_exactly(self):
         """Chunking for stealing is an exact order-preserving partition,

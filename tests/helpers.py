@@ -8,6 +8,8 @@ source for those fixtures:
   two-root STwig example used by the matcher tests;
 * :func:`path_graph` / :func:`path_cloud` — an n-node path striped across
   machines (exploration / locality tests);
+* :func:`hub_graph` / :func:`star_of` — one hub with many same-label
+  spokes and the star STwig over it (row-constructor volume tests);
 * :func:`seeded_graph` / :func:`seeded_power_law_graph` — deterministic
   random graphs for cross-validation against the baselines;
 * :func:`canonical_queries` — a deterministic batch of DFS + random query
@@ -18,6 +20,8 @@ source for those fixtures:
 * :func:`injective_mask` / :func:`oracle_join` — the row-sort injectivity
   mask and an unbudgeted bucket join, the join's row-for-row reference
   (:func:`pair_join` spells the two-table case of the real join);
+* :func:`bound_set` — a query node's binding array as a set, for
+  assertions that do not care about order;
 * :func:`csr_from_cells` / :func:`machine_from_cells` /
   :func:`label_index_from_pairs` — CSR columns, a standalone `Machine`,
   and a `LabelIndex` adopted from hand-written cells.
@@ -37,6 +41,7 @@ from repro.cloud.config import ClusterConfig
 from repro.cloud.label_index import LabelIndex
 from repro.cloud.machine import Machine
 from repro.core.join import multiway_join
+from repro.core.stwig import STwig
 from repro.graph.label_table import LabelTable
 from repro.graph.labeled_graph import (
     LABEL_DTYPE,
@@ -70,6 +75,12 @@ def assert_same_matches(actual: Iterable[Dict[str, int]], expected: Iterable[Dic
     assert actual_normalized == expected_normalized, (
         f"match sets differ: {len(actual_normalized)} vs {len(expected_normalized)} rows"
     )
+
+
+def bound_set(bindings, node: str):
+    """The binding of ``node`` as a set of Python ints (``None`` when unbound)."""
+    array = bindings.candidates_array(node)
+    return None if array is None else set(array.tolist())
 
 
 # -- the nested-loop STwig row builder (reference) --------------------------
@@ -197,6 +208,22 @@ def triangle_tail_query() -> QueryGraph:
         {"qa": "a", "qb": "b", "qc": "c", "qd": "d"},
         [("qa", "qb"), ("qa", "qc"), ("qb", "qc"), ("qc", "qd")],
     )
+
+
+def hub_graph(spokes: int) -> LabeledGraph:
+    """Node 0 (label ``hub``) joined to ``spokes`` nodes of label ``x``."""
+    labels = {0: "hub", **{node: "x" for node in range(1, spokes + 1)}}
+    return LabeledGraph.from_edges(labels, [(0, node) for node in range(1, spokes + 1)])
+
+
+def star_of(leaf_count: int) -> Tuple[QueryGraph, STwig]:
+    """The star query (and its one STwig) matching :func:`hub_graph`'s hub."""
+    leaves = tuple(f"l{i}" for i in range(leaf_count))
+    query = QueryGraph(
+        {"r": "hub", **{leaf: "x" for leaf in leaves}},
+        [("r", leaf) for leaf in leaves],
+    )
+    return query, STwig("r", leaves)
 
 
 def path_graph(length: int = 6, label: str = "n") -> LabeledGraph:

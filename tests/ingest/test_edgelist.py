@@ -147,7 +147,7 @@ class TestIngestedQueryEndToEnd:
         externals = {(d["hub"], d["leaf"]) for d in result.as_dicts()}
         assert externals == {(7, 2**40 + 1), (7, 12345678901), (7, 99)}
         # The raw table stays dense for downstream numpy consumers.
-        assert result.table.materialize().to_array().max() < graph.node_count
+        assert result.to_array().max() < graph.node_count
         assert result.external_rows() == [
             tuple(d[c] for c in result.columns) for d in result.as_dicts()
         ]

@@ -21,8 +21,9 @@ from repro.errors import ExecutionError
 from repro.graph.labeled_graph import NODE_DTYPE, OFFSET_DTYPE, LabeledGraph
 from repro.query.query_graph import QueryGraph
 from repro.utils.arrays import fast_unique
+from repro.workloads.datasets import tiny_example_graph
 
-from tests.helpers import make_cloud, nested_loop_stwig_rows
+from tests.helpers import hub_graph, make_cloud, nested_loop_stwig_rows, star_of
 from tests.property.strategies import LABELS, labeled_graphs
 
 RELAXED = settings(
@@ -200,20 +201,19 @@ class TestMatchSTwigAgainstNestedLoops:
                 )
                 assert limited.rows == expected[:limit]
 
-
-def hub_graph(spokes: int) -> LabeledGraph:
-    """Node 0 (label ``hub``) joined to ``spokes`` nodes of label ``x``."""
-    labels = {0: "hub", **{node: "x" for node in range(1, spokes + 1)}}
-    return LabeledGraph.from_edges(labels, [(0, node) for node in range(1, spokes + 1)])
-
-
-def star_of(leaf_count: int):
-    leaves = tuple(f"l{i}" for i in range(leaf_count))
-    query = QueryGraph(
-        {"r": "hub", **{leaf: "x" for leaf in leaves}},
-        [("r", leaf) for leaf in leaves],
-    )
-    return query, STwig("r", leaves)
+    def test_a_zero_limit_loads_and_probes_nothing(self):
+        # The limit used to be looked at only after the first block was
+        # built, so limit 0 cost the same loads and probes as limit 1.
+        query = QueryGraph({"qa": "a", "qb": "b", "qc": "c"}, [("qa", "qb"), ("qa", "qc")])
+        stwig = STwig("qa", ("qb", "qc"))
+        charged = {}
+        for limit in (0, 1):
+            cloud = make_cloud(tiny_example_graph(), machine_count=3)
+            table = match_stwig(cloud, 0, stwig, query, row_limit=limit)
+            assert table.row_count == limit and table.columns == stwig.nodes
+            charged[limit] = cloud.metrics.snapshot()
+        assert not any(charged[0].values())
+        assert charged[1]["local_loads"] == 1 and charged[1]["remote_label_probes"] == 4
 
 
 class TestHubRoots:

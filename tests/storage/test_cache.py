@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import ClusterConfig
 from repro.graph.generators import generate_gnm
-from repro.storage.cache import cached_cloud, cached_graph, default_cache_dir
+from repro.storage.cache import cached_graph, default_cache_dir
 
 
 def make_graph():
@@ -52,21 +53,24 @@ class TestCachedGraph:
 
 class TestCachedCloud:
     def test_miss_then_hit(self, tmp_path):
+        """What the benchmarks do with the cache: load the cloud over the
+        cached graph.  A hit (memmap-backed columns) loads the same cloud."""
         config = ClusterConfig(machine_count=3)
-        cloud, info = cached_cloud(tmp_path, "c30", make_graph, config)
+        graph, info = cached_graph(tmp_path, "c30", make_graph)
         assert info["source"] == "generated"
-        assert cloud.machine_count == 3
+        cloud = MemoryCloud.from_graph(graph, config)
 
-        reopened, info = cached_cloud(
+        graph, info = cached_graph(
             tmp_path,
             "c30",
             lambda: (_ for _ in ()).throw(AssertionError("no regenerate")),
-            config,
         )
         assert info["source"] == "snapshot"
+        reopened = MemoryCloud.from_graph(graph, config)
         assert reopened.machine_count == 3
         assert reopened.node_count == cloud.node_count
         assert reopened.edge_count == cloud.edge_count
+        assert reopened.partition_sizes() == cloud.partition_sizes()
         for node in (0, 7, 29):
             assert sorted(reopened.load_neighbors(node)) == sorted(
                 cloud.load_neighbors(node)

@@ -13,9 +13,9 @@ Checks, for each guarded module:
 
 It also greps ``src/`` for retired spellings (``max_workers=``,
 ``default_limit=``, the pre-task-API executor methods, the per-cell cloud
-write path, the standalone ``hash_join`` and the tuple-era result
-mutators): the names are gone from the API, and nothing in ``src/`` may
-bring them back.
+write path, the standalone ``hash_join``, the tuple-era result mutators
+and the growable-table / set-view / dict-view members): the names are gone
+from the API, and nothing in ``src/`` may bring them back.
 
 Run from the repo root (CI's lint job does):
 
@@ -61,6 +61,16 @@ RETIRED_SPELLINGS = [
     "remap_results(",
     "_rows_cache",
     ".add_row(",
+    ".add_rows(",
+    ".truncate(",
+    ".slice_rows(",
+    ".reorder(",
+    ".column_values(",
+    ".bound_nodes(",
+    ".merge_union(",
+    "MatchTable.from_array(",
+    "from_table(",
+    "node_to_machine",
 ]
 
 
