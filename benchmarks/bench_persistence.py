@@ -15,8 +15,9 @@ with it:
   identical matches to the in-RAM cloud it was saved from; quick mode also
   cross-checks against the VF2 baseline.  Any mismatch hard-fails.
 * **Delta-replay parity** — after appending edges to the snapshot's log,
-  the overlay-opened cloud and the compacted (folded, generation-bumped)
-  cloud must agree row for row.  Hard-fails too.
+  the overlay-opened cloud (log spliced into the attached image) and the
+  compacted (folded, generation-bumped) cloud must hold the same image,
+  column for column, and agree row for row.  Hard-fails too.
 
 Run ``python benchmarks/bench_persistence.py`` for the 1M-node run, or
 ``--quick`` for the CI-sized smoke guarded by the perf baseline.
@@ -34,6 +35,7 @@ from typing import Dict, List, Optional, Sequence
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import numpy as np
 from report_io import add_report_arguments, save_report
 
 from repro.baselines.vf2 import vf2_match
@@ -130,9 +132,10 @@ def run(
         replay_open_seconds = time.perf_counter() - started
         require(
             overlay.storage_publication is None,
-            "a snapshot with pending deltas must take the replayed path",
+            "a snapshot with pending deltas is not a pure file publication",
         )
         overlay_rows, _ = match_rows(overlay, query, limit)
+        overlay_columns = overlay.columns()
 
         started = time.perf_counter()
         manifest = compact_snapshot(snapshot)
@@ -143,6 +146,18 @@ def run(
             compacted.storage_publication is not None,
             "the compacted base must reopen on the memmap fast path",
         )
+        compacted_columns = compacted.columns()
+        require(
+            list(compacted_columns) == list(overlay_columns),
+            "compacted and overlay clouds name different columns",
+        )
+        for name, column in overlay_columns.items():
+            folded = compacted_columns[name]
+            require(
+                column.dtype == folded.dtype and np.array_equal(column, folded),
+                f"column {name!r} differs between the delta overlay and the "
+                "compacted base",
+            )
         compacted_rows, _ = match_rows(compacted, query, limit)
         require(
             compacted_rows == overlay_rows,

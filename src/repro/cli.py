@@ -581,13 +581,17 @@ def _command_open(args: argparse.Namespace) -> int:
 
 
 def _command_append(args: argparse.Namespace) -> int:
+    from repro.errors import StorageError
     from repro.storage import DeltaLog, read_manifest
 
     read_manifest(args.snapshot)  # fail early on a non-snapshot directory
     log = DeltaLog(args.snapshot)
-    appended = log.append_nodes(
-        (int(node_id), label) for node_id, label in args.node
-    )
+    try:
+        appended = log.append_nodes(
+            (int(node_id), label) for node_id, label in args.node
+        )
+    except StorageError as error:
+        raise SystemExit(str(error))
     appended += log.append_edges((u, v) for u, v in args.edge)
     print(
         f"appended {appended} records ({log.count()} total pending); "

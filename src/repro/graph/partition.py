@@ -23,6 +23,7 @@ import numpy as np
 from repro.errors import PartitionError
 from repro.graph.labeled_graph import NODE_DTYPE, OFFSET_DTYPE, LabeledGraph
 from repro.utils.arrays import (
+    dense_position_table,
     dense_table_profitable,
     dense_value_table,
     fast_unique,
@@ -137,44 +138,36 @@ class PartitionAssignment:
         ).tolist()
 
 
-def cross_machine_label_pairs(
-    graph: LabeledGraph, machine_of_row: np.ndarray, machine_count: int
+def pack_label_pairs(
+    label_u: np.ndarray,
+    label_v: np.ndarray,
+    machine_u: np.ndarray,
+    machine_v: np.ndarray,
+    label_count: int,
+    machine_count: int,
 ) -> Tuple[int, Dict[Tuple[int, int], np.ndarray]]:
-    """Label pairs connected by an edge, per (unordered) machine pair.
+    """Packed label-pair keys per machine pair, from edge-endpoint arrays.
 
-    The load-time metadata the paper builds the query-specific *cluster
-    graph* from (Section 5.3).  ``machine_of_row`` is the owner of each row
-    of ``graph``.  Returns ``(base, {(machine_lo, machine_hi): sorted
-    packed keys})`` with each key ``label_lo * base + label_hi`` over label
-    IDs.  Fully vectorized: every undirected edge is reduced to a packed
-    ``(machine pair, label pair)`` integer and deduplicated in one pass.
+    Each undirected edge is given once as the (label ID, machine) of both
+    endpoints, in either orientation.  Returns ``(base, {(machine_lo,
+    machine_hi): sorted packed keys})`` with each key ``label_lo * base +
+    label_hi`` and ``base = max(label_count, 1)``.  Fully vectorized: every
+    edge is reduced to a packed ``(machine pair, label pair)`` integer and
+    deduplicated in one pass.
     """
-    node_ids = graph.node_id_array()
-    label_ids = graph.label_id_array()
-    neighbors = graph.neighbor_array()
-    counts = np.diff(graph.offset_array())
-    source_rows = np.repeat(np.arange(len(node_ids), dtype=OFFSET_DTYPE), counts)
-    forward = node_ids[source_rows] < neighbors
-    source_rows = source_rows[forward]
-    target_rows = np.searchsorted(node_ids, neighbors[forward])
-
-    machine_u = machine_of_row[source_rows].astype(np.int64)
-    machine_v = machine_of_row[target_rows].astype(np.int64)
-    label_u = label_ids[source_rows].astype(np.int64)
-    label_v = label_ids[target_rows].astype(np.int64)
-    machine_lo = np.minimum(machine_u, machine_v)
-    machine_hi = np.maximum(machine_u, machine_v)
-    label_lo = np.minimum(label_u, label_v)
-    label_hi = np.maximum(label_u, label_v)
-
     machine_count = max(machine_count, 1)
-    label_count = max(len(graph.label_table), 1)
+    label_count = max(label_count, 1)
     pair_span = label_count * label_count
-    packed = fast_unique(
-        (machine_lo * machine_count + machine_hi) * pair_span
-        + label_lo * label_count
-        + label_hi
-    )
+    # ((machine_lo * M + machine_hi) * L + label_lo) * L + label_hi, folded
+    # into one int64 array so a million-edge load holds one wide temporary.
+    packed = np.minimum(machine_u, machine_v).astype(np.int64)
+    packed *= machine_count
+    packed += np.maximum(machine_u, machine_v)
+    packed *= label_count
+    packed += np.minimum(label_u, label_v)
+    packed *= label_count
+    packed += np.maximum(label_u, label_v)
+    packed = fast_unique(packed)
     # ``packed`` is sorted, so all keys of one machine pair are one
     # contiguous run; slice per distinct machine pair instead of looping
     # over every (machine pair, label pair) combination in Python.
@@ -186,6 +179,44 @@ def cross_machine_label_pairs(
         pair = (machine_key // machine_count, machine_key % machine_count)
         pairs[pair] = label_keys[start:stop]
     return label_count, pairs
+
+
+def cross_machine_label_pairs(
+    graph: LabeledGraph, machine_of_row: np.ndarray, machine_count: int
+) -> Tuple[int, Dict[Tuple[int, int], np.ndarray]]:
+    """Label pairs connected by an edge, per (unordered) machine pair.
+
+    The load-time metadata the paper builds the query-specific *cluster
+    graph* from (Section 5.3).  ``machine_of_row`` is the owner of each row
+    of ``graph``.  Reads every undirected edge's endpoints off the CSR and
+    returns them in :func:`pack_label_pairs` form.
+    """
+    node_ids = graph.node_id_array()
+    label_ids = graph.label_id_array()
+    neighbors = graph.neighbor_array()
+    counts = np.diff(graph.offset_array())
+    source_rows = np.repeat(np.arange(len(node_ids), dtype=OFFSET_DTYPE), counts)
+    forward = node_ids[source_rows] < neighbors
+    source_rows = source_rows[forward]
+    targets = neighbors[forward]
+    # Neighbors are graph nodes, so their rows resolve without a miss check:
+    # a contiguous 0..n-1 domain (every generator, every ingest) makes the
+    # row the ID itself; otherwise one gather off a dense table where the
+    # domain allows, and only then a binary search per edge.
+    if len(node_ids) and node_ids[0] == 0 and node_ids[-1] == len(node_ids) - 1:
+        target_rows = targets
+    elif dense_table_profitable(node_ids, probe_count=len(targets)):
+        target_rows = dense_position_table(node_ids)[targets]
+    else:
+        target_rows = np.searchsorted(node_ids, targets)
+    return pack_label_pairs(
+        label_ids[source_rows],
+        label_ids[target_rows],
+        machine_of_row[source_rows],
+        machine_of_row[target_rows],
+        len(graph.label_table),
+        machine_count,
+    )
 
 
 class Partitioner:

@@ -10,6 +10,13 @@ documents.  Opening attaches the image's columns by name as read-only
 ``np.memmap`` views and hands them to the cloud's one installer, so opening
 costs file metadata, not a data scan.
 
+A pending delta log does not change that: its records are *merged* into the
+attached image (:func:`_overlay`), which costs the log plus one copy of each
+column the log changes — every other column is still the file-backed view.
+Only a snapshot without stored cloud state, or one stored for another
+machine count, is partitioned from its graph, because it genuinely has no
+partitioning to keep.
+
 :meth:`MemoryCloud.save_snapshot`, ``.load_snapshot`` and ``.open_snapshot``
 are the public spellings of the three functions here.
 """
@@ -18,24 +25,38 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.cloud.cluster import MACHINE_COLUMNS, MemoryCloud, column_names
 from repro.cloud.config import ClusterConfig
 from repro.graph.label_table import LabelTable
-from repro.graph.labeled_graph import NODE_DTYPE, OFFSET_DTYPE
-from repro.graph.partition import partitioner_from_name, partitioner_name
-from repro.storage.delta import DeltaLog
+from repro.graph.labeled_graph import NODE_DTYPE, OFFSET_DTYPE, LabeledGraph
+from repro.graph.partition import (
+    cross_machine_label_pairs,
+    pack_label_pairs,
+    partitioner_from_name,
+    partitioner_name,
+)
+from repro.storage.delta import (
+    DeltaLog,
+    DeltaRecord,
+    NormalizedLog,
+    normalize_records,
+    splice_csr,
+    upsert_rows,
+)
 from repro.storage.provider import attach_columns
 from repro.storage.snapshot import (
     GRAPH_ARRAY_NAMES,
     SnapshotManifest,
+    covering_id_map,
     graph_from_manifest,
     read_manifest,
     write_snapshot,
 )
+from repro.utils.arrays import membership_mask
 
 
 def cluster_config_from_manifest(manifest: SnapshotManifest) -> ClusterConfig:
@@ -121,16 +142,18 @@ def save_cloud_snapshot(
     )
 
 
-def _load(cloud: MemoryCloud, manifest: SnapshotManifest) -> float:
-    """Load ``cloud`` from an already-parsed manifest; parses the log once."""
-    records = DeltaLog(manifest.directory).read()
-    if (
-        records
-        or not manifest.has_cloud_state
-        or manifest.machine_count != cloud.machine_count
-    ):
-        # Pending deltas, a graph-only snapshot, or another cluster shape:
-        # the stored partitions do not describe the cloud asked for.
+def load_parsed_snapshot(
+    cloud: MemoryCloud, manifest: SnapshotManifest, records: Sequence[DeltaRecord]
+) -> float:
+    """Load ``cloud`` from an already-parsed manifest and delta log.
+
+    The body of :func:`load_cloud_snapshot`, for callers that have parsed
+    ``manifest.json`` and ``deltas.log`` themselves (compaction needs both
+    for its own decisions and must not parse twice).
+    """
+    if not manifest.has_cloud_state or manifest.machine_count != cloud.machine_count:
+        # A graph-only snapshot or another cluster shape: no stored
+        # partitioning describes the cloud asked for, so make one.
         return cloud.load_graph(graph_from_manifest(manifest, records))
 
     started = time.perf_counter()
@@ -147,12 +170,20 @@ def _load(cloud: MemoryCloud, manifest: SnapshotManifest) -> float:
             }
         )
         handles += pair_handles
+    label_table = LabelTable(manifest.labels)
+    edge_count = manifest.edge_count
+    packed_pairs = (int(manifest.cloud.get("label_pair_base", 1)), label_pairs)
+    if records:
+        columns, label_table, edge_count, packed_pairs = _overlay(
+            cloud, manifest, records, columns, packed_pairs
+        )
+        specs = None  # some columns now live in RAM: not a file publication
     cloud._install(
         columns,
-        label_table=LabelTable(manifest.labels),
-        edge_count=manifest.edge_count,
-        id_map=manifest.load_id_map(),
-        label_pairs=(int(manifest.cloud.get("label_pair_base", 1)), label_pairs),
+        label_table=label_table,
+        edge_count=edge_count,
+        id_map=covering_id_map(manifest, columns["graph/node_ids"]),
+        label_pairs=packed_pairs,
         backing=handles,
         file_specs=specs,
     )
@@ -160,21 +191,150 @@ def _load(cloud: MemoryCloud, manifest: SnapshotManifest) -> float:
     return cloud.loading_seconds
 
 
+def _overlay(
+    cloud: MemoryCloud,
+    manifest: SnapshotManifest,
+    records: Sequence[DeltaRecord],
+    columns: Dict[str, np.ndarray],
+    packed_pairs: Tuple[int, Dict[Tuple[int, int], np.ndarray]],
+) -> Tuple[Dict[str, np.ndarray], LabelTable, int, Tuple[int, Dict]]:
+    """Splice pending ``records`` into the attached image of ``manifest``.
+
+    Returns the merged ``(columns, label table, edge count, packed label
+    pairs)``.  Costs the log plus one block copy of each column the log
+    changes; every other column stays the ``np.memmap`` view it was
+    attached as:
+
+    * Assignment is sticky: a node the snapshot holds keeps its stored
+      machine (as on a clean open); only nodes the log adds are placed, by
+      the cloud's partitioner.  ``assignment/*`` and ``graph/node_ids`` are
+      copied only when there are such nodes, ``graph/label_ids`` only for
+      them or a relabel.
+    * Each machine's partition takes the node records it owns and the
+      half-edges leaving its nodes through :func:`splice_csr`, so a machine
+      no record touches keeps all four of its columns file-backed.
+    * Label pairs: see :func:`_overlay_label_pairs`.
+    """
+    machine_count = manifest.machine_count
+    delta = normalize_records(
+        records, manifest.labels, columns["graph/node_ids"], columns["graph/label_ids"]
+    )
+    node_ids, label_ids, inserted = upsert_rows(
+        columns["graph/node_ids"], columns["graph/label_ids"],
+        delta.node_ids, delta.label_ids,
+    )
+    machines = columns["assignment/machines"]
+    columns = {**columns, "graph/label_ids": label_ids}
+    if len(inserted):
+        new_ids = delta.node_ids[delta.is_new]
+        new_nodes = LabeledGraph.from_csr(
+            delta.label_table, new_ids, delta.label_ids[delta.is_new],
+            np.zeros(len(new_ids) + 1, dtype=OFFSET_DTYPE),
+            np.empty(0, dtype=NODE_DTYPE), 0,
+        )
+        placed = cloud.config.partitioner.assign(new_nodes, machine_count)
+        machines = np.insert(machines, inserted, placed.machine_array_for(new_ids))
+        columns["graph/node_ids"] = columns["assignment/ids"] = node_ids
+        columns["assignment/machines"] = machines
+
+    named_owner = machines[np.searchsorted(node_ids, delta.node_ids)]
+    source_owner = machines[np.searchsorted(node_ids, delta.sources)]
+    added = 0
+    for machine_id in range(machine_count):
+        names = [f"machine{machine_id}/{column}" for column in MACHINE_COLUMNS]
+        named_here = named_owner == machine_id
+        leaving = source_owner == machine_id
+        if not (named_here.any() or leaving.any()):
+            continue
+        partition, added_here = splice_csr(
+            tuple(columns[name] for name in names),
+            delta.node_ids[named_here], delta.label_ids[named_here],
+            delta.sources[leaving], delta.targets[leaving],
+        )
+        columns.update(zip(names, partition))
+        added += added_here
+    # The stored CSR is symmetric, so new half-edges come in mirrored pairs.
+    edge_count = manifest.edge_count + added // 2
+
+    label_pairs: Tuple[int, Dict] = (1, {})
+    if cloud.config.track_label_pairs:
+        label_pairs = _overlay_label_pairs(
+            manifest, delta, columns, edge_count, packed_pairs
+        )
+    return columns, delta.label_table, edge_count, label_pairs
+
+
+def _overlay_label_pairs(
+    manifest: SnapshotManifest,
+    delta: NormalizedLog,
+    columns: Dict[str, np.ndarray],
+    edge_count: int,
+    packed_pairs: Tuple[int, Dict[Tuple[int, int], np.ndarray]],
+) -> Tuple[int, Dict[Tuple[int, int], np.ndarray]]:
+    """The merged image's packed label pairs, derived from the log alone.
+
+    Nodes keep their machine and (unless relabelled) their label, so every
+    stored key stays true: the result is the stored keys — re-encoded when
+    the log interned a label, because the packing base is the label count —
+    united with the keys of the log's edges; a machine pair the log adds
+    nothing to keeps its file-backed array.  Only a relabelled node can make
+    a stored key vanish; then, and when the snapshot stored no keys at all
+    (it was saved without tracking), they are re-derived from the merged
+    partitions, which is the one O(graph) step an overlay can take.
+    """
+    machine_count = manifest.machine_count
+    node_ids, label_ids = columns["graph/node_ids"], columns["graph/label_ids"]
+    machines = columns["assignment/machines"]
+    if not delta.is_new.all() or not manifest.cloud.get("track_label_pairs", True):
+        offsets, neighbors = _global_csr(columns, machine_count)
+        merged = LabeledGraph.from_csr(
+            delta.label_table, node_ids, label_ids, offsets, neighbors, edge_count
+        )
+        return cross_machine_label_pairs(merged, machines, machine_count)
+
+    forward = delta.sources < delta.targets
+    source_rows = np.searchsorted(node_ids, delta.sources[forward])
+    target_rows = np.searchsorted(node_ids, delta.targets[forward])
+    base, fresh_pairs = pack_label_pairs(
+        label_ids[source_rows], label_ids[target_rows],
+        machines[source_rows], machines[target_rows],
+        len(delta.label_table), machine_count,
+    )
+    stored_base, stored_pairs = packed_pairs
+    pairs = {
+        pair: keys if base == stored_base
+        else keys // stored_base * base + keys % stored_base
+        for pair, keys in stored_pairs.items()
+    }
+    for pair, keys in fresh_pairs.items():
+        held = pairs.get(pair, keys[:0])
+        unseen = keys[~membership_mask(held, keys)]
+        if len(unseen):
+            pairs[pair] = np.insert(held, np.searchsorted(held, unseen), unseen)
+    return base, pairs
+
+
 def load_cloud_snapshot(
     cloud: MemoryCloud, directory: str | Path, *, verify: bool = False
 ) -> float:
     """(Re)load ``cloud`` from a snapshot directory; returns the loading seconds.
 
-    When the snapshot stores cloud state for this machine count and its
-    delta log is empty, every column is adopted as a read-only ``np.memmap``
-    view and the cloud reports the mmap specs as its
-    :attr:`~repro.cloud.cluster.MemoryCloud.storage_publication`.  Otherwise
-    (pending deltas, graph-only snapshot, or a different machine count) the
-    graph is rebuilt with the delta overlay replayed and partitioned afresh.
-    Either way ``load_generation`` is bumped.  ``manifest.json`` and
-    ``deltas.log`` are each parsed once.
+    When the snapshot stores cloud state for this machine count, every
+    column is adopted as a read-only ``np.memmap`` view.  With an empty
+    delta log that is the whole open, and the cloud reports the mmap specs
+    as its :attr:`~repro.cloud.cluster.MemoryCloud.storage_publication`.
+    Pending records are spliced into that image (see :func:`_overlay` for
+    what is copied and what stays file-backed); ``storage_publication`` is
+    then ``None``, since part of the image lives in RAM.  Nodes the snapshot
+    holds keep their stored machine either way; the cloud's partitioner
+    places only nodes the log adds.  A graph-only snapshot or a different
+    machine count has no partitioning to keep: the graph (log replayed) goes
+    through :meth:`~repro.cloud.cluster.MemoryCloud.load_graph`.  Either way
+    ``load_generation`` is bumped.  ``manifest.json`` and ``deltas.log`` are
+    each parsed once.
     """
-    return _load(cloud, read_manifest(directory, verify=verify))
+    manifest = read_manifest(directory, verify=verify)
+    return load_parsed_snapshot(cloud, manifest, DeltaLog(manifest.directory).read())
 
 
 def open_cloud_snapshot(
@@ -191,5 +351,5 @@ def open_cloud_snapshot(
     """
     manifest = read_manifest(directory, verify=verify)
     cloud = MemoryCloud(config or cluster_config_from_manifest(manifest))
-    _load(cloud, manifest)
+    load_parsed_snapshot(cloud, manifest, DeltaLog(manifest.directory).read())
     return cloud

@@ -7,35 +7,49 @@ in place — the same discipline LogBase applies to its cloud storage:
 * **append** — :class:`DeltaLog` appends edge/label records to a plain
   text ``deltas.log`` next to the manifest; an append is one ``write``
   syscall, never a rewrite of the columns.
-* **replay** — :func:`replay_deltas` merges the log over a base graph at
-  open time, producing the up-to-date graph as an in-RAM overlay (the
-  vectorized bulk-ingest path of
-  :meth:`~repro.graph.labeled_graph.LabeledGraph.from_arrays` does the
-  heavy lifting).
-* **compact** — :func:`compact_snapshot` folds the log into a new base
-  generation and truncates it, restoring near-constant reopen cost.
+* **replay** — a *merge*, not a rebuild: :func:`normalize_records` digests
+  the log (the only Python loop, and it is over the log), and
+  :func:`splice_csr` splices the result into a CSR — only the rows an
+  endpoint touches are searched, each column the log changes is written in
+  one block copy, and every other column stays the very array (``np.memmap``
+  view) it was.  :func:`replay_deltas` applies it to a graph's CSR;
+  :mod:`repro.storage.cloud_snapshot` applies it per machine to an attached
+  cloud image.  Cost: the log, plus a copy of what it changes.
+* **compact** — :func:`compact_snapshot` opens the snapshot that way, writes
+  the result as a new base generation and truncates the log, restoring a
+  fully file-backed reopen.
 
-The log is idempotent by construction: re-adding an edge the base already
-has collapses in the duplicate-edge dedup of the bulk loader, and a node
-record for an existing ID is a relabel.  A crash between the compacted
-base landing and the log truncating therefore replays harmlessly.
+The log is idempotent by construction: an edge its row already holds is
+dropped by the splice, and a node record for an existing ID is a relabel.
+A crash between the compacted base landing and the log truncating therefore
+replays harmlessly.
 
 Record grammar (tab-separated, one record per line; ``#`` comments and
 blank lines ignored)::
 
     edge<TAB>u<TAB>v
     node<TAB>id<TAB>label
+
+A label is written only if that grammar reads it back unchanged: not empty,
+no leading or trailing whitespace, no tab, CR or LF (:meth:`DeltaRecord.line`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import GraphError, StorageError
+from repro.errors import StorageError
+from repro.graph.label_table import LabelTable
+from repro.graph.labeled_graph import (
+    LABEL_DTYPE,
+    NODE_DTYPE,
+    OFFSET_DTYPE,
+    LabeledGraph,
+)
 from repro.storage.snapshot import (
     DELTA_LOG_NAME,
     SnapshotManifest,
@@ -43,6 +57,7 @@ from repro.storage.snapshot import (
     read_manifest,
     save_graph_snapshot,
 )
+from repro.utils.arrays import membership_mask, sorted_lookup
 
 
 @dataclass(frozen=True)
@@ -62,10 +77,22 @@ class DeltaRecord:
     label: str = ""
 
     def line(self) -> str:
-        """The record's serialized log line (no newline)."""
+        """The record's serialized log line (no newline).
+
+        Raises:
+            StorageError: for a node label the line grammar cannot read
+                back — empty, padded with whitespace, or holding a tab,
+                CR or LF.
+        """
         if self.op == "edge":
             return f"edge\t{self.node_id}\t{self.other}"
-        return f"node\t{self.node_id}\t{self.label}"
+        label = self.label
+        if not label or label != label.strip() or any(c in label for c in "\t\r\n"):
+            raise StorageError(
+                f"node {self.node_id}: label {label!r} cannot be written to a "
+                "delta log (empty, leading/trailing whitespace, or tab/CR/LF)"
+            )
+        return f"node\t{self.node_id}\t{label}"
 
 
 class DeltaLog:
@@ -90,7 +117,9 @@ class DeltaLog:
     def append(self, records: Iterable[DeltaRecord]) -> int:
         """Append records (one ``open``/``write`` for the whole batch).
 
-        Returns the number of records appended.
+        Every record is serialized before the file is opened, so a record
+        that cannot be (see :meth:`DeltaRecord.line`) leaves the log as it
+        was.  Returns the number of records appended.
         """
         lines = [record.line() for record in records]
         if not lines:
@@ -155,100 +184,270 @@ class DeltaLog:
             self._path.unlink()
 
 
+class NormalizedLog(NamedTuple):
+    """A parsed log, normalized against the node IDs it is replayed over.
+
+    Attributes:
+        label_table: the base's labels plus every label the log interned,
+            in record order.
+        node_ids: sorted IDs a node record adds or relabels (the latest
+            record of an ID wins; one restating the base's label is dropped).
+        label_ids: their labels, parallel.
+        is_new: which of ``node_ids`` the base does not hold.
+        sources / targets: the edge records as directed half-edges (both
+            orientations), sorted by ``(source, target)`` and duplicate-free.
+    """
+
+    label_table: LabelTable
+    node_ids: np.ndarray
+    label_ids: np.ndarray
+    is_new: np.ndarray
+    sources: np.ndarray
+    targets: np.ndarray
+
+
+def normalize_records(
+    records: Sequence[DeltaRecord],
+    labels: Sequence[str],
+    node_ids: np.ndarray,
+    label_ids: np.ndarray,
+) -> NormalizedLog:
+    """Digest ``records`` against a base's sorted ``node_ids`` / ``label_ids``.
+
+    The only Python-level loop of a replay, and it is over the log.  Every
+    check a rebuild of the graph would make happens here, before anything
+    is spliced.
+
+    Raises:
+        StorageError: on a self-loop, or an edge endpoint that neither the
+            base nor a node record anywhere in the log labels.
+    """
+    table = LabelTable(labels)
+    labelled: dict = {}  # id -> label_id, later records win
+    edges: List[Tuple[int, int]] = []
+    for record in records:
+        if record.op == "edge":
+            edges.append((record.node_id, record.other))
+        else:
+            labelled[record.node_id] = table.intern(record.label)
+    named = np.fromiter(labelled.keys(), dtype=NODE_DTYPE, count=len(labelled))
+    named_labels = np.fromiter(
+        labelled.values(), dtype=LABEL_DTYPE, count=len(labelled)
+    )
+    order = np.argsort(named)
+    named, named_labels = named[order], named_labels[order]
+    rows, held = sorted_lookup(node_ids, named)
+    effective = ~held
+    effective[held] = label_ids[rows[held]] != named_labels[held]
+    named, named_labels, held = named[effective], named_labels[effective], held[effective]
+
+    first, second = np.asarray(edges, dtype=NODE_DTYPE).reshape(-1, 2).T
+    loops = first == second
+    if loops.any():
+        raise StorageError(
+            "delta log replay failed: self-loop on node "
+            f"{int(first[np.argmax(loops)])} is not allowed"
+        )
+    new_ids = named[~held]
+    first_missing, second_missing = (
+        ~(membership_mask(node_ids, end) | membership_mask(new_ids, end))
+        for end in (first, second)
+    )
+    missing = first_missing | second_missing
+    if missing.any():
+        at = int(np.argmax(missing))
+        bad = int(first[at]) if first_missing[at] else int(second[at])
+        raise StorageError(
+            f"delta log replay failed: edge endpoint {bad} has no label"
+        )
+
+    sources = np.concatenate((first, second))
+    targets = np.concatenate((second, first))
+    order = np.lexsort((targets, sources))
+    sources, targets = sources[order], targets[order]
+    distinct = np.ones(len(sources), dtype=bool)
+    distinct[1:] = (sources[1:] != sources[:-1]) | (targets[1:] != targets[:-1])
+    return NormalizedLog(
+        table, named, named_labels, ~held, sources[distinct], targets[distinct]
+    )
+
+
+def upsert_rows(
+    node_ids: np.ndarray,
+    label_ids: np.ndarray,
+    named: np.ndarray,
+    named_labels: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(node_ids, label_ids)`` with the sorted ``named`` IDs (re)labelled.
+
+    IDs the columns hold take their new label, the others become rows.
+    Also returns the position in the old ``node_ids`` each new row was
+    inserted before (parallel columns insert there too).  A column nothing
+    changes in comes back as the object handed in; a changed one is copied
+    once per kind of change.
+    """
+    rows, held = sorted_lookup(node_ids, named)
+    if held.any():
+        label_ids = np.array(label_ids)  # the base may be a read-only view
+        label_ids[rows[held]] = named_labels[held]
+    inserted = np.searchsorted(node_ids, named[~held])
+    if len(inserted):
+        node_ids = np.insert(node_ids, inserted, named[~held])
+        label_ids = np.insert(label_ids, inserted, named_labels[~held])
+    return node_ids, label_ids, inserted
+
+
+def _positions_in_rows(
+    neighbors: np.ndarray, starts: np.ndarray, stops: np.ndarray, targets: np.ndarray
+) -> np.ndarray:
+    """``searchsorted`` of each target inside its own ``neighbors[start:stop]``.
+
+    A lock-step bisection over all targets at once: as many vectorized
+    rounds as the longest touched row has bits, and no element of
+    ``neighbors`` outside the touched rows is read.
+    """
+    low, high = starts.copy(), stops.copy()
+    active = low < high
+    while active.any():
+        middle = (low + high) >> 1
+        right = active.copy()
+        right[active] = neighbors[middle[active]] < targets[active]
+        low = np.where(right, middle + 1, low)
+        high = np.where(active & ~right, middle, high)
+        active = low < high
+    return low
+
+
+def splice_csr(
+    csr: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    named: np.ndarray,
+    named_labels: np.ndarray,
+    sources: np.ndarray,
+    targets: np.ndarray,
+) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], int]:
+    """Splice node records and half-edges into a ``(node_ids, label_ids,
+    offsets, neighbors)`` CSR; returns the new quadruple and the number of
+    half-edges it did not already hold.
+
+    ``named`` / ``named_labels`` are sorted node records (see
+    :func:`upsert_rows`); ``sources`` / ``targets`` are directed half-edges
+    sorted by ``(source, target)`` and duplicate-free, every source a row
+    of the result.  Only the touched rows are searched; a half-edge its row
+    already holds is dropped.  Each column that changes is written in one
+    pass (``np.insert``, offsets by ``cumsum``) and each column that does
+    not is returned as the very object handed in, so ``np.memmap`` views
+    stay file-backed.
+    """
+    base_ids, _base_labels, offsets, neighbors = csr
+    node_ids, label_ids, inserted = upsert_rows(*csr[:2], named, named_labels)
+    # Row of each source in the old columns (for a new node: where its row
+    # goes, an empty row) bounds the slice its target is searched in.
+    old_rows = np.searchsorted(base_ids, sources)
+    starts = offsets[old_rows]
+    stops = offsets[old_rows + membership_mask(base_ids, sources)]
+    positions = _positions_in_rows(neighbors, starts, stops, targets)
+    inside = np.flatnonzero(positions < stops)
+    fresh = np.ones(len(targets), dtype=bool)
+    fresh[inside] = neighbors[positions[inside]] != targets[inside]
+    added = int(fresh.sum())
+    if added:
+        # Equal positions keep their (source, target) order, which is row
+        # order and then neighbor order: exactly the CSR invariant.
+        neighbors = np.insert(neighbors, positions[fresh], targets[fresh])
+    if added or len(inserted):
+        counts = np.diff(offsets)
+        if len(inserted):
+            counts = np.insert(counts, inserted, 0)
+        counts += np.bincount(
+            np.searchsorted(node_ids, sources[fresh]), minlength=len(counts)
+        )
+        offsets = np.zeros(len(counts) + 1, dtype=OFFSET_DTYPE)
+        np.cumsum(counts, out=offsets[1:])
+    return (node_ids, label_ids, offsets, neighbors), added
+
+
 def replay_deltas(base, records: Sequence[DeltaRecord]):
     """Merge log records over ``base``, returning the up-to-date graph.
 
     Node records for unknown IDs add nodes; for existing IDs they relabel.
-    Edge records for edges the base already has are no-ops (the bulk
-    loader collapses duplicates).  The result is a fresh in-RAM
-    :class:`~repro.graph.labeled_graph.LabeledGraph`; ``base`` (possibly
-    memmap-backed) is never mutated.
+    Edge records for edges the base already has are no-ops.  The records
+    are spliced into the base's CSR (:func:`splice_csr`): the result shares
+    every column the log does not change with ``base`` (possibly
+    memmap-backed), which is never mutated.
 
     Raises:
         StorageError: when a record is inconsistent with the graph (edge
             endpoint without a label, self-loop).
     """
-    from repro.graph.label_table import LabelTable
-    from repro.graph.labeled_graph import LABEL_DTYPE, NODE_DTYPE, LabeledGraph
-
     if not records:
         return base
-    node_ids = np.asarray(base.node_id_array())
-    # Copy: relabels scatter into it, and the base may be a read-only view.
-    label_ids = np.array(base.label_id_array(), dtype=LABEL_DTYPE)
-    table = LabelTable(base.label_table.labels())
-
-    added: dict = {}  # id -> label_id, later records win
-    edge_sources: List[int] = []
-    edge_targets: List[int] = []
-    for record in records:
-        if record.op == "edge":
-            edge_sources.append(record.node_id)
-            edge_targets.append(record.other)
-            continue
-        label_id = table.intern(record.label)
-        row = int(np.searchsorted(node_ids, record.node_id))
-        if row < len(node_ids) and int(node_ids[row]) == record.node_id:
-            label_ids[row] = label_id
-        else:
-            added[record.node_id] = label_id
-
-    all_ids = np.concatenate(
-        (node_ids, np.fromiter(added.keys(), dtype=NODE_DTYPE, count=len(added)))
+    csr = (
+        base.node_id_array(),
+        base.label_id_array(),
+        base.offset_array(),
+        base.neighbor_array(),
     )
-    all_labels = np.concatenate(
-        (
-            label_ids,
-            np.fromiter(added.values(), dtype=LABEL_DTYPE, count=len(added)),
-        )
+    delta = normalize_records(records, base.label_table.labels(), *csr[:2])
+    merged, added = splice_csr(
+        csr, delta.node_ids, delta.label_ids, delta.sources, delta.targets
     )
-    counts = np.diff(base.offset_array())
-    neighbors = base.neighbor_array()
-    sources = np.repeat(node_ids, counts)
-    forward = sources < neighbors
-    src = np.concatenate(
-        (sources[forward], np.asarray(edge_sources, dtype=NODE_DTYPE))
+    return LabeledGraph.from_csr(
+        delta.label_table, *merged, base.edge_count + added // 2
     )
-    dst = np.concatenate(
-        (neighbors[forward], np.asarray(edge_targets, dtype=NODE_DTYPE))
-    )
-    try:
-        return LabeledGraph.from_arrays(table, all_ids, all_labels, src, dst)
-    except GraphError as error:
-        raise StorageError(f"delta log replay failed: {error}")
 
 
 def compact_snapshot(directory: str | Path, verify: bool = False) -> SnapshotManifest:
     """Fold the delta log into a new base snapshot generation.
 
-    Replays the log over the base, rewrites the snapshot in place (data
-    file then manifest, each atomically replaced) with ``generation + 1``,
-    and truncates the log.  A snapshot that stored cloud state is
-    re-partitioned with the partitioner recorded in its manifest, so the
-    compacted base reopens on the fast path again.  With an empty log this
+    Opens the snapshot exactly as a reader would (the log spliced over the
+    base, see :func:`replay_deltas`; a snapshot that stored cloud state
+    keeps its partitioning, see
+    :func:`repro.storage.cloud_snapshot.load_cloud_snapshot`), rewrites it in
+    place (data file then manifest, each atomically replaced) with
+    ``generation + 1``, and truncates the log, so the compacted base
+    reopens with every column file-backed again.  With an empty log this
     is a no-op returning the current manifest.  ``manifest.json`` and
     ``deltas.log`` are each parsed once.
 
     Callers holding an open cloud over this directory should reopen (or
     :meth:`~repro.cloud.cluster.MemoryCloud.load_snapshot`, which bumps
     ``load_generation`` and thereby invalidates plan caches).
+
+    Raises:
+        StorageError: when the log adds a node beyond the snapshot's
+            persisted ``id_map``.  Opening such a snapshot serves dense
+            IDs with a warning; folding it would drop the caller's
+            external IDs for good, so nothing is written.
     """
     manifest = read_manifest(directory, verify=verify)
     log = DeltaLog(manifest.directory)
     records = log.read()
     if not records:
         return manifest
-    merged = graph_from_manifest(manifest, records)
+    if manifest.id_map is not None:
+        mapped = int(manifest.id_map["count"])
+        for record in records:
+            if record.op == "node" and record.node_id >= mapped:
+                raise StorageError(
+                    f"cannot compact snapshot {manifest.directory}: node "
+                    f"{record.node_id} lies beyond its id_map ({mapped} "
+                    "external IDs); re-ingest the dataset instead"
+                )
     generation = manifest.generation + 1
     if manifest.has_cloud_state:
         from repro.cloud.cluster import MemoryCloud
-        from repro.storage.cloud_snapshot import cluster_config_from_manifest
+        from repro.storage.cloud_snapshot import (
+            cluster_config_from_manifest,
+            load_parsed_snapshot,
+            save_cloud_snapshot,
+        )
 
-        cloud = MemoryCloud.from_graph(merged, cluster_config_from_manifest(manifest))
-        new_manifest = cloud.save_snapshot(directory, generation=generation)
+        cloud = MemoryCloud(cluster_config_from_manifest(manifest))
+        load_parsed_snapshot(cloud, manifest, records)
+        new_manifest = save_cloud_snapshot(cloud, directory, generation=generation)
     else:
         new_manifest = save_graph_snapshot(
-            merged, directory, generation=generation
+            graph_from_manifest(manifest, records), directory, generation=generation
         )
     log.clear()
     return new_manifest

@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -160,6 +161,27 @@ class SnapshotManifest:
                 handle.close()
 
         return IdMap.from_manifest(self.id_map, attach_copy)
+
+
+def covering_id_map(manifest: SnapshotManifest, node_ids: np.ndarray):
+    """The persisted :class:`~repro.ingest.IdMap` if it covers ``node_ids``.
+
+    ``node_ids`` are the sorted IDs of the graph being opened.  When deltas
+    appended nodes the persisted map never saw, external-ID translation
+    would be wrong: a warning is issued and ``None`` returned, so the
+    reopened graph reports its stored (dense) IDs until the dataset is
+    re-ingested.  ``None`` also when the snapshot persists no map.
+    """
+    id_map = manifest.load_id_map()
+    if id_map is None or not len(node_ids) or int(node_ids[-1]) < len(id_map):
+        return id_map
+    warnings.warn(
+        f"snapshot {manifest.directory} has nodes beyond its id_map "
+        f"({int(node_ids[-1])} >= {len(id_map)}); "
+        "dropping the external-ID mapping",
+        stacklevel=3,
+    )
+    return None
 
 
 def snapshot_exists(directory: str | Path) -> bool:
@@ -353,10 +375,10 @@ def open_graph_snapshot(
 
     The base columns are adopted as read-only ``np.memmap`` views — the
     graph is usable immediately and pages fault in on first access.  With
-    ``replay`` (the default) a non-empty delta log is merged over the base
-    (see :func:`repro.storage.delta.replay_deltas`), which materializes the
-    merged graph in RAM; pass ``replay=False`` to read the base generation
-    only.
+    ``replay`` (the default) a non-empty delta log is spliced into the base
+    (see :func:`repro.storage.delta.replay_deltas`): the columns it changes
+    are copied into RAM, the others stay memmap views; pass ``replay=False``
+    to read the base generation only.
 
     Returns the graph; its ``snapshot_manifest`` attribute carries the
     parsed :class:`SnapshotManifest` for callers that need the metadata.
@@ -396,21 +418,6 @@ def graph_from_manifest(manifest: SnapshotManifest, records: Sequence = ()):
         from repro.storage.delta import replay_deltas
 
         graph = replay_deltas(graph, records)
-    id_map = manifest.load_id_map()
-    if id_map is not None:
-        if graph.node_count and int(graph.node_id_array()[-1]) >= len(id_map):
-            # Deltas appended nodes the persisted map never saw; external-ID
-            # translation would be wrong, so the reopened graph reports its
-            # stored (dense) IDs until the dataset is re-ingested.
-            import warnings
-
-            warnings.warn(
-                f"snapshot {manifest.directory} has nodes beyond its id_map "
-                f"({int(graph.node_id_array()[-1])} >= {len(id_map)}); "
-                "dropping the external-ID mapping",
-                stacklevel=2,
-            )
-        else:
-            graph.id_map = id_map
+    graph.id_map = covering_id_map(manifest, graph.node_id_array())
     graph.snapshot_manifest = manifest
     return graph

@@ -20,8 +20,13 @@ source for those fixtures:
 * :func:`injective_mask` / :func:`oracle_join` — the row-sort injectivity
   mask and an unbudgeted bucket join, the join's row-for-row reference
   (:func:`pair_join` spells the two-table case of the real join);
+* :func:`assert_same_image` — two clouds hold the same columns, label
+  pairs and counts, values and dtypes;
 * :func:`bound_set` — a query node's binding array as a set, for
   assertions that do not care about order;
+* :func:`oracle_replay` — delta-log replay by rebuilding the whole graph
+  (expand, concatenate, ``from_arrays``), the splice's column-for-column
+  reference;
 * :func:`csr_from_cells` / :func:`machine_from_cells` /
   :func:`label_index_from_pairs` — CSR columns, a standalone `Machine`,
   and a `LabelIndex` adopted from hand-written cells.
@@ -42,6 +47,7 @@ from repro.cloud.label_index import LabelIndex
 from repro.cloud.machine import Machine
 from repro.core.join import multiway_join
 from repro.core.stwig import STwig
+from repro.errors import GraphError, StorageError
 from repro.graph.label_table import LabelTable
 from repro.graph.labeled_graph import (
     LABEL_DTYPE,
@@ -75,6 +81,31 @@ def assert_same_matches(actual: Iterable[Dict[str, int]], expected: Iterable[Dic
     assert actual_normalized == expected_normalized, (
         f"match sets differ: {len(actual_normalized)} vs {len(expected_normalized)} rows"
     )
+
+
+def assert_same_array(actual, expected, what) -> None:
+    """Assert two arrays agree in dtype and in every value."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype, f"{what}: {actual.dtype} vs {expected.dtype}"
+    assert np.array_equal(actual, expected), f"{what}: {actual} vs {expected}"
+
+
+def assert_same_image(actual: MemoryCloud, expected: MemoryCloud) -> None:
+    """Assert two clouds hold the same image: every column (values and
+    dtypes), the packed label pairs, the counts and the label table."""
+    actual_columns, expected_columns = actual.columns(), expected.columns()
+    assert list(actual_columns) == list(expected_columns)
+    for name, column in actual_columns.items():
+        assert_same_array(column, expected_columns[name], name)
+    actual_base, actual_pairs = actual.packed_label_pairs()
+    expected_base, expected_pairs = expected.packed_label_pairs()
+    assert actual_base == expected_base
+    assert sorted(actual_pairs) == sorted(expected_pairs)
+    for pair, keys in actual_pairs.items():
+        assert_same_array(keys, expected_pairs[pair], f"labelpairs/{pair}")
+    assert actual.edge_count == expected.edge_count
+    assert actual.node_count == expected.node_count
+    assert actual.label_table.labels() == expected.label_table.labels()
 
 
 def bound_set(bindings, node: str):
@@ -172,6 +203,64 @@ def oracle_join(tables, order: Sequence[int], columns=None) -> np.ndarray:
     if columns is not None:
         rows = rows[:, [names.index(column) for column in columns]]
     return rows
+
+
+# -- the rebuild replay (reference) ------------------------------------------
+
+
+def oracle_replay(base: LabeledGraph, records) -> LabeledGraph:
+    """``records`` replayed over ``base`` by rebuilding the graph from scratch.
+
+    The replay ``repro.storage.delta.replay_deltas`` ran until it became a
+    splice: the CSR expanded back to an edge list, the log concatenated,
+    everything re-sorted through the bulk loader (which collapses duplicate
+    edges and rejects self-loops and unlabeled endpoints).  O(graph) per
+    call, which is why it lives here.
+    """
+    if not records:
+        return base
+    node_ids = np.asarray(base.node_id_array())
+    label_ids = np.array(base.label_id_array(), dtype=LABEL_DTYPE)
+    table = LabelTable(base.label_table.labels())
+
+    added: dict = {}  # id -> label_id, later records win
+    edge_sources: List[int] = []
+    edge_targets: List[int] = []
+    for record in records:
+        if record.op == "edge":
+            edge_sources.append(record.node_id)
+            edge_targets.append(record.other)
+            continue
+        label_id = table.intern(record.label)
+        row = int(np.searchsorted(node_ids, record.node_id))
+        if row < len(node_ids) and int(node_ids[row]) == record.node_id:
+            label_ids[row] = label_id
+        else:
+            added[record.node_id] = label_id
+
+    all_ids = np.concatenate(
+        (node_ids, np.fromiter(added.keys(), dtype=NODE_DTYPE, count=len(added)))
+    )
+    all_labels = np.concatenate(
+        (
+            label_ids,
+            np.fromiter(added.values(), dtype=LABEL_DTYPE, count=len(added)),
+        )
+    )
+    counts = np.diff(base.offset_array())
+    neighbors = base.neighbor_array()
+    sources = np.repeat(node_ids, counts)
+    forward = sources < neighbors
+    src = np.concatenate(
+        (sources[forward], np.asarray(edge_sources, dtype=NODE_DTYPE))
+    )
+    dst = np.concatenate(
+        (neighbors[forward], np.asarray(edge_targets, dtype=NODE_DTYPE))
+    )
+    try:
+        return LabeledGraph.from_arrays(table, all_ids, all_labels, src, dst)
+    except GraphError as error:
+        raise StorageError(f"delta log replay failed: {error}")
 
 
 # -- canonical small graphs/queries ----------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.baselines.vf2 import vf2_match
@@ -11,9 +12,11 @@ from repro.core.engine import SubgraphMatcher
 from repro.graph.generators import generate_gnm
 from repro.graph.partition import BlockPartitioner, RoundRobinPartitioner
 from repro.query.query_graph import QueryGraph
+from repro.errors import StorageError
 from repro.storage.cloud_snapshot import cluster_config_from_manifest
-from repro.storage.delta import DeltaLog, compact_snapshot
+from repro.storage.delta import DeltaLog, DeltaRecord, compact_snapshot, replay_deltas
 from repro.storage.snapshot import read_manifest, save_graph_snapshot
+from tests.helpers import assert_same_image
 
 
 @pytest.fixture
@@ -212,6 +215,121 @@ class TestParseOnce:
         clean = MemoryCloud.open_snapshot(tmp_path / "snap")
         assert clean.storage_publication is not None
         assert parses == {"manifest": 1, "log": 1}
+
+
+class TestOverlayMerge:
+    """Pending deltas are spliced into the attached image, not rebuilt over."""
+
+    def test_reopen_with_pending_edges_rebuilds_nothing(
+        self, tmp_path, cloud, monkeypatch
+    ):
+        import repro.cloud.cluster as cluster_module
+        import repro.storage.cloud_snapshot as cloud_snapshot_module
+        from repro.graph.labeled_graph import LabeledGraph
+        from repro.graph.partition import PARTITIONERS
+
+        cloud.save_snapshot(tmp_path / "snap")
+        DeltaLog(tmp_path / "snap").append_edges([(0, 79), (78, 1), (0, 79)])
+        def spy(name):
+            def forbidden(*args, **kwargs):
+                raise AssertionError(f"{name} called while merging a delta log")
+
+            return forbidden
+
+        monkeypatch.setattr(MemoryCloud, "load_graph", spy("load_graph"))
+        monkeypatch.setattr(LabeledGraph, "from_arrays", spy("from_arrays"))
+        for partitioner in PARTITIONERS.values():
+            monkeypatch.setattr(partitioner, "assign", spy("Partitioner.assign"))
+        for module in (cluster_module, cloud_snapshot_module):
+            monkeypatch.setattr(
+                module, "cross_machine_label_pairs", spy("cross_machine_label_pairs")
+            )
+
+        overlay = MemoryCloud.open_snapshot(tmp_path / "snap")
+        assert overlay.edge_count == cloud.edge_count + 2
+        assert 79 in overlay.load_neighbors(0).tolist()
+        assert 78 in overlay.load_neighbors(1).tolist()
+
+    def test_edge_only_log_leaves_node_columns_file_backed(self, tmp_path, cloud):
+        cloud.save_snapshot(tmp_path / "snap")
+        DeltaLog(tmp_path / "snap").append_edges([(0, 79), (1, 78)])
+        overlay = MemoryCloud.open_snapshot(tmp_path / "snap")
+        assert overlay.storage_publication is None
+        columns = overlay.columns()
+        untouched = [
+            "graph/node_ids", "graph/label_ids", "assignment/ids", "assignment/machines",
+            *(f"machine{m}/{column}" for m in range(3) for column in ("node_ids", "label_ids")),
+        ]
+        for name in untouched:
+            assert isinstance(columns[name], np.memmap), name
+            assert not columns[name].flags.writeable, name
+        # Only the partitions owning an endpoint got new adjacency columns.
+        touched = {overlay.owner_of(node) for node in (0, 1, 78, 79)}
+        for machine_id in range(3):
+            for column in ("offsets", "neighbors"):
+                in_ram = not isinstance(
+                    columns[f"machine{machine_id}/{column}"], np.memmap
+                )
+                assert in_ram == (machine_id in touched)
+
+    def test_mixed_image_serves_both_executors(self, tmp_path, cloud, graph):
+        query = two_edge_path_query(graph)
+        cloud.save_snapshot(tmp_path / "snap")
+        DeltaLog(tmp_path / "snap").append_edges([(0, 2), (1, 3)])
+        with MemoryCloud.open_snapshot(tmp_path / "snap") as overlay:
+            serial = match_rows(overlay, query, "serial")
+            assert serial
+            assert match_rows(overlay, query, "process") == serial
+
+    def test_untracked_snapshot_opened_by_a_tracking_cloud(self, tmp_path, graph):
+        """No stored keys to extend: the pairs come from the merged partitions."""
+        MemoryCloud.from_graph(
+            graph, ClusterConfig(machine_count=3, track_label_pairs=False)
+        ).save_snapshot(tmp_path / "snap")
+        DeltaLog(tmp_path / "snap").append_edges([(0, 79)])
+        overlay = MemoryCloud.open_snapshot(
+            tmp_path / "snap", ClusterConfig(machine_count=3)
+        )
+        merged = MemoryCloud.from_graph(
+            replay_deltas(graph, [DeltaRecord("edge", 0, 79)]),
+            ClusterConfig(machine_count=3),
+        )
+        # Hash placement depends on the ID alone, so the whole image matches.
+        assert_same_image(overlay, merged)
+
+
+class TestIdMapBeyondCompaction:
+    """A node the persisted ``IdMap`` never saw: open degrades, compact refuses."""
+
+    @pytest.fixture
+    def snapshot(self, tmp_path):
+        from repro.ingest import ingest_edges
+
+        # Four sparse external IDs -> dense 0..3 plus a persisted IdMap.
+        ingested = ingest_edges(
+            np.array([10**12, 10**12 + 5, 7]), np.array([7, 31, 31])
+        )
+        MemoryCloud.from_graph(ingested, ClusterConfig(machine_count=2)).save_snapshot(
+            tmp_path / "snap"
+        )
+        label = ingested.label_table.labels()[0]
+        DeltaLog(tmp_path / "snap").append_nodes([(4, label)])
+        DeltaLog(tmp_path / "snap").append_edges([(4, 0)])
+        return tmp_path / "snap"
+
+    def test_open_warns_and_serves_dense_ids(self, snapshot):
+        with pytest.warns(UserWarning, match=r"beyond its id_map \(4 >= 4\)"):
+            overlay = MemoryCloud.open_snapshot(snapshot)
+        assert overlay.id_map is None
+        assert overlay.node_count == 5
+
+    def test_compact_refuses_and_touches_nothing(self, snapshot):
+        files = ("columns.bin", "manifest.json", "deltas.log")
+        before = {name: (snapshot / name).read_bytes() for name in files}
+        with pytest.raises(StorageError, match=rf"{snapshot}.*node 4 .*id_map"):
+            compact_snapshot(snapshot)
+        assert {name: (snapshot / name).read_bytes() for name in files} == before
+        assert read_manifest(snapshot).id_map == {"kind": "int", "count": 4}
 
 
 class TestQueryParity:

@@ -265,6 +265,17 @@ class TestSnapshotCommands:
         assert main(["open", "--snapshot", str(snapshot_dir)]) == 0
         assert "memmap fast path" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("label", ["", "a\tb", " padded "])
+    def test_append_unwritable_label_exits_nonzero(self, snapshot_dir, label):
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["append", "--snapshot", str(snapshot_dir),
+                 "--node", "9000", label, "--edge", "9000", "0"]
+            )
+        assert exit_info.value.code not in (0, None)
+        assert "cannot be written to a delta log" in str(exit_info.value.code)
+        assert not (snapshot_dir / "deltas.log").exists()
+
     def test_query_from_snapshot_matches_query_from_graph(
         self, graph_prefix, snapshot_dir, tmp_path, capsys
     ):
