@@ -1,9 +1,9 @@
 """The always-on query service under concurrent load.
 
 The paper's engine answers a stream of concurrent queries against a
-resident graph.  This benchmark stands up one
-:class:`~repro.serve.service.QueryService` — graph loaded once, one shared
-executor, one plan cache — and drives the same query mix twice:
+resident graph.  This benchmark opens one ``repro.api`` session — graph
+loaded once, one :class:`~repro.serve.service.QueryService` with one shared
+executor and one plan cache — and drives the same query mix twice:
 
 * **solo** — one client, one query at a time: the latency baseline, and
   the per-query oracle for the parity check;
@@ -46,10 +46,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from report_io import add_report_arguments, save_report
 
-from repro.cloud.config import ClusterConfig, RuntimeConfig
+import repro.api as api
 from repro.graph.generators.power_law import generate_power_law
 from repro.query.generators import dfs_query
-from repro.serve import QueryService, ServiceConfig, ServiceRun, run_concurrent_clients
+from repro.serve import QueryService, ServiceRun, run_concurrent_clients
 
 RESULTS_PATH = Path(__file__).parent / "results" / "service.json"
 
@@ -143,13 +143,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     graph = generate_power_law(nodes, degree, label_density=density, seed=31)
     queries = build_workload(graph, distinct)
-    runtime = RuntimeConfig(backend=args.executor)
-    with QueryService(
-        graph=graph,
-        cluster_config=ClusterConfig(machine_count=MACHINE_COUNT),
-        executor=runtime,
-        service_config=ServiceConfig(max_in_flight=max(clients, 4)),
-    ) as service:
+    with api.connect(
+        graph,
+        machines=MACHINE_COUNT,
+        executor=args.executor,
+        max_in_flight=max(clients, 4),
+    ) as db:
+        service = db.service
         # Provision the runtime (pools, shm publication) outside the window.
         service.warm(queries[0])
         solo = run_concurrent_clients(service, queries, clients=1, limit=ROW_LIMIT)

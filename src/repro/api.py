@@ -12,7 +12,7 @@ matcher, the query service — is reachable through three calls:
   :class:`~repro.cloud.cluster.MemoryCloud` on the zero-copy mmap path.
 * :func:`connect` — any dataset source becomes a :class:`Session`: a
   resident cloud fronted by admission-controlled, thread-safe
-  :meth:`Session.query`, with per-call executor override.
+  :meth:`Session.query`.
 
 Quickstart::
 
@@ -30,28 +30,32 @@ Quickstart::
         for match in result.as_dicts():   # original dataset IDs
             print(match)
 
-The older entry points (``MemoryCloud.from_graph`` + ``SubgraphMatcher``,
-``QueryService``) remain public and unchanged — the facade composes them
-and adds nothing they cannot do; it only decides *for* you.
+This module is the one place a source becomes a loaded cloud and the one
+place the serving knobs are spelled: the CLI is argparse over it, and
+:class:`~repro.serve.service.QueryService` only ever sees the cloud it is
+handed.  The engine underneath (``MemoryCloud`` + ``SubgraphMatcher``) stays
+public for callers that want no service in front.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import ClusterConfig
 from repro.core.planner import MatcherConfig
 from repro.core.result import MatchResult
-from repro.errors import ConfigurationError, GraphError, ServiceError
+from repro.errors import ConfigurationError, GraphError, StorageError
+from repro.graph.io import load_graph
 from repro.graph.labeled_graph import LabeledGraph
 from repro.ingest import degree_band_labeler, ingest_dblp_xml, ingest_edge_list
 from repro.query.parser import parse_query
 from repro.query.query_graph import QueryGraph
-from repro.runtime import ExecutorSpec, resolve_backend
+from repro.runtime import ExecutorSpec
 from repro.serve.service import QueryService, ServiceConfig
 from repro.storage.snapshot import open_graph_snapshot, snapshot_exists
+from repro.workloads import datasets
 
 __all__ = [
     "DATASETS",
@@ -63,24 +67,13 @@ __all__ = [
 
 #: Named built-in datasets :func:`load_dataset` resolves (the synthetic
 #: workload suite; real files are loaded by path).
-DATASETS: Dict[str, Callable[[], LabeledGraph]] = {}
-
-
-def _register_datasets() -> None:
-    from repro.workloads import datasets
-
-    DATASETS.update(
-        {
-            "tiny": datasets.tiny_example_graph,
-            "figure5": datasets.paper_figure5_graph,
-            "patents-small": datasets.patents_small,
-            "wordnet-small": datasets.wordnet_small,
-            "rmat": datasets.rmat_graph,
-        }
-    )
-
-
-_register_datasets()
+DATASETS: Dict[str, Callable[[], LabeledGraph]] = {
+    "tiny": datasets.tiny_example_graph,
+    "figure5": datasets.paper_figure5_graph,
+    "patents-small": datasets.patents_small,
+    "wordnet-small": datasets.wordnet_small,
+    "rmat": datasets.rmat_graph,
+}
 
 #: Any value :func:`load_dataset` accepts.
 DatasetSource = Union[str, os.PathLike, LabeledGraph]
@@ -131,8 +124,6 @@ def load_dataset(
     if os.path.exists(name_or_path + ".labels") and os.path.exists(
         name_or_path + ".edges"
     ):
-        from repro.graph.io import load_graph
-
         return load_graph(name_or_path)
     if os.path.isfile(name_or_path):
         if name_or_path.endswith(".xml"):
@@ -144,6 +135,38 @@ def load_dataset(
         f"({', '.join(sorted(DATASETS))}), snapshot directory, saved "
         "graph prefix, or readable edge-list/DBLP-XML file"
     )
+
+
+def _resolve(
+    source: Union[DatasetSource, MemoryCloud],
+    *,
+    machines: Optional[int] = None,
+    cluster_config: Optional[ClusterConfig] = None,
+    label_mode: str = "degree",
+    verify: bool = False,
+) -> Tuple[MemoryCloud, bool]:
+    """Any source -> ``(loaded cloud, whether the caller now owns it)``.
+
+    The only place in the serving stack that constructs a cloud: a
+    :class:`MemoryCloud` is borrowed as it is, a snapshot directory is
+    attached (in its recorded cluster shape unless one is given), anything
+    else goes through :func:`load_dataset` and is partitioned.
+    """
+    if machines is not None and cluster_config is not None:
+        raise ConfigurationError(
+            "pass the cluster shape either as machines= or inside "
+            "cluster_config=, not both"
+        )
+    if isinstance(source, MemoryCloud):
+        return source, False
+    if machines is not None:
+        cluster_config = ClusterConfig(machine_count=machines)
+    if not isinstance(source, LabeledGraph) and snapshot_exists(source):
+        cloud = MemoryCloud.open_snapshot(source, cluster_config, verify=verify)
+    else:
+        graph = load_dataset(source, label_mode=label_mode)
+        cloud = MemoryCloud.from_graph(graph, cluster_config)
+    return cloud, True
 
 
 def open_snapshot(
@@ -163,56 +186,38 @@ def open_snapshot(
         path: snapshot directory.
         machines: override the machine count (forces a re-partition).
         verify: re-read every array and check its CRC32 before serving.
+
+    Raises:
+        StorageError: when ``path`` holds no snapshot manifest.
     """
-    config = ClusterConfig(machine_count=machines) if machines else None
-    return MemoryCloud.open_snapshot(os.fspath(path), config, verify=verify)
+    if not snapshot_exists(path):
+        raise StorageError(f"no snapshot manifest under {os.fspath(path)!r}")
+    cloud, _ = _resolve(path, machines=machines, verify=verify)
+    return cloud
 
 
 class Session:
     """A resident dataset plus everything needed to query it.
 
-    Obtained from :func:`connect`.  One :class:`QueryService` (one plan
-    cache, one admission semaphore) runs per executor backend, created
-    lazily — so ``query(..., executor="process")`` on a session that
-    normally runs serial spins the process pool up once and reuses it.
+    Obtained from :func:`connect`: one loaded cloud and the one
+    :class:`QueryService` (one plan cache, one admission semaphore, one
+    executor pool) in front of it.  A second backend over the same data is
+    a second session that borrows the cloud —
+    ``api.connect(db.cloud, executor="process")``.
 
     Thread-safe to the same degree as :class:`QueryService`; use as a
     context manager (or call :meth:`close`) to release pools, shared
     memory, and — when the session loaded the dataset itself — the cloud.
     """
 
-    def __init__(
-        self,
-        cloud: MemoryCloud,
-        *,
-        owns_cloud: bool,
-        executor: ExecutorSpec = None,
-        workers: Optional[int] = None,
-        limit: Optional[int] = None,
-        max_row_budget: Optional[int] = None,
-        max_in_flight: int = 8,
-        matcher_config: Optional[MatcherConfig] = None,
-    ) -> None:
+    def __init__(self, cloud: MemoryCloud, service: QueryService, *, owns_cloud: bool) -> None:
         self.cloud = cloud
+        self.service = service
         self._owns_cloud = owns_cloud
-        self._executor = executor
-        self._workers = workers
-        self._limit = limit
-        self._max_row_budget = max_row_budget
-        self._max_in_flight = max_in_flight
-        self._matcher_config = matcher_config
-        self._services: Dict[str, QueryService] = {}
-        self._closed = False
 
     # -- querying ----------------------------------------------------------
 
-    def query(
-        self,
-        q: Union[str, QueryGraph],
-        *,
-        limit: Optional[int] = None,
-        executor: ExecutorSpec = None,
-    ) -> MatchResult:
+    def query(self, q: Union[str, QueryGraph], *, limit: Optional[int] = None) -> MatchResult:
         """Run one subgraph query and return its :class:`MatchResult`.
 
         The answer is an array: ``result.to_array()`` (internal IDs) and
@@ -224,64 +229,31 @@ class Session:
         Args:
             q: a :class:`QueryGraph` or query text for
                 :func:`~repro.query.parser.parse_query`.
-            limit: per-call row budget (else the session default).
-            executor: per-call backend override (e.g. ``"process"``); the
-                session's default backend otherwise.
+            limit: per-call row budget (else the session default); ``0`` is
+                a cheap existence probe, a negative value is rejected.
         """
         query = parse_query(q) if isinstance(q, str) else q
-        service = self._service_for(executor)
-        return service.submit(query, limit=limit)
+        return self.service.submit(query, limit=limit)
 
     def explain(self, q: Union[str, QueryGraph]):
         """The query plan (decomposition, STwig order) without executing."""
         query = parse_query(q) if isinstance(q, str) else q
-        return self._service_for(None).matcher.explain(query)
+        return self.service.matcher.explain(query)
 
     def stats(self):
-        """Service counters of the default backend's query service."""
-        return self._service_for(None).stats()
+        """Counters of the session's query service."""
+        return self.service.stats()
 
     @property
     def id_map(self):
         """The dataset's external-ID map (``None`` for dense-ID graphs)."""
         return self.cloud.id_map
 
-    def _service_for(self, executor: ExecutorSpec) -> QueryService:
-        if self._closed:
-            raise ServiceError("session is closed")
-        spec = executor if executor is not None else self._executor
-        key = spec if isinstance(spec, str) or spec is None else None
-        if key is None and spec is not None:
-            # Non-name specs (RuntimeConfig/Executor) key by identity.
-            key = f"spec-{id(spec)}"
-        else:
-            key = resolve_backend(key)
-        service = self._services.get(key)
-        if service is None:
-            service = QueryService(
-                cloud=self.cloud,
-                matcher_config=self._matcher_config,
-                executor=spec,
-                workers=self._workers,
-                service_config=ServiceConfig(
-                    max_in_flight=self._max_in_flight,
-                    limit=self._limit,
-                    max_row_budget=self._max_row_budget,
-                ),
-            )
-            self._services[key] = service
-        return service
-
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Drain and close every backend service, then the cloud (if owned)."""
-        if self._closed:
-            return
-        self._closed = True
-        for service in self._services.values():
-            service.close()
-        self._services.clear()
+        """Drain and close the service, then the cloud if owned (idempotent)."""
+        self.service.close()
         if self._owns_cloud:
             self.cloud.close()
 
@@ -295,14 +267,14 @@ class Session:
         return (
             f"Session(nodes={self.cloud.node_count}, "
             f"edges={self.cloud.edge_count}, "
-            f"machines={self.cloud.machine_count}, closed={self._closed})"
+            f"machines={self.cloud.machine_count}, closed={self.service.closed})"
         )
 
 
 def connect(
     source: Union[DatasetSource, MemoryCloud],
     *,
-    machines: int = 4,
+    machines: Optional[int] = None,
     executor: ExecutorSpec = None,
     workers: Optional[int] = None,
     limit: Optional[int] = None,
@@ -321,47 +293,30 @@ def connect(
 
     Args:
         source: dataset name/path/graph, snapshot directory, or cloud.
-        machines: cluster size when the source must be partitioned.
-        executor: default runtime backend for queries
+        machines: cluster size to partition the source for (``None`` = 4
+            for a graph, the recorded shape for a snapshot; any explicit
+            value re-partitions a snapshot saved for another count).
+        executor: runtime backend for the session's queries
             (``"serial"``/``"process"``, a RuntimeConfig, or
             an Executor; ``None`` = ``REPRO_EXECUTOR`` env, then serial).
         workers: pool size for the process backend.
         limit: default row budget for queries submitted without one.
         max_row_budget: hard upper bound on any query's row budget.
         max_in_flight: concurrent-query admission bound.
-        cluster_config: full cluster configuration (overrides ``machines``).
+        cluster_config: full cluster configuration (instead of ``machines``).
         matcher_config: engine knobs shared by every query.
         label_mode: forwarded to :func:`load_dataset` for edge-list files.
     """
-    if cluster_config is not None and machines != 4:
-        raise ConfigurationError(
-            "pass the cluster shape either as machines= or inside "
-            "cluster_config=, not both"
-        )
-    if isinstance(source, MemoryCloud):
-        cloud, owns_cloud = source, False
-    elif (
-        not isinstance(source, LabeledGraph)
-        and isinstance(source, (str, os.PathLike))
-        and snapshot_exists(os.fspath(source))
-    ):
-        config = cluster_config
-        if config is None and machines != 4:
-            config = ClusterConfig(machine_count=machines)
-        cloud = MemoryCloud.open_snapshot(os.fspath(source), config)
-        owns_cloud = True
-    else:
-        graph = load_dataset(source, label_mode=label_mode)
-        config = cluster_config or ClusterConfig(machine_count=machines)
-        cloud = MemoryCloud.from_graph(graph, config)
-        owns_cloud = True
-    return Session(
+    cloud, owns_cloud = _resolve(
+        source, machines=machines, cluster_config=cluster_config, label_mode=label_mode
+    )
+    service = QueryService(
         cloud,
-        owns_cloud=owns_cloud,
+        matcher_config=matcher_config,
         executor=executor,
         workers=workers,
-        limit=limit,
-        max_row_budget=max_row_budget,
-        max_in_flight=max_in_flight,
-        matcher_config=matcher_config,
+        service_config=ServiceConfig(
+            max_in_flight=max_in_flight, limit=limit, max_row_budget=max_row_budget
+        ),
     )
+    return Session(cloud, service, owns_cloud=owns_cloud)

@@ -54,16 +54,16 @@ def throughput_vs_machines(
     rows: List[Dict[str, object]] = []
     for machine_count in machine_counts:
         cloud = build_cloud(graph, machine_count=machine_count)
-        matcher = SubgraphMatcher(cloud, FUTURE_WORK_CONFIG)
         per_query_seconds: List[float] = []
-        for query in stream:
-            result = matcher.match(query, limit=PAPER_RESULT_LIMIT)
-            compute = result.wall_seconds / machine_count
-            network = cloud.config.network.network_seconds(
-                result.metrics.get("messages", 0),
-                result.metrics.get("bytes_transferred", 0),
-            )
-            per_query_seconds.append(compute + network)
+        with SubgraphMatcher(cloud, FUTURE_WORK_CONFIG) as matcher:
+            for query in stream:
+                result = matcher.match(query, limit=PAPER_RESULT_LIMIT)
+                compute = result.wall_seconds / machine_count
+                network = cloud.config.network.network_seconds(
+                    result.metrics.get("messages", 0),
+                    result.metrics.get("bytes_transferred", 0),
+                )
+                per_query_seconds.append(compute + network)
         total = sum(per_query_seconds)
         rows.append(
             {
@@ -92,13 +92,13 @@ def transmitted_data_vs_machines(
         config = MatcherConfig(
             max_stwig_leaves=3, use_load_set_pruning=use_load_set_pruning
         )
-        matcher = SubgraphMatcher(cloud, config)
         bytes_per_query: List[int] = []
         rows_per_query: List[int] = []
-        for query in suite.queries:
-            result = matcher.match(query, limit=PAPER_RESULT_LIMIT)
-            bytes_per_query.append(result.metrics.get("bytes_transferred", 0))
-            rows_per_query.append(result.metrics.get("result_rows_shipped", 0))
+        with SubgraphMatcher(cloud, config) as matcher:
+            for query in suite.queries:
+                result = matcher.match(query, limit=PAPER_RESULT_LIMIT)
+                bytes_per_query.append(result.metrics.get("bytes_transferred", 0))
+                rows_per_query.append(result.metrics.get("result_rows_shipped", 0))
         rows.append(
             {
                 "machines": machine_count,
@@ -120,12 +120,12 @@ def response_time_bounds(
     dfs = dfs_suite(graph, 7, batch_size=query_count // 2, seed=seed)
     rnd = random_suite(graph, 7, 14, batch_size=query_count - len(dfs.queries), seed=seed)
     cloud = build_cloud(graph, machine_count=machine_count)
-    matcher = SubgraphMatcher(cloud, FUTURE_WORK_CONFIG)
     latencies: List[float] = []
-    for query in [*dfs.queries, *rnd.queries]:
-        started = time.perf_counter()
-        matcher.match(query, limit=PAPER_RESULT_LIMIT)
-        latencies.append(time.perf_counter() - started)
+    with SubgraphMatcher(cloud, FUTURE_WORK_CONFIG) as matcher:
+        for query in [*dfs.queries, *rnd.queries]:
+            started = time.perf_counter()
+            matcher.match(query, limit=PAPER_RESULT_LIMIT)
+            latencies.append(time.perf_counter() - started)
     latencies.sort()
     rows: List[Dict[str, object]] = []
     for percentile in percentiles:

@@ -67,21 +67,23 @@ def run_suite(
     label: Optional[str] = None,
 ) -> BatchMeasurement:
     """Run every query of ``suite`` through the STwig engine and aggregate."""
-    matcher = SubgraphMatcher(cloud, matcher_config)
     wall_times: List[float] = []
     simulated_times: List[float] = []
     match_counts: List[int] = []
     remote_loads: List[int] = []
     messages: List[int] = []
     transferred_bytes: List[int] = []
-    for query in suite.queries:
-        result = matcher.match(query, limit=result_limit)
-        wall_times.append(result.wall_seconds)
-        simulated_times.append(result.simulated_seconds)
-        match_counts.append(result.match_count)
-        remote_loads.append(result.metrics.get("remote_loads", 0))
-        messages.append(result.metrics.get("messages", 0))
-        transferred_bytes.append(result.metrics.get("bytes_transferred", 0))
+    # Closed on the way out: under the process backend every matcher owns a
+    # worker pool and a shared-memory publication of the cloud.
+    with SubgraphMatcher(cloud, matcher_config) as matcher:
+        for query in suite.queries:
+            result = matcher.match(query, limit=result_limit)
+            wall_times.append(result.wall_seconds)
+            simulated_times.append(result.simulated_seconds)
+            match_counts.append(result.match_count)
+            remote_loads.append(result.metrics.get("remote_loads", 0))
+            messages.append(result.metrics.get("messages", 0))
+            transferred_bytes.append(result.metrics.get("bytes_transferred", 0))
     return BatchMeasurement(
         label=label or suite.name,
         query_count=len(suite.queries),

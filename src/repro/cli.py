@@ -1,6 +1,8 @@
 """Command-line interface for the repro library.
 
-Three subcommands cover the common workflows without writing Python:
+Ten subcommands cover the common workflows without writing Python; every one
+that needs a graph or a cloud gets it from :mod:`repro.api`, so ``query`` and
+``serve`` run exactly the path ``api.connect`` -> ``Session.query`` runs:
 
 * ``generate`` — produce a synthetic labeled graph and save it to disk::
 
@@ -52,28 +54,25 @@ new base generation::
 ``query`` and ``serve`` take their data from exactly one of ``--graph``
 (a saved prefix), ``--dataset`` (anything ``repro.api.load_dataset``
 resolves: a built-in name, an edge list, DBLP XML), or ``--snapshot``
-(near-constant open instead of a reload).
+(near-constant open instead of a reload, in the cluster shape the snapshot
+records).  ``--limit 0`` means unlimited wherever it appears.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
+from repro import api
 from repro.bench import experiments, future_work
 from repro.bench.reporting import format_table
-from repro.cloud.cluster import MemoryCloud
-from repro.cloud.config import (
-    EXECUTOR_BACKENDS,
-    ClusterConfig,
-    RuntimeConfig,
-    resolve_backend,
-)
-from repro.core.engine import SubgraphMatcher
+from repro.cloud.config import EXECUTOR_BACKENDS, resolve_backend
 from repro.core.planner import MatcherConfig
 from repro.core.result import MatchResult
+from repro.errors import StorageError
 from repro.graph.generators import (
     generate_gnm,
     generate_power_law,
@@ -81,8 +80,12 @@ from repro.graph.generators import (
     patents_like,
     wordnet_like,
 )
-from repro.graph.io import load_graph, save_graph
-from repro.query.parser import parse_query
+from repro.graph.io import save_graph
+from repro.ingest import ingest_dblp_xml
+from repro.query.generators import query_workload
+from repro.query.parser import format_query, parse_query
+from repro.serve import run_concurrent_clients
+from repro.storage import DeltaLog, compact_snapshot, read_manifest, save_graph_snapshot
 
 #: Experiment name -> zero-argument driver producing table rows.
 EXPERIMENTS: Dict[str, Callable[[], List[dict]]] = {
@@ -104,10 +107,13 @@ EXPERIMENTS: Dict[str, Callable[[], List[dict]]] = {
     "latency-bounds": future_work.response_time_bounds,
 }
 
-_EXECUTOR_HELP = (
-    f"cluster runtime backend, one of {', '.join(EXECUTOR_BACKENDS)} "
-    "(default: REPRO_EXECUTOR env or serial)"
-)
+
+def _row_limit(text: str) -> Optional[int]:
+    """``--limit``: a non-negative row budget; ``0`` means unlimited."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value or None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,6 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     generate = subparsers.add_parser("generate", help="generate a synthetic labeled graph")
+    generate.set_defaults(handler=_command_generate)
     generate.add_argument(
         "--kind",
         choices=["rmat", "gnm", "power-law", "patents-like", "wordnet-like"],
@@ -132,62 +139,68 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument("--out", required=True, help="output path prefix")
 
-    query = subparsers.add_parser("query", help="run a subgraph query over a saved graph")
-    query.add_argument("--graph", help="graph path prefix (from 'generate')")
-    query.add_argument(
+    # Flag groups shared between verbs, each spelled as api.connect spells it.
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--graph", help="graph path prefix (from 'generate')")
+    source.add_argument(
         "--snapshot",
         help="snapshot directory (from 'save' or 'ingest'); alternative to "
-        "--graph, using the cluster shape recorded in the snapshot",
+        "--graph — opens in near-constant time, in the cluster shape "
+        "recorded in the snapshot",
     )
-    query.add_argument(
+    source.add_argument(
         "--dataset",
         help="dataset for repro.api.load_dataset: a built-in name, an "
         "edge-list file (sparse/string IDs are remapped), or DBLP XML; "
         "alternative to --graph",
     )
-    query.add_argument("--query-file", required=True, help="query in the textual node/edge format")
-    query.add_argument("--machines", type=int, default=4)
-    query.add_argument("--limit", type=int, default=1024)
-    query.add_argument(
+    runtime = argparse.ArgumentParser(add_help=False)
+    runtime.add_argument("--machines", type=int, default=4)
+    runtime.add_argument(
+        "--limit", type=_row_limit, default=1024, help="per-query row budget (0 = unlimited)"
+    )
+    runtime.add_argument(
         "--executor",
         type=resolve_backend,
         default=None,
-        help=_EXECUTOR_HELP,
+        help=f"cluster runtime backend, one of {', '.join(EXECUTOR_BACKENDS)} "
+        "(default: REPRO_EXECUTOR env or serial)",
     )
-    query.add_argument(
+    runtime.add_argument(
         "--workers",
         type=int,
         default=None,
         help="process pool size (default: min(machines, CPU cores))",
     )
+    snapshot_out = argparse.ArgumentParser(add_help=False)
+    snapshot_out.add_argument("--out", required=True, help="snapshot directory to write")
+    snapshot_out.add_argument(
+        "--machines",
+        type=int,
+        default=4,
+        help="partition for this many machines (snapshot reopens fastest "
+        "on the same shape)",
+    )
+
+    query = subparsers.add_parser(
+        "query", parents=[source, runtime], help="run a subgraph query over a saved graph"
+    )
+    query.set_defaults(handler=_command_query)
+    query.add_argument("--query-file", required=True, help="query in the textual node/edge format")
     query.add_argument("--max-stwig-leaves", type=int, default=None)
     query.add_argument("--show", type=int, default=5, help="number of matches to print")
     query.add_argument("--explain", action="store_true", help="print the query plan")
 
     experiment = subparsers.add_parser("experiment", help="run one paper experiment")
+    experiment.set_defaults(handler=_command_experiment)
     experiment.add_argument("name", choices=sorted(EXPERIMENTS))
 
     serve = subparsers.add_parser(
-        "serve", help="answer a stream of stdin queries over a resident graph"
+        "serve",
+        parents=[source, runtime],
+        help="answer a stream of stdin queries over a resident graph",
     )
-    serve.add_argument("--graph", help="graph path prefix (from 'generate')")
-    serve.add_argument(
-        "--snapshot",
-        help="snapshot directory (from 'save' or 'ingest'); alternative to "
-        "--graph — the service restarts from it in near-constant time",
-    )
-    serve.add_argument(
-        "--dataset",
-        help="dataset for repro.api.load_dataset (built-in name, edge list, "
-        "or DBLP XML); alternative to --graph",
-    )
-    serve.add_argument("--machines", type=int, default=4)
-    serve.add_argument(
-        "--limit",
-        type=int,
-        default=1024,
-        help="default per-query row budget (0 = unlimited)",
-    )
+    serve.set_defaults(handler=_command_serve)
     serve.add_argument(
         "--max-in-flight", type=int, default=8, help="admission control: concurrent queries"
     )
@@ -197,51 +210,31 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="admission control: reject queries asking for more rows",
     )
-    serve.add_argument(
-        "--executor",
-        type=resolve_backend,
-        default=None,
-        help=_EXECUTOR_HELP,
-    )
-    serve.add_argument("--workers", type=int, default=None)
     serve.add_argument("--show", type=int, default=3, help="matches to print per query")
 
     bench_serve = subparsers.add_parser(
-        "bench-serve", help="benchmark the always-on service with concurrent clients"
+        "bench-serve",
+        parents=[runtime],
+        help="benchmark the always-on service with concurrent clients",
     )
+    bench_serve.set_defaults(handler=_command_bench_serve)
     bench_serve.add_argument(
         "--graph", default=None, help="graph path prefix (default: a generated R-MAT graph)"
     )
     bench_serve.add_argument("--nodes", type=int, default=20_000, help="generated-graph size")
     bench_serve.add_argument("--degree", type=float, default=8.0)
     bench_serve.add_argument("--label-density", type=float, default=0.01)
-    bench_serve.add_argument("--machines", type=int, default=4)
     bench_serve.add_argument("--clients", type=int, default=4)
     bench_serve.add_argument("--queries", type=int, default=12, help="distinct queries in the mix")
     bench_serve.add_argument("--query-nodes", type=int, default=4, help="query size (nodes)")
     bench_serve.add_argument("--rounds", type=int, default=2, help="passes over the query mix")
-    bench_serve.add_argument("--limit", type=int, default=1024)
     bench_serve.add_argument("--seed", type=int, default=1)
-    bench_serve.add_argument(
-        "--executor",
-        type=resolve_backend,
-        default=None,
-        help=_EXECUTOR_HELP,
-    )
-    bench_serve.add_argument("--workers", type=int, default=None)
 
     save = subparsers.add_parser(
-        "save", help="save a graph as a persistent (memmap) snapshot"
+        "save", parents=[snapshot_out], help="save a graph as a persistent (memmap) snapshot"
     )
+    save.set_defaults(handler=_command_save)
     save.add_argument("--graph", required=True, help="graph path prefix (from 'generate')")
-    save.add_argument("--out", required=True, help="snapshot directory to write")
-    save.add_argument(
-        "--machines",
-        type=int,
-        default=4,
-        help="partition for this many machines (snapshot reopens fastest "
-        "on the same shape)",
-    )
     save.add_argument(
         "--graph-only",
         action="store_true",
@@ -251,6 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     open_cmd = subparsers.add_parser(
         "open", help="open a snapshot and print what is inside"
     )
+    open_cmd.set_defaults(handler=_command_open)
     open_cmd.add_argument("--snapshot", required=True, help="snapshot directory")
     open_cmd.add_argument(
         "--verify", action="store_true", help="check every array's checksum"
@@ -259,6 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     append = subparsers.add_parser(
         "append", help="append edge/label deltas to a snapshot's log"
     )
+    append.set_defaults(handler=_command_append)
     append.add_argument("--snapshot", required=True, help="snapshot directory")
     append.add_argument(
         "--edge",
@@ -281,12 +276,15 @@ def build_parser() -> argparse.ArgumentParser:
     compact = subparsers.add_parser(
         "compact", help="fold a snapshot's delta log into a new base generation"
     )
+    compact.set_defaults(handler=_command_compact)
     compact.add_argument("--snapshot", required=True, help="snapshot directory")
 
     ingest = subparsers.add_parser(
         "ingest",
+        parents=[snapshot_out],
         help="ingest a real dataset (edge list / DBLP XML) into a snapshot",
     )
+    ingest.set_defaults(handler=_command_ingest)
     ingest.add_argument(
         "--edges",
         help="whitespace/TSV edge-list file; IDs may be sparse 64-bit "
@@ -305,14 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="degree",
         help="labels for unlabeled edge lists: degree bands (rank0..rankK) "
         "or a single 'entity' label",
-    )
-    ingest.add_argument("--out", required=True, help="snapshot directory to write")
-    ingest.add_argument(
-        "--machines",
-        type=int,
-        default=4,
-        help="partition for this many machines (snapshot reopens fastest "
-        "on the same shape)",
     )
 
     return parser
@@ -341,25 +331,20 @@ def _command_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-#: The one-of error shared by ``query`` and ``serve``.
-_SOURCE_ERROR = "give exactly one of --dataset, --graph, or --snapshot"
-
-
-def _open_cloud(args: argparse.Namespace) -> MemoryCloud:
-    """Resolve --dataset/--graph/--snapshot into a loaded cloud."""
-    dataset = getattr(args, "dataset", None)
-    sources = sum(s is not None for s in (dataset, args.graph, args.snapshot))
-    if sources != 1:
-        raise SystemExit(_SOURCE_ERROR)
-    if args.snapshot is not None:
-        return MemoryCloud.open_snapshot(args.snapshot)
-    if dataset is not None:
-        from repro.api import load_dataset
-
-        graph = load_dataset(dataset)
-    else:
-        graph = load_graph(args.graph)
-    return MemoryCloud.from_graph(graph, ClusterConfig(machine_count=args.machines))
+def _connect(args: argparse.Namespace, **knobs) -> api.Session:
+    """``query``/``serve``: flags -> ``api.connect`` keywords, one to one."""
+    sources = [s for s in (args.dataset, args.graph, args.snapshot) if s is not None]
+    if len(sources) != 1:
+        raise SystemExit("give exactly one of --dataset, --graph, or --snapshot")
+    return api.connect(
+        sources[0],
+        # A snapshot opens in the shape it records (what --snapshot promises).
+        machines=None if args.snapshot is not None else args.machines,
+        executor=args.executor,
+        workers=args.workers,
+        limit=args.limit,
+        **knobs,
+    )
 
 
 def _first_assignments(result: MatchResult, count: int) -> List[dict]:
@@ -372,20 +357,16 @@ def _first_assignments(result: MatchResult, count: int) -> List[dict]:
 
 def _command_query(args: argparse.Namespace) -> int:
     query = parse_query(Path(args.query_file).read_text(encoding="utf-8"))
-    runtime = RuntimeConfig(backend=args.executor, workers=args.workers)
-    with _open_cloud(args) as cloud:
-        with SubgraphMatcher(
-            cloud,
-            MatcherConfig(max_stwig_leaves=args.max_stwig_leaves),
-            executor=runtime,
-        ) as matcher:
-            if args.explain:
-                print(matcher.explain(query).describe())
-            result = matcher.match(query, limit=args.limit)
+    matcher_config = MatcherConfig(max_stwig_leaves=args.max_stwig_leaves)
+    with _connect(args, matcher_config=matcher_config) as db:
+        if args.explain:
+            print(db.explain(query).describe())
+        result = db.query(query)
+        executor_name = db.service.matcher.executor.name
     print(
         f"{result.match_count} matches in {result.wall_seconds * 1000:.1f} ms wall "
         f"({result.simulated_seconds * 1000:.1f} ms simulated cluster time, "
-        f"{matcher.executor.name} executor)"
+        f"{executor_name} executor)"
     )
     print(
         f"communication: {result.metrics['messages']} messages, "
@@ -421,40 +402,13 @@ def _read_query_blocks(stream) -> Iterator[str]:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    from repro.query.parser import format_query
-    from repro.serve import QueryService, ServiceConfig
-
-    sources = sum(s is not None for s in (args.dataset, args.graph, args.snapshot))
-    if sources != 1:
-        raise SystemExit(_SOURCE_ERROR)
-    runtime = RuntimeConfig(backend=args.executor, workers=args.workers)
-    service_config = ServiceConfig(
-        max_in_flight=args.max_in_flight,
-        limit=args.limit if args.limit > 0 else None,
-        max_row_budget=args.max_row_budget,
-    )
-    if args.snapshot is not None:
-        source_args = {"snapshot": args.snapshot}
-    else:
-        if args.dataset is not None:
-            from repro.api import load_dataset
-
-            graph = load_dataset(args.dataset)
-        else:
-            graph = load_graph(args.graph)
-        source_args = {
-            "graph": graph,
-            "cluster_config": ClusterConfig(machine_count=args.machines),
-        }
-    with QueryService(
-        executor=runtime,
-        service_config=service_config,
-        **source_args,
-    ) as service:
-        cloud = service.cloud
+    with _connect(
+        args, max_in_flight=args.max_in_flight, max_row_budget=args.max_row_budget
+    ) as db:
+        cloud = db.cloud
         print(
             f"serving {cloud.node_count} nodes / {cloud.edge_count} edges on "
-            f"{cloud.machine_count} machines ({service.matcher.executor.name} executor); "
+            f"{cloud.machine_count} machines ({db.service.matcher.executor.name} executor); "
             "enter node/edge lines, blank line to run, Ctrl-D to quit",
             flush=True,
         )
@@ -465,7 +419,7 @@ def _command_serve(args: argparse.Namespace) -> int:
                 stripped = Path(stripped).read_text(encoding="utf-8")
             try:
                 query = parse_query(stripped)
-                result = service.submit(query)
+                result = db.query(query)
             except Exception as exc:  # noqa: BLE001 - interactive loop survives bad input
                 print(f"error: {exc}", flush=True)
                 continue
@@ -481,7 +435,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             )
             for assignment in _first_assignments(result, args.show):
                 print("   ", assignment, flush=True)
-        stats = service.stats()
+        stats = db.stats()
         print(
             f"served {stats.completed} queries ({stats.rows_returned} rows, "
             f"{stats.join_rows_materialized} join rows materialized, "
@@ -492,31 +446,26 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def _command_bench_serve(args: argparse.Namespace) -> int:
-    from repro.query.generators import query_workload
-    from repro.serve import QueryService, ServiceConfig, run_concurrent_clients
-
     if args.graph:
-        graph = load_graph(args.graph)
+        graph = api.load_dataset(args.graph)
     else:
-        graph = generate_rmat(
-            args.nodes, args.degree, args.label_density, seed=args.seed
-        )
+        graph = generate_rmat(args.nodes, args.degree, args.label_density, seed=args.seed)
     queries = query_workload(
         graph, args.queries, kind="dfs", node_count=args.query_nodes, seed=args.seed
     )
-    runtime = RuntimeConfig(backend=args.executor, workers=args.workers)
-    with QueryService(
-        graph=graph,
-        cluster_config=ClusterConfig(machine_count=args.machines),
-        executor=runtime,
-        service_config=ServiceConfig(max_in_flight=max(args.clients, 1)),
-    ) as service:
-        service.warm(queries[0])
+    with api.connect(
+        graph,
+        machines=args.machines,
+        executor=args.executor,
+        workers=args.workers,
+        max_in_flight=max(args.clients, 1),
+    ) as db:
+        db.service.warm(queries[0])
         run = run_concurrent_clients(
-            service, queries, clients=args.clients, limit=args.limit, rounds=args.rounds
+            db.service, queries, clients=args.clients, limit=args.limit, rounds=args.rounds
         )
         summary = run.summary()
-        stats = service.stats()
+        stats = db.stats()
     for error in run.errors:
         print(f"error: {error}")
     print(
@@ -534,18 +483,19 @@ def _command_bench_serve(args: argparse.Namespace) -> int:
     return 1 if run.errors else 0
 
 
-def _command_save(args: argparse.Namespace) -> int:
-    from repro.storage import save_graph_snapshot
+def _save_partitioned(graph, args: argparse.Namespace):
+    """Partition ``graph`` for ``--machines`` and write it to ``--out``."""
+    with api.connect(graph, machines=args.machines) as db:
+        return db.cloud.save_snapshot(args.out)
 
-    graph = load_graph(args.graph)
+
+def _command_save(args: argparse.Namespace) -> int:
+    graph = api.load_dataset(args.graph)
     if args.graph_only:
         manifest = save_graph_snapshot(graph, args.out)
         shape = "graph-only"
     else:
-        with MemoryCloud.from_graph(
-            graph, ClusterConfig(machine_count=args.machines)
-        ) as cloud:
-            manifest = cloud.save_snapshot(args.out)
+        manifest = _save_partitioned(graph, args)
         shape = f"{args.machines} machines"
     print(
         f"saved {manifest.node_count} nodes / {manifest.edge_count} edges "
@@ -556,16 +506,17 @@ def _command_save(args: argparse.Namespace) -> int:
 
 
 def _command_open(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.storage import DeltaLog, read_manifest
-
     manifest = read_manifest(args.snapshot, verify=args.verify)
     pending = DeltaLog(args.snapshot).count()
     started = time.perf_counter()
-    cloud = MemoryCloud.open_snapshot(args.snapshot)
-    opened = time.perf_counter() - started
-    path = "memmap fast path" if cloud.storage_publication else "replayed reload"
+    with api.open_snapshot(args.snapshot) as cloud:
+        opened = time.perf_counter() - started
+        if cloud.storage_publication:
+            path = "memmap fast path"
+        elif manifest.has_cloud_state:
+            path = "pending deltas merged into the memmap image"
+        else:
+            path = "graph-only snapshot, partitioned at open"
     print(
         f"{manifest.node_count} nodes / {manifest.edge_count} edges, "
         f"{len(manifest.labels)} labels, generation {manifest.generation}"
@@ -576,14 +527,10 @@ def _command_open(args: argparse.Namespace) -> int:
     )
     print(f"opened in {opened * 1000:.1f} ms ({path})"
           + (", checksums verified" if args.verify else ""))
-    cloud.close()
     return 0
 
 
 def _command_append(args: argparse.Namespace) -> int:
-    from repro.errors import StorageError
-    from repro.storage import DeltaLog, read_manifest
-
     read_manifest(args.snapshot)  # fail early on a non-snapshot directory
     log = DeltaLog(args.snapshot)
     try:
@@ -601,8 +548,6 @@ def _command_append(args: argparse.Namespace) -> int:
 
 
 def _command_compact(args: argparse.Namespace) -> int:
-    from repro.storage import DeltaLog, compact_snapshot, read_manifest
-
     before = read_manifest(args.snapshot)
     pending = DeltaLog(args.snapshot).count()
     manifest = compact_snapshot(args.snapshot)
@@ -618,23 +563,16 @@ def _command_compact(args: argparse.Namespace) -> int:
 
 
 def _command_ingest(args: argparse.Namespace) -> int:
-    from repro.ingest import degree_band_labeler, ingest_dblp_xml, ingest_edge_list
-
     if (args.edges is None) == (args.dblp_xml is None):
         raise SystemExit("give exactly one of --edges or --dblp-xml")
     if args.dblp_xml is not None:
         graph = ingest_dblp_xml(args.dblp_xml, mode=args.dblp_mode)
     else:
-        labeler = degree_band_labeler() if args.label_mode == "degree" else None
-        graph = ingest_edge_list(args.edges, labeler=labeler)
-    report = graph.ingest_report
-    print(report.summary())
+        graph = api.load_dataset(args.edges, label_mode=args.label_mode)
+    print(graph.ingest_report.summary())
     # The snapshot is the same log-structured store 'save' writes; the
     # external-ID map rides in the manifest so reopen round-trips it.
-    with MemoryCloud.from_graph(
-        graph, ClusterConfig(machine_count=args.machines)
-    ) as cloud:
-        manifest = cloud.save_snapshot(args.out)
+    manifest = _save_partitioned(graph, args)
     kind = manifest.id_map["kind"] if manifest.id_map else "dense (no map needed)"
     print(
         f"saved {manifest.node_count} nodes / {manifest.edge_count} edges "
@@ -647,27 +585,7 @@ def _command_ingest(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for ``python -m repro`` / the ``repro`` console script."""
     args = build_parser().parse_args(argv)
-    if args.command == "generate":
-        return _command_generate(args)
-    if args.command == "query":
-        return _command_query(args)
-    if args.command == "experiment":
-        return _command_experiment(args)
-    if args.command == "serve":
-        return _command_serve(args)
-    if args.command == "bench-serve":
-        return _command_bench_serve(args)
-    if args.command == "save":
-        return _command_save(args)
-    if args.command == "open":
-        return _command_open(args)
-    if args.command == "append":
-        return _command_append(args)
-    if args.command == "compact":
-        return _command_compact(args)
-    if args.command == "ingest":
-        return _command_ingest(args)
-    return 2  # pragma: no cover - argparse enforces the choices above
+    return args.handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

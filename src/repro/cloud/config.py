@@ -45,8 +45,6 @@ class RuntimeConfig:
             environment variable.
         workers: pool size for the process backend; ``None`` sizes the
             pool to ``min(machine_count, cpu_count)``.
-        start_method: multiprocessing start method (``"fork"``, ``"spawn"``,
-            ``"forkserver"``); ``None`` uses the platform default.
         stealing: whether the process backend splits skewed machines'
             exploration roots into chunks idle workers can steal.
             Results and metrics are schedule-independent; this is a
@@ -55,7 +53,6 @@ class RuntimeConfig:
 
     backend: Optional[str] = None
     workers: Optional[int] = None
-    start_method: Optional[str] = None
     stealing: bool = True
 
     def validate(self) -> None:
@@ -63,16 +60,6 @@ class RuntimeConfig:
             resolve_backend(self.backend)
         if self.workers is not None:
             require_positive(self.workers, "workers")
-        if self.start_method is not None and self.start_method not in (
-            "fork",
-            "spawn",
-            "forkserver",
-        ):
-            raise ConfigurationError(f"unknown start method {self.start_method!r}")
-
-    def resolved_backend(self) -> str:
-        """The effective backend after environment fallback."""
-        return resolve_backend(self.backend)
 
 
 @dataclass(frozen=True)

@@ -112,15 +112,13 @@ class SubgraphMatcher:
 
         Args:
             query: the query pattern.
-            limit: maximum number of matches to return; ``None`` uses the
-                config's ``result_limit`` (which may also be ``None`` =
-                enumerate everything).
+            limit: maximum number of matches to return (the paper uses 1024
+                with pipelined joins); ``None`` enumerates everything.
 
         Returns:
             A :class:`MatchResult` with the matches and execution metadata
             (wall-clock time, simulated cluster time, communication counters).
         """
-        result_limit = limit if limit is not None else self.config.result_limit
         stats = StageStats()
         started = time.perf_counter()
 
@@ -149,7 +147,7 @@ class SubgraphMatcher:
         join_started = time.perf_counter()
         try:
             join_outcome = assemble_results(
-                scoped, plan, exploration, result_limit, executor=self._executor
+                scoped, plan, exploration, limit, executor=self._executor
             )
         finally:
             # The intermediate tables may live in worker-published shared

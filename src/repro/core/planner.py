@@ -66,8 +66,6 @@ class MatcherConfig:
             tables tractable on graphs with very few distinct labels.
         block_size: pipelined-join block size (None = no pipelining).
         sample_size: row sample size for join-order cost estimation.
-        result_limit: stop after this many matches (the paper uses 1024 with
-            pipelined joins); None = enumerate all matches.
         seed: seed for the tie-breaking / sampling RNG.
         plan_cache_size: maximum number of memoized plans the planner keeps
             (LRU eviction).  ``0`` disables the plan cache entirely; every
@@ -83,7 +81,6 @@ class MatcherConfig:
     max_stwig_leaves: Optional[int] = None
     block_size: Optional[int] = 1024
     sample_size: int = 64
-    result_limit: Optional[int] = None
     seed: Optional[int] = 7
     plan_cache_size: int = 128
 

@@ -49,7 +49,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 import numpy as np
 
 from repro.cloud.cluster import MemoryCloud
-from repro.cloud.config import RuntimeConfig
+from repro.cloud.config import RuntimeConfig, resolve_backend
 from repro.cloud.metrics import CloudMetrics
 from repro.core.distributed import machine_result_rows
 from repro.core.join import CooperativeJoinBudget
@@ -531,14 +531,8 @@ class ProcessExecutor(Executor):
 
     name = "process"
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        start_method: Optional[str] = None,
-        stealing: bool = True,
-    ) -> None:
+    def __init__(self, workers: Optional[int] = None, stealing: bool = True) -> None:
         self._workers = workers
-        self._start_method = start_method
         self.stealing = stealing
         self._state = _ProcessState()
         self._lock = threading.Lock()
@@ -600,8 +594,7 @@ class ProcessExecutor(Executor):
             state.registry = registry
             state.cloud_ref = weakref.ref(owner)
             state.load_generation = owner.load_generation
-            context = multiprocessing.get_context(self._start_method)
-            state.pool = context.Pool(
+            state.pool = multiprocessing.Pool(
                 # Default sizing: one worker per machine, capped at the host CPUs.
                 processes=self._workers or min(owner.machine_count, os.cpu_count() or 1),
                 initializer=_worker_initialize,
@@ -782,10 +775,6 @@ def create_executor(spec: ExecutorSpec = None, workers: Optional[int] = None) ->
     if workers is not None:
         spec = replace(spec, workers=workers)
     spec.validate()
-    if spec.resolved_backend() == "process":
-        return ProcessExecutor(
-            workers=spec.workers,
-            start_method=spec.start_method,
-            stealing=spec.stealing,
-        )
+    if resolve_backend(spec.backend) == "process":
+        return ProcessExecutor(workers=spec.workers, stealing=spec.stealing)
     return SerialExecutor()

@@ -3,10 +3,11 @@
 The paper's engine is an *online service*: the graph is loaded into the
 memory cloud once and stays resident while a stream of concurrent queries
 runs against it.  :class:`QueryService` is that serving layer for the
-reproduction — it owns (or adopts) a :class:`~repro.cloud.cluster.MemoryCloud`,
-shares one :class:`~repro.core.engine.SubgraphMatcher` (and therefore one
-executor pool and one plan cache) across every query, and multiplexes
-callers through a thread-safe :meth:`QueryService.submit`.
+reproduction — it is handed a loaded :class:`~repro.cloud.cluster.MemoryCloud`
+(:func:`repro.api.connect` is where a dataset, file or snapshot becomes one,
+and what closes it), shares one :class:`~repro.core.engine.SubgraphMatcher`
+(and therefore one executor pool and one plan cache) across every query, and
+multiplexes callers through a thread-safe :meth:`QueryService.submit`.
 
 Concurrency correctness comes from the layers below:
 
@@ -24,11 +25,11 @@ What the service adds on top is *admission control* and *lifecycle*:
   queue on a semaphore, optionally timing out into
   :class:`~repro.errors.AdmissionError`);
 * per-query row budgets: queries without a limit get the configured
-  default, and limits above ``max_row_budget`` are rejected outright;
+  default, and negative limits or limits above ``max_row_budget`` are
+  rejected outright;
 * graceful shutdown: :meth:`QueryService.close` stops admitting, waits for
-  in-flight queries to drain, then closes the matcher and (when the service
-  loaded the graph itself) the cloud — in that order, so no query ever runs
-  against torn-down runtime state.
+  in-flight queries to drain, then closes the matcher, so no query ever runs
+  against torn-down runtime state.  The cloud is the caller's to close.
 
 An asyncio front-end is provided by :meth:`QueryService.submit_async` (and
 ``async with``), which runs the blocking submit on the event loop's default
@@ -45,7 +46,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.cloud.cluster import MemoryCloud
-from repro.cloud.config import ClusterConfig
 from repro.core.engine import SubgraphMatcher
 from repro.core.planner import MatcherConfig
 from repro.core.result import MatchResult
@@ -120,15 +120,12 @@ class ServiceStats:
 class QueryService:
     """A long-lived, thread-safe query front-end over one resident cloud.
 
-    Construct from an already-loaded cloud (shared lifecycle: the caller
-    keeps ownership and closes the cloud), from a graph (the service loads
-    it and owns the resulting cloud), or from a persistent snapshot path
-    (service restart without a reload; the service owns the reopened
-    cloud)::
+    Constructed over an already-loaded cloud, which the caller keeps owning
+    and closes after the service (:func:`repro.api.connect` does both)::
 
-        with QueryService(graph=graph, cluster_config=ClusterConfig(4),
-                          executor="process") as service:
+        with QueryService(cloud, executor="process") as service:
             result = service.submit(query, limit=1024)
+        cloud.close()
 
     ``submit`` may be called from any number of threads; ``submit_async``
     wraps it for asyncio callers.  See :class:`ServiceConfig` for admission
@@ -137,90 +134,33 @@ class QueryService:
 
     def __init__(
         self,
-        cloud: Optional[MemoryCloud] = None,
+        cloud: MemoryCloud,
         *,
-        graph=None,
-        snapshot=None,
-        cluster_config: Optional[ClusterConfig] = None,
         matcher_config: Optional[MatcherConfig] = None,
-        statistics=None,
         executor: ExecutorSpec = None,
         workers: Optional[int] = None,
-        limit: Optional[int] = None,
-        max_row_budget: Optional[int] = None,
-        max_in_flight: Optional[int] = None,
         service_config: Optional[ServiceConfig] = None,
     ) -> None:
         """Create (and immediately start serving from) a query service.
 
         Args:
-            cloud: an already-loaded memory cloud to serve from; stays owned
-                by the caller.  Exactly one of ``cloud``/``graph``/
-                ``snapshot`` is given.
-            graph: a :class:`~repro.graph.labeled_graph.LabeledGraph` to
-                load; the service owns (and closes) the resulting cloud.
-            snapshot: path of a persistent snapshot directory
-                (:meth:`MemoryCloud.save_snapshot
-                <repro.cloud.cluster.MemoryCloud.save_snapshot>`) to reopen
-                — the service-restart path: the cloud comes up via
-                ``np.memmap`` in near-constant time instead of a full
-                reload, and the service owns it.
-            cluster_config: cluster shape used when loading ``graph`` or
-                opening ``snapshot`` (``None`` takes the snapshot's own
-                recorded shape).
+            cloud: the loaded memory cloud to serve from; stays owned by the
+                caller.
             matcher_config: engine knobs shared by every query (including
                 ``plan_cache_size``).
-            statistics: optional edge statistics forwarded to the planner.
             executor: runtime backend spec shared by every query (a backend
                 name, :class:`~repro.cloud.config.RuntimeConfig`, or an
                 existing executor).
             workers: pool size for the process backend — the same
                 spelling as ``SubgraphMatcher`` and the CLI's ``--workers``.
-            limit: default row budget for queries submitted without one
-                (``ServiceConfig.limit``).
-            max_row_budget: upper bound on any query's row budget.
-            max_in_flight: maximum concurrently executing queries.
-            service_config: admission-control and lifecycle knobs; mutually
-                exclusive with the ``limit``/``max_row_budget``/
-                ``max_in_flight`` conveniences.
+            service_config: admission-control and lifecycle knobs.
         """
-        sources = sum(source is not None for source in (cloud, graph, snapshot))
-        if sources != 1:
-            raise ConfigurationError(
-                "construct QueryService from exactly one of cloud=, graph=, "
-                "or snapshot="
-            )
-        overrides = {
-            name: value
-            for name, value in (
-                ("limit", limit),
-                ("max_row_budget", max_row_budget),
-                ("max_in_flight", max_in_flight),
-            )
-            if value is not None
-        }
-        if overrides and service_config is not None:
-            raise ConfigurationError(
-                f"pass admission knobs ({', '.join(sorted(overrides))}) either "
-                "directly or inside service_config=, not both"
-            )
-        if overrides:
-            service_config = replace(ServiceConfig(), **overrides)
         self.service_config = service_config or ServiceConfig()
         self.service_config.validate()
-        self._owns_cloud = cloud is None
-        if cloud is not None:
-            self.cloud = cloud
-        elif graph is not None:
-            self.cloud = MemoryCloud.from_graph(graph, cluster_config)
-        else:
-            self.cloud = MemoryCloud.open_snapshot(snapshot, cluster_config)
-        self._matcher = SubgraphMatcher(
-            self.cloud,
-            matcher_config,
-            statistics=statistics,
-            executor=executor,
-            workers=workers,
+        self.cloud = cloud
+        #: The shared matcher: one executor pool, one plan cache.
+        self.matcher = SubgraphMatcher(
+            cloud, matcher_config, executor=executor, workers=workers
         )
         self._slots = threading.BoundedSemaphore(self.service_config.max_in_flight)
         self._state = threading.Condition()
@@ -228,11 +168,6 @@ class QueryService:
         self._closed = False
 
     # -- introspection -------------------------------------------------------
-
-    @property
-    def matcher(self) -> SubgraphMatcher:
-        """The shared matcher (one executor pool, one plan cache)."""
-        return self._matcher
 
     @property
     def closed(self) -> bool:
@@ -244,7 +179,7 @@ class QueryService:
         """A consistent snapshot of the service counters (plus plan cache)."""
         with self._state:
             snapshot = replace(self._stats)
-        cache_info = self._matcher.planner.plan_cache_info()
+        cache_info = self.matcher.planner.plan_cache_info()
         snapshot.plan_cache_hits = cache_info["hits"]
         snapshot.plan_cache_misses = cache_info["misses"]
         return snapshot
@@ -265,23 +200,20 @@ class QueryService:
 
         Blocks while the service is at ``max_in_flight`` (subject to
         ``admission_timeout``).  Raises
-        :class:`~repro.errors.AdmissionError` on rejection (budget above
-        ``max_row_budget``, admission timeout) and
+        :class:`~repro.errors.AdmissionError` on rejection (a negative
+        budget, one above ``max_row_budget``, admission timeout) and
         :class:`~repro.errors.ServiceError` once the service is closed.
         """
-        budget = self._admit(query, limit)
+        budget = self._admit(limit)
         started = time.perf_counter()
+        result = None
         try:
-            result = self._matcher.match(query, limit=budget)
-        except Exception:
-            self._finish(started, failed=True)
-            raise
-        self._finish(
-            started,
-            rows=result.match_count,
-            materialized=result.stats.join_rows_materialized,
-        )
-        return result
+            result = self.matcher.match(query, limit=budget)
+            return result
+        finally:
+            # Unconditional: an interrupt (a BaseException) must free the slot
+            # too, or close() waits for a query that is no longer running.
+            self._finish(started, result)
 
     async def submit_async(
         self, query: QueryGraph, limit: Optional[int] = None
@@ -297,18 +229,20 @@ class QueryService:
             None, functools.partial(self.submit, query, limit)
         )
 
-    def _admit(self, query: QueryGraph, limit: Optional[int]) -> Optional[int]:
+    def _admit(self, limit: Optional[int]) -> Optional[int]:
         """Apply admission control; returns the effective row budget.
 
         On success a concurrency slot is held and the in-flight gauge is
         bumped; :meth:`_finish` must run exactly once afterwards.
         """
-        del query  # shape-based admission (per-query cost caps) goes here
         config = self.service_config
         budget = limit if limit is not None else config.limit
         with self._state:
             if self._closed:
                 raise ServiceError("query service is closed")
+            if budget is not None and budget < 0:
+                self._stats.rejected += 1
+                raise AdmissionError(f"row budget must be non-negative, got {budget}")
             if config.max_row_budget is not None and (
                 budget is None or budget > config.max_row_budget
             ):
@@ -318,11 +252,7 @@ class QueryService:
                     f"row budget {asked} exceeds max_row_budget="
                     f"{config.max_row_budget}"
                 )
-        if config.admission_timeout is not None:
-            acquired = self._slots.acquire(timeout=config.admission_timeout)
-        else:
-            acquired = self._slots.acquire()
-        if not acquired:
+        if not self._slots.acquire(timeout=config.admission_timeout):
             with self._state:
                 self._stats.rejected += 1
             raise AdmissionError(
@@ -338,24 +268,21 @@ class QueryService:
             self._stats.in_flight += 1
         return budget
 
-    def _finish(
-        self,
-        started: float,
-        rows: int = 0,
-        materialized: int = 0,
-        failed: bool = False,
-    ) -> None:
+    def _finish(self, started: float, result: Optional[MatchResult]) -> None:
+        """Release the slot and count the query; ``None`` = it failed."""
         elapsed = time.perf_counter() - started
         self._slots.release()
         with self._state:
             self._stats.in_flight -= 1
             self._stats.busy_seconds += elapsed
-            if failed:
+            if result is None:
                 self._stats.failed += 1
             else:
                 self._stats.completed += 1
-                self._stats.rows_returned += rows
-                self._stats.join_rows_materialized += materialized
+                self._stats.rows_returned += result.match_count
+                self._stats.join_rows_materialized += (
+                    result.stats.join_rows_materialized
+                )
             self._state.notify_all()
 
     # -- lifecycle -----------------------------------------------------------
@@ -364,10 +291,9 @@ class QueryService:
         """Drain in-flight queries, then tear down the runtime (idempotent).
 
         New submissions are rejected immediately; queries already admitted
-        run to completion.  Only then is the matcher closed and — when the
-        service loaded the graph itself — ``MemoryCloud.close()`` called,
-        so no query ever observes a torn-down executor or unlinked
-        shared-memory segment.
+        run to completion.  Only then is the matcher closed, so no query
+        ever observes a torn-down executor or unlinked shared-memory
+        segment.  The cloud stays open: whoever loaded it closes it.
 
         Args:
             drain_timeout: overrides ``service_config.drain_timeout``;
@@ -394,9 +320,7 @@ class QueryService:
                 self._state.wait(remaining)
         if already_closed:
             return
-        self._matcher.close()
-        if self._owns_cloud:
-            self.cloud.close()
+        self.matcher.close()
 
     async def aclose(self, drain_timeout: Optional[float] = None) -> None:
         """Asyncio counterpart of :meth:`close` (drains off the event loop)."""

@@ -178,6 +178,12 @@ def load_parsed_snapshot(
             cloud, manifest, records, columns, packed_pairs
         )
         specs = None  # some columns now live in RAM: not a file publication
+    elif cloud.config.track_label_pairs and not manifest.cloud.get("track_label_pairs", True):
+        # Installing the (absent) stored keys would tell the planner that no
+        # label pair crosses machines, and it would prune every load set.
+        packed_pairs = _derived_label_pairs(
+            columns, manifest.machine_count, label_table, edge_count
+        )
     cloud._install(
         columns,
         label_table=label_table,
@@ -264,6 +270,23 @@ def _overlay(
     return columns, delta.label_table, edge_count, label_pairs
 
 
+def _derived_label_pairs(
+    columns: Dict[str, np.ndarray],
+    machine_count: int,
+    label_table: LabelTable,
+    edge_count: int,
+) -> Tuple[int, Dict[Tuple[int, int], np.ndarray]]:
+    """Packed label pairs re-derived from an image's partitions: O(graph)."""
+    offsets, neighbors = _global_csr(columns, machine_count)
+    graph = LabeledGraph.from_csr(
+        label_table, columns["graph/node_ids"], columns["graph/label_ids"],
+        offsets, neighbors, edge_count,
+    )
+    return cross_machine_label_pairs(
+        graph, columns["assignment/machines"], machine_count
+    )
+
+
 def _overlay_label_pairs(
     manifest: SnapshotManifest,
     delta: NormalizedLog,
@@ -286,11 +309,9 @@ def _overlay_label_pairs(
     node_ids, label_ids = columns["graph/node_ids"], columns["graph/label_ids"]
     machines = columns["assignment/machines"]
     if not delta.is_new.all() or not manifest.cloud.get("track_label_pairs", True):
-        offsets, neighbors = _global_csr(columns, machine_count)
-        merged = LabeledGraph.from_csr(
-            delta.label_table, node_ids, label_ids, offsets, neighbors, edge_count
+        return _derived_label_pairs(
+            columns, machine_count, delta.label_table, edge_count
         )
-        return cross_machine_label_pairs(merged, machines, machine_count)
 
     forward = delta.sources < delta.targets
     source_rows = np.searchsorted(node_ids, delta.sources[forward])
@@ -329,9 +350,11 @@ def load_cloud_snapshot(
     holds keep their stored machine either way; the cloud's partitioner
     places only nodes the log adds.  A graph-only snapshot or a different
     machine count has no partitioning to keep: the graph (log replayed) goes
-    through :meth:`~repro.cloud.cluster.MemoryCloud.load_graph`.  Either way
-    ``load_generation`` is bumped.  ``manifest.json`` and ``deltas.log`` are
-    each parsed once.
+    through :meth:`~repro.cloud.cluster.MemoryCloud.load_graph`.  A cloud
+    that tracks label pairs over a snapshot saved without them re-derives
+    them from the attached partitions (one O(graph) pass) instead of
+    installing none.  Either way ``load_generation`` is bumped.
+    ``manifest.json`` and ``deltas.log`` are each parsed once.
     """
     manifest = read_manifest(directory, verify=verify)
     return load_parsed_snapshot(cloud, manifest, DeltaLog(manifest.directory).read())

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+
 import pytest
 
 from repro.baselines.vf2 import vf2_match
@@ -29,6 +32,18 @@ class TestBuildCloud:
 
 
 class TestRunSuite:
+    def test_repeated_runs_leave_no_pool_or_segment_behind(self, graph, suite, monkeypatch):
+        """Every run used to leave its matcher's worker pool and shared-memory
+        publication of the cloud up until the cloud itself was collected."""
+        monkeypatch.setenv("REPRO_EXECUTOR", "process")
+        cloud = build_cloud(graph, machine_count=2)
+        children = multiprocessing.active_children()
+        segments = set(os.listdir("/dev/shm"))
+        for _ in range(3):
+            assert run_suite(cloud, suite, result_limit=16).total_matches >= 3
+            assert multiprocessing.active_children() == children
+            assert set(os.listdir("/dev/shm")) == segments
+
     def test_measurement_fields(self, graph, suite):
         cloud = build_cloud(graph, machine_count=3)
         measurement = run_suite(cloud, suite, result_limit=64)

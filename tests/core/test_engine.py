@@ -45,11 +45,6 @@ class TestMatch:
         assert result.match_count == 1
         assert result.stats.truncated
 
-    def test_limit_from_config(self, query):
-        cloud = MemoryCloud.from_graph(tiny_example_graph(), ClusterConfig(machine_count=2))
-        matcher = SubgraphMatcher(cloud, MatcherConfig(result_limit=1))
-        assert matcher.match(query).match_count == 1
-
     def test_single_node_query(self, matcher):
         result = matcher.match(QueryGraph({"only": "b"}, []))
         assert sorted(d["only"] for d in result.as_dicts()) == [3, 6]

@@ -740,8 +740,6 @@ class TestBackendSelection:
             RuntimeConfig(backend="bogus").validate()
         with pytest.raises(ConfigurationError):
             RuntimeConfig(workers=0).validate()
-        with pytest.raises(ConfigurationError):
-            RuntimeConfig(start_method="teleport").validate()
 
     def test_matcher_owns_only_created_executors(self, parity_graph):
         cloud = MemoryCloud.from_graph(parity_graph, ClusterConfig(machine_count=2))

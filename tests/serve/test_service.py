@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 
 import pytest
 
+import repro.api as api
 from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import ClusterConfig
 from repro.core.engine import SubgraphMatcher
@@ -35,6 +37,19 @@ def service_queries(service_graph):
     return [dfs_query(service_graph, 4, seed=seed) for seed in (2, 3, 5, 7, 11, 13)]
 
 
+@pytest.fixture
+def service_cloud(service_graph):
+    """The 400-node graph on three machines; closed after the test."""
+    with MemoryCloud.from_graph(service_graph, ClusterConfig(machine_count=3)) as cloud:
+        yield cloud
+
+
+@pytest.fixture
+def tiny_service_cloud():
+    with MemoryCloud.from_graph(tiny_example_graph()) as cloud:
+        yield cloud
+
+
 def solo_oracle(service_graph, queries, limits):
     """(rows, metrics) per query from fresh, single-threaded matchers."""
     oracle = []
@@ -50,14 +65,14 @@ def solo_oracle(service_graph, queries, limits):
 
 
 class TestConcurrentSubmission:
-    def test_parity_with_solo_runs_mixed_limits(self, service_graph, service_queries):
+    def test_parity_with_solo_runs_mixed_limits(
+        self, service_graph, service_queries, service_cloud
+    ):
         """N threads, mixed limited/unlimited queries: row-for-row solo parity."""
         limits = [None, 10, None, 25, 5, None]
         oracle = solo_oracle(service_graph, service_queries, limits)
         with QueryService(
-            graph=service_graph,
-            cluster_config=ClusterConfig(machine_count=3),
-            service_config=ServiceConfig(max_in_flight=6),
+            service_cloud, service_config=ServiceConfig(max_in_flight=6)
         ) as service:
             outputs = [None] * len(service_queries)
             errors = []
@@ -92,13 +107,10 @@ class TestConcurrentSubmission:
                     assert result.metrics == metrics
 
     def test_repeated_fingerprints_hit_plan_cache_exactly(
-        self, service_graph, service_queries
+        self, service_queries, service_cloud
     ):
         rounds, clients = 3, 4
-        with QueryService(
-            graph=service_graph,
-            cluster_config=ClusterConfig(machine_count=3),
-        ) as service:
+        with QueryService(service_cloud) as service:
             run = run_concurrent_clients(
                 service, service_queries, clients=clients, limit=50, rounds=rounds
             )
@@ -111,11 +123,8 @@ class TestConcurrentSubmission:
             assert stats.completed == len(run.records)
             assert stats.in_flight == 0
 
-    def test_service_counters_match_workload(self, service_graph, service_queries):
-        with QueryService(
-            graph=service_graph,
-            cluster_config=ClusterConfig(machine_count=3),
-        ) as service:
+    def test_service_counters_match_workload(self, service_queries, service_cloud):
+        with QueryService(service_cloud) as service:
             run = run_concurrent_clients(
                 service, service_queries, clients=2, limit=20
             )
@@ -127,9 +136,9 @@ class TestConcurrentSubmission:
 
 
 class TestAdmissionControl:
-    def test_row_budget_cap_rejects(self):
+    def test_row_budget_cap_rejects(self, tiny_service_cloud):
         config = ServiceConfig(max_row_budget=100)
-        with QueryService(graph=tiny_example_graph(), service_config=config) as service:
+        with QueryService(tiny_service_cloud, service_config=config) as service:
             query = dfs_query(tiny_example_graph(), 2, seed=1)
             with pytest.raises(AdmissionError, match="max_row_budget"):
                 service.submit(query, limit=101)
@@ -138,23 +147,33 @@ class TestAdmissionControl:
             assert service.submit(query, limit=100).match_count >= 0
             assert service.stats().rejected == 2
 
-    def test_default_limit_applied(self, service_graph, service_queries):
+    def test_negative_limit_is_rejected_not_answered(self, tiny_service_cloud):
+        """A negative budget used to come back as 0 rows, truncated, counted
+        completed; 0 stays the cheap existence probe."""
+        query = dfs_query(tiny_example_graph(), 2, seed=1)
+        with QueryService(tiny_service_cloud) as service:
+            with pytest.raises(AdmissionError, match="non-negative"):
+                service.submit(query, limit=-5)
+            stats = service.stats()
+            assert (stats.rejected, stats.submitted, stats.completed) == (1, 0, 0)
+            probe = service.submit(query, limit=0)
+            assert probe.match_count == 0 and probe.stats.truncated
+            assert service.stats().completed == 1
+
+    def test_default_limit_applied(self, service_graph, service_queries, service_cloud):
         unlimited = solo_oracle(service_graph, service_queries[:1], [None])[0]
         with QueryService(
-            graph=service_graph,
-            cluster_config=ClusterConfig(machine_count=3),
-            service_config=ServiceConfig(limit=1),
+            service_cloud, service_config=ServiceConfig(limit=1)
         ) as service:
             result = service.submit(service_queries[0])
             assert result.match_count == min(1, len(unlimited[0]))
             explicit = service.submit(service_queries[0], limit=10_000)
             assert explicit.rows == unlimited[0]
 
-    def test_max_in_flight_blocks_then_admits(self, monkeypatch):
+    def test_max_in_flight_blocks_then_admits(self, monkeypatch, tiny_service_cloud):
         """With one slot, a second query waits until the first finishes."""
         service = QueryService(
-            graph=tiny_example_graph(),
-            service_config=ServiceConfig(max_in_flight=1),
+            tiny_service_cloud, service_config=ServiceConfig(max_in_flight=1)
         )
         query = dfs_query(tiny_example_graph(), 2, seed=1)
         release = threading.Event()
@@ -184,10 +203,9 @@ class TestAdmissionControl:
         assert service.submit(query).match_count >= 0
         service.close()
 
-    def test_failed_query_releases_slot(self, monkeypatch):
+    def test_failed_query_releases_slot(self, monkeypatch, tiny_service_cloud):
         service = QueryService(
-            graph=tiny_example_graph(),
-            service_config=ServiceConfig(max_in_flight=1),
+            tiny_service_cloud, service_config=ServiceConfig(max_in_flight=1)
         )
         query = dfs_query(tiny_example_graph(), 2, seed=1)
 
@@ -213,19 +231,33 @@ class TestAdmissionControl:
         with pytest.raises(ConfigurationError):
             ServiceConfig(admission_timeout=-1).validate()
 
-    def test_requires_exactly_one_source(self, service_graph, tmp_path):
-        with pytest.raises(ConfigurationError, match="exactly one"):
-            QueryService()
-        cloud = MemoryCloud.from_graph(service_graph, ClusterConfig(machine_count=2))
-        try:
-            with pytest.raises(ConfigurationError, match="exactly one"):
-                QueryService(cloud, graph=service_graph)
-            with pytest.raises(ConfigurationError, match="exactly one"):
-                QueryService(cloud, snapshot=tmp_path / "snap")
-            with pytest.raises(ConfigurationError, match="exactly one"):
-                QueryService(graph=service_graph, snapshot=tmp_path / "snap")
-        finally:
-            cloud.close()
+    def test_interrupt_releases_slot_and_close_returns(
+        self, monkeypatch, tiny_service_cloud
+    ):
+        """Ctrl-C inside a query (a BaseException, not an Exception) must
+        free the admission slot, or every later submit is refused and
+        close() waits out the whole drain timeout for a query that is gone."""
+        service = QueryService(
+            tiny_service_cloud,
+            service_config=ServiceConfig(max_in_flight=1, admission_timeout=0.05),
+        )
+        query = dfs_query(tiny_example_graph(), 2, seed=1)
+        real_match = service.matcher.match
+
+        def interrupted_match(q, limit=None):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(service.matcher, "match", interrupted_match)
+        with pytest.raises(KeyboardInterrupt):
+            service.submit(query)
+        stats = service.stats()
+        assert (stats.in_flight, stats.failed, stats.completed) == (0, 1, 0)
+        monkeypatch.setattr(service.matcher, "match", real_match)
+        assert service.submit(query).match_count >= 0  # the one slot is free
+        started = time.monotonic()
+        service.close()  # parent: blocks for drain_timeout (60 s), then raises
+        assert time.monotonic() - started < 5
+        assert service.closed
 
 
 class TestSnapshotRestart:
@@ -244,33 +276,35 @@ class TestSnapshotRestart:
     ):
         """A service reopened from a snapshot returns the same rows."""
         query = service_queries[0]
-        with QueryService(
-            graph=service_graph, cluster_config=ClusterConfig(machine_count=3)
-        ) as reference:
-            expected = reference.submit(query).rows
-        with QueryService(snapshot=snapshot_dir) as restarted:
+        with api.connect(service_graph, machines=3) as reference:
+            expected = reference.query(query).rows
+        with api.connect(snapshot_dir) as restarted:
             assert restarted.cloud.machine_count == 3
-            assert restarted.submit(query).rows == expected
+            assert restarted.query(query).rows == expected
 
     def test_warm_after_snapshot_restart(self, service_queries, snapshot_dir):
-        with QueryService(snapshot=snapshot_dir) as service:
-            service.warm(service_queries[1])
-            stats = service.stats()
-            result = service.submit(service_queries[1])
+        with api.connect(snapshot_dir) as db:
+            db.service.warm(service_queries[1])
+            stats = db.stats()
+            result = db.query(service_queries[1])
             assert result.stats.plan_cache_hit is True
             assert stats is not None
 
-    def test_service_owns_snapshot_cloud(self, snapshot_dir):
-        # Snapshot mode builds the cloud internally, so the service owns
-        # (and tears down) its runtime resources on close.
-        service = QueryService(snapshot=snapshot_dir)
-        assert service._owns_cloud is True
-        service.close()
+    def test_service_owns_snapshot_cloud(self, service_queries, snapshot_dir):
+        # The session that opened the snapshot owns the cloud: closing it
+        # tears down the cloud's runtime resources.  The service never does —
+        # over a borrowed cloud (test_caller_cloud_stays_open) they stay up.
+        db = api.connect(snapshot_dir, executor="process", workers=1)
+        db.query(service_queries[0], limit=5)
+        assert db.cloud._runtime_resources  # the pool + its publication
+        db.close()
+        assert db.cloud._runtime_resources == []
+        assert db.service.closed
 
 
 class TestLifecycle:
-    def test_close_rejects_new_queries_and_is_idempotent(self):
-        service = QueryService(graph=tiny_example_graph())
+    def test_close_rejects_new_queries_and_is_idempotent(self, tiny_service_cloud):
+        service = QueryService(tiny_service_cloud)
         query = dfs_query(tiny_example_graph(), 2, seed=1)
         assert service.submit(query).match_count >= 0
         service.close()
@@ -279,9 +313,9 @@ class TestLifecycle:
         with pytest.raises(ServiceError, match="closed"):
             service.submit(query)
 
-    def test_close_drains_in_flight_queries(self, monkeypatch):
+    def test_close_drains_in_flight_queries(self, monkeypatch, tiny_service_cloud):
         """close() waits for the running query, then tears down."""
-        service = QueryService(graph=tiny_example_graph())
+        service = QueryService(tiny_service_cloud)
         query = dfs_query(tiny_example_graph(), 2, seed=1)
         release = threading.Event()
         entered = threading.Event()
@@ -316,8 +350,10 @@ class TestLifecycle:
         # The drained query completed normally before teardown.
         assert outcome["result"].match_count >= 0
 
-    def test_close_drain_timeout_raises_and_leaves_runtime_up(self, monkeypatch):
-        service = QueryService(graph=tiny_example_graph())
+    def test_close_drain_timeout_raises_and_leaves_runtime_up(
+        self, monkeypatch, tiny_service_cloud
+    ):
+        service = QueryService(tiny_service_cloud)
         query = dfs_query(tiny_example_graph(), 2, seed=1)
         release = threading.Event()
         entered = threading.Event()
@@ -350,10 +386,8 @@ class TestLifecycle:
         finally:
             cloud.close()
 
-    def test_warm_runs_one_budgeted_query(self, service_graph, service_queries):
-        with QueryService(
-            graph=service_graph, cluster_config=ClusterConfig(machine_count=2)
-        ) as service:
+    def test_warm_runs_one_budgeted_query(self, service_queries, service_cloud):
+        with QueryService(service_cloud) as service:
             service.warm(service_queries[0])
             stats = service.stats()
             assert stats.completed == 1
@@ -361,11 +395,9 @@ class TestLifecycle:
 
 
 class TestAsyncFrontend:
-    def test_submit_async_matches_sync(self, service_graph, service_queries):
+    def test_submit_async_matches_sync(self, service_queries, service_cloud):
         async def scenario() -> None:
-            async with QueryService(
-                graph=service_graph, cluster_config=ClusterConfig(machine_count=3)
-            ) as service:
+            async with QueryService(service_cloud) as service:
                 sync_rows = [
                     service.submit(q, limit=20).rows for q in service_queries
                 ]
@@ -377,11 +409,10 @@ class TestAsyncFrontend:
 
         asyncio.run(scenario())
 
-    def test_submit_async_propagates_admission_errors(self):
+    def test_submit_async_propagates_admission_errors(self, tiny_service_cloud):
         async def scenario() -> None:
             service = QueryService(
-                graph=tiny_example_graph(),
-                service_config=ServiceConfig(max_row_budget=5),
+                tiny_service_cloud, service_config=ServiceConfig(max_row_budget=5)
             )
             query = dfs_query(tiny_example_graph(), 2, seed=1)
             with pytest.raises(AdmissionError):
@@ -400,10 +431,8 @@ class TestBenchHelpers:
         assert percentile([], 0.5) == 0.0
         assert percentile([7.0], 0.99) == 7.0
 
-    def test_run_summary_shape(self, service_graph, service_queries):
-        with QueryService(
-            graph=service_graph, cluster_config=ClusterConfig(machine_count=2)
-        ) as service:
+    def test_run_summary_shape(self, service_queries, service_cloud):
+        with QueryService(service_cloud) as service:
             run = run_concurrent_clients(
                 service, service_queries, clients=2, limit=10
             )

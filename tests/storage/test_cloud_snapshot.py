@@ -5,12 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.baselines.vf2 import vf2_match
 from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import ClusterConfig
 from repro.core.engine import SubgraphMatcher
 from repro.graph.generators import generate_gnm
 from repro.graph.partition import BlockPartitioner, RoundRobinPartitioner
+from repro.query.generators import dfs_query
 from repro.query.query_graph import QueryGraph
 from repro.errors import StorageError
 from repro.storage.cloud_snapshot import cluster_config_from_manifest
@@ -296,6 +298,30 @@ class TestOverlayMerge:
         )
         # Hash placement depends on the ID alone, so the whole image matches.
         assert_same_image(overlay, merged)
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_untracked_snapshot_cleanly_opened_by_a_tracking_cloud(
+        self, tmp_path, graph, cloud, executor
+    ):
+        """The same mismatch with no log pending used to install *no* label
+        pairs: the planner then saw a cluster graph without edges, pruned
+        every load set and served a fraction of the rows, silently."""
+        tracking = ClusterConfig(machine_count=3)
+        query = dfs_query(graph, 4, seed=2)
+        expected = match_rows(cloud, query)
+        assert len(expected) > 50
+        MemoryCloud.from_graph(
+            graph, ClusterConfig(machine_count=3, track_label_pairs=False)
+        ).save_snapshot(tmp_path / "snap")
+        with MemoryCloud.open_snapshot(tmp_path / "snap", tracking) as reopened:
+            assert match_rows(reopened, query, executor) == expected
+            assert reopened.storage_publication is not None  # still file-backed
+            assert_same_image(reopened, cloud)
+        with api.connect(
+            tmp_path / "snap", cluster_config=tracking, executor=executor
+        ) as db:
+            assert sorted(db.query(query).rows) == expected
+        cloud.close()
 
 
 class TestIdMapBeyondCompaction:

@@ -9,10 +9,19 @@ import repro.api as api
 from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import ClusterConfig
 from repro.core.engine import SubgraphMatcher
-from repro.errors import ConfigurationError, GraphError, ServiceError
+from repro.errors import (
+    AdmissionError,
+    ConfigurationError,
+    GraphError,
+    ServiceError,
+    StorageError,
+)
+from repro.graph.io import save_graph
 from repro.ingest import ingest_edges
 from repro.query.query_graph import QueryGraph
-from repro.serve.service import QueryService, ServiceConfig
+from repro.serve.service import QueryService
+from tests.helpers import assert_same_image
+from tests.ingest.test_dblp import SMALL_DBLP
 
 TRIANGLE_QUERY = """
 node a entity
@@ -74,6 +83,43 @@ class TestLoadDataset:
         assert graph.id_map == sparse_graph.id_map
 
 
+class TestOneResolver:
+    """Every kind of source becomes a cloud in ``api._resolve`` and nowhere
+    else; whichever way one dataset is described, the image is the same."""
+
+    @pytest.fixture(params=["name", "edge-list", "dblp-xml"])
+    def base(self, request, tmp_path, edge_file):
+        if request.param == "name":
+            return "tiny"
+        if request.param == "edge-list":
+            return edge_file
+        path = tmp_path / "slice.xml"
+        path.write_text(SMALL_DBLP)
+        return path
+
+    def test_every_source_kind_resolves_to_the_same_image(self, base, tmp_path):
+        reference, owned = api._resolve(base, machines=2)
+        assert owned
+        graph = api.load_dataset(base)
+        save_graph(tmp_path / "prefix", graph)
+        reference.save_snapshot(tmp_path / "snap")
+        for source, machines in [
+            (graph, 2),
+            (tmp_path / "prefix", 2),
+            (str(tmp_path / "snap"), None),
+            (tmp_path / "snap", 2),
+        ]:
+            cloud, owned = api._resolve(source, machines=machines)
+            assert owned
+            assert_same_image(cloud, reference)
+        # Re-partitioned from the snapshot's graph when the count differs.
+        three, _ = api._resolve(tmp_path / "snap", machines=3)
+        assert three.machine_count == 3 and three.node_count == reference.node_count
+
+    def test_a_cloud_is_borrowed_as_it_is(self, tiny_cloud):
+        assert api._resolve(tiny_cloud) == (tiny_cloud, False)
+
+
 class TestSessionLifecycle:
     def test_connect_query_close(self, edge_file):
         with api.connect(edge_file, machines=2, label_mode="uniform") as db:
@@ -90,13 +136,23 @@ class TestSessionLifecycle:
             result = db.query(query, limit=1)
             assert len(result.as_dicts()) == 1
 
-    def test_per_call_executor_override_caches_service(self, edge_file):
+    def test_negative_limit_is_rejected_and_counted(self, edge_file):
+        with api.connect(edge_file, machines=2, label_mode="uniform") as db:
+            with pytest.raises(AdmissionError, match="non-negative"):
+                db.query(TRIANGLE_QUERY, limit=-5)
+            assert (db.stats().rejected, db.stats().completed) == (1, 0)
+            assert db.query(TRIANGLE_QUERY, limit=0).rows == []
+
+    def test_second_backend_borrows_the_cloud(self, edge_file):
+        """Another backend over the same data is another session on the
+        first one's cloud; closing it leaves the owner serving."""
         with api.connect(edge_file, machines=2, label_mode="uniform") as db:
             a = db.query(TRIANGLE_QUERY)
-            b = db.query(TRIANGLE_QUERY, executor="serial")
+            with api.connect(db.cloud, executor="process", workers=1) as other:
+                assert other.cloud is db.cloud
+                b = other.query(TRIANGLE_QUERY)
             assert sorted(a.as_dicts(), key=str) == sorted(b.as_dicts(), key=str)
-            db.query(TRIANGLE_QUERY, executor="serial")
-            assert len(db._services) <= 2
+            assert db.query(TRIANGLE_QUERY).rows == a.rows
 
     def test_connect_cloud_is_borrowed(self, sparse_graph):
         cloud = MemoryCloud.from_graph(sparse_graph, ClusterConfig(machine_count=2))
@@ -118,10 +174,40 @@ class TestSessionLifecycle:
             assert flat == {7, 12345678901, 2**62}
 
     def test_machines_and_cluster_config_conflict(self, edge_file):
-        with pytest.raises(ConfigurationError, match="not both"):
-            api.connect(
-                edge_file, machines=2, cluster_config=ClusterConfig(machine_count=2)
-            )
+        """Any explicit machines= beside cluster_config= — 4, once the
+        "not given" sentinel, included."""
+        for machines in (2, 4):
+            with pytest.raises(ConfigurationError, match="not both"):
+                api.connect(
+                    edge_file,
+                    machines=machines,
+                    cluster_config=ClusterConfig(machine_count=2),
+                )
+
+    @pytest.mark.parametrize("machines", [None, 2, 4])
+    def test_explicit_machines_repartitions_a_snapshot(
+        self, sparse_graph, tmp_path, machines
+    ):
+        """A snapshot keeps its recorded shape unless machines= is given;
+        4 is a machine count like any other, not "not given"."""
+        snap = tmp_path / "snap"
+        with MemoryCloud.from_graph(
+            sparse_graph, ClusterConfig(machine_count=8)
+        ) as cloud:
+            cloud.save_snapshot(snap)
+        with api.connect(snap, machines=machines) as db:
+            assert db.cloud.machine_count == (machines or 8)
+            assert len(db.query(TRIANGLE_QUERY).rows) == 6
+        with api.open_snapshot(snap, machines=machines) as cloud:
+            assert cloud.machine_count == (machines or 8)
+
+    def test_bad_service_knob_fails_at_connect(self, edge_file):
+        with pytest.raises(ConfigurationError, match="max_in_flight"):
+            api.connect(edge_file, max_in_flight=0)
+
+    def test_open_snapshot_refuses_a_non_snapshot(self, edge_file):
+        with pytest.raises(StorageError, match="no snapshot manifest"):
+            api.open_snapshot(edge_file)
 
     def test_explain_and_stats(self, edge_file):
         with api.connect(edge_file, machines=2, label_mode="uniform") as db:
@@ -146,22 +232,11 @@ class TestDeprecationShims:
 
     def test_matcher_unknown_kwarg_rejected(self, tiny_cloud):
         for constructor in (SubgraphMatcher, QueryService):
-            for retired in ("max_workers", "default_limit", "bogus"):
+            for retired in (
+                "max_workers", "default_limit", "graph", "snapshot", "max_in_flight", "bogus"
+            ):
                 with pytest.raises(TypeError, match=retired):
                     constructor(tiny_cloud, **{retired: 2})
-
-    def test_service_convenience_kwargs_fold_into_config(self, tiny_cloud):
-        service = QueryService(tiny_cloud, limit=5, max_row_budget=50, max_in_flight=2)
-        try:
-            assert service.service_config.limit == 5
-            assert service.service_config.max_row_budget == 50
-            assert service.service_config.max_in_flight == 2
-        finally:
-            service.close()
-
-    def test_service_conflicting_config_rejected(self, tiny_cloud):
-        with pytest.raises(ConfigurationError, match="not both"):
-            QueryService(tiny_cloud, limit=5, service_config=ServiceConfig())
 
     def test_workers_cannot_resize_executor_instance(self, tiny_cloud):
         matcher = SubgraphMatcher(tiny_cloud)

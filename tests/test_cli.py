@@ -2,16 +2,89 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
+import multiprocessing
+import os
 import random
 
 import pytest
 
+import repro.api as api
 from repro.cli import EXPERIMENTS, build_parser, main
-from repro.graph.io import load_graph
+from repro.graph.io import load_graph, save_graph
+from tests.ingest.test_dblp import SMALL_DBLP
+
+#: ``{verb: {flag: default}}`` of ``build_parser()``, dumped from the commit
+#: before the flag groups were declared once (``parents=``): a refactor of the
+#: parser may not drop, add or re-default a flag.
+PINNED_FLAGS = {
+    "generate": {
+        "--kind": "rmat", "--nodes": 10000, "--degree": 8.0, "--edges": None,
+        "--label-density": 0.01, "--scale": None, "--seed": 0, "--out": None,
+    },
+    "query": {
+        "--graph": None, "--snapshot": None, "--dataset": None, "--query-file": None,
+        "--machines": 4, "--limit": 1024, "--executor": None, "--workers": None,
+        "--max-stwig-leaves": None, "--show": 5, "--explain": False,
+    },
+    "experiment": {"name": None},
+    "serve": {
+        "--graph": None, "--snapshot": None, "--dataset": None, "--machines": 4,
+        "--limit": 1024, "--max-in-flight": 8, "--max-row-budget": None,
+        "--executor": None, "--workers": None, "--show": 3,
+    },
+    "bench-serve": {
+        "--graph": None, "--nodes": 20000, "--degree": 8.0, "--label-density": 0.01,
+        "--machines": 4, "--clients": 4, "--queries": 12, "--query-nodes": 4,
+        "--rounds": 2, "--limit": 1024, "--seed": 1, "--executor": None,
+        "--workers": None,
+    },
+    "save": {"--graph": None, "--out": None, "--machines": 4, "--graph-only": False},
+    "open": {"--snapshot": None, "--verify": False},
+    "append": {"--snapshot": None, "--edge": [], "--node": []},
+    "compact": {"--snapshot": None},
+    "ingest": {
+        "--edges": None, "--dblp-xml": None, "--dblp-mode": "coauthor",
+        "--label-mode": "degree", "--out": None, "--machines": 4,
+    },
+}
+
+
+def write_sparse_edges(path, node_count: int, edge_count: int) -> list:
+    """An edge list over sparse 64-bit external IDs; returns the IDs used."""
+    rng = random.Random(5)
+    externals = rng.sample(range(10**12), node_count)
+    edges = {tuple(sorted(rng.sample(externals, 2))) for _ in range(edge_count)}
+    path.write_text("".join(f"{u} {v}\n" for u, v in sorted(edges)), encoding="utf-8")
+    return externals
+
+
+def printed_rows(output: str) -> list:
+    """The match dicts ``repro query`` printed, parsed back."""
+    return [
+        ast.literal_eval(line.strip())
+        for line in output.splitlines()
+        if line.startswith("   {")
+    ]
 
 
 class TestParser:
+    def test_every_verb_flag_and_default_is_pinned(self):
+        verbs = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        table = {
+            verb: {
+                (action.option_strings or [action.dest])[0]: action.default
+                for action in parser._actions
+                if not isinstance(action, argparse._HelpAction)
+            }
+            for verb, parser in verbs.choices.items()
+        }
+        assert table == PINNED_FLAGS
+
     def test_generate_defaults(self):
         args = build_parser().parse_args(["generate", "--out", "/tmp/x"])
         assert args.command == "generate"
@@ -70,13 +143,8 @@ class TestCommands:
         from repro.core.result import MatchResult
         from repro.ingest import IdMap
 
-        rng = random.Random(5)
-        externals = rng.sample(range(10**12), 300)
-        edges = {tuple(sorted(rng.sample(externals, 2))) for _ in range(1500)}
         edge_file = tmp_path / "sparse.edges"
-        edge_file.write_text(
-            "".join(f"{u} {v}\n" for u, v in sorted(edges)), encoding="utf-8"
-        )
+        externals = write_sparse_edges(edge_file, 300, 1500)
         query_file = tmp_path / "edge.q"
         query_file.write_text("node u rank2\nnode v rank2\nedge u v\n", encoding="utf-8")
 
@@ -102,14 +170,28 @@ class TestCommands:
         ) == 0
         output = capsys.readouterr().out
         assert int(output.split(" matches in")[0]) > 1000
-        shown = [
-            ast.literal_eval(line.strip())
-            for line in output.splitlines()
-            if line.startswith("   {")
-        ]
+        shown = printed_rows(output)
         assert len(shown) == 3 and converted == [3]
         assert all(set(match) == {"u", "v"} for match in shown)
         assert all(value in externals for match in shown for value in match.values())
+
+    def test_limit_zero_is_unlimited_and_negative_is_refused(self, tmp_path, capsys):
+        """``--limit 0`` means what ``serve`` documents (no limit), and a
+        negative budget exits non-zero instead of printing "0 matches"."""
+        query_file = tmp_path / "edge.q"
+        query_file.write_text("node x a\nnode y b\nedge x y\n", encoding="utf-8")
+        base = ["query", "--dataset", "tiny", "--query-file", str(query_file)]
+        with api.connect("tiny") as db:
+            total = db.query(query_file.read_text()).match_count
+        assert total > 1
+        assert main([*base, "--limit", "1"]) == 0
+        assert capsys.readouterr().out.startswith("1 matches in")
+        assert main([*base, "--limit", "0"]) == 0
+        assert capsys.readouterr().out.startswith(f"{total} matches in")
+        with pytest.raises(SystemExit) as exit_info:
+            main([*base, "--limit", "-5"])
+        assert exit_info.value.code not in (0, None)
+        assert "--limit: must be non-negative, got -5" in capsys.readouterr().err
 
     def test_generate_powerlaw(self, tmp_path, capsys):
         prefix = tmp_path / "pl"
@@ -250,7 +332,7 @@ class TestSnapshotCommands:
 
         assert main(["open", "--snapshot", str(snapshot_dir)]) == 0
         output = capsys.readouterr().out
-        assert "replayed reload" in output
+        assert "pending deltas merged into the memmap image" in output
         assert "2 pending delta records" in output
 
         assert main(["compact", "--snapshot", str(snapshot_dir)]) == 0
@@ -304,3 +386,64 @@ class TestSnapshotCommands:
                 ["query", "--graph", str(graph_prefix), "--snapshot",
                  str(snapshot_dir), "--query-file", str(query_file)]
             )
+
+
+class TestOneFrontDoor:
+    """``repro query`` is argparse over ``api.connect``: whatever kind of
+    source a flag names, both answer the same query with the same rows."""
+
+    QUERIES = {
+        "name": "node x a\nnode y b\nedge x y\n",
+        "edge-list": "node u rank1\nnode v rank2\nedge u v\n",
+        "dblp-xml": "node p author\nnode q author\nedge p q\n",
+    }
+
+    @pytest.fixture(params=sorted(QUERIES))
+    def family(self, request, tmp_path):
+        """One dataset as ``{flag kind: (flag, source)}`` plus its query file."""
+        if request.param == "name":
+            base = "tiny"
+        elif request.param == "edge-list":
+            base = tmp_path / "sparse.edges"
+            write_sparse_edges(base, 60, 200)
+        else:
+            base = tmp_path / "slice.xml"
+            base.write_text(SMALL_DBLP)
+        graph = api.load_dataset(base)
+        save_graph(tmp_path / "prefix", graph)
+        with api.connect(graph, machines=2) as db:
+            db.cloud.save_snapshot(tmp_path / "snap")
+        query_file = tmp_path / "pattern.q"
+        query_file.write_text(self.QUERIES[request.param], encoding="utf-8")
+        return query_file, {
+            "base": ("--dataset", base),
+            "prefix": ("--graph", tmp_path / "prefix"),
+            "snapshot": ("--snapshot", tmp_path / "snap"),
+        }
+
+    @pytest.mark.parametrize("kind", ["base", "prefix", "snapshot"])
+    def test_query_prints_the_rows_connect_returns(self, family, kind, capsys):
+        query_file, sources = family
+        flag, source = sources[kind]
+        with api.connect(source, machines=None if kind == "snapshot" else 2) as db:
+            expected = db.query(query_file.read_text()).as_dicts()
+        assert expected
+        assert main(
+            ["query", flag, str(source), "--query-file", str(query_file),
+             "--machines", "2", "--limit", "0", "--show", "100000"]
+        ) == 0
+        output = capsys.readouterr().out
+        assert int(output.split(" matches in")[0]) == len(expected)
+        assert printed_rows(output) == expected
+
+    def test_process_executor_leaves_nothing_behind(self, tmp_path, capsys):
+        query_file = tmp_path / "edge.q"
+        query_file.write_text(self.QUERIES["name"], encoding="utf-8")
+        segments = set(os.listdir("/dev/shm"))
+        assert main(
+            ["query", "--dataset", "tiny", "--query-file", str(query_file),
+             "--executor", "process", "--workers", "2"]
+        ) == 0
+        assert "process executor" in capsys.readouterr().out
+        assert set(os.listdir("/dev/shm")) == segments
+        assert multiprocessing.active_children() == []

@@ -13,9 +13,15 @@ Checks, for each guarded module:
 
 It also greps ``src/`` for retired spellings (``max_workers=``,
 ``default_limit=``, the pre-task-API executor methods, the per-cell cloud
-write path, the standalone ``hash_join``, the tuple-era result mutators
-and the growable-table / set-view / dict-view members): the names are gone
-from the API, and nothing in ``src/`` may bring them back.
+write path, the standalone ``hash_join``, the tuple-era result mutators,
+the growable-table / set-view / dict-view members, the per-backend service
+dict and ``start_method``): the names are gone from the API, and nothing in
+``src/`` may bring them back.
+
+And it keeps the front door single (``FRONT_DOOR``): ``repro.api`` is the one
+place a source becomes a cloud and a service is put in front of it, so the
+CLI may construct no cloud, matcher or service of its own and ``serve/`` no
+cloud.
 
 Run from the repo root (CI's lint job does):
 
@@ -71,22 +77,51 @@ RETIRED_SPELLINGS = [
     "MatchTable.from_array(",
     "from_table(",
     "node_to_machine",
+    "start_method",
+    "_service_for(",
+    "self._services",
 ]
 
+#: Constructor spellings banned per file (glob under the repo root): a second
+#: front door beside ``repro.api`` fails the lint job.
+FRONT_DOOR = {
+    "src/repro/cli.py": [
+        "MemoryCloud.from_graph(",
+        "MemoryCloud.open_snapshot(",
+        "SubgraphMatcher(",
+        "QueryService(",
+    ],
+    "src/repro/serve/*.py": ["MemoryCloud.from_graph(", "MemoryCloud.open_snapshot("],
+}
 
-def check_retired_spellings(root: Path) -> List[str]:
+
+def _banned_lines(root: Path, paths, spellings: List[str], why: str) -> List[str]:
     errors = []
-    for path in sorted((root / "src").rglob("*.py")):
+    for path in sorted(paths):
         relative = path.relative_to(root)
         for line_number, line in enumerate(
             path.read_text(encoding="utf-8").splitlines(), start=1
         ):
-            for spelling in RETIRED_SPELLINGS:
+            for spelling in spellings:
                 if spelling in line:
-                    errors.append(
-                        f"{relative}:{line_number}: retired spelling "
-                        f"{spelling!r} — use the current API"
-                    )
+                    errors.append(f"{relative}:{line_number}: {why} {spelling!r}")
+    return errors
+
+
+def check_retired_spellings(root: Path) -> List[str]:
+    return _banned_lines(
+        root, (root / "src").rglob("*.py"), RETIRED_SPELLINGS,
+        "use the current API, not the retired spelling",
+    )
+
+
+def check_front_door(root: Path) -> List[str]:
+    errors = []
+    for pattern, spellings in FRONT_DOOR.items():
+        errors += _banned_lines(
+            root, root.glob(pattern), spellings,
+            "go through repro.api instead of constructing",
+        )
     return errors
 
 
@@ -132,14 +167,14 @@ def main() -> int:
     failures = []
     for name in GUARDED:
         failures.extend(check_module(name, strict=name in STRICT))
-    failures.extend(
-        check_retired_spellings(Path(__file__).resolve().parent.parent)
-    )
+    root = Path(__file__).resolve().parent.parent
+    failures.extend(check_retired_spellings(root))
+    failures.extend(check_front_door(root))
     if failures:
         for failure in failures:
             print(f"API LINT: {failure}", file=sys.stderr)
         return 1
-    print(f"api lint passed ({len(GUARDED)} modules + retired-spelling grep)")
+    print(f"api lint passed ({len(GUARDED)} modules + retired-spelling and front-door greps)")
     return 0
 
 
