@@ -100,9 +100,13 @@ def edge_join_match(
     if any(table.row_count == 0 for table in tables):
         return []
 
-    # Fixed seed: the baseline must stay deterministic now that join-order
-    # selection actually samples rows.
-    order = select_join_order(tables, rng=0)
+    # The baseline has no binding sets: a column's distinct count is taken as
+    # its label's node count, an upper bound in every edge table.
+    distinct_counts = {
+        node: len(graph.nodes_with_label_array(query.label(node)))
+        for node in query.nodes()
+    }
+    order = select_join_order(tables, distinct_counts)
     joined = multiway_join(
         tables, order=order, row_limit=limit, block_size=None, columns=query.nodes()
     )

@@ -572,13 +572,15 @@ class MemoryCloud:
         The planner uses these global statistics for the ``f(v)`` ranking;
         in a real deployment they are aggregated once at load time.
         """
-        frequencies: Dict[str, int] = {}
-        for machine in self.machines:
-            for label in machine.label_index.labels():
-                frequencies[label] = (
-                    frequencies.get(label, 0) + machine.label_index.label_frequency(label)
-                )
-        return frequencies
+        if self._global_label_ids is None:
+            return {}
+        # One pass over the cluster-wide label column, not one ID-array
+        # materialization per (machine, label).
+        counts = np.bincount(self._global_label_ids)
+        return {
+            self._label_table.label_of(label_id): int(counts[label_id])
+            for label_id in np.flatnonzero(counts).tolist()
+        }
 
     @property
     def label_table(self) -> LabelTable | None:

@@ -4,10 +4,8 @@ from repro.core.bindings import BindingTable
 from repro.core.decomposition import naive_stwig_cover, stwig_order_selection
 from repro.core.engine import SubgraphMatcher
 from repro.core.join import (
-    CooperativeJoinBudget,
     JoinBudget,
     JoinCounters,
-    LocalJoinBudget,
     multiway_join,
     select_join_order,
 )
@@ -29,8 +27,6 @@ __all__ = [
     "select_join_order",
     "JoinBudget",
     "JoinCounters",
-    "LocalJoinBudget",
-    "CooperativeJoinBudget",
     "MatchTable",
     "MatchResult",
     "StageStats",

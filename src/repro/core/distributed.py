@@ -8,7 +8,8 @@ machine then assembles its share of the answer:
 * for every other STwig ``q_t`` it fetches ``G_j(q_t)`` from the machines in
   its load set ``F_k,t`` (pruned via the cluster graph) and unions them with
   its own table;
-* it joins the resulting tables with a cost-based join order and a
+* it joins the resulting tables in the order :func:`select_join_order`
+  derives from their row counts and the final binding-set sizes, with a
   block-pipelined multi-way join.
 
 The final answer is the union of all machines' joined results — without
@@ -42,8 +43,8 @@ from repro.core.tasks import JoinTask, empty_rows
 from repro.core.join import (
     JoinBudget,
     JoinCounters,
-    LocalJoinBudget,
     multiway_join,
+    select_join_order,
 )
 from repro.core.planner import QueryPlan
 from repro.core.result import MatchTable
@@ -86,7 +87,7 @@ def assemble_results(
             workers attach the very tables they published during
             exploration — zero-copy, no driver round trip.  Limited
             queries dispatch through it too: every machine joins against
-            its own machine-ordered :class:`CooperativeJoinBudget` view of
+            its own machine-ordered :class:`JoinBudget` view of
             the shared budget, which keeps the concatenated rows an exact
             prefix of the unlimited result on every backend (lower machine
             IDs are never starved of budget by higher ones).
@@ -102,8 +103,6 @@ def assemble_results(
     if exploration.empty:
         return JoinOutcome(MatchTable(final_columns), False)
 
-    config = plan.config
-    bindings = exploration.bindings if config.use_final_binding_filter else None
     # Probe for one row beyond the limit: reaching limit+1 proves a real
     # match was cut, while a query with exactly `limit` matches runs the
     # same joins it would have anyway and comes back un-truncated.
@@ -119,7 +118,7 @@ def assemble_results(
             machine_id=machine_id,
             plan=plan,
             tables=exploration.handles,
-            bindings=bindings,
+            bindings=exploration.bindings,
             row_limit=probe_limit,
         )
         for machine_id in range(cloud.machine_count)
@@ -150,9 +149,14 @@ def machine_result_rows(
     """One machine's share of the answer, as final-column-ordered rows.
 
     The per-machine unit of the join phase: gather ``R_k(q_t)`` for every
-    STwig and run the cost-ordered multi-way join, which emits its rows in
-    the query's sorted column order and masks for injectivity only the
-    column pairs the query's labels allow to collide.  Every runtime
+    STwig and run the multi-way join, which emits its rows in the query's
+    sorted column order and masks for injectivity only the column pairs the
+    query's labels allow to collide.  The join order is computed here, from
+    the gathered tables' row counts and the sizes of the final binding sets
+    (``bindings``; a missing one counts as 1) — integers every machine,
+    backend and direct caller sees alike, so all derive the same order.
+    ``bindings`` also feeds the final binding filter, unless
+    ``plan.config.use_final_binding_filter`` turns that off.  Every runtime
     executor backend (inline, process pool) calls exactly this function, so
     the communication accounting — result transfers, sender-side filter
     counts — is structurally identical across backends.  The returned array
@@ -171,10 +175,9 @@ def machine_result_rows(
     only, never the counters.
     """
     query = plan.query
-    config = plan.config
     final_columns = query.nodes()
     if budget is None:
-        budget = LocalJoinBudget(remaining)
+        budget = JoinBudget(remaining)
     if budget.exhausted():
         return empty_rows(len(final_columns))
     if filtered_cache is None:
@@ -186,12 +189,16 @@ def machine_result_rows(
         # An empty R_k(q_t) (in particular an empty local head table)
         # makes the whole join empty: this machine contributes nothing.
         return empty_rows(len(final_columns))
+    distinct_counts = {
+        column: len(bindings.candidates_array(column))
+        for column in final_columns
+        if bindings is not None and bindings.is_bound(column)
+    }
     counters = JoinCounters()
     joined = multiway_join(
         machine_tables,
-        block_size=config.block_size,
-        sample_size=config.sample_size,
-        rng=config.seed,
+        order=select_join_order(machine_tables, distinct_counts),
+        block_size=plan.config.block_size,
         budget=budget,
         counters=counters,
         labels=query.labels(),
@@ -261,6 +268,9 @@ def _gather_machine_tables(
 ) -> List[MatchTable]:
     """Build ``R_k(q_t)`` for every STwig ``t`` on machine ``machine_id``.
 
+    ``bindings`` filter the parts only under
+    ``plan.config.use_final_binding_filter``; the ablation passes raw tables.
+
     Every part — local and remote — is binding-filtered *before* the union,
     so the concatenation copies only surviving rows.  Remote fetches are
     charged as result transfers for the rows actually shipped; rows the
@@ -268,6 +278,8 @@ def _gather_machine_tables(
     The union over the load set is one array concatenation instead of a
     chain of pairwise copies.
     """
+    if not plan.config.use_final_binding_filter:
+        bindings = None
     tables: List[MatchTable] = []
     for stwig_index in range(len(plan.stwigs)):
         local = _filtered_table(

@@ -3,11 +3,14 @@
 The exploration phase leaves each machine with one result table per STwig;
 this module assembles them into full matches:
 
-* :func:`select_join_order` — cost-based greedy join ordering: the next
-  table is the one minimizing the estimated intermediate size, where the
-  estimate is sample-based (:func:`estimate_join_size`) once tables
-  outgrow ``sample_size`` and a cheap analytic distinct-value formula on
-  small tables.
+* :func:`select_join_order` — greedy join ordering by arithmetic alone:
+  the next table is the one minimizing ``current size × rows / Π distinct
+  count of each shared column``, computed from the tables' row counts and
+  the per-column distinct counts the caller already holds (the final
+  binding-set sizes).  No row is read and nothing is sampled — a stated
+  deviation from the paper's sample-based estimate (Section 4.3), whose
+  proxy does not know those counts.  The kernel below executes the order
+  it is given; it does not plan.
 * :func:`multiway_join` — streaming budgeted multi-way join: the leading
   table is processed in head blocks, and every block is pushed through *all*
   its join stages before the next block is touched.  Each stage is a
@@ -24,7 +27,7 @@ this module assembles them into full matches:
   table), so output rows appear in nested head-row-major order and any
   budget cut is an exact row prefix of the unlimited join — the invariant
   that keeps limits, block pipelining, and cooperative multi-machine
-  budgets (see :class:`CooperativeJoinBudget`) row-for-row deterministic.
+  budgets (see :class:`JoinBudget`) row-for-row deterministic.
 
 Rows flow through the stages at the *output's* width and column order from
 the first head block on (columns a later stage fills are simply not written
@@ -43,7 +46,6 @@ that repeat a node *within* one input table are dropped once, up front.
 
 from __future__ import annotations
 
-import random
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,10 +53,7 @@ import numpy as np
 from repro.core.result import MatchTable
 from repro.errors import ExecutionError
 from repro.graph.labeled_graph import NODE_DTYPE
-from repro.utils.rng import ensure_rng
-
-#: Default number of rows sampled when estimating join cardinalities.
-DEFAULT_SAMPLE_SIZE = 64
+from repro.utils.validation import require_positive
 
 #: Default block size for the pipelined join.
 DEFAULT_BLOCK_SIZE = 1024
@@ -94,47 +93,13 @@ class JoinBudget:
     polls (other machines producing into a shared budget); it never grows.
     A conservative (stale) read is always safe — it can only make a stage
     expand rows that a later clip discards, never miss rows.
-    """
 
-    def remaining(self) -> Optional[int]:
-        """Rows still wanted; ``None`` means unlimited."""
-        raise NotImplementedError
-
-    def note_produced(self, rows: int) -> None:
-        """Record ``rows`` result rows emitted against this budget."""
-        raise NotImplementedError
-
-    def exhausted(self) -> bool:
-        """True once the budget is filled (never true when unlimited)."""
-        remaining = self.remaining()
-        return remaining is not None and remaining <= 0
-
-    def release(self) -> None:
-        """Drop any transport resources (shared-memory attachments)."""
-
-
-class LocalJoinBudget(JoinBudget):
-    """Single-consumer budget: a plain countdown (``None`` = unlimited)."""
-
-    def __init__(self, limit: Optional[int]) -> None:
-        self._limit = limit
-        self._produced = 0
-
-    def remaining(self) -> Optional[int]:
-        if self._limit is None:
-            return None
-        return self._limit - self._produced
-
-    def note_produced(self, rows: int) -> None:
-        self._produced += rows
-
-
-class CooperativeJoinBudget(JoinBudget):
-    """Machine-ordered view of one budget shared by every machine's join.
-
-    ``slots[k]`` is the monotone count of rows machine ``k`` has produced —
-    each slot has exactly one writer, so no lock is needed (a plain list
-    in-process, an int64 shared-memory array for the process backend).
+    A budget is machine ``machine_id``'s view of one ``limit`` (``None`` =
+    unlimited) shared by every machine's join; without ``slots`` it is a
+    single consumer's plain countdown.  ``slots[k]`` is the monotone count
+    of rows machine ``k`` has produced — each slot has exactly one writer,
+    so no lock is needed (a plain list in-process, an int64 shared-memory
+    array for the process backend).
     Machine ``k``'s remaining budget is ``limit`` minus the production of
     machines ``0..k`` *only*: a machine never yields budget to a higher ID,
     so the driver's machine-ordered concatenation truncated to the limit is
@@ -149,12 +114,13 @@ class CooperativeJoinBudget(JoinBudget):
     exact prefix.
     """
 
-    def __init__(self, slots, machine_id: int, limit: Optional[int]) -> None:
-        self._slots = slots
-        self._machine_id = machine_id
+    def __init__(self, limit: Optional[int], slots=None, machine_id: int = 0) -> None:
         self._limit = limit
+        self._slots = [0] if slots is None else slots
+        self._machine_id = machine_id
 
     def remaining(self) -> Optional[int]:
+        """Rows still wanted; ``None`` means unlimited."""
         if self._limit is None:
             return None
         produced = 0
@@ -163,11 +129,18 @@ class CooperativeJoinBudget(JoinBudget):
         return self._limit - produced
 
     def note_produced(self, rows: int) -> None:
+        """Record ``rows`` result rows emitted against this budget."""
         # Single writer per slot; += on list/array items is read-modify-write
         # of our own slot only, so no other writer can interleave.
         self._slots[self._machine_id] += rows
 
+    def exhausted(self) -> bool:
+        """True once the budget is filled (never true when unlimited)."""
+        remaining = self.remaining()
+        return remaining is not None and remaining <= 0
+
     def release(self) -> None:
+        """Drop any transport resources (shared-memory attachments)."""
         close = getattr(self._slots, "close", None)
         if close is not None:
             close()
@@ -215,139 +188,47 @@ def _at_slots(rows: np.ndarray, slots: Sequence[int], width: int) -> np.ndarray:
 _LIMIT_CHUNK = 4096
 
 
-def estimate_join_size(
-    left: MatchTable,
-    right: MatchTable,
-    sample_size: int = DEFAULT_SAMPLE_SIZE,
-    rng: random.Random | int | None = None,
-) -> float:
-    """Estimate the output cardinality of ``left ⋈ right`` by sampling ``left``.
-
-    A uniform sample of left rows is probed against the key-frequency table
-    of the right side; the average fan-out scaled by the left cardinality is
-    the estimate.  Tables sharing no column are estimated as a full cross
-    product.
-    """
-    if left.row_count == 0 or right.row_count == 0:
-        return 0.0
-    shared = [column for column in left.columns if column in right.columns]
-    if not shared:
-        return float(left.row_count) * float(right.row_count)
-    rng = ensure_rng(rng)
-    sample_count = min(sample_size, left.row_count)
-    left_keys = left.to_array()[:, [left.column_index(c) for c in shared]]
-    if left.row_count > sample_size:
-        sample_rows = np.array(
-            rng.sample(range(left.row_count), sample_count), dtype=np.int64
-        )
-        left_keys = left_keys[sample_rows]
-    right_keys = right.to_array()[:, [right.column_index(c) for c in shared]]
-    # Dense dictionary encoding (unlike the join kernel, raw values would
-    # make the frequency bincount as large as the biggest node ID).
-    stacked = np.concatenate([right_keys, left_keys], axis=0)
-    if stacked.shape[1] == 1:
-        _, codes = np.unique(stacked[:, 0], return_inverse=True)
-    else:
-        _, codes = np.unique(stacked, axis=0, return_inverse=True)
-    codes = codes.reshape(-1)
-    right_codes = codes[: len(right_keys)]
-    sample_codes = codes[len(right_keys) :]
-    frequencies = np.bincount(right_codes, minlength=int(codes.max()) + 1)
-    fanout = int(frequencies[sample_codes].sum())
-    return left.row_count * (fanout / sample_count)
-
-
 def select_join_order(
-    tables: Sequence[MatchTable],
-    sample_size: int = DEFAULT_SAMPLE_SIZE,
-    rng: random.Random | int | None = None,
+    tables: Sequence[MatchTable], distinct_counts: Mapping[str, int]
 ) -> List[int]:
-    """Choose a join order (as indices into ``tables``).
+    """Choose a join order (as indices into ``tables``) from cardinalities.
 
     Greedy strategy: start from the smallest table; at every step join the
     table (preferring ones connected to the current result via a shared
-    column) whose estimated intermediate result is smallest.
+    column) whose estimated intermediate result is smallest.  The estimate
+    is the textbook one — ``current size × rows``, divided by
+    ``distinct_counts[column]`` for every column the table shares with the
+    running result (the cross product when it shares none).
 
-    The per-candidate estimate is sample-based once tables outgrow
-    ``sample_size``: :func:`estimate_join_size` probes a row sample of the
-    most recently joined table against the candidate and the resulting
-    fan-out is scaled to the running cardinality.  When both sides fit in
-    the sample budget — where the sample would just be the whole table — a
-    cheap analytic distinct-value estimate is used instead, and likewise
-    when the previous table does not carry every join column of the
-    candidate (so a pairwise sample could not see all join predicates).
+    Only ``row_count`` and ``columns`` of each table are read, never a row,
+    so every machine and backend derives the same order from the same
+    integers.  A column missing from ``distinct_counts`` counts as 1, which
+    degrades to smallest-connected-table-first.
     """
     if not tables:
         return []
-    rng = ensure_rng(rng)
     remaining = list(range(len(tables)))
-    start = min(remaining, key=lambda i: tables[i].row_count)
+    start = min(remaining, key=lambda index: tables[index].row_count)
     order = [start]
     remaining.remove(start)
-    current_columns = set(tables[start].columns)
+    bound = set(tables[start].columns)
     current_size = float(tables[start].row_count)
-    last_table = tables[start]
+
+    def estimate(index: int) -> float:
+        size = current_size * tables[index].row_count
+        for column in tables[index].columns:
+            if column in bound:
+                size /= max(1, distinct_counts.get(column, 1))
+        return size
 
     while remaining:
-        connected = [i for i in remaining if current_columns & set(tables[i].columns)]
-        candidates = connected or remaining
-        best_index = None
-        best_estimate = float("inf")
-        for index in candidates:
-            estimate = _estimate_step(
-                current_size, current_columns, last_table, tables[index], sample_size, rng
-            )
-            if estimate < best_estimate:
-                best_estimate = estimate
-                best_index = index
-        assert best_index is not None
-        order.append(best_index)
-        remaining.remove(best_index)
-        current_columns.update(tables[best_index].columns)
-        current_size = max(1.0, best_estimate)
-        last_table = tables[best_index]
+        connected = [i for i in remaining if bound.intersection(tables[i].columns)]
+        best = min(connected or remaining, key=estimate)
+        current_size = max(1.0, estimate(best))
+        order.append(best)
+        remaining.remove(best)
+        bound.update(tables[best].columns)
     return order
-
-
-def _estimate_step(
-    current_size: float,
-    current_columns: set,
-    last_table: MatchTable,
-    right: MatchTable,
-    sample_size: int,
-    rng: random.Random,
-) -> float:
-    """Estimated size of joining the running result with ``right``."""
-    shared = [column for column in right.columns if column in current_columns]
-    sample_applicable = (
-        bool(shared)
-        and last_table.row_count > 0
-        and (last_table.row_count > sample_size or right.row_count > sample_size)
-        and all(column in last_table.columns for column in shared)
-    )
-    if sample_applicable:
-        pairwise = estimate_join_size(last_table, right, sample_size=sample_size, rng=rng)
-        return pairwise * (current_size / last_table.row_count)
-    return _analytic_estimate(current_size, current_columns, right)
-
-
-def _analytic_estimate(
-    current_size: float, current_columns: set, right: MatchTable
-) -> float:
-    """Textbook cardinality estimate for joining the running result with ``right``.
-
-    For each shared column the join selectivity is approximated as
-    ``1 / max(distinct values in right)``; without shared columns the
-    estimate is the cross product.
-    """
-    shared = [column for column in right.columns if column in current_columns]
-    if right.row_count == 0:
-        return 0.0
-    estimate = current_size * right.row_count
-    for column in shared:
-        distinct = max(1, len(right.column_distinct(column)))
-        estimate /= distinct
-    return estimate
 
 
 def _lex_keys(keys: np.ndarray) -> np.ndarray:
@@ -541,8 +422,6 @@ def multiway_join(
     order: Optional[Sequence[int]] = None,
     row_limit: Optional[int] = None,
     block_size: Optional[int] = DEFAULT_BLOCK_SIZE,
-    sample_size: int = DEFAULT_SAMPLE_SIZE,
-    rng: random.Random | int | None = None,
     budget: Optional[JoinBudget] = None,
     counters: Optional[JoinCounters] = None,
     labels: Optional[Mapping[str, object]] = None,
@@ -552,20 +431,19 @@ def multiway_join(
 
     Args:
         tables: one result table per STwig.
-        order: explicit join order (indices); computed via
-            :func:`select_join_order` when omitted.
+        order: the join order, as indices into ``tables`` (see
+            :func:`select_join_order`); the tables as listed when omitted.
         row_limit: stop once this many result rows have been produced.
             The budget is threaded through *every* stage of every head
             block: each stage expands only the probe-row prefix whose
             match pairs the remaining budget can still consume, so
             intermediate materialization is O(limit + chunk), not
             O(total matches).
-        block_size: size of the leading-table blocks for the pipelined join;
-            ``None`` disables pipelining and joins everything at once.
-        sample_size: sample size used if the join order must be computed.
-        rng: RNG for sampling.
-        budget: an externally shared :class:`JoinBudget` (e.g. one machine's
-            :class:`CooperativeJoinBudget` view).  Overrides ``row_limit``;
+        block_size: size of the leading-table blocks for the pipelined join
+            (at least 1); ``None`` disables pipelining and joins everything
+            at once.
+        budget: an externally shared :class:`JoinBudget` (one machine's
+            view of the query's budget).  Overrides ``row_limit``;
             rows produced here are noted against it as they stream out.
         counters: optional :class:`JoinCounters` accumulating
             materialization counts for this join.
@@ -579,18 +457,22 @@ def multiway_join(
     Returns:
         The joined :class:`MatchTable` (owning its array) — always an exact
         row prefix of the unlimited join's output.
+
+    Raises:
+        ConfigurationError: ``block_size`` is neither ``None`` nor >= 1.
     """
     if not tables:
         raise ExecutionError("multiway_join requires at least one table")
+    if block_size is not None:
+        # A non-positive step would make the head-block loop silently empty.
+        require_positive(block_size, "block_size")
     if budget is None:
-        budget = LocalJoinBudget(row_limit)
+        budget = JoinBudget(row_limit)
     if counters is None:
         counters = JoinCounters()
 
-    if len(tables) == 1:
-        order = [0]
-    elif order is None:
-        order = select_join_order(tables, sample_size=sample_size, rng=ensure_rng(rng))
+    if order is None:
+        order = range(len(tables))
     if sorted(order) != list(range(len(tables))):
         raise ExecutionError(f"join order {order!r} is not a permutation of the table indices")
     lead = tables[order[0]]

@@ -23,11 +23,11 @@ owns as many as the product of its slot lengths), and any range of that
 index is decoded into rows by mixed-radix arithmetic over the per-root
 slot lengths — one gather per column, whatever the leaf count.  Rows come
 out in nested-loop order (roots ascending, first leaf slowest) in blocks
-of at most ``_BLOCK_ROWS`` candidates, so memory stays bounded and a
-``row_limit`` stops construction mid-root.  The communication accounting
-is faithful to the per-node model — one ``hasLabel`` probe is charged per
-neighbor, per unbound leaf, only for roots still alive (a root whose
-earlier slot came up empty stops probing, exactly like a per-node loop).
+of at most ``_BLOCK_ROWS`` candidates, so the builder's working set stays
+bounded.  The communication accounting is faithful to the per-node model —
+one ``hasLabel`` probe is charged per neighbor, per unbound leaf, only for
+roots still alive (a root whose earlier slot came up empty stops probing,
+exactly like a per-node loop).
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ def match_stwig(
     stwig: STwig,
     query: QueryGraph,
     bindings: Optional[BindingTable] = None,
-    row_limit: Optional[int] = None,
     roots: Optional[np.ndarray] = None,
 ) -> MatchTable:
     """Find all matches of ``stwig`` rooted on ``machine_id``.
@@ -68,7 +67,6 @@ def match_stwig(
         stwig: the STwig to match.
         query: the query graph (provides label constraints).
         bindings: optional binding table from previously processed STwigs.
-        row_limit: optional cap on produced rows (used by pipelined execution).
         roots: optional precomputed local root candidates (a sorted
             ``NODE_DTYPE`` array).  The exploration driver partitions each
             stage's candidates by owner once and hands every machine its
@@ -80,28 +78,11 @@ def match_stwig(
         data-node IDs.  Root nodes are always local to ``machine_id``; leaf
         nodes may be remote.
     """
-    if row_limit is not None and row_limit <= 0:
-        return MatchTable(stwig.nodes)
     if roots is None:
         roots = _root_candidates(
             cloud, machine_id, stwig, query.label(stwig.root), bindings
         )
-    # Unlimited: every root in one batch.  Limited: root chunks of 1, 2, 4, ...
-    # so loads and probes are charged only for the chunks the limit reached —
-    # the same accounting as the per-node execution model.
-    blocks: List[np.ndarray] = []
-    missing = row_limit  # rows still wanted; None = all of them
-    start, step = 0, (len(roots) if row_limit is None else 1)
-    while start < len(roots) and missing != 0:
-        chunk = roots[start : start + step]
-        for block in _stwig_blocks(cloud, machine_id, stwig, query, bindings, chunk):
-            if missing is not None:
-                block = block[:missing]
-                missing -= len(block)
-            blocks.append(block)
-            if missing == 0:
-                break
-        start, step = start + step, 2 * step
+    blocks = list(_stwig_blocks(cloud, machine_id, stwig, query, bindings, roots))
     if not blocks:
         return MatchTable(stwig.nodes)
     # One write of the whole table; a single block is the table as it is.

@@ -31,6 +31,7 @@ from repro.core.head_selection import (
 )
 from repro.core.stwig import STwig, validate_cover
 from repro.query.query_graph import QueryGraph
+from repro.utils.validation import require_positive
 
 
 @dataclass(frozen=True)
@@ -64,9 +65,12 @@ class MatcherConfig:
             split into same-root STwigs.  ``None`` reproduces the paper's
             minimum-cover behaviour; a small cap (3-4) keeps exploration
             tables tractable on graphs with very few distinct labels.
-        block_size: pipelined-join block size (None = no pipelining).
-        sample_size: row sample size for join-order cost estimation.
-        seed: seed for the tie-breaking / sampling RNG.
+        block_size: pipelined-join block size, at least 1 (None = no
+            pipelining).
+        seed: seed for the decomposition's tie-breaking RNG (the paper's
+            arbitrary choice among maxima).  The join order needs none: it
+            is arithmetic over row counts and binding-set sizes
+            (:func:`~repro.core.join.select_join_order`).
         plan_cache_size: maximum number of memoized plans the planner keeps
             (LRU eviction).  ``0`` disables the plan cache entirely; every
             call re-derives the decomposition and join order from scratch.
@@ -80,9 +84,12 @@ class MatcherConfig:
     use_edge_statistics: bool = False
     max_stwig_leaves: Optional[int] = None
     block_size: Optional[int] = 1024
-    sample_size: int = 64
     seed: Optional[int] = 7
     plan_cache_size: int = 128
+
+    def validate(self) -> None:
+        if self.block_size is not None:
+            require_positive(self.block_size, "block_size")
 
 
 @dataclass
@@ -161,9 +168,13 @@ class QueryPlanner:
             statistics: optional
                 :class:`~repro.core.statistics.EdgeStatistics`; only used
                 when ``config.use_edge_statistics`` is enabled.
+
+        Raises:
+            ConfigurationError: ``config`` holds an out-of-range value.
         """
         self.cloud = cloud
         self.config = config or MatcherConfig()
+        self.config.validate()
         self.statistics = statistics
         self._label_frequencies = cloud.global_label_frequencies()
         self._plan_cache: "OrderedDict[str, QueryPlan]" = OrderedDict()

@@ -52,7 +52,7 @@ from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import RuntimeConfig, resolve_backend
 from repro.cloud.metrics import CloudMetrics
 from repro.core.distributed import machine_result_rows
-from repro.core.join import CooperativeJoinBudget
+from repro.core.join import JoinBudget
 from repro.core.matcher import match_stwig
 from repro.core.tasks import (
     ExploreResult,
@@ -239,7 +239,7 @@ class Executor(ABC):
 
         All join tasks of one batch share a single cooperative row budget:
         every machine joins against its machine-ordered
-        :class:`~repro.core.join.CooperativeJoinBudget` view of one slot
+        :class:`~repro.core.join.JoinBudget` view of one slot
         array, so machines stop as soon as lower IDs have produced enough
         rows and the driver's ordered concatenation stays an exact prefix
         of the unlimited result on every backend.
@@ -357,7 +357,7 @@ class SerialExecutor(Executor):
                     tables,
                     task.machine_id,
                     task.bindings,
-                    budget=CooperativeJoinBudget(slots, task.machine_id, limit),
+                    budget=JoinBudget(limit, slots, task.machine_id),
                     filtered_cache=filtered_cache,
                 )
                 yield unit, JoinResult(task.machine_id, rows), metrics
@@ -685,7 +685,7 @@ class ProcessExecutor(Executor):
                 return unit_index, _worker_explore, args
             shipped = shipped_bindings_for(task.bindings, task.plan.query)
             budget = (
-                CooperativeJoinBudget(slots, task.machine_id, join_limit)
+                JoinBudget(join_limit, slots, task.machine_id)
                 if join_limit is not None
                 else None
             )

@@ -1,7 +1,7 @@
 """Random number generator helpers.
 
 All stochastic components of the library (graph generators, query
-generators, sampling joins) accept either a seed, an existing
+generators, decomposition tie-breaks) accept either a seed, an existing
 :class:`random.Random` instance, or ``None``.  :func:`ensure_rng`
 normalizes those three cases into a ``random.Random`` so call sites stay
 deterministic when a seed is provided and remain easy to test.

@@ -6,12 +6,11 @@ import pytest
 
 from repro.core.join import (
     JoinCounters,
-    estimate_join_size,
     multiway_join,
     select_join_order,
 )
 from repro.core.result import MatchTable
-from repro.errors import ExecutionError
+from repro.errors import ConfigurationError, ExecutionError
 from tests.helpers import pair_join
 
 
@@ -111,22 +110,18 @@ class TestHashJoin:
         assert lr == rl
 
 
-class TestEstimates:
-    def test_estimate_zero_for_empty(self):
-        left = MatchTable(("a",), [])
-        right = MatchTable(("a",), [(1,)])
-        assert estimate_join_size(left, right) == 0.0
+class _CountsOnly:
+    """A table whose rows cannot be read: any array access fails the test."""
 
-    def test_estimate_cross_product_when_disjoint(self):
-        left = MatchTable(("a",), [(1,)] * 3)
-        right = MatchTable(("b",), [(2,)] * 4)
-        assert estimate_join_size(left, right) == 12.0
+    def __init__(self, columns, row_count):
+        self.columns = columns
+        self.row_count = row_count
 
-    def test_estimate_exact_on_small_tables(self):
-        left = MatchTable(("a", "b"), [(1, 10), (2, 20)])
-        right = MatchTable(("b", "c"), [(10, 1), (10, 2), (20, 3)])
-        estimate = estimate_join_size(left, right, sample_size=100, rng=1)
-        assert estimate == pytest.approx(3.0)
+    def _no_rows(self, *args):
+        raise AssertionError("select_join_order must not read table rows")
+
+    to_array = column_array = column_distinct = _no_rows
+    rows = property(_no_rows)
 
 
 class TestJoinOrder:
@@ -136,7 +131,7 @@ class TestJoinOrder:
             MatchTable(("b", "c"), [(2, 3), (2, 4)]),
             MatchTable(("c", "d"), [(3, 4)] * 3),
         ]
-        order = select_join_order(tables)
+        order = select_join_order(tables, {})
         assert sorted(order) == [0, 1, 2]
 
     def test_starts_from_smallest_table(self):
@@ -144,7 +139,7 @@ class TestJoinOrder:
             MatchTable(("a", "b"), [(1, 2)] * 5),
             MatchTable(("b", "c"), [(2, 3)]),
         ]
-        assert select_join_order(tables)[0] == 1
+        assert select_join_order(tables, {})[0] == 1
 
     def test_prefers_connected_tables(self):
         tables = [
@@ -152,35 +147,42 @@ class TestJoinOrder:
             MatchTable(("x", "y"), [(8, 9)] * 2),
             MatchTable(("b", "c"), [(2, 3)] * 3),
         ]
-        order = select_join_order(tables)
+        order = select_join_order(tables, {})
         # After table 0, the connected table 2 should come before the disjoint table 1.
         assert order.index(2) < order.index(1)
 
     def test_empty_input(self):
-        assert select_join_order([]) == []
+        assert select_join_order([], {}) == []
 
-    def test_sample_based_path_on_large_tables(self):
-        # Tables larger than sample_size exercise the sampling estimator;
-        # the order must stay a permutation and be seed-deterministic.
+    def test_reads_counts_never_rows(self):
         tables = [
-            MatchTable(("a", "b"), [(i, i % 13) for i in range(300)]),
-            MatchTable(("b", "c"), [(i % 13, i) for i in range(400)]),
-            MatchTable(("c", "d"), [(i, i + 1) for i in range(350)]),
+            _CountsOnly(("a", "b"), 300),
+            _CountsOnly(("b", "c"), 400),
+            _CountsOnly(("c", "d"), 350),
         ]
-        first = select_join_order(tables, sample_size=32, rng=3)
-        second = select_join_order(tables, sample_size=32, rng=3)
-        assert sorted(first) == [0, 1, 2]
-        assert first == second
+        order = select_join_order(tables, {"a": 300, "b": 13, "c": 400, "d": 350})
+        assert order == [0, 1, 2]
 
-    def test_sample_estimate_tracks_truth_on_skewed_join(self):
-        # One hot key dominates: the analytic 1/distinct estimate is far off,
-        # the sample-based one must land near the true output size.
-        hot = [(1, i) for i in range(190)] + [(k, 0) for k in range(2, 12)]
-        left = MatchTable(("a", "b"), [(i, 1) for i in range(200)])
-        right = MatchTable(("b", "c"), hot)
-        true_size = sum(lhs[1] == rhs[0] for lhs in left.rows for rhs in right.rows)
-        estimate = estimate_join_size(left, right, sample_size=64, rng=0)
-        assert estimate == pytest.approx(true_size, rel=0.3)
+    def test_counts_decide_the_order_not_position(self):
+        # From the 10-row head, (b, c) is estimated at 10 * 1000 / distinct(b)
+        # and (b, d) at 10 * 400 / distinct(b): the smaller table goes first,
+        # wherever it stands in the list.
+        head = _CountsOnly(("a", "b"), 10)
+        wide = _CountsOnly(("b", "c"), 1000)
+        narrow = _CountsOnly(("b", "d"), 400)
+        counts = {"a": 10, "b": 20, "c": 500, "d": 400}
+        for tables, expected in (
+            ([head, wide, narrow], [0, 2, 1]),
+            ([narrow, wide, head], [2, 0, 1]),
+            ([wide, head, narrow], [1, 2, 0]),
+        ):
+            assert select_join_order(tables, counts) == expected
+        # A 1000-row table sharing both a and b is divided by both counts
+        # (10 * 1000 / (10 * 20) = 50 < 200) and overtakes the 400-row one;
+        # with a's count missing (taken as 1) it is 500 and does not.
+        closing = _CountsOnly(("a", "b", "c"), 1000)
+        assert select_join_order([head, closing, narrow], counts) == [0, 1, 2]
+        assert select_join_order([head, closing, narrow], {"b": 20}) == [0, 2, 1]
 
 
 class TestMultiwayJoin:
@@ -227,6 +229,20 @@ class TestMultiwayJoin:
         unpipelined = multiway_join(tables, block_size=None)
         pipelined = multiway_join(tables, block_size=1, columns=unpipelined.columns)
         assert sorted(unpipelined.rows) == sorted(pipelined.rows)
+
+    def test_order_defaults_to_the_tables_as_listed(self):
+        # The kernel executes, it does not plan: columns bind in list order.
+        tables = self.make_chain_tables()
+        assert multiway_join(tables).columns == ("a", "b", "c", "d")
+        assert multiway_join(tables[::-1]).columns == ("c", "d", "b", "a")
+
+    @pytest.mark.parametrize("block_size", [0, -1])
+    def test_non_positive_block_size_rejected(self, block_size):
+        # range(0, n, -1) is empty: the join used to answer with no rows.
+        tables = self.make_chain_tables()
+        assert multiway_join(tables, block_size=1).row_count == 1
+        with pytest.raises(ConfigurationError, match="block_size"):
+            multiway_join(tables, block_size=block_size)
 
     def test_empty_table_short_circuits(self):
         tables = self.make_chain_tables() + [MatchTable(("d", "e"))]

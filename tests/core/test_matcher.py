@@ -57,12 +57,6 @@ class TestMatchSTwigSingleMachine:
         table = match_stwig(cloud, 0, STwig("x", ("y",)), query)
         assert table.row_count == 0
 
-    def test_row_limit(self, data_graph, query):
-        cloud = single_machine_cloud(data_graph)
-        stwig = STwig("qa", ("qb", "qc"))
-        table = match_stwig(cloud, 0, stwig, query, row_limit=2)
-        assert table.row_count == 2
-
     def test_injectivity_between_same_label_leaves(self):
         # Root 'r' with two 'x'-labeled children: leaves must be distinct nodes.
         graph = LabeledGraph.from_edges(

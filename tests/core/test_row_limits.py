@@ -3,7 +3,6 @@
 The paper's pipelined execution stops at a result limit (1024 in the
 experiments).  These tests pin down the semantics end to end:
 
-* ``match_stwig`` honors limits on leafless STwigs and produces prefixes;
 * ``multiway_join`` streams every head block through all its stages under
   one budget, so *no* stage (intermediate or final) materializes more than
   O(limit + chunk) rows instead of joining everything and truncating after;
@@ -22,47 +21,12 @@ from repro.core.distributed import assemble_results
 from repro.core.engine import SubgraphMatcher
 from repro.core.exploration import explore
 from repro.core.join import multiway_join
-from repro.core.matcher import match_stwig
 from repro.core.planner import QueryPlanner
 from repro.core.result import MatchTable
-from repro.core.stwig import STwig
 from repro.query.query_graph import QueryGraph
 from repro.workloads.datasets import tiny_example_graph
 
 from tests.helpers import make_cloud, seeded_graph
-
-
-class TestLeaflessSTwigLimits:
-    def setup_method(self):
-        self.graph = seeded_graph(seed=11, nodes=40, edges=100, labels=2)
-        self.query = QueryGraph({"r": "L0", "x": "L1"}, [("r", "x")])
-        self.stwig = STwig("r", ())
-
-    def test_limit_is_prefix_of_full(self):
-        cloud = make_cloud(self.graph, machine_count=1)
-        full = match_stwig(cloud, 0, self.stwig, self.query)
-        assert full.row_count > 3
-        limited = match_stwig(cloud, 0, self.stwig, self.query, row_limit=3)
-        assert limited.rows == full.rows[:3]
-
-    def test_limit_above_match_count_returns_everything(self):
-        cloud = make_cloud(self.graph, machine_count=1)
-        full = match_stwig(cloud, 0, self.stwig, self.query)
-        limited = match_stwig(
-            cloud, 0, self.stwig, self.query, row_limit=full.row_count + 10
-        )
-        assert limited.rows == full.rows
-
-    def test_limited_leafless_charges_only_work_done(self):
-        limited_cloud = make_cloud(self.graph, machine_count=1)
-        full_cloud = make_cloud(self.graph, machine_count=1)
-        limited_cloud.reset_metrics()
-        full_cloud.reset_metrics()
-        match_stwig(limited_cloud, 0, self.stwig, self.query, row_limit=1)
-        match_stwig(full_cloud, 0, self.stwig, self.query)
-        limited_loads = limited_cloud.metrics.snapshot()["local_loads"]
-        full_loads = full_cloud.metrics.snapshot()["local_loads"]
-        assert limited_loads < full_loads
 
 
 class TestMultiwayJoinLimitPushdown:
@@ -163,7 +127,7 @@ class TestCooperativeBudget:
         slots = [0, 0, 0]
         limit = 10
         views = [
-            join_module.CooperativeJoinBudget(slots, m, limit) for m in range(3)
+            join_module.JoinBudget(limit, slots, m) for m in range(3)
         ]
         # Machine 0 never sees higher-ID production: even after machine 2
         # produces, machine 0's remaining budget is untouched.
@@ -178,22 +142,25 @@ class TestCooperativeBudget:
         assert not views[0].exhausted()
 
     def test_unlimited_view(self):
-        budget = join_module.CooperativeJoinBudget([0, 0], 1, None)
+        budget = join_module.JoinBudget(None, [0, 0], 1)
         assert budget.remaining() is None
         assert not budget.exhausted()
 
     def test_sequential_views_telescope_to_local_countdown(self):
-        """Consumed in machine order, the shared views equal the historical
-        per-machine remaining countdown."""
+        """Consumed in machine order, the shared views equal the slot-less
+        ``JoinBudget(limit)`` countdown fed the same productions."""
         slots = [0, 0, 0]
         limit = 9
-        local = join_module.LocalJoinBudget(limit)
+        local = join_module.JoinBudget(limit)
         for machine_id, produced in enumerate((4, 3, 5)):
-            shared_view = join_module.CooperativeJoinBudget(slots, machine_id, limit)
+            shared_view = join_module.JoinBudget(limit, slots, machine_id)
             assert shared_view.remaining() == local.remaining()
+            assert shared_view.exhausted() == local.exhausted()
             grant = min(produced, shared_view.remaining())
             shared_view.note_produced(grant)
             local.note_produced(grant)
+        assert shared_view.remaining() == local.remaining() == 0
+        assert shared_view.exhausted() and local.exhausted()
 
 
 class TestAssembleResultsLimits:

@@ -55,13 +55,13 @@ def parity_queries(parity_graph):
     return [dfs_query(parity_graph, 5, seed=seed) for seed in (3, 5, 11)]
 
 
-def run_backend(graph, queries, backend, limit=None):
+def run_backend(graph, queries, backend, limit=None, config=None):
     """Fresh cloud + matcher per backend; returns rows/metrics/pair counts."""
     cloud = MemoryCloud.from_graph(graph, ClusterConfig(machine_count=4))
     executor = create_executor(RuntimeConfig(backend=backend, workers=2))
     outputs = []
     try:
-        with SubgraphMatcher(cloud, MatcherConfig(), executor=executor) as matcher:
+        with SubgraphMatcher(cloud, config, executor=executor) as matcher:
             for query in queries:
                 result = matcher.match(query, limit=limit)
                 outputs.append(
@@ -157,6 +157,21 @@ class TestBackendParity:
             for backend_out, vf2_answers in zip(outputs, expected):
                 assert_same_matches(backend_out["dicts"], vf2_answers)
 
+    @pytest.mark.parametrize(
+        "ablation", ["use_final_binding_filter", "use_binding_filter"]
+    )
+    def test_binding_filter_ablations_keep_vf2_answers(
+        self, parity_graph, parity_queries, ablation
+    ):
+        """The join order reads the final binding sizes whether or not the
+        bindings also filter: turning a filter off changes no answer."""
+        query = parity_queries[0]
+        expected = vf2_match(parity_graph, query)
+        config = MatcherConfig(**{ablation: False})
+        for backend in BACKENDS:
+            outputs, _ = run_backend(parity_graph, [query], backend, config=config)
+            assert_same_matches(outputs[0]["dicts"], expected)
+
 
 def final_arrays(graph, queries, limits_for, backend, stealing=True):
     """``{(query index, limit): (final array, truncated)}`` on one backend."""
@@ -179,22 +194,23 @@ def final_arrays(graph, queries, limits_for, backend, stealing=True):
 
 def oracle_arrays(graph, queries):
     """Each query's unlimited answer, joined by the row-sort-mask oracle."""
-    config = MatcherConfig()
     oracle = []
     with MemoryCloud.from_graph(graph, ClusterConfig(machine_count=4)) as cloud:
-        planner = QueryPlanner(cloud, config)
+        planner = QueryPlanner(cloud, MatcherConfig())
         for query in queries:
             plan = planner.plan(query)
             exploration = explore(cloud, plan)
+            distinct_counts = {
+                node: len(exploration.bindings.candidates_array(node))
+                for node in query.nodes()
+            }
             shares = [np.empty((0, query.node_count), dtype=np.int64)]
             for machine_id in range(cloud.machine_count):
                 tables = _gather_machine_tables(
                     cloud, plan, exploration.tables, machine_id, exploration.bindings, {}
                 )
                 if all(table.row_count for table in tables):
-                    order = select_join_order(
-                        tables, sample_size=config.sample_size, rng=config.seed
-                    )
+                    order = select_join_order(tables, distinct_counts)
                     shares.append(oracle_join(tables, order, query.nodes()))
             oracle.append(np.concatenate(shares, axis=0))
     return oracle

@@ -220,28 +220,6 @@ class TestBatchedOperators:
         mask = cloud.batch_has_label(probe, "b", requester=0, owners=owners)
         assert mask.tolist() == [False, True, False]
 
-    def test_row_limited_matching_charges_only_work_done(self):
-        # A row-limited match_stwig must not load/probe every root upfront.
-        from repro.core.matcher import match_stwig
-        from repro.core.stwig import STwig
-        from repro.query.query_graph import QueryGraph
-
-        graph = seeded_graph(seed=21, nodes=80, edges=240, labels=2)
-        query = QueryGraph({"r": "L0", "x": "L1"}, [("r", "x")])
-        limited_cloud = make_cloud(graph, machine_count=1)
-        full_cloud = make_cloud(graph, machine_count=1)
-        limited_cloud.reset_metrics()
-        full_cloud.reset_metrics()
-        limited = match_stwig(
-            limited_cloud, 0, STwig("r", ("x",)), query, row_limit=1
-        )
-        full = match_stwig(full_cloud, 0, STwig("r", ("x",)), query)
-        assert limited.row_count == 1
-        assert limited.rows == full.rows[:1]
-        limited_loads = limited_cloud.metrics.snapshot()["local_loads"]
-        full_loads = full_cloud.metrics.snapshot()["local_loads"]
-        assert limited_loads < full_loads
-
     def test_label_index_vectorized_filter(self):
         index = label_index_from_pairs([(5, "a"), (3, "a"), (7, "b"), (9, "a")])
         candidates = np.array([1, 3, 5, 7, 8, 9], dtype=np.int64)

@@ -4,7 +4,7 @@ The reference is the nested-loop builder in ``tests/helpers.py`` (roots in
 order, first leaf slowest, one tuple per candidate row, ``len(set(...))``
 for injectivity).  The matcher's ``_row_blocks`` must reproduce it row for
 row *in order* for every leaf count, whatever the block size, and
-``match_stwig(row_limit=)`` must return exact prefixes of that order.
+``match_stwig`` must hand those rows out unchanged.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.errors import ExecutionError
 from repro.graph.labeled_graph import NODE_DTYPE, OFFSET_DTYPE, LabeledGraph
 from repro.query.query_graph import QueryGraph
 from repro.utils.arrays import fast_unique
-from repro.workloads.datasets import tiny_example_graph
 
 from tests.helpers import hub_graph, make_cloud, nested_loop_stwig_rows, star_of
 from tests.property.strategies import LABELS, labeled_graphs
@@ -183,7 +182,7 @@ def oracle_rows(graph: LabeledGraph, cloud, machine_id, query, stwig, bound):
 class TestMatchSTwigAgainstNestedLoops:
     @RELAXED
     @given(case=star_cases())
-    def test_every_row_limit_is_the_exact_prefix(self, case):
+    def test_nested_loop_rows(self, case):
         graph, query, stwig, bound, machine_count = case
         cloud = make_cloud(graph, machine_count=machine_count)
         bindings = None
@@ -195,25 +194,6 @@ class TestMatchSTwigAgainstNestedLoops:
             expected = oracle_rows(graph, cloud, machine_id, query, stwig, bound)
             full = match_stwig(cloud, machine_id, stwig, query, bindings)
             assert full.rows == expected
-            for limit in range(len(expected) + 2):
-                limited = match_stwig(
-                    cloud, machine_id, stwig, query, bindings, row_limit=limit
-                )
-                assert limited.rows == expected[:limit]
-
-    def test_a_zero_limit_loads_and_probes_nothing(self):
-        # The limit used to be looked at only after the first block was
-        # built, so limit 0 cost the same loads and probes as limit 1.
-        query = QueryGraph({"qa": "a", "qb": "b", "qc": "c"}, [("qa", "qb"), ("qa", "qc")])
-        stwig = STwig("qa", ("qb", "qc"))
-        charged = {}
-        for limit in (0, 1):
-            cloud = make_cloud(tiny_example_graph(), machine_count=3)
-            table = match_stwig(cloud, 0, stwig, query, row_limit=limit)
-            assert table.row_count == limit and table.columns == stwig.nodes
-            charged[limit] = cloud.metrics.snapshot()
-        assert not any(charged[0].values())
-        assert charged[1]["local_loads"] == 1 and charged[1]["remote_label_probes"] == 4
 
 
 class TestHubRoots:
@@ -224,14 +204,6 @@ class TestHubRoots:
         query, stwig = star_of(5)
         with pytest.raises(ExecutionError, match=r"r -> \[l0, .*under root 0"):
             match_stwig(cloud, 0, stwig, query)
-
-    def test_limit_stops_mid_root_on_a_huge_product(self):
-        # 2000^3 = 8e9 candidate rows under one root: only a builder that
-        # cuts blocks inside a root can answer a small limit at all.
-        cloud = make_cloud(hub_graph(2_000), machine_count=1)
-        query, stwig = star_of(3)
-        limited = match_stwig(cloud, 0, stwig, query, row_limit=5)
-        assert limited.rows == [(0, 1, 2, 3 + i) for i in range(5)]
 
 
 class TestFastUnique:

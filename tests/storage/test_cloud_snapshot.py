@@ -324,6 +324,47 @@ class TestOverlayMerge:
         cloud.close()
 
 
+def per_machine_label_sum(cloud):
+    """The reference count: every machine's label index, summed."""
+    totals = {}
+    for machine in cloud.machines:
+        for label in machine.label_index.labels():
+            totals[label] = totals.get(label, 0) + machine.label_index.label_frequency(label)
+    return totals
+
+
+class TestGlobalLabelFrequencies:
+    """One count over the image's label column equals the per-machine sum."""
+
+    def test_loaded_clean_and_replayed_images(self, tmp_path, cloud, graph):
+        expected = graph.label_frequencies()
+        assert cloud.global_label_frequencies() == per_machine_label_sum(cloud) == expected
+        cloud.save_snapshot(tmp_path / "snap")
+        with MemoryCloud.open_snapshot(tmp_path / "snap") as clean:
+            assert clean.global_label_frequencies() == per_machine_label_sum(clean) == expected
+        # A pending log that relabels node 0 to a label the table has never seen.
+        DeltaLog(tmp_path / "snap").append_nodes([(0, "brand-new")])
+        expected[graph.label(0)] -= 1
+        expected["brand-new"] = 1
+        with MemoryCloud.open_snapshot(tmp_path / "snap") as replayed:
+            assert (
+                replayed.global_label_frequencies()
+                == per_machine_label_sum(replayed)
+                == expected
+            )
+
+    def test_a_label_left_without_nodes_is_omitted(self, tmp_path):
+        from repro.graph.labeled_graph import LabeledGraph
+
+        path = LabeledGraph.from_edges({0: "a", 1: "b", 2: "b"}, [(0, 1), (1, 2)])
+        MemoryCloud.from_graph(path, ClusterConfig(machine_count=2)).save_snapshot(
+            tmp_path / "snap"
+        )
+        DeltaLog(tmp_path / "snap").append_nodes([(0, "c")])
+        with MemoryCloud.open_snapshot(tmp_path / "snap") as replayed:
+            assert replayed.global_label_frequencies() == {"b": 2, "c": 1}
+
+
 class TestIdMapBeyondCompaction:
     """A node the persisted ``IdMap`` never saw: open degrades, compact refuses."""
 

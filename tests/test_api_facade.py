@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ import repro.api as api
 from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import ClusterConfig
 from repro.core.engine import SubgraphMatcher
+from repro.core.planner import MatcherConfig
 from repro.errors import (
     AdmissionError,
     ConfigurationError,
@@ -16,8 +19,10 @@ from repro.errors import (
     ServiceError,
     StorageError,
 )
+from repro.graph.generators.power_law import generate_power_law
 from repro.graph.io import save_graph
 from repro.ingest import ingest_edges
+from repro.query.generators import dfs_query
 from repro.query.query_graph import QueryGraph
 from repro.serve.service import QueryService
 from tests.helpers import assert_same_image
@@ -204,6 +209,30 @@ class TestSessionLifecycle:
     def test_bad_service_knob_fails_at_connect(self, edge_file):
         with pytest.raises(ConfigurationError, match="max_in_flight"):
             api.connect(edge_file, max_in_flight=0)
+
+    def test_bad_block_size_fails_at_connect(self):
+        """A non-positive block_size used to be served: every join's head
+        loop was empty, so each query silently came back with no rows."""
+        graph = generate_power_law(3000, 6, label_density=0.003, seed=3)
+        query = dfs_query(graph, 4, random.Random(5))
+
+        def connect(**matcher_knobs):
+            return api.connect(
+                graph,
+                machines=4,
+                executor="serial",
+                matcher_config=MatcherConfig(**matcher_knobs),
+            )
+
+        with connect() as db:
+            expected = db.query(query).rows
+        assert len(expected) > 1
+        for block_size in (None, 1):
+            with connect(block_size=block_size) as db:
+                assert db.query(query).rows == expected
+        for block_size in (0, -1):
+            with pytest.raises(ConfigurationError, match="block_size"):
+                connect(block_size=block_size)
 
     def test_open_snapshot_refuses_a_non_snapshot(self, edge_file):
         with pytest.raises(StorageError, match="no snapshot manifest"):

@@ -15,8 +15,9 @@ It also greps ``src/`` for retired spellings (``max_workers=``,
 ``default_limit=``, the pre-task-API executor methods, the per-cell cloud
 write path, the standalone ``hash_join``, the tuple-era result mutators,
 the growable-table / set-view / dict-view members, the per-backend service
-dict and ``start_method``): the names are gone from the API, and nothing in
-``src/`` may bring them back.
+dict, ``start_method``, the join-order sampler and the two budget
+subclasses): the names are gone from the API, and nothing in ``src/`` may
+bring them back.
 
 And it keeps the front door single (``FRONT_DOOR``): ``repro.api`` is the one
 place a source becomes a cloud and a service is put in front of it, so the
@@ -80,6 +81,10 @@ RETIRED_SPELLINGS = [
     "start_method",
     "_service_for(",
     "self._services",
+    "sample_size",
+    "estimate_join_size(",
+    "LocalJoinBudget",
+    "CooperativeJoinBudget",
 ]
 
 #: Constructor spellings banned per file (glob under the repo root): a second
