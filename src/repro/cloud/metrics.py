@@ -32,6 +32,8 @@ class CloudMetrics:
     result_rows_filtered: int = 0
     join_rows_materialized: int = 0
     join_peak_intermediate_rows: int = 0
+    #: STwig rows actually built (expanded from factorized tables) for the join.
+    stwig_rows_built: int = 0
     per_pair_messages: Dict[Tuple[int, int], int] = field(
         default_factory=lambda: defaultdict(int)
     )
@@ -155,6 +157,7 @@ class CloudMetrics:
         self.result_rows_shipped += other.result_rows_shipped
         self.result_rows_filtered += other.result_rows_filtered
         self.join_rows_materialized += other.join_rows_materialized
+        self.stwig_rows_built += other.stwig_rows_built
         # Peaks aggregate by max, not sum: the query's peak is the largest
         # single materialization any machine performed.
         if other.join_peak_intermediate_rows > self.join_peak_intermediate_rows:
@@ -195,6 +198,7 @@ class CloudMetrics:
             "result_rows_filtered": self.result_rows_filtered,
             "join_rows_materialized": self.join_rows_materialized,
             "join_peak_intermediate_rows": self.join_peak_intermediate_rows,
+            "stwig_rows_built": self.stwig_rows_built,
         }
 
     def reset(self) -> None:
@@ -210,4 +214,5 @@ class CloudMetrics:
         self.result_rows_filtered = 0
         self.join_rows_materialized = 0
         self.join_peak_intermediate_rows = 0
+        self.stwig_rows_built = 0
         self.per_pair_messages.clear()

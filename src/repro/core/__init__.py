@@ -11,7 +11,7 @@ from repro.core.join import (
 )
 from repro.core.matcher import match_stwig
 from repro.core.planner import MatcherConfig, QueryPlan, QueryPlanner
-from repro.core.result import MatchResult, MatchTable, StageStats
+from repro.core.result import MatchResult, MatchTable, StageStats, STwigTable
 from repro.core.statistics import EdgeStatistics
 from repro.core.stwig import STwig, validate_cover
 
@@ -28,6 +28,7 @@ __all__ = [
     "JoinBudget",
     "JoinCounters",
     "MatchTable",
+    "STwigTable",
     "MatchResult",
     "StageStats",
     "MatcherConfig",

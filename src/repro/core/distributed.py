@@ -19,14 +19,16 @@ join only runs for the rows still needed, and the assembly reports whether
 the limit actually cut anything off (a query with exactly ``limit`` matches
 is not truncated).
 
-The final binding filter runs *inside the gather*: each source table is
-reduced once, on its owning machine, with sorted-membership column masks
-over zero-copy column views — before any cross-machine concatenation.
-Receivers therefore copy (and the simulated network ships) only surviving
-rows, which removes the copy floor that used to dominate limited queries,
-and the filtered table is cached per (machine, STwig) so it is never
-recomputed per receiver.  Rows the filter drops sender-side are charged to
-the explicit ``result_rows_filtered`` counter.
+The final binding filter runs *inside the gather* and *on the slots*: the
+tables exploration left are factorized (:class:`~repro.core.result.STwigTable`),
+and a row survives the filter iff its root and every one of its slot
+entries does — so each source table is reduced once, on its owning machine
+(cached per (machine, STwig)), with one sorted-membership mask per slot
+column, before any row exists.  The filtered table's exact row count is
+what the simulated network ships and what :func:`select_join_order` reads;
+rows dropped sender-side are charged to ``result_rows_filtered``.  Rows are
+built after all that, where the join reads them: the tables it builds on
+whole, the lead block by block under the budget (``stwig_rows_built``).
 """
 
 from __future__ import annotations
@@ -47,10 +49,10 @@ from repro.core.join import (
     select_join_order,
 )
 from repro.core.planner import QueryPlan
-from repro.core.result import MatchTable
+from repro.core.result import MatchTable, STwigTable
 
 #: Cache of binding-filtered tables, keyed by (machine, stwig_index).
-FilteredTables = Dict[Tuple[int, int], MatchTable]
+FilteredTables = Dict[Tuple[int, int], STwigTable]
 
 
 @dataclass
@@ -164,10 +166,9 @@ def machine_result_rows(
     attachment.
 
     ``budget`` is this machine's view of the (possibly shared) join budget;
-    the plain ``remaining`` countdown is kept as a convenience spelling for
-    direct callers.  A budget that is already exhausted on entry skips the
-    gather entirely — no transfers, no metrics — exactly like the
-    historical sequential early exit.
+    the plain ``remaining`` countdown is a convenience spelling for direct
+    callers.  A budget already exhausted on entry skips the gather entirely
+    — no transfers, no metrics, no row built.
 
     ``filtered_cache`` may be shared across machines when calls run
     sequentially (each source table is binding-filtered once); concurrent
@@ -194,10 +195,11 @@ def machine_result_rows(
         for column in final_columns
         if bindings is not None and bindings.is_bound(column)
     }
+    order = select_join_order(machine_tables, distinct_counts)
     counters = JoinCounters()
     joined = multiway_join(
         machine_tables,
-        order=select_join_order(machine_tables, distinct_counts),
+        order=order,
         block_size=plan.config.block_size,
         budget=budget,
         counters=counters,
@@ -207,10 +209,14 @@ def machine_result_rows(
     cloud.metrics.record_join_materialization(
         counters.rows_materialized, counters.peak_intermediate_rows
     )
+    # The join expanded every table it built on and pulled this much of its lead.
+    cloud.metrics.stwig_rows_built += counters.lead_rows + sum(
+        machine_tables[index].row_count for index in order[1:]
+    )
     return joined.to_array()
 
 
-def _filter_by_bindings(table: MatchTable, bindings: BindingTable) -> MatchTable:
+def _filter_by_bindings(table: STwigTable, bindings: BindingTable) -> STwigTable:
     """Drop rows whose values fell out of the final binding sets.
 
     Every full match assigns each query node a value that survived *all*
@@ -218,29 +224,27 @@ def _filter_by_bindings(table: MatchTable, bindings: BindingTable) -> MatchTable
     violating that for any column can therefore never contribute to an
     answer.  Earlier-explored STwig tables were built against weaker binding
     information, so this backward pass can shrink them substantially before
-    the join.  One sorted-membership mask per bound column runs on the
-    zero-copy column views; only surviving rows are ever copied.
+    the join.  One sorted-membership mask per bound column runs on the roots
+    and the slot columns — no row is built to be dropped.
     """
     if table.row_count == 0:
         return table
-    keep: Optional[np.ndarray] = None
-    for column in table.columns:
-        if not bindings.is_bound(column):
-            continue
-        mask = bindings.membership_mask(column, table.column_array(column))
-        keep = mask if keep is None else keep & mask
-    if keep is None or keep.all():
+    keeps: List[Optional[np.ndarray]] = []
+    for column, values in zip(table.columns, (table.roots, *table.slot_values)):
+        keep = None
+        if bindings.is_bound(column):
+            keep = bindings.membership_mask(column, values)
+            if keep.all():
+                keep = None
+        keeps.append(keep)
+    if all(keep is None for keep in keeps):
         return table
-    return MatchTable(table.columns, table.to_array()[keep])
+    return table.select(keeps[0], keeps[1:])
 
 
 def _filtered_table(
-    tables: ExplorationTables,
-    machine_id: int,
-    stwig_index: int,
-    bindings,
-    cache: FilteredTables,
-) -> MatchTable:
+    tables: ExplorationTables, machine_id: int, stwig_index: int, bindings, cache: FilteredTables
+) -> STwigTable:
     """``G_k(q_i)`` with the final binding filter applied on its machine.
 
     Cached per (machine, STwig): every receiver whose load set includes this
@@ -248,14 +252,12 @@ def _filtered_table(
     With ``bindings`` disabled the raw table passes through untouched.
     """
     table = tables[machine_id][stwig_index]
-    if bindings is None or table.row_count == 0:
+    if bindings is None:
         return table
     key = (machine_id, stwig_index)
-    cached = cache.get(key)
-    if cached is None:
-        cached = _filter_by_bindings(table, bindings)
-        cache[key] = cached
-    return cached
+    if key not in cache:
+        cache[key] = _filter_by_bindings(table, bindings)
+    return cache[key]
 
 
 def _gather_machine_tables(
@@ -265,22 +267,21 @@ def _gather_machine_tables(
     machine_id: int,
     bindings,
     filtered_cache: FilteredTables,
-) -> List[MatchTable]:
+) -> List[STwigTable]:
     """Build ``R_k(q_t)`` for every STwig ``t`` on machine ``machine_id``.
 
     ``bindings`` filter the parts only under
     ``plan.config.use_final_binding_filter``; the ablation passes raw tables.
 
     Every part — local and remote — is binding-filtered *before* the union,
-    so the concatenation copies only surviving rows.  Remote fetches are
-    charged as result transfers for the rows actually shipped; rows the
-    sender-side filter removed are charged to ``result_rows_filtered``.
-    The union over the load set is one array concatenation instead of a
-    chain of pairwise copies.
+    and the union over the load set concatenates factorized parts (disjoint
+    roots), so nothing here builds a row.  Remote fetches are charged as
+    result transfers for the rows actually shipped; rows the sender-side
+    filter removed are charged to ``result_rows_filtered``.
     """
     if not plan.config.use_final_binding_filter:
         bindings = None
-    tables: List[MatchTable] = []
+    tables: List[STwigTable] = []
     for stwig_index in range(len(plan.stwigs)):
         local = _filtered_table(
             exploration_tables, machine_id, stwig_index, bindings, filtered_cache
@@ -306,12 +307,8 @@ def _gather_machine_tables(
                     sender=remote_machine,
                     receiver=machine_id,
                     rows=remote.row_count,
-                    row_width=remote.width,
+                    row_width=len(remote.columns),
                 )
                 parts.append(remote)
-        if len(parts) == 1:
-            tables.append(local)
-        else:
-            combined = np.concatenate([part.to_array() for part in parts], axis=0)
-            tables.append(MatchTable(local.columns, combined))
+        tables.append(STwigTable.concatenate(parts))
     return tables

@@ -160,6 +160,7 @@ class SubgraphMatcher:
         stats.truncated = join_outcome.truncated
         stats.join_rows_materialized = query_metrics.join_rows_materialized
         stats.join_peak_intermediate_rows = query_metrics.join_peak_intermediate_rows
+        stats.stwig_rows_built = query_metrics.stwig_rows_built
 
         wall_seconds = time.perf_counter() - started
         metrics_delta = query_metrics.snapshot()

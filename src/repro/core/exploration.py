@@ -31,14 +31,14 @@ import numpy as np
 from repro.cloud.cluster import MemoryCloud
 from repro.core.bindings import BindingTable
 from repro.core.planner import QueryPlan
-from repro.core.result import MatchTable
+from repro.core.result import STwigTable
 from repro.core.stwig import STwig
 from repro.core.tasks import ExploreResult, ExploreTask, TableHandle, release_matrix
 from repro.graph.labeled_graph import NODE_DTYPE
 from repro.utils.arrays import fast_unique
 
-#: Per-machine tables: explored[machine_id][stwig_index] -> MatchTable.
-ExplorationTables = List[List[MatchTable]]
+#: Per-machine tables: explored[machine_id][stwig_index] -> STwigTable.
+ExplorationTables = List[List[STwigTable]]
 
 #: Per-machine handles: handles[machine_id][stwig_index] -> TableHandle.
 ExplorationHandles = List[List[TableHandle]]
@@ -51,7 +51,7 @@ class ExplorationOutcome:
     process-explored stages the data stays in the workers' shared-memory
     publications and only the descriptors live here.  The join phase
     consumes :attr:`handles` directly (attaching zero-copy);
-    :attr:`tables` materializes plain :class:`MatchTable`\\ s for
+    :attr:`tables` materializes factorized :class:`STwigTable`\\ s for
     in-process consumers and is cached.  Whoever owns the outcome must
     call :meth:`release` once the results are no longer needed, or
     published blocks outlive the query.

@@ -35,6 +35,14 @@ yet), so a stage expansion is one row gather plus one 1-D gather per new
 column, and the final stage's blocks are the answer: they are written once,
 with no growth copies and no column reorder.
 
+Tables are read through one protocol — ``columns``, ``row_count``,
+``to_array()``, ``row_blocks(n)`` — that both table values of
+:mod:`repro.core.result` speak: a stage table is read whole (``to_array()``
+*builds* a factorized STwig table's rows), the lead only through
+``row_blocks``, one head block at a time while the budget is open, so a full
+budget stops row construction.  A join of one table is the same loop with
+no stages: each head block is masked, cut to the budget's prefix, charged.
+
 Subgraph isomorphism is injective — distinct query nodes map to distinct
 data nodes.  Only columns that *may* hold the same node need comparing: a
 data node has one label, so when the caller supplies the query's labels a
@@ -70,11 +78,13 @@ class JoinCounters:
     O(limit + chunk), which is exactly the claim these counters expose.
     """
 
-    __slots__ = ("rows_materialized", "peak_intermediate_rows")
+    __slots__ = ("rows_materialized", "peak_intermediate_rows", "lead_rows")
 
     def __init__(self) -> None:
         self.rows_materialized = 0
         self.peak_intermediate_rows = 0
+        #: Rows the lead table handed out in head blocks (built, if factorized).
+        self.lead_rows = 0
 
     def charge(self, rows: int) -> None:
         """Record one materialization of ``rows`` rows."""
@@ -282,7 +292,7 @@ class _StagePlan:
             table.to_array(), _within_row_pairs(table.columns, labels)
         )
         self.key_slots = [slots[c] for c in shared]
-        self.new_slots = [(slots[c], table.column_index(c)) for c in new_columns]
+        self.new_slots = [(slots[c], table.columns.index(c)) for c in new_columns]
         # A shared column equals the table's own, which the within-row check
         # above compared with the table's other columns; only columns this
         # table does not carry can still collide with the ones it adds.
@@ -294,7 +304,7 @@ class _StagePlan:
         ]
         if len(self.build_rows) and shared:
             build_keys = _lex_keys(
-                self.build_rows[:, [table.column_index(c) for c in shared]]
+                self.build_rows[:, [table.columns.index(c) for c in shared]]
             )
             self.build_order = np.argsort(build_keys, kind="stable")
             self.sorted_keys = build_keys[self.build_order]
@@ -386,6 +396,10 @@ def _stream_stages(
         if remaining is not None and len(partial) > remaining:
             partial = partial[: max(0, remaining)]
         if len(partial):
+            if stage == 0:
+                # No stage expanded (and charged) these rows: with a single
+                # table the head block's prefix is the materialization.
+                counters.charge(len(partial))
             pieces.append(partial)
             budget.note_produced(len(partial))
         return
@@ -430,7 +444,7 @@ def multiway_join(
     """Join all ``tables`` into one result via the streaming block pipeline.
 
     Args:
-        tables: one result table per STwig.
+        tables: one result table per STwig, of either table value.
         order: the join order, as indices into ``tables`` (see
             :func:`select_join_order`); the tables as listed when omitted.
         row_limit: stop once this many result rows have been produced.
@@ -489,29 +503,21 @@ def multiway_join(
         )
     slots = {column: slot for slot, column in enumerate(columns)}
     lead_slots = [slots[c] for c in lead.columns]
-    lead_rows = lead.to_array()
-
-    if not stages:
-        # A single table is its own answer: the budget's prefix of it, as it
-        # stands (there is no stage to filter in).
-        remaining = budget.remaining()
-        if remaining is not None:
-            lead_rows = lead_rows[: max(0, remaining)]
-        counters.charge(len(lead_rows))
-        budget.note_produced(len(lead_rows))
-        return MatchTable(columns, _at_slots(lead_rows, lead_slots, len(columns)))
-
     plans = [_StagePlan(slots, before, table, labels) for table, before in stages]
     lead_pairs = _within_row_pairs(lead.columns, labels)
     if block_size is None:
-        block_size = max(len(lead_rows), 1)
+        block_size = max(lead.row_count, 1)
     pieces: List[np.ndarray] = []
-    for start in range(0, len(lead_rows), block_size):
-        if budget.exhausted():
+    blocks = iter(lead.row_blocks(block_size))
+    # The budget is polled before a block is asked for: a full budget stops
+    # the lead's rows from being built, not just from being used.
+    while not budget.exhausted():
+        block = next(blocks, None)
+        if block is None:
             break
-        block = _distinct_rows(lead_rows[start : start + block_size], lead_pairs)
+        counters.lead_rows += len(block)
         # Rows flow at the output's width from here on.
-        partial = _at_slots(block, lead_slots, len(columns))
+        partial = _at_slots(_distinct_rows(block, lead_pairs), lead_slots, len(columns))
         _stream_stages(partial, plans, 0, budget, counters, pieces)
     if not pieces:
         return MatchTable(columns)

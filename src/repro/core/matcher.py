@@ -17,38 +17,29 @@ Steps 2-3 run *batched across all roots* (:func:`_resolve_slots`): the
 neighbor slices of every root are concatenated once and each leaf slot is
 resolved with a single vectorized label probe (or binding intersection)
 over that flat array, leaving every slot as a CSR column — flat values
-plus per-root bounds.  Step 4 is batched the same way (:func:`_row_blocks`):
-the candidate rows of *all* roots are numbered by one flat index (a root
-owns as many as the product of its slot lengths), and any range of that
-index is decoded into rows by mixed-radix arithmetic over the per-root
-slot lengths — one gather per column, whatever the leaf count.  Rows come
-out in nested-loop order (roots ascending, first leaf slowest) in blocks
-of at most ``_BLOCK_ROWS`` candidates, so the builder's working set stays
-bounded.  The communication accounting is faithful to the per-node model —
-one ``hasLabel`` probe is charged per neighbor, per unbound leaf, only for
-roots still alive (a root whose earlier slot came up empty stops probing,
-exactly like a per-node loop).
+plus per-root bounds.  That is where :func:`match_stwig` stops: it returns
+the factorized :class:`~repro.core.result.STwigTable`, whose row count and
+binding distincts are arithmetic on the slots.  Step 4 happens at the join,
+and only for the rows the join reads (``STwigTable.row_blocks`` /
+``to_array``, after the final binding filter has shrunk the slots).  The
+communication accounting is faithful to the per-node model — one
+``hasLabel`` probe is charged per neighbor, per unbound leaf, only for roots
+still alive (a root whose earlier slot came up empty stops probing, exactly
+like a per-node loop).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cloud.cluster import MemoryCloud
 from repro.core.bindings import BindingTable
-from repro.core.result import MatchTable
+from repro.core.result import STwigTable
 from repro.core.stwig import STwig
-from repro.errors import ExecutionError
 from repro.graph.labeled_graph import NODE_DTYPE, OFFSET_DTYPE
 from repro.query.query_graph import QueryGraph
-
-#: Candidate rows decoded per block: bounds the builder's working set.
-_BLOCK_ROWS = 1 << 15
-
-#: Row counts are float64 products; below this bound they are exact integers.
-_MAX_EXACT_ROWS = float(1 << 53)
 
 
 def match_stwig(
@@ -58,7 +49,7 @@ def match_stwig(
     query: QueryGraph,
     bindings: Optional[BindingTable] = None,
     roots: Optional[np.ndarray] = None,
-) -> MatchTable:
+) -> STwigTable:
     """Find all matches of ``stwig`` rooted on ``machine_id``.
 
     Args:
@@ -74,42 +65,25 @@ def match_stwig(
             omitted the candidates are derived here.
 
     Returns:
-        A :class:`MatchTable` with columns ``(root, *leaves)`` whose rows are
-        data-node IDs.  Root nodes are always local to ``machine_id``; leaf
+        The :class:`STwigTable` with columns ``(root, *leaves)``: no row is
+        built here.  Root nodes are always local to ``machine_id``; leaf
         nodes may be remote.
     """
     if roots is None:
         roots = _root_candidates(
             cloud, machine_id, stwig, query.label(stwig.root), bindings
         )
-    blocks = list(_stwig_blocks(cloud, machine_id, stwig, query, bindings, roots))
-    if not blocks:
-        return MatchTable(stwig.nodes)
-    # One write of the whole table; a single block is the table as it is.
-    return MatchTable(stwig.nodes, blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
-
-
-def _stwig_blocks(
-    cloud: MemoryCloud,
-    machine_id: int,
-    stwig: STwig,
-    query: QueryGraph,
-    bindings: Optional[BindingTable],
-    roots: np.ndarray,
-) -> Iterator[np.ndarray]:
-    """Row blocks of ``stwig`` for ``roots``, in root order (steps 2-4)."""
     labels = [query.label(node) for node in stwig.nodes]
+    slots = _resolve_slots(cloud, machine_id, stwig, labels[1:], bindings, roots)
+    if slots is None:
+        return STwigTable(stwig.nodes)
     # Injectivity only needs checking between columns of equal label: a data
     # node has one label, so differently-labeled columns cannot collide.
-    distinct_pairs = [
-        (low, high)
-        for high in range(len(labels))
-        for low in range(high)
-        if labels[low] == labels[high]
-    ]
-    slots = _resolve_slots(cloud, machine_id, stwig, labels[1:], bindings, roots)
-    if slots is not None:
-        yield from _row_blocks(roots, *slots, distinct_pairs, stwig)
+    by_label: Dict[str, List[int]] = {}
+    for index, label in enumerate(labels):
+        by_label.setdefault(label, []).append(index)
+    groups = [tuple(group) for group in by_label.values() if len(group) > 1]
+    return STwigTable.from_slots(stwig.nodes, groups, *slots)
 
 
 def _resolve_slots(
@@ -119,8 +93,8 @@ def _resolve_slots(
     leaf_labels: Sequence[str],
     bindings: Optional[BindingTable],
     roots: np.ndarray,
-) -> Optional[Tuple[List[np.ndarray], List[np.ndarray]]]:
-    """Leaf candidates of every root as CSR columns ``(values, bounds)``.
+) -> Optional[Tuple[np.ndarray, List[np.ndarray], List[np.ndarray]]]:
+    """``(roots, values, bounds)``: the roots with a candidate for every leaf.
 
     ``values[k][bounds[k][i] : bounds[k][i + 1]]`` are the neighbors of
     ``roots[i]`` that may fill leaf ``k``, in neighbor order.  ``None``
@@ -132,16 +106,14 @@ def _resolve_slots(
     neighbors, counts = cloud.load_neighbors_batch(
         roots, requester=machine_id, owner=machine_id
     )
-    offsets = np.zeros(len(roots) + 1, dtype=OFFSET_DTYPE)
-    np.cumsum(counts, out=offsets[1:])
     entry_root = np.repeat(np.arange(len(roots), dtype=OFFSET_DTYPE), counts)
     owners: Optional[np.ndarray] = None  # computed on the first unbound leaf
 
     # Resolve each leaf slot over the flat neighbor array; a root dies when a
     # slot comes up empty, and dead roots are excluded from later probes.
     alive = np.ones(len(roots), dtype=bool)
-    slot_values: List[np.ndarray] = []
-    slot_bounds: List[np.ndarray] = []
+    slot_kept: List[np.ndarray] = []
+    slot_lengths: List[np.ndarray] = []
     for leaf, leaf_label in zip(stwig.leaves, leaf_labels):
         entry_alive = alive[entry_root]
         if bindings is not None and bindings.is_bound(leaf):
@@ -160,71 +132,23 @@ def _resolve_slots(
             )
             kept = np.zeros(len(neighbors), dtype=bool)
             kept[probe_at[hit]] = True
-        alive &= np.bincount(
-            entry_root[kept], minlength=len(roots)
-        ).astype(bool)
+        lengths = np.bincount(entry_root[kept], minlength=len(roots))
+        alive &= lengths.astype(bool)
         if not alive.any():
             return None
-        slot_values.append(neighbors[kept])
-        slot_bounds.append(np.searchsorted(np.flatnonzero(kept), offsets))
-    return slot_values, slot_bounds
-
-
-def _row_blocks(
-    roots: np.ndarray,
-    slot_values: Sequence[np.ndarray],
-    slot_bounds: Sequence[np.ndarray],
-    distinct_pairs: Sequence[Tuple[int, int]],
-    stwig: STwig,
-    block_rows: int = _BLOCK_ROWS,
-) -> Iterator[np.ndarray]:
-    """The one STwig row constructor: ``(rows, 1 + k)`` blocks for any ``k``.
-
-    Root ``i`` owns ``prod_k len_k[i]`` candidate rows — one per choice of a
-    value from each of its slots — numbered consecutively across roots by a
-    flat row index.  A row's offset within its root is a mixed-radix number
-    whose digits (last slot least significant) are its slot positions, so
-    rows come out in nested-loop order: roots ascending, first slot slowest.
-    Blocks are cut on the flat index, ``block_rows`` candidates at a time
-    (a boundary may fall mid-root); each keeps the candidates whose
-    ``distinct_pairs`` columns (0 = root) differ.
-
-    Raises:
-        ExecutionError: when the candidate count is too large to index.
-    """
-    lengths = [bounds[1:] - bounds[:-1] for bounds in slot_bounds]
-    per_root = np.ones(len(roots))
-    for length in lengths:
-        per_root *= length
-    if not per_root.sum() < _MAX_EXACT_ROWS:
-        worst = int(np.argmax(per_root))
-        raise ExecutionError(
-            f"{stwig} has {per_root.sum():.3g} candidate rows in one root chunk "
-            f"({per_root[worst]:.3g} under root {int(roots[worst])}): "
-            "too many to enumerate"
-        )
-    row_starts = np.zeros(len(roots) + 1, dtype=OFFSET_DTYPE)
-    np.cumsum(per_root, out=row_starts[1:], dtype=OFFSET_DTYPE)
-    total = int(row_starts[-1])
-    for low in range(0, total, block_rows):
-        high = min(low + block_rows, total)
-        first, last = np.searchsorted(row_starts, (low, high - 1), side="right") - 1
-        cuts = np.minimum(np.maximum(row_starts[first : last + 2], low), high)
-        owner = np.repeat(np.arange(first, last + 1), cuts[1:] - cuts[:-1])
-        digits = np.arange(low, high, dtype=OFFSET_DTYPE) - row_starts[owner]
-        block = np.empty((high - low, 1 + len(lengths)), dtype=NODE_DTYPE)
-        block[:, 0] = roots[owner]
-        for slot in range(len(lengths) - 1, -1, -1):
-            # The most significant digit is whatever the others left over.
-            if slot:
-                digits, position = np.divmod(digits, lengths[slot][owner])
-            else:
-                position = digits
-            block[:, slot + 1] = slot_values[slot][slot_bounds[slot][owner] + position]
-        keep = np.ones(len(block), dtype=bool)
-        for left, right in distinct_pairs:
-            keep &= block[:, left] != block[:, right]
-        yield block if keep.all() else block.compress(keep, axis=0)
+        slot_kept.append(kept)
+        slot_lengths.append(lengths)
+    # Only the surviving roots leave: a root a later slot killed takes the
+    # entries it had in the earlier ones with it.
+    roots = roots[alive]
+    entry_alive = alive[entry_root]
+    slot_values = [neighbors[kept & entry_alive] for kept in slot_kept]
+    slot_bounds = []
+    for lengths in slot_lengths:
+        bounds = np.zeros(len(roots) + 1, dtype=OFFSET_DTYPE)
+        np.cumsum(lengths[alive], out=bounds[1:])
+        slot_bounds.append(bounds)
+    return roots, slot_values, slot_bounds
 
 
 def _root_candidates(

@@ -6,16 +6,19 @@ task graph: the engine describes *what* to compute — one
 machine — and backends differ only in *scheduling* (inline, or a process
 pool with work stealing).  Results reference their data through
 :class:`TableHandle`, the single-part descriptor that keeps exploration
-tables in shared memory end to end:
+tables in shared memory end to end.  Its single part is a factorized
+:class:`~repro.core.result.STwigTable` packed into one int64 buffer (roots,
+then each slot's bounds and values; a tuple of lengths locates them) — no
+STwig row is ever published:
 
-* a worker that produced a large table publishes its columnar array once
+* a worker that produced a large table publishes that buffer once
   (through the :mod:`repro.storage` provider layer) and returns only the
   handle;
 * the join phase attaches the very same pages zero-copy — the driver never
   materializes intermediate tables, matching the paper's premise that the
   cluster exchanges only small control messages while bulk data stays
   resident;
-* small tables stay inline (an ordinary array riding the handle), so the
+* small tables stay inline (the buffer itself riding the handle), so the
   serial backend pays no publication cost at all.
 
 Handles are *owning* descriptors: whoever holds the last reference to a
@@ -33,7 +36,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.result import MatchTable
+from repro.core.result import STwigTable
 from repro.core.stwig import STwig
 from repro.errors import ExecutionError
 from repro.graph.labeled_graph import NODE_DTYPE
@@ -47,18 +50,16 @@ _fingerprints = itertools.count(1)
 
 
 class TableHandle:
-    """A :class:`MatchTable`'s columnar data, described without copying it.
+    """An :class:`STwigTable`'s packed columns, described without copying them.
 
-    Always **single-part**: ``part`` is ``None`` (empty table), a live
-    ``(row_count, width)`` array (inline), or one storage spec (published —
-    shm or mmap, both attach through
-    :func:`~repro.storage.provider.attach_spec`).  Keeping handles
-    single-part is what makes the join phase's attachment zero-copy: a
-    worker maps exactly one segment per table, never reassembles chunks.
-
-    The tables it yields are values over those very pages: an attached
-    published table's array is not writeable, and nothing on
-    :class:`MatchTable` would write to it anyway.
+    Always **single-part**: ``part`` is ``None`` (empty table), a live 1-D
+    int64 buffer (inline), or one storage spec (published — shm or mmap,
+    both attach through :func:`~repro.storage.provider.attach_spec`);
+    ``lengths`` (root count, then each slot's entry count) locate the
+    columns inside it (:meth:`STwigTable.pack`).  Single-part is what makes
+    the join phase's attachment zero-copy: a worker maps exactly one segment
+    per table, never reassembles chunks, and the tables it yields are values
+    over those very (read-only) pages.
 
     ``fingerprint`` identifies the underlying data across pickling: the
     process backend keys its publication cache on it so one resident table
@@ -66,17 +67,21 @@ class TableHandle:
     reference it.
     """
 
-    __slots__ = ("columns", "row_count", "part", "fingerprint")
+    __slots__ = ("columns", "groups", "row_count", "lengths", "part", "fingerprint")
 
     def __init__(
         self,
         columns: Sequence[str],
+        groups: Sequence[Tuple[int, ...]],
         row_count: int,
+        lengths: Sequence[int],
         part,
         fingerprint: Optional[int] = None,
     ) -> None:
         self.columns: Tuple[str, ...] = tuple(columns)
+        self.groups = tuple(groups)
         self.row_count = int(row_count)
+        self.lengths = tuple(lengths)
         self.part = part
         self.fingerprint = (
             next(_fingerprints) if fingerprint is None else fingerprint
@@ -85,20 +90,28 @@ class TableHandle:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_array(cls, columns: Sequence[str], array: np.ndarray) -> "TableHandle":
-        """Wrap a ``(rows, width)`` array inline (no copy)."""
-        return cls(columns, len(array), array if len(array) else None)
+    def of(cls, table: STwigTable) -> "TableHandle":
+        """Pack ``table`` inline (one copy of its slot columns, no rows)."""
+        if table.row_count == 0:
+            return cls.empty(table.columns)
+        buffer, lengths = table.pack()
+        return cls(table.columns, table.groups, table.row_count, lengths, buffer)
 
     @classmethod
     def empty(cls, columns: Sequence[str]) -> "TableHandle":
         """Handle of a zero-row table."""
-        return cls(columns, 0, None)
+        return cls(columns, (), 0, (), None)
 
     # -- access ------------------------------------------------------------
 
+    def _table(self, buffer: np.ndarray) -> STwigTable:
+        return STwigTable.unpack(
+            self.columns, self.groups, self.row_count, buffer, self.lengths
+        )
+
     @contextmanager
-    def attach(self) -> Iterator[MatchTable]:
-        """Zero-copy :class:`MatchTable` over the handle's data.
+    def attach(self) -> Iterator[STwigTable]:
+        """Zero-copy :class:`STwigTable` over the handle's data.
 
         Published handles map their segment for the duration of the
         ``with`` block only; anything derived from the yielded table that
@@ -109,20 +122,22 @@ class TableHandle:
                 raise ExecutionError(
                     f"table handle for {self.columns} was already released"
                 )
-            yield MatchTable(self.columns)
+            yield STwigTable(self.columns)
         elif isinstance(self.part, np.ndarray):
-            yield MatchTable(self.columns, self.part)
+            yield self._table(self.part)
         else:
             handle, view = attach_spec(self.part)
             try:
-                yield MatchTable(self.columns, view)
+                yield self._table(view)
             finally:
                 handle.close()
 
-    def materialize(self) -> MatchTable:
+    def materialize(self) -> STwigTable:
         """A table safe to keep: inline data is wrapped, published data copied."""
         with self.attach() as table:
-            return table if isinstance(self.part, np.ndarray) else table.copy()
+            if self.part is None or isinstance(self.part, np.ndarray):
+                return table
+            return self._table(table.pack()[0])
 
     def release(self) -> None:
         """Retire published storage (idempotent; empty and inline handles no-op)."""
@@ -146,8 +161,8 @@ TableMatrix = Sequence[Sequence[TableHandle]]
 
 
 @contextmanager
-def attached_matrix(handles: TableMatrix) -> Iterator[List[List[MatchTable]]]:
-    """Attach a whole handle matrix, yielding zero-copy ``MatchTable``s.
+def attached_matrix(handles: TableMatrix) -> Iterator[List[List[STwigTable]]]:
+    """Attach a whole handle matrix, yielding zero-copy ``STwigTable``s.
 
     Attachment-scoped like :meth:`TableHandle.attach`: rows taken out of the
     yielded tables must be copied before the ``with`` block exits.
@@ -174,7 +189,7 @@ class ExploreTask:
     driver computes and charges the partition once per stage); backends may
     split it further into chunks for work stealing — chunked sub-results
     concatenate in chunk order to exactly the unchunked table, because
-    ``match_stwig`` emits rows in root order and charges per root/neighbor.
+    ``match_stwig`` keeps root order and charges per root/neighbor.
     """
 
     machine_id: int
@@ -221,15 +236,11 @@ class JoinResult:
     rows: np.ndarray
 
 
-def explore_result(task: ExploreTask, table: MatchTable) -> ExploreResult:
-    """Package an in-process ``match_stwig`` table as an :class:`ExploreResult`."""
-    distincts: Dict[str, np.ndarray] = {}
-    if table.row_count:
-        distincts = {
-            node: table.column_distinct(node) for node in task.stwig.nodes
-        }
-    handle = TableHandle.from_array(table.columns, table.to_array())
-    return ExploreResult(task.machine_id, handle, distincts)
+def explore_result(machine_id: int, table: STwigTable) -> ExploreResult:
+    """Package a ``match_stwig`` table (every backend's one way to): its
+    inline handle and its per-column distincts."""
+    distincts = table.distincts() if table.row_count else {}
+    return ExploreResult(machine_id, TableHandle.of(table), distincts)
 
 
 def empty_rows(width: int) -> np.ndarray:

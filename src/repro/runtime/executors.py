@@ -15,7 +15,7 @@ backend is only *how the loop's units get run*:
   partitions (see :mod:`repro.runtime.shared_cloud`).  The graph is
   published once; workers rebuild zero-copy views lazily.  Exploration
   result tables stay in shared memory *end to end*: workers publish their
-  columns once and return only :class:`~repro.core.tasks.TableHandle`\\ s,
+  packed slot columns once and return only :class:`~repro.core.tasks.TableHandle`\\ s,
   and the join tasks attach those same pages — the driver never receives,
   re-pickles, or re-publishes an intermediate table (the
   ``transport_counters`` make that claim observable).
@@ -24,7 +24,7 @@ Work stealing: a backend whose units run concurrently has the loop split
 each exploration task's root array into bounded chunks queued
 individually, so idle workers steal from skewed machines.  Chunked
 sub-results concatenate in chunk order to exactly the unchunked table
-(``match_stwig`` emits rows in root order and charges per root/neighbor),
+(``match_stwig`` keeps root order and charges per root/neighbor),
 and join tasks are never split, so the cooperative budget's exact-prefix
 guarantee survives any schedule.
 
@@ -54,6 +54,7 @@ from repro.cloud.metrics import CloudMetrics
 from repro.core.distributed import machine_result_rows
 from repro.core.join import JoinBudget
 from repro.core.matcher import match_stwig
+from repro.core.result import STwigTable
 from repro.core.tasks import (
     ExploreResult,
     ExploreTask,
@@ -195,20 +196,16 @@ def _coalesce(task: object, chunks: Sequence[object]) -> object:
     """One task's result from its units' results, in chunk order."""
     if len(chunks) == 1:
         return chunks[0]
-    # A chunk-split (stolen-from) machine: coalesce its parts into one
-    # inline handle so downstream consumers still see single-part handles.
-    columns = task.stwig.nodes
-    arrays = [chunk.table.materialize().to_array() for chunk in chunks if chunk.table.row_count]
-    if not arrays:
-        return ExploreResult(task.machine_id, TableHandle.empty(columns))
+    # A chunk-split (stolen-from) machine: its factorized parts concatenate
+    # (disjoint roots, in chunk order) into one inline single-part handle.
+    table = STwigTable.concatenate([chunk.table.materialize() for chunk in chunks])
     distincts = {
         node: fast_unique(
             np.concatenate([chunk.distincts[node] for chunk in chunks if chunk.distincts])
         )
-        for node in columns
+        for node in (table.columns if table.row_count else ())
     }
-    handle = TableHandle.from_array(columns, np.concatenate(arrays, axis=0))
-    return ExploreResult(task.machine_id, handle, distincts)
+    return ExploreResult(task.machine_id, TableHandle.of(table), distincts)
 
 
 class Executor(ABC):
@@ -341,7 +338,7 @@ class SerialExecutor(Executor):
                     table, metrics = _explore_unit(
                         cloud, task.machine_id, task.stwig, task.query, task.bindings, unit.roots
                     )
-                    yield unit, explore_result(task, table), metrics
+                    yield unit, explore_result(task.machine_id, table), metrics
                     continue
                 metrics = CloudMetrics()
                 key = id(task.tables)
@@ -390,18 +387,15 @@ def _worker_explore(args):
         table, metrics = _explore_unit(
             _worker_cloud(), machine_id, stwig, query, bindings, roots
         )
-    part = None
-    distincts = {}
-    if table.row_count:
-        # The end-to-end shared-memory path: a large table is published
-        # once and only its spec returns.  The block lives until a
-        # TableHandle.release() (or an executor error path) unlinks it —
-        # the driver never maps it.
-        part = _ship_array(table.to_array())
-        distincts = {
-            node: _ship_array(table.column_distinct(node)) for node in stwig.nodes
-        }
-    return (table.row_count, part, distincts), metrics
+    # The end-to-end shared-memory path: a large table's packed buffer is
+    # published once and only its spec returns.  The block lives until a
+    # TableHandle.release() (or an executor error path) unlinks it — the
+    # driver never maps it.
+    result = explore_result(machine_id, table)
+    handle = result.table
+    part = None if handle.part is None else _ship_array(handle.part)
+    distincts = {node: _ship_array(values) for node, values in result.distincts.items()}
+    return (handle.groups, handle.row_count, handle.lengths, part, distincts), metrics
 
 
 def _worker_join(args):
@@ -626,14 +620,17 @@ class ProcessExecutor(Executor):
                 self.transport_counters["join_publications"] += 1
             else:
                 self.transport_counters["join_cache_hits"] += 1
-        return TableHandle(handle.columns, handle.row_count, spec, handle.fingerprint)
+        return TableHandle(
+            handle.columns, handle.groups, handle.row_count, handle.lengths, spec,
+            handle.fingerprint,
+        )
 
     def _decode(self, unit: _Unit, payload, counts: Dict[str, int]) -> object:
         """A worker's payload as the unit's result; transport tallied in ``counts``."""
         task = unit.task
         if isinstance(task, JoinTask):
             return JoinResult(task.machine_id, _receive_array(payload))
-        row_count, part, distincts = payload
+        groups, row_count, lengths, part, distincts = payload
         counts["explore_publications"] += isinstance(part, SharedArraySpec)
         if unit.chunk_count > 1 and part is not None:
             # A chunk of a split (stolen-from) machine is coalesced by the
@@ -643,7 +640,7 @@ class ProcessExecutor(Executor):
             counts["driver_table_receives"] += 1
             part = _receive_array(part)
         received = {node: _receive_array(shipped) for node, shipped in distincts.items()}
-        handle = TableHandle(task.stwig.nodes, row_count, part)
+        handle = TableHandle(task.stwig.nodes, groups, row_count, lengths, part)
         return ExploreResult(task.machine_id, handle, received)
 
     def _run_units(self, cloud, tasks, units):

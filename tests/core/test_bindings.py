@@ -9,9 +9,9 @@ import pytest
 
 from repro.core.bindings import BindingTable
 from repro.core.exploration import _BindingMerger
-from repro.core.result import MatchTable
+from repro.core.result import STwigTable
 from repro.core.stwig import STwig
-from repro.core.tasks import ExploreTask, explore_result
+from repro.core.tasks import explore_result
 from repro.errors import QueryError
 from repro.graph.labeled_graph import NODE_DTYPE
 from repro.query.query_graph import QueryGraph
@@ -29,9 +29,9 @@ def merge_machine_columns(query, bindings, node, per_machine):
     stwig = STwig(node, ())
     merger = _BindingMerger(make_cloud(path_graph(2)), stwig.nodes)
     for machine_id, values in enumerate(per_machine):
-        task = ExploreTask(machine_id, stwig, query, None, None)
-        table = MatchTable(stwig.nodes, [(value,) for value in values])
-        merger.absorb(machine_id, explore_result(task, table))
+        roots = np.array(sorted(values), dtype=NODE_DTYPE)
+        table = STwigTable(stwig.nodes, roots=roots, row_count=len(roots))
+        merger.absorb(machine_id, explore_result(machine_id, table))
     merger.bind_into(bindings)
 
 

@@ -22,15 +22,11 @@ import pytest
 from repro.baselines.vf2 import vf2_match
 from repro.cloud.metrics import CloudMetrics
 from repro.core.bindings import BindingTable
-from repro.core.distributed import (
-    _filter_by_bindings,
-    _gather_machine_tables,
-    assemble_results,
-)
+from repro.core.distributed import _gather_machine_tables, assemble_results
 from repro.core.exploration import explore
 from repro.core.head_selection import full_load_sets
 from repro.core.planner import MatcherConfig, QueryPlan, QueryPlanner
-from repro.core.result import MatchTable
+from repro.core.result import STwigTable
 from repro.core.stwig import STwig
 from repro.core.tasks import TableHandle
 from repro.graph.labeled_graph import LabeledGraph
@@ -96,7 +92,7 @@ class TestBindingNarrowing:
         _, _, outcome = self.setup_outcome()
         stage0_qa = set()
         for machine_tables in outcome.tables:
-            stage0_qa |= set(machine_tables[0].column_array("qa").tolist())
+            stage0_qa |= set(machine_tables[0].distincts()["qa"].tolist())
         assert stage0_qa == {1, 4}
 
     def test_final_binding_is_sequential_intersection(self):
@@ -111,7 +107,8 @@ class TestBindingNarrowing:
                     continue
                 union = set()
                 for machine_tables in outcome.tables:
-                    union |= set(machine_tables[stwig_index].column_array(node).tolist())
+                    table = machine_tables[stwig_index]
+                    union |= set(table.to_array()[:, table.columns.index(node)].tolist())
                 expected = union if expected is None else expected & union
             assert bound_set(outcome.bindings, node) == expected
 
@@ -182,7 +179,7 @@ class TestEarlyExitPadding:
         assert outcome.empty is True
         # Swapping the handles out from under the outcome must not change
         # the answer: the scan ran once and was cached.
-        outcome.handles = [[TableHandle.from_array(("x",), MatchTable(("x",), [(1,)]).to_array())]]
+        outcome.handles = [[TableHandle.of(STwigTable(("x",), roots=np.array([1]), row_count=1))]]
         assert outcome.empty is True
 
     def test_empty_false_is_cached_too(self):
@@ -310,9 +307,14 @@ class TestFilteredShippingAccounting:
             )
             whole = _gather_machine_tables(cloud, plan, outcome.tables, machine_id, None, {})
             for before_union, after_union in zip(filtered, whole):
-                expected = _filter_by_bindings(after_union, outcome.bindings)
-                assert before_union.rows == expected.rows
-                dropped += after_union.row_count - expected.row_count
+                # Filtering the slots of each part is masking the unioned rows.
+                rows = after_union.to_array()
+                keep = np.ones(len(rows), dtype=bool)
+                for index, column in enumerate(after_union.columns):
+                    keep &= outcome.bindings.membership_mask(column, rows[:, index])
+                assert before_union.row_count == int(keep.sum())
+                assert np.array_equal(before_union.to_array(), rows[keep])
+                dropped += after_union.row_count - before_union.row_count
         assert dropped > 0
 
     def test_filtering_reduces_bytes_on_the_wire(self):

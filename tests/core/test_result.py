@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.bindings import BindingTable
 from repro.core.join import multiway_join
-from repro.core.matcher import _BLOCK_ROWS, match_stwig
-from repro.core.result import MatchResult, MatchTable, StageStats
+from repro.core.matcher import match_stwig
+from repro.core.result import _BLOCK_ROWS, MatchResult, MatchTable, StageStats
 from repro.core.tasks import TableHandle
 from repro.errors import ExecutionError
 from repro.graph.labeled_graph import NODE_DTYPE

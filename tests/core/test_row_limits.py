@@ -12,11 +12,12 @@ experiments).  These tests pin down the semantics end to end:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import repro.core.join as join_module
 from repro.cloud.cluster import MemoryCloud
-from repro.cloud.config import ClusterConfig
+from repro.cloud.config import ClusterConfig, RuntimeConfig
 from repro.core.distributed import assemble_results
 from repro.core.engine import SubgraphMatcher
 from repro.core.exploration import explore
@@ -26,7 +27,7 @@ from repro.core.result import MatchTable
 from repro.query.query_graph import QueryGraph
 from repro.workloads.datasets import tiny_example_graph
 
-from tests.helpers import make_cloud, seeded_graph
+from tests.helpers import hub_graph, make_cloud, seeded_graph, star_of
 
 
 class TestMultiwayJoinLimitPushdown:
@@ -121,6 +122,25 @@ class TestMultiwayJoinLimitPushdown:
         limited = multiway_join([table], row_limit=4)
         assert limited.rows == table.rows[:4]
 
+    def test_single_table_join_is_injective_like_any_other(self):
+        """A one-table join runs the same mask -> prefix -> charge loop: rows
+        repeating a node within the table are dropped, as its docstring says."""
+        table = MatchTable(("a", "b"), [(1, 1), (1, 2), (3, 3), (2, 1)])
+        labels = {"a": "X", "b": "X", "c": "Y"}
+        counters = join_module.JoinCounters()
+        alone = multiway_join([table], labels=labels, counters=counters)
+        assert alone.rows == [(1, 2), (2, 1)]
+        assert counters.rows_materialized == 2 and counters.lead_rows == 4
+        joined = multiway_join(
+            [table, MatchTable(("b", "c"), [(1, 5), (2, 5), (3, 5)])], labels=labels
+        )
+        assert [row[:2] for row in joined.rows] == alone.rows
+        # The budget's prefix is taken after the mask, block by block.
+        for block_size in (1, 2, None):
+            limited = multiway_join([table], labels=labels, row_limit=1, block_size=block_size)
+            assert limited.rows == [(1, 2)]
+        assert multiway_join([table], labels={"a": "X", "b": "Y"}).rows == table.rows
+
 
 class TestCooperativeBudget:
     def test_machine_order_semantics(self):
@@ -161,6 +181,35 @@ class TestCooperativeBudget:
             local.note_produced(grant)
         assert shared_view.remaining() == local.remaining() == 0
         assert shared_view.exhausted() and local.exhausted()
+
+
+class TestLimitStopsRowConstruction:
+    """A full budget stops the lead table's rows from being *built*: a hub
+    star holds >= 10^5 STwig rows and a limit-10 query builds one block."""
+
+    SPOKES = 400  # 400 * 399 = 159,600 rows under the one hub root
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("stealing", [True, False])
+    def test_limit_10_builds_one_block_and_returns_the_exact_prefix(self, backend, stealing):
+        query, _ = star_of(2)
+        limit = 10
+        runtime = RuntimeConfig(backend=backend, workers=2, stealing=stealing)
+        with MemoryCloud.from_graph(
+            hub_graph(self.SPOKES), ClusterConfig(machine_count=2)
+        ) as cloud, SubgraphMatcher(cloud, executor=runtime) as matcher:
+            full = matcher.match(query)
+            limited = matcher.match(query, limit=limit)
+            block = matcher.config.block_size
+        held = self.SPOKES * (self.SPOKES - 1)
+        assert full.match_count == held >= 10**5
+        assert full.stats.stwig_result_rows == full.stats.stwig_rows_built == held
+        assert limited.stats.truncated
+        assert np.array_equal(limited.to_array(), full.to_array()[:limit])
+        # Exploration still *holds* every row; the join built one head block.
+        assert limited.stats.stwig_result_rows == held
+        assert 0 < limited.stats.stwig_rows_built <= limit + 1 + block
+        assert limited.metrics["stwig_rows_built"] == limited.stats.stwig_rows_built
 
 
 class TestAssembleResultsLimits:

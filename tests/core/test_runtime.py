@@ -55,6 +55,19 @@ def parity_queries(parity_graph):
     return [dfs_query(parity_graph, 5, seed=seed) for seed in (3, 5, 11)]
 
 
+def star_table(spokes: int):
+    """The factorized one-leaf table of a hub with ``spokes`` neighbours."""
+    from repro.core.result import STwigTable
+
+    return STwigTable.from_slots(
+        ("qa", "qb"),
+        (),
+        np.array([7], dtype=np.int64),
+        [np.arange(100, 100 + spokes, dtype=np.int64)],
+        [np.array([0, spokes], dtype=np.int64)],
+    )
+
+
 def run_backend(graph, queries, backend, limit=None, config=None):
     """Fresh cloud + matcher per backend; returns rows/metrics/pair counts."""
     cloud = MemoryCloud.from_graph(graph, ClusterConfig(machine_count=4))
@@ -497,6 +510,55 @@ class TestProcessRuntimeLifecycle:
             executor.close()
             cloud.close()
 
+    def test_one_segment_per_table_and_none_after_release(
+        self, parity_graph, parity_queries, monkeypatch
+    ):
+        """A factorized table is still at most one segment: every non-empty
+        (machine, STwig) handle of an exploration is exactly one published
+        block, ``release()`` leaves none behind, and neither does an
+        exploration whose later stage fails."""
+        import repro.runtime.executors as executors_module
+
+        if not os.path.isdir("/dev/shm"):
+            pytest.skip("needs a /dev/shm listing to count segments")
+        monkeypatch.setattr(executors_module, "_SHIP_THRESHOLD_ENTRIES", 1)
+        cloud = MemoryCloud.from_graph(parity_graph, ClusterConfig(machine_count=4))
+        plan = QueryPlanner(cloud, MatcherConfig()).plan(parity_queries[0])
+        assert len(plan.stwigs) > 1
+
+        class FailsAfterFirstStage(ProcessExecutor):
+            calls = 0
+
+            def run(self, cloud, tasks, on_result=None):
+                self.calls += 1
+                if self.calls > 1:
+                    raise RuntimeError("second stage failed")
+                return super().run(cloud, tasks, on_result=on_result)
+
+        executor = ProcessExecutor(workers=2, stealing=False)
+        failing = FailsAfterFirstStage(workers=2, stealing=False)
+        try:
+            executor.run(cloud, [])  # publish the graph before the census
+            resident = set(os.listdir("/dev/shm"))
+            outcome = explore(cloud, plan, executor=executor)
+            handles = [h for machine in outcome.handles for h in machine if h.row_count]
+            assert handles and all(isinstance(h.part, SharedArraySpec) for h in handles)
+            published = set(os.listdir("/dev/shm")) - resident
+            assert len(published) == len(handles) == len({h.part.name for h in handles})
+            outcome.release()
+            assert set(os.listdir("/dev/shm")) == resident
+            failing.run(cloud, [])
+            failing.calls = 0
+            resident = set(os.listdir("/dev/shm"))
+            with pytest.raises(RuntimeError, match="second stage failed"):
+                explore(cloud, plan, executor=failing)
+            assert failing.transport_counters["explore_publications"] > 0
+            assert set(os.listdir("/dev/shm")) == resident
+        finally:
+            failing.close()
+            executor.close()
+            cloud.close()
+
     def test_explore_tables_stay_in_shared_memory(
         self, parity_graph, parity_queries, monkeypatch
     ):
@@ -546,11 +608,10 @@ class TestProcessRuntimeLifecycle:
         (interleaved queries on one cloud) must hit the fingerprint-keyed
         publication cache, not re-publish the table per batch."""
         from repro.core.tasks import TableHandle
-        from repro.graph.labeled_graph import NODE_DTYPE
 
         executor = ProcessExecutor(workers=1)
-        array = np.arange(100_000, dtype=NODE_DTYPE).reshape(-1, 2)
-        handle = TableHandle.from_array(("qa", "qb"), array)
+        handle = TableHandle.of(star_table(50_000))
+        assert isinstance(handle.part, np.ndarray) and handle.part.ndim == 1
         try:
             first = executor._shipped_handle(handle)
             again = executor._shipped_handle(handle)
@@ -568,37 +629,37 @@ class TestProcessRuntimeLifecycle:
 
     def test_published_handle_attaches_read_only_and_materializes_owned(self):
         """A table attached over published pages is a value like any other:
-        its array is the segment itself, not writeable, and nothing on
-        ``MatchTable`` could detach or resize it; ``materialize`` owns a copy."""
+        its columns are the segment itself, not writeable, and nothing on
+        ``STwigTable`` could detach or resize them; ``materialize`` owns a copy."""
         from repro.core.tasks import TableHandle
-        from repro.graph.labeled_graph import NODE_DTYPE
 
-        array = np.arange(12, dtype=NODE_DTYPE).reshape(6, 2)
-        segment, spec = publish_array(array)
+        table = star_table(6)
+        buffer, lengths = table.pack()
+        segment, spec = publish_array(buffer)
         segment.close()
-        handle = TableHandle(("qa", "qb"), len(array), spec)
+        handle = TableHandle(table.columns, table.groups, table.row_count, lengths, spec)
         try:
             with handle.attach() as attached:
-                view = attached.to_array()
-                assert not view.flags.writeable and not view.flags.owndata
+                for view in (attached.roots, *attached.slot_values, *attached.slot_bounds):
+                    assert not view.flags.writeable and not view.flags.owndata
                 with pytest.raises(ValueError):
-                    view[0, 0] = 99
-                assert attached.rows == [tuple(row) for row in array.tolist()]
-                assert not attached.column_array("qb").flags.writeable
+                    attached.roots[0] = 99
+                assert attached.row_count == 6
+                assert attached.rows == table.rows
             owned = handle.materialize()
-            assert owned.to_array().flags.writeable
+            assert owned.roots.flags.writeable
         finally:
             handle.release()
         assert handle.part is None
         handle.release()  # idempotent
-        owned.to_array()[0, 0] = 99  # outlives the segment
-        assert owned.rows[0] == (99, 1) and owned.rows[1:] == [tuple(r) for r in array[1:].tolist()]
+        owned.roots[0] = 99  # outlives the segment
+        assert owned.rows == [(99, *row[1:]) for row in table.rows]
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=spec.name).close()
-        inline = TableHandle.from_array(("qa", "qb"), array)
-        assert inline.materialize().to_array() is array
+        inline = TableHandle.of(table)
+        assert np.shares_memory(inline.materialize().roots, inline.part)
         inline.release()  # inline data has no storage to retire
-        assert inline.part is array
+        assert isinstance(inline.part, np.ndarray)
 
     def test_root_chunks_partition_exactly(self):
         """Chunking for stealing is an exact order-preserving partition,

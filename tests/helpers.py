@@ -172,20 +172,22 @@ def oracle_join(tables, order: Sequence[int], columns=None) -> np.ndarray:
     """The unlimited join of ``tables`` in ``order``, as ``multiway_join`` must emit it.
 
     Stage by stage: every (partial row, stage row) pair whose shared columns
-    agree, partial-major with stage rows in table order; after each stage
-    :func:`injective_mask` over the *whole* row drops repeated nodes.  Any
-    row limit is a prefix of the returned array.
+    agree, partial-major with stage rows in table order; the lead's rows and
+    every stage's output pass :func:`injective_mask` over the *whole* row,
+    which drops repeated nodes (a one-table join included).  Any row limit
+    is a prefix of the returned array.
     """
     lead = tables[order[0]]
     names = list(lead.columns)
     rows = lead.to_array()
+    rows = rows[injective_mask(rows)]
     for index in order[1:]:
         table = tables[index]
         build = table.to_array()
         shared = [column for column in names if column in table.columns]
         extra = [column for column in table.columns if column not in shared]
         buckets: Dict[tuple, List[int]] = {}
-        build_keys = build[:, [table.column_index(column) for column in shared]]
+        build_keys = build[:, [table.columns.index(column) for column in shared]]
         for position, key in enumerate(map(tuple, build_keys.tolist())):
             buckets.setdefault(key, []).append(position)
         probe_keys = rows[:, [names.index(column) for column in shared]]
@@ -196,7 +198,7 @@ def oracle_join(tables, order: Sequence[int], columns=None) -> np.ndarray:
         ]
         probe_idx = np.array([pair[0] for pair in pairs], dtype=np.int64)
         build_idx = np.array([pair[1] for pair in pairs], dtype=np.int64)
-        extra_idx = [table.column_index(column) for column in extra]
+        extra_idx = [table.columns.index(column) for column in extra]
         rows = np.concatenate([rows[probe_idx], build[build_idx][:, extra_idx]], axis=1)
         rows = rows[injective_mask(rows)]
         names.extend(extra)

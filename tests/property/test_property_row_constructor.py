@@ -1,10 +1,13 @@
-"""Property tests for the batched STwig row constructor.
+"""Property tests for the batched STwig row constructor and the factorized table.
 
 The reference is the nested-loop builder in ``tests/helpers.py`` (roots in
 order, first leaf slowest, one tuple per candidate row, ``len(set(...))``
-for injectivity).  The matcher's ``_row_blocks`` must reproduce it row for
-row *in order* for every leaf count, whatever the block size, and
-``match_stwig`` must hand those rows out unchanged.
+for injectivity).  ``_row_blocks`` must reproduce it row for row *in order*
+for every leaf count, whatever the block size, and the factorized
+``STwigTable`` that ``match_stwig`` returns must *be* that table by contract:
+same rows when built, same row count and distincts without building, and
+filtering / concatenating its slots must equal filtering / concatenating
+the rows.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.bindings import BindingTable
-from repro.core.matcher import _BLOCK_ROWS, _row_blocks, match_stwig
+from repro.core.matcher import match_stwig
+from repro.core.result import _BLOCK_ROWS, STwigTable, _row_blocks
+from repro.core.tasks import TableHandle
 from repro.core.stwig import STwig
 from repro.errors import ExecutionError
 from repro.graph.labeled_graph import NODE_DTYPE, OFFSET_DTYPE, LabeledGraph
@@ -53,11 +58,8 @@ def csr_slots(slots_per_root, leaf_count):
 
 def build(roots, values, bounds, pairs, block_rows=_BLOCK_ROWS):
     """All blocks of one constructor run, plus the concatenated rows."""
-    stwig = STwig("r", tuple(f"l{i}" for i in range(len(values))))
     blocks = list(
-        _row_blocks(
-            np.array(roots, dtype=NODE_DTYPE), values, bounds, pairs, stwig, block_rows
-        )
+        _row_blocks(np.array(roots, dtype=NODE_DTYPE), values, bounds, pairs, block_rows)
     )
     return blocks, [tuple(row) for block in blocks for row in block.tolist()]
 
@@ -194,6 +196,139 @@ class TestMatchSTwigAgainstNestedLoops:
             expected = oracle_rows(graph, cloud, machine_id, query, stwig, bound)
             full = match_stwig(cloud, machine_id, stwig, query, bindings)
             assert full.rows == expected
+
+
+def assert_is_flat_table(table: STwigTable, expected) -> np.ndarray:
+    """``table`` is ``expected`` (oracle rows, in order) by every slot-side reading."""
+    width = len(table.columns)
+    flat = np.array(expected, dtype=NODE_DTYPE).reshape(len(expected), width)
+    assert np.array_equal(table.to_array(), flat)
+    assert table.row_count == len(flat)
+    # Every root left in the table owns a row, and they stay ascending.
+    assert np.array_equal(table.roots, fast_unique(flat[:, 0]))
+    if len(flat):
+        distincts = table.distincts()
+        for index, column in enumerate(table.columns):
+            assert np.array_equal(distincts[column], fast_unique(flat[:, index]))
+    for block_rows in (1, 3, _BLOCK_ROWS):
+        blocks = list(table.row_blocks(block_rows))
+        assert all(len(block) <= block_rows for block in blocks)
+        assert np.array_equal(np.concatenate(blocks + [flat[:0]]), flat)
+    packed = TableHandle.of(table).materialize()
+    assert packed.row_count == table.row_count
+    assert np.array_equal(packed.to_array(), flat)
+    return flat
+
+
+def row_mask(flat: np.ndarray, kept_values) -> np.ndarray:
+    """Today's row filter: a row survives iff every column's value is kept."""
+    keep = np.ones(len(flat), dtype=bool)
+    for index, allowed in enumerate(kept_values):
+        if allowed is not None:
+            keep &= np.isin(flat[:, index], allowed)
+    return keep
+
+
+class TestFactorizedTableAgainstNestedLoops:
+    @RELAXED
+    @given(case=star_cases(), data=st.data())
+    def test_slot_side_answers_equal_the_flat_table(self, case, data):
+        graph, query, stwig, bound, machine_count = case
+        cloud = make_cloud(graph, machine_count=machine_count)
+        bindings = None
+        if bound:  # an empty candidate list empties that slot everywhere
+            bindings = BindingTable(query)
+            for leaf, candidates in bound.items():
+                bindings.bind(leaf, candidates)
+        for machine_id in range(machine_count):
+            table = match_stwig(cloud, machine_id, stwig, query, bindings)
+            expected = oracle_rows(graph, cloud, machine_id, query, stwig, bound)
+            flat = assert_is_flat_table(table, expected)
+            # filter-then-expand is expand-then-filter, row for row.
+            kept_values = [
+                None
+                if data.draw(st.booleans())
+                else data.draw(st.lists(st.sampled_from(sorted(graph.nodes())), unique=True))
+                for _ in table.columns
+            ]
+            masks = [
+                None if allowed is None else np.isin(column, allowed)
+                for allowed, column in zip(kept_values, (table.roots, *table.slot_values))
+            ]
+            filtered = table.select(masks[0], masks[1:])
+            survivors = flat[row_mask(flat, kept_values)]
+            assert_is_flat_table(filtered, [tuple(row) for row in survivors.tolist()])
+
+    @RELAXED
+    @given(case=star_cases(), cuts=st.lists(st.integers(0, 12), max_size=3))
+    def test_chunk_tables_concatenate_to_the_unchunked_table(self, case, cuts):
+        graph, query, stwig, bound, _ = case
+        cloud = make_cloud(graph, machine_count=1)
+        whole = match_stwig(cloud, 0, stwig, query)
+        roots = cloud.get_local_ids_array(0, query.label(stwig.root))
+        chunks = np.split(roots, sorted(min(cut, len(roots)) for cut in cuts))
+        joined = STwigTable.concatenate(
+            [match_stwig(cloud, 0, stwig, query, roots=chunk) for chunk in chunks]
+        )
+        assert joined.row_count == whole.row_count
+        assert np.array_equal(joined.roots, whole.roots)
+        for slot in range(len(stwig.leaves)):
+            assert np.array_equal(joined.slot_values[slot], whole.slot_values[slot])
+            assert np.array_equal(joined.slot_bounds[slot], whole.slot_bounds[slot])
+        assert np.array_equal(joined.to_array(), whole.to_array())
+
+    @pytest.mark.parametrize("leaves", [1, 2, 3, 4])
+    def test_hub_root_counts_same_label_tuples_without_rows(self, leaves):
+        # Every leaf carries label x: pairs, triples and a quadruple of
+        # equal-label slots under one hub root — the inclusion-exclusion's job.
+        spokes = 7
+        query, stwig = star_of(leaves)
+        table = match_stwig(make_cloud(hub_graph(spokes)), 0, stwig, query)
+        expected = nested_loop_stwig_rows([0], [[list(range(1, spokes + 1))] * leaves])
+        assert table.row_count == len(expected) == int(np.prod(range(spokes, spokes - leaves, -1)))
+        assert_is_flat_table(table, expected)
+
+    def test_tight_roots_lose_the_values_a_sibling_crowds_out(self):
+        # Root 0: leaf a may be {1}, leaf b {1, 2}: only (0, 1, 2) is injective,
+        # so 1 never appears under b.  Root 5: a = b = {6} is dead.
+        table = STwigTable.from_slots(
+            ("r", "a", "b"),
+            [(1, 2)],
+            np.array([0, 5], dtype=NODE_DTYPE),
+            *csr_slots([[[1], [1, 2]], [[6], [6]]], 2),
+        )
+        assert table.roots.tolist() == [0]
+        assert_is_flat_table(table, [(0, 1, 2)])
+
+    def test_root_inside_its_own_slot_is_a_collision(self):
+        # The graph layer rejects self-loops, so only a hand-made table can
+        # offer a root to its own same-label leaf; the contract still holds.
+        slots_per_root = [[[4, 2, 6]], [[4]], [[4]]]
+        table = STwigTable.from_slots(
+            ("r", "l"), [(0, 1)], np.array([2, 4, 6], dtype=NODE_DTYPE),
+            *csr_slots(slots_per_root, 1),
+        )
+        assert_is_flat_table(table, nested_loop_stwig_rows([2, 4, 6], slots_per_root))
+        assert table.roots.tolist() == [2, 6]
+
+    def test_sparse_ids_are_ranked_before_they_are_packed_into_keys(self):
+        # (root, value) no longer fits one int64 key: the counts must not wrap.
+        far = 1 << 61
+        slots_per_root = [[[far, 3, -far], [3, -far]], [[far], [far]]]
+        table = STwigTable.from_slots(
+            ("r", "a", "b"), [(1, 2)], np.array([10, 11], dtype=NODE_DTYPE),
+            *csr_slots(slots_per_root, 2),
+        )
+        assert_is_flat_table(table, nested_loop_stwig_rows([10, 11], slots_per_root))
+
+    def test_no_row_array_exists_until_one_is_asked_for(self):
+        query, stwig = star_of(3)
+        table = match_stwig(make_cloud(hub_graph(60)), 0, stwig, query)
+        assert table.row_count == 60 * 59 * 58
+        held = [getattr(table, name) for name in STwigTable.__slots__]
+        arrays = [a for item in held for a in (item if isinstance(item, tuple) else (item,))]
+        assert not any(isinstance(a, np.ndarray) and a.ndim == 2 for a in arrays)
+        assert sum(a.size for a in arrays if isinstance(a, np.ndarray)) < 4 * 61
 
 
 class TestHubRoots:

@@ -15,9 +15,10 @@ It also greps ``src/`` for retired spellings (``max_workers=``,
 ``default_limit=``, the pre-task-API executor methods, the per-cell cloud
 write path, the standalone ``hash_join``, the tuple-era result mutators,
 the growable-table / set-view / dict-view members, the per-backend service
-dict, ``start_method``, the join-order sampler and the two budget
-subclasses): the names are gone from the API, and nothing in ``src/`` may
-bring them back.
+dict, ``start_method``, the join-order sampler, the two budget subclasses,
+and the row-shaped exploration (``_row_blocks``' ``stwig`` parameter,
+``_stwig_blocks``, ``TableHandle.from_array``): the names are gone from the
+API, and nothing in ``src/`` may bring them back.
 
 And it keeps the front door single (``FRONT_DOOR``): ``repro.api`` is the one
 place a source becomes a cloud and a service is put in front of it, so the
@@ -85,6 +86,9 @@ RETIRED_SPELLINGS = [
     "estimate_join_size(",
     "LocalJoinBudget",
     "CooperativeJoinBudget",
+    "distinct_pairs, stwig",
+    "_stwig_blocks(",
+    "TableHandle.from_array(",
 ]
 
 #: Constructor spellings banned per file (glob under the repo root): a second
