@@ -149,12 +149,6 @@ class JoinBudget:
         remaining = self.remaining()
         return remaining is not None and remaining <= 0
 
-    def release(self) -> None:
-        """Drop any transport resources (shared-memory attachments)."""
-        close = getattr(self._slots, "close", None)
-        if close is not None:
-            close()
-
 
 def _may_collide(labels: Optional[Mapping[str, object]], first: str, second: str) -> bool:
     """Whether two distinct query nodes can map to one data node."""

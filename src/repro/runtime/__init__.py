@@ -3,8 +3,8 @@
 The engine's two distributed phases — STwig exploration and the per-machine
 gather+join — are described as batches of :class:`ExploreTask` /
 :class:`JoinTask` and submitted through the uniform
-:meth:`Executor.run` loop; the two backends (serial / process pool over
-shared-memory CSR partitions, with work stealing) differ only in how the
+:meth:`Executor.run` loop; the two backends (serial / worker processes
+over shared-memory CSR partitions, with work stealing) differ only in how the
 loop's units get run while preserving, exactly, the serial model's results
 and communication counters.  Results carry their tables as zero-copy
 :class:`TableHandle`\\ s end to end.  See :mod:`repro.runtime.executors`

@@ -11,7 +11,8 @@ backend is only *how the loop's units get run*:
 * :class:`SerialExecutor` — runs units inline, in machine order.  This is
   the parity oracle: the other backend must produce row-for-row identical
   results **and** identical communication counters.
-* :class:`ProcessExecutor` — a process pool over shared-memory CSR
+* :class:`ProcessExecutor` — worker processes it owns (one duplex pipe
+  each, watched together with the process sentinels) over shared-memory CSR
   partitions (see :mod:`repro.runtime.shared_cloud`).  The graph is
   published once; workers rebuild zero-copy views lazily.  Exploration
   result tables stay in shared memory *end to end*: workers publish their
@@ -37,13 +38,19 @@ model's metrics — the invariant the parity suite asserts.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
+import pickle
+import signal
 import threading
+import time
 import weakref
 from abc import ABC, abstractmethod
-from contextlib import ExitStack, closing, contextmanager
+from collections import deque
+from contextlib import ExitStack, closing, suppress
 from dataclasses import replace
+from multiprocessing.connection import wait
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -51,6 +58,7 @@ import numpy as np
 from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import RuntimeConfig, resolve_backend
 from repro.cloud.metrics import CloudMetrics
+from repro.core.bindings import BindingTable
 from repro.core.distributed import machine_result_rows
 from repro.core.join import JoinBudget
 from repro.core.matcher import match_stwig
@@ -66,25 +74,19 @@ from repro.core.tasks import (
 )
 from repro.errors import ConfigurationError, ExecutionError
 from repro.query.query_graph import QueryGraph
-from repro.runtime.shared_cloud import (
-    BindingsHandle,
-    CloudHandle,
-    attached_bindings,
-    publish_bindings,
-    publish_cloud,
-    rebuild_cloud,
-)
+from repro.runtime.shared_cloud import CloudHandle, publish_cloud, rebuild_cloud
 from repro.utils.arrays import fast_unique
 from repro.utils.shm import (
     SegmentRegistry,
     SharedArraySpec,
     attach_array,
     publish_array,
+    sweep_blocks,
     unlink_block,
 )
 
 #: Arrays at or above this entry count travel between processes through a
-#: one-shot shared-memory block instead of the pool's pickle pipe (two
+#: one-shot shared-memory block instead of a pickle down the pipe (two
 #: memcpys instead of serialize -> pipe -> deserialize).  256 KiB of int64.
 #: Exploration tables this large are *published* worker-side and never
 #: travel at all — only their handles do.
@@ -118,14 +120,11 @@ def _shared_join_limit(tasks: Sequence[object]) -> Optional[int]:
     return limits.pop() if limits else None
 
 
-def _ship_array(array: np.ndarray):
-    """Worker-side: large result arrays go back via shared memory."""
+def _ship_array(array: np.ndarray, publish: Callable[[np.ndarray], SharedArraySpec]):
+    """Sender-side: a large array crosses a pipe as its ``publish``-ed spec."""
     if array.size < _SHIP_THRESHOLD_ENTRIES:
         return array
-    segment, spec = publish_array(array)
-    # Drop the worker's mapping; the block lives until the driver unlinks.
-    segment.close()
-    return spec
+    return publish(array)
 
 
 def _receive_array(shipped) -> np.ndarray:
@@ -140,56 +139,110 @@ def _receive_array(shipped) -> np.ndarray:
         segment.unlink()
 
 
-def _ship_bindings(bindings, query: QueryGraph, registries: List):
-    """Driver-side: large binding tables go to workers via shared memory.
-
-    Small (or absent) bindings pass through as the pickled object; large
-    ones are published once and replaced by a :class:`BindingsHandle`, so
-    the pool pipe never carries the same multi-megabyte arrays once per
-    machine.  The publication's registry joins ``registries``, which the
-    caller closes after the fan-out completes.
-    """
+def _ship_bindings(bindings, query: QueryGraph, publish) -> Optional[Dict[str, object]]:
+    """Driver-side: a binding table as ``{bound node: shipped candidates}``."""
     if bindings is None:
         return None
-    total = sum(
-        len(array)
+    return {
+        node: _ship_array(array, publish)
         for node in query.nodes()
         if (array := bindings.candidates_array(node)) is not None
-    )
-    if total < _SHIP_THRESHOLD_ENTRIES:
-        return bindings
-    handle, registry = publish_bindings(bindings, query)
-    registries.append(registry)
-    return handle
+    }
 
 
-@contextmanager
-def _resolved_bindings(payload, query: QueryGraph):
-    """Worker-side counterpart of :func:`_ship_bindings`."""
-    if isinstance(payload, BindingsHandle):
-        with attached_bindings(payload, query) as bindings:
-            yield bindings
-    else:
-        yield payload
+class _UnitRunner:
+    """What one process does with the units of one batch it is handed.
 
+    The serial executor holds one per batch; every worker of the process
+    backend holds one per batch, over the units it happens to be dealt.
+    Whatever the batch's tasks share by identity is attached once and kept
+    until :meth:`close`: shipped bindings, shipped roots, and each distinct
+    handle matrix (all join tasks of a batch share the exploration matrix)
+    together with one binding-filtered-table cache — so a source table is
+    filtered once per runner however many machines' joins load it, while
+    every receiver is still charged its own transfer.
+    """
 
-def _explore_unit(cloud: MemoryCloud, machine_id, stwig, query, bindings, roots):
-    """Match one root chunk against isolated metrics: ``(table, metrics)``."""
-    metrics = CloudMetrics()
-    scoped = cloud.with_metrics(metrics)
-    table = match_stwig(scoped, machine_id, stwig, query, bindings=bindings, roots=roots)
-    return table, metrics
+    def __init__(self, cloud: MemoryCloud, limit: Optional[int], slots=None) -> None:
+        self._cloud = cloud
+        self._limit = limit
+        self._stack = ExitStack()
+        self._built: Dict[int, object] = {}
+        # One produced-count slot per machine, single writer each.  A shared
+        # block's aligned 8-byte loads/stores are atomic, and a stale read of
+        # another machine's slot only under-counts — the safe direction.
+        self._slots = [0] * cloud.machine_count if slots is None else self.view(slots, True)
+
+    def _once(self, payload, build):
+        """``build(payload)``, once per batch and distinct payload."""
+        if id(payload) not in self._built:
+            self._built[id(payload)] = build(payload)
+        return self._built[id(payload)]
+
+    def view(self, shipped, writable: bool = False):
+        """A shipped array as an array: a spec stays attached until :meth:`close`."""
+        if isinstance(shipped, SharedArraySpec):
+            segment, shipped = attach_array(shipped, writable)
+            self._stack.callback(segment.close)
+        return shipped
+
+    def _bindings(self, payload, query: QueryGraph):
+        """The binding table a task carries, or the one its shipped form describes
+        (adopting the sorted, possibly shared-memory, arrays without copying)."""
+        if not isinstance(payload, dict):
+            return payload
+
+        def bind(shipped):
+            bindings = BindingTable(query)
+            for node, array in shipped.items():
+                bindings.bind(node, self.view(array))
+            return bindings
+
+        return self._once(payload, bind)
+
+    def run(self, task: object, start: int, stop: int) -> Tuple[object, CloudMetrics]:
+        """One unit — a join task, or ``task.roots[start:stop]`` of an
+        exploration task — against isolated metrics: ``(result, metrics)``."""
+        metrics = CloudMetrics()
+        scoped = self._cloud.with_metrics(metrics)
+        if isinstance(task, ExploreTask):
+            table = match_stwig(
+                scoped, task.machine_id, task.stwig, task.query,
+                bindings=self._bindings(task.bindings, task.query),
+                roots=self._once(task.roots, self.view)[start:stop],
+            )
+            return explore_result(task.machine_id, table), metrics
+        # One attachment and one filtered-table cache per distinct matrix.
+        tables, filtered = self._once(
+            task.tables, lambda matrix: (self._stack.enter_context(attached_matrix(matrix)), {})
+        )
+        # The rows are the join's own array, never a view of the attached
+        # pages, so they outlive the batch's attachments.
+        rows = machine_result_rows(
+            scoped, task.plan, tables, task.machine_id,
+            self._bindings(task.bindings, task.plan.query),
+            budget=JoinBudget(self._limit, self._slots, task.machine_id),
+            filtered_cache=filtered,
+        )
+        return JoinResult(task.machine_id, rows), metrics
+
+    def close(self) -> None:
+        """Drop every attachment (the views die first)."""
+        self._built.clear()
+        self._slots = None
+        self._stack.close()
 
 
 class _Unit(NamedTuple):
-    """One schedulable piece of a batch: a join task, or one chunk of an
-    exploration task's roots (``roots`` is ``None`` for joins)."""
+    """One schedulable piece of a batch: a join task, or the chunk
+    ``task.roots[start:stop]`` of an exploration task."""
 
     task_index: int
     chunk_index: int
     chunk_count: int
     task: object
-    roots: Optional[np.ndarray]
+    start: int
+    stop: int
 
 
 def _coalesce(task: object, chunks: Sequence[object]) -> object:
@@ -254,12 +307,14 @@ class Executor(ABC):
             if isinstance(task, ExploreTask):
                 chunks = _root_chunks(task.roots, self.stealing)
             elif isinstance(task, JoinTask):
-                chunks = [None]
+                chunks = [()]
             else:
                 raise ExecutionError(f"unknown task type {type(task).__name__}")
+            # Chunks are consecutive slices: each starts where the last stopped.
+            stops = list(itertools.accumulate(map(len, chunks)))
             units.extend(
-                _Unit(index, chunk_index, len(chunks), task, roots)
-                for chunk_index, roots in enumerate(chunks)
+                _Unit(index, chunk_index, len(chunks), task, stop - len(chunk), stop)
+                for chunk_index, (chunk, stop) in enumerate(zip(chunks, stops))
             )
             buffers.append([None] * len(chunks))
         pending = [len(chunks) for chunks in buffers]
@@ -303,7 +358,7 @@ class Executor(ABC):
         """
 
     def close(self) -> None:
-        """Release pools and shared-memory publications (idempotent)."""
+        """Release workers and shared-memory publications (idempotent)."""
 
     def __enter__(self) -> "Executor":
         return self
@@ -324,181 +379,164 @@ class SerialExecutor(Executor):
     name = "serial"
 
     def _run_units(self, cloud, tasks, units):
-        limit = _shared_join_limit(tasks)
-        # One produced-count slot per machine, single writer each.
-        slots = [0] * cloud.machine_count
-        # Each distinct handle matrix is attached once per batch (all join
-        # tasks of a batch share the exploration matrix) and carries one
-        # binding-filtered-table cache: id -> (tables, cache).
-        attached: Dict[int, tuple] = {}
-        with ExitStack() as stack:
+        with closing(_UnitRunner(cloud, _shared_join_limit(tasks))) as runner:
             for unit in units:
-                task = unit.task
-                if isinstance(task, ExploreTask):
-                    table, metrics = _explore_unit(
-                        cloud, task.machine_id, task.stwig, task.query, task.bindings, unit.roots
-                    )
-                    yield unit, explore_result(task.machine_id, table), metrics
-                    continue
-                metrics = CloudMetrics()
-                key = id(task.tables)
-                if key not in attached:
-                    tables = stack.enter_context(attached_matrix(task.tables))
-                    attached[key] = (tables, {})
-                tables, filtered_cache = attached[key]
-                # The rows are the join's own array, never a view of the
-                # attached pages, so they outlive the batch's attachments.
-                rows = machine_result_rows(
-                    cloud.with_metrics(metrics),
-                    task.plan,
-                    tables,
-                    task.machine_id,
-                    task.bindings,
-                    budget=JoinBudget(limit, slots, task.machine_id),
-                    filtered_cache=filtered_cache,
-                )
-                yield unit, JoinResult(task.machine_id, rows), metrics
+                yield (unit, *runner.run(unit.task, unit.start, unit.stop))
 
 
 # -- process backend ---------------------------------------------------------
 
-#: Worker-process state: the cloud handle arrives via the pool initializer
-#: and the cloud itself is rebuilt lazily on the first task, so workers that
-#: never run a task never map the segments.
-_WORKER_CONTEXT: dict = {"handle": None, "cloud": None}
+#: How long ``close()`` waits for terminated workers before it kills them.
+_CLOSE_DEADLINE_S = 1.0
+
+#: Process-wide batch numbers: part of the names of worker-published blocks.
+_batch_numbers = itertools.count(1)
 
 
-def _worker_initialize(handle: CloudHandle) -> None:
-    _WORKER_CONTEXT["handle"] = handle
-    _WORKER_CONTEXT["cloud"] = None
+class _Open(NamedTuple):
+    """A batch's first message to a worker: everything its units share.
+
+    ``tasks`` are the batch's tasks with bindings, roots and handle matrix in
+    shipped form.  The message is pickled once per batch, so what the tasks
+    share by identity (plan, query, bindings, matrix) crosses each pipe once
+    and arrives shared.  ``names.format(worker pid, n)`` is the name of the
+    ``n``-th block a worker publishes during the batch.
+    """
+
+    tasks: Sequence[object]
+    limit: Optional[int]
+    slots: Optional[SharedArraySpec]
+    names: str
 
 
-def _worker_cloud() -> MemoryCloud:
-    cloud = _WORKER_CONTEXT["cloud"]
-    if cloud is None:
-        cloud = rebuild_cloud(_WORKER_CONTEXT["handle"])
-        _WORKER_CONTEXT["cloud"] = cloud
-    return cloud
+def _worker_main(conn, handle: CloudHandle, inherited: Sequence) -> None:
+    """A worker's life: serve batches over ``conn`` until the driver hangs up.
 
-
-def _worker_explore(args):
-    machine_id, stwig, query, shipped_bindings, roots = args
-    with _resolved_bindings(shipped_bindings, query) as bindings:
-        table, metrics = _explore_unit(
-            _worker_cloud(), machine_id, stwig, query, bindings, roots
-        )
-    # The end-to-end shared-memory path: a large table's packed buffer is
-    # published once and only its spec returns.  The block lives until a
-    # TableHandle.release() (or an executor error path) unlinks it — the
-    # driver never maps it.
-    result = explore_result(machine_id, table)
-    handle = result.table
-    part = None if handle.part is None else _ship_array(handle.part)
-    distincts = {node: _ship_array(values) for node, values in result.distincts.items()}
-    return (handle.groups, handle.row_count, handle.lengths, part, distincts), metrics
-
-
-def _worker_join(args):
-    machine_id, plan, matrix, shipped_bindings, budget = args
-    metrics = CloudMetrics()
-    scoped = _worker_cloud().with_metrics(metrics)
-    try:
-        with _resolved_bindings(shipped_bindings, plan.query) as bindings:
-            with attached_matrix(matrix) as tables:
-                # The join's own array, not a view of the attached pages.
-                rows = machine_result_rows(
-                    scoped, plan, tables, machine_id, bindings, budget=budget
-                )
-    finally:
-        if budget is not None:
-            # Drop this task's mapping of the budget-slot segment; the
-            # driver unlinks the block after the whole batch returns.
-            budget.release()
-    return _ship_array(rows), metrics
-
-
-def _worker_run(payload):
-    """Guarded worker dispatch: errors are transported, never raised.
-
-    A worker that raised through ``imap_unordered`` would abort the whole
-    iteration and strand every sibling's shipped shared-memory block; the
-    driver instead receives an ``("error", ...)`` outcome, drains the batch,
+    The driver's messages are ``(opening, units, final)``: the pickled
+    :class:`_Open` with a worker's first units of a batch (``None`` after),
+    one ``(unit index, task index, start, stop)`` per unit dealt — each
+    answered by one ``(status, unit index, body)`` — and whether the batch
+    holds nothing more for this worker; a bare ``None`` says so afterwards.
+    Errors are transported, never raised: the driver drains the batch,
     unlinks everything the successful siblings shipped, and re-raises.
     """
-    unit_index, work, args = payload
-    try:
-        return "ok", unit_index, work(args)
-    except Exception as error:  # noqa: BLE001 - transported to the driver
-        return "error", unit_index, error
+    for other in inherited:
+        # Driver-side pipe ends the fork copied: left open here, neither this
+        # worker nor a sibling would ever read the driver's EOF.
+        other.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the driver's to handle
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)  # not a handler the driver installed
+    cloud = opened = runner = names = None
+    while True:
+        try:
+            opening, dealt, final = conn.recv() or (None, (), True)
+        except EOFError:
+            return
+        if opening is not None:
+            opened = pickle.loads(opening)
+            names = map(opened.names.format, itertools.repeat(os.getpid()), itertools.count())
+        for unit_index, task_index, start, stop in dealt:
+            try:
+                if cloud is None:  # on the first unit: an idle worker maps nothing
+                    cloud = rebuild_cloud(handle)
+                if runner is None:
+                    runner = _UnitRunner(cloud, opened.limit, opened.slots)
+                result, metrics = runner.run(opened.tasks[task_index], start, stop)
+                outcome = "ok", unit_index, (_shipped_result(result, names), metrics)
+            except Exception as error:  # noqa: BLE001 - transported to the driver
+                outcome = "error", unit_index, error
+            conn.send(outcome)
+        if final:
+            if runner is not None:
+                runner.close()
+            opened = runner = None
 
 
-class _SharedBudgetSlots:
-    """Picklable, lazily attached int64 slot array for cooperative budgets.
+def _shipped_result(result, names: Iterator[str]):
+    """Worker-side: a unit's result in pipe form.
 
-    ``multiprocessing.Value``/``Array`` only share by inheritance and
-    cannot ride through pool payloads, so the slots live in a tiny
-    shared-memory block instead: the driver publishes zeros, each worker
-    task attaches writable on first use and closes its mapping when the
-    task ends, and the driver unlinks the block after the batch.
-    Aligned 8-byte loads/stores are atomic on every platform numpy
-    supports, and each slot has exactly one writer, so stale reads of
-    *other* slots only under-count — always the safe direction.
+    A large array is published once and only its spec returns; a table's
+    block lives until a ``TableHandle.release()`` (or an executor error
+    path) unlinks it — the driver never maps it.
     """
 
-    def __init__(self, spec: SharedArraySpec) -> None:
-        self._spec = spec
-        self._segment = None
-        self._view = None
+    def publish(array: np.ndarray) -> SharedArraySpec:
+        segment, spec = publish_array(array, name=next(names))
+        segment.close()  # the worker's mapping only: the driver unlinks
+        return spec
 
-    def _ensure(self) -> np.ndarray:
-        if self._view is None:
-            self._segment, self._view = attach_array(self._spec, writable=True)
-        return self._view
+    if isinstance(result, JoinResult):
+        return _ship_array(result.rows, publish)
+    handle = result.table
+    part = None if handle.part is None else _ship_array(handle.part, publish)
+    distincts = {node: _ship_array(values, publish) for node, values in result.distincts.items()}
+    return handle.groups, handle.row_count, handle.lengths, part, distincts
 
-    def __getitem__(self, index: int) -> int:
-        return int(self._ensure()[index])
 
-    def __setitem__(self, index: int, value: int) -> None:
-        self._ensure()[index] = value
+class _Worker:
+    """One worker process the executor owns, and the driver's end of its pipe."""
 
-    def close(self) -> None:
-        segment, self._segment, self._view = self._segment, None, None
-        if segment is not None:
-            segment.close()
+    def __init__(self, handle: CloudHandle, siblings: Sequence["_Worker"]) -> None:
+        self.conn, theirs = multiprocessing.Pipe()
+        inherited = [sibling.conn for sibling in siblings] + [self.conn]
+        self.process = multiprocessing.Process(
+            target=_worker_main, args=(theirs, handle, inherited), daemon=True
+        )
+        self.process.start()
+        theirs.close()
+        #: Unit indexes handed over and not yet answered, oldest first.
+        self.sent: List[int] = []
+        #: True while the worker holds a batch open: from its :class:`_Open`
+        #: until it has been told the batch holds nothing more for it.
+        self.opened = False
 
-    def __reduce__(self):
-        return _SharedBudgetSlots, (self._spec,)
+    def usable(self) -> bool:
+        """Alive and between batches: anything else is replaced, never resynchronised."""
+        return self.process.is_alive() and not self.sent and not self.opened
+
+
+def _retire(workers: Sequence[_Worker]) -> None:
+    """Terminate and reap ``workers``, within :data:`_CLOSE_DEADLINE_S` in all."""
+    for worker in workers:
+        worker.process.terminate()
+    deadline = time.monotonic() + _CLOSE_DEADLINE_S
+    for worker in workers:
+        worker.process.join(max(0.0, deadline - time.monotonic()))
+        if worker.process.exitcode is None:
+            # Stopped or wedged: a SIGTERM stays pending, a SIGKILL does not.
+            worker.process.kill()
+            worker.process.join()
+        worker.process.close()
+        worker.conn.close()
 
 
 class _ProcessState:
-    """Pool + publications owned by one :class:`ProcessExecutor`.
+    """Workers + publications owned by one :class:`ProcessExecutor`.
 
     Kept outside the executor so a ``weakref.finalize`` can tear it down
     without keeping the executor alive: dropping the last reference to an
     unclosed executor (or interpreter exit) still terminates the workers
     and unlinks every published segment.
 
-    ``publications`` is the join-phase publication cache: table
-    fingerprint -> shm spec for *inline* handles the executor had to
-    publish itself (tables explored by another backend, or one outcome
-    joined repeatedly).  The cache makes re-publication a cache hit instead
-    of a new segment when the same cloud serves interleaved queries; it is
-    implicitly keyed on (runtime owner, load generation) because a cloud
-    switch or reload tears this whole state down.
+    ``publications`` caches, by table fingerprint, the shm spec of every
+    *inline* handle a join batch had to publish itself (tables explored by
+    another backend, or one outcome joined repeatedly), so interleaved
+    queries over one cloud re-use a segment instead of adding one.  A cloud
+    switch or reload tears this whole state down, which keys the cache on
+    (runtime owner, load generation).
     """
 
     def __init__(self) -> None:
-        self.pool = None
+        self.workers: List[_Worker] = []
+        self.handle: Optional[CloudHandle] = None
         self.registry = None
         self.cloud_ref = lambda: None
         self.load_generation = -1
         self.publications: Dict[int, SharedArraySpec] = {}
 
     def teardown(self) -> None:
-        pool, self.pool = self.pool, None
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+        workers, self.workers = self.workers, []
+        _retire(workers)
         registry, self.registry = self.registry, None
         if registry is not None:
             registry.close()
@@ -509,7 +547,17 @@ class _ProcessState:
 
 
 class ProcessExecutor(Executor):
-    """Process-pool execution over shared-memory CSR partition views.
+    """Worker processes the executor owns, over shared-memory CSR partition views.
+
+    Each worker is a forked ``multiprocessing.Process`` on one duplex pipe.
+    The calling thread deals a batch's units from the one unit queue — one
+    running and one waiting per worker, so stealing stays a property of the
+    queue and no worker idles between units — and waits on the pipes *and*
+    the process sentinels.  A worker that dies mid-batch fails the batch
+    with an :class:`~repro.errors.ExecutionError` naming it and its unit:
+    what it published and never reported is swept by name, the siblings are
+    drained, and it is replaced before the next batch.  One batch owns the
+    pipes at a time; batches of concurrent queries take turns.
 
     ``transport_counters`` exposes the backend's data movement:
 
@@ -518,9 +566,11 @@ class ProcessExecutor(Executor):
     * ``explore_coalesced`` / ``driver_table_receives`` — chunk-split
       machines whose parts the driver had to reassemble (work stealing
       only; zero when tasks are unsplit);
-    * ``join_publications`` / ``join_cache_hits`` — inline tables the join
-      dispatch had to publish itself, and re-uses of those publications by
-      later batches over the same data.
+    * ``join_publications`` / ``join_cache_hits`` — inline tables a join
+      batch had to publish itself, and re-uses of those publications by
+      later batches over the same data.  Both count once per batch, not per
+      join task or worker: the handle matrix is shipped and pickled once,
+      and crosses each pipe once.
     """
 
     name = "process"
@@ -529,85 +579,53 @@ class ProcessExecutor(Executor):
         self._workers = workers
         self.stealing = stealing
         self._state = _ProcessState()
-        self._lock = threading.Lock()
-        self._idle = threading.Condition(self._lock)
-        self._inflight = 0
-        self.transport_counters: Dict[str, int] = {
-            "explore_publications": 0,
-            "explore_coalesced": 0,
-            "driver_table_receives": 0,
-            "join_publications": 0,
-            "join_cache_hits": 0,
-        }
+        # Held by a batch for its whole length, and by close().
+        self._lock = threading.RLock()
+        self.transport_counters: Dict[str, int] = dict.fromkeys(
+            ("explore_publications", "explore_coalesced", "driver_table_receives",
+             "join_publications", "join_cache_hits"), 0,
+        )
         self._finalizer = weakref.finalize(self, _ProcessState.teardown, self._state)
 
-    @contextmanager
-    def _inflight_map(self):
-        """Track an in-flight batch so close() drains before teardown.
-
-        ``Pool.terminate()`` under an outstanding map leaves the mapping
-        thread blocked forever (its result never arrives), so a concurrent
-        close must wait for in-flight batches to complete before tearing
-        the pool down.
-        """
-        with self._idle:
-            self._inflight += 1
-        try:
-            yield
-        finally:
-            with self._idle:
-                self._inflight -= 1
-                if self._inflight == 0:
-                    self._idle.notify_all()
-
-    def _ensure_pool(self, cloud: MemoryCloud):
+    def _ensure_workers(self, cloud: MemoryCloud) -> List[_Worker]:
         # Key the publication on the *owning* cloud, never on the per-query
         # metrics view the engine hands the fan-outs: one resident cloud is
         # published once, no matter how many concurrent queries it serves.
         owner = cloud.runtime_owner
         state = self._state
-        # Serialized: concurrent queries from the service must not race the
-        # publish/pool construction (or double-publish the graph).
-        with self._lock:
-            if state.pool is not None:
-                if (
-                    state.cloud_ref() is owner
-                    and state.load_generation == owner.load_generation
-                ):
-                    return state.pool
-                # A different cloud — or the same cloud reloaded with a new
-                # graph: republish and restart the workers (their cached
-                # rebuild views the old segments).  A previous *other* cloud
-                # must forget this executor, or closing it later would tear
-                # down the new cloud's live pool and segments.
-                previous = state.cloud_ref()
-                state.teardown()
-                if previous is not None and previous is not owner:
-                    previous.deregister_runtime_resource(self)
-            handle, registry = publish_cloud(owner)
-            state.registry = registry
+        if state.cloud_ref() is not owner or state.load_generation != owner.load_generation:
+            # The first batch, a different cloud, or the same cloud reloaded
+            # with a new graph: (re)publish and restart the workers (their
+            # cached rebuild views the old segments).  A previous *other*
+            # cloud must forget this executor, or closing it later would
+            # tear down the new cloud's live workers and segments.
+            previous = state.cloud_ref()
+            state.teardown()
+            if previous is not None and previous is not owner:
+                previous.deregister_runtime_resource(self)
+            state.handle, state.registry = publish_cloud(owner)
             state.cloud_ref = weakref.ref(owner)
             state.load_generation = owner.load_generation
-            state.pool = multiprocessing.Pool(
-                # Default sizing: one worker per machine, capped at the host CPUs.
-                processes=self._workers or min(owner.machine_count, os.cpu_count() or 1),
-                initializer=_worker_initialize,
-                initargs=(handle,),
-            )
-            # The cloud tears this executor down (pool + segment unlink) on
+            # The cloud tears this executor down (workers + segment unlink) on
             # close(), which is what the shared-memory leak check exercises.
             owner.register_runtime_resource(self)
-            return state.pool
+        # A worker that died, or that a broken batch left mid-conversation,
+        # is replaced here; the first batch finds none and starts them all.
+        spent = [worker for worker in state.workers if not worker.usable()]
+        _retire(spent)
+        state.workers = [worker for worker in state.workers if worker not in spent]
+        # Default sizing: one worker per machine, capped at the host CPUs.
+        size = self._workers or min(owner.machine_count, os.cpu_count() or 1)
+        while len(state.workers) < size:
+            state.workers.append(_Worker(state.handle, state.workers))
+        return state.workers
 
     def _shipped_handle(self, handle: TableHandle) -> TableHandle:
-        """The pool-pipe form of one handle: published handles pass through.
-
-        Large *inline* handles are published through the cache (keyed by
-        table fingerprint), so one resident table crosses into shared
-        memory at most once per cloud generation no matter how many
-        interleaved queries join over it; small inline arrays just ride
-        the pipe.
-        """
+        """The pipe form of one handle: published handles pass through and
+        small inline ones ride the pipe.  A large *inline* one is published
+        through the fingerprint-keyed cache, so one resident table crosses
+        into shared memory at most once per cloud generation however many
+        interleaved queries join over it."""
         part = handle.part
         if not isinstance(part, np.ndarray) or part.size < _SHIP_THRESHOLD_ENTRIES:
             return handle
@@ -625,101 +643,149 @@ class ProcessExecutor(Executor):
             handle.fingerprint,
         )
 
-    def _decode(self, unit: _Unit, payload, counts: Dict[str, int]) -> object:
-        """A worker's payload as the unit's result; transport tallied in ``counts``."""
+    def _encoded(self, tasks: Sequence[object], publish) -> List[object]:
+        """The batch's tasks in pipe form; what they share stays shared."""
+        shipped: Dict[int, object] = {}
+
+        def once(payload, ship, *args):
+            if id(payload) not in shipped:
+                shipped[id(payload)] = ship(payload, *args)
+            return shipped[id(payload)]
+
+        def ship_matrix(matrix):
+            return tuple(tuple(map(self._shipped_handle, machine)) for machine in matrix)
+
+        return [
+            replace(
+                task,
+                bindings=once(task.bindings, _ship_bindings, task.query, publish),
+                roots=_ship_array(task.roots, publish),
+            )
+            if isinstance(task, ExploreTask)
+            else replace(
+                task,
+                bindings=once(task.bindings, _ship_bindings, task.plan.query, publish),
+                tables=once(task.tables, ship_matrix),
+            )
+            for task in tasks
+        ]
+
+    def _decode(self, unit: _Unit, payload) -> object:
+        """A worker's payload as the unit's result (the batch's lock is held)."""
         task = unit.task
         if isinstance(task, JoinTask):
             return JoinResult(task.machine_id, _receive_array(payload))
         groups, row_count, lengths, part, distincts = payload
-        counts["explore_publications"] += isinstance(part, SharedArraySpec)
+        self.transport_counters["explore_publications"] += isinstance(part, SharedArraySpec)
         if unit.chunk_count > 1 and part is not None:
             # A chunk of a split (stolen-from) machine is coalesced by the
             # loop, so the driver has to receive it.  This is the only
             # driver-side table materialization in the backend, and it is
             # charged to its own counter.
-            counts["driver_table_receives"] += 1
+            self.transport_counters["driver_table_receives"] += 1
             part = _receive_array(part)
         received = {node: _receive_array(shipped) for node, shipped in distincts.items()}
         handle = TableHandle(task.stwig.nodes, groups, row_count, lengths, part)
         return ExploreResult(task.machine_id, handle, received)
 
-    def _run_units(self, cloud, tasks, units):
-        # Tallied per batch and folded in once, under the lock: the query
-        # service runs batches from several threads at once.
-        counts = {
-            "explore_publications": 0,
-            "explore_coalesced": len(
-                {unit.task_index for unit in units if unit.chunk_count > 1}
-            ),
-            "driver_table_receives": 0,
-        }
-        registries: List = []
-        bindings_cache: Dict[int, object] = {}
-        matrix_cache: Dict[int, tuple] = {}
-        join_limit = _shared_join_limit(tasks)
-        slots = None
+    def _outcomes(self, units: Sequence[_Unit], messages: deque, opening: bytes, names: str):
+        """Deal ``messages`` (the unit queue) to the workers and yield each
+        ``(status, unit index, body)`` as it comes back; a worker found dead
+        yields the error of the unit it was running."""
+        workers = self._state.workers
 
-        def shipped_bindings_for(bindings, query):
-            key = id(bindings)
-            if key not in bindings_cache:
-                bindings_cache[key] = _ship_bindings(bindings, query, registries)
-            return bindings_cache[key]
-
-        def shipped_matrix_for(matrix):
-            key = id(matrix)
-            if key not in matrix_cache:
-                matrix_cache[key] = tuple(
-                    tuple(self._shipped_handle(handle) for handle in machine)
-                    for machine in matrix
-                )
-            return matrix_cache[key]
-
-        def encode(unit_index: int, unit: _Unit) -> tuple:
-            task = unit.task
-            if isinstance(task, ExploreTask):
-                shipped = shipped_bindings_for(task.bindings, task.query)
-                args = (task.machine_id, task.stwig, task.query, shipped, unit.roots)
-                return unit_index, _worker_explore, args
-            shipped = shipped_bindings_for(task.bindings, task.plan.query)
-            budget = (
-                JoinBudget(join_limit, slots, task.machine_id)
-                if join_limit is not None
-                else None
-            )
-            matrix = shipped_matrix_for(task.tables)
-            return unit_index, _worker_join, (task.machine_id, task.plan, matrix, shipped, budget)
-
-        with self._inflight_map():
-            pool = self._ensure_pool(cloud)
+        def hand(worker: _Worker, dealt: List[tuple]) -> None:
+            if not dealt:
+                return
+            final = not messages
             try:
-                if join_limit is not None:
-                    registries.append(SegmentRegistry())
-                    slots = _SharedBudgetSlots(
-                        registries[-1].publish(np.zeros(cloud.machine_count, dtype=np.int64))
+                worker.conn.send((None if worker.opened else opening, dealt, final))
+            except OSError:
+                messages.extendleft(reversed(dealt))  # dead: the queue is the others'
+                return
+            worker.opened = not final
+            worker.sent.extend(message[0] for message in dealt)
+
+        # One unit each and one to look ahead, in one message per worker.
+        dealt = [messages.popleft() for _ in range(min(len(messages), 2 * len(workers)))]
+        for index, worker in enumerate(workers):
+            hand(worker, dealt[index :: len(workers)])
+        while busy := [worker for worker in workers if worker.sent]:
+            ready = wait(
+                [worker.conn for worker in busy] + [worker.process.sentinel for worker in busy]
+            )
+            for worker in busy:
+                outcome = None
+                if worker.conn in ready:
+                    try:
+                        outcome = worker.conn.recv()
+                    except (EOFError, OSError):
+                        pass
+                elif worker.process.sentinel not in ready:
+                    continue
+                if outcome is None:
+                    unit = units[worker.sent[0]]
+                    worker.process.join(_CLOSE_DEADLINE_S)
+                    # What it published and never reported; what it did
+                    # report is retired with the rest of the failed batch.
+                    sweep_blocks(names.format(worker.process.pid, ""))
+                    outcome = "error", worker.sent[0], ExecutionError(
+                        f"worker {worker.process.pid} died (exit code "
+                        f"{worker.process.exitcode}) running the {type(unit.task).__name__} "
+                        f"of machine {unit.task.machine_id}, chunk "
+                        f"{unit.chunk_index + 1}/{unit.chunk_count}"
                     )
-                payloads = [encode(index, unit) for index, unit in enumerate(units)]
-                outcomes = pool.imap_unordered(_worker_run, payloads, chunksize=1)
-                try:
-                    for status, unit_index, body in outcomes:
-                        if status == "error":
-                            raise body
-                        unit = units[unit_index]
-                        yield unit, self._decode(unit, body[0], counts), body[1]
-                finally:
-                    # A failed or abandoned batch: wait for the sibling
-                    # units and retire what they shipped, so no block is
-                    # stranded and nothing is unlinked under a live worker.
-                    for status, unit_index, body in outcomes:
-                        if status == "ok":
-                            result = self._decode(units[unit_index], body[0], counts)
-                            if isinstance(result, ExploreResult):
-                                result.table.release()
+                    worker.sent.clear()
+                else:
+                    worker.sent.remove(outcome[1])
+                    hand(worker, [messages.popleft()] if messages else [])
+                yield outcome
+        if messages:
+            raise ExecutionError("no live worker is left to run the batch")
+
+    def _run_units(self, cloud, tasks, units):
+        join_limit = _shared_join_limit(tasks)
+        # One batch owns the pipes (and the transport counters) at a time.
+        # The registry owns what the driver ships by shared memory for the
+        # length of the batch: large roots and bindings, the budget slots.
+        with self._lock, SegmentRegistry() as registry:
+            workers = self._ensure_workers(cloud)
+            self.transport_counters["explore_coalesced"] += len(
+                {unit.task_index for unit in units if unit.chunk_count > 1}
+            )
+            slots = None
+            if join_limit is not None:
+                slots = registry.publish(np.zeros(cloud.machine_count, dtype=np.int64))
+            names = f"repro-{os.getpid()}-{{}}-{next(_batch_numbers)}-{{}}"
+            opening = pickle.dumps(
+                _Open(self._encoded(tasks, registry.publish), join_limit, slots, names),
+                pickle.HIGHEST_PROTOCOL,
+            )
+            messages = deque(
+                (index, unit.task_index, unit.start, unit.stop) for index, unit in enumerate(units)
+            )
+            try:
+                for status, unit_index, body in self._outcomes(units, messages, opening, names):
+                    if status == "error":
+                        raise body
+                    unit = units[unit_index]
+                    yield unit, self._decode(unit, body[0]), body[1]
             finally:
-                for registry in registries:
-                    registry.close()
-                with self._lock:
-                    for key, count in counts.items():
-                        self.transport_counters[key] += count
+                # A failed or abandoned batch: nothing more is dealt, the
+                # units already handed over are waited for and what they
+                # shipped is retired, so no block is stranded and nothing
+                # is unlinked under a live worker.
+                messages.clear()
+                for status, unit_index, body in self._outcomes(units, messages, opening, names):
+                    if status == "ok":
+                        result = self._decode(units[unit_index], body[0])
+                        if isinstance(result, ExploreResult):
+                            result.table.release()
+                for worker in workers:
+                    if worker.opened:
+                        with suppress(OSError):  # dead: replaced before the next batch
+                            worker.conn.send(None)
+                            worker.opened = False
 
     def published_segment_names(self) -> List[str]:
         """Names of the live graph segments (empty after close)."""
@@ -729,16 +795,12 @@ class ProcessExecutor(Executor):
 
     def close(self) -> None:
         # Tear down directly (idempotent) rather than through the one-shot
-        # finalizer: an executor reused after close() rebuilds its pool and
-        # publication, and those must be closeable again.  The finalizer
-        # stays armed as the GC/interpreter-exit backstop.  The lock orders
-        # close() against a concurrent _ensure_pool, and the in-flight drain
-        # orders it against concurrent batches, so matcher.close() and
-        # MemoryCloud.close() can run in any order (or twice) safely even
-        # while queries are executing.
-        with self._idle:
-            while self._inflight:
-                self._idle.wait()
+        # finalizer: an executor reused after close() rebuilds its workers
+        # and publication, and those must be closeable again.  A batch holds
+        # the lock for its whole length, so close() drains the in-flight one
+        # first, and matcher.close() and MemoryCloud.close() can run in any
+        # order (or twice) while queries execute.  The teardown is bounded.
+        with self._lock:
             self._state.teardown()
 
 
@@ -753,12 +815,12 @@ def create_executor(spec: ExecutorSpec = None, workers: Optional[int] = None) ->
     passes through unchanged.  ``workers`` is the ``workers=`` kwarg every
     entry point pairs with ``executor=`` (``SubgraphMatcher``,
     ``QueryService``, ``repro.api.connect``, the CLI): it bounds the
-    process backend's pool, overriding the spec's own value.
+    process backend's workers, overriding the spec's own value.
 
     Raises:
         ConfigurationError: an unknown backend, a non-positive ``workers``,
-            or ``workers`` with an :class:`Executor` instance (whose pool
-            size is fixed).
+            or ``workers`` with an :class:`Executor` instance (whose worker
+            count is fixed).
     """
     if isinstance(spec, Executor):
         if workers is not None:

@@ -17,26 +17,20 @@ task**.  Instead:
   live in per-process memory while the billion-edge-shaped payload stays
   shared.
 
-Exploration result tables no longer pass through here at all: workers
-publish their own ``G_k(q_i)`` relations and hand back
-:class:`~repro.core.tasks.TableHandle`\\ s, which the join tasks attach
-directly (see :mod:`repro.core.tasks`) — this module only ships what is
-genuinely driver-resident: the graph itself and large binding tables.
+Only the graph passes through here: result tables, bindings and roots are
+shipped by the executor itself (see :mod:`repro.runtime.executors`).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Tuple
 
 from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import ClusterConfig
-from repro.core.bindings import BindingTable
 from repro.graph.label_table import LabelTable
-from repro.query.query_graph import QueryGraph
 from repro.storage.provider import ArraySpec, ShmStorageProvider, attach_columns
-from repro.utils.shm import SegmentRegistry, SharedArraySpec, attach_array
+from repro.utils.shm import SegmentRegistry
 
 
 @dataclass(frozen=True)
@@ -46,27 +40,14 @@ class CloudHandle:
     ``specs`` maps every :func:`~repro.cloud.cluster.column_names` entry to
     the storage spec of that column — shm or mmap, workers attach either —
     and the rest is the small plain-data state (label strings, machine
-    count, edge count).  The handle is shipped once per worker via the pool
-    initializer.
+    count, edge count).  Each worker receives the handle once, when it is
+    started.
     """
 
     machine_count: int
     labels: Tuple[str, ...]
     edge_count: int
     specs: Dict[str, ArraySpec]
-
-
-@dataclass(frozen=True)
-class BindingsHandle:
-    """Published binding table: one spec per *bound* query node.
-
-    The proxy ships each stage's bindings to every machine; for large
-    binding sets the process backend publishes the arrays once per stage
-    and sends only this handle per task, instead of re-pickling identical
-    multi-megabyte arrays ``machine_count`` times through the pool pipe.
-    """
-
-    specs: Tuple[Tuple[str, SharedArraySpec], ...]
 
 
 def publish_cloud(cloud: MemoryCloud) -> Tuple[CloudHandle, SegmentRegistry]:
@@ -120,46 +101,3 @@ def rebuild_cloud(handle: CloudHandle) -> MemoryCloud:
         backing=segments,
     )
     return cloud
-
-
-def publish_bindings(
-    bindings: BindingTable, query: QueryGraph
-) -> Tuple[BindingsHandle, SegmentRegistry]:
-    """Publish every bound node's candidate array for one fan-out.
-
-    The registry owns the blocks; close it once the tasks that received
-    the handle have completed.
-    """
-    registry = ShmStorageProvider()
-    try:
-        specs = []
-        for node in query.nodes():
-            array = bindings.candidates_array(node)
-            if array is not None:
-                specs.append((node, registry.publish(array)))
-    except Exception:
-        registry.close()
-        raise
-    return BindingsHandle(tuple(specs)), registry
-
-
-@contextmanager
-def attached_bindings(
-    handle: BindingsHandle, query: QueryGraph
-) -> Iterator[BindingTable]:
-    """Worker-side binding table over zero-copy views, attachment-scoped.
-
-    The rebuilt table adopts the sorted views without copying; on exit the
-    attachments close, so the table must not outlive the ``with`` block.
-    """
-    segments = []
-    try:
-        bindings = BindingTable(query)
-        for node, spec in handle.specs:
-            segment, view = attach_array(spec)
-            segments.append(segment)
-            bindings.bind(node, view)
-        yield bindings
-    finally:
-        for segment in segments:
-            segment.close()

@@ -12,10 +12,14 @@ views over the same pages.  These helpers own the mechanics:
   ``SharedMemory`` object that must stay referenced while the view lives);
 * :class:`SegmentRegistry` tracks every block a publisher created so the
   teardown path (``MemoryCloud.close`` / executor shutdown) can unlink all
-  of them exactly once.
+  of them exactly once;
+* blocks a *worker* publishes are named ``repro-<driver pid>-<worker
+  pid>-...`` (the ``name`` argument of :func:`publish_array`), so what a
+  worker published and died before reporting can still be found
+  (:func:`sweep_blocks`).
 
 A note on CPython's ``resource_tracker``: it registers a segment on
-*attach* as well as on create (bpo-39959).  That is harmless here — pool
+*attach* as well as on create (bpo-39959).  That is harmless here —
 workers inherit the publisher's tracker (fork and spawn both pass the
 tracker fd down), the tracker keeps a per-name *set*, so the attach-side
 re-registration dedupes against the publisher's and the single
@@ -26,9 +30,10 @@ would drop the publisher's registration and make its unlink fail.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -48,17 +53,20 @@ class SharedArraySpec:
     dtype: str
 
 
-def publish_array(array: np.ndarray) -> Tuple[shared_memory.SharedMemory, SharedArraySpec]:
+def publish_array(
+    array: np.ndarray, name: Optional[str] = None
+) -> Tuple[shared_memory.SharedMemory, SharedArraySpec]:
     """Copy ``array`` into a new shared-memory block.
 
     Returns the owning :class:`SharedMemory` (keep it referenced; closing
     and unlinking it frees the pages) and the :class:`SharedArraySpec` a
     worker needs to attach.  Zero-length arrays are published as 1-byte
-    blocks (POSIX shared memory cannot be empty).
+    blocks (POSIX shared memory cannot be empty).  ``name`` is the block's
+    name (unused so far, or ``FileExistsError``); ``None`` draws a random one.
     """
     contiguous = np.ascontiguousarray(array)
     segment = shared_memory.SharedMemory(
-        create=True, size=max(1, contiguous.nbytes)
+        name=name, create=True, size=max(1, contiguous.nbytes)
     )
     view = np.ndarray(contiguous.shape, dtype=contiguous.dtype, buffer=segment.buf)
     view[...] = contiguous
@@ -94,12 +102,31 @@ def unlink_block(spec: SharedArraySpec) -> None:
     silently ignored, so every owner on an error path can call this without
     coordinating who got there first.
     """
+    _unlink_name(spec.name)
+
+
+def _unlink_name(name: str) -> None:
     try:
-        segment = shared_memory.SharedMemory(name=spec.name)
+        segment = shared_memory.SharedMemory(name=name)
     except FileNotFoundError:
         return
     segment.close()
     segment.unlink()
+
+
+def sweep_blocks(prefix: str) -> None:
+    """Retire every block whose name starts with ``prefix``.
+
+    For blocks whose publisher died before it could report their names.
+    Where ``/dev/shm`` cannot be listed there is nothing to find them by.
+    """
+    try:
+        names = os.listdir("/dev/shm")
+    except FileNotFoundError:
+        return
+    for name in names:
+        if name.startswith(prefix):
+            _unlink_name(name)
 
 
 class SegmentRegistry:

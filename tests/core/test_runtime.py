@@ -68,10 +68,12 @@ def star_table(spokes: int):
     )
 
 
-def run_backend(graph, queries, backend, limit=None, config=None):
+def run_backend(graph, queries, backend, limit=None, config=None, workers=2, stealing=True):
     """Fresh cloud + matcher per backend; returns rows/metrics/pair counts."""
     cloud = MemoryCloud.from_graph(graph, ClusterConfig(machine_count=4))
-    executor = create_executor(RuntimeConfig(backend=backend, workers=2))
+    executor = create_executor(
+        RuntimeConfig(backend=backend, workers=workers, stealing=stealing)
+    )
     outputs = []
     try:
         with SubgraphMatcher(cloud, config, executor=executor) as matcher:
@@ -119,6 +121,42 @@ class TestBackendParity:
         for serial_out, backend_out in zip(reference, outputs):
             assert backend_out["rows"] == serial_out["rows"]
             assert backend_out["truncated"] == serial_out["truncated"]
+
+    @pytest.mark.parametrize("stealing", (False, True))
+    @pytest.mark.parametrize("workers", (4, 2, 1))
+    def test_join_cache_shared_per_worker_keeps_parity(
+        self, parity_graph, parity_queries, monkeypatch, workers, stealing
+    ):
+        """A worker attaches the handle matrix once per batch and shares one
+        binding-filtered-table cache between the join tasks it is dealt —
+        one machine's (4 workers), two machines' (2) or all four (1).  Rows,
+        row order and every ``CloudMetrics`` counter must not notice: a
+        cache hit still charges the receiver's transfer and the sender-side
+        filter (``result_rows_shipped`` / ``result_rows_filtered`` are part
+        of the compared snapshot), and a limit-k answer is still the exact
+        k-prefix with the serial truncation flag."""
+        import repro.runtime.executors as executors_module
+
+        if stealing:
+            monkeypatch.setattr(executors_module, "_STEAL_MIN_ROOTS", 8)
+        reference, reference_pairs = run_backend(parity_graph, parity_queries, "serial")
+        assert all(out["metrics"]["result_rows_shipped"] > 0 for out in reference)
+        assert any(out["metrics"]["result_rows_filtered"] > 0 for out in reference)
+        outputs, pairs = run_backend(
+            parity_graph, parity_queries, "process", workers=workers, stealing=stealing
+        )
+        for serial_out, process_out in zip(reference, outputs):
+            assert process_out["rows"] == serial_out["rows"]
+            assert process_out["metrics"] == serial_out["metrics"]
+        assert pairs == reference_pairs
+        for limit in (1, 7, 50):
+            limited, _ = run_backend(
+                parity_graph, parity_queries, "process", limit=limit,
+                workers=workers, stealing=stealing,
+            )
+            for serial_out, process_out in zip(reference, limited):
+                assert process_out["rows"] == serial_out["rows"][:limit]
+                assert process_out["truncated"] == (len(serial_out["rows"]) > limit)
 
     def test_limited_queries_deterministic_per_backend(
         self, parity_graph, parity_queries
@@ -626,6 +664,38 @@ class TestProcessRuntimeLifecycle:
         with pytest.raises(FileNotFoundError):
             leftover = shared_memory.SharedMemory(name=name)
             leftover.close()
+
+    def test_join_batch_pickles_the_handle_matrix_once(
+        self, parity_graph, parity_queries, monkeypatch
+    ):
+        """Four join tasks over two workers: the 4 x S handle matrix is
+        pickled once for the whole batch (the batch's opening message, whose
+        bytes go down each pipe once) — not once per task, not even once per
+        worker.  Counted here, in the driver, not by a public counter."""
+        from repro.core.distributed import assemble_results
+        from repro.core.tasks import TableHandle
+
+        pickled = []
+        reduce_handle = TableHandle.__reduce_ex__
+
+        def counting(handle, protocol):
+            pickled.append(os.getpid())
+            return reduce_handle(handle, protocol)
+
+        monkeypatch.setattr(TableHandle, "__reduce_ex__", counting)
+        cloud = MemoryCloud.from_graph(parity_graph, ClusterConfig(machine_count=4))
+        plan = QueryPlanner(cloud, MatcherConfig()).plan(parity_queries[0])
+        executor = ProcessExecutor(workers=2)
+        try:
+            outcome = explore(cloud, plan, executor=executor)
+            assert pickled == [], "exploration sends no handle anywhere"
+            joined = assemble_results(cloud, plan, outcome, executor=executor)
+            outcome.release()
+        finally:
+            executor.close()
+            cloud.close()
+        assert joined.row_count > 0
+        assert pickled == [os.getpid()] * (4 * len(plan.stwigs))
 
     def test_published_handle_attaches_read_only_and_materializes_owned(self):
         """A table attached over published pages is a value like any other:

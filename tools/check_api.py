@@ -23,7 +23,9 @@ API, and nothing in ``src/`` may bring them back.
 And it keeps the front door single (``FRONT_DOOR``): ``repro.api`` is the one
 place a source becomes a cloud and a service is put in front of it, so the
 CLI may construct no cloud, matcher or service of its own and ``serve/`` no
-cloud.
+cloud.  Likewise one worker mechanism (``WORKER_POOLS``): the process backend
+owns its worker processes, so nothing under ``src/`` may import or construct
+a ``multiprocessing`` pool beside them.
 
 Run from the repo root (CI's lint job does):
 
@@ -103,6 +105,9 @@ FRONT_DOOR = {
     "src/repro/serve/*.py": ["MemoryCloud.from_graph(", "MemoryCloud.open_snapshot("],
 }
 
+#: Spellings that import or construct a second worker mechanism under ``src/``.
+WORKER_POOLS = ["multiprocessing.Pool", "multiprocessing.pool", "import Pool", ".Pool("]
+
 
 def _banned_lines(root: Path, paths, spellings: List[str], why: str) -> List[str]:
     errors = []
@@ -132,6 +137,13 @@ def check_front_door(root: Path) -> List[str]:
             "go through repro.api instead of constructing",
         )
     return errors
+
+
+def check_worker_pools(root: Path) -> List[str]:
+    return _banned_lines(
+        root, (root / "src").rglob("*.py"), WORKER_POOLS,
+        "ProcessExecutor owns its workers; no pool beside them:",
+    )
 
 
 def check_module(name: str, strict: bool) -> List[str]:
@@ -179,11 +191,12 @@ def main() -> int:
     root = Path(__file__).resolve().parent.parent
     failures.extend(check_retired_spellings(root))
     failures.extend(check_front_door(root))
+    failures.extend(check_worker_pools(root))
     if failures:
         for failure in failures:
             print(f"API LINT: {failure}", file=sys.stderr)
         return 1
-    print(f"api lint passed ({len(GUARDED)} modules + retired-spelling and front-door greps)")
+    print(f"api lint passed ({len(GUARDED)} modules + retired-spelling, front-door and worker-pool greps)")
     return 0
 
 
