@@ -10,14 +10,12 @@ timing statistics.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 import pytest
 
 from repro.bench.reporting import format_table
-from repro.storage.cache import cached_graph, default_cache_dir
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -27,33 +25,6 @@ def results_dir() -> Path:
     """Directory where rendered experiment tables are written."""
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     return RESULTS_DIR
-
-
-@pytest.fixture(scope="session")
-def dataset_cache() -> Path:
-    """Snapshot cache directory shared by every benchmark in the session.
-
-    Defaults to ``benchmarks/.dataset_cache`` (gitignored); set
-    ``REPRO_DATASET_CACHE`` to relocate it, e.g. onto a CI cache volume.
-    """
-    return default_cache_dir(os.environ.get("REPRO_DATASET_CACHE"))
-
-
-def cached_dataset(
-    cache_dir: Path, name: str, factory: Callable[[], object]
-) -> Tuple[object, Dict[str, object]]:
-    """Open benchmark dataset ``name`` from the snapshot cache (see
-    :func:`repro.storage.cache.cached_graph`), printing how it was obtained
-    so ``pytest -s`` shows open-vs-generate time per dataset."""
-    graph, info = cached_graph(cache_dir, name, factory)
-    if info["source"] == "snapshot":
-        print(f"[dataset {name}: reopened snapshot in {info['open_seconds']:.3f}s]")
-    else:
-        print(
-            f"[dataset {name}: generated in {info['generate_seconds']:.3f}s, "
-            f"snapshot saved in {info['save_seconds']:.3f}s]"
-        )
-    return graph, info
 
 
 def save_rows(

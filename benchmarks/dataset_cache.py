@@ -69,4 +69,4 @@ def default_cache_dir(env_value: Optional[str] = None) -> Path:
     """
     if env_value:
         return Path(env_value)
-    return Path(__file__).resolve().parents[3] / "benchmarks" / ".dataset_cache"
+    return Path(__file__).resolve().parent / ".dataset_cache"

@@ -8,7 +8,7 @@ undershoots its edge target by more than 2%, if loading or matching raises,
 or if any stage exceeds a generous wall-clock budget — the symptom of a
 scalar path sneaking back into the pipeline.
 
-Datasets are cached as persistent snapshots (``repro.storage``): the first
+Datasets are cached as persistent snapshots (``dataset_cache.py``): the first
 run generates and saves each graph, later runs reopen it via ``np.memmap``
 in near-constant time, and every row reports how the dataset was obtained
 (``dataset_source`` + ``dataset_seconds``) so the open-vs-generate saving
@@ -24,6 +24,7 @@ check.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -32,7 +33,7 @@ from typing import Dict, Optional, Sequence
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from report_io import save_report
+from dataset_cache import cached_graph, default_cache_dir
 
 from repro.bench.harness import build_cloud
 from repro.core.engine import SubgraphMatcher
@@ -41,7 +42,6 @@ from repro.graph.generators.power_law import generate_power_law
 from repro.graph.generators.rmat import generate_rmat
 from repro.graph.stats import generation_report
 from repro.query.generators import dfs_query
-from repro.storage.cache import cached_graph, default_cache_dir
 from repro.workloads.datasets import DEFAULT_SEED
 
 #: Per-stage wall-clock budgets at 1M nodes (seconds).  The vectorized
@@ -170,7 +170,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ]
     report = {"nodes": args.nodes, "machines": args.machines, "models": rows}
     if args.out is not None:
-        save_report(report, args.out, no_save=True, out=args.out)
+        args.out.parent.mkdir(parents=True, exist_ok=True)
+        args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        print(f"[saved to {args.out}]")
     print("scale smoke passed")
     return 0
 

@@ -29,7 +29,6 @@ exit.
 
 from __future__ import annotations
 
-import itertools
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -41,12 +40,6 @@ from repro.core.stwig import STwig
 from repro.errors import ExecutionError
 from repro.graph.labeled_graph import NODE_DTYPE
 from repro.storage.provider import attach_spec, discard_spec
-
-#: Process-wide monotone fingerprint source for table handles.  Fingerprints
-#: key the process backend's publication cache, so they must never repeat
-#: within one driver process — ``id()`` can be recycled after GC, a counter
-#: cannot.
-_fingerprints = itertools.count(1)
 
 
 class TableHandle:
@@ -60,14 +53,9 @@ class TableHandle:
     the join phase's attachment zero-copy: a worker maps exactly one segment
     per table, never reassembles chunks, and the tables it yields are values
     over those very (read-only) pages.
-
-    ``fingerprint`` identifies the underlying data across pickling: the
-    process backend keys its publication cache on it so one resident table
-    is published at most once no matter how many queries or fan-outs
-    reference it.
     """
 
-    __slots__ = ("columns", "groups", "row_count", "lengths", "part", "fingerprint")
+    __slots__ = ("columns", "groups", "row_count", "lengths", "part")
 
     def __init__(
         self,
@@ -76,16 +64,12 @@ class TableHandle:
         row_count: int,
         lengths: Sequence[int],
         part,
-        fingerprint: Optional[int] = None,
     ) -> None:
         self.columns: Tuple[str, ...] = tuple(columns)
         self.groups = tuple(groups)
         self.row_count = int(row_count)
         self.lengths = tuple(lengths)
         self.part = part
-        self.fingerprint = (
-            next(_fingerprints) if fingerprint is None else fingerprint
-        )
 
     # -- constructors ------------------------------------------------------
 

@@ -3,16 +3,10 @@
 The default generators (``generate_power_law``, ``generate_rmat``,
 ``generate_gnm``/``generate_gnp``) are array-native: endpoints are sampled
 in edge-sized numpy blocks and bulk-ingested through
-:meth:`~repro.graph.labeled_graph.LabeledGraph.from_arrays`.  The
-``*_scalar`` variants keep the original one-draw-per-edge samplers as
-seeded reference baselines for parity tests and speedup benchmarks.
+:meth:`~repro.graph.labeled_graph.LabeledGraph.from_arrays`.
 """
 
-from repro.graph.generators.erdos_renyi import (
-    generate_gnm,
-    generate_gnm_scalar,
-    generate_gnp,
-)
+from repro.graph.generators.erdos_renyi import generate_gnm, generate_gnp
 from repro.graph.generators.labels import (
     assign_uniform_label_ids,
     assign_uniform_labels,
@@ -24,24 +18,14 @@ from repro.graph.generators.labels import (
     zipf_cumulative,
 )
 from repro.graph.generators.lookalike import patents_like, wordnet_like
-from repro.graph.generators.power_law import (
-    generate_power_law,
-    generate_power_law_scalar,
-)
-from repro.graph.generators.rmat import (
-    RmatParameters,
-    generate_rmat,
-    generate_rmat_scalar,
-)
+from repro.graph.generators.power_law import generate_power_law
+from repro.graph.generators.rmat import RmatParameters, generate_rmat
 
 __all__ = [
     "generate_gnm",
-    "generate_gnm_scalar",
     "generate_gnp",
     "generate_power_law",
-    "generate_power_law_scalar",
     "generate_rmat",
-    "generate_rmat_scalar",
     "RmatParameters",
     "patents_like",
     "wordnet_like",

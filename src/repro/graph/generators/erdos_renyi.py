@@ -7,25 +7,23 @@ ablation benchmarks.
 :func:`generate_gnm` draws endpoint blocks with ``Generator.integers`` and
 collapses duplicates vectorized; the near-complete regime enumerates all
 pairs with ``np.triu_indices`` and takes a random slice of a permutation.
-:func:`generate_gnm_scalar` keeps the original per-edge rejection sampler
-as the seeded reference baseline.
+The original per-edge rejection sampler is the parity tests' reference
+(``tests/helpers.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.builder import GraphBuilder
 from repro.graph.generators.labels import (
     assign_uniform_label_ids,
-    assign_uniform_labels,
     make_label_collection,
 )
 from repro.graph.label_table import LabelTable
 from repro.graph.labeled_graph import NODE_DTYPE, LabeledGraph
 from repro.graph.generators.sampling import sample_unique_edges
 from repro.graph.stats import GenerationReport, attach_generation_report
-from repro.utils.rng import SeedLike, ensure_generator, ensure_rng
+from repro.utils.rng import SeedLike, ensure_generator
 from repro.utils.validation import require, require_positive
 
 
@@ -118,51 +116,4 @@ def generate_gnp(
         label_count=label_count,
         seed=gen,
         label_prefix=label_prefix,
-    )
-
-
-def generate_gnm_scalar(
-    node_count: int,
-    edge_count: int,
-    label_count: int = 5,
-    seed: SeedLike = None,
-    label_prefix: str = "L",
-) -> LabeledGraph:
-    """The original per-edge G(n, m) rejection sampler (reference baseline)."""
-    require_positive(node_count, "node_count")
-    require(edge_count >= 0, "edge_count must be non-negative")
-    require_positive(label_count, "label_count")
-    rng = ensure_rng(seed)
-
-    max_edges = node_count * (node_count - 1) // 2
-    edge_count = min(edge_count, max_edges)
-
-    labels = make_label_collection(label_count, prefix=label_prefix)
-    node_labels = assign_uniform_labels(range(node_count), labels, seed=rng)
-    builder = GraphBuilder()
-    builder.add_nodes(node_labels)
-
-    seen: set[tuple[int, int]] = set()
-    if node_count > 1 and edge_count > max_edges // 2:
-        all_pairs = [
-            (u, v) for u in range(node_count) for v in range(u + 1, node_count)
-        ]
-        rng.shuffle(all_pairs)
-        seen.update(all_pairs[:edge_count])
-    else:
-        while len(seen) < edge_count:
-            u = rng.randrange(node_count)
-            v = rng.randrange(node_count)
-            if u == v:
-                continue
-            key = (u, v) if u < v else (v, u)
-            seen.add(key)
-    builder.add_edges(seen)
-    return attach_generation_report(
-        builder.build(),
-        GenerationReport(
-            model="gnm-scalar",
-            target_edges=edge_count,
-            achieved_edges=len(seen),
-        ),
     )

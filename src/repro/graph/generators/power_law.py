@@ -11,9 +11,8 @@ with a simple expected-degree weight sequence.
 edge-sized blocks with one ``np.searchsorted`` over the cumulative weight
 array per block, self-loops and duplicates are rejected vectorized with
 resampling rounds, and the result is bulk-ingested through
-:meth:`LabeledGraph.from_arrays`.  :func:`generate_power_law_scalar` keeps
-the original one-``random.random()``-per-endpoint sampler as the seeded
-reference baseline the parity tests and benchmarks compare against.
+:meth:`LabeledGraph.from_arrays`.  The original one-``random.random()``-per-endpoint
+sampler is the parity tests' reference (``tests/helpers.py``).
 """
 
 from __future__ import annotations
@@ -22,10 +21,8 @@ from typing import List
 
 import numpy as np
 
-from repro.graph.builder import GraphBuilder
 from repro.graph.generators.labels import (
     assign_zipf_label_ids,
-    assign_zipf_labels,
     label_count_for_density,
     make_label_collection,
 )
@@ -34,7 +31,7 @@ from repro.graph.labeled_graph import NODE_DTYPE, LabeledGraph
 from repro.graph.generators.sampling import SAMPLING_BUDGET, sample_unique_edges
 from repro.graph.stats import GenerationReport, attach_generation_report
 from repro.utils.arrays import inverse_cdf_sample
-from repro.utils.rng import SeedLike, ensure_generator, ensure_rng
+from repro.utils.rng import SeedLike, ensure_generator
 from repro.utils.validation import require, require_positive
 
 
@@ -54,7 +51,7 @@ def power_law_weight_array(
 
 
 def power_law_weights(node_count: int, exponent: float, average_degree: float) -> List[float]:
-    """List view of :func:`power_law_weight_array` (scalar-path compatibility)."""
+    """List view of :func:`power_law_weight_array`."""
     return power_law_weight_array(node_count, exponent, average_degree).tolist()
 
 
@@ -121,84 +118,5 @@ def generate_power_law(
             sampling_rounds=sampled.rounds,
             rejected_self_loops=sampled.rejected_self_loops,
             rejected_duplicates=sampled.rejected_duplicates,
-        ),
-    )
-
-
-def generate_power_law_scalar(
-    node_count: int,
-    average_degree: float,
-    exponent: float = 2.5,
-    label_density: float = 1e-2,
-    label_skew: float = 1.0,
-    seed: SeedLike = None,
-    label_prefix: str = "L",
-) -> LabeledGraph:
-    """The original per-edge Chung–Lu sampler (seeded reference baseline).
-
-    One binary search over the cumulative weights per endpoint, one Python
-    set probe per candidate edge.  Kept verbatim so the vectorized generator
-    has a degree/label-distribution ground truth to be compared against.
-    """
-    require_positive(node_count, "node_count")
-    require_positive(average_degree, "average_degree")
-    rng = ensure_rng(seed)
-
-    weights = power_law_weights(node_count, exponent, average_degree)
-    total_weight = sum(weights)
-    cumulative: List[float] = []
-    acc = 0.0
-    for weight in weights:
-        acc += weight / total_weight
-        cumulative.append(acc)
-
-    def sample_node() -> int:
-        x = rng.random()
-        lo, hi = 0, node_count - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cumulative[mid] < x:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    label_count = label_count_for_density(node_count, label_density)
-    labels = make_label_collection(label_count, prefix=label_prefix)
-    node_labels = assign_zipf_labels(
-        range(node_count), labels, exponent=label_skew, seed=rng
-    )
-
-    builder = GraphBuilder()
-    builder.add_nodes(node_labels)
-
-    target_edges = max(1, round(node_count * average_degree / 2))
-    seen: set[tuple[int, int]] = set()
-    attempts = 0
-    rejected_loops = 0
-    rejected_duplicates = 0
-    max_attempts = target_edges * SAMPLING_BUDGET
-    while len(seen) < target_edges and attempts < max_attempts:
-        attempts += 1
-        u = sample_node()
-        v = sample_node()
-        if u == v:
-            rejected_loops += 1
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            rejected_duplicates += 1
-            continue
-        seen.add(key)
-        builder.add_edge(*key)
-    return attach_generation_report(
-        builder.build(),
-        GenerationReport(
-            model="chung-lu-scalar",
-            target_edges=target_edges,
-            achieved_edges=len(seen),
-            sampling_rounds=attempts,
-            rejected_self_loops=rejected_loops,
-            rejected_duplicates=rejected_duplicates,
         ),
     )

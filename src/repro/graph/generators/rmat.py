@@ -13,8 +13,8 @@ are rejected vectorized, with resampling rounds under the same retry budget
 as the scalar sampler; the achieved edge count (which can undershoot
 ``node_count * average_degree / 2`` when the budget runs out) is recorded on
 the returned graph as a :class:`~repro.graph.stats.GenerationReport` instead
-of being silently dropped.  :func:`generate_rmat_scalar` keeps the original
-per-edge recursion as the seeded reference baseline.
+of being silently dropped.  The original per-edge recursion is the parity
+tests' reference (``tests/helpers.py``).
 """
 
 from __future__ import annotations
@@ -24,10 +24,8 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.graph.builder import GraphBuilder
 from repro.graph.generators.labels import (
     assign_uniform_label_ids,
-    assign_uniform_labels,
     label_count_for_density,
     make_label_collection,
 )
@@ -35,7 +33,7 @@ from repro.graph.label_table import LabelTable
 from repro.graph.labeled_graph import NODE_DTYPE, LabeledGraph
 from repro.graph.generators.sampling import SAMPLING_BUDGET, sample_unique_edges
 from repro.graph.stats import GenerationReport, attach_generation_report
-from repro.utils.rng import SeedLike, ensure_generator, ensure_rng
+from repro.utils.rng import SeedLike, ensure_generator
 from repro.utils.validation import require, require_positive
 
 
@@ -154,86 +152,5 @@ def generate_rmat(
             sampling_rounds=sampled.rounds,
             rejected_self_loops=sampled.rejected_self_loops,
             rejected_duplicates=sampled.rejected_duplicates,
-        ),
-    )
-
-
-def generate_rmat_scalar(
-    node_count: int,
-    average_degree: float,
-    label_density: float = 1e-3,
-    params: RmatParameters | None = None,
-    seed: SeedLike = None,
-    label_prefix: str = "L",
-) -> LabeledGraph:
-    """The original per-edge R-MAT sampler (seeded reference baseline).
-
-    One ``rng.random()`` per recursion level per edge, one Python set probe
-    per candidate.  Kept verbatim so the vectorized generator has a
-    degree-distribution ground truth to be compared against.
-    """
-    require_positive(node_count, "node_count")
-    require_positive(average_degree, "average_degree")
-    params = params or RmatParameters()
-    params.validate()
-    rng = ensure_rng(seed)
-
-    scale = max(1, (node_count - 1).bit_length())
-    target_edges = max(1, round(node_count * average_degree / 2))
-    ab = params.a + params.b
-    abc = ab + params.c
-
-    def rmat_edge() -> Tuple[int, int]:
-        u = 0
-        v = 0
-        for _ in range(scale):
-            u <<= 1
-            v <<= 1
-            r = rng.random()
-            if r < params.a:
-                pass
-            elif r < ab:
-                v |= 1
-            elif r < abc:
-                u |= 1
-            else:
-                u |= 1
-                v |= 1
-        return u, v
-
-    builder = GraphBuilder()
-    label_count = label_count_for_density(node_count, label_density)
-    labels = make_label_collection(label_count, prefix=label_prefix)
-    node_labels = assign_uniform_labels(range(node_count), labels, seed=rng)
-    builder.add_nodes(node_labels)
-
-    seen: set[Tuple[int, int]] = set()
-    attempts = 0
-    rejected_loops = 0
-    rejected_duplicates = 0
-    max_attempts = target_edges * SAMPLING_BUDGET
-    while len(seen) < target_edges and attempts < max_attempts:
-        attempts += 1
-        u, v = rmat_edge()
-        u %= node_count
-        v %= node_count
-        if u == v:
-            rejected_loops += 1
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            rejected_duplicates += 1
-            continue
-        seen.add(key)
-        builder.add_edge(*key)
-    return attach_generation_report(
-        builder.build(),
-        GenerationReport(
-            model="rmat-scalar",
-            target_edges=target_edges,
-            achieved_edges=len(seen),
-            sampling_rounds=attempts,
-            rejected_self_loops=rejected_loops,
-            rejected_duplicates=rejected_duplicates,
         ),
     )

@@ -42,10 +42,6 @@ class LabelTable:
             self._ids[label] = label_id
         return label_id
 
-    def intern_many(self, labels: Iterable[str]) -> List[int]:
-        """Intern many labels, returning their IDs in order."""
-        return [self.intern(label) for label in labels]
-
     def id_of(self, label: str) -> int:
         """Return the ID of ``label``, or :data:`NO_LABEL` if never interned."""
         return self._ids.get(label, NO_LABEL)

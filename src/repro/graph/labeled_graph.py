@@ -376,13 +376,6 @@ class LabeledGraph:
             raise NodeNotFoundError(node_id)
         return self._neighbors[self._offsets[row] : self._offsets[row + 1]]
 
-    def label_id_of(self, node_id: int) -> int:
-        """Return the interned label ID of ``node_id``."""
-        row = self._row_of.get(node_id)
-        if row is None:
-            raise NodeNotFoundError(node_id)
-        return int(self._label_ids[row])
-
     def storage_nbytes(self) -> int:
         """Bytes held by the CSR arrays (excludes the label table)."""
         return (

@@ -82,7 +82,6 @@ from repro.utils.shm import (
     attach_array,
     publish_array,
     sweep_blocks,
-    unlink_block,
 )
 
 #: Arrays at or above this entry count travel between processes through a
@@ -511,19 +510,12 @@ def _retire(workers: Sequence[_Worker]) -> None:
 
 
 class _ProcessState:
-    """Workers + publications owned by one :class:`ProcessExecutor`.
+    """Workers + the graph publication owned by one :class:`ProcessExecutor`.
 
     Kept outside the executor so a ``weakref.finalize`` can tear it down
     without keeping the executor alive: dropping the last reference to an
     unclosed executor (or interpreter exit) still terminates the workers
     and unlinks every published segment.
-
-    ``publications`` caches, by table fingerprint, the shm spec of every
-    *inline* handle a join batch had to publish itself (tables explored by
-    another backend, or one outcome joined repeatedly), so interleaved
-    queries over one cloud re-use a segment instead of adding one.  A cloud
-    switch or reload tears this whole state down, which keys the cache on
-    (runtime owner, load generation).
     """
 
     def __init__(self) -> None:
@@ -532,7 +524,6 @@ class _ProcessState:
         self.registry = None
         self.cloud_ref = lambda: None
         self.load_generation = -1
-        self.publications: Dict[int, SharedArraySpec] = {}
 
     def teardown(self) -> None:
         workers, self.workers = self.workers, []
@@ -540,9 +531,6 @@ class _ProcessState:
         registry, self.registry = self.registry, None
         if registry is not None:
             registry.close()
-        publications, self.publications = self.publications, {}
-        for spec in publications.values():
-            unlink_block(spec)
         self.cloud_ref = lambda: None
 
 
@@ -566,11 +554,14 @@ class ProcessExecutor(Executor):
     * ``explore_coalesced`` / ``driver_table_receives`` — chunk-split
       machines whose parts the driver had to reassemble (work stealing
       only; zero when tasks are unsplit);
-    * ``join_publications`` / ``join_cache_hits`` — inline tables a join
-      batch had to publish itself, and re-uses of those publications by
-      later batches over the same data.  Both count once per batch, not per
+    * ``join_publications`` — inline tables a join batch had to publish
+      itself (for the length of the batch), counted once per batch, not per
       join task or worker: the handle matrix is shipped and pickled once,
-      and crosses each pipe once.
+      and crosses each pipe once;
+    * ``join_cache_hits`` — always 0: the cross-batch publication cache it
+      counted is gone (every query's handles are fresh, so it never hit and
+      only stranded segments).  The name stays for the benchmark's per-layer
+      table and is retired with the next ``benchmark`` PR.
     """
 
     name = "process"
@@ -620,29 +611,6 @@ class ProcessExecutor(Executor):
             state.workers.append(_Worker(state.handle, state.workers))
         return state.workers
 
-    def _shipped_handle(self, handle: TableHandle) -> TableHandle:
-        """The pipe form of one handle: published handles pass through and
-        small inline ones ride the pipe.  A large *inline* one is published
-        through the fingerprint-keyed cache, so one resident table crosses
-        into shared memory at most once per cloud generation however many
-        interleaved queries join over it."""
-        part = handle.part
-        if not isinstance(part, np.ndarray) or part.size < _SHIP_THRESHOLD_ENTRIES:
-            return handle
-        with self._lock:
-            spec = self._state.publications.get(handle.fingerprint)
-            if spec is None:
-                segment, spec = publish_array(part)
-                segment.close()
-                self._state.publications[handle.fingerprint] = spec
-                self.transport_counters["join_publications"] += 1
-            else:
-                self.transport_counters["join_cache_hits"] += 1
-        return TableHandle(
-            handle.columns, handle.groups, handle.row_count, handle.lengths, spec,
-            handle.fingerprint,
-        )
-
     def _encoded(self, tasks: Sequence[object], publish) -> List[object]:
         """The batch's tasks in pipe form; what they share stays shared."""
         shipped: Dict[int, object] = {}
@@ -652,8 +620,22 @@ class ProcessExecutor(Executor):
                 shipped[id(payload)] = ship(payload, *args)
             return shipped[id(payload)]
 
+        def ship_handle(handle: TableHandle) -> TableHandle:
+            if not isinstance(handle.part, np.ndarray):
+                return handle  # empty, or published by the worker that built it
+            # A large *inline* table (a stolen-from machine's, coalesced on
+            # the driver) is published like the batch's roots and bindings,
+            # and dies with the batch; a small one rides the pipe.
+            part = _ship_array(handle.part, publish)
+            if part is handle.part:
+                return handle
+            self.transport_counters["join_publications"] += 1
+            return TableHandle(
+                handle.columns, handle.groups, handle.row_count, handle.lengths, part
+            )
+
         def ship_matrix(matrix):
-            return tuple(tuple(map(self._shipped_handle, machine)) for machine in matrix)
+            return tuple(tuple(map(ship_handle, machine)) for machine in matrix)
 
         return [
             replace(

@@ -1,7 +1,6 @@
 """Serving-benchmark helpers: concurrent client drivers and latency stats.
 
-Shared by the ``bench-serve`` CLI subcommand and
-``benchmarks/bench_service.py``: both need to hammer one
+What the ``bench-serve`` CLI subcommand runs: hammer one
 :class:`~repro.serve.service.QueryService` from N client threads, collect
 per-query latencies, and reduce them to throughput and percentile figures.
 """

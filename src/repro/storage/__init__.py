@@ -27,9 +27,7 @@ Layered on the mmap backend:
   it depends on :mod:`repro.cloud`);
 * :mod:`repro.storage.delta` — a log-structured write path: an append-only
   edge/label delta log replayed over the base snapshot at open time, with
-  explicit compaction into a new base generation;
-* :mod:`repro.storage.cache` — dataset caching for benchmarks: generate
-  once, snapshot, and reopen on every later run.
+  explicit compaction into a new base generation.
 """
 
 from repro.storage.provider import (
@@ -55,7 +53,6 @@ from repro.storage.delta import (
     compact_snapshot,
     replay_deltas,
 )
-from repro.storage.cache import cached_graph
 
 __all__ = [
     "ArraySpec",
@@ -75,5 +72,4 @@ __all__ = [
     "DeltaRecord",
     "compact_snapshot",
     "replay_deltas",
-    "cached_graph",
 ]

@@ -137,11 +137,6 @@ class SnapshotManifest:
                     f"{self.directory}"
                 )
 
-    @property
-    def delta_log_path(self) -> Path:
-        """Path of the snapshot's delta log (may not exist yet)."""
-        return self.directory / DELTA_LOG_NAME
-
     def load_id_map(self):
         """Rebuild the persisted :class:`~repro.ingest.IdMap`, or ``None``.
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from repro.graph.generators.lookalike import patents_like, wordnet_like
-from repro.graph.generators.power_law import generate_power_law
 from repro.graph.generators.rmat import generate_rmat
 from repro.graph.labeled_graph import LabeledGraph
 
@@ -106,41 +105,6 @@ def rmat_graph(
 ) -> LabeledGraph:
     """R-MAT graph matching the synthetic experiments' default shape."""
     return generate_rmat(
-        node_count=node_count,
-        average_degree=average_degree,
-        label_density=label_density,
-        seed=DEFAULT_SEED,
-    )
-
-
-#: Default size of the "large" scale-gate graphs (paper-scale sweeps start
-#: at 1M nodes; the vectorized generators produce this in seconds).
-LARGE_NODE_COUNT = 1_000_000
-
-
-@lru_cache(maxsize=None)
-def rmat_large(
-    node_count: int = LARGE_NODE_COUNT,
-    average_degree: float = 8.0,
-    label_density: float = 1e-3,
-) -> LabeledGraph:
-    """Million-node R-MAT graph for the nightly scale gate and Table 2/Fig 10."""
-    return generate_rmat(
-        node_count=node_count,
-        average_degree=average_degree,
-        label_density=label_density,
-        seed=DEFAULT_SEED,
-    )
-
-
-@lru_cache(maxsize=None)
-def power_law_large(
-    node_count: int = LARGE_NODE_COUNT,
-    average_degree: float = 8.0,
-    label_density: float = 1e-3,
-) -> LabeledGraph:
-    """Million-node Chung–Lu power-law graph for the nightly scale gate."""
-    return generate_power_law(
         node_count=node_count,
         average_degree=average_degree,
         label_density=label_density,

@@ -24,6 +24,8 @@ from repro.core.exploration import explore
 from repro.core.join import multiway_join
 from repro.core.planner import QueryPlanner
 from repro.core.result import MatchTable
+from repro.graph.generators.power_law import generate_power_law
+from repro.query.generators import dfs_query
 from repro.query.query_graph import QueryGraph
 from repro.workloads.datasets import tiny_example_graph
 
@@ -210,6 +212,49 @@ class TestLimitStopsRowConstruction:
         assert limited.stats.stwig_result_rows == held
         assert 0 < limited.stats.stwig_rows_built <= limit + 1 + block
         assert limited.metrics["stwig_rows_built"] == limited.stats.stwig_rows_built
+
+
+class TestLimitSweepOnAJoinHeavyQuery:
+    """Few labels, >= 6 * 10^5 matches, a multi-stage join: at every limit,
+    on every backend, the answer is the exact prefix, the largest single
+    materialization is a handful of chunks whatever the match count, and
+    the join builds a small fraction of what the unlimited join builds."""
+
+    LIMITS = (16, 256, 4096)
+
+    @staticmethod
+    def peak_bound(limit: int) -> int:
+        # Geometric chunk growth plus per-machine overshoot under the
+        # cooperative budget's stale reads: never a function of the matches.
+        chunk = join_module._LIMIT_CHUNK
+        return max(8 * chunk, 16 * (limit + chunk))
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        graph = generate_power_law(2_000, 6.0, label_density=2e-3, seed=13)
+        query = dfs_query(graph, 5, seed=2)
+        with MemoryCloud.from_graph(graph, ClusterConfig(machine_count=4)) as cloud:
+            with SubgraphMatcher(cloud, executor="serial") as matcher:
+                full = matcher.match(query)
+            assert full.match_count >= 600_000 and full.stats.stwig_count >= 2
+            assert full.metrics["join_peak_intermediate_rows"] > self.peak_bound(max(self.LIMITS))
+            yield cloud, query, full
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_prefix_truncation_peak_and_work_at_every_limit(self, workload, backend):
+        cloud, query, full = workload
+        runtime = RuntimeConfig(backend=backend, workers=2)
+        with SubgraphMatcher(cloud, executor=runtime) as matcher:
+            for limit in self.LIMITS:
+                limited = matcher.match(query, limit=limit)
+                assert np.array_equal(limited.to_array(), full.to_array()[:limit]), limit
+                assert limited.stats.truncated, limit
+                metrics = limited.metrics
+                assert metrics["join_peak_intermediate_rows"] <= self.peak_bound(limit), limit
+                assert (
+                    4 * metrics["join_rows_materialized"]
+                    <= full.metrics["join_rows_materialized"]
+                ), limit
 
 
 class TestAssembleResultsLimits:

@@ -641,30 +641,6 @@ class TestProcessRuntimeLifecycle:
             assert backend_out["metrics"] == serial_out["metrics"]
         assert pairs == reference_pairs
 
-    def test_interleaved_joins_publish_each_table_once(self):
-        """Regression: repeated join batches over the same resident table
-        (interleaved queries on one cloud) must hit the fingerprint-keyed
-        publication cache, not re-publish the table per batch."""
-        from repro.core.tasks import TableHandle
-
-        executor = ProcessExecutor(workers=1)
-        handle = TableHandle.of(star_table(50_000))
-        assert isinstance(handle.part, np.ndarray) and handle.part.ndim == 1
-        try:
-            first = executor._shipped_handle(handle)
-            again = executor._shipped_handle(handle)
-            assert isinstance(first.part, SharedArraySpec)
-            assert again.part is first.part, "second batch must reuse the spec"
-            assert first.fingerprint == handle.fingerprint
-            assert executor.transport_counters["join_publications"] == 1
-            assert executor.transport_counters["join_cache_hits"] == 1
-            name = first.part.name
-        finally:
-            executor.close()
-        with pytest.raises(FileNotFoundError):
-            leftover = shared_memory.SharedMemory(name=name)
-            leftover.close()
-
     def test_join_batch_pickles_the_handle_matrix_once(
         self, parity_graph, parity_queries, monkeypatch
     ):

@@ -217,3 +217,28 @@ def test_sigstop_does_not_hang_close(runtime, query, expected):
     cloud.close()
     assert set(os.listdir("/dev/shm")) == before
     assert multiprocessing.active_children() == []
+
+
+def test_stealing_queries_strand_nothing_on_a_resident_executor(
+    runtime, query, expected, monkeypatch
+):
+    """A stolen-from machine's table is coalesced inline on the driver, so
+    the join batch has to publish it itself — and must take it back when the
+    batch ends: ``/dev/shm`` after query *k* lists what it listed after
+    query 1, however long the executor stays resident."""
+    monkeypatch.setattr(executors_module, "_STEAL_MIN_ROOTS", 8)
+    cloud, executor, matcher, before = runtime
+    listings = []
+    for _ in range(5):
+        finished, result, error = bounded(lambda: matcher.match(query))
+        assert finished and error is None
+        assert result.rows == expected
+        listings.append(sorted(os.listdir("/dev/shm")))
+    counters = executor.transport_counters
+    assert counters["explore_coalesced"] > 0, "no machine was stolen from"
+    assert counters["join_publications"] >= len(listings), "no join batch published a table"
+    assert all(listing == listings[0] for listing in listings), list(map(len, listings))
+    finished, _, error = bounded(lambda: (matcher.close(), executor.close(), cloud.close()))
+    assert finished and error is None
+    assert set(os.listdir("/dev/shm")) == before
+    assert multiprocessing.active_children() == []

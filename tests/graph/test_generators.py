@@ -8,11 +8,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.graph.generators.erdos_renyi import (
-    generate_gnm,
-    generate_gnm_scalar,
-    generate_gnp,
-)
+from repro.graph.generators.erdos_renyi import generate_gnm, generate_gnp
 from repro.graph.generators.labels import (
     assign_uniform_label_ids,
     assign_uniform_labels,
@@ -29,17 +25,14 @@ from repro.graph.generators.lookalike import (
     patents_like,
     wordnet_like,
 )
-from repro.graph.generators.power_law import (
-    generate_power_law,
+from repro.graph.generators.power_law import generate_power_law, power_law_weights
+from repro.graph.generators.rmat import RmatParameters, generate_rmat
+from repro.graph.stats import compute_stats, degree_summary, generation_report
+from tests.helpers import (
+    generate_gnm_scalar,
     generate_power_law_scalar,
-    power_law_weights,
-)
-from repro.graph.generators.rmat import (
-    RmatParameters,
-    generate_rmat,
     generate_rmat_scalar,
 )
-from repro.graph.stats import compute_stats, degree_summary, generation_report
 
 
 class TestLabelHelpers:
@@ -259,6 +252,7 @@ class TestGeneratorParity:
         )
         # Both samplers must produce hubs of the same order of magnitude.
         assert 0.3 <= fast_summary["max"] / reference_summary["max"] <= 3.0
+        assert fast.distinct_labels() == reference.distinct_labels()
 
     def test_gnm_parity_exact_edge_count(self):
         fast = generate_gnm(300, 900, label_count=4, seed=2)

@@ -27,6 +27,9 @@ source for those fixtures:
 * :func:`oracle_replay` — delta-log replay by rebuilding the whole graph
   (expand, concatenate, ``from_arrays``), the splice's column-for-column
   reference;
+* :func:`generate_power_law_scalar` / :func:`generate_rmat_scalar` /
+  :func:`generate_gnm_scalar` — the original one-draw-per-edge samplers, the
+  vectorized generators' seeded degree/label-distribution reference;
 * :func:`csr_from_cells` / :func:`machine_from_cells` /
   :func:`label_index_from_pairs` — CSR columns, a standalone `Machine`,
   and a `LabelIndex` adopted from hand-written cells.
@@ -48,6 +51,7 @@ from repro.cloud.machine import Machine
 from repro.core.join import multiway_join
 from repro.core.stwig import STwig
 from repro.errors import GraphError, StorageError
+from repro.graph.builder import GraphBuilder
 from repro.graph.label_table import LabelTable
 from repro.graph.labeled_graph import (
     LABEL_DTYPE,
@@ -56,10 +60,20 @@ from repro.graph.labeled_graph import (
     LabeledGraph,
 )
 from repro.graph.generators.erdos_renyi import generate_gnm
-from repro.graph.generators.power_law import generate_power_law
+from repro.graph.generators.labels import (
+    assign_uniform_labels,
+    assign_zipf_labels,
+    label_count_for_density,
+    make_label_collection,
+)
+from repro.graph.generators.power_law import generate_power_law, power_law_weights
+from repro.graph.generators.rmat import RmatParameters
+from repro.graph.generators.sampling import SAMPLING_BUDGET
 from repro.graph.partition import RoundRobinPartitioner
+from repro.graph.stats import GenerationReport, attach_generation_report
 from repro.query.generators import dfs_query, random_query_from_graph
 from repro.query.query_graph import QueryGraph
+from repro.utils.rng import ensure_rng
 
 # -- match-set comparison --------------------------------------------------
 
@@ -263,6 +277,143 @@ def oracle_replay(base: LabeledGraph, records) -> LabeledGraph:
         return LabeledGraph.from_arrays(table, all_ids, all_labels, src, dst)
     except GraphError as error:
         raise StorageError(f"delta log replay failed: {error}")
+
+
+# -- the per-edge generators (reference) --------------------------------------
+
+
+def _rejection_sampled(model: str, node_labels, target_edges: int, draw_edge) -> LabeledGraph:
+    """``target_edges`` distinct non-loop edges, one ``draw_edge()`` and one
+    set probe per candidate, under the vectorized samplers' retry budget."""
+    builder = GraphBuilder()
+    builder.add_nodes(node_labels)
+    seen: set = set()
+    attempts = rejected_loops = rejected_duplicates = 0
+    while len(seen) < target_edges and attempts < target_edges * SAMPLING_BUDGET:
+        attempts += 1
+        u, v = draw_edge()
+        if u == v:
+            rejected_loops += 1
+            continue
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            rejected_duplicates += 1
+            continue
+        seen.add(key)
+        builder.add_edge(*key)
+    return attach_generation_report(
+        builder.build(),
+        GenerationReport(
+            model=model,
+            target_edges=target_edges,
+            achieved_edges=len(seen),
+            sampling_rounds=attempts,
+            rejected_self_loops=rejected_loops,
+            rejected_duplicates=rejected_duplicates,
+        ),
+    )
+
+
+def generate_power_law_scalar(
+    node_count: int,
+    average_degree: float,
+    exponent: float = 2.5,
+    label_density: float = 1e-2,
+    label_skew: float = 1.0,
+    seed=None,
+) -> LabeledGraph:
+    """The original per-edge Chung–Lu sampler: one bisection over the
+    cumulative weights per endpoint."""
+    rng = ensure_rng(seed)
+    weights = power_law_weights(node_count, exponent, average_degree)
+    total_weight = sum(weights)
+    cumulative: List[float] = []
+    acc = 0.0
+    for weight in weights:
+        acc += weight / total_weight
+        cumulative.append(acc)
+
+    def sample_node() -> int:
+        x = rng.random()
+        lo, hi = 0, node_count - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if cumulative[mid] < x:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    labels = make_label_collection(label_count_for_density(node_count, label_density))
+    node_labels = assign_zipf_labels(range(node_count), labels, exponent=label_skew, seed=rng)
+    target_edges = max(1, round(node_count * average_degree / 2))
+    return _rejection_sampled(
+        "chung-lu-scalar", node_labels, target_edges, lambda: (sample_node(), sample_node())
+    )
+
+
+def generate_rmat_scalar(
+    node_count: int, average_degree: float, label_density: float = 1e-3, seed=None
+) -> LabeledGraph:
+    """The original per-edge R-MAT sampler: one ``rng.random()`` per
+    recursion level per endpoint pair."""
+    params = RmatParameters()
+    rng = ensure_rng(seed)
+    scale = max(1, (node_count - 1).bit_length())
+    ab = params.a + params.b
+    abc = ab + params.c
+
+    def rmat_edge() -> Tuple[int, int]:
+        u = v = 0
+        for _ in range(scale):
+            u <<= 1
+            v <<= 1
+            r = rng.random()
+            if r < params.a:
+                pass
+            elif r < ab:
+                v |= 1
+            elif r < abc:
+                u |= 1
+            else:
+                u |= 1
+                v |= 1
+        return u % node_count, v % node_count
+
+    labels = make_label_collection(label_count_for_density(node_count, label_density))
+    node_labels = assign_uniform_labels(range(node_count), labels, seed=rng)
+    target_edges = max(1, round(node_count * average_degree / 2))
+    return _rejection_sampled("rmat-scalar", node_labels, target_edges, rmat_edge)
+
+
+def generate_gnm_scalar(
+    node_count: int, edge_count: int, label_count: int = 5, seed=None
+) -> LabeledGraph:
+    """The original per-edge G(n, m) rejection sampler."""
+    rng = ensure_rng(seed)
+    max_edges = node_count * (node_count - 1) // 2
+    edge_count = min(edge_count, max_edges)
+    node_labels = assign_uniform_labels(
+        range(node_count), make_label_collection(label_count), seed=rng
+    )
+    builder = GraphBuilder()
+    builder.add_nodes(node_labels)
+    seen: set = set()
+    if node_count > 1 and edge_count > max_edges // 2:
+        all_pairs = [(u, v) for u in range(node_count) for v in range(u + 1, node_count)]
+        rng.shuffle(all_pairs)
+        seen.update(all_pairs[:edge_count])
+    else:
+        while len(seen) < edge_count:
+            u = rng.randrange(node_count)
+            v = rng.randrange(node_count)
+            if u != v:
+                seen.add((u, v) if u < v else (v, u))
+    builder.add_edges(seen)
+    return attach_generation_report(
+        builder.build(),
+        GenerationReport(model="gnm-scalar", target_edges=edge_count, achieved_edges=len(seen)),
+    )
 
 
 # -- canonical small graphs/queries ----------------------------------------

@@ -1,13 +1,20 @@
-"""Tests for snapshot-backed dataset caching (benchmark dataset reuse)."""
+"""Tests for ``benchmarks/dataset_cache.py``: snapshot-backed dataset reuse.
+
+The helper is benchmark code (``scale_smoke.py`` is its caller) and lives
+beside it; the tests stay here so tier-1 keeps running them."""
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import ClusterConfig
 from repro.graph.generators import generate_gnm
-from repro.storage.cache import cached_graph, default_cache_dir
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+
+from dataset_cache import cached_graph, default_cache_dir  # noqa: E402
 
 
 def make_graph():

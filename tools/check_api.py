@@ -16,9 +16,12 @@ It also greps ``src/`` for retired spellings (``max_workers=``,
 write path, the standalone ``hash_join``, the tuple-era result mutators,
 the growable-table / set-view / dict-view members, the per-backend service
 dict, ``start_method``, the join-order sampler, the two budget subclasses,
-and the row-shaped exploration (``_row_blocks``' ``stwig`` parameter,
-``_stwig_blocks``, ``TableHandle.from_array``): the names are gone from the
-API, and nothing in ``src/`` may bring them back.
+the row-shaped exploration (``_row_blocks``' ``stwig`` parameter,
+``_stwig_blocks``, ``TableHandle.from_array``), the per-edge generator oracles
+and the dataset cache (test and benchmark code, now in ``tests/helpers.py``
+and ``benchmarks/dataset_cache.py``), and the join's cross-batch publication
+cache with its handle fingerprints: the names are gone from the API, and
+nothing in ``src/`` may bring them back.
 
 And it keeps the front door single (``FRONT_DOOR``): ``repro.api`` is the one
 place a source becomes a cloud and a service is put in front of it, so the
@@ -91,6 +94,13 @@ RETIRED_SPELLINGS = [
     "distinct_pairs, stwig",
     "_stwig_blocks(",
     "TableHandle.from_array(",
+    "generate_power_law_scalar",
+    "generate_rmat_scalar",
+    "generate_gnm_scalar",
+    "cached_graph",
+    "default_cache_dir",
+    ".publications",
+    "_fingerprints",
 ]
 
 #: Constructor spellings banned per file (glob under the repo root): a second
