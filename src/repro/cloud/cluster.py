@@ -52,15 +52,14 @@ def column_names(machine_count: int) -> Tuple[str, ...]:
     the worker-publication handle and ``storage_publication`` all key on them.
     """
     return (
-        "assignment/ids",
+        "graph/node_ids",
+        "graph/label_ids",
         "assignment/machines",
         *(
             f"machine{machine_id}/{column}"
             for machine_id in range(machine_count)
             for column in MACHINE_COLUMNS
         ),
-        "graph/node_ids",
-        "graph/label_ids",
     )
 
 
@@ -135,10 +134,11 @@ class MemoryCloud:
         counts = np.diff(offsets)
         machine_of_row = assignment.machine_array_for(node_ids)
 
-        columns: Dict[str, np.ndarray] = {}
-        columns["assignment/ids"], columns["assignment/machines"] = (
-            assignment.as_arrays()
-        )
+        columns: Dict[str, np.ndarray] = {
+            "graph/node_ids": node_ids,
+            "graph/label_ids": label_ids,
+            "assignment/machines": machine_of_row,
+        }
         for machine_id in range(self.config.machine_count):
             local = machine_of_row == machine_id
             local_counts = counts[local]
@@ -155,8 +155,6 @@ class MemoryCloud:
             )
             for column, array in zip(MACHINE_COLUMNS, partition):
                 columns[f"machine{machine_id}/{column}"] = array
-        columns["graph/node_ids"] = node_ids
-        columns["graph/label_ids"] = label_ids
 
         label_pairs = (
             cross_machine_label_pairs(graph, machine_of_row, self.config.machine_count)
@@ -206,7 +204,7 @@ class MemoryCloud:
         }
         self._assignment = PartitionAssignment.from_arrays(
             self.config.machine_count,
-            columns["assignment/ids"],
+            columns["graph/node_ids"],
             columns["assignment/machines"],
         )
         for machine in self.machines:
@@ -247,12 +245,14 @@ class MemoryCloud:
         """The loaded cloud as named arrays — its whole bulk state.
 
         Keys are the snapshot manifest's array names (:func:`column_names`):
-        ``assignment/ids|machines`` (the partition map),
+        ``assignment/machines`` (each node's owner, parallel to
+        ``graph/node_ids``: the partition map),
         ``machine{i}/node_ids|label_ids|offsets|neighbors`` (each machine's
         CSR partition) and ``graph/node_ids|label_ids`` (the cluster-wide
-        label arrays).  Snapshot save and worker publication both consume
-        exactly this map, and feeding it back through the installer yields
-        an equivalent cloud.  Treat the arrays as read-only.
+        label arrays).  No two entries are the same array.  Snapshot save
+        and worker publication both consume exactly this map, and feeding
+        it back through the installer yields an equivalent cloud.  Treat
+        the arrays as read-only.
         """
         if self._columns is None:
             raise CloudError("no graph has been loaded into the cloud")
@@ -276,15 +276,6 @@ class MemoryCloud:
         from repro.storage.cloud_snapshot import save_cloud_snapshot
 
         return save_cloud_snapshot(self, directory, generation=generation)
-
-    def load_snapshot(self, directory, *, verify: bool = False) -> float:
-        """(Re)load this cloud from a snapshot; returns the loading seconds.
-
-        See :func:`repro.storage.cloud_snapshot.load_cloud_snapshot`.
-        """
-        from repro.storage.cloud_snapshot import load_cloud_snapshot
-
-        return load_cloud_snapshot(self, directory, verify=verify)
 
     @classmethod
     def open_snapshot(

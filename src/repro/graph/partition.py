@@ -10,8 +10,8 @@ invariant.
 
 Assignments are two parallel arrays and nothing else — sorted node IDs and
 their machine IDs, computed vectorized from the graph's CSR columns — so
-loading a million-node graph builds no Python dict; :meth:`as_arrays` hands
-them out and :meth:`from_arrays` takes them back.
+loading a million-node graph builds no Python dict; a loaded cloud stores
+the machine array in its image and :meth:`from_arrays` takes it back.
 """
 
 from __future__ import annotations
@@ -83,16 +83,6 @@ class PartitionAssignment:
                 f"node {int(missing[0])} has no machine assignment"
             )
         return self._machines[positions]
-
-    def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Public ``(sorted node IDs, machine IDs)`` view of the assignment.
-
-        The arrays are the assignment's backing storage — treat them as
-        read-only.  Together with :meth:`from_arrays` they round-trip an
-        assignment through any serialization that can carry two arrays
-        (the multiprocess runtime ships them via shared memory).
-        """
-        return self._sorted_ids, self._machines
 
     def _dense_table(self):
         """Lazy node->machine table (-1 = unassigned), None when too sparse."""

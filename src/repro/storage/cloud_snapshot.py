@@ -1,24 +1,26 @@
-"""Persisting a loaded :class:`~repro.cloud.cluster.MemoryCloud`: save, load, open.
+"""Persisting a loaded :class:`~repro.cloud.cluster.MemoryCloud`: save and open.
 
 The cloud exposes its image (:meth:`MemoryCloud.columns
 <repro.cloud.cluster.MemoryCloud.columns>` plus a little plain metadata);
-this module persists it.  Beyond the image a cloud snapshot stores what is
-derived from it — the global ``graph/offsets|neighbors`` CSR (so the
-directory is also a plain graph snapshot) and the packed
-``labelpairs/{a}_{b}`` keys — under the names :mod:`repro.storage.snapshot`
-documents.  Opening attaches the image's columns by name as read-only
-``np.memmap`` views and hands them to the cloud's one installer, so opening
-costs file metadata, not a data scan.
+this module persists it.  A cloud snapshot stores the image once, under the
+names :func:`~repro.cloud.cluster.column_names` lists, plus the packed
+``labelpairs/{a}_{b}`` keys, which the planner needs at open and which
+would cost a pass over the graph to derive.  It stores no global CSR: each
+adjacency list lives in its owner's partition only.  Opening attaches the
+image's columns by name as read-only ``np.memmap`` views and hands them to
+the cloud's one installer, so opening costs file metadata, not a data scan.
 
 A pending delta log does not change that: its records are *merged* into the
 attached image (:func:`_overlay`), which costs the log plus one copy of each
 column the log changes — every other column is still the file-backed view.
-Only a snapshot without stored cloud state, or one stored for another
-machine count, is partitioned from its graph, because it genuinely has no
-partitioning to keep.
 
-:meth:`MemoryCloud.save_snapshot`, ``.load_snapshot`` and ``.open_snapshot``
-are the public spellings of the three functions here.
+Whatever needs the graph itself — a graph-only reader, a cloud of another
+machine count (which genuinely has no partitioning to keep), a tracking
+cloud over keys saved untracked — derives it from the image through
+:func:`image_graph`, the one derivation.
+
+:meth:`MemoryCloud.save_snapshot` and :meth:`MemoryCloud.open_snapshot`
+are the public spellings of the save and the open here.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from repro.storage.delta import (
 )
 from repro.storage.provider import attach_columns
 from repro.storage.snapshot import (
-    GRAPH_ARRAY_NAMES,
     SnapshotManifest,
     covering_id_map,
     graph_from_manifest,
@@ -73,13 +74,19 @@ def cluster_config_from_manifest(manifest: SnapshotManifest) -> ClusterConfig:
     )
 
 
-def _global_csr(
-    columns: Dict[str, np.ndarray], machine_count: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Global ``(offsets, neighbors)`` scattered back from machine partitions.
+def image_graph(
+    columns: Dict[str, np.ndarray],
+    machine_count: int,
+    label_table: LabelTable,
+    edge_count: int,
+) -> LabeledGraph:
+    """The graph an image holds — the one way from a cloud image to a
+    :class:`LabeledGraph`, for every reader that needs the graph rather
+    than the cloud.
 
-    The inverse of ``load_graph``'s per-machine gather: every machine's
-    rows land at their position in global (sorted node ID) row order.
+    One O(graph) pass, the inverse of ``load_graph``'s per-machine gather:
+    every machine's rows land at their position in global (sorted node ID)
+    row order.
     """
     node_ids = columns["graph/node_ids"]
     partitions = [
@@ -100,7 +107,10 @@ def _global_csr(
             offsets[:-1][rows_m] - offsets_m[:-1], local_counts
         )
         neighbors[scatter] = neighbors_m
-    return offsets, neighbors
+    return LabeledGraph.from_csr(
+        label_table, node_ids, columns["graph/label_ids"],
+        offsets, neighbors, edge_count,
+    )
 
 
 def save_cloud_snapshot(
@@ -111,13 +121,9 @@ def save_cloud_snapshot(
     Raises:
         CloudError: when no graph has been loaded into ``cloud``.
     """
-    columns = cloud.columns()
-    # The four graph columns lead the file (the layout every snapshot since
-    # version 1 has), then the rest of the image in its own order.
-    arrays = {**dict.fromkeys(GRAPH_ARRAY_NAMES), **columns}
-    arrays["graph/offsets"], arrays["graph/neighbors"] = _global_csr(
-        columns, cloud.machine_count
-    )
+    arrays = cloud.columns()
+    # The label-pair keys are derived from the image but stored with it:
+    # the planner needs them at open, and deriving them costs O(graph).
     label_pair_base, label_pairs = cloud.packed_label_pairs()
     label_pair_keys = []
     for (low, high), packed in sorted(label_pairs.items()):
@@ -142,19 +148,23 @@ def save_cloud_snapshot(
     )
 
 
-def load_parsed_snapshot(
-    cloud: MemoryCloud, manifest: SnapshotManifest, records: Sequence[DeltaRecord]
-) -> float:
-    """Load ``cloud`` from an already-parsed manifest and delta log.
+def open_parsed_snapshot(
+    manifest: SnapshotManifest,
+    records: Sequence[DeltaRecord],
+    config: ClusterConfig | None = None,
+) -> MemoryCloud:
+    """A fresh cloud over an already-parsed manifest and delta log.
 
-    The body of :func:`load_cloud_snapshot`, for callers that have parsed
+    The body of :func:`open_cloud_snapshot`, for callers that have parsed
     ``manifest.json`` and ``deltas.log`` themselves (compaction needs both
     for its own decisions and must not parse twice).
     """
+    cloud = MemoryCloud(config or cluster_config_from_manifest(manifest))
     if not manifest.has_cloud_state or manifest.machine_count != cloud.machine_count:
         # A graph-only snapshot or another cluster shape: no stored
         # partitioning describes the cloud asked for, so make one.
-        return cloud.load_graph(graph_from_manifest(manifest, records))
+        cloud.load_graph(graph_from_manifest(manifest, records))
+        return cloud
 
     started = time.perf_counter()
     specs = {
@@ -194,7 +204,7 @@ def load_parsed_snapshot(
         file_specs=specs,
     )
     cloud.loading_seconds = time.perf_counter() - started
-    return cloud.loading_seconds
+    return cloud
 
 
 def _overlay(
@@ -213,9 +223,9 @@ def _overlay(
 
     * Assignment is sticky: a node the snapshot holds keeps its stored
       machine (as on a clean open); only nodes the log adds are placed, by
-      the cloud's partitioner.  ``assignment/*`` and ``graph/node_ids`` are
-      copied only when there are such nodes, ``graph/label_ids`` only for
-      them or a relabel.
+      the cloud's partitioner.  ``assignment/machines`` and
+      ``graph/node_ids`` are copied only when there are such nodes,
+      ``graph/label_ids`` only for them or a relabel.
     * Each machine's partition takes the node records it owns and the
       half-edges leaving its nodes through :func:`splice_csr`, so a machine
       no record touches keeps all four of its columns file-backed.
@@ -240,7 +250,7 @@ def _overlay(
         )
         placed = cloud.config.partitioner.assign(new_nodes, machine_count)
         machines = np.insert(machines, inserted, placed.machine_array_for(new_ids))
-        columns["graph/node_ids"] = columns["assignment/ids"] = node_ids
+        columns["graph/node_ids"] = node_ids
         columns["assignment/machines"] = machines
 
     named_owner = machines[np.searchsorted(node_ids, delta.node_ids)]
@@ -277,13 +287,10 @@ def _derived_label_pairs(
     edge_count: int,
 ) -> Tuple[int, Dict[Tuple[int, int], np.ndarray]]:
     """Packed label pairs re-derived from an image's partitions: O(graph)."""
-    offsets, neighbors = _global_csr(columns, machine_count)
-    graph = LabeledGraph.from_csr(
-        label_table, columns["graph/node_ids"], columns["graph/label_ids"],
-        offsets, neighbors, edge_count,
-    )
     return cross_machine_label_pairs(
-        graph, columns["assignment/machines"], machine_count
+        image_graph(columns, machine_count, label_table, edge_count),
+        columns["assignment/machines"],
+        machine_count,
     )
 
 
@@ -335,31 +342,6 @@ def _overlay_label_pairs(
     return base, pairs
 
 
-def load_cloud_snapshot(
-    cloud: MemoryCloud, directory: str | Path, *, verify: bool = False
-) -> float:
-    """(Re)load ``cloud`` from a snapshot directory; returns the loading seconds.
-
-    When the snapshot stores cloud state for this machine count, every
-    column is adopted as a read-only ``np.memmap`` view.  With an empty
-    delta log that is the whole open, and the cloud reports the mmap specs
-    as its :attr:`~repro.cloud.cluster.MemoryCloud.storage_publication`.
-    Pending records are spliced into that image (see :func:`_overlay` for
-    what is copied and what stays file-backed); ``storage_publication`` is
-    then ``None``, since part of the image lives in RAM.  Nodes the snapshot
-    holds keep their stored machine either way; the cloud's partitioner
-    places only nodes the log adds.  A graph-only snapshot or a different
-    machine count has no partitioning to keep: the graph (log replayed) goes
-    through :meth:`~repro.cloud.cluster.MemoryCloud.load_graph`.  A cloud
-    that tracks label pairs over a snapshot saved without them re-derives
-    them from the attached partitions (one O(graph) pass) instead of
-    installing none.  Either way ``load_generation`` is bumped.
-    ``manifest.json`` and ``deltas.log`` are each parsed once.
-    """
-    manifest = read_manifest(directory, verify=verify)
-    return load_parsed_snapshot(cloud, manifest, DeltaLog(manifest.directory).read())
-
-
 def open_cloud_snapshot(
     directory: str | Path,
     config: ClusterConfig | None = None,
@@ -370,9 +352,15 @@ def open_cloud_snapshot(
 
     Without an explicit ``config`` the cluster shape (machine count,
     partitioner) recorded in the manifest is used, so a cloud round-trips
-    through save/open unchanged.
+    through save/open unchanged.  A snapshot storing cloud state for that
+    machine count attaches every column as a read-only ``np.memmap`` view;
+    with an empty delta log that is the whole open, and the mmap specs are
+    the cloud's :attr:`~repro.cloud.cluster.MemoryCloud.storage_publication`.
+    Pending records are merged in by :func:`_overlay` (``storage_publication``
+    is then ``None``).  A graph-only snapshot or another machine count is
+    partitioned afresh from its graph (log replayed) through
+    :meth:`~repro.cloud.cluster.MemoryCloud.load_graph`.  ``manifest.json``
+    and ``deltas.log`` are each parsed once.
     """
     manifest = read_manifest(directory, verify=verify)
-    cloud = MemoryCloud(config or cluster_config_from_manifest(manifest))
-    load_parsed_snapshot(cloud, manifest, DeltaLog(manifest.directory).read())
-    return cloud
+    return open_parsed_snapshot(manifest, DeltaLog(manifest.directory).read(), config)

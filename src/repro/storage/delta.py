@@ -402,16 +402,15 @@ def compact_snapshot(directory: str | Path, verify: bool = False) -> SnapshotMan
     Opens the snapshot exactly as a reader would (the log spliced over the
     base, see :func:`replay_deltas`; a snapshot that stored cloud state
     keeps its partitioning, see
-    :func:`repro.storage.cloud_snapshot.load_cloud_snapshot`), rewrites it in
+    :func:`repro.storage.cloud_snapshot.open_cloud_snapshot`), rewrites it in
     place (data file then manifest, each atomically replaced) with
-    ``generation + 1``, and truncates the log, so the compacted base
-    reopens with every column file-backed again.  With an empty log this
-    is a no-op returning the current manifest.  ``manifest.json`` and
-    ``deltas.log`` are each parsed once.
+    ``generation + 1`` in the current format, and truncates the log, so
+    the compacted base reopens with every column file-backed again.  With
+    an empty log this is a no-op returning the current manifest.  A failed
+    write leaves the directory, log included, as it was.
+    ``manifest.json`` and ``deltas.log`` are each parsed once.
 
-    Callers holding an open cloud over this directory should reopen (or
-    :meth:`~repro.cloud.cluster.MemoryCloud.load_snapshot`, which bumps
-    ``load_generation`` and thereby invalidates plan caches).
+    Callers holding an open cloud over this directory should reopen it.
 
     Raises:
         StorageError: when the log adds a node beyond the snapshot's
@@ -435,16 +434,14 @@ def compact_snapshot(directory: str | Path, verify: bool = False) -> SnapshotMan
                 )
     generation = manifest.generation + 1
     if manifest.has_cloud_state:
-        from repro.cloud.cluster import MemoryCloud
         from repro.storage.cloud_snapshot import (
-            cluster_config_from_manifest,
-            load_parsed_snapshot,
+            open_parsed_snapshot,
             save_cloud_snapshot,
         )
 
-        cloud = MemoryCloud(cluster_config_from_manifest(manifest))
-        load_parsed_snapshot(cloud, manifest, records)
-        new_manifest = save_cloud_snapshot(cloud, directory, generation=generation)
+        new_manifest = save_cloud_snapshot(
+            open_parsed_snapshot(manifest, records), directory, generation=generation
+        )
     else:
         new_manifest = save_graph_snapshot(
             graph_from_manifest(manifest, records), directory, generation=generation

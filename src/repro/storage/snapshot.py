@@ -18,16 +18,21 @@ in RAM:
     Optional append-only edge/label log (see :mod:`repro.storage.delta`)
     replayed over the base columns at open time.
 
-Array names are namespaced: ``graph/*`` holds the single-machine CSR
-columns, and a snapshot saved from a :class:`~repro.cloud.cluster.MemoryCloud`
-additionally stores ``assignment/*`` (the partition map), ``machine{i}/*``
-(each machine's CSR partition), and ``labelpairs/{a}_{b}`` (packed
-cross-machine label-pair keys), letting the cloud reopen without
-re-partitioning or re-deriving metadata.
+Array names are namespaced.  A graph-only snapshot stores the four
+``graph/*`` CSR columns (:data:`GRAPH_ARRAY_NAMES`).  A snapshot saved from
+a :class:`~repro.cloud.cluster.MemoryCloud` stores the cloud's image
+instead — ``graph/node_ids|label_ids``, ``assignment/machines`` (the
+partition map), ``machine{i}/*`` (each machine's CSR partition) — plus
+``labelpairs/{a}_{b}`` (packed cross-machine label-pair keys).  Each
+adjacency list is stored once, in its owner's partition; a graph read from
+a cloud snapshot is derived from the image (:func:`graph_from_manifest`).
+Version 1 cloud snapshots also stored a global ``graph/offsets|neighbors``
+copy and an ``assignment/ids`` alias; readers ignore both.
 
 Both writes (``columns.bin`` then ``manifest.json``) go through temporary
 files and ``os.replace``, so a crashed save or compaction never leaves a
-readable-but-wrong snapshot behind: the manifest is the commit point.
+readable-but-wrong snapshot behind: the manifest is the commit point.  A
+save that fails removes its temporaries, leaving the directory as it was.
 """
 
 from __future__ import annotations
@@ -53,20 +58,25 @@ from repro.storage.provider import (
 #: Format tag stored in (and required of) every manifest.
 SNAPSHOT_FORMAT = "repro-csr-snapshot"
 #: Highest manifest version this reader understands.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 #: File names inside a snapshot directory.
 MANIFEST_NAME = "manifest.json"
 DATA_NAME = "columns.bin"
 DELTA_LOG_NAME = "deltas.log"
 
-#: The four arrays every snapshot stores (the single-machine CSR columns).
+#: The four arrays of a graph-only snapshot (the single-machine CSR columns).
 GRAPH_ARRAY_NAMES: Tuple[str, ...] = (
     "graph/node_ids",
     "graph/label_ids",
     "graph/offsets",
     "graph/neighbors",
 )
+
+
+def _required_arrays(cloud: Optional[dict]) -> Tuple[str, ...]:
+    """Arrays a snapshot must store: a cloud snapshot derives the CSR."""
+    return GRAPH_ARRAY_NAMES[:2] if cloud is not None else GRAPH_ARRAY_NAMES
 
 
 @dataclass
@@ -197,14 +207,16 @@ def write_snapshot(
 ) -> SnapshotManifest:
     """Write a snapshot directory from named arrays (the low-level writer).
 
-    ``arrays`` must include every :data:`GRAPH_ARRAY_NAMES` entry; callers
+    ``arrays`` must include every :data:`GRAPH_ARRAY_NAMES` entry, or only
+    ``graph/node_ids|label_ids`` when a ``cloud`` section is given; callers
     wanting the one-liner for a plain graph use :func:`save_graph_snapshot`,
     and :meth:`MemoryCloud.save_snapshot
     <repro.cloud.cluster.MemoryCloud.save_snapshot>` adds the cloud section.
     Data and manifest are written to temporaries and moved into place, so
-    a concurrent reader sees either the old snapshot or the new one.
+    a concurrent reader sees either the old snapshot or the new one; on any
+    failure the temporaries are removed before the error propagates.
     """
-    for name in GRAPH_ARRAY_NAMES:
+    for name in _required_arrays(cloud):
         if name not in arrays:
             raise StorageError(f"snapshot is missing required array {name!r}")
     if id_map is not None and id_map.is_identity:
@@ -215,43 +227,40 @@ def write_snapshot(
     target = Path(directory).resolve()
     target.mkdir(parents=True, exist_ok=True)
     data_tmp = target / (DATA_NAME + ".tmp")
-
-    names: List[str] = list(arrays)
-    entries: List[dict] = []
-    with MmapStorageProvider(data_tmp, create=True) as provider:
-        for name in names:
-            spec = provider.publish(np.asarray(arrays[name]))
-            entries.append(
-                {
-                    "name": name,
-                    "offset": spec.offset,
-                    "shape": list(spec.shape),
-                    "dtype": spec.dtype,
-                }
-            )
-        for entry, crc in zip(entries, provider.checksums()):
-            entry["crc32"] = crc
-
-    manifest_doc = {
-        "format": SNAPSHOT_FORMAT,
-        "version": SNAPSHOT_VERSION,
-        "generation": int(generation),
-        "created_unix": time.time(),
-        "node_count": int(node_count),
-        "edge_count": int(edge_count),
-        "labels": list(labels),
-        "data_file": DATA_NAME,
-        "arrays": entries,
-    }
-    if cloud is not None:
-        manifest_doc["cloud"] = cloud
-    if id_map is not None:
-        manifest_doc["id_map"] = id_map.manifest_meta()
     manifest_tmp = target / (MANIFEST_NAME + ".tmp")
-    manifest_tmp.write_text(json.dumps(manifest_doc, indent=1) + "\n")
-    # Data first, manifest last: the manifest is the commit point.
-    os.replace(data_tmp, target / DATA_NAME)
-    os.replace(manifest_tmp, target / MANIFEST_NAME)
+    try:
+        entries: List[dict] = []
+        with MmapStorageProvider(data_tmp, create=True) as provider:
+            for name, array in arrays.items():
+                spec = provider.publish(np.asarray(array))
+                entries.append({"name": name, "offset": spec.offset,
+                                "shape": list(spec.shape), "dtype": spec.dtype})
+            for entry, crc in zip(entries, provider.checksums()):
+                entry["crc32"] = crc
+
+        manifest_doc = {
+            "format": SNAPSHOT_FORMAT,
+            "version": SNAPSHOT_VERSION,
+            "generation": int(generation),
+            "created_unix": time.time(),
+            "node_count": int(node_count),
+            "edge_count": int(edge_count),
+            "labels": list(labels),
+            "data_file": DATA_NAME,
+            "arrays": entries,
+        }
+        if cloud is not None:
+            manifest_doc["cloud"] = cloud
+        if id_map is not None:
+            manifest_doc["id_map"] = id_map.manifest_meta()
+        manifest_tmp.write_text(json.dumps(manifest_doc, indent=1) + "\n")
+        # Data first, manifest last: the manifest is the commit point.
+        os.replace(data_tmp, target / DATA_NAME)
+        os.replace(manifest_tmp, target / MANIFEST_NAME)
+    except BaseException:
+        data_tmp.unlink(missing_ok=True)
+        manifest_tmp.unlink(missing_ok=True)
+        raise
     return _manifest_from_doc(target, manifest_doc)
 
 
@@ -264,8 +273,9 @@ def read_manifest(directory: str | Path, verify: bool = False) -> SnapshotManife
 
     Raises:
         StorageError: missing/unparsable manifest, wrong format tag, a
-            version newer than this reader, a missing data file, or (with
-            ``verify``) a checksum mismatch.
+            version newer than this reader, a missing data file, one too
+            short to hold an array the manifest lists, or (with ``verify``)
+            a checksum mismatch.
     """
     target = Path(directory).resolve()
     manifest_path = target / MANIFEST_NAME
@@ -299,16 +309,24 @@ def _manifest_from_doc(target: Path, doc: dict) -> SnapshotManifest:
     if not data_path.is_file():
         raise StorageError(f"snapshot data file {data_path} is missing")
 
+    data_size = data_path.stat().st_size
     arrays: Dict[str, MmapArraySpec] = {}
     checksums: Dict[str, int] = {}
     for entry in doc.get("arrays", ()):
         name = entry["name"]
-        arrays[name] = MmapArraySpec(
+        spec = arrays[name] = MmapArraySpec(
             path=str(data_path),
             offset=int(entry["offset"]),
             shape=tuple(int(dim) for dim in entry["shape"]),
             dtype=str(entry["dtype"]),
         )
+        extent = spec.offset + spec.nbytes
+        if extent > data_size:
+            # A torn data file: attaching would fail inside np.memmap.
+            raise StorageError(
+                f"snapshot array {name!r} ends at byte {extent} but data file "
+                f"{data_path} holds {data_size} bytes"
+            )
         checksums[name] = int(entry.get("crc32", 0))
 
     manifest = SnapshotManifest(
@@ -323,7 +341,7 @@ def _manifest_from_doc(target: Path, doc: dict) -> SnapshotManifest:
         cloud=doc.get("cloud"),
         id_map=doc.get("id_map"),
     )
-    for name in GRAPH_ARRAY_NAMES:
+    for name in _required_arrays(manifest.cloud):
         if name not in manifest.arrays:
             raise StorageError(
                 f"snapshot {target} is missing required array {name!r}"
@@ -393,22 +411,31 @@ def graph_from_manifest(manifest: SnapshotManifest, records: Sequence = ()):
     The body of :func:`open_graph_snapshot`, for callers that have parsed
     ``manifest.json`` and ``deltas.log`` themselves (a cloud open or a
     compaction needs both for its own decisions and must not parse twice).
+    A graph-only snapshot's CSR columns are adopted as they are; a cloud
+    snapshot stores no global CSR, so its graph is derived from the image
+    (:func:`repro.storage.cloud_snapshot.image_graph`, one O(graph) pass).
     """
     from repro.graph.label_table import LabelTable
     from repro.graph.labeled_graph import LabeledGraph
 
-    views = {}
-    for name in GRAPH_ARRAY_NAMES:
-        _handle, view = manifest.attach(name)
-        views[name] = view
-    graph = LabeledGraph.from_csr(
-        LabelTable(manifest.labels),
-        views["graph/node_ids"],
-        views["graph/label_ids"],
-        views["graph/offsets"],
-        views["graph/neighbors"],
-        manifest.edge_count,
-    )
+    label_table = LabelTable(manifest.labels)
+    if manifest.has_cloud_state:
+        from repro.cloud.cluster import column_names
+        from repro.storage.cloud_snapshot import image_graph
+
+        columns = {
+            name: manifest.attach(name)[1]
+            for name in column_names(manifest.machine_count)
+        }
+        graph = image_graph(
+            columns, manifest.machine_count, label_table, manifest.edge_count
+        )
+    else:
+        graph = LabeledGraph.from_csr(
+            label_table,
+            *(manifest.attach(name)[1] for name in GRAPH_ARRAY_NAMES),
+            manifest.edge_count,
+        )
     if records:
         from repro.storage.delta import replay_deltas
 

@@ -21,12 +21,14 @@ from repro.cloud.cluster import MemoryCloud, column_names
 from repro.cloud.config import ClusterConfig
 from repro.core.engine import SubgraphMatcher
 from repro.errors import CloudError
+from repro.graph.generators import generate_gnm
 from repro.graph.partition import (
     BlockPartitioner,
     HashPartitioner,
     RoundRobinPartitioner,
 )
 from repro.query.query_graph import QueryGraph
+from repro.runtime.shared_cloud import publish_cloud
 from repro.storage.provider import ShmStorageProvider, attach_columns
 
 from tests.property.strategies import labeled_graphs
@@ -128,3 +130,22 @@ def test_cloud_image_round_trip(
 def test_columns_of_an_unloaded_cloud_is_an_error():
     with pytest.raises(CloudError):
         MemoryCloud(ClusterConfig(machine_count=2)).columns()
+
+
+@pytest.mark.parametrize(
+    "partitioner", [HashPartitioner, RoundRobinPartitioner, BlockPartitioner]
+)
+def test_image_stores_each_array_once(partitioner):
+    cloud = MemoryCloud.from_graph(
+        generate_gnm(60, 150, label_count=4, seed=3), ClusterConfig(machine_count=3, partitioner=partitioner())
+    )
+    image = list(cloud.columns().values())
+    for index, array in enumerate(image):
+        for other in image[index + 1:]:
+            assert array is not other
+            assert not (array.size and other.size and np.shares_memory(array, other))
+    handle, registry = publish_cloud(cloud)
+    try:
+        assert len(registry.segment_names()) == len(handle.specs) == len(image)
+    finally:
+        registry.close()

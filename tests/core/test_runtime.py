@@ -310,8 +310,8 @@ class TestProcessRuntimeLifecycle:
             matcher.match(parity_queries[0])
             names = executor.published_segment_names()
         assert names, "process run should have published the graph"
-        # Graph arrays + global arrays + assignment arrays, all accounted.
-        assert len(names) == 4 * cloud.machine_count + 4
+        # One segment per image column (four per machine + three global).
+        assert len(names) == len(cloud.columns()) == 4 * cloud.machine_count + 3
         cloud.close()
         assert executor.published_segment_names() == []
         for name in names:

@@ -25,9 +25,8 @@ class TestAssignments:
     @pytest.mark.parametrize("partitioner", ALL_PARTITIONERS, ids=lambda p: type(p).__name__)
     def test_every_node_assigned(self, graph, partitioner):
         assignment = partitioner.assign(graph, 4)
-        node_ids, machines = assignment.as_arrays()
-        assert node_ids.tolist() == sorted(graph.nodes())
-        assert len(machines) == len(node_ids)
+        machines = assignment.machine_array_for(graph.node_id_array())
+        assert sum(assignment.sizes()) == len(machines) == graph.node_count
         assert ((0 <= machines) & (machines < 4)).all()
 
     @pytest.mark.parametrize("partitioner", ALL_PARTITIONERS, ids=lambda p: type(p).__name__)
@@ -73,10 +72,10 @@ class TestBalance:
         assert max(sizes) - min(sizes) <= 1
 
     def test_hash_partitioner_deterministic(self, graph):
-        first = HashPartitioner().assign(graph, 4).as_arrays()
-        second = HashPartitioner().assign(graph, 4).as_arrays()
-        assert first[0].tolist() == second[0].tolist()
-        assert first[1].tolist() == second[1].tolist()
+        node_ids = graph.node_id_array()
+        first = HashPartitioner().assign(graph, 4).machine_array_for(node_ids)
+        second = HashPartitioner().assign(graph, 4).machine_array_for(node_ids)
+        assert first.tolist() == second.tolist()
 
     def test_block_partitioner_contiguous(self, graph):
         assignment = BlockPartitioner().assign(graph, 4)

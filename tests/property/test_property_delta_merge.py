@@ -151,7 +151,7 @@ def rebuilt(graph: LabeledGraph, like: MemoryCloud) -> MemoryCloud:
     """``graph`` through ``load_graph`` under ``like``'s own assignment."""
     columns = like.columns()
     partitioner = FixedPartitioner(
-        columns["assignment/ids"], columns["assignment/machines"]
+        columns["graph/node_ids"], columns["assignment/machines"]
     )
     return MemoryCloud.from_graph(
         graph, ClusterConfig(machine_count=like.machine_count, partitioner=partitioner)

@@ -17,7 +17,7 @@ from repro.query.query_graph import QueryGraph
 from repro.errors import StorageError
 from repro.storage.cloud_snapshot import cluster_config_from_manifest
 from repro.storage.delta import DeltaLog, DeltaRecord, compact_snapshot, replay_deltas
-from repro.storage.snapshot import read_manifest, save_graph_snapshot
+from repro.storage.snapshot import read_manifest, save_graph_snapshot, write_snapshot
 from tests.helpers import assert_same_image
 
 
@@ -81,28 +81,21 @@ class TestCloudRoundTrip:
         assert isinstance(restored.partitioner, RoundRobinPartitioner)
         assert restored.machine_count == 2
 
-    def test_load_snapshot_bumps_generation(self, tmp_path, cloud):
-        cloud.save_snapshot(tmp_path / "snap")
-        before = cloud.load_generation
-        cloud.load_snapshot(tmp_path / "snap")
-        assert cloud.load_generation == before + 1
-        assert cloud.storage_publication is not None
-
     def test_load_graph_supersedes_snapshot_backing(self, tmp_path, cloud, graph):
         cloud.save_snapshot(tmp_path / "snap")
-        cloud.load_snapshot(tmp_path / "snap")
-        assert cloud.storage_publication is not None
-        cloud.load_graph(graph)
-        assert cloud.storage_publication is None
+        reopened = MemoryCloud.open_snapshot(tmp_path / "snap")
+        assert reopened.storage_publication is not None
+        reopened.load_graph(graph)
+        assert reopened.storage_publication is None
 
 
 #: The on-disk vocabulary of a 3-machine cloud snapshot of the fixture
-#: graph, as written since PR 8.  ``MemoryCloud.columns()``, the worker
-#: publication handle and ``storage_publication`` key on the same names; a
-#: change here means older snapshots stop reopening on the fast path.
+#: graph, format version 2: the image once, then the label-pair keys.
+#: ``MemoryCloud.columns()``, the worker publication handle and
+#: ``storage_publication`` key on the same names; a change here means older
+#: snapshots stop reopening on the fast path.
 PINNED_ARRAY_NAMES = [
-    "graph/node_ids", "graph/label_ids", "graph/offsets", "graph/neighbors",
-    "assignment/ids", "assignment/machines",
+    "graph/node_ids", "graph/label_ids", "assignment/machines",
     "machine0/node_ids", "machine0/label_ids", "machine0/offsets", "machine0/neighbors",
     "machine1/node_ids", "machine1/label_ids", "machine1/offsets", "machine1/neighbors",
     "machine2/node_ids", "machine2/label_ids", "machine2/offsets", "machine2/neighbors",
@@ -130,19 +123,16 @@ class TestFormatPin:
 
         cloud.save_snapshot(tmp_path / "snap")
         doc = json.loads((tmp_path / "snap" / "manifest.json").read_text())
-        assert SNAPSHOT_VERSION == doc["version"] == 1
+        assert SNAPSHOT_VERSION == doc["version"] == 2
         assert set(doc) == PINNED_MANIFEST_KEYS
         assert [entry["name"] for entry in doc["arrays"]] == PINNED_ARRAY_NAMES
         assert set(doc["arrays"][0]) == {"name", "offset", "shape", "dtype", "crc32"}
         assert doc["cloud"] == PINNED_CLOUD_SECTION
 
         reopened = MemoryCloud.open_snapshot(tmp_path / "snap")
-        # The image is the pinned names minus what the format derives from it.
-        derived = ("graph/offsets", "graph/neighbors")
+        # The image is the pinned names minus the label-pair keys.
         assert set(reopened.storage_publication) == set(reopened.columns()) == {
-            name
-            for name in PINNED_ARRAY_NAMES
-            if name not in derived and not name.startswith("labelpairs/")
+            name for name in PINNED_ARRAY_NAMES if not name.startswith("labelpairs/")
         }
 
 
@@ -259,7 +249,7 @@ class TestOverlayMerge:
         assert overlay.storage_publication is None
         columns = overlay.columns()
         untouched = [
-            "graph/node_ids", "graph/label_ids", "assignment/ids", "assignment/machines",
+            "graph/node_ids", "graph/label_ids", "assignment/machines",
             *(f"machine{m}/{column}" for m in range(3) for column in ("node_ids", "label_ids")),
         ]
         for name in untouched:
@@ -439,16 +429,114 @@ class TestQueryParity:
 
 
 class TestPlanCacheInvalidation:
-    def test_load_snapshot_invalidates_plan_cache(self, tmp_path, cloud, graph):
+    def test_load_graph_invalidates_plan_cache(self, tmp_path, cloud, graph):
         query = two_edge_path_query(graph)
-        matcher = SubgraphMatcher(cloud)
+        cloud.save_snapshot(tmp_path / "snap")
+        reopened = MemoryCloud.open_snapshot(tmp_path / "snap")
+        matcher = SubgraphMatcher(reopened)
         first = matcher.match(query)
         assert first.stats.plan_cache_hit is False
         second = matcher.match(query)
         assert second.stats.plan_cache_hit is True
 
-        cloud.save_snapshot(tmp_path / "snap")
-        cloud.load_snapshot(tmp_path / "snap")
+        reopened.load_graph(graph)
         third = matcher.match(query)
         assert third.stats.plan_cache_hit is False
         assert sorted(third.rows) == sorted(first.rows)
+
+
+def write_v1_snapshot(cloud, graph, directory):
+    """``cloud`` in the version 1 layout: the image plus the global CSR and
+    the ``assignment/ids`` alias that version 2 dropped."""
+    import json
+
+    v2 = cloud.save_snapshot(directory)
+    columns = cloud.columns()
+    arrays = {
+        "graph/node_ids": graph.node_id_array(),
+        "graph/label_ids": graph.label_id_array(),
+        "graph/offsets": graph.offset_array(),
+        "graph/neighbors": graph.neighbor_array(),
+        "assignment/ids": columns["graph/node_ids"],
+        **columns,
+    }
+    for low, high in v2.cloud["label_pairs"]:
+        arrays[f"labelpairs/{low}_{high}"] = v2.attach(f"labelpairs/{low}_{high}")[1]
+    write_snapshot(
+        directory, arrays, node_count=graph.node_count, edge_count=graph.edge_count,
+        labels=graph.label_table.labels(), cloud=v2.cloud,
+    )
+    manifest_path = directory / "manifest.json"
+    doc = json.loads(manifest_path.read_text())
+    doc["version"] = 1
+    manifest_path.write_text(json.dumps(doc))
+    return directory
+
+
+class TestVersion1Snapshots:
+    """A version 1 cloud directory is a superset of version 2: its three
+    extra arrays are never read, and compaction rewrites it as version 2."""
+
+    DROPPED = {"graph/offsets", "graph/neighbors", "assignment/ids"}
+
+    @pytest.fixture
+    def snapshots(self, tmp_path, cloud, graph):
+        cloud.save_snapshot(tmp_path / "v2")
+        return write_v1_snapshot(cloud, graph, tmp_path / "v1"), tmp_path / "v2"
+
+    def test_layouts(self, snapshots):
+        v1, v2 = (read_manifest(directory) for directory in snapshots)
+        assert (v1.version, v2.version) == (1, 2)
+        assert set(v1.arrays) - set(v2.arrays) == self.DROPPED
+        assert not set(v2.arrays) & self.DROPPED
+
+    def test_opens_identically(self, snapshots, graph):
+        query = two_edge_path_query(graph)
+        v1, v2 = snapshots
+        with MemoryCloud.open_snapshot(v1) as old, MemoryCloud.open_snapshot(v2) as new:
+            assert old.storage_publication is not None
+            assert_same_image(old, new)
+            assert match_rows(old, query) == match_rows(new, query)
+        # Another machine count: both repartition the graph derived from the image.
+        five = ClusterConfig(machine_count=5)
+        old, new = (MemoryCloud.open_snapshot(directory, five) for directory in snapshots)
+        assert_same_image(old, MemoryCloud.from_graph(graph, five))
+        assert_same_image(new, old)
+        assert match_rows(old, query) == match_rows(new, query)
+
+    def test_replays_a_pending_log_identically(self, snapshots, graph):
+        query = two_edge_path_query(graph)
+        for directory in snapshots:
+            DeltaLog(directory).append_nodes([(5000, "new")])
+            DeltaLog(directory).append_edges([(5000, 0), (1, 78)])
+        old, new = (MemoryCloud.open_snapshot(directory) for directory in snapshots)
+        assert old.node_count == graph.node_count + 1
+        assert_same_image(old, new)
+        assert match_rows(old, query) == match_rows(new, query)
+
+    def test_graph_readers_derive_the_same_graph(self, snapshots, graph):
+        from repro.storage.snapshot import open_graph_snapshot
+
+        for directory in snapshots:
+            derived = api.load_dataset(directory)
+            for column in ("node_id_array", "label_id_array", "offset_array", "neighbor_array"):
+                assert np.array_equal(getattr(derived, column)(), getattr(graph, column)())
+            assert derived.edge_count == graph.edge_count
+            DeltaLog(directory).append_edges([(0, 79)])
+        old, new = (open_graph_snapshot(directory) for directory in snapshots)
+        assert np.array_equal(old.neighbor_array(), new.neighbor_array())
+        assert old.edge_count == new.edge_count == graph.edge_count + 1
+
+    def test_compacts_to_version_2(self, snapshots, graph):
+        query = two_edge_path_query(graph)
+        v1, v2 = snapshots
+        for directory in snapshots:
+            DeltaLog(directory).append_edges([(0, 2), (1, 3)])
+            compact_snapshot(directory)
+        compacted = read_manifest(v1)
+        assert compacted.version == 2
+        assert list(compacted.arrays) == list(read_manifest(v2).arrays)
+        with MemoryCloud.open_snapshot(v1) as old, MemoryCloud.open_snapshot(v2) as new:
+            assert old.storage_publication is not None
+            assert_same_image(old, new)
+            assert match_rows(old, query) == match_rows(new, query)
