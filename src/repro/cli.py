@@ -85,7 +85,7 @@ from repro.ingest import ingest_dblp_xml
 from repro.query.generators import query_workload
 from repro.query.parser import format_query, parse_query
 from repro.serve import run_concurrent_clients
-from repro.storage import DeltaLog, compact_snapshot, read_manifest, save_graph_snapshot
+from repro.storage import DeltaLog, compact_snapshot, read_manifest
 
 #: Experiment name -> zero-argument driver producing table rows.
 EXPERIMENTS: Dict[str, Callable[[], List[dict]]] = {
@@ -235,11 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     save.set_defaults(handler=_command_save)
     save.add_argument("--graph", required=True, help="graph path prefix (from 'generate')")
-    save.add_argument(
-        "--graph-only",
-        action="store_true",
-        help="store only the CSR columns, no partition state",
-    )
 
     open_cmd = subparsers.add_parser(
         "open", help="open a snapshot and print what is inside"
@@ -490,16 +485,10 @@ def _save_partitioned(graph, args: argparse.Namespace):
 
 
 def _command_save(args: argparse.Namespace) -> int:
-    graph = api.load_dataset(args.graph)
-    if args.graph_only:
-        manifest = save_graph_snapshot(graph, args.out)
-        shape = "graph-only"
-    else:
-        manifest = _save_partitioned(graph, args)
-        shape = f"{args.machines} machines"
+    manifest = _save_partitioned(api.load_dataset(args.graph), args)
     print(
         f"saved {manifest.node_count} nodes / {manifest.edge_count} edges "
-        f"({shape}, generation {manifest.generation}, "
+        f"({args.machines} machines, generation {manifest.generation}, "
         f"{len(manifest.arrays)} arrays) to {manifest.directory}"
     )
     return 0
@@ -513,16 +502,16 @@ def _command_open(args: argparse.Namespace) -> int:
         opened = time.perf_counter() - started
         if cloud.storage_publication:
             path = "memmap fast path"
-        elif manifest.has_cloud_state:
+        elif pending:
             path = "pending deltas merged into the memmap image"
         else:
-            path = "graph-only snapshot, partitioned at open"
+            path = "graph-only snapshot: memmap image, partition map in RAM"
     print(
         f"{manifest.node_count} nodes / {manifest.edge_count} edges, "
         f"{len(manifest.labels)} labels, generation {manifest.generation}"
     )
     print(
-        f"cloud state: {manifest.machine_count or 'none'} machines, "
+        f"cloud state: {manifest.machine_count} machines, "
         f"{pending} pending delta records"
     )
     print(f"opened in {opened * 1000:.1f} ms ({path})"

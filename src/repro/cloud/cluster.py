@@ -296,8 +296,8 @@ class MemoryCloud:
         Observed, not chosen: set when the installed columns are views into
         a snapshot's data file, so worker publication ships these specs
         instead of copying the arrays into shared memory; ``None`` after any
-        in-RAM load, including a snapshot opened with pending deltas (the
-        columns the log changed live in RAM).
+        in-RAM load, including a snapshot opened with pending deltas or a
+        graph-only one (the merged columns, or its partition map, live in RAM).
         """
         return self._file_specs
 

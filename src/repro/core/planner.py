@@ -31,7 +31,7 @@ from repro.core.head_selection import (
 )
 from repro.core.stwig import STwig, validate_cover
 from repro.query.query_graph import QueryGraph
-from repro.utils.validation import require_positive
+from repro.utils.validation import require_non_negative, require_positive
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,9 @@ class MatcherConfig:
     def validate(self) -> None:
         if self.block_size is not None:
             require_positive(self.block_size, "block_size")
+        if self.max_stwig_leaves is not None:
+            require_positive(self.max_stwig_leaves, "max_stwig_leaves")
+        require_non_negative(self.plan_cache_size, "plan_cache_size")
 
 
 @dataclass

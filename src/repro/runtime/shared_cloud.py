@@ -29,7 +29,7 @@ from typing import Dict, Tuple
 from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import ClusterConfig
 from repro.graph.label_table import LabelTable
-from repro.storage.provider import ArraySpec, ShmStorageProvider, attach_columns
+from repro.storage.provider import ArraySpec, attach_columns
 from repro.utils.shm import SegmentRegistry
 
 
@@ -53,16 +53,15 @@ class CloudHandle:
 def publish_cloud(cloud: MemoryCloud) -> Tuple[CloudHandle, SegmentRegistry]:
     """Publish ``cloud``'s image for worker processes.
 
-    Returns the worker-facing :class:`CloudHandle` and the provider
-    (a :class:`~repro.storage.provider.ShmStorageProvider`, i.e. a
-    :class:`SegmentRegistry`) owning any published blocks; closing it
+    Returns the worker-facing :class:`CloudHandle` and the
+    :class:`SegmentRegistry` owning any published blocks; closing it
     unlinks every segment.  Called once per (executor, cloud) pair.
 
-    For a file-backed cloud the returned provider is empty: nothing is
+    For a file-backed cloud the returned registry is empty: nothing is
     copied, and there is nothing to unlink — the file outlives every
     process by design.
     """
-    registry = ShmStorageProvider()
+    registry = SegmentRegistry()
     specs = cloud.storage_publication
     if specs is None:
         try:

@@ -1,41 +1,31 @@
-"""Unified zero-copy column storage: one provider API, shm + mmap backends.
+"""Zero-copy column storage: snapshots, the delta log, shm and mmap specs.
 
 Two mechanisms in this codebase hand numpy arrays across an ownership
-boundary without copying per element:
+boundary without copying per element: the multiprocess cluster runtime
+publishes every machine's CSR columns into POSIX shared memory
+(:mod:`repro.utils.shm`), and the persistent snapshot store lays the same
+columns out in a file and reopens them via ``np.memmap``.  Both describe an
+array by a picklable spec, and :func:`~repro.storage.provider.attach_spec`
+maps either kind back into a view (:mod:`repro.storage.provider`).
 
-* the multiprocess cluster runtime publishes every machine's CSR columns
-  into POSIX shared memory (:mod:`repro.utils.shm`), and
-* the persistent snapshot store lays the same columns out in a file and
-  reopens them via ``np.memmap``.
+On the mmap side:
 
-Both are the same operation — *expose a named typed array as a zero-copy
-view* — so both live behind one :class:`~repro.storage.provider.StorageProvider`
-abstraction: a provider turns arrays into picklable
-:class:`~repro.storage.provider.ArraySpec` descriptions, and
-:func:`~repro.storage.provider.attach_spec` maps any spec (shm or mmap)
-back into a view.  The cluster runtime ships specs to worker processes;
-the snapshot layer records them in a versioned manifest with checksums.
-
-Layered on the mmap backend:
-
-* :mod:`repro.storage.snapshot` — persistent CSR snapshots: save a
-  :class:`~repro.graph.labeled_graph.LabeledGraph` once, reopen in
-  near-constant time;
-* :mod:`repro.storage.cloud_snapshot` — the same for a loaded
-  :class:`~repro.cloud.cluster.MemoryCloud`: persists its ``columns()``
-  and reopens them through the cloud's installer (imported on demand —
-  it depends on :mod:`repro.cloud`);
+* :mod:`repro.storage.snapshot` — the snapshot format: a versioned
+  manifest over one column file holding a
+  :class:`~repro.cloud.cluster.MemoryCloud`'s image, reopened in
+  near-constant time; a graph is derived from the image;
+* :mod:`repro.storage.cloud_snapshot` — saving a loaded cloud's
+  ``columns()`` and opening a snapshot: the one way its image is attached
+  and a pending log merged in, for clouds and graphs alike;
 * :mod:`repro.storage.delta` — a log-structured write path: an append-only
-  edge/label delta log replayed over the base snapshot at open time, with
-  explicit compaction into a new base generation.
+  edge/label delta log merged into the image at open time, with explicit
+  compaction into a new base generation.
 """
 
 from repro.storage.provider import (
     ArraySpec,
     MmapArraySpec,
-    MmapStorageProvider,
-    ShmStorageProvider,
-    StorageProvider,
+    MmapColumnWriter,
     attach_spec,
 )
 from repro.storage.snapshot import (
@@ -44,32 +34,26 @@ from repro.storage.snapshot import (
     SnapshotManifest,
     open_graph_snapshot,
     read_manifest,
-    save_graph_snapshot,
     snapshot_exists,
 )
 from repro.storage.delta import (
     DeltaLog,
     DeltaRecord,
     compact_snapshot,
-    replay_deltas,
 )
 
 __all__ = [
     "ArraySpec",
     "MmapArraySpec",
-    "MmapStorageProvider",
-    "ShmStorageProvider",
-    "StorageProvider",
+    "MmapColumnWriter",
     "attach_spec",
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
     "SnapshotManifest",
     "open_graph_snapshot",
     "read_manifest",
-    "save_graph_snapshot",
     "snapshot_exists",
     "DeltaLog",
     "DeltaRecord",
     "compact_snapshot",
-    "replay_deltas",
 ]

@@ -2,22 +2,19 @@
 
 The cloud exposes its image (:meth:`MemoryCloud.columns
 <repro.cloud.cluster.MemoryCloud.columns>` plus a little plain metadata);
-this module persists it.  A cloud snapshot stores the image once, under the
+this module persists it.  A snapshot stores the image once, under the
 names :func:`~repro.cloud.cluster.column_names` lists, plus the packed
 ``labelpairs/{a}_{b}`` keys, which the planner needs at open and which
 would cost a pass over the graph to derive.  It stores no global CSR: each
-adjacency list lives in its owner's partition only.  Opening attaches the
-image's columns by name as read-only ``np.memmap`` views and hands them to
-the cloud's one installer, so opening costs file metadata, not a data scan.
+adjacency list lives in its owner's partition only.
 
-A pending delta log does not change that: its records are *merged* into the
-attached image (:func:`_overlay`), which costs the log plus one copy of each
-column the log changes — every other column is still the file-backed view.
-
-Whatever needs the graph itself — a graph-only reader, a cloud of another
-machine count (which genuinely has no partitioning to keep), a tracking
-cloud over keys saved untracked — derives it from the image through
-:func:`image_graph`, the one derivation.
+Every reader opens a snapshot one way (:func:`_open_image`): attach the
+image's columns as read-only ``np.memmap`` views, in their stored shape,
+and merge a pending delta log into them (:func:`_overlay`: the log plus one
+copy of each column it changes; every other column stays the file view).
+A cloud of the stored machine count installs that image; whatever needs
+the graph — :func:`~repro.storage.snapshot.open_graph_snapshot`, a cloud of
+another machine count — derives it through :func:`image_graph`.
 
 :meth:`MemoryCloud.save_snapshot` and :meth:`MemoryCloud.open_snapshot`
 are the public spellings of the save and the open here.
@@ -26,12 +23,13 @@ are the public spellings of the save and the open here.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.cloud.cluster import MACHINE_COLUMNS, MemoryCloud, column_names
+from repro.cloud.cluster import MACHINE_COLUMNS, MemoryCloud
 from repro.cloud.config import ClusterConfig
 from repro.graph.label_table import LabelTable
 from repro.graph.labeled_graph import NODE_DTYPE, OFFSET_DTYPE, LabeledGraph
@@ -53,7 +51,6 @@ from repro.storage.provider import attach_columns
 from repro.storage.snapshot import (
     SnapshotManifest,
     covering_id_map,
-    graph_from_manifest,
     read_manifest,
     write_snapshot,
 )
@@ -63,14 +60,13 @@ from repro.utils.arrays import membership_mask
 def cluster_config_from_manifest(manifest: SnapshotManifest) -> ClusterConfig:
     """Rebuild a :class:`ClusterConfig` from a manifest's cloud section.
 
-    A graph-only manifest yields the default config; an unknown (custom)
-    partitioner name falls back to the paper-default hash partitioner.
+    An unknown (custom) partitioner name falls back to the paper-default
+    hash partitioner.
     """
-    cloud_meta = manifest.cloud or {}
     return ClusterConfig(
-        machine_count=manifest.machine_count or ClusterConfig().machine_count,
-        partitioner=partitioner_from_name(cloud_meta.get("partitioner", "hash")),
-        track_label_pairs=bool(cloud_meta.get("track_label_pairs", True)),
+        machine_count=manifest.machine_count,
+        partitioner=partitioner_from_name(manifest.cloud.get("partitioner", "hash")),
+        track_label_pairs=bool(manifest.cloud.get("track_label_pairs", True)),
     )
 
 
@@ -86,13 +82,19 @@ def image_graph(
 
     One O(graph) pass, the inverse of ``load_graph``'s per-machine gather:
     every machine's rows land at their position in global (sorted node ID)
-    row order.
+    row order.  A lone machine's partition already is the graph's CSR, so
+    its columns are adopted as they are.
     """
     node_ids = columns["graph/node_ids"]
     partitions = [
         tuple(columns[f"machine{machine_id}/{column}"] for column in MACHINE_COLUMNS)
         for machine_id in range(machine_count)
     ]
+    if machine_count == 1:
+        return LabeledGraph.from_csr(
+            label_table, node_ids, columns["graph/label_ids"],
+            *partitions[0][2:], edge_count,
+        )
     # Global row of every machine-local row (empty partitions index nothing).
     rows = [np.searchsorted(node_ids, ids_m) for ids_m, *_ in partitions]
     counts = np.zeros(len(node_ids), dtype=OFFSET_DTYPE)
@@ -148,31 +150,21 @@ def save_cloud_snapshot(
     )
 
 
-def open_parsed_snapshot(
+def _open_image(
     manifest: SnapshotManifest,
     records: Sequence[DeltaRecord],
-    config: ClusterConfig | None = None,
-) -> MemoryCloud:
-    """A fresh cloud over an already-parsed manifest and delta log.
+    config: ClusterConfig,
+) -> Tuple[Dict[str, np.ndarray], dict]:
+    """Attach ``manifest``'s image in its stored shape and merge ``records``.
 
-    The body of :func:`open_cloud_snapshot`, for callers that have parsed
-    ``manifest.json`` and ``deltas.log`` themselves (compaction needs both
-    for its own decisions and must not parse twice).
+    The one way every reader opens a snapshot.  Returns the columns and the
+    rest of :meth:`MemoryCloud._install`'s keywords.  ``config`` places the
+    nodes the log adds (its partitioner) and says whether label pairs are
+    wanted (its ``track_label_pairs``); its machine count is not consulted.
     """
-    cloud = MemoryCloud(config or cluster_config_from_manifest(manifest))
-    if not manifest.has_cloud_state or manifest.machine_count != cloud.machine_count:
-        # A graph-only snapshot or another cluster shape: no stored
-        # partitioning describes the cloud asked for, so make one.
-        cloud.load_graph(graph_from_manifest(manifest, records))
-        return cloud
-
-    started = time.perf_counter()
-    specs = {
-        name: manifest.spec(name) for name in column_names(manifest.machine_count)
-    }
-    columns, handles = attach_columns(specs)
+    columns, handles, specs = manifest.attach_image()
     label_pairs: Dict[Tuple[int, int], np.ndarray] = {}
-    if cloud.config.track_label_pairs:
+    if config.track_label_pairs:
         label_pairs, pair_handles = attach_columns(
             {
                 (int(low), int(high)): manifest.spec(f"labelpairs/{low}_{high}")
@@ -185,17 +177,16 @@ def open_parsed_snapshot(
     packed_pairs = (int(manifest.cloud.get("label_pair_base", 1)), label_pairs)
     if records:
         columns, label_table, edge_count, packed_pairs = _overlay(
-            cloud, manifest, records, columns, packed_pairs
+            config, manifest, records, columns, packed_pairs
         )
         specs = None  # some columns now live in RAM: not a file publication
-    elif cloud.config.track_label_pairs and not manifest.cloud.get("track_label_pairs", True):
+    elif config.track_label_pairs and not manifest.cloud.get("track_label_pairs", True):
         # Installing the (absent) stored keys would tell the planner that no
         # label pair crosses machines, and it would prune every load set.
         packed_pairs = _derived_label_pairs(
             columns, manifest.machine_count, label_table, edge_count
         )
-    cloud._install(
-        columns,
+    return columns, dict(
         label_table=label_table,
         edge_count=edge_count,
         id_map=covering_id_map(manifest, columns["graph/node_ids"]),
@@ -203,12 +194,49 @@ def open_parsed_snapshot(
         backing=handles,
         file_specs=specs,
     )
+
+
+def parsed_snapshot_graph(
+    manifest: SnapshotManifest, records: Sequence[DeltaRecord]
+) -> LabeledGraph:
+    """The graph of an already-parsed snapshot, ``records`` merged in: the
+    image opened in its stored shape (:func:`_open_image`), then
+    :func:`image_graph`."""
+    config = replace(cluster_config_from_manifest(manifest), track_label_pairs=False)
+    columns, state = _open_image(manifest, records, config)
+    graph = image_graph(
+        columns, manifest.machine_count, state["label_table"], state["edge_count"]
+    )
+    graph.id_map = state["id_map"]
+    return graph
+
+
+def open_parsed_snapshot(
+    manifest: SnapshotManifest,
+    records: Sequence[DeltaRecord],
+    config: ClusterConfig | None = None,
+) -> MemoryCloud:
+    """A fresh cloud over an already-parsed manifest and delta log.
+
+    The body of :func:`open_cloud_snapshot`, for callers that have parsed
+    ``manifest.json`` and ``deltas.log`` themselves (compaction needs both
+    for its own decisions and must not parse twice).
+    """
+    cloud = MemoryCloud(config or cluster_config_from_manifest(manifest))
+    if manifest.machine_count != cloud.machine_count:
+        # Another cluster shape: no stored partitioning describes the cloud
+        # asked for, so make one from the graph the image holds.
+        cloud.load_graph(parsed_snapshot_graph(manifest, records))
+        return cloud
+    started = time.perf_counter()
+    columns, state = _open_image(manifest, records, cloud.config)
+    cloud._install(columns, **state)
     cloud.loading_seconds = time.perf_counter() - started
     return cloud
 
 
 def _overlay(
-    cloud: MemoryCloud,
+    config: ClusterConfig,
     manifest: SnapshotManifest,
     records: Sequence[DeltaRecord],
     columns: Dict[str, np.ndarray],
@@ -223,7 +251,7 @@ def _overlay(
 
     * Assignment is sticky: a node the snapshot holds keeps its stored
       machine (as on a clean open); only nodes the log adds are placed, by
-      the cloud's partitioner.  ``assignment/machines`` and
+      ``config``'s partitioner.  ``assignment/machines`` and
       ``graph/node_ids`` are copied only when there are such nodes,
       ``graph/label_ids`` only for them or a relabel.
     * Each machine's partition takes the node records it owns and the
@@ -248,7 +276,7 @@ def _overlay(
             np.zeros(len(new_ids) + 1, dtype=OFFSET_DTYPE),
             np.empty(0, dtype=NODE_DTYPE), 0,
         )
-        placed = cloud.config.partitioner.assign(new_nodes, machine_count)
+        placed = config.partitioner.assign(new_nodes, machine_count)
         machines = np.insert(machines, inserted, placed.machine_array_for(new_ids))
         columns["graph/node_ids"] = node_ids
         columns["assignment/machines"] = machines
@@ -273,7 +301,7 @@ def _overlay(
     edge_count = manifest.edge_count + added // 2
 
     label_pairs: Tuple[int, Dict] = (1, {})
-    if cloud.config.track_label_pairs:
+    if config.track_label_pairs:
         label_pairs = _overlay_label_pairs(
             manifest, delta, columns, edge_count, packed_pairs
         )
@@ -352,15 +380,13 @@ def open_cloud_snapshot(
 
     Without an explicit ``config`` the cluster shape (machine count,
     partitioner) recorded in the manifest is used, so a cloud round-trips
-    through save/open unchanged.  A snapshot storing cloud state for that
-    machine count attaches every column as a read-only ``np.memmap`` view;
-    with an empty delta log that is the whole open, and the mmap specs are
-    the cloud's :attr:`~repro.cloud.cluster.MemoryCloud.storage_publication`.
-    Pending records are merged in by :func:`_overlay` (``storage_publication``
-    is then ``None``).  A graph-only snapshot or another machine count is
-    partitioned afresh from its graph (log replayed) through
-    :meth:`~repro.cloud.cluster.MemoryCloud.load_graph`.  ``manifest.json``
-    and ``deltas.log`` are each parsed once.
+    through save/open unchanged.  For that machine count the image is
+    installed as opened (:func:`_open_image`); with an empty delta log and
+    every column in the file, its mmap specs are the cloud's
+    :attr:`~repro.cloud.cluster.MemoryCloud.storage_publication` (else
+    ``None``).  Another machine count is partitioned afresh from the
+    image's graph.  ``manifest.json`` and ``deltas.log`` are each parsed
+    once.
     """
     manifest = read_manifest(directory, verify=verify)
     return open_parsed_snapshot(manifest, DeltaLog(manifest.directory).read(), config)

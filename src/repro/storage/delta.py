@@ -1,4 +1,4 @@
-"""Log-structured writes over a base snapshot: append, replay, compact.
+"""Log-structured writes over a base snapshot: append, merge, compact.
 
 A snapshot's base columns are immutable (readers hold ``np.memmap`` views
 into them), so updates take the log-structured route instead of mutating
@@ -7,14 +7,14 @@ in place — the same discipline LogBase applies to its cloud storage:
 * **append** — :class:`DeltaLog` appends edge/label records to a plain
   text ``deltas.log`` next to the manifest; an append is one ``write``
   syscall, never a rewrite of the columns.
-* **replay** — a *merge*, not a rebuild: :func:`normalize_records` digests
-  the log (the only Python loop, and it is over the log), and
-  :func:`splice_csr` splices the result into a CSR — only the rows an
-  endpoint touches are searched, each column the log changes is written in
-  one block copy, and every other column stays the very array (``np.memmap``
-  view) it was.  :func:`replay_deltas` applies it to a graph's CSR;
-  :mod:`repro.storage.cloud_snapshot` applies it per machine to an attached
-  cloud image.  Cost: the log, plus a copy of what it changes.
+* **merge** — one way, for every reader, and not a rebuild:
+  :func:`normalize_records` digests the log (the only Python loop, and it
+  is over the log), and :mod:`repro.storage.cloud_snapshot` splices it into
+  each machine's partition of the attached image with :func:`splice_csr` —
+  only the rows an endpoint touches are searched, each changed column is
+  written in one block copy, and every other column stays the very array
+  (``np.memmap`` view) it was.  Cost: the log, plus a copy of what it
+  changes.
 * **compact** — :func:`compact_snapshot` opens the snapshot that way, writes
   the result as a new base generation and truncates the log, restoring a
   fully file-backed reopen.
@@ -44,19 +44,8 @@ import numpy as np
 
 from repro.errors import StorageError
 from repro.graph.label_table import LabelTable
-from repro.graph.labeled_graph import (
-    LABEL_DTYPE,
-    NODE_DTYPE,
-    OFFSET_DTYPE,
-    LabeledGraph,
-)
-from repro.storage.snapshot import (
-    DELTA_LOG_NAME,
-    SnapshotManifest,
-    graph_from_manifest,
-    read_manifest,
-    save_graph_snapshot,
-)
+from repro.graph.labeled_graph import LABEL_DTYPE, NODE_DTYPE, OFFSET_DTYPE
+from repro.storage.snapshot import DELTA_LOG_NAME, SnapshotManifest, read_manifest
 from repro.utils.arrays import membership_mask, sorted_lookup
 
 
@@ -185,7 +174,7 @@ class DeltaLog:
 
 
 class NormalizedLog(NamedTuple):
-    """A parsed log, normalized against the node IDs it is replayed over.
+    """A parsed log, normalized against the node IDs it is merged into.
 
     Attributes:
         label_table: the base's labels plus every label the log interned,
@@ -214,7 +203,7 @@ def normalize_records(
 ) -> NormalizedLog:
     """Digest ``records`` against a base's sorted ``node_ids`` / ``label_ids``.
 
-    The only Python-level loop of a replay, and it is over the log.  Every
+    The only Python-level loop of a merge, and it is over the log.  Every
     check a rebuild of the graph would make happens here, before anything
     is spliced.
 
@@ -366,46 +355,16 @@ def splice_csr(
     return (node_ids, label_ids, offsets, neighbors), added
 
 
-def replay_deltas(base, records: Sequence[DeltaRecord]):
-    """Merge log records over ``base``, returning the up-to-date graph.
-
-    Node records for unknown IDs add nodes; for existing IDs they relabel.
-    Edge records for edges the base already has are no-ops.  The records
-    are spliced into the base's CSR (:func:`splice_csr`): the result shares
-    every column the log does not change with ``base`` (possibly
-    memmap-backed), which is never mutated.
-
-    Raises:
-        StorageError: when a record is inconsistent with the graph (edge
-            endpoint without a label, self-loop).
-    """
-    if not records:
-        return base
-    csr = (
-        base.node_id_array(),
-        base.label_id_array(),
-        base.offset_array(),
-        base.neighbor_array(),
-    )
-    delta = normalize_records(records, base.label_table.labels(), *csr[:2])
-    merged, added = splice_csr(
-        csr, delta.node_ids, delta.label_ids, delta.sources, delta.targets
-    )
-    return LabeledGraph.from_csr(
-        delta.label_table, *merged, base.edge_count + added // 2
-    )
-
-
 def compact_snapshot(directory: str | Path, verify: bool = False) -> SnapshotManifest:
     """Fold the delta log into a new base snapshot generation.
 
-    Opens the snapshot exactly as a reader would (the log spliced over the
-    base, see :func:`replay_deltas`; a snapshot that stored cloud state
-    keeps its partitioning, see
+    Opens the snapshot exactly as a reader would (the log merged into the
+    image, which keeps its partitioning; see
     :func:`repro.storage.cloud_snapshot.open_cloud_snapshot`), rewrites it in
     place (data file then manifest, each atomically replaced) with
     ``generation + 1`` in the current format, and truncates the log, so
-    the compacted base reopens with every column file-backed again.  With
+    the compacted base reopens with every column file-backed again.  A
+    graph-only snapshot is rewritten as a one-machine cloud snapshot.  With
     an empty log this is a no-op returning the current manifest.  A failed
     write leaves the directory, log included, as it was.
     ``manifest.json`` and ``deltas.log`` are each parsed once.
@@ -413,38 +372,31 @@ def compact_snapshot(directory: str | Path, verify: bool = False) -> SnapshotMan
     Callers holding an open cloud over this directory should reopen it.
 
     Raises:
-        StorageError: when the log adds a node beyond the snapshot's
-            persisted ``id_map``.  Opening such a snapshot serves dense
-            IDs with a warning; folding it would drop the caller's
-            external IDs for good, so nothing is written.
+        StorageError: when the log adds a node outside the snapshot's
+            persisted ``id_map`` (:meth:`SnapshotManifest.id_map_covers`).
+            Opening such a snapshot serves dense IDs with a warning;
+            folding it would drop the caller's external IDs for good, so
+            nothing is written.
     """
+    from repro.storage.cloud_snapshot import open_parsed_snapshot, save_cloud_snapshot
+
     manifest = read_manifest(directory, verify=verify)
     log = DeltaLog(manifest.directory)
     records = log.read()
     if not records:
         return manifest
-    if manifest.id_map is not None:
-        mapped = int(manifest.id_map["count"])
-        for record in records:
-            if record.op == "node" and record.node_id >= mapped:
-                raise StorageError(
-                    f"cannot compact snapshot {manifest.directory}: node "
-                    f"{record.node_id} lies beyond its id_map ({mapped} "
-                    "external IDs); re-ingest the dataset instead"
-                )
-    generation = manifest.generation + 1
-    if manifest.has_cloud_state:
-        from repro.storage.cloud_snapshot import (
-            open_parsed_snapshot,
-            save_cloud_snapshot,
-        )
-
-        new_manifest = save_cloud_snapshot(
-            open_parsed_snapshot(manifest, records), directory, generation=generation
-        )
-    else:
-        new_manifest = save_graph_snapshot(
-            graph_from_manifest(manifest, records), directory, generation=generation
-        )
+    for record in records:
+        if record.op == "node" and not manifest.id_map_covers(record.node_id):
+            raise StorageError(
+                f"cannot compact snapshot {manifest.directory}: node "
+                f"{record.node_id} lies outside its id_map "
+                f"({manifest.id_map['count']} external IDs); re-ingest the "
+                "dataset instead"
+            )
+    new_manifest = save_cloud_snapshot(
+        open_parsed_snapshot(manifest, records),
+        directory,
+        generation=manifest.generation + 1,
+    )
     log.clear()
     return new_manifest

@@ -1,24 +1,21 @@
-"""The storage-provider abstraction: named typed arrays as zero-copy views.
+"""Named typed arrays as zero-copy views: specs, attach, the column writer.
 
-A :class:`StorageProvider` owns a set of published numpy arrays and hands
-out picklable :class:`ArraySpec` descriptions; :func:`attach_spec` maps any
-spec back into a zero-copy view plus a handle that must stay referenced
-(and eventually closed) while the view is alive.  Two backends implement
-the contract:
+A picklable *spec* describes an array somewhere outside the process heap;
+:func:`attach_spec` maps any spec back into a zero-copy view plus a handle
+that must stay referenced (and eventually closed) while the view is alive,
+and :func:`discard_spec` retires one.  Two kinds of spec exist:
 
-* :class:`ShmStorageProvider` — POSIX shared memory, the cluster runtime's
-  publication path (:mod:`repro.utils.shm` remains the low-level kernel;
-  the provider is its :class:`~repro.utils.shm.SegmentRegistry` plus the
-  attach side of the protocol).  Specs are
-  :class:`~repro.utils.shm.SharedArraySpec`; the pages vanish when the
-  provider unlinks them.
-* :class:`MmapStorageProvider` — one append-only data file on disk.  Specs
-  are :class:`MmapArraySpec` (path + offset + shape + dtype) and attach as
-  read-only ``np.memmap`` views, so the arrays outlive the process and a
+* :class:`~repro.utils.shm.SharedArraySpec` — a POSIX shared-memory block,
+  published by a :class:`~repro.utils.shm.SegmentRegistry` (the cluster
+  runtime's publication path); the pages vanish when the registry unlinks
+  them.
+* :class:`MmapArraySpec` — an array inside a snapshot's data file, written
+  by :class:`MmapColumnWriter` (path + offset + shape + dtype).  It attaches
+  as a read-only ``np.memmap`` view, so the array outlives the process and a
   reopen touches no bytes until they are faulted in.
 
-Because both spec types ride through :func:`attach_spec`, consumers are
-backend-agnostic: the process executor's workers attach a snapshot-backed
+Because both ride through :func:`attach_spec`, consumers are
+spec-agnostic: the process executor's workers attach a snapshot-backed
 cloud's mmap specs exactly like shm ones (see
 :func:`repro.runtime.shared_cloud.rebuild_cloud`).
 """
@@ -26,7 +23,6 @@ cloud's mmap specs exactly like shm ones (see
 from __future__ import annotations
 
 import zlib
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Tuple, Union
@@ -34,12 +30,7 @@ from typing import Dict, List, Mapping, Tuple, Union
 import numpy as np
 
 from repro.errors import StorageError
-from repro.utils.shm import (
-    SegmentRegistry,
-    SharedArraySpec,
-    attach_array,
-    unlink_block,
-)
+from repro.utils.shm import SharedArraySpec, attach_array, unlink_block
 
 #: Byte alignment of arrays inside an mmap data file.  64 matches the
 #: widest vector registers in current CPUs, so memmapped columns are as
@@ -150,80 +141,27 @@ def discard_spec(spec: ArraySpec) -> None:
         raise StorageError(f"unknown array spec type {type(spec).__name__}")
 
 
-class StorageProvider(ABC):
-    """Publishes arrays as zero-copy views addressed by picklable specs."""
+class MmapColumnWriter:
+    """Appends arrays to one data file, each attachable as a read-only memmap.
 
-    backend: str = "abstract"
-
-    @abstractmethod
-    def publish(self, array: np.ndarray) -> ArraySpec:
-        """Expose ``array`` through this provider and return its spec."""
-
-    def attach(self, spec: ArraySpec, writable: bool = False):
-        """Attach a spec published by any provider; see :func:`attach_spec`."""
-        return attach_spec(spec, writable=writable)
-
-    @abstractmethod
-    def close(self) -> None:
-        """Release everything the provider owns (idempotent)."""
-
-    def __enter__(self) -> "StorageProvider":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class ShmStorageProvider(SegmentRegistry, StorageProvider):
-    """Shared-memory backend: the cluster runtime's publication registry.
-
-    Publication and unlink-exactly-once semantics are inherited from
-    :class:`~repro.utils.shm.SegmentRegistry` unchanged — the provider only
-    adds the backend-agnostic attach half, so the multiprocess parity
-    suite runs against the very same mechanics as before the refactor.
+    :meth:`publish` appends each array at a :data:`MMAP_ALIGNMENT`-aligned
+    offset and records a CRC32 of its bytes (readable via :meth:`checksums`,
+    persisted by the snapshot manifest).  :meth:`close` flushes and closes
+    the file but never deletes data: deleting a snapshot is an explicit
+    filesystem operation, not a lifecycle event.
     """
 
-    backend = "shm"
-
-
-class MmapStorageProvider(StorageProvider):
-    """File backend: arrays appended to one data file, attached via memmap.
-
-    In write mode (``create=True``) :meth:`publish` appends each array at a
-    :data:`MMAP_ALIGNMENT`-aligned offset and records a CRC32 of its bytes
-    (readable via :meth:`checksums`, persisted by the snapshot manifest).
-    A provider opened over an existing file (``create=False``) is
-    read-only and only attaches.
-
-    Unlike shm segments, published bytes are durable: :meth:`close` flushes
-    and closes the file handle but never deletes data — deleting a
-    snapshot is an explicit filesystem operation, not a lifecycle event.
-    """
-
-    backend = "mmap"
-
-    def __init__(self, data_path: str | Path, create: bool = False) -> None:
+    def __init__(self, data_path: str | Path) -> None:
         self._path = str(Path(data_path).resolve())
-        self._handle = None
         self._offset = 0
         self._checksums: List[int] = []
-        self._closed = False
-        if create:
-            Path(self._path).parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self._path, "wb")
-
-    @property
-    def data_path(self) -> str:
-        """Absolute path of the backing data file."""
-        return self._path
+        Path(self._path).parent.mkdir(parents=True, exist_ok=True)
+        self._handle = open(self._path, "wb")
 
     def publish(self, array: np.ndarray) -> MmapArraySpec:
         """Append ``array`` to the data file and return its spec."""
         if self._handle is None:
-            raise StorageError(
-                "provider is read-only (opened without create=True)"
-                if not self._closed else "storage provider is closed"
-            )
+            raise StorageError("column writer is closed")
         contiguous = np.ascontiguousarray(array)
         padding = -self._offset % MMAP_ALIGNMENT
         if padding:
@@ -247,13 +185,16 @@ class MmapStorageProvider(StorageProvider):
 
     def close(self) -> None:
         """Flush and close the data file (idempotent; data stays on disk)."""
-        if self._closed:
-            return
-        self._closed = True
         handle, self._handle = self._handle, None
         if handle is not None:
             handle.flush()
             handle.close()
+
+    def __enter__(self) -> "MmapColumnWriter":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def verify_checksum(spec: MmapArraySpec, expected: int) -> bool:

@@ -1,33 +1,33 @@
-"""Persistent CSR snapshots: versioned manifest + one aligned column file.
+"""Persistent snapshots: versioned manifest + one aligned column file.
 
-A snapshot is a directory holding the graph's columns exactly as they live
-in RAM:
+A snapshot is a directory holding a :class:`~repro.cloud.cluster.MemoryCloud`'s
+image exactly as it lives in RAM:
 
 ``manifest.json``
     Versioned description of everything else: format name/version, a
     monotonically increasing *generation* (bumped by compaction), node and
-    edge counts, the interned label table, and one entry per stored array
+    edge counts, the interned label table, the cloud section (machine
+    count, partitioner, label-pair metadata) and one entry per stored array
     (name, byte offset, shape, dtype, CRC32).  Offsets are relative to the
     data file, so a snapshot directory can be moved or copied freely.
 ``columns.bin``
     Every array appended at a 64-byte-aligned offset by
-    :class:`~repro.storage.provider.MmapStorageProvider`.  Reopening
-    attaches ``np.memmap`` views — no bytes are read until faulted in, so
-    opening a million-node graph costs file metadata, not array scans.
+    :class:`~repro.storage.provider.MmapColumnWriter`.  Reopening attaches
+    ``np.memmap`` views — no bytes are read until faulted in, so opening a
+    million-node graph costs file metadata, not array scans.
 ``deltas.log``
     Optional append-only edge/label log (see :mod:`repro.storage.delta`)
-    replayed over the base columns at open time.
+    merged into the image at open time.
 
-Array names are namespaced.  A graph-only snapshot stores the four
-``graph/*`` CSR columns (:data:`GRAPH_ARRAY_NAMES`).  A snapshot saved from
-a :class:`~repro.cloud.cluster.MemoryCloud` stores the cloud's image
-instead — ``graph/node_ids|label_ids``, ``assignment/machines`` (the
-partition map), ``machine{i}/*`` (each machine's CSR partition) — plus
-``labelpairs/{a}_{b}`` (packed cross-machine label-pair keys).  Each
-adjacency list is stored once, in its owner's partition; a graph read from
-a cloud snapshot is derived from the image (:func:`graph_from_manifest`).
-Version 1 cloud snapshots also stored a global ``graph/offsets|neighbors``
-copy and an ``assignment/ids`` alias; readers ignore both.
+Arrays are named as the image's columns
+(:func:`~repro.cloud.cluster.column_names`), plus ``labelpairs/{a}_{b}``
+(packed cross-machine label-pair keys).  Version 1 snapshots also stored a
+global ``graph/offsets|neighbors`` copy and an ``assignment/ids`` alias;
+readers ignore both.  A directory of the retired graph-only kind (the four
+``graph/*`` CSR columns, no cloud section) is read at parse as a
+one-machine image: its CSR is ``machine0/*``, and its all-zero partition
+map is built in RAM (:attr:`SnapshotManifest.resident`).  Nothing after
+the parse tells the two apart.
 
 Both writes (``columns.bin`` then ``manifest.json``) go through temporary
 files and ``os.replace``, so a crashed save or compaction never leaves a
@@ -47,10 +47,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cloud.cluster import MACHINE_COLUMNS, column_names
 from repro.errors import StorageError
+from repro.graph.partition import MACHINE_DTYPE
 from repro.storage.provider import (
     MmapArraySpec,
-    MmapStorageProvider,
+    MmapColumnWriter,
+    attach_columns,
     attach_spec,
     verify_checksum,
 )
@@ -65,18 +68,8 @@ MANIFEST_NAME = "manifest.json"
 DATA_NAME = "columns.bin"
 DELTA_LOG_NAME = "deltas.log"
 
-#: The four arrays of a graph-only snapshot (the single-machine CSR columns).
-GRAPH_ARRAY_NAMES: Tuple[str, ...] = (
-    "graph/node_ids",
-    "graph/label_ids",
-    "graph/offsets",
-    "graph/neighbors",
-)
-
-
-def _required_arrays(cloud: Optional[dict]) -> Tuple[str, ...]:
-    """Arrays a snapshot must store: a cloud snapshot derives the CSR."""
-    return GRAPH_ARRAY_NAMES[:2] if cloud is not None else GRAPH_ARRAY_NAMES
+#: The cloud section a graph-only manifest is read with (no label-pair keys).
+GRAPH_ONLY_CLOUD = {"machine_count": 1, "partitioner": "hash", "track_label_pairs": False}
 
 
 @dataclass
@@ -93,11 +86,13 @@ class SnapshotManifest:
         arrays: name -> :class:`MmapArraySpec` bound to this directory's
             data file (picklable; ship them to worker processes as-is).
         checksums: name -> CRC32 recorded at write time.
-        cloud: cloud-state section (machine count, partitioner name, packed
-            label-pair metadata) or ``None`` for graph-only snapshots.
+        cloud: cloud section (machine count, partitioner name, packed
+            label-pair metadata).
         id_map: ``id_map`` manifest section (external-ID kind and count;
             see :class:`repro.ingest.IdMap`) or ``None`` when the stored
             node IDs are the caller's own.
+        resident: image columns the data file does not hold, built at
+            parse (only a graph-only snapshot's partition map).
     """
 
     directory: Path
@@ -108,31 +103,46 @@ class SnapshotManifest:
     labels: Tuple[str, ...]
     arrays: Dict[str, MmapArraySpec] = field(default_factory=dict)
     checksums: Dict[str, int] = field(default_factory=dict)
-    cloud: Optional[dict] = None
+    cloud: dict = field(default_factory=dict)
     id_map: Optional[dict] = None
+    resident: Dict[str, np.ndarray] = field(default_factory=dict)
 
     def spec(self, name: str) -> MmapArraySpec:
         """The spec of array ``name``; raises StorageError when absent."""
         spec = self.arrays.get(name)
         if spec is None:
-            raise StorageError(
-                f"snapshot {self.directory} has no array {name!r}"
-            )
+            raise StorageError(f"snapshot {self.directory} has no array {name!r}")
         return spec
 
     def attach(self, name: str):
         """Attach array ``name``, returning ``(handle, view)``."""
         return attach_spec(self.spec(name))
 
-    @property
-    def has_cloud_state(self) -> bool:
-        """True when the snapshot stores partitioned cloud state."""
-        return self.cloud is not None
+    def attach_image(self) -> Tuple[Dict[str, np.ndarray], List, Optional[dict]]:
+        """Attach every image column as a read-only view.
+
+        Returns ``(views, handles, specs)``: ``specs`` maps each column to
+        its mmap spec, or is ``None`` when a column lives in RAM
+        (:attr:`resident`), since such an image is no file publication.
+        """
+        specs = {
+            name: self.spec(name)
+            for name in column_names(self.machine_count)
+            if name not in self.resident
+        }
+        views, handles = attach_columns(specs)
+        views.update(self.resident)
+        return views, handles, None if self.resident else specs
 
     @property
     def machine_count(self) -> int:
-        """Machines in the stored cloud state (0 for graph-only snapshots)."""
-        return int(self.cloud["machine_count"]) if self.cloud else 0
+        """Machines in the stored image."""
+        return int(self.cloud["machine_count"])
+
+    def id_map_covers(self, node_id: int) -> bool:
+        """False only for a node ID outside the persisted id_map's dense
+        domain (``0 <= id < len(map)``): its external ID is unknown."""
+        return self.id_map is None or 0 <= node_id < int(self.id_map["count"])
 
     def verify(self) -> None:
         """Re-read every array and compare checksums.
@@ -172,18 +182,22 @@ def covering_id_map(manifest: SnapshotManifest, node_ids: np.ndarray):
     """The persisted :class:`~repro.ingest.IdMap` if it covers ``node_ids``.
 
     ``node_ids`` are the sorted IDs of the graph being opened.  When deltas
-    appended nodes the persisted map never saw, external-ID translation
-    would be wrong: a warning is issued and ``None`` returned, so the
-    reopened graph reports its stored (dense) IDs until the dataset is
-    re-ingested.  ``None`` also when the snapshot persists no map.
+    added nodes the persisted map never saw (see
+    :meth:`SnapshotManifest.id_map_covers`), external-ID translation would
+    be wrong: a warning is issued and ``None`` returned, so the reopened
+    graph reports its stored (dense) IDs until the dataset is re-ingested.
+    ``None`` also when the snapshot persists no map.
     """
     id_map = manifest.load_id_map()
-    if id_map is None or not len(node_ids) or int(node_ids[-1]) < len(id_map):
+    if id_map is None or not len(node_ids):
         return id_map
+    low, high = int(node_ids[0]), int(node_ids[-1])
+    if manifest.id_map_covers(low) and manifest.id_map_covers(high):
+        return id_map
+    reason = f"{low} < 0" if low < 0 else f"{high} >= {len(id_map)}"
     warnings.warn(
         f"snapshot {manifest.directory} has nodes beyond its id_map "
-        f"({int(node_ids[-1])} >= {len(id_map)}); "
-        "dropping the external-ID mapping",
+        f"({reason}); dropping the external-ID mapping",
         stacklevel=3,
     )
     return None
@@ -201,22 +215,21 @@ def write_snapshot(
     node_count: int,
     edge_count: int,
     labels: Sequence[str],
-    cloud: Optional[dict] = None,
+    cloud: dict,
     generation: int = 1,
     id_map=None,
 ) -> SnapshotManifest:
     """Write a snapshot directory from named arrays (the low-level writer).
 
-    ``arrays`` must include every :data:`GRAPH_ARRAY_NAMES` entry, or only
-    ``graph/node_ids|label_ids`` when a ``cloud`` section is given; callers
-    wanting the one-liner for a plain graph use :func:`save_graph_snapshot`,
-    and :meth:`MemoryCloud.save_snapshot
-    <repro.cloud.cluster.MemoryCloud.save_snapshot>` adds the cloud section.
-    Data and manifest are written to temporaries and moved into place, so
-    a concurrent reader sees either the old snapshot or the new one; on any
-    failure the temporaries are removed before the error propagates.
+    ``arrays`` must include every image column of the ``cloud`` section's
+    machine count (:func:`~repro.cloud.cluster.column_names`); the one
+    caller is :meth:`MemoryCloud.save_snapshot
+    <repro.cloud.cluster.MemoryCloud.save_snapshot>`.  Data and manifest are
+    written to temporaries and moved into place, so a concurrent reader
+    sees either the old snapshot or the new one; on any failure the
+    temporaries are removed before the error propagates.
     """
-    for name in _required_arrays(cloud):
+    for name in column_names(int(cloud["machine_count"])):
         if name not in arrays:
             raise StorageError(f"snapshot is missing required array {name!r}")
     if id_map is not None and id_map.is_identity:
@@ -230,12 +243,12 @@ def write_snapshot(
     manifest_tmp = target / (MANIFEST_NAME + ".tmp")
     try:
         entries: List[dict] = []
-        with MmapStorageProvider(data_tmp, create=True) as provider:
+        with MmapColumnWriter(data_tmp) as writer:
             for name, array in arrays.items():
-                spec = provider.publish(np.asarray(array))
+                spec = writer.publish(np.asarray(array))
                 entries.append({"name": name, "offset": spec.offset,
                                 "shape": list(spec.shape), "dtype": spec.dtype})
-            for entry, crc in zip(entries, provider.checksums()):
+            for entry, crc in zip(entries, writer.checksums()):
                 entry["crc32"] = crc
 
         manifest_doc = {
@@ -248,9 +261,8 @@ def write_snapshot(
             "labels": list(labels),
             "data_file": DATA_NAME,
             "arrays": entries,
+            "cloud": cloud,
         }
-        if cloud is not None:
-            manifest_doc["cloud"] = cloud
         if id_map is not None:
             manifest_doc["id_map"] = id_map.manifest_meta()
         manifest_tmp.write_text(json.dumps(manifest_doc, indent=1) + "\n")
@@ -329,6 +341,20 @@ def _manifest_from_doc(target: Path, doc: dict) -> SnapshotManifest:
             )
         checksums[name] = int(entry.get("crc32", 0))
 
+    cloud = doc.get("cloud")
+    resident: Dict[str, np.ndarray] = {}
+    if cloud is None:
+        # Graph-only: one machine whose partition is the whole CSR.
+        cloud = dict(GRAPH_ONLY_CLOUD)
+        for column in MACHINE_COLUMNS:
+            name = f"graph/{column}"
+            if name not in arrays:
+                raise _missing_array(target, name)
+            arrays[f"machine0/{column}"] = arrays[name]
+            checksums[f"machine0/{column}"] = checksums[name]
+        resident["assignment/machines"] = np.zeros(
+            arrays["graph/node_ids"].shape, dtype=MACHINE_DTYPE
+        )
     manifest = SnapshotManifest(
         directory=target,
         version=version,
@@ -338,108 +364,36 @@ def _manifest_from_doc(target: Path, doc: dict) -> SnapshotManifest:
         labels=tuple(doc.get("labels", ())),
         arrays=arrays,
         checksums=checksums,
-        cloud=doc.get("cloud"),
+        cloud=cloud,
         id_map=doc.get("id_map"),
+        resident=resident,
     )
-    for name in _required_arrays(manifest.cloud):
-        if name not in manifest.arrays:
-            raise StorageError(
-                f"snapshot {target} is missing required array {name!r}"
-            )
+    for name in column_names(manifest.machine_count):
+        if name not in arrays and name not in resident:
+            raise _missing_array(target, name)
     return manifest
 
 
-def save_graph_snapshot(
-    graph,
-    directory: str | Path,
-    *,
-    generation: int = 1,
-) -> SnapshotManifest:
-    """Persist a :class:`~repro.graph.labeled_graph.LabeledGraph`'s columns.
-
-    Stores only the ``graph/*`` section; saving from a cloud (which adds
-    partition state) is :meth:`MemoryCloud.save_snapshot
-    <repro.cloud.cluster.MemoryCloud.save_snapshot>`.
-    """
-    arrays = {
-        "graph/node_ids": graph.node_id_array(),
-        "graph/label_ids": graph.label_id_array(),
-        "graph/offsets": graph.offset_array(),
-        "graph/neighbors": graph.neighbor_array(),
-    }
-    return write_snapshot(
-        directory,
-        arrays,
-        node_count=graph.node_count,
-        edge_count=graph.edge_count,
-        labels=graph.label_table.labels(),
-        generation=generation,
-        id_map=getattr(graph, "id_map", None),
-    )
+def _missing_array(target: Path, name: str) -> StorageError:
+    return StorageError(f"snapshot {target} is missing required array {name!r}")
 
 
-def open_graph_snapshot(
-    directory: str | Path,
-    *,
-    replay: bool = True,
-    verify: bool = False,
-):
+def open_graph_snapshot(directory: str | Path, *, verify: bool = False):
     """Reopen a snapshot as a :class:`~repro.graph.labeled_graph.LabeledGraph`.
 
-    The base columns are adopted as read-only ``np.memmap`` views — the
-    graph is usable immediately and pages fault in on first access.  With
-    ``replay`` (the default) a non-empty delta log is spliced into the base
-    (see :func:`repro.storage.delta.replay_deltas`): the columns it changes
-    are copied into RAM, the others stay memmap views; pass ``replay=False``
-    to read the base generation only.
+    The image is opened as every reader opens it — attached, a pending
+    delta log merged in (:func:`repro.storage.cloud_snapshot.parsed_snapshot_graph`)
+    — and the graph derived from it.  Columns the derivation does not
+    change (node and label IDs; a one-machine image's whole CSR) stay
+    read-only ``np.memmap`` views.
 
     Returns the graph; its ``snapshot_manifest`` attribute carries the
     parsed :class:`SnapshotManifest` for callers that need the metadata.
     """
+    from repro.storage.cloud_snapshot import parsed_snapshot_graph
+    from repro.storage.delta import DeltaLog
+
     manifest = read_manifest(directory, verify=verify)
-    records = ()
-    if replay:
-        from repro.storage.delta import DeltaLog
-
-        records = DeltaLog(manifest.directory).read()
-    return graph_from_manifest(manifest, records)
-
-
-def graph_from_manifest(manifest: SnapshotManifest, records: Sequence = ()):
-    """The graph of an already-parsed snapshot, ``records`` replayed over it.
-
-    The body of :func:`open_graph_snapshot`, for callers that have parsed
-    ``manifest.json`` and ``deltas.log`` themselves (a cloud open or a
-    compaction needs both for its own decisions and must not parse twice).
-    A graph-only snapshot's CSR columns are adopted as they are; a cloud
-    snapshot stores no global CSR, so its graph is derived from the image
-    (:func:`repro.storage.cloud_snapshot.image_graph`, one O(graph) pass).
-    """
-    from repro.graph.label_table import LabelTable
-    from repro.graph.labeled_graph import LabeledGraph
-
-    label_table = LabelTable(manifest.labels)
-    if manifest.has_cloud_state:
-        from repro.cloud.cluster import column_names
-        from repro.storage.cloud_snapshot import image_graph
-
-        columns = {
-            name: manifest.attach(name)[1]
-            for name in column_names(manifest.machine_count)
-        }
-        graph = image_graph(
-            columns, manifest.machine_count, label_table, manifest.edge_count
-        )
-    else:
-        graph = LabeledGraph.from_csr(
-            label_table,
-            *(manifest.attach(name)[1] for name in GRAPH_ARRAY_NAMES),
-            manifest.edge_count,
-        )
-    if records:
-        from repro.storage.delta import replay_deltas
-
-        graph = replay_deltas(graph, records)
-    graph.id_map = covering_id_map(manifest, graph.node_id_array())
+    graph = parsed_snapshot_graph(manifest, DeltaLog(manifest.directory).read())
     graph.snapshot_manifest = manifest
     return graph

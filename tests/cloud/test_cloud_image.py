@@ -29,7 +29,8 @@ from repro.graph.partition import (
 )
 from repro.query.query_graph import QueryGraph
 from repro.runtime.shared_cloud import publish_cloud
-from repro.storage.provider import ShmStorageProvider, attach_columns
+from repro.storage.provider import attach_columns
+from repro.utils.shm import SegmentRegistry
 
 from tests.property.strategies import labeled_graphs
 
@@ -57,14 +58,14 @@ def via_arrays(cloud, directory):
 
 
 def via_shm(cloud, directory):
-    provider = ShmStorageProvider()
-    specs = {name: provider.publish(array) for name, array in cloud.columns().items()}
+    registry = SegmentRegistry()
+    specs = {name: registry.publish(array) for name, array in cloud.columns().items()}
     columns, handles = attach_columns(specs)
 
     def release():
         for handle in handles:
             handle.close()
-        provider.close()
+        registry.close()
 
     return reinstall(cloud, columns, backing=handles), release
 

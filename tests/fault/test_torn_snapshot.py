@@ -23,7 +23,7 @@ from repro.errors import StorageError
 from repro.graph.generators.power_law import generate_power_law
 from repro.query.generators import dfs_query
 from repro.storage.delta import DeltaLog, compact_snapshot
-from repro.storage.provider import MmapStorageProvider
+from repro.storage.provider import MmapColumnWriter
 from repro.storage.snapshot import open_graph_snapshot, read_manifest
 
 
@@ -95,16 +95,16 @@ def test_truncated_data_file_is_a_storage_error(snapshot, cut, reader):
 
 
 def disk_full_on_fifth_array(patch):
-    real_publish = MmapStorageProvider.publish
+    real_publish = MmapColumnWriter.publish
     calls = []
 
-    def publish(provider, array):
+    def publish(writer, array):
         calls.append(array)
         if len(calls) == 5:
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return real_publish(provider, array)
+        return real_publish(writer, array)
 
-    patch.setattr(MmapStorageProvider, "publish", publish)
+    patch.setattr(MmapColumnWriter, "publish", publish)
 
 
 def test_failed_save_leaves_the_previous_generation(snapshot, graph, query):

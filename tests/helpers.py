@@ -227,8 +227,8 @@ def oracle_join(tables, order: Sequence[int], columns=None) -> np.ndarray:
 def oracle_replay(base: LabeledGraph, records) -> LabeledGraph:
     """``records`` replayed over ``base`` by rebuilding the graph from scratch.
 
-    The replay ``repro.storage.delta.replay_deltas`` ran until it became a
-    splice: the CSR expanded back to an edge list, the log concatenated,
+    The replay the storage layer ran until it became a splice into the
+    image: the CSR expanded back to an edge list, the log concatenated,
     everything re-sorted through the bulk loader (which collapses duplicate
     edges and rejects self-loops and unlabeled endpoints).  O(graph) per
     call, which is why it lives here.

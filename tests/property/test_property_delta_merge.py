@@ -5,7 +5,8 @@ image (``repro.storage.delta.splice_csr``) instead of rebuilding the graph.
 The central property: for any base graph x cluster shape x log, the merged
 image *is* the rebuilt one — ``tests.helpers.oracle_replay`` (the replay as
 it was: expand, concatenate, ``from_arrays``) partitioned by ``load_graph`` —
-column for column, values and dtypes, label pairs and counts included.
+column for column, values and dtypes, label pairs and counts included; and
+the graph read back from that snapshot is the rebuilt graph.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from repro.graph.partition import (
     RoundRobinPartitioner,
 )
 from repro.ingest import IdMap
-from repro.storage.delta import DeltaLog, DeltaRecord, compact_snapshot, replay_deltas
+from repro.storage.delta import DeltaLog, DeltaRecord, compact_snapshot
+from repro.storage.snapshot import open_graph_snapshot
 from tests.helpers import assert_same_array, assert_same_image, oracle_replay
 
 RELAXED = settings(
@@ -160,20 +162,20 @@ def rebuilt(graph: LabeledGraph, like: MemoryCloud) -> MemoryCloud:
 
 class TestGraphReplay:
     @RELAXED
-    @given(data=st.data())
-    def test_splice_equals_rebuild(self, data):
-        base = data.draw(base_graphs())
-        records = data.draw(delta_logs(base))
-        before = [
-            np.array(column)
-            for column in (base.label_id_array(), base.offset_array(), base.neighbor_array())
-        ]
-        assert_same_graph(replay_deltas(base, records), oracle_replay(base, records))
-        # The base is never written through.
-        for column, kept in zip(
-            (base.label_id_array(), base.offset_array(), base.neighbor_array()), before
-        ):
-            assert np.array_equal(column, kept)
+    @given(drawn=snapshots_with_logs())
+    def test_splice_equals_rebuild(self, drawn):
+        """The graph read through ``open_graph_snapshot`` with a pending log."""
+        base, records, machine_count, partitioner = drawn
+        config = ClusterConfig(machine_count=machine_count, partitioner=partitioner)
+        with tempfile.TemporaryDirectory() as snapshot:
+            MemoryCloud.from_graph(base, config).save_snapshot(snapshot)
+            DeltaLog(snapshot).append(records)
+            with open(f"{snapshot}/columns.bin", "rb") as data:
+                before = data.read()
+            assert_same_graph(open_graph_snapshot(snapshot), oracle_replay(base, records))
+            # The base is never written through.
+            with open(f"{snapshot}/columns.bin", "rb") as data:
+                assert data.read() == before
 
 
 class TestCloudOverlay:
@@ -188,6 +190,7 @@ class TestCloudOverlay:
             DeltaLog(snapshot).append(records)
             overlay = MemoryCloud.open_snapshot(snapshot)
             assert overlay.storage_publication is None
+            assert_same_graph(open_graph_snapshot(snapshot), expected_graph)
             # Known nodes keep their stored machine, so the reference is
             # the rebuild under the merged cloud's own assignment ...
             assert_same_image(overlay, rebuilt(expected_graph, overlay))
@@ -205,6 +208,7 @@ class TestCloudOverlay:
             clean = MemoryCloud.open_snapshot(snapshot)
             assert clean.storage_publication is not None
             assert_same_image(clean, overlay)
+            assert_same_graph(open_graph_snapshot(snapshot), expected_graph)
 
     @RELAXED
     @given(drawn=snapshots_with_logs(invalid=True))
@@ -212,27 +216,27 @@ class TestCloudOverlay:
         base, records, machine_count, partitioner = drawn
         with pytest.raises(StorageError, match="^delta log replay failed: ") as rebuilt_error:
             oracle_replay(base, records)
-        with pytest.raises(StorageError) as spliced_error:
-            replay_deltas(base, records)
-        assert str(spliced_error.value) == str(rebuilt_error.value)
         with tempfile.TemporaryDirectory() as snapshot:
             MemoryCloud.from_graph(
                 base, ClusterConfig(machine_count=machine_count, partitioner=partitioner)
             ).save_snapshot(snapshot)
             DeltaLog(snapshot).append(records)
-            with pytest.raises(StorageError) as overlay_error:
-                MemoryCloud.open_snapshot(snapshot)
-            assert str(overlay_error.value) == str(rebuilt_error.value)
+            for reader in (MemoryCloud.open_snapshot, open_graph_snapshot):
+                with pytest.raises(StorageError) as overlay_error:
+                    reader(snapshot)
+                assert str(overlay_error.value) == str(rebuilt_error.value)
 
     @RELAXED
     @given(
         base=base_graphs(),
         machine_count=st.integers(min_value=1, max_value=3),
-        beyond=st.integers(min_value=0, max_value=5),
+        beyond=st.integers(min_value=-3, max_value=5),
         data=st.data(),
     )
     def test_node_beyond_the_id_map(self, base, machine_count, beyond, data):
-        """An ingested base (dense IDs + ``id_map``) and a node the map never saw."""
+        """An ingested base (dense IDs + ``id_map``) and a node the map never
+        saw, above its domain or below it (a negative ID): the open warns and
+        serves dense IDs, the compaction refuses."""
         count = base.node_count
         dense = LabeledGraph.from_csr(
             LabelTable(base.label_table.labels()),
@@ -243,9 +247,10 @@ class TestCloudOverlay:
             base.edge_count,
         )
         dense.id_map = IdMap.from_external(np.arange(count, dtype=NODE_DTYPE) * 10 + 7)
+        stranger = count + beyond if beyond >= 0 else beyond
         records = [
-            DeltaRecord("node", count + beyond, label=data.draw(st.sampled_from(NEW_LABELS))),
-            DeltaRecord("edge", count + beyond, 0),
+            DeltaRecord("node", stranger, label=data.draw(st.sampled_from(NEW_LABELS))),
+            DeltaRecord("edge", stranger, 0),
         ]
         config = ClusterConfig(machine_count=machine_count)
         with tempfile.TemporaryDirectory() as snapshot:
@@ -260,3 +265,6 @@ class TestCloudOverlay:
                 assert_same_image(
                     overlay, MemoryCloud.from_graph(oracle_replay(dense, records), config)
                 )
+            with pytest.raises(StorageError, match="outside its id_map"):
+                compact_snapshot(snapshot)
+            assert DeltaLog(snapshot).read() == records

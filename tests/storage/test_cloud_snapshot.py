@@ -16,9 +16,15 @@ from repro.query.generators import dfs_query
 from repro.query.query_graph import QueryGraph
 from repro.errors import StorageError
 from repro.storage.cloud_snapshot import cluster_config_from_manifest
-from repro.storage.delta import DeltaLog, DeltaRecord, compact_snapshot, replay_deltas
-from repro.storage.snapshot import read_manifest, save_graph_snapshot, write_snapshot
-from tests.helpers import assert_same_image
+from repro.storage.delta import DeltaLog, DeltaRecord, compact_snapshot
+from repro.storage.provider import MmapColumnWriter
+from repro.storage.snapshot import (
+    SNAPSHOT_FORMAT,
+    open_graph_snapshot,
+    read_manifest,
+    write_snapshot,
+)
+from tests.helpers import assert_same_image, oracle_replay
 
 
 @pytest.fixture
@@ -47,7 +53,6 @@ def match_rows(cloud, query, executor="serial"):
 class TestCloudRoundTrip:
     def test_fast_path_round_trip(self, tmp_path, cloud, graph):
         manifest = cloud.save_snapshot(tmp_path / "snap")
-        assert manifest.has_cloud_state
         assert manifest.machine_count == 3
 
         reopened = MemoryCloud.open_snapshot(tmp_path / "snap")
@@ -147,7 +152,7 @@ class TestFallbackPaths:
         assert 0 in {int(n) for n in reopened.load_neighbors(5000)}
 
     def test_graph_only_snapshot_repartitions(self, tmp_path, graph):
-        save_graph_snapshot(graph, tmp_path / "snap")
+        write_graph_only_snapshot(graph, tmp_path / "snap")
         reopened = MemoryCloud.open_snapshot(
             tmp_path / "snap", ClusterConfig(machine_count=2)
         )
@@ -283,7 +288,7 @@ class TestOverlayMerge:
             tmp_path / "snap", ClusterConfig(machine_count=3)
         )
         merged = MemoryCloud.from_graph(
-            replay_deltas(graph, [DeltaRecord("edge", 0, 79)]),
+            oracle_replay(graph, [DeltaRecord("edge", 0, 79)]),
             ClusterConfig(machine_count=3),
         )
         # Hash placement depends on the ID alone, so the whole image matches.
@@ -387,6 +392,25 @@ class TestIdMapBeyondCompaction:
             compact_snapshot(snapshot)
         assert {name: (snapshot / name).read_bytes() for name in files} == before
         assert read_manifest(snapshot).id_map == {"kind": "int", "count": 4}
+
+    def test_a_negative_node_is_outside_the_id_map(self, tmp_path):
+        """Dense IDs start at 0, so node -1 has no external ID either."""
+        from repro.ingest import ingest_edges
+
+        ingested = ingest_edges(np.array([100, 200]), np.array([200, 300]))
+        snapshot = tmp_path / "snap"
+        MemoryCloud.from_graph(ingested, ClusterConfig(machine_count=2)).save_snapshot(snapshot)
+        DeltaLog(snapshot).append_nodes([(-1, "z")])
+        DeltaLog(snapshot).append_edges([(-1, 1)])
+        with pytest.warns(UserWarning, match=r"beyond its id_map \(-1 < 0\)"):
+            overlay = MemoryCloud.open_snapshot(snapshot)
+        assert overlay.id_map is None
+        assert overlay.node_count == 4
+        before = (snapshot / "columns.bin").read_bytes()
+        with pytest.raises(StorageError, match="node -1 lies outside its id_map"):
+            compact_snapshot(snapshot)
+        assert (snapshot / "columns.bin").read_bytes() == before
+        assert read_manifest(snapshot).generation == 1
 
 
 class TestQueryParity:
@@ -515,8 +539,6 @@ class TestVersion1Snapshots:
         assert match_rows(old, query) == match_rows(new, query)
 
     def test_graph_readers_derive_the_same_graph(self, snapshots, graph):
-        from repro.storage.snapshot import open_graph_snapshot
-
         for directory in snapshots:
             derived = api.load_dataset(directory)
             for column in ("node_id_array", "label_id_array", "offset_array", "neighbor_array"):
@@ -540,3 +562,100 @@ class TestVersion1Snapshots:
             assert old.storage_publication is not None
             assert_same_image(old, new)
             assert match_rows(old, query) == match_rows(new, query)
+
+
+def write_graph_only_snapshot(graph, directory):
+    """``graph`` as the retired graph-only writer laid it out: the four
+    ``graph/*`` CSR columns and a manifest without a cloud section."""
+    import json
+
+    directory.mkdir(parents=True)
+    arrays = {
+        "graph/node_ids": graph.node_id_array(),
+        "graph/label_ids": graph.label_id_array(),
+        "graph/offsets": graph.offset_array(),
+        "graph/neighbors": graph.neighbor_array(),
+    }
+    entries = []
+    with MmapColumnWriter(directory / "columns.bin") as writer:
+        for name, array in arrays.items():
+            spec = writer.publish(array)
+            entries.append({"name": name, "offset": spec.offset,
+                            "shape": list(spec.shape), "dtype": spec.dtype})
+        for entry, crc in zip(entries, writer.checksums()):
+            entry["crc32"] = crc
+    doc = {
+        "format": SNAPSHOT_FORMAT, "version": 2, "generation": 1,
+        "created_unix": 0.0, "node_count": graph.node_count,
+        "edge_count": graph.edge_count, "labels": list(graph.label_table.labels()),
+        "data_file": "columns.bin", "arrays": entries,
+    }
+    (directory / "manifest.json").write_text(json.dumps(doc))
+    return directory
+
+
+class TestGraphOnlySnapshots:
+    """A directory of the retired graph-only kind reads as a one-machine image."""
+
+    #: What such a directory opens as without ``machines=``.
+    ONE_MACHINE = ClusterConfig(machine_count=1, track_label_pairs=False)
+
+    @pytest.fixture
+    def legacy(self, tmp_path, graph):
+        return write_graph_only_snapshot(graph, tmp_path / "legacy")
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_opens_as_one_machine(self, legacy, graph, cloud, executor):
+        query = two_edge_path_query(graph)
+        with MemoryCloud.open_snapshot(legacy) as opened:
+            assert opened.machine_count == 1
+            # The partition map lives in RAM: not a file-only image.
+            assert opened.storage_publication is None
+            assert_same_image(opened, MemoryCloud.from_graph(graph, self.ONE_MACHINE))
+            assert match_rows(opened, query, executor) == match_rows(cloud, query)
+        with api.connect(legacy, executor=executor) as db:
+            assert sorted(db.query(query).rows) == match_rows(cloud, query)
+
+    def test_graph_readers_get_the_csr_unchanged(self, legacy, graph):
+        for derived in (open_graph_snapshot(legacy), api.load_dataset(legacy)):
+            for column in ("node_id_array", "label_id_array", "offset_array", "neighbor_array"):
+                array = getattr(derived, column)()
+                assert isinstance(array, np.memmap), column
+                assert np.array_equal(array, getattr(graph, column)()), column
+            assert derived.edge_count == graph.edge_count
+
+    def test_pending_log_merges(self, legacy, graph):
+        records = [
+            DeltaRecord("node", 5000, label="new"),
+            DeltaRecord("edge", 5000, 0),
+            DeltaRecord("edge", 1, 78),
+        ]
+        DeltaLog(legacy).append(records)
+        expected = oracle_replay(graph, records)
+        with MemoryCloud.open_snapshot(legacy) as opened:
+            assert_same_image(opened, MemoryCloud.from_graph(expected, self.ONE_MACHINE))
+        merged = open_graph_snapshot(legacy)
+        for column in ("node_id_array", "label_id_array", "offset_array", "neighbor_array"):
+            assert np.array_equal(getattr(merged, column)(), getattr(expected, column)())
+
+    def test_compacts_to_a_one_machine_version_2_snapshot(self, legacy, graph):
+        query = two_edge_path_query(graph)
+        DeltaLog(legacy).append_edges([(0, 2), (1, 3)])
+        with MemoryCloud.open_snapshot(legacy) as overlay:
+            expected = match_rows(overlay, query)
+        manifest = compact_snapshot(legacy)
+        assert (manifest.version, manifest.generation, manifest.machine_count) == (2, 2, 1)
+        assert not manifest.resident
+        with MemoryCloud.open_snapshot(legacy) as compacted:
+            assert compacted.storage_publication is not None
+            assert match_rows(compacted, query) == expected
+
+    def test_a_missing_csr_column_is_named(self, legacy):
+        import json
+
+        path = legacy / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["arrays"] = [entry for entry in doc["arrays"] if entry["name"] != "graph/offsets"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(StorageError, match="missing required array 'graph/offsets'"):
+            read_manifest(legacy)

@@ -1,7 +1,8 @@
-"""Tests for the log-structured delta store: append, replay, compaction."""
+"""Tests for the log-structured delta store: append, merge at open, compaction."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cloud.cluster import MemoryCloud
@@ -9,12 +10,8 @@ from repro.cloud.config import ClusterConfig
 from repro.errors import StorageError
 from repro.graph.generators import generate_gnm
 from repro.graph.labeled_graph import LabeledGraph
-from repro.storage.delta import DeltaLog, DeltaRecord, compact_snapshot, replay_deltas
-from repro.storage.snapshot import (
-    open_graph_snapshot,
-    read_manifest,
-    save_graph_snapshot,
-)
+from repro.storage.delta import DeltaLog, DeltaRecord, compact_snapshot
+from repro.storage.snapshot import open_graph_snapshot, read_manifest
 
 
 @pytest.fixture
@@ -22,6 +19,23 @@ def base() -> LabeledGraph:
     labels = {0: "a", 1: "b", 2: "c", 3: "a"}
     edges = [(0, 1), (1, 2), (2, 3)]
     return LabeledGraph.from_edges(labels, edges)
+
+
+def save(graph: LabeledGraph, directory) -> None:
+    MemoryCloud.from_graph(graph, ClusterConfig(machine_count=2)).save_snapshot(directory)
+
+
+@pytest.fixture
+def merged(tmp_path, base):
+    """The graph read back from ``base``'s snapshot with ``records`` pending."""
+
+    def read_back(records):
+        directory = tmp_path / "snap"
+        save(base, directory)
+        DeltaLog(directory).append(records)
+        return open_graph_snapshot(directory)
+
+    return read_back
 
 
 class TestDeltaLog:
@@ -79,55 +93,56 @@ class TestDeltaLog:
 
 
 class TestReplay:
-    def test_empty_log_returns_base(self, base):
-        assert replay_deltas(base, []) is base
+    def test_empty_log_returns_base(self, base, merged):
+        reopened = merged([])
+        for column in ("node_id_array", "label_id_array", "offset_array", "neighbor_array"):
+            assert np.array_equal(getattr(reopened, column)(), getattr(base, column)())
+        assert reopened.edge_count == base.edge_count
 
-    def test_add_node_and_edges(self, base):
-        merged = replay_deltas(
-            base,
+    def test_add_node_and_edges(self, base, merged):
+        graph = merged(
             [
                 DeltaRecord("node", 10, label="d"),
                 DeltaRecord("edge", 10, 0),
                 DeltaRecord("edge", 10, 3),
             ],
         )
-        assert merged.node_count == base.node_count + 1
-        assert merged.edge_count == base.edge_count + 2
-        assert merged.labels()[10] == "d"
-        assert sorted(merged.neighbors(10)) == [0, 3]
+        assert graph.node_count == base.node_count + 1
+        assert graph.edge_count == base.edge_count + 2
+        assert graph.labels()[10] == "d"
+        assert sorted(graph.neighbors(10)) == [0, 3]
         # The base is untouched.
         assert base.node_count == 4
 
-    def test_relabel_existing_node(self, base):
-        merged = replay_deltas(base, [DeltaRecord("node", 0, label="z")])
-        assert merged.node_count == base.node_count
-        assert merged.labels()[0] == "z"
+    def test_relabel_existing_node(self, base, merged):
+        graph = merged([DeltaRecord("node", 0, label="z")])
+        assert graph.node_count == base.node_count
+        assert graph.labels()[0] == "z"
         assert base.labels()[0] == "a"
 
-    def test_duplicate_edge_is_idempotent(self, base):
-        merged = replay_deltas(base, [DeltaRecord("edge", 0, 1)])
-        assert merged.edge_count == base.edge_count
+    def test_duplicate_edge_is_idempotent(self, base, merged):
+        graph = merged([DeltaRecord("edge", 0, 1)])
+        assert graph.edge_count == base.edge_count
 
-    def test_later_node_record_wins(self, base):
-        merged = replay_deltas(
-            base,
+    def test_later_node_record_wins(self, merged):
+        graph = merged(
             [DeltaRecord("node", 10, label="x"), DeltaRecord("node", 10, label="y")],
         )
-        assert merged.labels()[10] == "y"
+        assert graph.labels()[10] == "y"
 
-    def test_edge_to_unknown_node_fails(self, base):
+    def test_edge_to_unknown_node_fails(self, merged):
         with pytest.raises(StorageError, match="replay failed"):
-            replay_deltas(base, [DeltaRecord("edge", 0, 999)])
+            merged([DeltaRecord("edge", 0, 999)])
 
 
 class TestCompaction:
     def test_compact_empty_log_is_noop(self, tmp_path, base):
-        save_graph_snapshot(base, tmp_path / "snap")
+        save(base, tmp_path / "snap")
         manifest = compact_snapshot(tmp_path / "snap")
         assert manifest.generation == 1
 
     def test_compact_folds_log_and_bumps_generation(self, tmp_path, base):
-        save_graph_snapshot(base, tmp_path / "snap")
+        save(base, tmp_path / "snap")
         log = DeltaLog(tmp_path / "snap")
         log.append_nodes([(10, "d")])
         log.append_edges([(10, 0)])
@@ -139,12 +154,12 @@ class TestCompaction:
         assert sorted(reopened.neighbors(10)) == [0]
 
     def test_open_replays_pending_log(self, tmp_path, base):
-        save_graph_snapshot(base, tmp_path / "snap")
+        save(base, tmp_path / "snap")
         DeltaLog(tmp_path / "snap").append_nodes([(10, "d")])
         replayed = open_graph_snapshot(tmp_path / "snap")
         assert replayed.node_count == base.node_count + 1
-        pristine = open_graph_snapshot(tmp_path / "snap", replay=False)
-        assert pristine.node_count == base.node_count
+        # The base generation on disk still holds the base.
+        assert replayed.snapshot_manifest.node_count == base.node_count
 
     def test_compact_preserves_cloud_state(self, tmp_path):
         graph = generate_gnm(50, 120, label_count=3, seed=5)
@@ -153,7 +168,6 @@ class TestCompaction:
         DeltaLog(tmp_path / "snap").append_edges([(0, 7)])
         manifest = compact_snapshot(tmp_path / "snap")
         assert manifest.generation == 2
-        assert manifest.has_cloud_state
         assert manifest.machine_count == 3
         reopened = MemoryCloud.open_snapshot(tmp_path / "snap")
         assert reopened.machine_count == 3

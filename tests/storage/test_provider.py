@@ -1,4 +1,4 @@
-"""Unit tests for the storage-provider abstraction (shm + mmap backends)."""
+"""Unit tests for array specs: attach dispatch (shm + mmap) and the column writer."""
 
 from __future__ import annotations
 
@@ -9,19 +9,18 @@ from repro.errors import StorageError
 from repro.storage.provider import (
     MMAP_ALIGNMENT,
     MmapArraySpec,
-    MmapStorageProvider,
-    ShmStorageProvider,
+    MmapColumnWriter,
     attach_spec,
     verify_checksum,
 )
-from repro.utils.shm import SharedArraySpec
+from repro.utils.shm import SegmentRegistry, SharedArraySpec
 
 
 class TestAttachDispatch:
     def test_shm_spec_round_trip(self):
         array = np.arange(10, dtype=np.int64)
-        with ShmStorageProvider() as provider:
-            spec = provider.publish(array)
+        with SegmentRegistry() as registry:
+            spec = registry.publish(array)
             assert isinstance(spec, SharedArraySpec)
             handle, view = attach_spec(spec)
             try:
@@ -31,8 +30,8 @@ class TestAttachDispatch:
 
     def test_mmap_spec_round_trip(self, tmp_path):
         array = np.arange(7, dtype=np.int32)
-        with MmapStorageProvider(tmp_path / "data.bin", create=True) as provider:
-            spec = provider.publish(array)
+        with MmapColumnWriter(tmp_path / "data.bin") as writer:
+            spec = writer.publish(array)
         assert isinstance(spec, MmapArraySpec)
         handle, view = attach_spec(spec)
         try:
@@ -42,8 +41,8 @@ class TestAttachDispatch:
             handle.close()
 
     def test_mmap_view_is_read_only(self, tmp_path):
-        with MmapStorageProvider(tmp_path / "data.bin", create=True) as provider:
-            spec = provider.publish(np.arange(4, dtype=np.int64))
+        with MmapColumnWriter(tmp_path / "data.bin") as writer:
+            spec = writer.publish(np.arange(4, dtype=np.int64))
         handle, view = attach_spec(spec)
         try:
             with pytest.raises((ValueError, TypeError)):
@@ -52,14 +51,14 @@ class TestAttachDispatch:
             handle.close()
 
     def test_writable_mmap_attach_rejected(self, tmp_path):
-        with MmapStorageProvider(tmp_path / "data.bin", create=True) as provider:
-            spec = provider.publish(np.arange(4, dtype=np.int64))
+        with MmapColumnWriter(tmp_path / "data.bin") as writer:
+            spec = writer.publish(np.arange(4, dtype=np.int64))
         with pytest.raises(StorageError):
             attach_spec(spec, writable=True)
 
     def test_empty_array_attaches_without_mapping(self, tmp_path):
-        with MmapStorageProvider(tmp_path / "data.bin", create=True) as provider:
-            spec = provider.publish(np.empty(0, dtype=np.int64))
+        with MmapColumnWriter(tmp_path / "data.bin") as writer:
+            spec = writer.publish(np.empty(0, dtype=np.int64))
         handle, view = attach_spec(spec)
         assert view.shape == (0,)
         assert view.dtype == np.int64
@@ -73,9 +72,9 @@ class TestAttachDispatch:
 
 class TestMmapProvider:
     def test_offsets_are_aligned(self, tmp_path):
-        with MmapStorageProvider(tmp_path / "data.bin", create=True) as provider:
+        with MmapColumnWriter(tmp_path / "data.bin") as writer:
             specs = [
-                provider.publish(np.arange(n, dtype=np.int8))
+                writer.publish(np.arange(n, dtype=np.int8))
                 for n in (3, 5, 1)
             ]
         for spec in specs:
@@ -83,33 +82,25 @@ class TestMmapProvider:
 
     def test_checksums_match_contents(self, tmp_path):
         arrays = [np.arange(6, dtype=np.int64), np.arange(9, dtype=np.int32)]
-        with MmapStorageProvider(tmp_path / "data.bin", create=True) as provider:
-            specs = [provider.publish(array) for array in arrays]
-            checksums = provider.checksums()
+        with MmapColumnWriter(tmp_path / "data.bin") as writer:
+            specs = [writer.publish(array) for array in arrays]
+            checksums = writer.checksums()
         assert len(checksums) == 2
         for spec, crc in zip(specs, checksums):
             assert verify_checksum(spec, crc)
             assert not verify_checksum(spec, crc ^ 1)
 
-    def test_read_only_provider_rejects_publish(self, tmp_path):
-        path = tmp_path / "data.bin"
-        with MmapStorageProvider(path, create=True) as provider:
-            provider.publish(np.arange(2, dtype=np.int64))
-        reader = MmapStorageProvider(path)
-        with pytest.raises(StorageError):
-            reader.publish(np.arange(2, dtype=np.int64))
-
     def test_closed_provider_rejects_publish(self, tmp_path):
-        provider = MmapStorageProvider(tmp_path / "data.bin", create=True)
-        provider.close()
-        provider.close()  # idempotent
+        writer = MmapColumnWriter(tmp_path / "data.bin")
+        writer.close()
+        writer.close()  # idempotent
         with pytest.raises(StorageError):
-            provider.publish(np.arange(2, dtype=np.int64))
+            writer.publish(np.arange(2, dtype=np.int64))
 
     def test_data_survives_close(self, tmp_path):
         path = tmp_path / "data.bin"
-        with MmapStorageProvider(path, create=True) as provider:
-            spec = provider.publish(np.arange(5, dtype=np.int64))
+        with MmapColumnWriter(path) as writer:
+            spec = writer.publish(np.arange(5, dtype=np.int64))
         assert path.is_file()
         handle, view = attach_spec(spec)
         try:

@@ -234,6 +234,22 @@ class TestSessionLifecycle:
             with pytest.raises(ConfigurationError, match="block_size"):
                 connect(block_size=block_size)
 
+    def test_bad_max_stwig_leaves_fails_at_connect(self, edge_file):
+        """Zero leaves used to construct, then fail every query with a
+        DecompositionError."""
+        for leaves in (0, -2):
+            with pytest.raises(ConfigurationError, match="max_stwig_leaves"):
+                api.connect(edge_file, matcher_config=MatcherConfig(max_stwig_leaves=leaves))
+        with api.connect(edge_file, matcher_config=MatcherConfig(max_stwig_leaves=1)):
+            pass
+
+    def test_negative_plan_cache_size_fails_at_connect(self, edge_file):
+        """A negative size used to disable the plan cache silently."""
+        with pytest.raises(ConfigurationError, match="plan_cache_size"):
+            api.connect(edge_file, matcher_config=MatcherConfig(plan_cache_size=-5))
+        with api.connect(edge_file, matcher_config=MatcherConfig(plan_cache_size=0)):
+            pass
+
     def test_open_snapshot_refuses_a_non_snapshot(self, edge_file):
         with pytest.raises(StorageError, match="no snapshot manifest"):
             api.open_snapshot(edge_file)

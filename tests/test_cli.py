@@ -40,7 +40,7 @@ PINNED_FLAGS = {
         "--rounds": 2, "--limit": 1024, "--seed": 1, "--executor": None,
         "--workers": None,
     },
-    "save": {"--graph": None, "--out": None, "--machines": 4, "--graph-only": False},
+    "save": {"--graph": None, "--out": None, "--machines": 4},
     "open": {"--snapshot": None, "--verify": False},
     "append": {"--snapshot": None, "--edge": [], "--node": []},
     "compact": {"--snapshot": None},
@@ -307,13 +307,20 @@ class TestSnapshotCommands:
         assert "2 machines" in output
         assert "generation 1" in output
 
-    def test_save_graph_only(self, graph_prefix, tmp_path, capsys):
+    def test_save_one_machine(self, graph_prefix, tmp_path, capsys):
+        """What ``--graph-only`` was for: a one-machine image, whose
+        partition is the whole CSR, reopening on the fast path."""
         snap = tmp_path / "snap"
         assert main(
             ["save", "--graph", str(graph_prefix), "--out", str(snap),
-             "--graph-only"]
+             "--machines", "1"]
         ) == 0
-        assert "graph-only" in capsys.readouterr().out
+        assert "1 machines" in capsys.readouterr().out
+        assert main(["open", "--snapshot", str(snap)]) == 0
+        assert "memmap fast path" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["save", "--graph", str(graph_prefix), "--out", str(snap),
+                  "--graph-only"])
 
     def test_open_uses_fast_path(self, snapshot_dir, capsys):
         assert main(["open", "--snapshot", str(snapshot_dir), "--verify"]) == 0

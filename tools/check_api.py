@@ -20,10 +20,13 @@ the row-shaped exploration (``_row_blocks``' ``stwig`` parameter,
 ``_stwig_blocks``, ``TableHandle.from_array``), the per-edge generator oracles
 and the dataset cache (test and benchmark code, now in ``tests/helpers.py``
 and ``benchmarks/dataset_cache.py``), and the join's cross-batch publication
-cache with its handle fingerprints, and the in-place snapshot reload
+cache with its handle fingerprints, the in-place snapshot reload
 (``load_cloud_snapshot``, ``MemoryCloud.load_snapshot``) with the image's
-``assignment/ids`` alias: the names are gone from the API, and nothing in
-``src/`` may bring them back.
+``assignment/ids`` alias, and the second snapshot kind and second log merge
+(``save_graph_snapshot`` / ``save --graph-only``, ``replay_deltas`` /
+``open_graph_snapshot``'s ``replay=``) with the provider wrapper layer
+(``StorageProvider`` and its subclasses): the names are gone from the API,
+and nothing in ``src/`` may bring them back.
 
 And it keeps the front door single (``FRONT_DOOR``): ``repro.api`` is the one
 place a source becomes a cloud and a service is put in front of it, so the
@@ -106,6 +109,11 @@ RETIRED_SPELLINGS = [
     "load_cloud_snapshot(",
     ".load_snapshot(",
     '"assignment/ids"',
+    "save_graph_snapshot",
+    "--graph-only",
+    "replay_deltas",
+    "replay=",
+    "StorageProvider",
 ]
 
 #: Constructor spellings banned per file (glob under the repo root): a second
