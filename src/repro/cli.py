@@ -498,14 +498,14 @@ def _command_open(args: argparse.Namespace) -> int:
     manifest = read_manifest(args.snapshot, verify=args.verify)
     pending = DeltaLog(args.snapshot).count()
     started = time.perf_counter()
-    with api.open_snapshot(args.snapshot) as cloud:
+    with api.open_snapshot(args.snapshot):
         opened = time.perf_counter() - started
-        if cloud.storage_publication:
-            path = "memmap fast path"
-        elif pending:
-            path = "pending deltas merged into the memmap image"
-        else:
-            path = "graph-only snapshot: memmap image, partition map in RAM"
+    if pending:
+        path = "pending deltas merged into the memmap image"
+    elif manifest.resident:
+        path = "graph-only snapshot: memmap image, partition map in RAM"
+    else:
+        path = "memmap fast path"
     print(
         f"{manifest.node_count} nodes / {manifest.edge_count} edges, "
         f"{len(manifest.labels)} labels, generation {manifest.generation}"

@@ -48,8 +48,8 @@ MACHINE_COLUMNS = ("node_ids", "label_ids", "offsets", "neighbors")
 def column_names(machine_count: int) -> Tuple[str, ...]:
     """Names of every array in a ``machine_count``-machine cloud's image.
 
-    These are the snapshot manifest's array names; :meth:`MemoryCloud.columns`,
-    the worker-publication handle and ``storage_publication`` all key on them.
+    These are the snapshot manifest's array names; :meth:`MemoryCloud.columns`
+    keys on them.
     """
     return (
         "graph/node_ids",
@@ -68,9 +68,9 @@ class MemoryCloud:
 
     A loaded cloud *is* its :meth:`columns`: an immutable set of named
     arrays, installed in one place (:meth:`_install`) whether they come
-    from partitioning a graph, from a snapshot file, or from another
-    process's publication.  Nothing writes to a loaded cloud; graph updates
-    go through the snapshot delta log and a reload.
+    from partitioning a graph or from a snapshot file.  Nothing writes to a
+    loaded cloud; graph updates go through the snapshot delta log and a
+    reload.
     """
 
     def __init__(self, config: ClusterConfig | None = None) -> None:
@@ -81,12 +81,12 @@ class MemoryCloud:
         ]
         self.metrics = CloudMetrics()
         self.loading_seconds: float = 0.0
-        # Runtime resources (process pools, shared-memory publications)
-        # registered against this cloud; close() tears them down.
+        # Runtime resources (the process backend's workers) registered
+        # against this cloud; close() tears them down.
         self._runtime_resources: List = []
         # Metrics-scoped views (with_metrics) point back at the cloud they
-        # were cloned from; runtime publications and locked metric merges
-        # key on that owner, never on a short-lived view.
+        # were cloned from; runtime workers and locked metric merges key on
+        # that owner, never on a short-lived view.
         self._metrics_parent: "MemoryCloud | None" = None
         self._metrics_lock = threading.Lock()
         # The loaded state: nothing until _install (which documents each).
@@ -104,7 +104,6 @@ class MemoryCloud:
         self._label_pairs_packed: Dict[Tuple[int, int], np.ndarray] = {}
         self._label_pairs_cache: Dict[Tuple[int, int], Set[FrozenSet[str]]] = {}
         self._backing: List = []
-        self._file_specs: Dict[str, object] | None = None
 
     # -- construction --------------------------------------------------------
 
@@ -182,21 +181,18 @@ class MemoryCloud:
         id_map=None,
         label_pairs: Tuple[int, Dict[Tuple[int, int], np.ndarray]] = (1, {}),
         backing: Sequence = (),
-        file_specs: Dict[str, object] | None = None,
     ) -> None:
         """Make ``columns`` this cloud's loaded state — the one way in.
 
-        Called by :meth:`load_graph` (freshly partitioned arrays), by
-        :mod:`repro.storage.cloud_snapshot` (``np.memmap`` views) and by
-        :func:`repro.runtime.shared_cloud.rebuild_cloud` (worker-side
-        shm/mmap views).  ``columns`` holds one array per
-        :func:`column_names` entry, adopted without copying; ``label_pairs``
-        is in :meth:`packed_label_pairs` form.  ``backing`` is whatever must
-        stay referenced while the views are alive (attach handles);
-        ``file_specs`` the per-column mmap specs when the arrays live in a
-        snapshot file.
+        Called by :meth:`load_graph` (freshly partitioned arrays) and by
+        :mod:`repro.storage.cloud_snapshot` (``np.memmap`` views, with the
+        columns a pending delta log changed in RAM).  ``columns`` holds one
+        array per :func:`column_names` entry, adopted without copying;
+        ``label_pairs`` is in :meth:`packed_label_pairs` form.  ``backing``
+        is whatever must stay referenced while the views are alive (attach
+        handles).
         """
-        # Runtime publications and plan caches keyed on this cloud compare
+        # Runtime workers and plan caches keyed on this cloud compare
         # generations to detect a reload.
         self._load_generation += 1
         self._columns = {
@@ -239,7 +235,6 @@ class MemoryCloud:
         self._label_pairs_packed = dict(label_pairs[1])
         self._label_pairs_cache = {}
         self._backing = list(backing)
-        self._file_specs = file_specs
 
     def columns(self) -> Dict[str, np.ndarray]:
         """The loaded cloud as named arrays — its whole bulk state.
@@ -250,9 +245,11 @@ class MemoryCloud:
         ``machine{i}/node_ids|label_ids|offsets|neighbors`` (each machine's
         CSR partition) and ``graph/node_ids|label_ids`` (the cluster-wide
         label arrays).  No two entries are the same array.  Snapshot save
-        and worker publication both consume exactly this map, and feeding
-        it back through the installer yields an equivalent cloud.  Treat
-        the arrays as read-only.
+        consumes exactly this map, and feeding it back through the
+        installer yields an equivalent cloud.  A snapshot-opened cloud's
+        entries are ``np.memmap`` views of the file, except the columns a
+        merged delta log changed and a graph-only snapshot's partition map.
+        Treat the arrays as read-only.
         """
         if self._columns is None:
             raise CloudError("no graph has been loaded into the cloud")
@@ -288,18 +285,6 @@ class MemoryCloud:
         from repro.storage.cloud_snapshot import open_cloud_snapshot
 
         return open_cloud_snapshot(directory, config, verify=verify)
-
-    @property
-    def storage_publication(self) -> Dict[str, object] | None:
-        """``{column name: mmap spec}`` of a file-backed cloud, else ``None``.
-
-        Observed, not chosen: set when the installed columns are views into
-        a snapshot's data file, so worker publication ships these specs
-        instead of copying the arrays into shared memory; ``None`` after any
-        in-RAM load, including a snapshot opened with pending deltas or a
-        graph-only one (the merged columns, or its partition map, live in RAM).
-        """
-        return self._file_specs
 
     # -- Trinity-style operators ----------------------------------------------
 
@@ -590,10 +575,10 @@ class MemoryCloud:
 
     @property
     def load_generation(self) -> int:
-        """Monotonic counter of loads (graph, snapshot, or published image).
+        """Monotonic counter of loads (graph or snapshot).
 
-        Runtime publications snapshot this value; a mismatch later means
-        the cloud was reloaded and the published state is stale.
+        The process backend's workers are forked at one value; a mismatch
+        later means the cloud was reloaded and they hold a stale copy.
         """
         return self._load_generation
 
@@ -608,7 +593,7 @@ class MemoryCloud:
         too, so overlapping queries never read each other's counters.
 
         Views remember their owning cloud (:attr:`runtime_owner`): runtime
-        publications key on the owner, not on the view.
+        workers key on the owner, not on the view.
         """
         clone = copy.copy(self)
         clone.metrics = metrics
@@ -620,9 +605,9 @@ class MemoryCloud:
         """The long-lived cloud behind this instance.
 
         For a metrics-scoped view this is the cloud it was cloned from; for
-        a regular cloud it is the cloud itself.  Process executors key their
-        shared-memory publication on this identity so that per-query views
-        of one resident cloud reuse one publication.
+        a regular cloud it is the cloud itself.  Process executors fork
+        their workers from this cloud, so that per-query views of one
+        resident cloud share one set of workers.
         """
         return self if self._metrics_parent is None else self._metrics_parent
 
@@ -644,7 +629,7 @@ class MemoryCloud:
     # -- runtime lifecycle ---------------------------------------------------
 
     def register_runtime_resource(self, resource) -> None:
-        """Register a closeable runtime resource (executor, shm publication).
+        """Register a closeable runtime resource (an executor's workers).
 
         Registered resources are closed by :meth:`close`; each must expose
         an idempotent ``close()``.
@@ -660,10 +645,8 @@ class MemoryCloud:
     def close(self) -> None:
         """Tear down every registered runtime resource (idempotent).
 
-        Process pools are terminated and all shared-memory segments the
-        runtime published for this cloud are unlinked — after ``close()``
-        returns, no segment created on this cloud's behalf remains in the
-        system.  The cloud itself stays usable for serial execution.
+        Process workers forked from this cloud are terminated and reaped.
+        The cloud itself stays usable for serial execution.
         """
         resources, self._runtime_resources = self._runtime_resources, []
         for resource in resources:

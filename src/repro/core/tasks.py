@@ -11,8 +11,8 @@ tables in shared memory end to end.  Its single part is a factorized
 then each slot's bounds and values; a tuple of lengths locates them) — no
 STwig row is ever published:
 
-* a worker that produced a large table publishes that buffer once
-  (through the :mod:`repro.storage` provider layer) and returns only the
+* a worker that produced a large table publishes that buffer once into
+  a POSIX shared-memory block (:mod:`repro.utils.shm`) and returns only the
   handle;
 * the join phase attaches the very same pages zero-copy — the driver never
   materializes intermediate tables, matching the paper's premise that the
@@ -39,15 +39,15 @@ from repro.core.result import STwigTable
 from repro.core.stwig import STwig
 from repro.errors import ExecutionError
 from repro.graph.labeled_graph import NODE_DTYPE
-from repro.storage.provider import attach_spec, discard_spec
+from repro.utils.shm import attach_array, unlink_block
 
 
 class TableHandle:
     """An :class:`STwigTable`'s packed columns, described without copying them.
 
     Always **single-part**: ``part`` is ``None`` (empty table), a live 1-D
-    int64 buffer (inline), or one storage spec (published — shm or mmap,
-    both attach through :func:`~repro.storage.provider.attach_spec`);
+    int64 buffer (inline), or one
+    :class:`~repro.utils.shm.SharedArraySpec` (published);
     ``lengths`` (root count, then each slot's entry count) locate the
     columns inside it (:meth:`STwigTable.pack`).  Single-part is what makes
     the join phase's attachment zero-copy: a worker maps exactly one segment
@@ -110,11 +110,11 @@ class TableHandle:
         elif isinstance(self.part, np.ndarray):
             yield self._table(self.part)
         else:
-            handle, view = attach_spec(self.part)
+            segment, view = attach_array(self.part)
             try:
                 yield self._table(view)
             finally:
-                handle.close()
+                segment.close()
 
     def materialize(self) -> STwigTable:
         """A table safe to keep: inline data is wrapped, published data copied."""
@@ -127,7 +127,7 @@ class TableHandle:
         """Retire published storage (idempotent; empty and inline handles no-op)."""
         if self.part is not None and not isinstance(self.part, np.ndarray):
             part, self.part = self.part, None
-            discard_spec(part)
+            unlink_block(part)
 
     def __repr__(self) -> str:
         kind = (

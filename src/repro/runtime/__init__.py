@@ -4,12 +4,12 @@ The engine's two distributed phases — STwig exploration and the per-machine
 gather+join — are described as batches of :class:`ExploreTask` /
 :class:`JoinTask` and submitted through the uniform
 :meth:`Executor.run` loop; the two backends (serial / worker processes
-over shared-memory CSR partitions, with work stealing) differ only in how the
+forked from the loaded cloud, with work stealing) differ only in how the
 loop's units get run while preserving, exactly, the serial model's results
-and communication counters.  Results carry their tables as zero-copy
+and communication counters.  The graph never leaves the process that
+loaded it: workers inherit it.  Results carry their tables as zero-copy
 :class:`TableHandle`\\ s end to end.  See :mod:`repro.runtime.executors`
-for the backends, :mod:`repro.core.tasks` for the task/handle types, and
-:mod:`repro.runtime.shared_cloud` for the graph publication layer.
+for the backends and :mod:`repro.core.tasks` for the task/handle types.
 
 Backend selection::
 
@@ -37,16 +37,10 @@ from repro.runtime.executors import (
     SerialExecutor,
     create_executor,
 )
-from repro.runtime.shared_cloud import (
-    CloudHandle,
-    publish_cloud,
-    rebuild_cloud,
-)
 
 __all__ = [
     "EXECUTOR_BACKENDS",
     "EXECUTOR_ENV_VAR",
-    "CloudHandle",
     "Executor",
     "ExecutorSpec",
     "ExploreResult",
@@ -58,7 +52,5 @@ __all__ = [
     "SerialExecutor",
     "TableHandle",
     "create_executor",
-    "publish_cloud",
-    "rebuild_cloud",
     "resolve_backend",
 ]

@@ -12,11 +12,12 @@ backend is only *how the loop's units get run*:
   the parity oracle: the other backend must produce row-for-row identical
   results **and** identical communication counters.
 * :class:`ProcessExecutor` — worker processes it owns (one duplex pipe
-  each, watched together with the process sentinels) over shared-memory CSR
-  partitions (see :mod:`repro.runtime.shared_cloud`).  The graph is
-  published once; workers rebuild zero-copy views lazily.  Exploration
-  result tables stay in shared memory *end to end*: workers publish their
-  packed slot columns once and return only :class:`~repro.core.tasks.TableHandle`\\ s,
+  each, watched together with the process sentinels), forked from the
+  driver once the cloud is loaded: each worker runs its units against the
+  cloud it inherited, so the graph never crosses a process boundary (a
+  reload restarts the workers).  Exploration result tables stay in shared
+  memory *end to end*: workers publish their packed slot columns once and
+  return only :class:`~repro.core.tasks.TableHandle`\\ s,
   and the join tasks attach those same pages — the driver never receives,
   re-pickles, or re-publishes an intermediate table (the
   ``transport_counters`` make that claim observable).
@@ -74,7 +75,6 @@ from repro.core.tasks import (
 )
 from repro.errors import ConfigurationError, ExecutionError
 from repro.query.query_graph import QueryGraph
-from repro.runtime.shared_cloud import CloudHandle, publish_cloud, rebuild_cloud
 from repro.utils.arrays import fast_unique
 from repro.utils.shm import (
     SegmentRegistry,
@@ -357,7 +357,7 @@ class Executor(ABC):
         """
 
     def close(self) -> None:
-        """Release workers and shared-memory publications (idempotent)."""
+        """Release the backend's workers (idempotent)."""
 
     def __enter__(self) -> "Executor":
         return self
@@ -391,6 +391,9 @@ _CLOSE_DEADLINE_S = 1.0
 #: Process-wide batch numbers: part of the names of worker-published blocks.
 _batch_numbers = itertools.count(1)
 
+#: How workers start: a fork of the driver, which holds the loaded cloud.
+_START_METHOD = "fork"
+
 
 class _Open(NamedTuple):
     """A batch's first message to a worker: everything its units share.
@@ -408,8 +411,11 @@ class _Open(NamedTuple):
     names: str
 
 
-def _worker_main(conn, handle: CloudHandle, inherited: Sequence) -> None:
+def _worker_main(conn, cloud: MemoryCloud, inherited: Sequence) -> None:
     """A worker's life: serve batches over ``conn`` until the driver hangs up.
+
+    ``cloud`` is the driver's loaded cloud as the fork copied it: the
+    worker's units run against it, sharing the image's pages.
 
     The driver's messages are ``(opening, units, final)``: the pickled
     :class:`_Open` with a worker's first units of a batch (``None`` after),
@@ -425,7 +431,7 @@ def _worker_main(conn, handle: CloudHandle, inherited: Sequence) -> None:
         other.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the driver's to handle
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # not a handler the driver installed
-    cloud = opened = runner = names = None
+    opened = runner = names = None
     while True:
         try:
             opening, dealt, final = conn.recv() or (None, (), True)
@@ -436,8 +442,6 @@ def _worker_main(conn, handle: CloudHandle, inherited: Sequence) -> None:
             names = map(opened.names.format, itertools.repeat(os.getpid()), itertools.count())
         for unit_index, task_index, start, stop in dealt:
             try:
-                if cloud is None:  # on the first unit: an idle worker maps nothing
-                    cloud = rebuild_cloud(handle)
                 if runner is None:
                     runner = _UnitRunner(cloud, opened.limit, opened.slots)
                 result, metrics = runner.run(opened.tasks[task_index], start, stop)
@@ -475,11 +479,14 @@ def _shipped_result(result, names: Iterator[str]):
 class _Worker:
     """One worker process the executor owns, and the driver's end of its pipe."""
 
-    def __init__(self, handle: CloudHandle, siblings: Sequence["_Worker"]) -> None:
-        self.conn, theirs = multiprocessing.Pipe()
+    def __init__(self, cloud: MemoryCloud, siblings: Sequence["_Worker"]) -> None:
+        # Forked, whatever the platform's default start method: the worker
+        # must inherit ``cloud`` rather than receive it.
+        context = multiprocessing.get_context(_START_METHOD)
+        self.conn, theirs = context.Pipe()
         inherited = [sibling.conn for sibling in siblings] + [self.conn]
-        self.process = multiprocessing.Process(
-            target=_worker_main, args=(theirs, handle, inherited), daemon=True
+        self.process = context.Process(
+            target=_worker_main, args=(theirs, cloud, inherited), daemon=True
         )
         self.process.start()
         theirs.close()
@@ -510,32 +517,27 @@ def _retire(workers: Sequence[_Worker]) -> None:
 
 
 class _ProcessState:
-    """Workers + the graph publication owned by one :class:`ProcessExecutor`.
+    """The workers owned by one :class:`ProcessExecutor`, and the cloud load
+    they were forked from.
 
     Kept outside the executor so a ``weakref.finalize`` can tear it down
     without keeping the executor alive: dropping the last reference to an
-    unclosed executor (or interpreter exit) still terminates the workers
-    and unlinks every published segment.
+    unclosed executor (or interpreter exit) still terminates the workers.
     """
 
     def __init__(self) -> None:
         self.workers: List[_Worker] = []
-        self.handle: Optional[CloudHandle] = None
-        self.registry = None
         self.cloud_ref = lambda: None
         self.load_generation = -1
 
     def teardown(self) -> None:
         workers, self.workers = self.workers, []
         _retire(workers)
-        registry, self.registry = self.registry, None
-        if registry is not None:
-            registry.close()
         self.cloud_ref = lambda: None
 
 
 class ProcessExecutor(Executor):
-    """Worker processes the executor owns, over shared-memory CSR partition views.
+    """Worker processes the executor owns, each forked from the loaded cloud.
 
     Each worker is a forked ``multiprocessing.Process`` on one duplex pipe.
     The calling thread deals a batch's units from the one unit queue — one
@@ -579,26 +581,24 @@ class ProcessExecutor(Executor):
         self._finalizer = weakref.finalize(self, _ProcessState.teardown, self._state)
 
     def _ensure_workers(self, cloud: MemoryCloud) -> List[_Worker]:
-        # Key the publication on the *owning* cloud, never on the per-query
-        # metrics view the engine hands the fan-outs: one resident cloud is
-        # published once, no matter how many concurrent queries it serves.
+        # Key the workers on the *owning* cloud, never on the per-query
+        # metrics view the engine hands the fan-outs: one resident cloud
+        # keeps one set of workers, however many concurrent queries it serves.
         owner = cloud.runtime_owner
         state = self._state
         if state.cloud_ref() is not owner or state.load_generation != owner.load_generation:
             # The first batch, a different cloud, or the same cloud reloaded
-            # with a new graph: (re)publish and restart the workers (their
-            # cached rebuild views the old segments).  A previous *other*
-            # cloud must forget this executor, or closing it later would
-            # tear down the new cloud's live workers and segments.
+            # with a new graph: restart the workers (each holds the cloud as
+            # it was when it was forked).  A previous *other* cloud must
+            # forget this executor, or closing it later would tear down the
+            # new cloud's live workers.
             previous = state.cloud_ref()
             state.teardown()
             if previous is not None and previous is not owner:
                 previous.deregister_runtime_resource(self)
-            state.handle, state.registry = publish_cloud(owner)
             state.cloud_ref = weakref.ref(owner)
             state.load_generation = owner.load_generation
-            # The cloud tears this executor down (workers + segment unlink) on
-            # close(), which is what the shared-memory leak check exercises.
+            # The cloud tears this executor's workers down on close().
             owner.register_runtime_resource(self)
         # A worker that died, or that a broken batch left mid-conversation,
         # is replaced here; the first batch finds none and starts them all.
@@ -608,7 +608,7 @@ class ProcessExecutor(Executor):
         # Default sizing: one worker per machine, capped at the host CPUs.
         size = self._workers or min(owner.machine_count, os.cpu_count() or 1)
         while len(state.workers) < size:
-            state.workers.append(_Worker(state.handle, state.workers))
+            state.workers.append(_Worker(owner, state.workers))
         return state.workers
 
     def _encoded(self, tasks: Sequence[object], publish) -> List[object]:
@@ -769,19 +769,13 @@ class ProcessExecutor(Executor):
                             worker.conn.send(None)
                             worker.opened = False
 
-    def published_segment_names(self) -> List[str]:
-        """Names of the live graph segments (empty after close)."""
-        if self._state.registry is None:
-            return []
-        return self._state.registry.segment_names()
-
     def close(self) -> None:
         # Tear down directly (idempotent) rather than through the one-shot
-        # finalizer: an executor reused after close() rebuilds its workers
-        # and publication, and those must be closeable again.  A batch holds
-        # the lock for its whole length, so close() drains the in-flight one
-        # first, and matcher.close() and MemoryCloud.close() can run in any
-        # order (or twice) while queries execute.  The teardown is bounded.
+        # finalizer: an executor reused after close() restarts its workers,
+        # and those must be closeable again.  A batch holds the lock for its
+        # whole length, so close() drains the in-flight one first, and
+        # matcher.close() and MemoryCloud.close() can run in any order (or
+        # twice) while queries execute.  The teardown is bounded.
         with self._lock:
             self._state.teardown()
 

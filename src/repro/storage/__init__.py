@@ -1,14 +1,10 @@
-"""Zero-copy column storage: snapshots, the delta log, shm and mmap specs.
+"""Zero-copy column storage: snapshots, the delta log, mmap specs.
 
-Two mechanisms in this codebase hand numpy arrays across an ownership
-boundary without copying per element: the multiprocess cluster runtime
-publishes every machine's CSR columns into POSIX shared memory
-(:mod:`repro.utils.shm`), and the persistent snapshot store lays the same
-columns out in a file and reopens them via ``np.memmap``.  Both describe an
-array by a picklable spec, and :func:`~repro.storage.provider.attach_spec`
-maps either kind back into a view (:mod:`repro.storage.provider`).
-
-On the mmap side:
+The persistent snapshot store lays a cloud's columns out in one file and
+reopens them as ``np.memmap`` views: each array is described by an
+:class:`~repro.storage.provider.MmapArraySpec`, and
+:func:`~repro.storage.provider.attach_spec` maps it back into a view
+(:mod:`repro.storage.provider`).
 
 * :mod:`repro.storage.snapshot` — the snapshot format: a versioned
   manifest over one column file holding a
@@ -23,7 +19,6 @@ On the mmap side:
 """
 
 from repro.storage.provider import (
-    ArraySpec,
     MmapArraySpec,
     MmapColumnWriter,
     attach_spec,
@@ -43,7 +38,6 @@ from repro.storage.delta import (
 )
 
 __all__ = [
-    "ArraySpec",
     "MmapArraySpec",
     "MmapColumnWriter",
     "attach_spec",

@@ -162,7 +162,7 @@ def _open_image(
     nodes the log adds (its partitioner) and says whether label pairs are
     wanted (its ``track_label_pairs``); its machine count is not consulted.
     """
-    columns, handles, specs = manifest.attach_image()
+    columns, handles = manifest.attach_image()
     label_pairs: Dict[Tuple[int, int], np.ndarray] = {}
     if config.track_label_pairs:
         label_pairs, pair_handles = attach_columns(
@@ -179,7 +179,6 @@ def _open_image(
         columns, label_table, edge_count, packed_pairs = _overlay(
             config, manifest, records, columns, packed_pairs
         )
-        specs = None  # some columns now live in RAM: not a file publication
     elif config.track_label_pairs and not manifest.cloud.get("track_label_pairs", True):
         # Installing the (absent) stored keys would tell the planner that no
         # label pair crosses machines, and it would prune every load set.
@@ -192,7 +191,6 @@ def _open_image(
         id_map=covering_id_map(manifest, columns["graph/node_ids"]),
         label_pairs=packed_pairs,
         backing=handles,
-        file_specs=specs,
     )
 
 
@@ -381,11 +379,10 @@ def open_cloud_snapshot(
     Without an explicit ``config`` the cluster shape (machine count,
     partitioner) recorded in the manifest is used, so a cloud round-trips
     through save/open unchanged.  For that machine count the image is
-    installed as opened (:func:`_open_image`); with an empty delta log and
-    every column in the file, its mmap specs are the cloud's
-    :attr:`~repro.cloud.cluster.MemoryCloud.storage_publication` (else
-    ``None``).  Another machine count is partitioned afresh from the
-    image's graph.  ``manifest.json`` and ``deltas.log`` are each parsed
+    installed as opened (:func:`_open_image`): its columns are the file's
+    ``np.memmap`` views, except those a pending delta log changed (and a
+    graph-only snapshot's partition map), which live in RAM.  Another
+    machine count is partitioned afresh from the image's graph.  ``manifest.json`` and ``deltas.log`` are each parsed
     once.
     """
     manifest = read_manifest(directory, verify=verify)

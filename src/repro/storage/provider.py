@@ -1,23 +1,11 @@
-"""Named typed arrays as zero-copy views: specs, attach, the column writer.
+"""A snapshot's arrays as zero-copy views: specs, attach, the column writer.
 
-A picklable *spec* describes an array somewhere outside the process heap;
-:func:`attach_spec` maps any spec back into a zero-copy view plus a handle
-that must stay referenced (and eventually closed) while the view is alive,
-and :func:`discard_spec` retires one.  Two kinds of spec exist:
-
-* :class:`~repro.utils.shm.SharedArraySpec` — a POSIX shared-memory block,
-  published by a :class:`~repro.utils.shm.SegmentRegistry` (the cluster
-  runtime's publication path); the pages vanish when the registry unlinks
-  them.
-* :class:`MmapArraySpec` — an array inside a snapshot's data file, written
-  by :class:`MmapColumnWriter` (path + offset + shape + dtype).  It attaches
-  as a read-only ``np.memmap`` view, so the array outlives the process and a
-  reopen touches no bytes until they are faulted in.
-
-Because both ride through :func:`attach_spec`, consumers are
-spec-agnostic: the process executor's workers attach a snapshot-backed
-cloud's mmap specs exactly like shm ones (see
-:func:`repro.runtime.shared_cloud.rebuild_cloud`).
+An :class:`MmapArraySpec` describes one array inside a snapshot's data
+file (path + offset + shape + dtype), as :class:`MmapColumnWriter` wrote
+it.  :func:`attach_spec` maps it back as a read-only ``np.memmap`` view plus
+a handle that must stay referenced (and eventually closed) while the view
+is alive, so the array outlives the process and a reopen touches no bytes
+until they are faulted in.
 """
 
 from __future__ import annotations
@@ -25,12 +13,11 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Tuple, Union
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
 from repro.errors import StorageError
-from repro.utils.shm import SharedArraySpec, attach_array, unlink_block
 
 #: Byte alignment of arrays inside an mmap data file.  64 matches the
 #: widest vector registers in current CPUs, so memmapped columns are as
@@ -60,10 +47,6 @@ class MmapArraySpec:
         return int(np.prod(self.shape, dtype=np.int64)) * np.dtype(self.dtype).itemsize
 
 
-#: Any spec :func:`attach_spec` understands.
-ArraySpec = Union[SharedArraySpec, MmapArraySpec]
-
-
 class _ClosedHandle:
     """No-op attach handle for empty arrays (nothing is mapped)."""
 
@@ -74,9 +57,8 @@ class _ClosedHandle:
 class _MmapHandle:
     """Attach handle keeping one ``np.memmap``'s mapping alive.
 
-    Mirrors the ``SharedMemory`` half of the shm attach contract: the view
-    is valid while the handle is open, and :meth:`close` releases the
-    mapping (views must not be dereferenced afterwards).
+    The view is valid while the handle is open, and :meth:`close` releases
+    the mapping (views must not be dereferenced afterwards).
     """
 
     def __init__(self, mapped: np.memmap) -> None:
@@ -88,28 +70,20 @@ class _MmapHandle:
             mapped._mmap.close()
 
 
-def attach_spec(spec: ArraySpec, writable: bool = False):
-    """Attach any :class:`ArraySpec`, returning ``(handle, view)``.
+def attach_spec(spec: MmapArraySpec):
+    """Attach ``spec`` read-only, returning ``(handle, view)``.
 
     The handle must stay referenced while the view is used and exposes an
-    idempotent ``close()``.  Views are read-only unless ``writable`` (only
-    the shm backend supports writable attachment — mutable coordination
-    state never lives in a snapshot file).
+    idempotent ``close()``.
     """
-    if isinstance(spec, SharedArraySpec):
-        return attach_array(spec, writable=writable)
-    if isinstance(spec, MmapArraySpec):
-        if writable:
-            raise StorageError("mmap-backed arrays attach read-only")
-        shape = tuple(spec.shape)
-        if int(np.prod(shape, dtype=np.int64)) == 0:
-            return _ClosedHandle(), np.empty(shape, dtype=np.dtype(spec.dtype))
-        view = np.memmap(
-            spec.path, dtype=np.dtype(spec.dtype), mode="r",
-            offset=spec.offset, shape=shape,
-        )
-        return _MmapHandle(view), view
-    raise StorageError(f"unknown array spec type {type(spec).__name__}")
+    shape = tuple(spec.shape)
+    if int(np.prod(shape, dtype=np.int64)) == 0:
+        return _ClosedHandle(), np.empty(shape, dtype=np.dtype(spec.dtype))
+    view = np.memmap(
+        spec.path, dtype=np.dtype(spec.dtype), mode="r",
+        offset=spec.offset, shape=shape,
+    )
+    return _MmapHandle(view), view
 
 
 def attach_columns(specs: Mapping) -> Tuple[Dict, List]:
@@ -124,21 +98,6 @@ def attach_columns(specs: Mapping) -> Tuple[Dict, List]:
         handle, views[key] = attach_spec(spec)
         handles.append(handle)
     return views, handles
-
-
-def discard_spec(spec: ArraySpec) -> None:
-    """Retire one published array without attaching to its contents.
-
-    The destruction counterpart of :func:`attach_spec`, dispatching on the
-    spec type the same way: shm blocks are unlinked (idempotently — a
-    concurrent or earlier unlink is fine), while mmap specs are durable by
-    design and discarding them is a no-op (snapshot files are deleted by
-    explicit filesystem operations, never by handle lifecycle).
-    """
-    if isinstance(spec, SharedArraySpec):
-        unlink_block(spec)
-    elif not isinstance(spec, MmapArraySpec):
-        raise StorageError(f"unknown array spec type {type(spec).__name__}")
 
 
 class MmapColumnWriter:

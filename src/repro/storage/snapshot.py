@@ -84,7 +84,7 @@ class SnapshotManifest:
         node_count / edge_count: totals of the stored graph.
         labels: interned label table contents, in label-ID order.
         arrays: name -> :class:`MmapArraySpec` bound to this directory's
-            data file (picklable; ship them to worker processes as-is).
+            data file.
         checksums: name -> CRC32 recorded at write time.
         cloud: cloud section (machine count, partitioner name, packed
             label-pair metadata).
@@ -118,21 +118,20 @@ class SnapshotManifest:
         """Attach array ``name``, returning ``(handle, view)``."""
         return attach_spec(self.spec(name))
 
-    def attach_image(self) -> Tuple[Dict[str, np.ndarray], List, Optional[dict]]:
-        """Attach every image column as a read-only view.
+    def attach_image(self) -> Tuple[Dict[str, np.ndarray], List]:
+        """Attach every image column as a read-only view: ``(views, handles)``.
 
-        Returns ``(views, handles, specs)``: ``specs`` maps each column to
-        its mmap spec, or is ``None`` when a column lives in RAM
-        (:attr:`resident`), since such an image is no file publication.
+        The :attr:`resident` columns are the in-RAM arrays themselves.
         """
-        specs = {
-            name: self.spec(name)
-            for name in column_names(self.machine_count)
-            if name not in self.resident
-        }
-        views, handles = attach_columns(specs)
+        views, handles = attach_columns(
+            {
+                name: self.spec(name)
+                for name in column_names(self.machine_count)
+                if name not in self.resident
+            }
+        )
         views.update(self.resident)
-        return views, handles, None if self.resident else specs
+        return views, handles
 
     @property
     def machine_count(self) -> int:

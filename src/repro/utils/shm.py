@@ -1,9 +1,10 @@
 """Shared-memory numpy array helpers for the multiprocess cluster runtime.
 
-The process executor must not pickle the graph into every worker task: each
-:class:`~repro.cloud.machine.Machine`'s CSR columns are published **once**
-into POSIX shared memory and worker processes reconstruct zero-copy numpy
-views over the same pages.  These helpers own the mechanics:
+The process executor's workers inherit the graph when they are forked;
+what a batch creates afterwards — large roots and bindings, the join
+budget's slots, the tables workers build — crosses between processes as
+POSIX shared-memory blocks instead of being pickled down a pipe.  These
+helpers own the mechanics:
 
 * :func:`publish_array` copies one array into a fresh
   ``multiprocessing.shared_memory`` block and returns a picklable
@@ -11,8 +12,7 @@ views over the same pages.  These helpers own the mechanics:
 * :func:`attach_array` maps a spec back into a read-only view (plus the
   ``SharedMemory`` object that must stay referenced while the view lives);
 * :class:`SegmentRegistry` tracks every block a publisher created so the
-  teardown path (``MemoryCloud.close`` / executor shutdown) can unlink all
-  of them exactly once;
+  end of a batch can unlink all of them exactly once;
 * blocks a *worker* publishes are named ``repro-<driver pid>-<worker
   pid>-...`` (the ``name`` argument of :func:`publish_array`), so what a
   worker published and died before reporting can still be found
@@ -85,8 +85,8 @@ def attach_array(
     stays open (keep the segment referenced; see the module docstring for
     why the attach-side tracker registration is left in place).  Views are
     read-only by default; ``writable=True`` is for intentionally mutable
-    coordination state (e.g. the cooperative join-budget slots), never for
-    published graph data.
+    coordination state (the cooperative join-budget slots), never for
+    published tables.
     """
     segment = shared_memory.SharedMemory(name=spec.name)
     view = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=segment.buf)
@@ -143,10 +143,6 @@ class SegmentRegistry:
         segment, spec = publish_array(array)
         self._segments.append(segment)
         return spec
-
-    def segment_names(self) -> List[str]:
-        """Names of every live published block (for leak checks)."""
-        return [segment.name for segment in self._segments]
 
     @property
     def closed(self) -> bool:

@@ -1,11 +1,10 @@
 """The cloud image round trip: ``columns()`` through every transport.
 
 A loaded :class:`MemoryCloud` is its named columns plus a little plain
-metadata.  Whatever carries those columns — the arrays themselves, a
-shared-memory publication, a snapshot file — installing them into a fresh
-cloud must give back the same image, the same answers and the same
-simulated-communication counters, on both executors, and leave
-``/dev/shm`` as it found it.
+metadata.  Whatever carries those columns — the arrays themselves or a
+snapshot file — installing them into a fresh cloud must give back the same
+image, the same answers and the same simulated-communication counters, on
+both executors, and leave ``/dev/shm`` as it found it.
 """
 
 from __future__ import annotations
@@ -28,10 +27,8 @@ from repro.graph.partition import (
     RoundRobinPartitioner,
 )
 from repro.query.query_graph import QueryGraph
-from repro.runtime.shared_cloud import publish_cloud
-from repro.storage.provider import attach_columns
-from repro.utils.shm import SegmentRegistry
 
+from tests.helpers import memmapped_columns
 from tests.property.strategies import labeled_graphs
 
 #: A path over the strategy's label alphabet: small enough to match often.
@@ -40,41 +37,25 @@ MOTIF = QueryGraph(
 )
 
 
-def reinstall(cloud: MemoryCloud, columns, backing=()) -> MemoryCloud:
-    """A fresh cloud holding ``columns`` plus ``cloud``'s plain metadata."""
+def via_arrays(cloud, directory):
+    """A fresh cloud holding ``cloud``'s columns plus its plain metadata."""
     fresh = MemoryCloud(cloud.config)
     fresh._install(
-        columns,
+        cloud.columns(),
         label_table=cloud.label_table,
         edge_count=cloud.edge_count,
         label_pairs=cloud.packed_label_pairs(),
-        backing=backing,
     )
     return fresh
-
-
-def via_arrays(cloud, directory):
-    return reinstall(cloud, cloud.columns()), lambda: None
-
-
-def via_shm(cloud, directory):
-    registry = SegmentRegistry()
-    specs = {name: registry.publish(array) for name, array in cloud.columns().items()}
-    columns, handles = attach_columns(specs)
-
-    def release():
-        for handle in handles:
-            handle.close()
-        registry.close()
-
-    return reinstall(cloud, columns, backing=handles), release
 
 
 def via_snapshot(cloud, directory):
     cloud.save_snapshot(directory)
     reopened = MemoryCloud.open_snapshot(directory)
-    assert tuple(reopened.storage_publication) == column_names(cloud.machine_count)
-    return reopened, lambda: None
+    assert memmapped_columns(reopened) == {
+        name for name, column in reopened.columns().items() if column.size
+    }
+    return reopened
 
 
 def run(cloud, executor):
@@ -83,7 +64,7 @@ def run(cloud, executor):
     return result.rows, result.metrics
 
 
-@pytest.mark.parametrize("transport", [via_arrays, via_shm, via_snapshot])
+@pytest.mark.parametrize("transport", [via_arrays, via_snapshot])
 @settings(
     max_examples=5,
     deadline=None,
@@ -106,7 +87,7 @@ def test_cloud_image_round_trip(
     assert tuple(image) == column_names(machine_count)
     expected = run(original, "serial")
 
-    restored, release = transport(original, tmp_path_factory.mktemp("image"))
+    restored = transport(original, tmp_path_factory.mktemp("image"))
     try:
         assert restored.load_generation == 1
         assert (restored.node_count, restored.edge_count) == (
@@ -124,7 +105,6 @@ def test_cloud_image_round_trip(
     finally:
         restored.close()
         original.close()
-        release()
     assert set(os.listdir("/dev/shm")) == shm_before
 
 
@@ -145,8 +125,3 @@ def test_image_stores_each_array_once(partitioner):
         for other in image[index + 1:]:
             assert array is not other
             assert not (array.size and other.size and np.shares_memory(array, other))
-    handle, registry = publish_cloud(cloud)
-    try:
-        assert len(registry.segment_names()) == len(handle.specs) == len(image)
-    finally:
-        registry.close()

@@ -35,8 +35,6 @@ from repro.runtime import (
     ProcessExecutor,
     SerialExecutor,
     create_executor,
-    publish_cloud,
-    rebuild_cloud,
 )
 from repro.utils.shm import SegmentRegistry, SharedArraySpec, publish_array
 from tests.helpers import assert_same_matches, oracle_join
@@ -302,31 +300,96 @@ class TestFinalArrayParity:
                 assert truncated == (limit is not None and limit < len(oracle[index]))
 
 
+def worker_pids(executor: ProcessExecutor):
+    """PIDs of the executor's own workers, in start order."""
+    return [worker.process.pid for worker in executor._state.workers]
+
+
+def running(pid: int) -> bool:
+    """Whether process ``pid`` exists (a retired worker is reaped)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def shm_listing():
+    """The names in ``/dev/shm`` (empty where it cannot be listed)."""
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
 class TestProcessRuntimeLifecycle:
-    def test_segments_unlinked_after_cloud_close(self, parity_graph, parity_queries):
+    def test_workers_inherit_the_cloud_without_publishing_it(self, monkeypatch):
+        """The graph never crosses a process boundary: on a graph whose
+        arrays all stay below the ship threshold, an unlimited, unsplit
+        process query publishes no shared-memory block from the driver."""
+        import repro.runtime.executors as executors_module
+        import repro.utils.shm as shm_module
+
+        graph = generate_power_law(2_000, 5, label_density=5e-3, seed=71)
+        cloud = MemoryCloud.from_graph(graph, ClusterConfig(machine_count=3))
+        assert max(array.size for array in cloud.columns().values()) < (
+            executors_module._SHIP_THRESHOLD_ENTRIES
+        )
+        driver, published = os.getpid(), []
+        real_publish = shm_module.publish_array
+
+        def counting(array, name=None):
+            if os.getpid() == driver:
+                published.append(array.size)
+            return real_publish(array, name)
+
+        monkeypatch.setattr(shm_module, "publish_array", counting)
+        monkeypatch.setattr(executors_module, "publish_array", counting)
+        query = dfs_query(graph, 4, seed=9)
+        with SubgraphMatcher(cloud, executor="serial") as oracle:
+            expected = oracle.match(query)
+        cloud.reset_metrics()
+        executor = ProcessExecutor(workers=2, stealing=False)
+        try:
+            with SubgraphMatcher(cloud, MatcherConfig(), executor=executor) as matcher:
+                actual = matcher.match(query)
+        finally:
+            executor.close()
+            cloud.close()
+        assert actual.rows == expected.rows and actual.metrics == expected.metrics
+        assert published == []
+
+    def test_segments_unlinked_after_cloud_close(
+        self, parity_graph, parity_queries, monkeypatch
+    ):
+        """Closing the cloud retires its workers, and no block a query
+        shipped (every array forced through shared memory) outlives it."""
+        import repro.runtime.executors as executors_module
+
+        monkeypatch.setattr(executors_module, "_SHIP_THRESHOLD_ENTRIES", 1)
+        before = shm_listing()
         cloud = MemoryCloud.from_graph(parity_graph, ClusterConfig(machine_count=4))
         executor = ProcessExecutor(workers=2)
-        with SubgraphMatcher(cloud, MatcherConfig(), executor=executor) as matcher:
-            matcher.match(parity_queries[0])
-            names = executor.published_segment_names()
-        assert names, "process run should have published the graph"
-        # One segment per image column (four per machine + three global).
-        assert len(names) == len(cloud.columns()) == 4 * cloud.machine_count + 3
-        cloud.close()
-        assert executor.published_segment_names() == []
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                segment = shared_memory.SharedMemory(name=name)
-                segment.close()
+        try:
+            with SubgraphMatcher(cloud, MatcherConfig(), executor=executor) as matcher:
+                matcher.match(parity_queries[0], limit=5)
+                workers = worker_pids(executor)
+                assert len(workers) == 2 and all(map(running, workers))
+                assert executor.transport_counters["explore_publications"] > 0
+        finally:
+            cloud.close()
+        assert worker_pids(executor) == [] and not any(map(running, workers))
+        assert shm_listing() == before
+        executor.close()
 
     def test_executor_close_is_idempotent(self, parity_graph, parity_queries):
         cloud = MemoryCloud.from_graph(parity_graph, ClusterConfig(machine_count=4))
         executor = ProcessExecutor(workers=1)
-        matcher = SubgraphMatcher(cloud, MatcherConfig(), executor=executor)
-        matcher.match(parity_queries[0])
-        executor.close()
-        executor.close()
-        cloud.close()
+        try:
+            matcher = SubgraphMatcher(cloud, MatcherConfig(), executor=executor)
+            matcher.match(parity_queries[0])
+            executor.close()
+            executor.close()
+        finally:
+            executor.close()
+            cloud.close()
 
     def test_executor_reused_after_close_cleans_up_again(
         self, parity_graph, parity_queries
@@ -334,31 +397,31 @@ class TestProcessRuntimeLifecycle:
         """close() must stay effective after a close -> reuse cycle."""
         cloud = MemoryCloud.from_graph(parity_graph, ClusterConfig(machine_count=4))
         executor = ProcessExecutor(workers=1)
-        matcher = SubgraphMatcher(cloud, MatcherConfig(), executor=executor)
-        first = matcher.match(parity_queries[0])
-        executor.close()
-        assert executor.published_segment_names() == []
-        second = matcher.match(parity_queries[0])  # rebuilds pool + publication
-        assert second.rows == first.rows
-        names = executor.published_segment_names()
-        assert names
-        executor.close()
-        assert executor.published_segment_names() == []
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                segment = shared_memory.SharedMemory(name=name)
-                segment.close()
-        cloud.close()
+        try:
+            matcher = SubgraphMatcher(cloud, MatcherConfig(), executor=executor)
+            first = matcher.match(parity_queries[0])
+            retired = worker_pids(executor)
+            executor.close()
+            assert worker_pids(executor) == [] and not any(map(running, retired))
+            second = matcher.match(parity_queries[0])  # forks new workers
+            assert second.rows == first.rows
+            workers = worker_pids(executor)
+            assert workers and not set(workers) & set(retired)
+            executor.close()
+            assert worker_pids(executor) == [] and not any(map(running, workers))
+        finally:
+            executor.close()
+            cloud.close()
 
     def test_matcher_and_cloud_close_any_order_any_number_of_times(
         self, parity_graph, parity_queries
     ):
-        """Teardown is idempotent and order-independent, with no segment leak.
+        """Teardown is idempotent and order-independent, with no worker left.
 
         The service layer closes the matcher before the cloud; ad-hoc users
         (and __exit__ stacks) do it the other way around, and error paths
-        may do either twice.  Every interleaving must unlink all published
-        segments exactly once and tolerate repetition.
+        may do either twice.  Every interleaving must retire all workers
+        exactly once and tolerate repetition.
         """
         for close_matcher_first in (True, False):
             cloud = MemoryCloud.from_graph(parity_graph, ClusterConfig(machine_count=4))
@@ -366,24 +429,25 @@ class TestProcessRuntimeLifecycle:
                 cloud, MatcherConfig(), executor=ProcessExecutor(workers=1)
             )
             matcher._owns_executor = True  # owned, so matcher.close() closes it
-            matcher.match(parity_queries[0], limit=5)
-            names = matcher.executor.published_segment_names()
-            assert names
-            first, second = (
-                (matcher.close, cloud.close)
-                if close_matcher_first
-                else (cloud.close, matcher.close)
-            )
-            first()
-            first()  # double-close before the peer closes
-            second()
-            second()
-            first()  # ...and after
-            assert matcher.executor.published_segment_names() == []
-            for name in names:
-                with pytest.raises(FileNotFoundError):
-                    segment = shared_memory.SharedMemory(name=name)
-                    segment.close()
+            try:
+                matcher.match(parity_queries[0], limit=5)
+                workers = worker_pids(matcher.executor)
+                assert workers
+                first, second = (
+                    (matcher.close, cloud.close)
+                    if close_matcher_first
+                    else (cloud.close, matcher.close)
+                )
+                first()
+                first()  # double-close before the peer closes
+                second()
+                second()
+                first()  # ...and after
+                assert worker_pids(matcher.executor) == []
+                assert not any(map(running, workers))
+            finally:
+                matcher.close()
+                cloud.close()
 
     def test_close_while_queries_in_flight_never_deadlocks(
         self, parity_graph, parity_queries
@@ -409,40 +473,42 @@ class TestProcessRuntimeLifecycle:
             cloud, MatcherConfig(), executor=ProcessExecutor(workers=1)
         )
         matcher._owns_executor = True
-        matcher.match(parity_queries[0], limit=5)  # provision pool + shm
-        started = threading.Barrier(3)
-        outcomes = []
-        lock = threading.Lock()
+        try:
+            matcher.match(parity_queries[0], limit=5)  # workers up
+            started = threading.Barrier(3)
+            outcomes = []
+            lock = threading.Lock()
 
-        def client() -> None:
+            def client() -> None:
+                started.wait(timeout=5)
+                try:
+                    result = matcher.match(parity_queries[0], limit=20)
+                    with lock:
+                        outcomes.append(("ok", result.rows))
+                except Exception as exc:  # noqa: BLE001 - recorded for the assert
+                    with lock:
+                        outcomes.append(("error", exc))
+
+            workers = [threading.Thread(target=client) for _ in range(2)]
+            for worker in workers:
+                worker.start()
             started.wait(timeout=5)
-            try:
-                result = matcher.match(parity_queries[0], limit=20)
-                with lock:
-                    outcomes.append(("ok", result.rows))
-            except Exception as exc:  # noqa: BLE001 - recorded for the assert
-                with lock:
-                    outcomes.append(("error", exc))
-
-        workers = [threading.Thread(target=client) for _ in range(2)]
-        for worker in workers:
-            worker.start()
-        started.wait(timeout=5)
-        matcher.close()  # drains the in-flight fan-out, then tears down
-        cloud.close()
-        for worker in workers:
-            worker.join(timeout=60)
-            assert not worker.is_alive(), "query deadlocked against teardown"
-        assert len(outcomes) == 2
-        for kind, payload in outcomes:
-            if kind == "ok":
-                assert payload == expected
-        # A query mid-flight when close() hit may have rebuilt the pool for
-        # its next stage (reuse-after-close semantics); the final close must
-        # still leave no segment behind.
-        matcher.close()
-        cloud.close()
-        assert matcher.executor.published_segment_names() == []
+            matcher.close()  # drains the in-flight fan-out, then tears down
+            cloud.close()
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive(), "query deadlocked against teardown"
+            assert len(outcomes) == 2
+            for kind, payload in outcomes:
+                if kind == "ok":
+                    assert payload == expected
+        finally:
+            # A query mid-flight when close() hit may have restarted the
+            # workers for its next stage (reuse-after-close semantics); the
+            # final close must still leave none behind.
+            matcher.close()
+            cloud.close()
+        assert worker_pids(matcher.executor) == []
 
     def test_shared_executor_switching_clouds_reregisters(
         self, parity_graph, parity_queries
@@ -456,18 +522,20 @@ class TestProcessRuntimeLifecycle:
             expected = matcher_a.match(parity_queries[0]).rows
             matcher_b = SubgraphMatcher(cloud_b, MatcherConfig(), executor=executor)
             matcher_b.match(parity_queries[0])
-            names_b = executor.published_segment_names()
+            workers_b = worker_pids(executor)
             cloud_a.close()  # must not tear down cloud B's runtime
-            assert executor.published_segment_names() == names_b
+            assert worker_pids(executor) == workers_b
             again = matcher_b.match(parity_queries[0]).rows
             assert again == expected
+            assert worker_pids(executor) == workers_b
         finally:
             executor.close()
+            cloud_a.close()
             cloud_b.close()
 
-    def test_reloading_cloud_republishes_to_workers(self):
-        """load_graph on an already-published cloud must invalidate the
-        publication — workers would otherwise match the previous graph."""
+    def test_reloading_cloud_restarts_workers(self):
+        """load_graph on a cloud with live workers must restart them —
+        workers forked before the reload would match the previous graph."""
         graph_a = generate_power_law(2_000, 5, label_density=5e-3, seed=71)
         graph_b = generate_power_law(3_000, 5, label_density=5e-3, seed=72)
         cloud = MemoryCloud.from_graph(graph_a, ClusterConfig(machine_count=3))
@@ -476,7 +544,7 @@ class TestProcessRuntimeLifecycle:
             matcher = SubgraphMatcher(cloud, MatcherConfig(), executor=executor)
             query_a = dfs_query(graph_a, 4, seed=9)
             matcher.match(query_a)
-            names_before = executor.published_segment_names()
+            pids_before = set(worker_pids(executor))
             cloud.load_graph(graph_b)
             query_b = dfs_query(graph_b, 4, seed=9)
             expected = SubgraphMatcher(cloud, executor="serial").match(query_b)
@@ -484,7 +552,8 @@ class TestProcessRuntimeLifecycle:
             actual = matcher.match(query_b)
             assert actual.rows == expected.rows
             assert actual.metrics == expected.metrics
-            assert executor.published_segment_names() != names_before
+            pids_after = set(worker_pids(executor))
+            assert pids_after and not pids_after & pids_before
         finally:
             executor.close()
             cloud.close()
@@ -538,7 +607,7 @@ class TestProcessRuntimeLifecycle:
             for result in executor.run(cloud, tasks):
                 result.table.release()
             assert executor.transport_counters["explore_publications"] > 0
-            resident = set(os.listdir("/dev/shm"))  # the graph publication
+            resident = set(os.listdir("/dev/shm"))
             with pytest.raises(IndexError):
                 executor.run(cloud, tasks + [no_such_machine])
             with pytest.raises(RuntimeError, match="merge failed"):
@@ -576,7 +645,7 @@ class TestProcessRuntimeLifecycle:
         executor = ProcessExecutor(workers=2, stealing=False)
         failing = FailsAfterFirstStage(workers=2, stealing=False)
         try:
-            executor.run(cloud, [])  # publish the graph before the census
+            executor.run(cloud, [])  # workers up before the census
             resident = set(os.listdir("/dev/shm"))
             outcome = explore(cloud, plan, executor=executor)
             handles = [h for machine in outcome.handles for h in machine if h.row_count]
@@ -723,27 +792,6 @@ class TestProcessRuntimeLifecycle:
         chunks = _root_chunks(large, True)
         assert 2 <= len(chunks) <= _STEAL_MAX_CHUNKS
         np.testing.assert_array_equal(np.concatenate(chunks), large)
-
-    def test_rebuild_cloud_round_trip(self, parity_graph):
-        cloud = MemoryCloud.from_graph(parity_graph, ClusterConfig(machine_count=3))
-        handle, registry = publish_cloud(cloud)
-        try:
-            rebuilt = rebuild_cloud(handle)
-            assert rebuilt.machine_count == cloud.machine_count
-            assert rebuilt.node_count == cloud.node_count
-            assert rebuilt.edge_count == cloud.edge_count
-            assert rebuilt.partition_sizes() == cloud.partition_sizes()
-            node_ids = parity_graph.node_id_array()[:100]
-            np.testing.assert_array_equal(
-                rebuilt.owners_of_array(node_ids), cloud.owners_of_array(node_ids)
-            )
-            label = parity_graph.label(int(node_ids[0]))
-            np.testing.assert_array_equal(
-                rebuilt.batch_has_label(node_ids, label, requester=0),
-                cloud.batch_has_label(node_ids, label, requester=0),
-            )
-        finally:
-            registry.close()
 
 
 class TestSingleExecutionPath:
@@ -905,8 +953,7 @@ class TestSharedMemoryHelpers:
     def test_registry_close_unlinks_everything(self):
         registry = SegmentRegistry()
         specs = [registry.publish(np.arange(10)) for _ in range(3)]
-        names = registry.segment_names()
-        assert len(names) == 3
+        assert len({spec.name for spec in specs}) == 3
         registry.close()
         assert registry.closed
         registry.close()  # idempotent

@@ -112,12 +112,27 @@ class Trap:
         return self.victim.value
 
 
+def workers_of(executor: ProcessExecutor):
+    """The executor's own worker processes (never another test's children)."""
+    return [worker.process for worker in executor._state.workers]
+
+
+def children():
+    """PIDs of this process's live children."""
+    return {child.pid for child in multiprocessing.active_children()}
+
+
 @pytest.fixture
 def runtime(graph, monkeypatch):
     """``(cloud, executor, matcher, /dev/shm before anything was published)``,
-    every array forced through shared memory so a stranded block would show."""
+    every array forced through shared memory so a stranded block would show.
+
+    Closing it checks that no child process outlives the scenario: the
+    children alive at its start are the baseline, not an empty set.
+    """
     monkeypatch.setattr(executors_module, "_SHIP_THRESHOLD_ENTRIES", 1)
     before = set(os.listdir("/dev/shm"))
+    children_before = children()
     cloud = MemoryCloud.from_graph(graph, ClusterConfig(machine_count=4))
     executor = ProcessExecutor(workers=2)
     matcher = SubgraphMatcher(cloud, MatcherConfig(), executor=executor)
@@ -126,6 +141,7 @@ def runtime(graph, monkeypatch):
     finally:
         finished, _, error = bounded(lambda: (matcher.close(), executor.close(), cloud.close()))
         assert finished and error is None
+        assert children() <= children_before
 
 
 @pytest.mark.parametrize(
@@ -143,9 +159,9 @@ def test_sigkill_mid_batch_fails_the_query_and_the_executor_recovers(
     cloud, executor, matcher, before = runtime
     trap = Trap()
     trap.patch(monkeypatch, patched, after)
-    executor.run(cloud, [])  # workers up, graph published, trap inherited
+    executor.run(cloud, [])  # workers up, trap inherited
     resident = set(os.listdir("/dev/shm"))
-    workers = {child.pid for child in multiprocessing.active_children()}
+    workers = {worker.pid for worker in workers_of(executor)}
     assert len(workers) == 2
 
     failed = {}
@@ -174,20 +190,20 @@ def test_sigkill_mid_batch_fails_the_query_and_the_executor_recovers(
     finished, result, error = bounded(lambda: matcher.match(query))
     assert finished and error is None
     assert result.rows == expected
-    survivors = {child.pid for child in multiprocessing.active_children()}
+    survivors = {worker.pid for worker in workers_of(executor)}
     assert len(survivors) == 2 and victim not in survivors
 
     finished, _, error = bounded(lambda: (matcher.close(), executor.close(), cloud.close()))
     assert finished and error is None
     assert set(os.listdir("/dev/shm")) == before
-    assert multiprocessing.active_children() == []
+    assert workers_of(executor) == [] and not children() & (workers | survivors)
 
 
 def test_sigkill_between_batches_costs_nothing(runtime, query, expected):
     """An idle worker that dies is replaced before the next batch."""
     cloud, executor, matcher, before = runtime
     assert matcher.match(query).rows == expected
-    victim = multiprocessing.active_children()[0]
+    victim = workers_of(executor)[0]
     os.kill(victim.pid, signal.SIGKILL)
     victim.join(DEADLINE_S)  # dead before the next batch looks, not during it
     assert not victim.is_alive()
@@ -195,7 +211,7 @@ def test_sigkill_between_batches_costs_nothing(runtime, query, expected):
     finished, result, error = bounded(lambda: matcher.match(query))
     assert finished and error is None
     assert result.rows == expected
-    survivors = {child.pid for child in multiprocessing.active_children()}
+    survivors = {worker.pid for worker in workers_of(executor)}
     assert len(survivors) == 2 and victim not in survivors
 
 
@@ -203,7 +219,7 @@ def test_sigstop_does_not_hang_close(runtime, query, expected):
     """A stopped worker ignores SIGTERM: close() kills it at the deadline."""
     cloud, executor, matcher, before = runtime
     assert matcher.match(query).rows == expected
-    stopped = multiprocessing.active_children()[0].pid
+    stopped = workers_of(executor)[0].pid
     os.kill(stopped, signal.SIGSTOP)
     patience = time.monotonic() + DEADLINE_S
     while _process_state(stopped) != "T":  # a SIGTERM that overtakes the stop would kill it
@@ -216,7 +232,7 @@ def test_sigstop_does_not_hang_close(runtime, query, expected):
     assert executors_module._CLOSE_DEADLINE_S <= elapsed < executors_module._CLOSE_DEADLINE_S + 3.0
     cloud.close()
     assert set(os.listdir("/dev/shm")) == before
-    assert multiprocessing.active_children() == []
+    assert workers_of(executor) == [] and stopped not in children()
 
 
 def test_stealing_queries_strand_nothing_on_a_resident_executor(
@@ -241,4 +257,4 @@ def test_stealing_queries_strand_nothing_on_a_resident_executor(
     finished, _, error = bounded(lambda: (matcher.close(), executor.close(), cloud.close()))
     assert finished and error is None
     assert set(os.listdir("/dev/shm")) == before
-    assert multiprocessing.active_children() == []
+    assert workers_of(executor) == []

@@ -22,6 +22,10 @@ source for those fixtures:
   (:func:`pair_join` spells the two-table case of the real join);
 * :func:`assert_same_image` — two clouds hold the same columns, label
   pairs and counts, values and dtypes;
+* :func:`memmapped_columns` — which of a cloud's image columns are
+  ``np.memmap`` views of a snapshot file (the rest live in RAM);
+* :func:`write_graph_only_snapshot` — a snapshot directory of the retired
+  graph-only kind, as its writer laid it out;
 * :func:`bound_set` — a query node's binding array as a set, for
   assertions that do not care about order;
 * :func:`oracle_replay` — delta-log replay by rebuilding the whole graph
@@ -73,6 +77,8 @@ from repro.graph.partition import RoundRobinPartitioner
 from repro.graph.stats import GenerationReport, attach_generation_report
 from repro.query.generators import dfs_query, random_query_from_graph
 from repro.query.query_graph import QueryGraph
+from repro.storage.provider import MmapColumnWriter
+from repro.storage.snapshot import SNAPSHOT_FORMAT
 from repro.utils.rng import ensure_rng
 
 # -- match-set comparison --------------------------------------------------
@@ -120,6 +126,48 @@ def assert_same_image(actual: MemoryCloud, expected: MemoryCloud) -> None:
     assert actual.edge_count == expected.edge_count
     assert actual.node_count == expected.node_count
     assert actual.label_table.labels() == expected.label_table.labels()
+
+
+def memmapped_columns(cloud: MemoryCloud) -> set:
+    """Names of ``cloud``'s image columns that are ``np.memmap`` views.
+
+    A clean snapshot open adopts the file's views for every (nonempty)
+    column; a merged delta log, a graph-only snapshot's partition map and
+    any ``load_graph`` put columns in RAM.
+    """
+    return {
+        name for name, column in cloud.columns().items() if isinstance(column, np.memmap)
+    }
+
+
+def write_graph_only_snapshot(graph: LabeledGraph, directory):
+    """``graph`` as the retired graph-only writer laid it out: the four
+    ``graph/*`` CSR columns and a manifest without a cloud section."""
+    import json
+
+    directory.mkdir(parents=True)
+    arrays = {
+        "graph/node_ids": graph.node_id_array(),
+        "graph/label_ids": graph.label_id_array(),
+        "graph/offsets": graph.offset_array(),
+        "graph/neighbors": graph.neighbor_array(),
+    }
+    entries = []
+    with MmapColumnWriter(directory / "columns.bin") as writer:
+        for name, array in arrays.items():
+            spec = writer.publish(array)
+            entries.append({"name": name, "offset": spec.offset,
+                            "shape": list(spec.shape), "dtype": spec.dtype})
+        for entry, crc in zip(entries, writer.checksums()):
+            entry["crc32"] = crc
+    doc = {
+        "format": SNAPSHOT_FORMAT, "version": 2, "generation": 1,
+        "created_unix": 0.0, "node_count": graph.node_count,
+        "edge_count": graph.edge_count, "labels": list(graph.label_table.labels()),
+        "data_file": "columns.bin", "arrays": entries,
+    }
+    (directory / "manifest.json").write_text(json.dumps(doc))
+    return directory
 
 
 def bound_set(bindings, node: str):

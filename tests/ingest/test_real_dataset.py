@@ -20,6 +20,7 @@ from repro.cloud.config import ClusterConfig
 from repro.core.engine import SubgraphMatcher
 from repro.ingest import degree_band_labeler, ingest_edges, read_edge_list
 from repro.workloads.motifs import MOTIFS
+from tests.helpers import memmapped_columns
 
 DATA_PATH = Path(__file__).resolve().parents[2] / "benchmarks" / "data" / "coauthor_5k.edges"
 LIMIT = 1024
@@ -77,7 +78,7 @@ def test_snapshot_round_trip_keeps_the_id_map_and_the_external_rows(ingests, clo
         expected = matcher.match(query, limit=LIMIT).external_rows()
     sparse_cloud.save_snapshot(tmp_path / "snap")
     with MemoryCloud.open_snapshot(tmp_path / "snap") as reopened:
-        assert reopened.storage_publication is not None
+        assert memmapped_columns(reopened) == set(reopened.columns())
         assert reopened.id_map is not None and reopened.id_map == ingests[0].id_map
         with SubgraphMatcher(reopened) as matcher:
             assert matcher.match(query, limit=LIMIT).external_rows() == expected

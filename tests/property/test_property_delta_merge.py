@@ -34,7 +34,12 @@ from repro.graph.partition import (
 from repro.ingest import IdMap
 from repro.storage.delta import DeltaLog, DeltaRecord, compact_snapshot
 from repro.storage.snapshot import open_graph_snapshot
-from tests.helpers import assert_same_array, assert_same_image, oracle_replay
+from tests.helpers import (
+    assert_same_array,
+    assert_same_image,
+    memmapped_columns,
+    oracle_replay,
+)
 
 RELAXED = settings(
     max_examples=60,
@@ -186,10 +191,17 @@ class TestCloudOverlay:
         config = ClusterConfig(machine_count=machine_count, partitioner=partitioner)
         expected_graph = oracle_replay(base, records)
         with tempfile.TemporaryDirectory() as snapshot:
-            MemoryCloud.from_graph(base, config).save_snapshot(snapshot)
+            base_cloud = MemoryCloud.from_graph(base, config)
+            base_cloud.save_snapshot(snapshot)
+            stored = base_cloud.columns()
             DeltaLog(snapshot).append(records)
             overlay = MemoryCloud.open_snapshot(snapshot)
-            assert overlay.storage_publication is None
+            # A column the log changed is a copy in RAM, never the file view.
+            changed = {
+                name for name, column in overlay.columns().items()
+                if column.shape != stored[name].shape or not np.array_equal(column, stored[name])
+            }
+            assert not changed & memmapped_columns(overlay)
             assert_same_graph(open_graph_snapshot(snapshot), expected_graph)
             # Known nodes keep their stored machine, so the reference is
             # the rebuild under the merged cloud's own assignment ...
@@ -206,7 +218,9 @@ class TestCloudOverlay:
             assert manifest.generation == 2
             assert not DeltaLog(snapshot).exists()
             clean = MemoryCloud.open_snapshot(snapshot)
-            assert clean.storage_publication is not None
+            assert memmapped_columns(clean) == {
+                name for name, column in clean.columns().items() if column.size
+            }
             assert_same_image(clean, overlay)
             assert_same_graph(open_graph_snapshot(snapshot), expected_graph)
 

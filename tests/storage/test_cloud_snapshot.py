@@ -7,7 +7,7 @@ import pytest
 
 import repro.api as api
 from repro.baselines.vf2 import vf2_match
-from repro.cloud.cluster import MemoryCloud
+from repro.cloud.cluster import MemoryCloud, column_names
 from repro.cloud.config import ClusterConfig
 from repro.core.engine import SubgraphMatcher
 from repro.graph.generators import generate_gnm
@@ -17,14 +17,20 @@ from repro.query.query_graph import QueryGraph
 from repro.errors import StorageError
 from repro.storage.cloud_snapshot import cluster_config_from_manifest
 from repro.storage.delta import DeltaLog, DeltaRecord, compact_snapshot
-from repro.storage.provider import MmapColumnWriter
 from repro.storage.snapshot import (
-    SNAPSHOT_FORMAT,
     open_graph_snapshot,
     read_manifest,
     write_snapshot,
 )
-from tests.helpers import assert_same_image, oracle_replay
+from tests.helpers import (
+    assert_same_image,
+    memmapped_columns,
+    oracle_replay,
+    write_graph_only_snapshot,
+)
+
+#: Every image column of the fixture cloud (3 machines).
+IMAGE = set(column_names(3))
 
 
 @pytest.fixture
@@ -56,7 +62,7 @@ class TestCloudRoundTrip:
         assert manifest.machine_count == 3
 
         reopened = MemoryCloud.open_snapshot(tmp_path / "snap")
-        assert reopened.storage_publication is not None  # memmap fast path
+        assert memmapped_columns(reopened) == IMAGE  # memmap fast path
         assert reopened.machine_count == cloud.machine_count
         assert reopened.node_count == cloud.node_count
         assert reopened.edge_count == cloud.edge_count
@@ -89,16 +95,15 @@ class TestCloudRoundTrip:
     def test_load_graph_supersedes_snapshot_backing(self, tmp_path, cloud, graph):
         cloud.save_snapshot(tmp_path / "snap")
         reopened = MemoryCloud.open_snapshot(tmp_path / "snap")
-        assert reopened.storage_publication is not None
+        assert memmapped_columns(reopened) == IMAGE
         reopened.load_graph(graph)
-        assert reopened.storage_publication is None
+        assert memmapped_columns(reopened) == set()
 
 
 #: The on-disk vocabulary of a 3-machine cloud snapshot of the fixture
 #: graph, format version 2: the image once, then the label-pair keys.
-#: ``MemoryCloud.columns()``, the worker publication handle and
-#: ``storage_publication`` key on the same names; a change here means older
-#: snapshots stop reopening on the fast path.
+#: ``MemoryCloud.columns()`` keys on the same names; a change here means
+#: older snapshots stop reopening on the fast path.
 PINNED_ARRAY_NAMES = [
     "graph/node_ids", "graph/label_ids", "assignment/machines",
     "machine0/node_ids", "machine0/label_ids", "machine0/offsets", "machine0/neighbors",
@@ -136,7 +141,7 @@ class TestFormatPin:
 
         reopened = MemoryCloud.open_snapshot(tmp_path / "snap")
         # The image is the pinned names minus the label-pair keys.
-        assert set(reopened.storage_publication) == set(reopened.columns()) == {
+        assert memmapped_columns(reopened) == set(reopened.columns()) == {
             name for name in PINNED_ARRAY_NAMES if not name.startswith("labelpairs/")
         }
 
@@ -147,7 +152,7 @@ class TestFallbackPaths:
         DeltaLog(tmp_path / "snap").append_nodes([(5000, "new")])
         DeltaLog(tmp_path / "snap").append_edges([(5000, 0)])
         reopened = MemoryCloud.open_snapshot(tmp_path / "snap")
-        assert reopened.storage_publication is None  # replayed, not memmapped
+        assert memmapped_columns(reopened) < IMAGE  # replayed: some columns in RAM
         assert reopened.node_count == cloud.node_count + 1
         assert 0 in {int(n) for n in reopened.load_neighbors(5000)}
 
@@ -156,7 +161,9 @@ class TestFallbackPaths:
         reopened = MemoryCloud.open_snapshot(
             tmp_path / "snap", ClusterConfig(machine_count=2)
         )
-        assert reopened.storage_publication is None
+        # Partitioned afresh from the stored CSR, whose node and label
+        # columns the graph adopted as they were.
+        assert memmapped_columns(reopened) == {"graph/node_ids", "graph/label_ids"}
         assert reopened.machine_count == 2
         assert reopened.node_count == graph.node_count
 
@@ -165,7 +172,9 @@ class TestFallbackPaths:
         reopened = MemoryCloud.open_snapshot(
             tmp_path / "snap", ClusterConfig(machine_count=5)
         )
-        assert reopened.storage_publication is None
+        # Partitioned afresh from the image's graph, which adopted the stored
+        # cluster-wide node and label columns.
+        assert memmapped_columns(reopened) == {"graph/node_ids", "graph/label_ids"}
         assert reopened.machine_count == 5
         assert reopened.edge_count == cloud.edge_count
 
@@ -201,7 +210,7 @@ class TestParseOnce:
         monkeypatch.setattr(DeltaLog, "read", counting_read)
 
         overlay = MemoryCloud.open_snapshot(tmp_path / "snap")
-        assert overlay.storage_publication is None  # replayed
+        assert memmapped_columns(overlay) < IMAGE  # replayed
         assert parses == {"manifest": 1, "log": 1}
 
         parses.update(manifest=0, log=0)
@@ -210,7 +219,7 @@ class TestParseOnce:
 
         parses.update(manifest=0, log=0)
         clean = MemoryCloud.open_snapshot(tmp_path / "snap")
-        assert clean.storage_publication is not None
+        assert memmapped_columns(clean) == IMAGE
         assert parses == {"manifest": 1, "log": 1}
 
 
@@ -251,23 +260,19 @@ class TestOverlayMerge:
         cloud.save_snapshot(tmp_path / "snap")
         DeltaLog(tmp_path / "snap").append_edges([(0, 79), (1, 78)])
         overlay = MemoryCloud.open_snapshot(tmp_path / "snap")
-        assert overlay.storage_publication is None
-        columns = overlay.columns()
-        untouched = [
-            "graph/node_ids", "graph/label_ids", "assignment/machines",
-            *(f"machine{m}/{column}" for m in range(3) for column in ("node_ids", "label_ids")),
-        ]
-        for name in untouched:
-            assert isinstance(columns[name], np.memmap), name
-            assert not columns[name].flags.writeable, name
         # Only the partitions owning an endpoint got new adjacency columns.
         touched = {overlay.owner_of(node) for node in (0, 1, 78, 79)}
-        for machine_id in range(3):
-            for column in ("offsets", "neighbors"):
-                in_ram = not isinstance(
-                    columns[f"machine{machine_id}/{column}"], np.memmap
-                )
-                assert in_ram == (machine_id in touched)
+        assert touched and touched != {0, 1, 2}, "the log must leave a partition alone"
+        untouched = {
+            "graph/node_ids", "graph/label_ids", "assignment/machines",
+            *(f"machine{m}/{column}" for m in range(3) for column in ("node_ids", "label_ids")),
+            *(f"machine{m}/{column}" for m in set(range(3)) - touched
+              for column in ("offsets", "neighbors")),
+        }
+        assert memmapped_columns(overlay) == untouched
+        columns = overlay.columns()
+        for name in untouched:
+            assert not columns[name].flags.writeable, name
 
     def test_mixed_image_serves_both_executors(self, tmp_path, cloud, graph):
         query = two_edge_path_query(graph)
@@ -310,7 +315,7 @@ class TestOverlayMerge:
         ).save_snapshot(tmp_path / "snap")
         with MemoryCloud.open_snapshot(tmp_path / "snap", tracking) as reopened:
             assert match_rows(reopened, query, executor) == expected
-            assert reopened.storage_publication is not None  # still file-backed
+            assert memmapped_columns(reopened) == IMAGE  # still file-backed
             assert_same_image(reopened, cloud)
         with api.connect(
             tmp_path / "snap", cluster_config=tracking, executor=executor
@@ -424,7 +429,7 @@ class TestQueryParity:
 
         cloud.save_snapshot(tmp_path / "snap")
         reopened = MemoryCloud.open_snapshot(tmp_path / "snap")
-        assert reopened.storage_publication is not None
+        assert memmapped_columns(reopened) == IMAGE
         assert match_rows(reopened, query, executor) == reference
 
     def test_overlay_and_compacted_clouds_agree(self, tmp_path, cloud, graph):
@@ -437,7 +442,7 @@ class TestQueryParity:
 
         compact_snapshot(tmp_path / "snap")
         compacted = MemoryCloud.open_snapshot(tmp_path / "snap")
-        assert compacted.storage_publication is not None
+        assert memmapped_columns(compacted) == IMAGE
         assert match_rows(compacted, query) == overlay_rows
 
     def test_vf2_cross_check_on_snapshot_cloud(self, tmp_path, cloud, graph):
@@ -518,7 +523,7 @@ class TestVersion1Snapshots:
         query = two_edge_path_query(graph)
         v1, v2 = snapshots
         with MemoryCloud.open_snapshot(v1) as old, MemoryCloud.open_snapshot(v2) as new:
-            assert old.storage_publication is not None
+            assert memmapped_columns(old) == IMAGE
             assert_same_image(old, new)
             assert match_rows(old, query) == match_rows(new, query)
         # Another machine count: both repartition the graph derived from the image.
@@ -559,39 +564,9 @@ class TestVersion1Snapshots:
         assert compacted.version == 2
         assert list(compacted.arrays) == list(read_manifest(v2).arrays)
         with MemoryCloud.open_snapshot(v1) as old, MemoryCloud.open_snapshot(v2) as new:
-            assert old.storage_publication is not None
+            assert memmapped_columns(old) == IMAGE
             assert_same_image(old, new)
             assert match_rows(old, query) == match_rows(new, query)
-
-
-def write_graph_only_snapshot(graph, directory):
-    """``graph`` as the retired graph-only writer laid it out: the four
-    ``graph/*`` CSR columns and a manifest without a cloud section."""
-    import json
-
-    directory.mkdir(parents=True)
-    arrays = {
-        "graph/node_ids": graph.node_id_array(),
-        "graph/label_ids": graph.label_id_array(),
-        "graph/offsets": graph.offset_array(),
-        "graph/neighbors": graph.neighbor_array(),
-    }
-    entries = []
-    with MmapColumnWriter(directory / "columns.bin") as writer:
-        for name, array in arrays.items():
-            spec = writer.publish(array)
-            entries.append({"name": name, "offset": spec.offset,
-                            "shape": list(spec.shape), "dtype": spec.dtype})
-        for entry, crc in zip(entries, writer.checksums()):
-            entry["crc32"] = crc
-    doc = {
-        "format": SNAPSHOT_FORMAT, "version": 2, "generation": 1,
-        "created_unix": 0.0, "node_count": graph.node_count,
-        "edge_count": graph.edge_count, "labels": list(graph.label_table.labels()),
-        "data_file": "columns.bin", "arrays": entries,
-    }
-    (directory / "manifest.json").write_text(json.dumps(doc))
-    return directory
 
 
 class TestGraphOnlySnapshots:
@@ -609,8 +584,8 @@ class TestGraphOnlySnapshots:
         query = two_edge_path_query(graph)
         with MemoryCloud.open_snapshot(legacy) as opened:
             assert opened.machine_count == 1
-            # The partition map lives in RAM: not a file-only image.
-            assert opened.storage_publication is None
+            # The partition map lives in RAM; the CSR is the file's.
+            assert memmapped_columns(opened) == set(column_names(1)) - {"assignment/machines"}
             assert_same_image(opened, MemoryCloud.from_graph(graph, self.ONE_MACHINE))
             assert match_rows(opened, query, executor) == match_rows(cloud, query)
         with api.connect(legacy, executor=executor) as db:
@@ -647,7 +622,7 @@ class TestGraphOnlySnapshots:
         assert (manifest.version, manifest.generation, manifest.machine_count) == (2, 2, 1)
         assert not manifest.resident
         with MemoryCloud.open_snapshot(legacy) as compacted:
-            assert compacted.storage_publication is not None
+            assert memmapped_columns(compacted) == set(column_names(1))
             assert match_rows(compacted, query) == expected
 
     def test_a_missing_csr_column_is_named(self, legacy):

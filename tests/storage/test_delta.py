@@ -12,6 +12,7 @@ from repro.graph.generators import generate_gnm
 from repro.graph.labeled_graph import LabeledGraph
 from repro.storage.delta import DeltaLog, DeltaRecord, compact_snapshot
 from repro.storage.snapshot import open_graph_snapshot, read_manifest
+from tests.helpers import memmapped_columns
 
 
 @pytest.fixture
@@ -172,7 +173,7 @@ class TestCompaction:
         reopened = MemoryCloud.open_snapshot(tmp_path / "snap")
         assert reopened.machine_count == 3
         # The compacted base reopens on the memmap fast path again.
-        assert reopened.storage_publication is not None
+        assert memmapped_columns(reopened) == set(reopened.columns())
         merged = open_graph_snapshot(tmp_path / "snap")
         assert {
             (u, v) for u, v in merged.edges()

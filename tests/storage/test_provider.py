@@ -1,4 +1,4 @@
-"""Unit tests for array specs: attach dispatch (shm + mmap) and the column writer."""
+"""Unit tests for mmap array specs: attaching them, and the column writer."""
 
 from __future__ import annotations
 
@@ -13,21 +13,9 @@ from repro.storage.provider import (
     attach_spec,
     verify_checksum,
 )
-from repro.utils.shm import SegmentRegistry, SharedArraySpec
 
 
 class TestAttachDispatch:
-    def test_shm_spec_round_trip(self):
-        array = np.arange(10, dtype=np.int64)
-        with SegmentRegistry() as registry:
-            spec = registry.publish(array)
-            assert isinstance(spec, SharedArraySpec)
-            handle, view = attach_spec(spec)
-            try:
-                np.testing.assert_array_equal(view, array)
-            finally:
-                handle.close()
-
     def test_mmap_spec_round_trip(self, tmp_path):
         array = np.arange(7, dtype=np.int32)
         with MmapColumnWriter(tmp_path / "data.bin") as writer:
@@ -50,12 +38,6 @@ class TestAttachDispatch:
         finally:
             handle.close()
 
-    def test_writable_mmap_attach_rejected(self, tmp_path):
-        with MmapColumnWriter(tmp_path / "data.bin") as writer:
-            spec = writer.publish(np.arange(4, dtype=np.int64))
-        with pytest.raises(StorageError):
-            attach_spec(spec, writable=True)
-
     def test_empty_array_attaches_without_mapping(self, tmp_path):
         with MmapColumnWriter(tmp_path / "data.bin") as writer:
             spec = writer.publish(np.empty(0, dtype=np.int64))
@@ -64,10 +46,6 @@ class TestAttachDispatch:
         assert view.dtype == np.int64
         handle.close()  # idempotent no-op handle
         handle.close()
-
-    def test_unknown_spec_type_rejected(self):
-        with pytest.raises(StorageError):
-            attach_spec(object())
 
 
 class TestMmapProvider:

@@ -13,6 +13,7 @@ import pytest
 import repro.api as api
 from repro.cli import EXPERIMENTS, build_parser, main
 from repro.graph.io import load_graph, save_graph
+from tests.helpers import write_graph_only_snapshot
 from tests.ingest.test_dblp import SMALL_DBLP
 
 #: ``{verb: {flag: default}}`` of ``build_parser()``, dumped from the commit
@@ -329,6 +330,15 @@ class TestSnapshotCommands:
         assert "memmap fast path" in output
         assert "checksums verified" in output
         assert "0 pending delta records" in output
+
+    def test_open_reports_a_graph_only_snapshot(self, graph_prefix, tmp_path, capsys):
+        """A directory of the retired graph-only kind: one machine, whose
+        partition map is built in RAM at open."""
+        snap = write_graph_only_snapshot(load_graph(graph_prefix), tmp_path / "legacy")
+        assert main(["open", "--snapshot", str(snap)]) == 0
+        output = capsys.readouterr().out
+        assert "graph-only snapshot: memmap image, partition map in RAM" in output
+        assert "1 machines, 0 pending delta records" in output
 
     def test_append_then_open_then_compact(self, snapshot_dir, capsys):
         assert main(

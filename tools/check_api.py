@@ -25,15 +25,20 @@ cache with its handle fingerprints, the in-place snapshot reload
 ``assignment/ids`` alias, and the second snapshot kind and second log merge
 (``save_graph_snapshot`` / ``save --graph-only``, ``replay_deltas`` /
 ``open_graph_snapshot``'s ``replay=``) with the provider wrapper layer
-(``StorageProvider`` and its subclasses): the names are gone from the API,
-and nothing in ``src/`` may bring them back.
+(``StorageProvider`` and its subclasses), and the graph publication to
+worker processes (``publish_cloud`` / ``rebuild_cloud`` / ``CloudHandle``,
+``storage_publication`` and ``_install``'s ``file_specs=``, the two-kind
+``discard_spec``, ``published_segment_names`` / ``segment_names``): the
+names are gone from the API, and nothing in ``src/`` may bring them back.
 
 And it keeps the front door single (``FRONT_DOOR``): ``repro.api`` is the one
 place a source becomes a cloud and a service is put in front of it, so the
 CLI may construct no cloud, matcher or service of its own and ``serve/`` no
 cloud.  Likewise one worker mechanism (``WORKER_POOLS``): the process backend
-owns its worker processes, so nothing under ``src/`` may import or construct
-a ``multiprocessing`` pool beside them.
+owns its worker processes, forked through an explicit context so they
+inherit the cloud, so nothing under ``src/`` may import or construct a
+``multiprocessing`` pool beside them, or a ``multiprocessing.Process`` of
+the platform's default start method.
 
 Run from the repo root (CI's lint job does):
 
@@ -114,6 +119,14 @@ RETIRED_SPELLINGS = [
     "replay_deltas",
     "replay=",
     "StorageProvider",
+    "publish_cloud",
+    "rebuild_cloud",
+    "CloudHandle",
+    "storage_publication",
+    "file_specs=",
+    "discard_spec",
+    "published_segment_names",
+    "segment_names(",
 ]
 
 #: Constructor spellings banned per file (glob under the repo root): a second
@@ -129,7 +142,13 @@ FRONT_DOOR = {
 }
 
 #: Spellings that import or construct a second worker mechanism under ``src/``.
-WORKER_POOLS = ["multiprocessing.Pool", "multiprocessing.pool", "import Pool", ".Pool("]
+WORKER_POOLS = [
+    "multiprocessing.Pool",
+    "multiprocessing.pool",
+    "import Pool",
+    ".Pool(",
+    "multiprocessing.Process(",
+]
 
 
 def _banned_lines(root: Path, paths, spellings: List[str], why: str) -> List[str]:
