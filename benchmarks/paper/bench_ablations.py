@@ -9,11 +9,12 @@
 
 from __future__ import annotations
 
-from repro.baselines.edge_join import EdgeIndex, edge_join_match
-from repro.bench.experiments import ablation_block_size, ablation_optimizations
-from repro.bench.harness import build_cloud, run_baseline, run_suite
 from repro.workloads.datasets import patents_small
-from repro.workloads.suites import PAPER_RESULT_LIMIT, dfs_suite
+
+from benchmarks.paper.edge_join import EdgeIndex, edge_join_match
+from benchmarks.paper.experiments import ablation_block_size, ablation_optimizations
+from benchmarks.paper.harness import build_cloud, run_baseline, run_suite
+from benchmarks.paper.suites import PAPER_RESULT_LIMIT, dfs_suite
 
 from conftest import save_rows
 

@@ -10,16 +10,17 @@
 
 from __future__ import annotations
 
-from repro.bench.experiments import (
+from repro.workloads.datasets import rmat_graph
+
+from benchmarks.paper.experiments import (
     BENCH_MATCHER_CONFIG,
     figure10a_graph_size_fixed_degree,
     figure10b_graph_size_fixed_density,
     figure10c_average_degree,
     figure10d_label_density,
 )
-from repro.bench.harness import build_cloud, run_suite
-from repro.workloads.datasets import rmat_graph
-from repro.workloads.suites import PAPER_RESULT_LIMIT, dfs_suite
+from benchmarks.paper.harness import build_cloud, run_suite
+from benchmarks.paper.suites import PAPER_RESULT_LIMIT, dfs_suite
 
 from conftest import save_rows
 

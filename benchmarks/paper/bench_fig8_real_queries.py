@@ -11,15 +11,16 @@ not absolute milliseconds.
 
 from __future__ import annotations
 
-from repro.bench.experiments import (
+from repro.workloads.datasets import patents_small, wordnet_small
+
+from benchmarks.paper.experiments import (
     BENCH_MATCHER_CONFIG,
     figure8a_dfs_query_size,
     figure8b_random_query_size,
     figure8c_random_edge_count,
 )
-from repro.bench.harness import build_cloud, run_suite
-from repro.workloads.datasets import patents_small, wordnet_small
-from repro.workloads.suites import PAPER_RESULT_LIMIT, dfs_suite
+from benchmarks.paper.harness import build_cloud, run_suite
+from benchmarks.paper.suites import PAPER_RESULT_LIMIT, dfs_suite
 
 from conftest import save_rows
 

@@ -9,10 +9,11 @@ sub-linear).
 
 from __future__ import annotations
 
-from repro.bench.experiments import BENCH_MATCHER_CONFIG, figure9_speedup
-from repro.bench.harness import build_cloud, run_suite
 from repro.workloads.datasets import patents_small
-from repro.workloads.suites import PAPER_RESULT_LIMIT, dfs_suite
+
+from benchmarks.paper.experiments import BENCH_MATCHER_CONFIG, figure9_speedup
+from benchmarks.paper.harness import build_cloud, run_suite
+from benchmarks.paper.suites import PAPER_RESULT_LIMIT, dfs_suite
 
 from conftest import save_rows
 

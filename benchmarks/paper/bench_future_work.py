@@ -7,7 +7,7 @@
 
 from __future__ import annotations
 
-from repro.bench.future_work import (
+from benchmarks.paper.future_work import (
     response_time_bounds,
     throughput_vs_machines,
     transmitted_data_vs_machines,

@@ -12,14 +12,15 @@ from __future__ import annotations
 import statistics as pystats
 import time
 
-from repro.baselines.naive_exploration import naive_exploration_match
-from repro.bench.harness import build_cloud, run_suite
 from repro.core.engine import SubgraphMatcher
 from repro.core.planner import MatcherConfig
 from repro.core.statistics import EdgeStatistics
 from repro.workloads.datasets import DEFAULT_SEED, patents_small, rmat_graph, wordnet_small
-from repro.workloads.suites import PAPER_RESULT_LIMIT, dfs_suite
 from repro.utils.rng import ensure_rng
+
+from benchmarks.paper.harness import build_cloud, run_suite
+from benchmarks.paper.naive_exploration import explore_neighborhood, naive_exploration_match
+from benchmarks.paper.suites import PAPER_RESULT_LIMIT, dfs_suite
 
 from conftest import save_rows
 
@@ -32,13 +33,13 @@ def test_three_hop_exploration_rate(benchmark, results_dir):
     starts = [rng.randrange(graph.node_count) for _ in range(20)]
 
     def explore_all():
-        return [len(cloud.explore_neighborhood(start, hops=3)) for start in starts]
+        return [len(explore_neighborhood(cloud, start, hops=3)) for start in starts]
 
     sizes = benchmark(explore_all)
     timings = []
     for start in starts[:10]:
         begin = time.perf_counter()
-        reached = cloud.explore_neighborhood(start, hops=3)
+        reached = explore_neighborhood(cloud, start, hops=3)
         timings.append((time.perf_counter() - begin, len(reached)))
     rows = [
         {
@@ -105,16 +106,9 @@ def test_statistics_aware_ordering(benchmark, results_dir):
 
     def run_both():
         rows = []
-        for label, config, statistics in [
-            ("f-value only (paper)", MatcherConfig(), None),
-            (
-                "edge statistics",
-                MatcherConfig(use_edge_statistics=True),
-                stats,
-            ),
-        ]:
+        for label, statistics in [("f-value only (paper)", None), ("edge statistics", stats)]:
             cloud = build_cloud(graph, machine_count=4)
-            matcher = SubgraphMatcher(cloud, config, statistics=statistics)
+            matcher = SubgraphMatcher(cloud, statistics=statistics)
             wall = []
             intermediate = 0
             matches = 0

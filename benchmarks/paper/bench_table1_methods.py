@@ -8,9 +8,10 @@ approach needs).
 
 from __future__ import annotations
 
-from repro.bench.experiments import table1_method_comparison
-from repro.bench.harness import build_cloud
 from repro.workloads.datasets import patents_small
+
+from benchmarks.paper.experiments import table1_method_comparison
+from benchmarks.paper.harness import build_cloud
 
 from conftest import save_rows
 

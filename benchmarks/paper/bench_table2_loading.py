@@ -8,10 +8,11 @@ row reports generation and loading time separately.
 
 from __future__ import annotations
 
-from repro.bench.experiments import table2_loading_times
-from repro.bench.harness import build_cloud
 from repro.graph.generators.rmat import generate_rmat
 from repro.workloads.datasets import DEFAULT_SEED
+
+from benchmarks.paper.experiments import table2_loading_times
+from benchmarks.paper.harness import build_cloud
 
 from conftest import save_rows
 

@@ -1,11 +1,11 @@
 """Shared helpers for the benchmark suite.
 
 Every benchmark regenerates one of the paper's tables or figures: it runs
-the corresponding experiment driver from :mod:`repro.bench.experiments`,
-saves the rows under ``benchmarks/results/``, prints them (visible with
-``pytest -s``), and wraps one representative operation with the
-``pytest-benchmark`` fixture so ``--benchmark-only`` also reports stable
-timing statistics.
+the corresponding experiment driver from :mod:`benchmarks.paper.experiments`,
+saves the rows under ``benchmarks/results/`` (beside this directory), prints
+them (visible with ``pytest -s``), and wraps one representative operation
+with the ``pytest-benchmark`` fixture so ``--benchmark-only`` also reports
+stable timing statistics.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from typing import Dict, Sequence
 
 import pytest
 
-from repro.bench.reporting import format_table
+from benchmarks.paper.reporting import format_table
 
-RESULTS_DIR = Path(__file__).parent / "results"
+RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 
 @pytest.fixture(scope="session")

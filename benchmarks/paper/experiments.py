@@ -3,7 +3,7 @@
 Every public function regenerates one table or figure of the paper's
 evaluation section and returns its rows as a list of dicts; the
 ``benchmarks/`` scripts call these and print them with
-:mod:`repro.bench.reporting`.  Parameters default to "quick" scales so the
+:mod:`benchmarks.paper.reporting`.  Parameters default to "quick" scales so the
 whole suite completes in minutes; pass larger values for longer runs.
 """
 
@@ -12,21 +12,22 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.baselines.cost_models import (
-    FACEBOOK_SCALE,
-    GraphScale,
-    feasible_at_scale,
-    table1_cost_models,
-)
-from repro.baselines.edge_join import EdgeIndex
-from repro.baselines.neighborhood_index import NeighborhoodSignatureIndex
-from repro.bench.harness import build_cloud, run_suite
 from repro.core.planner import MatcherConfig
 from repro.graph.generators.rmat import generate_rmat
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.stats import compute_stats
 from repro.workloads.datasets import DEFAULT_SEED, patents_small, wordnet_small
-from repro.workloads.suites import (
+
+from benchmarks.paper.cost_models import (
+    FACEBOOK_SCALE,
+    GraphScale,
+    feasible_at_scale,
+    table1_cost_models,
+)
+from benchmarks.paper.edge_join import EdgeIndex
+from benchmarks.paper.harness import build_cloud, run_suite
+from benchmarks.paper.neighborhood_index import NeighborhoodSignatureIndex
+from benchmarks.paper.suites import (
     PAPER_RESULT_LIMIT,
     dfs_suite,
     random_suite,

@@ -20,11 +20,12 @@ import statistics
 import time
 from typing import Dict, List, Sequence
 
-from repro.bench.harness import build_cloud
 from repro.core.engine import SubgraphMatcher
 from repro.core.planner import MatcherConfig
 from repro.workloads.datasets import patents_small, wordnet_small
-from repro.workloads.suites import PAPER_RESULT_LIMIT, dfs_suite, random_suite
+
+from benchmarks.paper.harness import build_cloud
+from benchmarks.paper.suites import PAPER_RESULT_LIMIT, dfs_suite, random_suite
 
 #: Matcher configuration shared with the figure benchmarks.
 FUTURE_WORK_CONFIG = MatcherConfig(max_stwig_leaves=3)

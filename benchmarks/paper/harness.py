@@ -1,7 +1,7 @@
 """Benchmark harness: run query batches and collect paper-style measurements.
 
 The harness is deliberately small: it builds a cloud, runs a
-:class:`~repro.workloads.suites.QuerySuite` through the STwig engine (or a
+:class:`~benchmarks.paper.suites.QuerySuite` through the STwig engine (or a
 baseline callable), and aggregates per-query wall-clock and simulated times
 into the averages the paper reports.
 """
@@ -19,7 +19,8 @@ from repro.core.engine import SubgraphMatcher
 from repro.core.planner import MatcherConfig
 from repro.graph.labeled_graph import LabeledGraph
 from repro.query.query_graph import QueryGraph
-from repro.workloads.suites import PAPER_RESULT_LIMIT, QuerySuite
+
+from benchmarks.paper.suites import PAPER_RESULT_LIMIT, QuerySuite
 
 
 @dataclass
@@ -73,8 +74,8 @@ def run_suite(
     remote_loads: List[int] = []
     messages: List[int] = []
     transferred_bytes: List[int] = []
-    # Closed on the way out: under the process backend every matcher owns a
-    # worker pool and a shared-memory publication of the cloud.
+    # Closed on the way out: under the process backend every matcher owns
+    # worker processes forked from the cloud.
     with SubgraphMatcher(cloud, matcher_config) as matcher:
         for query in suite.queries:
             result = matcher.match(query, limit=result_limit)
@@ -101,19 +102,20 @@ def run_suite(
 def run_baseline(
     graph: LabeledGraph,
     queries: Sequence[QueryGraph],
-    method: Callable[[LabeledGraph, QueryGraph], List[Dict[str, int]]],
+    method: Callable[..., List[Dict[str, int]]],
     label: str,
     result_limit: Optional[int] = PAPER_RESULT_LIMIT,
 ) -> BatchMeasurement:
-    """Run a single-machine baseline callable over ``queries`` and aggregate."""
+    """Run a single-machine baseline over ``queries`` and aggregate.
+
+    ``method(graph, query, limit=result_limit)`` is called once per query;
+    whatever it raises propagates.
+    """
     wall_times: List[float] = []
     match_counts: List[int] = []
     for query in queries:
         started = time.perf_counter()
-        try:
-            matches = method(graph, query, limit=result_limit)  # type: ignore[call-arg]
-        except TypeError:
-            matches = method(graph, query)
+        matches = method(graph, query, limit=result_limit)
         wall_times.append(time.perf_counter() - started)
         match_counts.append(len(matches))
     return BatchMeasurement(

@@ -6,7 +6,9 @@ and the STwig hybrid it proposes.  This module implements the naive
 exploration strategy directly against the :class:`MemoryCloud` operators so
 its cost — cell loads, label probes, cross-machine traffic — is measured by
 the same accounting as the STwig engine, making the Section 3 trade-off
-quantifiable (see ``bench_ablations.py``).
+quantifiable (see ``bench_ablations.py``).  :func:`explore_neighborhood`
+walks the same per-cell operators breadth-first, k hops out (the paper's
+Trinity 3-hop claim, ``bench_substrate.py``).
 
 The algorithm: pick a starting query node (most selective label), seed its
 candidates from the label index, and extend the partial embedding one query
@@ -18,7 +20,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.cloud.cluster import MemoryCloud
+from repro.errors import CloudError
 from repro.query.query_graph import QueryGraph
 
 
@@ -44,7 +49,7 @@ def naive_exploration_match(
     used: set[int] = set()
 
     start_label = query.label(order[0])
-    start_candidates = cloud.get_ids(start_label)
+    start_candidates = _ids_with_label(cloud, start_label)
 
     def extend(depth: int) -> bool:
         if depth == len(order):
@@ -66,6 +71,57 @@ def naive_exploration_match(
 
     extend(0)
     return results
+
+
+def explore_neighborhood(
+    cloud: MemoryCloud, node_id: int, hops: int, requester: int | None = None
+) -> Dict[int, int]:
+    """Breadth-first exploration of the ``hops``-hop neighborhood of a node.
+
+    Reproduces the access pattern behind the paper's Trinity claim that
+    "exploring the entire 3-hop neighborhood of any node ... takes less
+    than 100 milliseconds": every visited node's cell is loaded through
+    :meth:`MemoryCloud.load` (charging local/remote accesses), and the
+    mapping ``node_id -> distance`` of all nodes within ``hops`` hops is
+    returned.
+
+    Args:
+        cloud: the memory cloud holding the data graph.
+        node_id: the start node.
+        hops: how many hops to expand (0 returns just the start node).
+        requester: machine driving the exploration; defaults to the
+            owner of ``node_id`` (exploration started where the data is).
+    """
+    if hops < 0:
+        raise CloudError(f"hops must be non-negative, got {hops}")
+    origin = cloud.owner_of(node_id) if requester is None else requester
+    distances: Dict[int, int] = {node_id: 0}
+    frontier = [node_id]
+    for depth in range(1, hops + 1):
+        next_frontier: List[int] = []
+        for current in frontier:
+            cell = cloud.load(current, requester=origin)
+            for neighbor in cell.neighbors:
+                if neighbor not in distances:
+                    distances[neighbor] = depth
+                    next_frontier.append(neighbor)
+        frontier = next_frontier
+    return distances
+
+
+def _ids_with_label(cloud: MemoryCloud, label: str) -> List[int]:
+    """Global ``Index.getID``: every machine's local IDs for ``label``, sorted.
+
+    One index lookup is charged per machine.
+    """
+    return np.sort(
+        np.concatenate(
+            [
+                cloud.get_local_ids_array(machine_id, label)
+                for machine_id in range(cloud.machine_count)
+            ]
+        )
+    ).tolist()
 
 
 def _exploration_order(cloud: MemoryCloud, query: QueryGraph) -> List[str]:
@@ -109,7 +165,7 @@ def _candidates_for(
     if not anchors:
         # Disconnected exploration step (cannot happen for connected queries,
         # but keep the fallback total): scan the label index globally.
-        return cloud.get_ids(query.label(qnode))
+        return _ids_with_label(cloud, query.label(qnode))
     # Explore from the first matched anchor: load its cell and keep neighbors
     # with the right label.
     anchor = anchors[0]

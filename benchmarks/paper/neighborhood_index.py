@@ -7,7 +7,7 @@ query node's own signature (every required label appears at least as often);
 surviving candidates are then verified with backtracking search.
 
 The index size grows as ``O(n * d^r)`` — the super-linear cost Table 1
-criticizes — which :func:`repro.baselines.cost_models` quantifies and the
+criticizes — which :func:`benchmarks.paper.cost_models` quantifies and the
 Table 1 benchmark measures directly on graphs small enough to index.
 """
 

@@ -1,17 +1,26 @@
-"""Serving-benchmark helpers: concurrent client drivers and latency stats.
+"""Serving benchmark: concurrent client drivers and latency stats.
 
-What the ``bench-serve`` CLI subcommand runs: hammer one
-:class:`~repro.serve.service.QueryService` from N client threads, collect
-per-query latencies, and reduce them to throughput and percentile figures.
+Hammer one :class:`~repro.serve.service.QueryService` from N client threads,
+collect per-query latencies, and reduce them to throughput and percentile
+figures.  Run it from the repository root::
+
+    PYTHONPATH=src python -m benchmarks.paper.serve_bench --clients 8 --rounds 3
+    PYTHONPATH=src python -m benchmarks.paper.serve_bench --graph /tmp/g --executor process
 """
 
 from __future__ import annotations
 
+import argparse
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro import api
+from repro.cli import runtime_flags
+from repro.graph.generators import generate_rmat
+from repro.query.generators import query_workload
 from repro.query.query_graph import QueryGraph
 from repro.serve.service import QueryService
 
@@ -141,3 +150,66 @@ def run_concurrent_clients(
         thread.join()
     run.wall_seconds = time.perf_counter() - window_started
     return run
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m benchmarks.paper.serve_bench",
+        description="benchmark the always-on service with concurrent clients",
+        parents=[runtime_flags()],
+    )
+    parser.add_argument(
+        "--graph", default=None, help="graph path prefix (default: a generated R-MAT graph)"
+    )
+    parser.add_argument("--nodes", type=int, default=20_000, help="generated-graph size")
+    parser.add_argument("--degree", type=float, default=8.0)
+    parser.add_argument("--label-density", type=float, default=0.01)
+    parser.add_argument("--clients", type=int, default=4)
+    parser.add_argument("--queries", type=int, default=12, help="distinct queries in the mix")
+    parser.add_argument("--query-nodes", type=int, default=4, help="query size (nodes)")
+    parser.add_argument("--rounds", type=int, default=2, help="passes over the query mix")
+    parser.add_argument("--seed", type=int, default=1)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    if args.graph:
+        graph = api.load_dataset(args.graph)
+    else:
+        graph = generate_rmat(args.nodes, args.degree, args.label_density, seed=args.seed)
+    queries = query_workload(
+        graph, args.queries, kind="dfs", node_count=args.query_nodes, seed=args.seed
+    )
+    with api.connect(
+        graph,
+        machines=args.machines,
+        executor=args.executor,
+        workers=args.workers,
+        max_in_flight=max(args.clients, 1),
+    ) as db:
+        db.service.warm(queries[0])
+        run = run_concurrent_clients(
+            db.service, queries, clients=args.clients, limit=args.limit, rounds=args.rounds
+        )
+        summary = run.summary()
+        stats = db.stats()
+    for error in run.errors:
+        print(f"error: {error}")
+    print(
+        f"{summary['queries']} queries from {args.clients} clients in "
+        f"{summary['wall_seconds']:.3f} s -> {summary['queries_per_second']:.1f} qps"
+    )
+    print(
+        f"latency p50 {summary['latency_p50_seconds'] * 1000:.2f} ms, "
+        f"p99 {summary['latency_p99_seconds'] * 1000:.2f} ms, "
+        f"max {summary['latency_max_seconds'] * 1000:.2f} ms"
+    )
+    print(
+        f"plan cache: {stats.plan_cache_hits} hits / {stats.plan_cache_misses} misses"
+    )
+    return 1 if run.errors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

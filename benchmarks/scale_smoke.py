@@ -35,7 +35,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dataset_cache import cached_graph, default_cache_dir
 
-from repro.bench.harness import build_cloud
+from repro.cloud.cluster import MemoryCloud
+from repro.cloud.config import ClusterConfig
 from repro.core.engine import SubgraphMatcher
 from repro.core.planner import MatcherConfig
 from repro.graph.generators.power_law import generate_power_law
@@ -91,7 +92,7 @@ def run_model(
         )
 
     started = time.perf_counter()
-    cloud = build_cloud(graph, machine_count=machine_count)
+    cloud = MemoryCloud.from_graph(graph, ClusterConfig(machine_count=machine_count))
     load_seconds = time.perf_counter() - started
 
     query = dfs_query(graph, 5, seed=3)

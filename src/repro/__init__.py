@@ -2,8 +2,9 @@
 
 The package implements the paper's STwig-based, index-free distributed
 subgraph matching algorithm on top of a simulated Trinity-style memory
-cloud, plus the baselines, workloads, and benchmark harness needed to
-regenerate the paper's evaluation.
+cloud, with the exact VF2/Ullmann matchers it is checked against.  The
+drivers that regenerate the paper's tables and figures, with their index
+baselines and cost models, live outside the package in ``benchmarks/paper/``.
 
 Quickstart — :mod:`repro.api` is the documented entry point::
 

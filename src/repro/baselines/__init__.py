@@ -1,33 +1,6 @@
-"""Baseline subgraph matching methods and analytic index cost models."""
+"""Exact single-machine matchers: the oracles the STwig engine is checked against."""
 
-from repro.baselines.cost_models import (
-    FACEBOOK_SCALE,
-    GraphScale,
-    MethodCostModel,
-    feasible_at_scale,
-    table1_cost_models,
-)
-from repro.baselines.edge_join import EdgeIndex, EdgeJoinStats, edge_join_match
-from repro.baselines.naive_exploration import naive_exploration_match
-from repro.baselines.neighborhood_index import (
-    NeighborhoodSignatureIndex,
-    signature_match,
-)
 from repro.baselines.ullmann import ullmann_match
 from repro.baselines.vf2 import vf2_match
 
-__all__ = [
-    "ullmann_match",
-    "vf2_match",
-    "naive_exploration_match",
-    "EdgeIndex",
-    "EdgeJoinStats",
-    "edge_join_match",
-    "NeighborhoodSignatureIndex",
-    "signature_match",
-    "GraphScale",
-    "MethodCostModel",
-    "table1_cost_models",
-    "feasible_at_scale",
-    "FACEBOOK_SCALE",
-]
+__all__ = ["ullmann_match", "vf2_match"]

@@ -1,6 +1,6 @@
 """Command-line interface for the repro library.
 
-Ten subcommands cover the common workflows without writing Python; every one
+Eight subcommands cover the common workflows without writing Python; every one
 that needs a graph or a cloud gets it from :mod:`repro.api`, so ``query`` and
 ``serve`` run exactly the path ``api.connect`` -> ``Session.query`` runs:
 
@@ -25,21 +25,11 @@ that needs a graph or a cloud gets it from :mod:`repro.api`, so ``query`` and
       python -m repro query --dataset coauthor.tsv --query-file motif.q
       python -m repro query --snapshot /tmp/co.snap --query-file motif.q
 
-* ``experiment`` — run one of the paper's experiments and print its table::
-
-      python -m repro experiment table2
-      python -m repro experiment fig10d
-
 * ``serve`` — keep the graph resident and answer a stream of queries read
   from stdin (blank-line-separated blocks in the textual format, or a line
   naming a query file)::
 
       python -m repro serve --graph /tmp/g --machines 4 --executor process
-
-* ``bench-serve`` — drive an always-on service from N concurrent clients
-  and report throughput and latency percentiles::
-
-      python -m repro bench-serve --graph /tmp/g --clients 8 --rounds 3
 
 Persistent snapshots (the memmap column store) get four subcommands —
 ``save`` a loaded graph as a snapshot, ``open`` one to inspect it,
@@ -64,11 +54,9 @@ import argparse
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from repro import api
-from repro.bench import experiments, future_work
-from repro.bench.reporting import format_table
 from repro.cloud.config import EXECUTOR_BACKENDS, resolve_backend
 from repro.core.planner import MatcherConfig
 from repro.core.result import MatchResult
@@ -82,30 +70,8 @@ from repro.graph.generators import (
 )
 from repro.graph.io import save_graph
 from repro.ingest import ingest_dblp_xml
-from repro.query.generators import query_workload
 from repro.query.parser import format_query, parse_query
-from repro.serve import run_concurrent_clients
 from repro.storage import DeltaLog, compact_snapshot, read_manifest
-
-#: Experiment name -> zero-argument driver producing table rows.
-EXPERIMENTS: Dict[str, Callable[[], List[dict]]] = {
-    "table1": experiments.table1_method_comparison,
-    "table2": experiments.table2_loading_times,
-    "fig8a": experiments.figure8a_dfs_query_size,
-    "fig8b": experiments.figure8b_random_query_size,
-    "fig8c": experiments.figure8c_random_edge_count,
-    "fig9a": lambda: experiments.figure9_speedup(kind="dfs"),
-    "fig9b": lambda: experiments.figure9_speedup(kind="random"),
-    "fig10a": experiments.figure10a_graph_size_fixed_degree,
-    "fig10b": experiments.figure10b_graph_size_fixed_density,
-    "fig10c": experiments.figure10c_average_degree,
-    "fig10d": experiments.figure10d_label_density,
-    "ablation-opts": experiments.ablation_optimizations,
-    "ablation-blocks": experiments.ablation_block_size,
-    "throughput": future_work.throughput_vs_machines,
-    "transmitted-data": future_work.transmitted_data_vs_machines,
-    "latency-bounds": future_work.response_time_bounds,
-}
 
 
 def _row_limit(text: str) -> Optional[int]:
@@ -114,6 +80,29 @@ def _row_limit(text: str) -> Optional[int]:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value or None
+
+
+def runtime_flags() -> argparse.ArgumentParser:
+    """``--machines/--limit/--executor/--workers``, spelled as ``api.connect``'s."""
+    runtime = argparse.ArgumentParser(add_help=False)
+    runtime.add_argument("--machines", type=int, default=4)
+    runtime.add_argument(
+        "--limit", type=_row_limit, default=1024, help="per-query row budget (0 = unlimited)"
+    )
+    runtime.add_argument(
+        "--executor",
+        type=resolve_backend,
+        default=None,
+        help=f"cluster runtime backend, one of {', '.join(EXECUTOR_BACKENDS)} "
+        "(default: REPRO_EXECUTOR env or serial)",
+    )
+    runtime.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="process pool size (default: min(machines, CPU cores))",
+    )
+    return runtime
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,24 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
         "edge-list file (sparse/string IDs are remapped), or DBLP XML; "
         "alternative to --graph",
     )
-    runtime = argparse.ArgumentParser(add_help=False)
-    runtime.add_argument("--machines", type=int, default=4)
-    runtime.add_argument(
-        "--limit", type=_row_limit, default=1024, help="per-query row budget (0 = unlimited)"
-    )
-    runtime.add_argument(
-        "--executor",
-        type=resolve_backend,
-        default=None,
-        help=f"cluster runtime backend, one of {', '.join(EXECUTOR_BACKENDS)} "
-        "(default: REPRO_EXECUTOR env or serial)",
-    )
-    runtime.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="process pool size (default: min(machines, CPU cores))",
-    )
+    runtime = runtime_flags()
     snapshot_out = argparse.ArgumentParser(add_help=False)
     snapshot_out.add_argument("--out", required=True, help="snapshot directory to write")
     snapshot_out.add_argument(
@@ -191,10 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--show", type=int, default=5, help="number of matches to print")
     query.add_argument("--explain", action="store_true", help="print the query plan")
 
-    experiment = subparsers.add_parser("experiment", help="run one paper experiment")
-    experiment.set_defaults(handler=_command_experiment)
-    experiment.add_argument("name", choices=sorted(EXPERIMENTS))
-
     serve = subparsers.add_parser(
         "serve",
         parents=[source, runtime],
@@ -211,24 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission control: reject queries asking for more rows",
     )
     serve.add_argument("--show", type=int, default=3, help="matches to print per query")
-
-    bench_serve = subparsers.add_parser(
-        "bench-serve",
-        parents=[runtime],
-        help="benchmark the always-on service with concurrent clients",
-    )
-    bench_serve.set_defaults(handler=_command_bench_serve)
-    bench_serve.add_argument(
-        "--graph", default=None, help="graph path prefix (default: a generated R-MAT graph)"
-    )
-    bench_serve.add_argument("--nodes", type=int, default=20_000, help="generated-graph size")
-    bench_serve.add_argument("--degree", type=float, default=8.0)
-    bench_serve.add_argument("--label-density", type=float, default=0.01)
-    bench_serve.add_argument("--clients", type=int, default=4)
-    bench_serve.add_argument("--queries", type=int, default=12, help="distinct queries in the mix")
-    bench_serve.add_argument("--query-nodes", type=int, default=4, help="query size (nodes)")
-    bench_serve.add_argument("--rounds", type=int, default=2, help="passes over the query mix")
-    bench_serve.add_argument("--seed", type=int, default=1)
 
     save = subparsers.add_parser(
         "save", parents=[snapshot_out], help="save a graph as a persistent (memmap) snapshot"
@@ -372,12 +322,6 @@ def _command_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_experiment(args: argparse.Namespace) -> int:
-    rows = EXPERIMENTS[args.name]()
-    print(format_table(rows, title=f"experiment: {args.name}"))
-    return 0
-
-
 def _read_query_blocks(stream) -> Iterator[str]:
     """Yield blank-line-separated query blocks from ``stream``.
 
@@ -438,44 +382,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             flush=True,
         )
     return 0
-
-
-def _command_bench_serve(args: argparse.Namespace) -> int:
-    if args.graph:
-        graph = api.load_dataset(args.graph)
-    else:
-        graph = generate_rmat(args.nodes, args.degree, args.label_density, seed=args.seed)
-    queries = query_workload(
-        graph, args.queries, kind="dfs", node_count=args.query_nodes, seed=args.seed
-    )
-    with api.connect(
-        graph,
-        machines=args.machines,
-        executor=args.executor,
-        workers=args.workers,
-        max_in_flight=max(args.clients, 1),
-    ) as db:
-        db.service.warm(queries[0])
-        run = run_concurrent_clients(
-            db.service, queries, clients=args.clients, limit=args.limit, rounds=args.rounds
-        )
-        summary = run.summary()
-        stats = db.stats()
-    for error in run.errors:
-        print(f"error: {error}")
-    print(
-        f"{summary['queries']} queries from {args.clients} clients in "
-        f"{summary['wall_seconds']:.3f} s -> {summary['queries_per_second']:.1f} qps"
-    )
-    print(
-        f"latency p50 {summary['latency_p50_seconds'] * 1000:.2f} ms, "
-        f"p99 {summary['latency_p99_seconds'] * 1000:.2f} ms, "
-        f"max {summary['latency_max_seconds'] * 1000:.2f} ms"
-    )
-    print(
-        f"plan cache: {stats.plan_cache_hits} hits / {stats.plan_cache_misses} misses"
-    )
-    return 1 if run.errors else 0
 
 
 def _save_partitioned(graph, args: argparse.Namespace):

@@ -4,8 +4,8 @@
 algorithms are written against:
 
 * ``Cloud.Load(id)``     -> :meth:`MemoryCloud.load`
-* ``Index.getID(label)`` -> :meth:`MemoryCloud.get_local_ids` (per machine,
-  local nodes only, exactly as in the paper)
+* ``Index.getID(label)`` -> :meth:`MemoryCloud.get_local_ids_array` (per
+  machine, local nodes only, exactly as in the paper)
 * ``Index.hasLabel(id, label)`` -> :meth:`MemoryCloud.has_label`
 
 Every call is issued *by* a machine (the ``requester``); when the requested
@@ -379,29 +379,17 @@ class MemoryCloud:
         positions, found = sorted_lookup(self._global_node_ids, node_ids)
         return found & (self._global_label_ids[positions] == label_id)
 
-    def get_local_ids(self, machine_id: int, label: str) -> Tuple[int, ...]:
-        """``Index.getID(label)`` on one machine: IDs of *local* nodes with ``label``."""
-        return tuple(self.get_local_ids_array(machine_id, label).tolist())
-
     def get_local_ids_array(self, machine_id: int, label: str) -> np.ndarray:
-        """``Index.getID(label)`` as a sorted ``NODE_DTYPE`` array (no copy).
+        """``Index.getID(label)`` on one machine: its *local* nodes with ``label``.
 
-        Identical accounting to :meth:`get_local_ids` — one index lookup —
-        but the per-label array cached by the machine's label index is
-        returned directly, which is what the batched STwig matcher consumes.
-        Treat the array as read-only.
+        One index lookup is charged.  The sorted ``NODE_DTYPE`` array cached
+        by the machine's label index is returned directly (no copy), which
+        is what the batched STwig matcher consumes.  Treat it as read-only.
         """
         machine = self._machine(machine_id)
         ids = machine.label_index.get_ids_array(label)
         self.metrics.record_index_lookup(machine_id, len(ids))
         return ids
-
-    def get_ids(self, label: str) -> Tuple[int, ...]:
-        """Global label lookup: union of every machine's local index (sorted)."""
-        ids: List[int] = []
-        for machine in self.machines:
-            ids.extend(self.get_local_ids(machine.machine_id, label))
-        return tuple(sorted(ids))
 
     def has_label(self, node_id: int, label: str, requester: int | None = None) -> bool:
         """``Index.hasLabel(id, label)``: check a (possibly remote) node's label."""
@@ -419,40 +407,6 @@ class MemoryCloud:
         if label is None:
             raise NodeNotFoundError(node_id, f"machine {owner}")
         return label
-
-    def explore_neighborhood(
-        self, node_id: int, hops: int, requester: int | None = None
-    ) -> Dict[int, int]:
-        """Breadth-first exploration of the ``hops``-hop neighborhood of a node.
-
-        Reproduces the access pattern behind the paper's Trinity claim that
-        "exploring the entire 3-hop neighborhood of any node ... takes less
-        than 100 milliseconds": every visited node's cell is loaded through
-        :meth:`load` (charging local/remote accesses), and the mapping
-        ``node_id -> distance`` of all nodes within ``hops`` hops is
-        returned.
-
-        Args:
-            node_id: the start node.
-            hops: how many hops to expand (0 returns just the start node).
-            requester: machine driving the exploration; defaults to the
-                owner of ``node_id`` (exploration started where the data is).
-        """
-        if hops < 0:
-            raise CloudError(f"hops must be non-negative, got {hops}")
-        origin = self.owner_of(node_id) if requester is None else requester
-        distances: Dict[int, int] = {node_id: 0}
-        frontier = [node_id]
-        for depth in range(1, hops + 1):
-            next_frontier: List[int] = []
-            for current in frontier:
-                cell = self.load(current, requester=origin)
-                for neighbor in cell.neighbors:
-                    if neighbor not in distances:
-                        distances[neighbor] = depth
-                        next_frontier.append(neighbor)
-            frontier = next_frontier
-        return distances
 
     # -- topology ----------------------------------------------------------------
 

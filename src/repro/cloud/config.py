@@ -40,8 +40,8 @@ class RuntimeConfig:
 
     Attributes:
         backend: ``"serial"`` (in-process, the parity oracle) or
-            ``"process"`` (worker processes over shared-memory CSR
-            partitions).  ``None`` defers to the ``REPRO_EXECUTOR``
+            ``"process"`` (worker processes forked from the loaded cloud,
+            which they inherit).  ``None`` defers to the ``REPRO_EXECUTOR``
             environment variable.
         workers: pool size for the process backend; ``None`` sizes the
             pool to ``min(machine_count, cpu_count)``.

@@ -9,11 +9,11 @@ Labels are interned through a shared
 :class:`~repro.graph.label_table.LabelTable` and the index itself is two
 parallel sorted ``numpy`` arrays (local node IDs + their label IDs), so
 
-* ``hasLabel`` is a binary search plus one integer comparison,
-* ``getID`` returns a cached sorted per-label ID array, and
-* :meth:`filter_ids_with_label` answers ``hasLabel`` for a whole candidate
-  array in one vectorized pass — the batched probe the STwig matcher uses
-  instead of one Python call per neighbor.
+* ``hasLabel`` is a binary search plus one integer comparison, and
+* ``getID`` returns a cached sorted per-label ID array.
+
+The batched ``hasLabel`` the STwig matcher uses is cluster-wide
+(:meth:`MemoryCloud.batch_has_label <repro.cloud.cluster.MemoryCloud.batch_has_label>`).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.graph.label_table import NO_LABEL, LabelTable
 from repro.graph.labeled_graph import LABEL_DTYPE, NODE_DTYPE
-from repro.utils.arrays import sorted_lookup
 
 
 class LabelIndex:
@@ -52,10 +51,6 @@ class LabelIndex:
 
     # -- lookups -----------------------------------------------------------
 
-    def get_ids(self, label: str) -> Tuple[int, ...]:
-        """Return local node IDs carrying ``label`` (sorted; empty if none)."""
-        return tuple(self.get_ids_array(label).tolist())
-
     def get_ids_array(self, label: str) -> np.ndarray:
         """Sorted local node IDs carrying ``label`` (cached array, no copy)."""
         label_id = self.label_table.id_of(label)
@@ -75,34 +70,12 @@ class LabelIndex:
         row = self._row_of(node_id)
         return row is not None and int(self._label_ids[row]) == label_id
 
-    def has_label_mask(self, candidates: np.ndarray, label: str) -> np.ndarray:
-        """Vectorized ``hasLabel``: a boolean mask over ``candidates`` marking
-        the local nodes carrying ``label``."""
-        label_id = self.label_table.id_of(label)
-        if label_id == NO_LABEL or len(self._ids) == 0 or len(candidates) == 0:
-            return np.zeros(len(candidates), dtype=bool)
-        positions, found = sorted_lookup(self._ids, candidates)
-        return found & (self._label_ids[positions] == label_id)
-
-    def filter_ids_with_label(
-        self, candidates: np.ndarray, label: str
-    ) -> np.ndarray:
-        """Vectorized ``hasLabel``: the subset of ``candidates`` that are
-        local nodes carrying ``label`` (order of ``candidates`` preserved)."""
-        if len(candidates) == 0:
-            return np.empty(0, dtype=NODE_DTYPE)
-        return candidates[self.has_label_mask(candidates, label)]
-
     def label_of(self, node_id: int) -> Optional[str]:
         """Return the label of a local node, or None if not local."""
         row = self._row_of(node_id)
         if row is None:
             return None
         return self.label_table.label_of(int(self._label_ids[row]))
-
-    def contains_node(self, node_id: int) -> bool:
-        """True if ``node_id`` is indexed on this machine."""
-        return self._row_of(node_id) is not None
 
     # -- statistics --------------------------------------------------------
 

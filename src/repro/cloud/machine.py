@@ -147,14 +147,6 @@ class Machine:
             self._dense_rows = dense_position_table(self._ids)
         return self._dense_rows
 
-    def owns(self, node_id: int) -> bool:
-        """True if this machine stores ``node_id``."""
-        return self._row_of(node_id) is not None
-
-    def get_ids(self, label: str) -> Tuple[int, ...]:
-        """Local Index.getID: IDs of local nodes with ``label``."""
-        return self.label_index.get_ids(label)
-
     def has_label(self, node_id: int, label: str) -> bool:
         """Local Index.hasLabel for a node stored on this machine."""
         return self.label_index.has_label(node_id, label)
@@ -165,10 +157,6 @@ class Machine:
     def node_count(self) -> int:
         """Number of (distinct) nodes stored on this machine."""
         return len(self._ids)
-
-    def local_nodes(self) -> Tuple[int, ...]:
-        """Sorted IDs of the nodes stored on this machine."""
-        return tuple(self._ids.tolist())
 
     def memory_footprint_entries(self) -> int:
         """Approximate store size in entries (cells + adjacency + index)."""
@@ -188,7 +176,7 @@ class Machine:
 
     def _row_of(self, node_id: int) -> int | None:
         # Scalar counterpart of utils.arrays.sorted_lookup (kept inline: this
-        # sits under per-node load()/owns() and an array round-trip per call
+        # sits under per-node load() and an array round-trip per call
         # would dominate).
         position = int(np.searchsorted(self._ids, node_id))
         if position < len(self._ids) and int(self._ids[position]) == node_id:

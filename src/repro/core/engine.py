@@ -56,9 +56,8 @@ class SubgraphMatcher:
             cloud: the memory cloud holding the (already loaded) data graph.
             config: engine knobs; defaults follow the paper.
             statistics: optional
-                :class:`~repro.core.statistics.EdgeStatistics` enabling the
-                statistics-aware edge selection when
-                ``config.use_edge_statistics`` is set.
+                :class:`~repro.core.statistics.EdgeStatistics`; when given,
+                the planner selects query edges by data-edge selectivity.
             executor: runtime backend driving the per-machine fan-outs — a
                 backend name (``"serial"``/``"process"``), a
                 :class:`~repro.cloud.config.RuntimeConfig`, or an existing

@@ -57,10 +57,6 @@ class MatcherConfig:
             rows whose values fell out of the final binding sets (a sound
             semi-join-style reduction in the spirit of the exploration
             pruning; see DESIGN.md).
-        use_edge_statistics: when True and the planner was given an
-            :class:`~repro.core.statistics.EdgeStatistics` object, query
-            edges are selected by data-edge selectivity instead of the pure
-            ``f``-value (the paper's Section 1.3 extension).
         max_stwig_leaves: optional cap on leaves per STwig; wider STwigs are
             split into same-root STwigs.  ``None`` reproduces the paper's
             minimum-cover behaviour; a small cap (3-4) keeps exploration
@@ -81,7 +77,6 @@ class MatcherConfig:
     use_head_selection: bool = True
     use_load_set_pruning: bool = True
     use_final_binding_filter: bool = True
-    use_edge_statistics: bool = False
     max_stwig_leaves: Optional[int] = None
     block_size: Optional[int] = 1024
     seed: Optional[int] = 7
@@ -169,8 +164,9 @@ class QueryPlanner:
             cloud: the memory cloud the plans will execute against.
             config: engine configuration knobs.
             statistics: optional
-                :class:`~repro.core.statistics.EdgeStatistics`; only used
-                when ``config.use_edge_statistics`` is enabled.
+                :class:`~repro.core.statistics.EdgeStatistics`; when given,
+                query edges are selected by data-edge selectivity instead of
+                the pure ``f``-value (the paper's Section 1.3 extension).
 
         Raises:
             ConfigurationError: ``config`` holds an out-of-range value.
@@ -249,7 +245,7 @@ class QueryPlanner:
                 self._label_frequencies,
                 seed=config.seed,
                 max_leaves=config.max_stwig_leaves,
-                edge_statistics=self.statistics if config.use_edge_statistics else None,
+                edge_statistics=self.statistics,
             )
         else:
             stwigs = naive_stwig_cover(

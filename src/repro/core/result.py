@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, prod
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -147,10 +147,6 @@ class MatchTable:
             return self.columns.index(column)
         except ValueError:
             raise ExecutionError(f"column {column!r} not in table {self.columns}") from None
-
-    def column_distinct(self, column: str) -> np.ndarray:
-        """Distinct values appearing in ``column`` as a sorted array."""
-        return fast_unique(self.column_array(column))
 
     def copy(self) -> "MatchTable":
         """The same relation over its own, writable array."""

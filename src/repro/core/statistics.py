@@ -4,21 +4,19 @@ The paper's optimization deliberately assumes *no* data statistics beyond
 global label frequencies, but notes that "such statistics can be used
 directly to further improve the optimization strategy" (Section 1.3).  This
 module implements that extension: :class:`EdgeStatistics` records how many
-data edges connect each unordered pair of labels, and the decomposition can
-use those counts to pick the most selective query edges first
-(``MatcherConfig.use_edge_statistics``).
+data edges connect each unordered pair of labels, and the decomposition
+uses those counts to pick the most selective query edges first whenever the
+planner is given them (``SubgraphMatcher(cloud, statistics=...)``).
 
-Statistics are collected once, either from the original
-:class:`~repro.graph.labeled_graph.LabeledGraph` (cheapest) or by scanning
-the loaded cloud; they are O(#labels²) in size — still tiny compared to any
-structural index.
+Statistics are collected once from the
+:class:`~repro.graph.labeled_graph.LabeledGraph`; they are O(#labels²) in
+size — still tiny compared to any structural index.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Mapping
 
-from repro.cloud.cluster import MemoryCloud
 from repro.graph.labeled_graph import LabeledGraph
 
 
@@ -46,29 +44,6 @@ class EdgeStatistics:
             pairs[key] = pairs.get(key, 0) + 1
         return cls(graph.label_frequencies(), pairs, graph.edge_count)
 
-    @classmethod
-    def from_cloud(cls, cloud: MemoryCloud) -> "EdgeStatistics":
-        """Collect statistics by scanning every machine's local cells.
-
-        Each undirected edge is counted once (from its lower-ID endpoint);
-        neighbor labels are resolved through the cloud, so cross-machine
-        probes are charged to the metrics exactly as a real preprocessing
-        pass would be.
-        """
-        pairs: Dict[FrozenSet[str], int] = {}
-        edge_count = 0
-        for machine in cloud.machines:
-            for node_id in machine.local_nodes():
-                cell = machine.load(node_id)
-                for neighbor in cell.neighbors:
-                    if neighbor <= node_id:
-                        continue
-                    neighbor_label = cloud.label_of(neighbor, requester=machine.machine_id)
-                    key = frozenset((cell.label, neighbor_label))
-                    pairs[key] = pairs.get(key, 0) + 1
-                    edge_count += 1
-        return cls(cloud.global_label_frequencies(), pairs, edge_count)
-
     # -- lookups -------------------------------------------------------------
 
     def label_frequency(self, label: str) -> int:
@@ -78,25 +53,6 @@ class EdgeStatistics:
     def pair_frequency(self, label_a: str, label_b: str) -> int:
         """Number of data edges whose endpoint labels are {label_a, label_b}."""
         return self._pair_frequencies.get(frozenset((label_a, label_b)), 0)
-
-    def edge_selectivity(self, label_a: str, label_b: str) -> float:
-        """Fraction of data edges matching the label pair (lower = more selective)."""
-        return self.pair_frequency(label_a, label_b) / self._edge_count
-
-    def expected_stwig_matches(self, root_label: str, leaf_labels) -> float:
-        """Crude estimate of MatchSTwig result size for a (root, leaves) STwig.
-
-        Assumes independence between leaf slots: the expected number of
-        qualifying neighbors per root is ``pair_freq / root_freq`` for each
-        leaf, multiplied over leaves and scaled by the number of roots.
-        """
-        roots = self.label_frequency(root_label)
-        if roots == 0:
-            return 0.0
-        estimate = float(roots)
-        for leaf_label in leaf_labels:
-            estimate *= self.pair_frequency(root_label, leaf_label) / roots
-        return estimate
 
     @property
     def total_edges(self) -> int:

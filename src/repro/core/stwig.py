@@ -51,10 +51,6 @@ class STwig:
             for leaf in self.leaves
         )
 
-    def label_view(self, query: QueryGraph) -> Tuple[str, Tuple[str, ...]]:
-        """Return the paper's ``(root_label, leaf_labels)`` view of the STwig."""
-        return query.label(self.root), tuple(query.label(leaf) for leaf in self.leaves)
-
     def __repr__(self) -> str:
         leaves = ", ".join(self.leaves)
         return f"STwig({self.root} -> [{leaves}])"

@@ -25,15 +25,6 @@ class NodeNotFoundError(GraphError):
         self.where = where
 
 
-class LabelNotFoundError(GraphError):
-    """Raised when a label is not present in a label index."""
-
-    def __init__(self, label: str, where: str = "index") -> None:
-        super().__init__(f"label {label!r} not found in {where}")
-        self.label = label
-        self.where = where
-
-
 class QueryError(ReproError):
     """Raised for malformed or unsupported query graphs."""
 

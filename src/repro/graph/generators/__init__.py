@@ -1,12 +1,12 @@
 """Synthetic graph generators used by tests, examples, and benchmarks.
 
 The default generators (``generate_power_law``, ``generate_rmat``,
-``generate_gnm``/``generate_gnp``) are array-native: endpoints are sampled
+``generate_gnm``) are array-native: endpoints are sampled
 in edge-sized numpy blocks and bulk-ingested through
 :meth:`~repro.graph.labeled_graph.LabeledGraph.from_arrays`.
 """
 
-from repro.graph.generators.erdos_renyi import generate_gnm, generate_gnp
+from repro.graph.generators.erdos_renyi import generate_gnm
 from repro.graph.generators.labels import (
     assign_uniform_label_ids,
     assign_uniform_labels,
@@ -23,7 +23,6 @@ from repro.graph.generators.rmat import RmatParameters, generate_rmat
 
 __all__ = [
     "generate_gnm",
-    "generate_gnp",
     "generate_power_law",
     "generate_rmat",
     "RmatParameters",

@@ -97,23 +97,3 @@ def generate_gnm(
         ),
     )
 
-
-def generate_gnp(
-    node_count: int,
-    edge_probability: float,
-    label_count: int = 5,
-    seed: SeedLike = None,
-    label_prefix: str = "L",
-) -> LabeledGraph:
-    """Generate a G(n, p) random graph (each pair independently with prob p)."""
-    require_positive(node_count, "node_count")
-    require(0.0 <= edge_probability <= 1.0, "edge_probability must be in [0, 1]")
-    gen = ensure_generator(seed)
-    expected_edges = round(edge_probability * node_count * (node_count - 1) / 2)
-    return generate_gnm(
-        node_count,
-        expected_edges,
-        label_count=label_count,
-        seed=gen,
-        label_prefix=label_prefix,
-    )

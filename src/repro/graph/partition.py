@@ -97,14 +97,6 @@ class PartitionAssignment:
                 self._dense_cache = (None,)
         return self._dense_cache[0]
 
-    def nodes_of(self, machine_id: int) -> List[int]:
-        """Return the sorted node IDs assigned to ``machine_id``."""
-        if not 0 <= machine_id < self.machine_count:
-            raise PartitionError(
-                f"machine {machine_id} out of range [0, {self.machine_count})"
-            )
-        return self._sorted_ids[self._machines == machine_id].tolist()
-
     def machine_of(self, node_id: int) -> int:
         """Return the machine that owns ``node_id`` (O(1) on dense domains)."""
         dense = self._dense_table()

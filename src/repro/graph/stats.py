@@ -15,7 +15,7 @@ the shortfall left no trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -143,15 +143,6 @@ def compute_stats(graph: LabeledGraph) -> GraphStats:
     )
 
 
-def degree_histogram(graph: LabeledGraph) -> Dict[int, int]:
-    """Return a mapping degree -> number of nodes with that degree."""
-    degrees = np.diff(graph.offset_array())
-    if not len(degrees):
-        return {}
-    values, counts = np.unique(degrees, return_counts=True)
-    return dict(zip(values.tolist(), counts.tolist()))
-
-
 def degree_summary(graph: LabeledGraph) -> Dict[str, float]:
     """Summary statistics of the degree sequence (used by parity tests).
 
@@ -172,29 +163,3 @@ def degree_summary(graph: LabeledGraph) -> Dict[str, float]:
         "p99": float(p99),
     }
 
-
-def label_frequency_table(graph: LabeledGraph) -> Dict[str, int]:
-    """Return label -> node count, sorted by decreasing count."""
-    freq = graph.label_frequencies()
-    return dict(sorted(freq.items(), key=lambda item: (-item[1], item[0])))
-
-
-def top_labels(graph: LabeledGraph, k: int) -> Tuple[str, ...]:
-    """Return the ``k`` most frequent labels (ties broken alphabetically)."""
-    return tuple(list(label_frequency_table(graph))[:k])
-
-
-def is_connected(graph: LabeledGraph) -> bool:
-    """True if the graph is connected (empty graphs count as connected)."""
-    nodes = list(graph.nodes())
-    if not nodes:
-        return True
-    seen = {nodes[0]}
-    frontier = [nodes[0]]
-    while frontier:
-        current = frontier.pop()
-        for neighbor in graph.neighbors(current):
-            if neighbor not in seen:
-                seen.add(neighbor)
-                frontier.append(neighbor)
-    return len(seen) == len(nodes)

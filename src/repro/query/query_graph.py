@@ -127,12 +127,6 @@ class QueryGraph:
                         dist[(i, j)] = through_k
         return dist
 
-    def remove_edges(self, edges: Iterable[Tuple[str, str]]) -> "QueryGraph":
-        """Return a copy with the given edges removed (may be disconnected)."""
-        removed = {tuple(sorted(edge)) for edge in edges}
-        remaining = [edge for edge in self._edges if edge not in removed]
-        return QueryGraph(self._labels, remaining, require_connected=False)
-
     def copy(self) -> "QueryGraph":
         """Return a copy of this query graph."""
         return QueryGraph(self._labels, self._edges, require_connected=False)

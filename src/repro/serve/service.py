@@ -185,7 +185,7 @@ class QueryService:
         return snapshot
 
     def warm(self, query: QueryGraph) -> None:
-        """Fault in the runtime (pools, shared-memory publication) eagerly.
+        """Fault in the runtime (the process backend's workers) eagerly.
 
         Runs ``query`` with a row budget of one and discards the result —
         the paper's cluster is provisioned before traffic arrives, and a

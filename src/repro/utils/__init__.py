@@ -1,7 +1,6 @@
-"""Small shared utilities: RNG handling, timers, validation helpers."""
+"""Small shared utilities: RNG handling and validation helpers."""
 
 from repro.utils.rng import ensure_rng
-from repro.utils.timer import Timer, timed
 from repro.utils.validation import require
 
-__all__ = ["ensure_rng", "Timer", "timed", "require"]
+__all__ = ["ensure_rng", "require"]

@@ -45,15 +45,6 @@ def ensure_rng(seed_or_rng: SeedLike) -> random.Random:
     return random.Random(seed_or_rng)
 
 
-def derive_rng(rng: random.Random, salt: str) -> random.Random:
-    """Derive an independent child RNG from ``rng`` using a string salt.
-
-    Useful when one seeded generator must drive several independent
-    stochastic stages without the stages perturbing each other's streams.
-    """
-    return random.Random((rng.random(), salt).__hash__())
-
-
 def ensure_generator(
     seed_or_rng: int | random.Random | np.random.Generator | None,
 ) -> np.random.Generator:

@@ -25,11 +25,5 @@ def require_non_negative(value: float, name: str) -> None:
         _fail(f"{name} must be non-negative, got {value!r}")
 
 
-def require_in_range(value: float, low: float, high: float, name: str) -> None:
-    """Raise unless ``low <= value <= high``."""
-    if not low <= value <= high:
-        _fail(f"{name} must be in [{low}, {high}], got {value!r}")
-
-
 def _fail(message: str) -> NoReturn:
     raise ConfigurationError(message)

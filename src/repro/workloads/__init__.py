@@ -1,4 +1,4 @@
-"""Canned datasets and query suites for examples and benchmarks."""
+"""Canned datasets and query motifs for examples, tests and benchmarks."""
 
 from repro.workloads.datasets import (
     DEFAULT_SEED,
@@ -14,13 +14,6 @@ from repro.workloads.motifs import (
     cross_label_path,
     star_collaboration,
 )
-from repro.workloads.suites import (
-    DEFAULT_BATCH_SIZE,
-    PAPER_RESULT_LIMIT,
-    QuerySuite,
-    dfs_suite,
-    random_suite,
-)
 
 __all__ = [
     "DEFAULT_SEED",
@@ -33,9 +26,4 @@ __all__ = [
     "coauthor_triangle",
     "cross_label_path",
     "star_collaboration",
-    "QuerySuite",
-    "dfs_suite",
-    "random_suite",
-    "PAPER_RESULT_LIMIT",
-    "DEFAULT_BATCH_SIZE",
 ]

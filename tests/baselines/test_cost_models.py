@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines.cost_models import (
+from benchmarks.paper.cost_models import (
     FACEBOOK_SCALE,
     GraphScale,
     feasible_at_scale,

@@ -10,17 +10,18 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
-from repro.baselines.edge_join import EdgeIndex, EdgeJoinStats, edge_join_match
-from repro.baselines.neighborhood_index import (
-    NeighborhoodSignatureIndex,
-    signature_match,
-)
 from repro.baselines.ullmann import ullmann_match
 from repro.baselines.vf2 import vf2_match
 from repro.graph.generators.erdos_renyi import generate_gnm
 from repro.graph.labeled_graph import LabeledGraph
 from repro.query.query_graph import QueryGraph
 from repro.workloads.datasets import tiny_example_graph
+
+from benchmarks.paper.edge_join import EdgeIndex, EdgeJoinStats, edge_join_match
+from benchmarks.paper.neighborhood_index import (
+    NeighborhoodSignatureIndex,
+    signature_match,
+)
 
 ALL_METHODS = [ullmann_match, vf2_match, edge_join_match, signature_match]
 METHOD_IDS = ["ullmann", "vf2", "edge_join", "signature"]

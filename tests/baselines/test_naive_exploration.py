@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines.naive_exploration import naive_exploration_match
 from repro.baselines.vf2 import vf2_match
 from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import ClusterConfig
 from repro.graph.generators.erdos_renyi import generate_gnm
 from repro.query.generators import dfs_query, random_query_from_graph
 from repro.query.query_graph import QueryGraph
-from repro.workloads.datasets import tiny_example_graph
+from repro.workloads.datasets import paper_figure5_graph, tiny_example_graph
+
+from benchmarks.paper.naive_exploration import naive_exploration_match
+from tests.helpers import counter_snapshot
 
 
 def normalize(matches):
@@ -73,3 +75,32 @@ class TestCostAccounting:
         snapshot = cloud.metrics.snapshot()
         assert snapshot["local_loads"] + snapshot["remote_loads"] > 0
         assert snapshot["index_lookups"] > 0
+
+    def test_pinned_accounting(self):
+        """Exact counters on fixed inputs: a global label lookup charges one
+        index lookup per machine, and the walk's loads and probes are fixed."""
+        triangle = QueryGraph(
+            {"x": "a", "y": "b", "z": "c"}, [("x", "y"), ("x", "z"), ("y", "z")]
+        )
+        cloud = make_cloud(paper_figure5_graph())
+        assert len(naive_exploration_match(cloud, triangle)) == 9
+        assert cloud.metrics.snapshot() == counter_snapshot(
+            local_loads=25, local_label_probes=16, remote_label_probes=19,
+            index_lookups=3, messages=38, bytes_transferred=475,
+        )
+        cloud.reset_metrics()
+        assert len(naive_exploration_match(cloud, triangle, limit=2)) == 2
+        assert cloud.metrics.snapshot() == counter_snapshot(
+            local_loads=9, local_label_probes=6, remote_label_probes=10,
+            index_lookups=3, messages=20, bytes_transferred=250,
+        )
+        tiny = make_cloud(tiny_example_graph())
+        query = QueryGraph(
+            {"qa": "a", "qb": "b", "qc": "c", "qd": "d"},
+            [("qa", "qb"), ("qa", "qc"), ("qb", "qc"), ("qc", "qd")],
+        )
+        assert len(naive_exploration_match(tiny, query)) == 2
+        assert tiny.metrics.snapshot() == counter_snapshot(
+            local_loads=9, local_label_probes=2, remote_label_probes=10,
+            index_lookups=3, messages=20, bytes_transferred=250,
+        )

@@ -8,8 +8,9 @@ by ``pytest`` rather than at benchmark time.
 from __future__ import annotations
 
 
-from repro.bench import experiments
 from repro.graph.generators.erdos_renyi import generate_gnm
+
+from benchmarks.paper import experiments
 
 
 class TestTable1:

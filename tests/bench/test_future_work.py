@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.bench import future_work
+from benchmarks.paper import future_work
 
 
 class TestThroughput:

@@ -8,10 +8,11 @@ import os
 import pytest
 
 from repro.baselines.vf2 import vf2_match
-from repro.bench.harness import BatchMeasurement, build_cloud, run_baseline, run_suite
 from repro.core.planner import MatcherConfig
 from repro.workloads.datasets import paper_figure5_graph
-from repro.workloads.suites import dfs_suite
+
+from benchmarks.paper.harness import BatchMeasurement, build_cloud, run_baseline, run_suite
+from benchmarks.paper.suites import dfs_suite
 
 
 @pytest.fixture(scope="module")
@@ -77,9 +78,16 @@ class TestRunBaseline:
         assert measurement.query_count == 3
         assert measurement.total_matches >= 3
 
-    def test_method_without_limit_kwarg(self, graph, suite):
-        def no_limit_method(data_graph, query):
-            return vf2_match(data_graph, query)
+    def test_type_error_inside_method_propagates(self, graph, suite):
+        """A baseline that fails is reported, not silently re-run unlimited."""
+        calls = []
 
-        measurement = run_baseline(graph, suite.queries, no_limit_method, label="plain")
-        assert measurement.query_count == 3
+        def failing_method(data_graph, query, limit=None):
+            calls.append(limit)
+            if limit is not None:
+                raise TypeError("bug inside the baseline")
+            return [{"x": node} for node in range(5000)]
+
+        with pytest.raises(TypeError, match="bug inside the baseline"):
+            run_baseline(graph, suite.queries, failing_method, label="buggy", result_limit=1024)
+        assert calls == [1024]

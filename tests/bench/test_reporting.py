@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.bench.reporting import format_series, format_table
+from benchmarks.paper.reporting import format_series, format_table
 
 
 class TestFormatTable:

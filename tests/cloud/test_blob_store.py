@@ -79,8 +79,8 @@ class TestRoundtrip:
             store.load_rows(np.array([1, 99], dtype=np.int64))
 
     def test_owns_and_node_ids(self, store):
-        assert store.owns(1) and not store.owns(42)
-        assert store.local_nodes() == (1, 2, 3)
+        assert store.label_index.label_of(1) == "a"
+        assert store.label_index.label_of(42) is None
         assert store.node_count == 3
 
     def test_duplicate_store_last_wins(self, store):
@@ -91,7 +91,7 @@ class TestRoundtrip:
         store.label_table = store.label_index.label_table = table
         store.adopt_partition(*columns)
         assert store.load(1) == NodeCell(1, "z", (9,))
-        assert store.local_nodes() == (1,)
+        assert store.node_count == 1
         with pytest.raises(NodeNotFoundError):
             store.load_rows(np.array([2], dtype=np.int64))
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cloud.cluster import MemoryCloud
@@ -53,14 +54,14 @@ class TestTrinityOperators:
             assert cell.neighbors == small_graph.neighbors(node)
 
     def test_local_load_not_charged_as_remote(self, cloud):
-        node = cloud.machines[0].local_nodes()[0]
+        node = int(cloud.columns()["machine0/node_ids"][0])
         before = cloud.metrics.remote_loads
         cloud.load(node, requester=0)
         assert cloud.metrics.remote_loads == before
         assert cloud.metrics.local_loads > 0
 
     def test_remote_load_charged(self, cloud):
-        node = cloud.machines[1].local_nodes()[0]
+        node = int(cloud.columns()["machine1/node_ids"][0])
         before = cloud.metrics.remote_loads
         cloud.load(node, requester=0)
         assert cloud.metrics.remote_loads == before + 1
@@ -68,11 +69,14 @@ class TestTrinityOperators:
     def test_get_local_ids_only_local(self, cloud):
         for machine in cloud.machines:
             for label in ("a", "b", "c"):
-                for node in cloud.get_local_ids(machine.machine_id, label):
+                for node in cloud.get_local_ids_array(machine.machine_id, label).tolist():
                     assert cloud.owner_of(node) == machine.machine_id
 
     def test_get_ids_union_over_machines(self, cloud, small_graph):
-        assert cloud.get_ids("a") == small_graph.nodes_with_label("a")
+        union = np.concatenate(
+            [cloud.get_local_ids_array(m.machine_id, "a") for m in cloud.machines]
+        )
+        assert tuple(np.sort(union).tolist()) == small_graph.nodes_with_label("a")
 
     def test_has_label(self, cloud, small_graph):
         for node in small_graph.nodes():

@@ -15,10 +15,10 @@ def make_index() -> LabelIndex:
 
 class TestLookups:
     def test_get_ids_sorted(self):
-        assert make_index().get_ids("a") == (3, 5)
+        assert make_index().get_ids_array("a").tolist() == [3, 5]
 
     def test_get_ids_missing_label(self):
-        assert make_index().get_ids("zzz") == ()
+        assert make_index().get_ids_array("zzz").tolist() == []
 
     def test_has_label(self):
         index = make_index()
@@ -30,11 +30,6 @@ class TestLookups:
         index = make_index()
         assert index.label_of(7) == "b"
         assert index.label_of(99) is None
-
-    def test_contains_node(self):
-        index = make_index()
-        assert index.contains_node(3)
-        assert not index.contains_node(4)
 
 
 class TestStatistics:
@@ -60,11 +55,11 @@ class TestStatistics:
         # growing it means adopting the larger arrays, which must replace the
         # contents and drop the per-label ID arrays cached from the old ones.
         index = make_index()
-        assert index.get_ids("a") == (3, 5)  # fills the per-label cache
+        assert index.get_ids_array("a").tolist() == [3, 5]  # fills the per-label cache
         a, b = index.label_table.id_of("a"), index.label_table.id_of("b")
         index.adopt(
             np.array([1, 3, 5, 7], dtype=np.int64),
             np.array([a, a, a, b], dtype=np.int32),
         )
-        assert index.get_ids("a") == (1, 3, 5)
+        assert index.get_ids_array("a").tolist() == [1, 3, 5]
         assert index.node_count == 4

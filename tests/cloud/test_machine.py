@@ -31,15 +31,10 @@ class TestStorage:
         with pytest.raises(NodeNotFoundError):
             make_machine().load(999)
 
-    def test_owns(self):
-        machine = make_machine()
-        assert machine.owns(11)
-        assert not machine.owns(99)
-
     def test_node_count_and_local_nodes(self):
         machine = make_machine()
         assert machine.node_count == 3
-        assert machine.local_nodes() == (10, 11, 12)
+        assert [machine.load(node).node_id for node in (10, 11, 12)] == [10, 11, 12]
 
     def test_remote_neighbor_ids_are_stored(self):
         # Cells know the IDs of remote neighbors, exactly as in Trinity.
@@ -48,7 +43,7 @@ class TestStorage:
 
 class TestLocalIndex:
     def test_get_ids(self):
-        assert make_machine().get_ids("a") == (10,)
+        assert make_machine().label_index.get_ids_array("a").tolist() == [10]
 
     def test_has_label(self):
         machine = make_machine()

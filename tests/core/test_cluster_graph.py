@@ -90,7 +90,7 @@ class TestClusterDistances:
         adjacency = build_cluster_graph(striped_cloud, query)
         distances = cluster_distances(adjacency)
         for machine in striped_cloud.machines:
-            for node in machine.local_nodes():
+            for node in striped_cloud.columns()[f"machine{machine.machine_id}/node_ids"].tolist():
                 for neighbor in striped_cloud.load(node).neighbors:
                     other = striped_cloud.owner_of(neighbor)
                     assert distances[(machine.machine_id, other)] <= 1

@@ -352,7 +352,7 @@ def per_node_explore(cloud, plan):
             if stwig.root in bound:
                 roots = sorted(n for n in bound[stwig.root] if cloud.owner_of(n) == machine)
             else:
-                roots = cloud.get_local_ids(machine, query.label(stwig.root))
+                roots = cloud.get_local_ids_array(machine, query.label(stwig.root)).tolist()
             slots_per_root = []
             for root in roots:
                 neighbors = cloud.load(root, requester=machine).neighbors
@@ -382,7 +382,7 @@ def per_node_explore(cloud, plan):
 
 class TestPerNodeCounterModel:
     """Whole-pipeline parity against an independent model: the batched
-    exploration charges exactly what a per-node loop over ``get_local_ids`` /
+    exploration charges exactly what a per-node loop over ``get_local_ids_array`` /
     ``load`` / ``has_label`` charges — ``index_lookups``, local and remote
     loads and label probes, and the messages and bytes they imply — and
     builds the same rows and bindings."""

@@ -39,8 +39,8 @@ class TestMatchTable:
     def test_column_index_and_values(self):
         table = MatchTable(("a", "b"), [(1, 2), (1, 4)])
         assert table.column_index("b") == 1
-        assert table.column_distinct("a").tolist() == [1]
-        assert table.column_distinct("b").tolist() == [2, 4]
+        assert table.column_array("a").tolist() == [1, 1]
+        assert table.column_array("b").tolist() == [2, 4]
 
     def test_column_index_missing(self):
         with pytest.raises(ExecutionError):
@@ -105,10 +105,6 @@ class TestColumnarStorage:
         column = table.column_array("b")
         assert column.tolist() == [2, 4]
         assert np.shares_memory(column, table.to_array())
-
-    def test_column_distinct_sorted(self):
-        table = MatchTable(("a",), [(3,), (1,), (3,), (2,)])
-        assert table.column_distinct("a").tolist() == [1, 2, 3]
 
     def test_truncate(self):
         """A row limit makes a new table over a prefix; the full one stays."""

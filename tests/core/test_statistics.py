@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.baselines.vf2 import vf2_match
@@ -9,10 +11,11 @@ from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import ClusterConfig
 from repro.core.decomposition import stwig_order_selection
 from repro.core.engine import SubgraphMatcher
-from repro.core.planner import MatcherConfig
+from repro.core.planner import MatcherConfig, QueryPlanner
 from repro.core.statistics import EdgeStatistics
 from repro.core.stwig import validate_cover
 from repro.graph.labeled_graph import LabeledGraph
+from repro.query.generators import dfs_query
 from repro.query.query_graph import QueryGraph
 from repro.workloads.datasets import paper_figure5_graph, tiny_example_graph
 
@@ -34,31 +37,10 @@ class TestCollection:
         assert stats.pair_frequency("b", "a") == 2
         assert stats.pair_frequency("c", "d") == 1
         assert stats.pair_frequency("a", "d") == 0
-
-    def test_edge_selectivity(self, stats):
-        assert stats.edge_selectivity("c", "d") == pytest.approx(1 / 7)
         assert stats.total_edges == 7
-
-    def test_expected_stwig_matches(self, stats):
-        # STwig rooted at 'c' (1 node) with leaves a and d:
-        # 1 root * (2 a-edges / 1) * (1 d-edge / 1) = 2.
-        assert stats.expected_stwig_matches("c", ("a", "d")) == pytest.approx(2.0)
-        assert stats.expected_stwig_matches("zzz", ("a",)) == 0.0
 
     def test_size_in_entries_is_small(self, stats):
         assert stats.size_in_entries() <= 4 + 5
-
-    def test_from_cloud_matches_from_graph(self):
-        graph = paper_figure5_graph()
-        from_graph = EdgeStatistics.from_graph(graph)
-        cloud = MemoryCloud.from_graph(graph, ClusterConfig(machine_count=3))
-        from_cloud = EdgeStatistics.from_cloud(cloud)
-        assert from_cloud.total_edges == from_graph.total_edges
-        for label_a in graph.distinct_labels():
-            for label_b in graph.distinct_labels():
-                assert from_cloud.pair_frequency(label_a, label_b) == from_graph.pair_frequency(
-                    label_a, label_b
-                )
 
 
 class TestStatisticsAwareOrdering:
@@ -102,15 +84,27 @@ class TestStatisticsAwareOrdering:
         )
         expected = sorted(tuple(sorted(m.items())) for m in vf2_match(graph, query))
         cloud = MemoryCloud.from_graph(graph, ClusterConfig(machine_count=3))
-        matcher = SubgraphMatcher(
-            cloud, MatcherConfig(use_edge_statistics=True), statistics=stats
-        )
+        matcher = SubgraphMatcher(cloud, statistics=stats)
         got = sorted(tuple(sorted(m.items())) for m in matcher.match(query).as_dicts())
         assert got == expected
 
-    def test_statistics_flag_without_statistics_object_is_harmless(self):
-        graph = tiny_example_graph()
-        cloud = MemoryCloud.from_graph(graph, ClusterConfig(machine_count=2))
-        matcher = SubgraphMatcher(cloud, MatcherConfig(use_edge_statistics=True))
-        query = QueryGraph({"x": "c", "y": "d"}, [("x", "y")])
-        assert matcher.match(query).match_count == 1
+    def test_statistics_alone_enable_edge_selection(self):
+        # No config flag: the planner uses edge statistics exactly when it is
+        # given them.  On this query the two orderings differ.
+        graph = paper_figure5_graph()
+        stats = EdgeStatistics.from_graph(graph)
+        query = dfs_query(graph, 5, seed=0)
+        frequencies = graph.label_frequencies()
+        seed = MatcherConfig().seed
+        by_f_value = stwig_order_selection(query, frequencies, seed=seed)
+        by_statistics = stwig_order_selection(
+            query, frequencies, seed=seed, edge_statistics=stats
+        )
+        assert by_f_value != by_statistics
+        cloud = MemoryCloud.from_graph(graph, ClusterConfig(machine_count=3))
+        assert QueryPlanner(cloud).plan(query).stwigs == by_f_value
+        assert QueryPlanner(cloud, statistics=stats).plan(query).stwigs == by_statistics
+
+    def test_matcher_config_has_no_statistics_switch(self):
+        assert len(fields(MatcherConfig)) == 9
+        assert "use_edge_statistics" not in {f.name for f in fields(MatcherConfig)}

@@ -34,12 +34,6 @@ class TestSTwig:
         assert ("b", "d") in stwig.covered_edges()
         assert ("d", "e") in stwig.covered_edges()
 
-    def test_label_view(self, paper_query):
-        stwig = STwig(root="a", leaves=("b", "c"))
-        root_label, leaf_labels = stwig.label_view(paper_query)
-        assert root_label == "a"
-        assert leaf_labels == ("b", "c")
-
     def test_root_cannot_be_leaf(self):
         with pytest.raises(DecompositionError):
             STwig(root="a", leaves=("a", "b"))

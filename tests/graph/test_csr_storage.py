@@ -26,7 +26,6 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.partition import RoundRobinPartitioner
 
 from tests.helpers import (
-    label_index_from_pairs,
     machine_from_cells,
     make_cloud,
     seeded_graph,
@@ -109,7 +108,7 @@ class TestRoundTripThroughMachines:
         cloud = make_cloud(graph, machine_count=machine_count)
         seen = set()
         for machine in cloud.machines:
-            for node in machine.local_nodes():
+            for node in cloud.columns()[f"machine{machine.machine_id}/node_ids"].tolist():
                 cell = machine.load(node)
                 assert cell.neighbors == graph.neighbors(node)
                 assert cell.label == graph.label(node)
@@ -133,7 +132,7 @@ class TestRoundTripThroughMachines:
         )
         cloud = make_cloud(graph, machine_count=1)
         bulk = cloud.machines[0]
-        assert manual.local_nodes() == bulk.local_nodes()
+        assert manual.node_count == bulk.node_count
         for node in graph.nodes():
             assert manual.load(node) == bulk.load(node)
             assert manual.neighbor_slice(node).tolist() == (
@@ -220,14 +219,6 @@ class TestBatchedOperators:
         mask = cloud.batch_has_label(probe, "b", requester=0, owners=owners)
         assert mask.tolist() == [False, True, False]
 
-    def test_label_index_vectorized_filter(self):
-        index = label_index_from_pairs([(5, "a"), (3, "a"), (7, "b"), (9, "a")])
-        candidates = np.array([1, 3, 5, 7, 8, 9], dtype=np.int64)
-        assert index.filter_ids_with_label(candidates, "a").tolist() == [3, 5, 9]
-        assert index.has_label_mask(candidates, "b").tolist() == [
-            False, False, False, True, False, False,
-        ]
-        assert index.filter_ids_with_label(candidates, "zzz").tolist() == []
 
 
 class TestEdgeCases:
@@ -271,7 +262,7 @@ class TestEdgeCases:
         cloud = make_cloud(graph, machine_count=2)
         matched = {
             node
-            for machine in cloud.machines
-            for node in machine.local_nodes()
+            for machine_id in range(cloud.machine_count)
+            for node in cloud.columns()[f"machine{machine_id}/node_ids"].tolist()
         }
         assert matched == {7, 1000, 500_000_000}

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.graph.generators.erdos_renyi import generate_gnm, generate_gnp
+from repro.graph.generators.erdos_renyi import generate_gnm
 from repro.graph.generators.labels import (
     assign_uniform_label_ids,
     assign_uniform_labels,
@@ -90,11 +90,6 @@ class TestErdosRenyi:
         second = generate_gnm(30, 60, seed=9)
         assert sorted(first.edges()) == sorted(second.edges())
         assert first.labels() == second.labels()
-
-    def test_gnp_expected_edges(self):
-        graph = generate_gnp(40, 0.1, label_count=2, seed=4)
-        expected = round(0.1 * 40 * 39 / 2)
-        assert graph.edge_count == expected
 
     def test_gnm_zero_edges(self):
         graph = generate_gnm(10, 0, seed=1)

@@ -45,17 +45,6 @@ class TestAssignments:
 
 
 class TestPartitionAssignment:
-    def test_nodes_of_and_machine_of_consistent(self, graph):
-        assignment = HashPartitioner().assign(graph, 3)
-        for machine in range(3):
-            for node in assignment.nodes_of(machine):
-                assert assignment.machine_of(node) == machine
-
-    def test_nodes_of_out_of_range(self, graph):
-        assignment = HashPartitioner().assign(graph, 3)
-        with pytest.raises(PartitionError):
-            assignment.nodes_of(3)
-
     def test_machine_of_unknown_node(self, graph):
         assignment = HashPartitioner().assign(graph, 3)
         with pytest.raises(PartitionError):

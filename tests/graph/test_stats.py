@@ -3,13 +3,7 @@
 from __future__ import annotations
 
 from repro.graph.labeled_graph import LabeledGraph
-from repro.graph.stats import (
-    compute_stats,
-    degree_histogram,
-    is_connected,
-    label_frequency_table,
-    top_labels,
-)
+from repro.graph.stats import compute_stats
 
 
 def star_graph() -> LabeledGraph:
@@ -39,28 +33,3 @@ class TestComputeStats:
         row = compute_stats(star_graph()).as_row()
         assert {"nodes", "edges", "labels", "avg_degree"}.issubset(row)
 
-
-class TestHistogramAndLabels:
-    def test_degree_histogram(self):
-        assert degree_histogram(star_graph()) == {4: 1, 1: 4}
-
-    def test_label_frequency_sorted_desc(self):
-        table = label_frequency_table(star_graph())
-        assert list(table.items()) == [("l", 4), ("h", 1)]
-
-    def test_top_labels(self):
-        assert top_labels(star_graph(), 1) == ("l",)
-        assert top_labels(star_graph(), 5) == ("l", "h")
-
-
-class TestConnectivity:
-    def test_connected_star(self):
-        assert is_connected(star_graph())
-
-    def test_disconnected(self):
-        graph = LabeledGraph.from_edges({0: "a", 1: "a", 2: "b"}, [(0, 1)])
-        assert not is_connected(graph)
-
-    def test_single_node_connected(self):
-        graph = LabeledGraph.from_edges({0: "a"}, [])
-        assert is_connected(graph)

@@ -15,6 +15,8 @@ source for those fixtures:
 * :func:`canonical_queries` — a deterministic batch of DFS + random query
   shapes for a given graph;
 * :func:`make_cloud` — a `MemoryCloud` with the given machine count;
+* :func:`counter_snapshot` — a full ``CloudMetrics.snapshot()`` dict with
+  the given counters set and every other one zero;
 * :func:`injective_products` / :func:`nested_loop_stwig_rows` — the
   nested-loop STwig row builder, the matcher's row-for-row reference;
 * :func:`injective_mask` / :func:`oracle_join` — the row-sort injectivity
@@ -50,6 +52,7 @@ import numpy as np
 
 from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import ClusterConfig
+from repro.cloud.metrics import CloudMetrics
 from repro.cloud.label_index import LabelIndex
 from repro.cloud.machine import Machine
 from repro.core.join import multiway_join
@@ -561,6 +564,13 @@ def make_cloud(
     return MemoryCloud.from_graph(
         graph, ClusterConfig(machine_count=machine_count, **cluster_kwargs)
     )
+
+
+def counter_snapshot(**counts: int) -> Dict[str, int]:
+    """``CloudMetrics.snapshot()`` with ``counts`` set and every other counter 0."""
+    snapshot = CloudMetrics().snapshot()
+    assert set(counts) <= set(snapshot), sorted(set(counts) - set(snapshot))
+    return {**snapshot, **counts}
 
 
 def striped_path_cloud(length: int = 6, machine_count: int = 3) -> MemoryCloud:

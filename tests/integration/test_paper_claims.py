@@ -7,8 +7,6 @@ checks the reproduction exhibits it (at reduced scale).
 from __future__ import annotations
 
 
-from repro.baselines.cost_models import FACEBOOK_SCALE, feasible_at_scale, table1_cost_models
-from repro.bench.harness import build_cloud, run_suite
 from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import ClusterConfig
 from repro.core.engine import SubgraphMatcher
@@ -16,7 +14,10 @@ from repro.core.planner import MatcherConfig
 from repro.graph.generators.rmat import generate_rmat
 from repro.query.generators import dfs_query
 from repro.workloads.datasets import paper_figure5_graph
-from repro.workloads.suites import dfs_suite
+
+from benchmarks.paper.cost_models import FACEBOOK_SCALE, feasible_at_scale, table1_cost_models
+from benchmarks.paper.harness import build_cloud, run_suite
+from benchmarks.paper.suites import dfs_suite
 
 
 class TestIndexClaims:

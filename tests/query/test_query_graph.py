@@ -105,13 +105,6 @@ class TestAlgorithms:
         dist = query.shortest_path_lengths()
         assert dist[("x", "z")] == 2
 
-    def test_remove_edges(self, square_query):
-        reduced = square_query.remove_edges([("a", "b")])
-        assert reduced.edge_count == 3
-        assert not reduced.has_edge("a", "b")
-        # Original is untouched.
-        assert square_query.edge_count == 4
-
     def test_copy_is_equal_but_independent(self, square_query):
         clone = square_query.copy()
         assert clone.nodes() == square_query.nodes()

@@ -22,8 +22,10 @@ from repro.core.engine import SubgraphMatcher
 from repro.errors import AdmissionError, ConfigurationError, ServiceError
 from repro.graph.generators.erdos_renyi import generate_gnm
 from repro.query.generators import dfs_query
-from repro.serve import QueryService, ServiceConfig, percentile, run_concurrent_clients
+from repro.serve import QueryService, ServiceConfig
 from repro.workloads.datasets import tiny_example_graph
+
+from benchmarks.paper.serve_bench import percentile, run_concurrent_clients
 
 
 @pytest.fixture(scope="module")

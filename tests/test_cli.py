@@ -7,12 +7,17 @@ import ast
 import multiprocessing
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro.api as api
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.cli import build_parser, main
 from repro.graph.io import load_graph, save_graph
+
+from benchmarks.paper import experiment, serve_bench
 from tests.helpers import write_graph_only_snapshot
 from tests.ingest.test_dblp import SMALL_DBLP
 
@@ -29,17 +34,10 @@ PINNED_FLAGS = {
         "--machines": 4, "--limit": 1024, "--executor": None, "--workers": None,
         "--max-stwig-leaves": None, "--show": 5, "--explain": False,
     },
-    "experiment": {"name": None},
     "serve": {
         "--graph": None, "--snapshot": None, "--dataset": None, "--machines": 4,
         "--limit": 1024, "--max-in-flight": 8, "--max-row-budget": None,
         "--executor": None, "--workers": None, "--show": 3,
-    },
-    "bench-serve": {
-        "--graph": None, "--nodes": 20000, "--degree": 8.0, "--label-density": 0.01,
-        "--machines": 4, "--clients": 4, "--queries": 12, "--query-nodes": 4,
-        "--rounds": 2, "--limit": 1024, "--seed": 1, "--executor": None,
-        "--workers": None,
     },
     "save": {"--graph": None, "--out": None, "--machines": 4},
     "open": {"--snapshot": None, "--verify": False},
@@ -50,6 +48,37 @@ PINNED_FLAGS = {
         "--label-mode": "degree", "--out": None, "--machines": 4,
     },
 }
+
+#: The flags the retired ``bench-serve`` verb had, which
+#: ``python -m benchmarks.paper.serve_bench`` keeps unchanged.
+SERVE_BENCH_FLAGS = {
+    "--graph": None, "--nodes": 20000, "--degree": 8.0, "--label-density": 0.01,
+    "--machines": 4, "--clients": 4, "--queries": 12, "--query-nodes": 4,
+    "--rounds": 2, "--limit": 1024, "--seed": 1, "--executor": None,
+    "--workers": None,
+}
+
+#: Modules of the paper's evaluation periphery, which live in
+#: ``benchmarks/paper/`` and must not be loaded by the package's front doors.
+PERIPHERY_PREFIXES = (
+    "repro.bench",
+    "repro.serve.bench",
+    "repro.workloads.suites",
+    "repro.baselines.edge_join",
+    "repro.baselines.neighborhood_index",
+    "repro.baselines.naive_exploration",
+    "repro.baselines.cost_models",
+    "benchmarks",
+)
+
+
+def flag_table(parser: argparse.ArgumentParser) -> dict:
+    """``{flag: default}`` of ``parser`` (positionals by dest)."""
+    return {
+        (action.option_strings or [action.dest])[0]: action.default
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction)
+    }
 
 
 def write_sparse_edges(path, node_count: int, edge_count: int) -> list:
@@ -76,14 +105,7 @@ class TestParser:
             action for action in build_parser()._actions
             if isinstance(action, argparse._SubParsersAction)
         )
-        table = {
-            verb: {
-                (action.option_strings or [action.dest])[0]: action.default
-                for action in parser._actions
-                if not isinstance(action, argparse._HelpAction)
-            }
-            for verb, parser in verbs.choices.items()
-        }
+        table = {verb: flag_table(parser) for verb, parser in verbs.choices.items()}
         assert table == PINNED_FLAGS
 
     def test_generate_defaults(self):
@@ -101,11 +123,33 @@ class TestParser:
 
     def test_experiment_requires_known_name(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["experiment", "not-an-experiment"])
+            experiment.build_parser().parse_args(["not-an-experiment"])
 
     def test_experiment_registry_covers_all_figures(self):
         assert {"table1", "table2", "fig8a", "fig8b", "fig8c", "fig9a", "fig9b",
-                "fig10a", "fig10b", "fig10c", "fig10d"} <= set(EXPERIMENTS)
+                "fig10a", "fig10b", "fig10c", "fig10d"} <= set(experiment.EXPERIMENTS)
+        assert len(experiment.EXPERIMENTS) == 16
+
+    @pytest.mark.parametrize(
+        "argv", [["experiment", "table2"], ["bench-serve"], ["bench-serve", "--clients", "2"]]
+    )
+    def test_retired_verbs_are_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("module", ["repro.api", "repro.cli"])
+    def test_front_doors_load_no_periphery(self, module):
+        # A fresh interpreter: this test process has imported the periphery.
+        src = Path(__file__).resolve().parent.parent / "src"
+        loaded = subprocess.run(
+            [sys.executable, "-c", f"import sys, {module}; print(*sorted(sys.modules))"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True,
+        ).stdout.split()
+        assert module in loaded
+        assert [name for name in loaded if name.startswith(PERIPHERY_PREFIXES)] == []
 
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
@@ -206,9 +250,9 @@ class TestCommands:
 
     def test_experiment_table2_prints_table(self, capsys, monkeypatch):
         monkeypatch.setitem(
-            EXPERIMENTS, "table2", lambda: [{"nodes": 10, "load_time_s": 0.1}]
+            experiment.EXPERIMENTS, "table2", lambda: [{"nodes": 10, "load_time_s": 0.1}]
         )
-        assert main(["experiment", "table2"]) == 0
+        assert experiment.main(["table2"]) == 0
         output = capsys.readouterr().out
         assert "experiment: table2" in output
         assert "nodes" in output
@@ -256,9 +300,9 @@ class TestServeCommands:
         assert "2 misses" in output  # inline shape + file shape
 
     def test_bench_serve_reports_throughput(self, capsys):
-        assert main(
+        assert serve_bench.main(
             [
-                "bench-serve", "--nodes", "1500", "--machines", "2",
+                "--nodes", "1500", "--machines", "2",
                 "--clients", "4", "--queries", "4", "--rounds", "2",
                 "--query-nodes", "3", "--limit", "50",
             ]
@@ -269,7 +313,9 @@ class TestServeCommands:
         assert "plan cache:" in output
 
     def test_bench_serve_parser_defaults(self):
-        args = build_parser().parse_args(["bench-serve"])
+        parser = serve_bench.build_parser()
+        assert flag_table(parser) == SERVE_BENCH_FLAGS
+        args = parser.parse_args([])
         assert args.clients == 4
         assert args.rounds == 2
         assert args.graph is None

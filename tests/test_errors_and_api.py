@@ -11,7 +11,6 @@ from repro.errors import (
     DecompositionError,
     ExecutionError,
     GraphError,
-    LabelNotFoundError,
     NodeNotFoundError,
     PartitionError,
     PlanningError,
@@ -40,11 +39,6 @@ class TestErrorHierarchy:
         error = NodeNotFoundError(42, "machine 3")
         assert "42" in str(error) and "machine 3" in str(error)
         assert error.node_id == 42
-        assert isinstance(error, GraphError)
-
-    def test_label_not_found_message(self):
-        error = LabelNotFoundError("person")
-        assert "person" in str(error)
         assert isinstance(error, GraphError)
 
     def test_partition_error_is_cloud_error(self):

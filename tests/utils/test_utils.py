@@ -1,22 +1,19 @@
-"""Unit tests for the utility helpers (RNG, timer, validation, GC pause)."""
+"""Unit tests for the utility helpers (RNG, validation, GC pause)."""
 
 from __future__ import annotations
 
 import gc
 import random
 import threading
-import time
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.utils.collector import paused_gc
-from repro.utils.rng import derive_rng, ensure_rng
-from repro.utils.timer import Timer, timed
+from repro.utils.rng import ensure_rng
 from repro.utils.validation import (
     require,
-    require_in_range,
     require_non_negative,
     require_positive,
 )
@@ -32,48 +29,6 @@ class TestEnsureRng:
 
     def test_none_gives_rng(self):
         assert isinstance(ensure_rng(None), random.Random)
-
-    def test_derive_rng_independent_streams(self):
-        base = random.Random(3)
-        child_a = derive_rng(base, "a")
-        base2 = random.Random(3)
-        child_b = derive_rng(base2, "b")
-        assert child_a.random() != child_b.random()
-
-
-class TestTimer:
-    def test_accumulates_elapsed(self):
-        timer = Timer()
-        timer.start()
-        time.sleep(0.01)
-        elapsed = timer.stop()
-        assert elapsed >= 0.01
-        assert timer.elapsed == elapsed
-
-    def test_context_manager(self):
-        with timed() as timer:
-            time.sleep(0.005)
-        assert timer.elapsed >= 0.005
-        assert not timer.running
-
-    def test_stop_without_start_is_safe(self):
-        timer = Timer()
-        assert timer.stop() == 0.0
-
-    def test_reset(self):
-        timer = Timer()
-        with timer:
-            time.sleep(0.002)
-        timer.reset()
-        assert timer.elapsed == 0.0
-
-    def test_running_flag(self):
-        timer = Timer()
-        assert not timer.running
-        timer.start()
-        assert timer.running
-        timer.stop()
-        assert not timer.running
 
 
 class TestValidation:
@@ -93,11 +48,6 @@ class TestValidation:
         require_non_negative(0, "x")
         with pytest.raises(ConfigurationError):
             require_non_negative(-1, "x")
-
-    def test_require_in_range(self):
-        require_in_range(0.5, 0.0, 1.0, "x")
-        with pytest.raises(ConfigurationError):
-            require_in_range(2.0, 0.0, 1.0, "x")
 
 
 class TestPausedGc:

@@ -12,7 +12,8 @@ from repro.workloads.datasets import (
     tiny_example_graph,
     wordnet_small,
 )
-from repro.workloads.suites import (
+
+from benchmarks.paper.suites import (
     DEFAULT_BATCH_SIZE,
     PAPER_RESULT_LIMIT,
     dfs_suite,

@@ -28,8 +28,12 @@ cache with its handle fingerprints, the in-place snapshot reload
 (``StorageProvider`` and its subclasses), and the graph publication to
 worker processes (``publish_cloud`` / ``rebuild_cloud`` / ``CloudHandle``,
 ``storage_publication`` and ``_install``'s ``file_specs=``, the two-kind
-``discard_spec``, ``published_segment_names`` / ``segment_names``): the
-names are gone from the API, and nothing in ``src/`` may bring them back.
+``discard_spec``, ``published_segment_names`` / ``segment_names``), and the
+paper's evaluation periphery (the ``repro.bench`` harness, the
+``repro.serve.bench`` client driver, ``explore_neighborhood``) with what
+only it used (``use_edge_statistics``, ``EdgeStatistics.from_cloud``, the
+label index's vectorized filters, ``repro.utils.timer``): the names are gone
+from the API, and nothing in ``src/`` may bring them back.
 
 And it keeps the front door single (``FRONT_DOOR``): ``repro.api`` is the one
 place a source becomes a cloud and a service is put in front of it, so the
@@ -59,10 +63,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 GUARDED = [
     "repro",
     "repro.api",
+    "repro.baselines",
     "repro.cloud",
+    "repro.core",
+    "repro.graph",
+    "repro.graph.generators",
     "repro.ingest",
+    "repro.query",
     "repro.runtime",
+    "repro.serve",
     "repro.storage",
+    "repro.utils",
     "repro.workloads",
 ]
 
@@ -127,6 +138,15 @@ RETIRED_SPELLINGS = [
     "discard_spec",
     "published_segment_names",
     "segment_names(",
+    "repro.bench",
+    "repro.serve.bench",
+    "run_concurrent_clients",
+    "explore_neighborhood",
+    "use_edge_statistics",
+    "from_cloud(",
+    "has_label_mask",
+    "filter_ids_with_label",
+    "repro.utils.timer",
 ]
 
 #: Constructor spellings banned per file (glob under the repo root): a second
