@@ -41,10 +41,10 @@ class RuntimeConfig:
     Attributes:
         backend: ``"serial"`` (in-process, the parity oracle) or
             ``"process"`` (worker processes forked from the loaded cloud,
-            which they inherit).  ``None`` defers to the ``REPRO_EXECUTOR``
-            environment variable.
-        workers: pool size for the process backend; ``None`` sizes the
-            pool to ``min(machine_count, cpu_count)``.
+            which they inherit; tasks and results cross their pipes).
+            ``None`` defers to the ``REPRO_EXECUTOR`` environment variable.
+        workers: how many worker processes the process backend forks;
+            ``None`` forks ``min(machine_count, cpu_count)``.
         stealing: whether the process backend splits skewed machines'
             exploration roots into chunks idle workers can steal.
             Results and metrics are schedule-independent; this is a

@@ -85,10 +85,9 @@ def assemble_results(
         executor: the :class:`~repro.runtime.Executor` receiving one
             :class:`~repro.core.tasks.JoinTask` per machine; ``None`` uses
             a :class:`~repro.runtime.SerialExecutor`.  The tasks
-            carry the exploration *handles*, so a process backend's
-            workers attach the very tables they published during
-            exploration — zero-copy, no driver round trip.  Limited
-            queries dispatch through it too: every machine joins against
+            share the exploration table matrix (a process backend
+            pickles it once per batch).  Limited queries dispatch
+            through it too: every machine joins against
             its own machine-ordered :class:`JoinBudget` view of
             the shared budget, which keeps the concatenated rows an exact
             prefix of the unlimited result on every backend (lower machine
@@ -119,7 +118,7 @@ def assemble_results(
         JoinTask(
             machine_id=machine_id,
             plan=plan,
-            tables=exploration.handles,
+            tables=exploration.tables,
             bindings=exploration.bindings,
             row_limit=probe_limit,
         )
@@ -162,8 +161,7 @@ def machine_result_rows(
     executor backend (inline, process pool) calls exactly this function, so
     the communication accounting — result transfers, sender-side filter
     counts — is structurally identical across backends.  The returned array
-    is the caller's own: it never aliases ``tables``, so it outlives their
-    attachment.
+    is the caller's own: it never aliases ``tables``.
 
     ``budget`` is this machine's view of the (possibly shared) join budget;
     the plain ``remaining`` countdown is a convenience spelling for direct

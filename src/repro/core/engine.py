@@ -86,7 +86,7 @@ class SubgraphMatcher:
         return self._planner
 
     def close(self) -> None:
-        """Release the matcher's runtime resources (pools, shared memory).
+        """Release the matcher's runtime resources (the process backend's workers).
 
         Idempotent, and safe in any order relative to ``MemoryCloud.close()``
         — both may end up closing the same process executor, whose teardown
@@ -144,14 +144,9 @@ class SubgraphMatcher:
         stats.stwig_result_rows = exploration.total_rows()
 
         join_started = time.perf_counter()
-        try:
-            join_outcome = assemble_results(
-                scoped, plan, exploration, limit, executor=self._executor
-            )
-        finally:
-            # The intermediate tables may live in worker-published shared
-            # memory; the join phase was their last consumer.
-            exploration.release()
+        join_outcome = assemble_results(
+            scoped, plan, exploration, limit, executor=self._executor
+        )
         matches = join_outcome.table
         stats.join_seconds = time.perf_counter() - join_started
         # Truncation is what the join phase observed, not an after-the-fact

@@ -33,51 +33,28 @@ from repro.core.bindings import BindingTable
 from repro.core.planner import QueryPlan
 from repro.core.result import STwigTable
 from repro.core.stwig import STwig
-from repro.core.tasks import ExploreResult, ExploreTask, TableHandle, release_matrix
+from repro.core.tasks import ExploreResult, ExploreTask
 from repro.graph.labeled_graph import NODE_DTYPE
 from repro.utils.arrays import fast_unique
 
 #: Per-machine tables: explored[machine_id][stwig_index] -> STwigTable.
 ExplorationTables = List[List[STwigTable]]
 
-#: Per-machine handles: handles[machine_id][stwig_index] -> TableHandle.
-ExplorationHandles = List[List[TableHandle]]
-
 
 class ExplorationOutcome:
-    """Result of the exploration phase.
+    """Result of the exploration phase: the per-machine factorized tables
+    (``tables[machine_id][stwig_index]``) and the final bindings."""
 
-    Tables are held as :class:`~repro.core.tasks.TableHandle`\\ s — for
-    process-explored stages the data stays in the workers' shared-memory
-    publications and only the descriptors live here.  The join phase
-    consumes :attr:`handles` directly (attaching zero-copy);
-    :attr:`tables` materializes factorized :class:`STwigTable`\\ s for
-    in-process consumers and is cached.  Whoever owns the outcome must
-    call :meth:`release` once the results are no longer needed, or
-    published blocks outlive the query.
-    """
-
-    def __init__(self, handles: ExplorationHandles, bindings: BindingTable) -> None:
-        self.handles = handles
+    def __init__(self, tables: ExplorationTables, bindings: BindingTable) -> None:
+        self.tables = tables
         self.bindings = bindings
         self._empty: Optional[bool] = None
-        self._tables: Optional[ExplorationTables] = None
-
-    @property
-    def tables(self) -> ExplorationTables:
-        """Materialized per-machine tables (published data is copied once)."""
-        if self._tables is None:
-            self._tables = [
-                [handle.materialize() for handle in machine]
-                for machine in self.handles
-            ]
-        return self._tables
 
     @property
     def empty(self) -> bool:
         """True if some STwig matched nothing anywhere (the query has no answers).
 
-        Computed once over the (immutable after exploration) handles and
+        Computed once over the (immutable after exploration) tables and
         cached: the join phase consults this per query, and re-scanning
         every (machine, STwig) pair on each access is pure waste.
         """
@@ -86,13 +63,13 @@ class ExplorationOutcome:
         return self._empty
 
     def _compute_empty(self) -> bool:
-        machine_count = len(self.handles)
+        machine_count = len(self.tables)
         if machine_count == 0:
             return True
-        stwig_count = len(self.handles[0])
+        stwig_count = len(self.tables[0])
         for stwig_index in range(stwig_count):
             if all(
-                self.handles[machine][stwig_index].row_count == 0
+                self.tables[machine][stwig_index].row_count == 0
                 for machine in range(machine_count)
             ):
                 return True
@@ -100,16 +77,14 @@ class ExplorationOutcome:
 
     def total_rows(self) -> int:
         """Total intermediate rows produced across machines and STwigs."""
-        return sum(handle.row_count for machine in self.handles for handle in machine)
+        return sum(table.row_count for machine in self.tables for table in machine)
 
     def release(self) -> None:
-        """Retire any published table storage (idempotent).
+        """Does nothing: the tables are plain values, freed with the outcome.
 
-        Materialized tables stay valid — :attr:`tables` copies published
-        data out of shared memory — so late consumers that already
-        materialized keep working; only zero-copy attachment stops.
+        Kept because the benchmark's per-layer replay
+        (``benchmarks/e2e/layers.py``) still calls it.
         """
-        release_matrix(self.handles)
 
 
 def explore(cloud: MemoryCloud, plan: QueryPlan, executor=None) -> ExplorationOutcome:
@@ -138,45 +113,39 @@ def explore(cloud: MemoryCloud, plan: QueryPlan, executor=None) -> ExplorationOu
     config = plan.config
     machine_count = cloud.machine_count
     bindings = BindingTable(query)
-    handles: ExplorationHandles = [[] for _ in range(machine_count)]
+    tables: ExplorationTables = [[] for _ in range(machine_count)]
 
-    try:
-        for stwig in plan.stwigs:
-            stage_filter = bindings if config.use_binding_filter else None
-            stage_roots = _stage_root_partition(
-                cloud, stwig, query.label(stwig.root), stage_filter
+    for stwig in plan.stwigs:
+        stage_filter = bindings if config.use_binding_filter else None
+        stage_roots = _stage_root_partition(
+            cloud, stwig, query.label(stwig.root), stage_filter
+        )
+        tasks = [
+            ExploreTask(
+                machine_id=machine_id,
+                stwig=stwig,
+                query=query,
+                bindings=stage_filter,
+                roots=stage_roots[machine_id],
             )
-            tasks = [
-                ExploreTask(
-                    machine_id=machine_id,
-                    stwig=stwig,
-                    query=query,
-                    bindings=stage_filter,
-                    roots=stage_roots[machine_id],
-                )
-                for machine_id in range(machine_count)
-            ]
-            merger = _BindingMerger(cloud, stwig.nodes)
-            results = executor.run(cloud, tasks, on_result=merger.absorb)
-            for machine_id, result in enumerate(results):
-                handles[machine_id].append(result.table)
-            merger.bind_into(bindings)
+            for machine_id in range(machine_count)
+        ]
+        merger = _BindingMerger(cloud, stwig.nodes)
+        results = executor.run(cloud, tasks, on_result=merger.absorb)
+        for machine_id, result in enumerate(results):
+            tables[machine_id].append(result.table)
+        merger.bind_into(bindings)
 
-            if config.use_binding_filter and bindings.any_empty():
-                # Some query node has no surviving candidate: fill the
-                # remaining STwigs with empty tables so downstream code sees
-                # a uniform structure, then stop exploring.
-                for machine_id in range(machine_count):
-                    for skipped in plan.stwigs[len(handles[machine_id]):]:
-                        handles[machine_id].append(TableHandle.empty(skipped.nodes))
-                break
-    except BaseException:
-        # Don't leak earlier stages' published tables when a later stage
-        # fails (the executor already retired the failing batch's own).
-        release_matrix(handles)
-        raise
+        if config.use_binding_filter and bindings.any_empty():
+            # Some query node has no surviving candidate: fill the
+            # remaining STwigs with empty tables so downstream code sees
+            # a uniform structure, then stop exploring.
+            for machine_id in range(machine_count):
+                for skipped in plan.stwigs[len(tables[machine_id]):]:
+                    tables[machine_id].append(STwigTable(skipped.nodes))
+            break
 
-    return ExplorationOutcome(handles, bindings)
+    return ExplorationOutcome(tables, bindings)
 
 
 class _BindingMerger:

@@ -108,8 +108,8 @@ class JoinBudget:
     unlimited) shared by every machine's join; without ``slots`` it is a
     single consumer's plain countdown.  ``slots[k]`` is the monotone count
     of rows machine ``k`` has produced — each slot has exactly one writer,
-    so no lock is needed (a plain list in-process, an int64 shared-memory
-    array for the process backend).
+    so no lock is needed (a plain list in-process, an int64 array over a
+    shared anonymous mapping for the process backend).
     Machine ``k``'s remaining budget is ``limit`` minus the production of
     machines ``0..k`` *only*: a machine never yields budget to a higher ID,
     so the driver's machine-ordered concatenation truncated to the limit is

@@ -2,14 +2,13 @@
 
 Two table *values*, fixed at construction, read through one protocol
 (``columns``, ``row_count``, ``to_array()``, ``row_blocks(n)``).
-:class:`STwigTable` is what exploration publishes — Algorithm 1's
+:class:`STwigTable` is what exploration returns — Algorithm 1's
 factorized ``{root} x S_l1 x ... x S_lk``, whose row count and distincts
 are computed on the slots and whose rows exist only while someone reads
 them (:func:`_row_blocks`, the one STwig row constructor).
 :class:`MatchTable` is a tuple of column names and one 2-D ``NODE_DTYPE``
 array: the join's output and the final answer.  Nothing edits either
-(Sections 4.2-4.3), so a table attached over a worker's read-only
-shared-memory pages is as good as an owned one.  :class:`MatchResult` is a
+(Sections 4.2-4.3).  :class:`MatchResult` is a
 :class:`MatchTable` plus the query's metadata.  ``to_array()`` (and
 ``MatchResult.external_array()``) are the primary accessors; ``rows`` /
 ``external_rows()`` / ``as_dicts()`` convert that array to Python objects
@@ -432,24 +431,6 @@ class STwigTable:
         roots = np.concatenate([table.roots for table in live])
         row_count = sum(table.row_count for table in live)
         return cls(live[0].columns, live[0].groups, roots, values, bounds, row_count)
-
-    def pack(self) -> Tuple[np.ndarray, Tuple[int, ...]]:
-        """One int64 buffer — roots, then each slot's bounds and values — and its lengths."""
-        arrays = [self.roots]
-        for values, bounds in zip(self.slot_values, self.slot_bounds):
-            arrays += [bounds, values]
-        return np.concatenate(arrays), (len(self.roots), *map(len, self.slot_values))
-
-    @classmethod
-    def unpack(cls, columns, groups, row_count, buffer, lengths) -> "STwigTable":
-        """The table over views of a :meth:`pack` buffer (no copy)."""
-        count = lengths[0]
-        values, bounds, at = [], [], count
-        for size in lengths[1:]:
-            bounds.append(buffer[at : at + count + 1])
-            values.append(buffer[at + count + 1 : at + count + 1 + size])
-            at += count + 1 + size
-        return cls(columns, groups, buffer[:count], values, bounds, row_count)
 
     def __repr__(self) -> str:
         return f"STwigTable(columns={self.columns}, roots={len(self.roots)}, rows={self.row_count})"

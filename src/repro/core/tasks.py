@@ -1,169 +1,25 @@
-"""Task-graph primitives of the executor API: tasks, results, table handles.
+"""Task-graph primitives of the executor API: tasks and their results.
 
 The runtime's :meth:`~repro.runtime.Executor.run` interface is a uniform
 task graph: the engine describes *what* to compute — one
 :class:`ExploreTask` per (stage, machine), one :class:`JoinTask` per
-machine — and backends differ only in *scheduling* (inline, or a process
-pool with work stealing).  Results reference their data through
-:class:`TableHandle`, the single-part descriptor that keeps exploration
-tables in shared memory end to end.  Its single part is a factorized
-:class:`~repro.core.result.STwigTable` packed into one int64 buffer (roots,
-then each slot's bounds and values; a tuple of lengths locates them) — no
-STwig row is ever published:
-
-* a worker that produced a large table publishes that buffer once into
-  a POSIX shared-memory block (:mod:`repro.utils.shm`) and returns only the
-  handle;
-* the join phase attaches the very same pages zero-copy — the driver never
-  materializes intermediate tables, matching the paper's premise that the
-  cluster exchanges only small control messages while bulk data stays
-  resident;
-* small tables stay inline (the buffer itself riding the handle), so the
-  serial backend pays no publication cost at all.
-
-Handles are *owning* descriptors: whoever holds the last reference to a
-published handle must call :meth:`TableHandle.release` (the engine does,
-after the join phase) or the shared-memory block leaks until interpreter
-exit.
+machine — and backends differ only in *scheduling* (inline, or worker
+processes with work stealing).  Tasks and results are plain values: an
+exploration result carries its factorized
+:class:`~repro.core.result.STwigTable` itself (no STwig row exists yet), and
+the process backend pickles them down and back up its pipes.
 """
 
 from __future__ import annotations
 
-from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.core.result import STwigTable
 from repro.core.stwig import STwig
-from repro.errors import ExecutionError
 from repro.graph.labeled_graph import NODE_DTYPE
-from repro.utils.shm import attach_array, unlink_block
-
-
-class TableHandle:
-    """An :class:`STwigTable`'s packed columns, described without copying them.
-
-    Always **single-part**: ``part`` is ``None`` (empty table), a live 1-D
-    int64 buffer (inline), or one
-    :class:`~repro.utils.shm.SharedArraySpec` (published);
-    ``lengths`` (root count, then each slot's entry count) locate the
-    columns inside it (:meth:`STwigTable.pack`).  Single-part is what makes
-    the join phase's attachment zero-copy: a worker maps exactly one segment
-    per table, never reassembles chunks, and the tables it yields are values
-    over those very (read-only) pages.
-    """
-
-    __slots__ = ("columns", "groups", "row_count", "lengths", "part")
-
-    def __init__(
-        self,
-        columns: Sequence[str],
-        groups: Sequence[Tuple[int, ...]],
-        row_count: int,
-        lengths: Sequence[int],
-        part,
-    ) -> None:
-        self.columns: Tuple[str, ...] = tuple(columns)
-        self.groups = tuple(groups)
-        self.row_count = int(row_count)
-        self.lengths = tuple(lengths)
-        self.part = part
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def of(cls, table: STwigTable) -> "TableHandle":
-        """Pack ``table`` inline (one copy of its slot columns, no rows)."""
-        if table.row_count == 0:
-            return cls.empty(table.columns)
-        buffer, lengths = table.pack()
-        return cls(table.columns, table.groups, table.row_count, lengths, buffer)
-
-    @classmethod
-    def empty(cls, columns: Sequence[str]) -> "TableHandle":
-        """Handle of a zero-row table."""
-        return cls(columns, (), 0, (), None)
-
-    # -- access ------------------------------------------------------------
-
-    def _table(self, buffer: np.ndarray) -> STwigTable:
-        return STwigTable.unpack(
-            self.columns, self.groups, self.row_count, buffer, self.lengths
-        )
-
-    @contextmanager
-    def attach(self) -> Iterator[STwigTable]:
-        """Zero-copy :class:`STwigTable` over the handle's data.
-
-        Published handles map their segment for the duration of the
-        ``with`` block only; anything derived from the yielded table that
-        outlives the block must be copied first.
-        """
-        if self.part is None:
-            if self.row_count:
-                raise ExecutionError(
-                    f"table handle for {self.columns} was already released"
-                )
-            yield STwigTable(self.columns)
-        elif isinstance(self.part, np.ndarray):
-            yield self._table(self.part)
-        else:
-            segment, view = attach_array(self.part)
-            try:
-                yield self._table(view)
-            finally:
-                segment.close()
-
-    def materialize(self) -> STwigTable:
-        """A table safe to keep: inline data is wrapped, published data copied."""
-        with self.attach() as table:
-            if self.part is None or isinstance(self.part, np.ndarray):
-                return table
-            return self._table(table.pack()[0])
-
-    def release(self) -> None:
-        """Retire published storage (idempotent; empty and inline handles no-op)."""
-        if self.part is not None and not isinstance(self.part, np.ndarray):
-            part, self.part = self.part, None
-            unlink_block(part)
-
-    def __repr__(self) -> str:
-        kind = (
-            "empty"
-            if self.part is None
-            else ("inline" if isinstance(self.part, np.ndarray) else "published")
-        )
-        return (
-            f"TableHandle(columns={self.columns}, rows={self.row_count}, {kind})"
-        )
-
-
-#: The join phase's input: handles[machine_id][stwig_index].
-TableMatrix = Sequence[Sequence[TableHandle]]
-
-
-@contextmanager
-def attached_matrix(handles: TableMatrix) -> Iterator[List[List[STwigTable]]]:
-    """Attach a whole handle matrix, yielding zero-copy ``STwigTable``s.
-
-    Attachment-scoped like :meth:`TableHandle.attach`: rows taken out of the
-    yielded tables must be copied before the ``with`` block exits.
-    """
-    with ExitStack() as stack:
-        yield [
-            [stack.enter_context(handle.attach()) for handle in machine]
-            for machine in handles
-        ]
-
-
-def release_matrix(handles: TableMatrix) -> None:
-    """Release every handle in the matrix (idempotent)."""
-    for machine in handles:
-        for handle in machine:
-            handle.release()
-
 
 @dataclass
 class ExploreTask:
@@ -185,7 +41,7 @@ class ExploreTask:
 
 @dataclass
 class JoinTask:
-    """One machine's gather+join over the exploration handle matrix.
+    """One machine's gather+join over the exploration table matrix.
 
     Join tasks are **never** split for work stealing: the cooperative
     budget's exact-prefix guarantee is per machine-ordered task, and all
@@ -195,20 +51,19 @@ class JoinTask:
 
     machine_id: int
     plan: object
-    tables: TableMatrix
+    tables: Sequence[Sequence[STwigTable]]  # [machine_id][stwig_index]
     bindings: object
     row_limit: Optional[int] = None
 
 
 @dataclass
 class ExploreResult:
-    """One :class:`ExploreTask`'s outcome: the table handle plus its
+    """One :class:`ExploreTask`'s outcome: the factorized table plus its
     per-column sorted-distinct arrays (the binding contribution the proxy
-    merges — shipped instead of the table itself, so the driver can update
-    bindings without ever materializing worker tables)."""
+    merges, computed where the table was built)."""
 
     machine_id: int
-    table: TableHandle
+    table: STwigTable
     distincts: Dict[str, np.ndarray] = field(default_factory=dict)
 
 
@@ -221,10 +76,10 @@ class JoinResult:
 
 
 def explore_result(machine_id: int, table: STwigTable) -> ExploreResult:
-    """Package a ``match_stwig`` table (every backend's one way to): its
-    inline handle and its per-column distincts."""
+    """Package a ``match_stwig`` table (every backend's one way to) with its
+    per-column distincts."""
     distincts = table.distincts() if table.row_count else {}
-    return ExploreResult(machine_id, TableHandle.of(table), distincts)
+    return ExploreResult(machine_id, table, distincts)
 
 
 def empty_rows(width: int) -> np.ndarray:

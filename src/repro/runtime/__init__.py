@@ -7,9 +7,10 @@ gather+join — are described as batches of :class:`ExploreTask` /
 forked from the loaded cloud, with work stealing) differ only in how the
 loop's units get run while preserving, exactly, the serial model's results
 and communication counters.  The graph never leaves the process that
-loaded it: workers inherit it.  Results carry their tables as zero-copy
-:class:`TableHandle`\\ s end to end.  See :mod:`repro.runtime.executors`
-for the backends and :mod:`repro.core.tasks` for the task/handle types.
+loaded it: workers inherit it, and only tasks and their results (factorized
+STwig tables, result rows) cross the workers' pipes.  See
+:mod:`repro.runtime.executors` for the backends and :mod:`repro.core.tasks`
+for the task/result types.
 
 Backend selection::
 
@@ -28,7 +29,6 @@ from repro.core.tasks import (
     ExploreTask,
     JoinResult,
     JoinTask,
-    TableHandle,
 )
 from repro.runtime.executors import (
     Executor,
@@ -50,7 +50,6 @@ __all__ = [
     "ProcessExecutor",
     "RuntimeConfig",
     "SerialExecutor",
-    "TableHandle",
     "create_executor",
     "resolve_backend",
 ]

@@ -15,12 +15,10 @@ backend is only *how the loop's units get run*:
   each, watched together with the process sentinels), forked from the
   driver once the cloud is loaded: each worker runs its units against the
   cloud it inherited, so the graph never crosses a process boundary (a
-  reload restarts the workers).  Exploration result tables stay in shared
-  memory *end to end*: workers publish their packed slot columns once and
-  return only :class:`~repro.core.tasks.TableHandle`\\ s,
-  and the join tasks attach those same pages — the driver never receives,
-  re-pickles, or re-publishes an intermediate table (the
-  ``transport_counters`` make that claim observable).
+  reload restarts the workers).  The pipes are the one transport: a
+  batch's tasks go down each pipe as one pickle, and each unit's result
+  (an exploration unit's factorized table, a join unit's rows) comes back
+  pickled on its worker's pipe.
 
 Work stealing: a backend whose units run concurrently has the loop split
 each exploration task's root array into bounded chunks queued
@@ -40,6 +38,7 @@ model's metrics — the invariant the parity suite asserts.
 from __future__ import annotations
 
 import itertools
+import mmap
 import multiprocessing
 import os
 import pickle
@@ -49,7 +48,7 @@ import time
 import weakref
 from abc import ABC, abstractmethod
 from collections import deque
-from contextlib import ExitStack, closing, suppress
+from contextlib import closing, suppress
 from dataclasses import replace
 from multiprocessing.connection import wait
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -59,7 +58,6 @@ import numpy as np
 from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import RuntimeConfig, resolve_backend
 from repro.cloud.metrics import CloudMetrics
-from repro.core.bindings import BindingTable
 from repro.core.distributed import machine_result_rows
 from repro.core.join import JoinBudget
 from repro.core.matcher import match_stwig
@@ -69,27 +67,10 @@ from repro.core.tasks import (
     ExploreTask,
     JoinResult,
     JoinTask,
-    TableHandle,
-    attached_matrix,
     explore_result,
 )
 from repro.errors import ConfigurationError, ExecutionError
-from repro.query.query_graph import QueryGraph
 from repro.utils.arrays import fast_unique
-from repro.utils.shm import (
-    SegmentRegistry,
-    SharedArraySpec,
-    attach_array,
-    publish_array,
-    sweep_blocks,
-)
-
-#: Arrays at or above this entry count travel between processes through a
-#: one-shot shared-memory block instead of a pickle down the pipe (two
-#: memcpys instead of serialize -> pipe -> deserialize).  256 KiB of int64.
-#: Exploration tables this large are *published* worker-side and never
-#: travel at all — only their handles do.
-_SHIP_THRESHOLD_ENTRIES = 32_768
 
 #: Work stealing: a machine's stage roots are split into at most
 #: ``_STEAL_MAX_CHUNKS`` chunks of at least ``_STEAL_MIN_ROOTS`` roots each
@@ -119,85 +100,25 @@ def _shared_join_limit(tasks: Sequence[object]) -> Optional[int]:
     return limits.pop() if limits else None
 
 
-def _ship_array(array: np.ndarray, publish: Callable[[np.ndarray], SharedArraySpec]):
-    """Sender-side: a large array crosses a pipe as its ``publish``-ed spec."""
-    if array.size < _SHIP_THRESHOLD_ENTRIES:
-        return array
-    return publish(array)
-
-
-def _receive_array(shipped) -> np.ndarray:
-    """Driver-side: materialize a shipped array and retire its block."""
-    if not isinstance(shipped, SharedArraySpec):
-        return shipped
-    segment, view = attach_array(shipped)
-    try:
-        return view.copy()
-    finally:
-        segment.close()
-        segment.unlink()
-
-
-def _ship_bindings(bindings, query: QueryGraph, publish) -> Optional[Dict[str, object]]:
-    """Driver-side: a binding table as ``{bound node: shipped candidates}``."""
-    if bindings is None:
-        return None
-    return {
-        node: _ship_array(array, publish)
-        for node in query.nodes()
-        if (array := bindings.candidates_array(node)) is not None
-    }
-
-
 class _UnitRunner:
     """What one process does with the units of one batch it is handed.
 
     The serial executor holds one per batch; every worker of the process
     backend holds one per batch, over the units it happens to be dealt.
-    Whatever the batch's tasks share by identity is attached once and kept
-    until :meth:`close`: shipped bindings, shipped roots, and each distinct
-    handle matrix (all join tasks of a batch share the exploration matrix)
-    together with one binding-filtered-table cache — so a source table is
-    filtered once per runner however many machines' joins load it, while
-    every receiver is still charged its own transfer.
+    Each distinct table matrix a batch's join tasks carry (all of them share
+    the exploration matrix) gets one binding-filtered-table cache — so a
+    source table is filtered once per runner however many machines' joins
+    load it, while every receiver is still charged its own transfer.
     """
 
     def __init__(self, cloud: MemoryCloud, limit: Optional[int], slots=None) -> None:
         self._cloud = cloud
         self._limit = limit
-        self._stack = ExitStack()
-        self._built: Dict[int, object] = {}
+        self._filtered: Dict[int, dict] = {}
         # One produced-count slot per machine, single writer each.  A shared
-        # block's aligned 8-byte loads/stores are atomic, and a stale read of
-        # another machine's slot only under-counts — the safe direction.
-        self._slots = [0] * cloud.machine_count if slots is None else self.view(slots, True)
-
-    def _once(self, payload, build):
-        """``build(payload)``, once per batch and distinct payload."""
-        if id(payload) not in self._built:
-            self._built[id(payload)] = build(payload)
-        return self._built[id(payload)]
-
-    def view(self, shipped, writable: bool = False):
-        """A shipped array as an array: a spec stays attached until :meth:`close`."""
-        if isinstance(shipped, SharedArraySpec):
-            segment, shipped = attach_array(shipped, writable)
-            self._stack.callback(segment.close)
-        return shipped
-
-    def _bindings(self, payload, query: QueryGraph):
-        """The binding table a task carries, or the one its shipped form describes
-        (adopting the sorted, possibly shared-memory, arrays without copying)."""
-        if not isinstance(payload, dict):
-            return payload
-
-        def bind(shipped):
-            bindings = BindingTable(query)
-            for node, array in shipped.items():
-                bindings.bind(node, self.view(array))
-            return bindings
-
-        return self._once(payload, bind)
+        # mapping's aligned 8-byte loads/stores are atomic, and a stale read
+        # of another machine's slot only under-counts — the safe direction.
+        self._slots = [0] * cloud.machine_count if slots is None else slots
 
     def run(self, task: object, start: int, stop: int) -> Tuple[object, CloudMetrics]:
         """One unit — a join task, or ``task.roots[start:stop]`` of an
@@ -207,29 +128,15 @@ class _UnitRunner:
         if isinstance(task, ExploreTask):
             table = match_stwig(
                 scoped, task.machine_id, task.stwig, task.query,
-                bindings=self._bindings(task.bindings, task.query),
-                roots=self._once(task.roots, self.view)[start:stop],
+                bindings=task.bindings, roots=task.roots[start:stop],
             )
             return explore_result(task.machine_id, table), metrics
-        # One attachment and one filtered-table cache per distinct matrix.
-        tables, filtered = self._once(
-            task.tables, lambda matrix: (self._stack.enter_context(attached_matrix(matrix)), {})
-        )
-        # The rows are the join's own array, never a view of the attached
-        # pages, so they outlive the batch's attachments.
         rows = machine_result_rows(
-            scoped, task.plan, tables, task.machine_id,
-            self._bindings(task.bindings, task.plan.query),
+            scoped, task.plan, task.tables, task.machine_id, task.bindings,
             budget=JoinBudget(self._limit, self._slots, task.machine_id),
-            filtered_cache=filtered,
+            filtered_cache=self._filtered.setdefault(id(task.tables), {}),
         )
         return JoinResult(task.machine_id, rows), metrics
-
-    def close(self) -> None:
-        """Drop every attachment (the views die first)."""
-        self._built.clear()
-        self._slots = None
-        self._stack.close()
 
 
 class _Unit(NamedTuple):
@@ -249,15 +156,15 @@ def _coalesce(task: object, chunks: Sequence[object]) -> object:
     if len(chunks) == 1:
         return chunks[0]
     # A chunk-split (stolen-from) machine: its factorized parts concatenate
-    # (disjoint roots, in chunk order) into one inline single-part handle.
-    table = STwigTable.concatenate([chunk.table.materialize() for chunk in chunks])
+    # (disjoint roots, in chunk order) into one table.
+    table = STwigTable.concatenate([chunk.table for chunk in chunks])
     distincts = {
         node: fast_unique(
             np.concatenate([chunk.distincts[node] for chunk in chunks if chunk.distincts])
         )
         for node in (table.columns if table.row_count else ())
     }
-    return ExploreResult(task.machine_id, TableHandle.of(table), distincts)
+    return ExploreResult(task.machine_id, table, distincts)
 
 
 class Executor(ABC):
@@ -296,8 +203,7 @@ class Executor(ABC):
         Each unit's isolated :class:`CloudMetrics` are merged into
         ``cloud.metrics`` in (task, chunk) order after the batch; totals
         are sums, so every schedule reproduces the serial counters.  A
-        failed batch merges nothing and retires every table its finished
-        units published.
+        failed batch merges nothing.
         """
         units: List[_Unit] = []
         # buffers[task][chunk] -> (result, metrics) once that unit completed.
@@ -318,26 +224,17 @@ class Executor(ABC):
             buffers.append([None] * len(chunks))
         pending = [len(chunks) for chunks in buffers]
         results: List[object] = [None] * len(tasks)
-        try:
-            with closing(self._run_units(cloud, tasks, units)) as completed:
-                for unit, result, metrics in completed:
-                    index = unit.task_index
-                    buffers[index][unit.chunk_index] = (result, metrics)
-                    pending[index] -= 1
-                    if pending[index] == 0:
-                        results[index] = _coalesce(
-                            unit.task, [chunk for chunk, _ in buffers[index]]
-                        )
-                        if on_result is not None:
-                            on_result(index, results[index])
-        except BaseException:
-            # Retire every table the finished units published (inline
-            # handles no-op), assembled or still buffered.
-            finished = [entry[0] for chunks in buffers for entry in chunks if entry]
-            for result in results + finished:
-                if isinstance(result, ExploreResult):
-                    result.table.release()
-            raise
+        with closing(self._run_units(cloud, tasks, units)) as completed:
+            for unit, result, metrics in completed:
+                index = unit.task_index
+                buffers[index][unit.chunk_index] = (result, metrics)
+                pending[index] -= 1
+                if pending[index] == 0:
+                    results[index] = _coalesce(
+                        unit.task, [chunk for chunk, _ in buffers[index]]
+                    )
+                    if on_result is not None:
+                        on_result(index, results[index])
         for chunks in buffers:
             for _, metrics in chunks:
                 cloud.metrics.merge(metrics)
@@ -350,9 +247,8 @@ class Executor(ABC):
         """Run every unit, yielding ``(unit, result, metrics)`` as each completes.
 
         ``result`` is the unit's :class:`~repro.core.tasks.ExploreResult` /
-        :class:`~repro.core.tasks.JoinResult` (a chunk of a split task —
-        ``unit.chunk_count > 1`` — must come back inline), ``metrics`` the
-        isolated counters it ran against.  Any order is allowed; :meth:`run`
+        :class:`~repro.core.tasks.JoinResult`, ``metrics`` the isolated
+        counters it ran against.  Any order is allowed; :meth:`run`
         closes the generator if the batch is abandoned.
         """
 
@@ -378,18 +274,15 @@ class SerialExecutor(Executor):
     name = "serial"
 
     def _run_units(self, cloud, tasks, units):
-        with closing(_UnitRunner(cloud, _shared_join_limit(tasks))) as runner:
-            for unit in units:
-                yield (unit, *runner.run(unit.task, unit.start, unit.stop))
+        runner = _UnitRunner(cloud, _shared_join_limit(tasks))
+        for unit in units:
+            yield (unit, *runner.run(unit.task, unit.start, unit.stop))
 
 
 # -- process backend ---------------------------------------------------------
 
 #: How long ``close()`` waits for terminated workers before it kills them.
 _CLOSE_DEADLINE_S = 1.0
-
-#: Process-wide batch numbers: part of the names of worker-published blocks.
-_batch_numbers = itertools.count(1)
 
 #: How workers start: a fork of the driver, which holds the loaded cloud.
 _START_METHOD = "fork"
@@ -398,32 +291,29 @@ _START_METHOD = "fork"
 class _Open(NamedTuple):
     """A batch's first message to a worker: everything its units share.
 
-    ``tasks`` are the batch's tasks with bindings, roots and handle matrix in
-    shipped form.  The message is pickled once per batch, so what the tasks
-    share by identity (plan, query, bindings, matrix) crosses each pipe once
-    and arrives shared.  ``names.format(worker pid, n)`` is the name of the
-    ``n``-th block a worker publishes during the batch.
+    The message is pickled once per batch, so what the tasks share by
+    identity (plan, query, bindings, the exploration table matrix) crosses
+    each pipe once and arrives shared.
     """
 
     tasks: Sequence[object]
     limit: Optional[int]
-    slots: Optional[SharedArraySpec]
-    names: str
 
 
-def _worker_main(conn, cloud: MemoryCloud, inherited: Sequence) -> None:
+def _worker_main(conn, cloud: MemoryCloud, slots: np.ndarray, inherited: Sequence) -> None:
     """A worker's life: serve batches over ``conn`` until the driver hangs up.
 
     ``cloud`` is the driver's loaded cloud as the fork copied it: the
-    worker's units run against it, sharing the image's pages.
+    worker's units run against it, sharing the image's pages.  ``slots`` is
+    the join budget's shared mapping, inherited the same way.
 
     The driver's messages are ``(opening, units, final)``: the pickled
     :class:`_Open` with a worker's first units of a batch (``None`` after),
     one ``(unit index, task index, start, stop)`` per unit dealt — each
     answered by one ``(status, unit index, body)`` — and whether the batch
     holds nothing more for this worker; a bare ``None`` says so afterwards.
-    Errors are transported, never raised: the driver drains the batch,
-    unlinks everything the successful siblings shipped, and re-raises.
+    Errors are transported, never raised: the driver drains the batch and
+    re-raises.
     """
     for other in inherited:
         # Driver-side pipe ends the fork copied: left open here, neither this
@@ -431,7 +321,7 @@ def _worker_main(conn, cloud: MemoryCloud, inherited: Sequence) -> None:
         other.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the driver's to handle
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # not a handler the driver installed
-    opened = runner = names = None
+    opened = runner = None
     while True:
         try:
             opening, dealt, final = conn.recv() or (None, (), True)
@@ -439,54 +329,30 @@ def _worker_main(conn, cloud: MemoryCloud, inherited: Sequence) -> None:
             return
         if opening is not None:
             opened = pickle.loads(opening)
-            names = map(opened.names.format, itertools.repeat(os.getpid()), itertools.count())
+            runner = _UnitRunner(cloud, opened.limit, slots)
         for unit_index, task_index, start, stop in dealt:
             try:
-                if runner is None:
-                    runner = _UnitRunner(cloud, opened.limit, opened.slots)
-                result, metrics = runner.run(opened.tasks[task_index], start, stop)
-                outcome = "ok", unit_index, (_shipped_result(result, names), metrics)
+                outcome = "ok", unit_index, runner.run(opened.tasks[task_index], start, stop)
             except Exception as error:  # noqa: BLE001 - transported to the driver
                 outcome = "error", unit_index, error
             conn.send(outcome)
         if final:
-            if runner is not None:
-                runner.close()
             opened = runner = None
-
-
-def _shipped_result(result, names: Iterator[str]):
-    """Worker-side: a unit's result in pipe form.
-
-    A large array is published once and only its spec returns; a table's
-    block lives until a ``TableHandle.release()`` (or an executor error
-    path) unlinks it — the driver never maps it.
-    """
-
-    def publish(array: np.ndarray) -> SharedArraySpec:
-        segment, spec = publish_array(array, name=next(names))
-        segment.close()  # the worker's mapping only: the driver unlinks
-        return spec
-
-    if isinstance(result, JoinResult):
-        return _ship_array(result.rows, publish)
-    handle = result.table
-    part = None if handle.part is None else _ship_array(handle.part, publish)
-    distincts = {node: _ship_array(values, publish) for node, values in result.distincts.items()}
-    return handle.groups, handle.row_count, handle.lengths, part, distincts
 
 
 class _Worker:
     """One worker process the executor owns, and the driver's end of its pipe."""
 
-    def __init__(self, cloud: MemoryCloud, siblings: Sequence["_Worker"]) -> None:
+    def __init__(
+        self, cloud: MemoryCloud, slots: np.ndarray, siblings: Sequence["_Worker"]
+    ) -> None:
         # Forked, whatever the platform's default start method: the worker
-        # must inherit ``cloud`` rather than receive it.
+        # must inherit ``cloud`` and ``slots`` rather than receive them.
         context = multiprocessing.get_context(_START_METHOD)
         self.conn, theirs = context.Pipe()
         inherited = [sibling.conn for sibling in siblings] + [self.conn]
         self.process = context.Process(
-            target=_worker_main, args=(theirs, cloud, inherited), daemon=True
+            target=_worker_main, args=(theirs, cloud, slots, inherited), daemon=True
         )
         self.process.start()
         theirs.close()
@@ -517,8 +383,8 @@ def _retire(workers: Sequence[_Worker]) -> None:
 
 
 class _ProcessState:
-    """The workers owned by one :class:`ProcessExecutor`, and the cloud load
-    they were forked from.
+    """The workers owned by one :class:`ProcessExecutor`, the cloud load
+    they were forked from, and the join budget's slots they share.
 
     Kept outside the executor so a ``weakref.finalize`` can tear it down
     without keeping the executor alive: dropping the last reference to an
@@ -529,6 +395,10 @@ class _ProcessState:
         self.workers: List[_Worker] = []
         self.cloud_ref = lambda: None
         self.load_generation = -1
+        #: One int64 produced-row count per machine, in an anonymous shared
+        #: mapping made before the generation's workers fork: every worker,
+        #: replacements included, inherits it.
+        self.slots = np.zeros(0, dtype=np.int64)
 
     def teardown(self) -> None:
         workers, self.workers = self.workers, []
@@ -545,25 +415,19 @@ class ProcessExecutor(Executor):
     queue and no worker idles between units — and waits on the pipes *and*
     the process sentinels.  A worker that dies mid-batch fails the batch
     with an :class:`~repro.errors.ExecutionError` naming it and its unit:
-    what it published and never reported is swept by name, the siblings are
-    drained, and it is replaced before the next batch.  One batch owns the
-    pipes at a time; batches of concurrent queries take turns.
+    the siblings are drained, and it is replaced before the next batch.  One
+    batch owns the pipes at a time; batches of concurrent queries take turns.
 
     ``transport_counters`` exposes the backend's data movement:
 
-    * ``explore_publications`` — tables published worker-side (handles
-      returned, bytes stayed in shared memory);
-    * ``explore_coalesced`` / ``driver_table_receives`` — chunk-split
-      machines whose parts the driver had to reassemble (work stealing
-      only; zero when tasks are unsplit);
-    * ``join_publications`` — inline tables a join batch had to publish
-      itself (for the length of the batch), counted once per batch, not per
-      join task or worker: the handle matrix is shipped and pickled once,
-      and crosses each pipe once;
-    * ``join_cache_hits`` — always 0: the cross-batch publication cache it
-      counted is gone (every query's handles are fresh, so it never hit and
-      only stranded segments).  The name stays for the benchmark's per-layer
-      table and is retired with the next ``benchmark`` PR.
+    * ``explore_coalesced`` — chunk-split (stolen-from) machines whose parts
+      the driver concatenated (work stealing only; zero when tasks are
+      unsplit);
+    * ``driver_table_receives`` — the non-empty chunk tables those machines'
+      parts arrived as;
+    * ``explore_publications``, ``join_publications``, ``join_cache_hits``
+      — always 0: nothing is published outside the pipes.  The names stay
+      for the benchmark's per-layer table, until its next baseline break.
     """
 
     name = "process"
@@ -598,6 +462,7 @@ class ProcessExecutor(Executor):
                 previous.deregister_runtime_resource(self)
             state.cloud_ref = weakref.ref(owner)
             state.load_generation = owner.load_generation
+            state.slots = np.frombuffer(mmap.mmap(-1, 8 * owner.machine_count), dtype=np.int64)
             # The cloud tears this executor's workers down on close().
             owner.register_runtime_resource(self)
         # A worker that died, or that a broken batch left mid-conversation,
@@ -608,69 +473,10 @@ class ProcessExecutor(Executor):
         # Default sizing: one worker per machine, capped at the host CPUs.
         size = self._workers or min(owner.machine_count, os.cpu_count() or 1)
         while len(state.workers) < size:
-            state.workers.append(_Worker(owner, state.workers))
+            state.workers.append(_Worker(owner, state.slots, state.workers))
         return state.workers
 
-    def _encoded(self, tasks: Sequence[object], publish) -> List[object]:
-        """The batch's tasks in pipe form; what they share stays shared."""
-        shipped: Dict[int, object] = {}
-
-        def once(payload, ship, *args):
-            if id(payload) not in shipped:
-                shipped[id(payload)] = ship(payload, *args)
-            return shipped[id(payload)]
-
-        def ship_handle(handle: TableHandle) -> TableHandle:
-            if not isinstance(handle.part, np.ndarray):
-                return handle  # empty, or published by the worker that built it
-            # A large *inline* table (a stolen-from machine's, coalesced on
-            # the driver) is published like the batch's roots and bindings,
-            # and dies with the batch; a small one rides the pipe.
-            part = _ship_array(handle.part, publish)
-            if part is handle.part:
-                return handle
-            self.transport_counters["join_publications"] += 1
-            return TableHandle(
-                handle.columns, handle.groups, handle.row_count, handle.lengths, part
-            )
-
-        def ship_matrix(matrix):
-            return tuple(tuple(map(ship_handle, machine)) for machine in matrix)
-
-        return [
-            replace(
-                task,
-                bindings=once(task.bindings, _ship_bindings, task.query, publish),
-                roots=_ship_array(task.roots, publish),
-            )
-            if isinstance(task, ExploreTask)
-            else replace(
-                task,
-                bindings=once(task.bindings, _ship_bindings, task.plan.query, publish),
-                tables=once(task.tables, ship_matrix),
-            )
-            for task in tasks
-        ]
-
-    def _decode(self, unit: _Unit, payload) -> object:
-        """A worker's payload as the unit's result (the batch's lock is held)."""
-        task = unit.task
-        if isinstance(task, JoinTask):
-            return JoinResult(task.machine_id, _receive_array(payload))
-        groups, row_count, lengths, part, distincts = payload
-        self.transport_counters["explore_publications"] += isinstance(part, SharedArraySpec)
-        if unit.chunk_count > 1 and part is not None:
-            # A chunk of a split (stolen-from) machine is coalesced by the
-            # loop, so the driver has to receive it.  This is the only
-            # driver-side table materialization in the backend, and it is
-            # charged to its own counter.
-            self.transport_counters["driver_table_receives"] += 1
-            part = _receive_array(part)
-        received = {node: _receive_array(shipped) for node, shipped in distincts.items()}
-        handle = TableHandle(task.stwig.nodes, groups, row_count, lengths, part)
-        return ExploreResult(task.machine_id, handle, received)
-
-    def _outcomes(self, units: Sequence[_Unit], messages: deque, opening: bytes, names: str):
+    def _outcomes(self, units: Sequence[_Unit], messages: deque, opening: bytes):
         """Deal ``messages`` (the unit queue) to the workers and yield each
         ``(status, unit index, body)`` as it comes back; a worker found dead
         yields the error of the unit it was running."""
@@ -708,9 +514,6 @@ class ProcessExecutor(Executor):
                 if outcome is None:
                     unit = units[worker.sent[0]]
                     worker.process.join(_CLOSE_DEADLINE_S)
-                    # What it published and never reported; what it did
-                    # report is retired with the rest of the failed batch.
-                    sweep_blocks(names.format(worker.process.pid, ""))
                     outcome = "error", worker.sent[0], ExecutionError(
                         f"worker {worker.process.pid} died (exit code "
                         f"{worker.process.exitcode}) running the {type(unit.task).__name__} "
@@ -727,42 +530,36 @@ class ProcessExecutor(Executor):
 
     def _run_units(self, cloud, tasks, units):
         join_limit = _shared_join_limit(tasks)
-        # One batch owns the pipes (and the transport counters) at a time.
-        # The registry owns what the driver ships by shared memory for the
-        # length of the batch: large roots and bindings, the budget slots.
-        with self._lock, SegmentRegistry() as registry:
+        # One batch owns the pipes, the budget slots and the transport
+        # counters at a time.
+        with self._lock:
             workers = self._ensure_workers(cloud)
             self.transport_counters["explore_coalesced"] += len(
                 {unit.task_index for unit in units if unit.chunk_count > 1}
             )
-            slots = None
             if join_limit is not None:
-                slots = registry.publish(np.zeros(cloud.machine_count, dtype=np.int64))
-            names = f"repro-{os.getpid()}-{{}}-{next(_batch_numbers)}-{{}}"
-            opening = pickle.dumps(
-                _Open(self._encoded(tasks, registry.publish), join_limit, slots, names),
-                pickle.HIGHEST_PROTOCOL,
-            )
+                self._state.slots[:] = 0
+            opening = pickle.dumps(_Open(tasks, join_limit), pickle.HIGHEST_PROTOCOL)
             messages = deque(
                 (index, unit.task_index, unit.start, unit.stop) for index, unit in enumerate(units)
             )
             try:
-                for status, unit_index, body in self._outcomes(units, messages, opening, names):
+                for status, unit_index, body in self._outcomes(units, messages, opening):
                     if status == "error":
                         raise body
-                    unit = units[unit_index]
-                    yield unit, self._decode(unit, body[0]), body[1]
+                    unit, (result, metrics) = units[unit_index], body
+                    if unit.chunk_count > 1 and result.table.row_count:
+                        # A chunk of a split (stolen-from) machine, which the
+                        # loop concatenates on the driver.
+                        self.transport_counters["driver_table_receives"] += 1
+                    yield unit, result, metrics
             finally:
-                # A failed or abandoned batch: nothing more is dealt, the
-                # units already handed over are waited for and what they
-                # shipped is retired, so no block is stranded and nothing
-                # is unlinked under a live worker.
+                # A failed or abandoned batch: nothing more is dealt, and the
+                # units already handed over are waited for, so every live
+                # worker is back between batches.
                 messages.clear()
-                for status, unit_index, body in self._outcomes(units, messages, opening, names):
-                    if status == "ok":
-                        result = self._decode(units[unit_index], body[0])
-                        if isinstance(result, ExploreResult):
-                            result.table.release()
+                for _ in self._outcomes(units, messages, opening):
+                    pass
                 for worker in workers:
                     if worker.opened:
                         with suppress(OSError):  # dead: replaced before the next batch

@@ -16,8 +16,9 @@ Concurrency correctness comes from the layers below:
   overlapping queries report exactly the counters of their solo runs;
 * the planner's plan cache memoizes STwig decomposition + join order by
   query fingerprint, so a recurring query shape skips planning entirely;
-* the executors serialize their pool/publication lifecycle, so a process
-  backend publishes the resident graph exactly once for all queries.
+* one executor serves every query: a process backend forks its workers
+  from the resident cloud once (they inherit the graph; a reload restarts
+  them), and its batches take turns on the workers' pipes.
 
 What the service adds on top is *admission control* and *lifecycle*:
 
@@ -166,6 +167,7 @@ class QueryService:
         self._state = threading.Condition()
         self._stats = ServiceStats()
         self._closed = False
+        self._torn_down = False
 
     # -- introspection -------------------------------------------------------
 
@@ -292,8 +294,9 @@ class QueryService:
 
         New submissions are rejected immediately; queries already admitted
         run to completion.  Only then is the matcher closed, so no query
-        ever observes a torn-down executor or unlinked shared-memory
-        segment.  The cloud stays open: whoever loaded it closes it.
+        ever observes a torn-down executor.  A call that timed out leaves
+        the runtime up, and a later call drains again and tears it down.
+        The cloud stays open: whoever loaded it closes it.
 
         Args:
             drain_timeout: overrides ``service_config.drain_timeout``;
@@ -306,7 +309,6 @@ class QueryService:
             else self.service_config.drain_timeout
         )
         with self._state:
-            already_closed = self._closed
             self._closed = True
             deadline = None if timeout is None else time.monotonic() + timeout
             while self._stats.in_flight > 0:
@@ -318,9 +320,11 @@ class QueryService:
                         f"after {timeout}s drain timeout"
                     )
                 self._state.wait(remaining)
-        if already_closed:
-            return
-        self.matcher.close()
+            # Admission closed at the first call; teardown happens once, at
+            # the first call that drained.
+            torn_down, self._torn_down = self._torn_down, True
+        if not torn_down:
+            self.matcher.close()
 
     async def aclose(self, drain_timeout: Optional[float] = None) -> None:
         """Asyncio counterpart of :meth:`close` (drains off the event loop)."""

@@ -82,7 +82,7 @@ class TestExplore:
         plan = QueryPlanner(cloud).plan(query)
         outcome = explore(cloud, plan)
         per_stwig = [
-            sum(machine[index].row_count for machine in outcome.handles)
+            sum(machine[index].row_count for machine in outcome.tables)
             for index in range(len(plan.stwigs))
         ]
         assert all(per_stwig), "every STwig of a satisfiable query matches somewhere"

@@ -28,7 +28,6 @@ from repro.core.head_selection import full_load_sets
 from repro.core.planner import MatcherConfig, QueryPlan, QueryPlanner
 from repro.core.result import STwigTable
 from repro.core.stwig import STwig
-from repro.core.tasks import TableHandle
 from repro.graph.labeled_graph import LabeledGraph
 from repro.query.generators import dfs_query
 from repro.query.query_graph import QueryGraph
@@ -161,7 +160,7 @@ class TestEarlyExitPadding:
         # The skipped stage (index 3) is empty everywhere; the earlier
         # stages produced the path rows before the wipe-out.
         stage_rows = [
-            sum(machine[index].row_count for machine in outcome.handles)
+            sum(machine[index].row_count for machine in outcome.tables)
             for index in range(len(plan.stwigs))
         ]
         assert stage_rows[0] > 0
@@ -177,9 +176,9 @@ class TestEarlyExitPadding:
     def test_empty_is_computed_once(self):
         _, _, outcome = self.wipeout_setup()
         assert outcome.empty is True
-        # Swapping the handles out from under the outcome must not change
+        # Swapping the tables out from under the outcome must not change
         # the answer: the scan ran once and was cached.
-        outcome.handles = [[TableHandle.of(STwigTable(("x",), roots=np.array([1]), row_count=1))]]
+        outcome.tables = [[STwigTable(("x",), roots=np.array([1]), row_count=1)]]
         assert outcome.empty is True
 
     def test_empty_false_is_cached_too(self):
@@ -189,7 +188,7 @@ class TestEarlyExitPadding:
         plan = manual_plan(query, [STwig("qa", ("qb",))], 1)
         outcome = explore(cloud, plan)
         assert outcome.empty is False
-        outcome.handles = []
+        outcome.tables = []
         assert outcome.empty is False
 
 

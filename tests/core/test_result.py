@@ -10,7 +10,6 @@ from repro.core.bindings import BindingTable
 from repro.core.join import multiway_join
 from repro.core.matcher import match_stwig
 from repro.core.result import _BLOCK_ROWS, MatchResult, MatchTable, StageStats
-from repro.core.tasks import TableHandle
 from repro.errors import ExecutionError
 from repro.graph.labeled_graph import NODE_DTYPE
 from repro.graph.partition import PartitionAssignment
@@ -128,14 +127,13 @@ class TestColumnarStorage:
                 "all_bound", "is_empty", "total_size",
             ),
             MatchResult: ("table", "_gathered", "_materialized", "assignments"),
-            TableHandle: ("from_table", "published", "is_published"),
             PartitionAssignment: ("node_to_machine", "_dict_cache"),
         }
         for cls, names in gone.items():
             for name in names:
                 assert not hasattr(cls, name), f"{cls.__name__}.{name}"
         with pytest.raises(TypeError):
-            MatchResult(query_nodes=("a",), table=TableHandle.empty(("a",)))
+            MatchResult(query_nodes=("a",), table=MatchTable(("a",)))
         with pytest.raises(TypeError):
             PartitionAssignment(2, {1: 0})
 

@@ -10,7 +10,10 @@ shared-memory segment behind once the cloud is closed.
 from __future__ import annotations
 
 import os
-from multiprocessing import shared_memory
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +39,6 @@ from repro.runtime import (
     SerialExecutor,
     create_executor,
 )
-from repro.utils.shm import SegmentRegistry, SharedArraySpec, publish_array
 from tests.helpers import assert_same_matches, oracle_join
 
 BACKENDS = ("serial", "process")
@@ -320,50 +322,51 @@ def shm_listing():
 
 
 class TestProcessRuntimeLifecycle:
-    def test_workers_inherit_the_cloud_without_publishing_it(self, monkeypatch):
-        """The graph never crosses a process boundary: on a graph whose
-        arrays all stay below the ship threshold, an unlimited, unsplit
-        process query publishes no shared-memory block from the driver."""
-        import repro.runtime.executors as executors_module
-        import repro.utils.shm as shm_module
+    def test_process_query_touches_no_shared_memory(self):
+        """One transport, the pipes: in a fresh interpreter, an unlimited and
+        a limited process query (a machine split for stealing) return
+        serial's rows without loading ``multiprocessing.shared_memory``,
+        leave ``/dev/shm`` as they found it, and write nothing to stderr."""
+        if not os.path.isdir("/dev/shm"):
+            pytest.skip("needs a /dev/shm listing to see new blocks")
+        script = textwrap.dedent(
+            """
+            import os, sys
+            import repro.runtime.executors as executors
+            from repro.cloud.cluster import MemoryCloud
+            from repro.cloud.config import ClusterConfig
+            from repro.core.engine import SubgraphMatcher
+            from repro.graph.generators.power_law import generate_power_law
+            from repro.query.generators import dfs_query
 
-        graph = generate_power_law(2_000, 5, label_density=5e-3, seed=71)
-        cloud = MemoryCloud.from_graph(graph, ClusterConfig(machine_count=3))
-        assert max(array.size for array in cloud.columns().values()) < (
-            executors_module._SHIP_THRESHOLD_ENTRIES
-        )
-        driver, published = os.getpid(), []
-        real_publish = shm_module.publish_array
-
-        def counting(array, name=None):
-            if os.getpid() == driver:
-                published.append(array.size)
-            return real_publish(array, name)
-
-        monkeypatch.setattr(shm_module, "publish_array", counting)
-        monkeypatch.setattr(executors_module, "publish_array", counting)
-        query = dfs_query(graph, 4, seed=9)
-        with SubgraphMatcher(cloud, executor="serial") as oracle:
-            expected = oracle.match(query)
-        cloud.reset_metrics()
-        executor = ProcessExecutor(workers=2, stealing=False)
-        try:
-            with SubgraphMatcher(cloud, MatcherConfig(), executor=executor) as matcher:
-                actual = matcher.match(query)
-        finally:
-            executor.close()
+            executors._STEAL_MIN_ROOTS = 8
+            before = sorted(os.listdir("/dev/shm"))
+            graph = generate_power_law(3_000, 5, label_density=5e-3, seed=71)
+            query = dfs_query(graph, 4, seed=9)
+            cloud = MemoryCloud.from_graph(graph, ClusterConfig(machine_count=3))
+            with SubgraphMatcher(cloud, executor="serial") as serial:
+                expected = [serial.match(query).rows, serial.match(query, limit=5).rows]
+            with SubgraphMatcher(cloud, executor="process", workers=2) as matcher:
+                actual = [matcher.match(query).rows, matcher.match(query, limit=5).rows]
+                split = matcher.executor.transport_counters["explore_coalesced"]
             cloud.close()
-        assert actual.rows == expected.rows and actual.metrics == expected.metrics
-        assert published == []
+            assert len(expected[0]) > 5 and actual == expected
+            assert split > 0, "no machine was split"
+            assert "multiprocessing.shared_memory" not in sys.modules
+            assert sorted(os.listdir("/dev/shm")) == before
+            """
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0 and run.stderr == "", run.stderr
 
-    def test_segments_unlinked_after_cloud_close(
-        self, parity_graph, parity_queries, monkeypatch
-    ):
-        """Closing the cloud retires its workers, and no block a query
-        shipped (every array forced through shared memory) outlives it."""
-        import repro.runtime.executors as executors_module
-
-        monkeypatch.setattr(executors_module, "_SHIP_THRESHOLD_ENTRIES", 1)
+    def test_segments_unlinked_after_cloud_close(self, parity_graph, parity_queries):
+        """Closing the cloud retires its workers, and ``/dev/shm`` lists
+        nothing a query left behind."""
         before = shm_listing()
         cloud = MemoryCloud.from_graph(parity_graph, ClusterConfig(machine_count=4))
         executor = ProcessExecutor(workers=2)
@@ -372,7 +375,6 @@ class TestProcessRuntimeLifecycle:
                 matcher.match(parity_queries[0], limit=5)
                 workers = worker_pids(executor)
                 assert len(workers) == 2 and all(map(running, workers))
-                assert executor.transport_counters["explore_publications"] > 0
         finally:
             cloud.close()
         assert worker_pids(executor) == [] and not any(map(running, workers))
@@ -558,37 +560,20 @@ class TestProcessRuntimeLifecycle:
             executor.close()
             cloud.close()
 
-    def test_shm_shipped_bindings_parity(self, parity_graph, parity_queries, monkeypatch):
-        """Force every binding table and result through the shared-memory
-        ship path and assert exact parity with the serial oracle."""
-        import repro.runtime.executors as executors_module
+    def test_worker_error_does_not_leak_shipped_blocks(self, parity_graph, parity_queries):
+        """A failed batch strands nothing, and leaves the executor usable.
 
-        reference, _ = run_backend(parity_graph, parity_queries, "serial")
-        monkeypatch.setattr(executors_module, "_SHIP_THRESHOLD_ENTRIES", 1)
-        outputs, _ = run_backend(parity_graph, parity_queries, "process")
-        for serial_out, process_out in zip(reference, outputs):
-            assert process_out["rows"] == serial_out["rows"]
-            assert process_out["metrics"] == serial_out["metrics"]
-
-    def test_worker_error_does_not_leak_shipped_blocks(
-        self, parity_graph, parity_queries, monkeypatch
-    ):
-        """A failed batch must not strand blocks shipped by finished units.
-
-        Every table and distinct set is forced through shared memory, then
-        one exploration batch fails inside a worker (a task for a machine
+        One exploration batch fails inside a worker (a task for a machine
         that does not exist) and another is abandoned by the driver (its
-        ``on_result`` raises).  Both errors surface, and afterwards
-        ``/dev/shm`` holds exactly what it held before: whatever the sibling
-        units shipped — assembled, buffered or still in flight — is gone.
+        ``on_result`` raises).  Both errors surface, ``/dev/shm`` holds
+        exactly what it held before, and the next batch answers as the
+        first did: the sibling units in flight were drained.
         """
-        import repro.runtime.executors as executors_module
         from repro.core.planner import QueryPlanner
         from repro.core.tasks import ExploreTask
 
         if not os.path.isdir("/dev/shm"):
             pytest.skip("needs a /dev/shm listing to see stranded blocks")
-        monkeypatch.setattr(executors_module, "_SHIP_THRESHOLD_ENTRIES", 1)
         cloud = MemoryCloud.from_graph(parity_graph, ClusterConfig(machine_count=4))
         query = parity_queries[0]
         stwig = QueryPlanner(cloud).plan(query).stwigs[0]
@@ -604,79 +589,23 @@ class TestProcessRuntimeLifecycle:
 
         executor = ProcessExecutor(workers=2)
         try:
-            for result in executor.run(cloud, tasks):
-                result.table.release()
-            assert executor.transport_counters["explore_publications"] > 0
+            first = [result.table.row_count for result in executor.run(cloud, tasks)]
             resident = set(os.listdir("/dev/shm"))
             with pytest.raises(IndexError):
                 executor.run(cloud, tasks + [no_such_machine])
             with pytest.raises(RuntimeError, match="merge failed"):
                 executor.run(cloud, tasks, on_result=boom)
             assert set(os.listdir("/dev/shm")) == resident
+            assert [result.table.row_count for result in executor.run(cloud, tasks)] == first
         finally:
             executor.close()
             cloud.close()
 
-    def test_one_segment_per_table_and_none_after_release(
-        self, parity_graph, parity_queries, monkeypatch
-    ):
-        """A factorized table is still at most one segment: every non-empty
-        (machine, STwig) handle of an exploration is exactly one published
-        block, ``release()`` leaves none behind, and neither does an
-        exploration whose later stage fails."""
-        import repro.runtime.executors as executors_module
-
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("needs a /dev/shm listing to count segments")
-        monkeypatch.setattr(executors_module, "_SHIP_THRESHOLD_ENTRIES", 1)
-        cloud = MemoryCloud.from_graph(parity_graph, ClusterConfig(machine_count=4))
-        plan = QueryPlanner(cloud, MatcherConfig()).plan(parity_queries[0])
-        assert len(plan.stwigs) > 1
-
-        class FailsAfterFirstStage(ProcessExecutor):
-            calls = 0
-
-            def run(self, cloud, tasks, on_result=None):
-                self.calls += 1
-                if self.calls > 1:
-                    raise RuntimeError("second stage failed")
-                return super().run(cloud, tasks, on_result=on_result)
-
-        executor = ProcessExecutor(workers=2, stealing=False)
-        failing = FailsAfterFirstStage(workers=2, stealing=False)
-        try:
-            executor.run(cloud, [])  # workers up before the census
-            resident = set(os.listdir("/dev/shm"))
-            outcome = explore(cloud, plan, executor=executor)
-            handles = [h for machine in outcome.handles for h in machine if h.row_count]
-            assert handles and all(isinstance(h.part, SharedArraySpec) for h in handles)
-            published = set(os.listdir("/dev/shm")) - resident
-            assert len(published) == len(handles) == len({h.part.name for h in handles})
-            outcome.release()
-            assert set(os.listdir("/dev/shm")) == resident
-            failing.run(cloud, [])
-            failing.calls = 0
-            resident = set(os.listdir("/dev/shm"))
-            with pytest.raises(RuntimeError, match="second stage failed"):
-                explore(cloud, plan, executor=failing)
-            assert failing.transport_counters["explore_publications"] > 0
-            assert set(os.listdir("/dev/shm")) == resident
-        finally:
-            failing.close()
-            executor.close()
-            cloud.close()
-
-    def test_explore_tables_stay_in_shared_memory(
-        self, parity_graph, parity_queries, monkeypatch
-    ):
-        """The zero-copy claim, asserted on counters: with stealing off,
-        every exploration table is published worker-side and the driver
-        receives only handles — no table bytes cross the pool pipe back,
-        and the join dispatch never has to publish anything itself."""
-        import repro.runtime.executors as executors_module
-
+    def test_every_table_rides_the_pipe(self, parity_graph, parity_queries):
+        """The transport, asserted on counters: with stealing off, no machine
+        is split, nothing is coalesced on the driver, and the three
+        publication counters read 0."""
         reference, _ = run_backend(parity_graph, parity_queries, "serial")
-        monkeypatch.setattr(executors_module, "_SHIP_THRESHOLD_ENTRIES", 1)
         cloud = MemoryCloud.from_graph(parity_graph, ClusterConfig(machine_count=4))
         executor = ProcessExecutor(workers=2, stealing=False)
         try:
@@ -687,11 +616,10 @@ class TestProcessRuntimeLifecycle:
         finally:
             executor.close()
             cloud.close()
-        counters = executor.transport_counters
-        assert counters["explore_publications"] > 0
-        assert counters["driver_table_receives"] == 0
-        assert counters["explore_coalesced"] == 0
-        assert counters["join_publications"] == 0
+        assert executor.transport_counters == dict.fromkeys(
+            ("explore_publications", "explore_coalesced", "driver_table_receives",
+             "join_publications", "join_cache_hits"), 0,
+        )
 
     def test_work_stealing_preserves_rows_and_metrics(
         self, parity_graph, parity_queries, monkeypatch
@@ -713,68 +641,34 @@ class TestProcessRuntimeLifecycle:
     def test_join_batch_pickles_the_handle_matrix_once(
         self, parity_graph, parity_queries, monkeypatch
     ):
-        """Four join tasks over two workers: the 4 x S handle matrix is
+        """Four join tasks over two workers: the 4 x S table matrix is
         pickled once for the whole batch (the batch's opening message, whose
         bytes go down each pipe once) — not once per task, not even once per
-        worker.  Counted here, in the driver, not by a public counter."""
+        worker.  Counted here, in the driver, not by a public counter: the
+        workers pickle their exploration tables in their own processes."""
         from repro.core.distributed import assemble_results
-        from repro.core.tasks import TableHandle
+        from repro.core.result import STwigTable
 
         pickled = []
-        reduce_handle = TableHandle.__reduce_ex__
+        reduce_table = STwigTable.__reduce_ex__
 
-        def counting(handle, protocol):
+        def counting(table, protocol):
             pickled.append(os.getpid())
-            return reduce_handle(handle, protocol)
+            return reduce_table(table, protocol)
 
-        monkeypatch.setattr(TableHandle, "__reduce_ex__", counting)
+        monkeypatch.setattr(STwigTable, "__reduce_ex__", counting)
         cloud = MemoryCloud.from_graph(parity_graph, ClusterConfig(machine_count=4))
         plan = QueryPlanner(cloud, MatcherConfig()).plan(parity_queries[0])
         executor = ProcessExecutor(workers=2)
         try:
             outcome = explore(cloud, plan, executor=executor)
-            assert pickled == [], "exploration sends no handle anywhere"
+            assert pickled == [], "the driver sends no table down a pipe to explore"
             joined = assemble_results(cloud, plan, outcome, executor=executor)
-            outcome.release()
         finally:
             executor.close()
             cloud.close()
         assert joined.row_count > 0
         assert pickled == [os.getpid()] * (4 * len(plan.stwigs))
-
-    def test_published_handle_attaches_read_only_and_materializes_owned(self):
-        """A table attached over published pages is a value like any other:
-        its columns are the segment itself, not writeable, and nothing on
-        ``STwigTable`` could detach or resize them; ``materialize`` owns a copy."""
-        from repro.core.tasks import TableHandle
-
-        table = star_table(6)
-        buffer, lengths = table.pack()
-        segment, spec = publish_array(buffer)
-        segment.close()
-        handle = TableHandle(table.columns, table.groups, table.row_count, lengths, spec)
-        try:
-            with handle.attach() as attached:
-                for view in (attached.roots, *attached.slot_values, *attached.slot_bounds):
-                    assert not view.flags.writeable and not view.flags.owndata
-                with pytest.raises(ValueError):
-                    attached.roots[0] = 99
-                assert attached.row_count == 6
-                assert attached.rows == table.rows
-            owned = handle.materialize()
-            assert owned.roots.flags.writeable
-        finally:
-            handle.release()
-        assert handle.part is None
-        handle.release()  # idempotent
-        owned.roots[0] = 99  # outlives the segment
-        assert owned.rows == [(99, *row[1:]) for row in table.rows]
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=spec.name).close()
-        inline = TableHandle.of(table)
-        assert np.shares_memory(inline.materialize().roots, inline.part)
-        inline.release()  # inline data has no storage to retire
-        assert isinstance(inline.part, np.ndarray)
 
     def test_root_chunks_partition_exactly(self):
         """Chunking for stealing is an exact order-preserving partition,
@@ -845,7 +739,6 @@ class TestSingleExecutionPath:
 
         import repro.runtime.executors as executors_module
 
-        monkeypatch.setattr(executors_module, "_SHIP_THRESHOLD_ENTRIES", 1)
         monkeypatch.setattr(executors_module, "_STEAL_MIN_ROOTS", 8)
         query = parity_queries[0]
         cloud = MemoryCloud.from_graph(parity_graph, ClusterConfig(machine_count=4))
@@ -856,7 +749,6 @@ class TestSingleExecutionPath:
             with SubgraphMatcher(cloud, MatcherConfig(), executor=executor) as matcher:
                 matcher.match(query)
                 single = dict(executor.transport_counters)
-                assert single["explore_publications"] > 0
                 assert single["driver_table_receives"] > 0
 
                 def client() -> None:
@@ -920,46 +812,3 @@ class TestBackendSelection:
         # Closing the matcher must not have closed the shared executor; a
         # serial executor has no resources, so just assert it still works.
         assert shared.name == "serial"
-
-
-class TestSharedMemoryHelpers:
-    def test_publish_attach_round_trip(self):
-        from repro.utils.shm import attach_array
-
-        array = np.arange(1000, dtype=np.int64).reshape(100, 10)
-        segment, spec = publish_array(array)
-        try:
-            attached, view = attach_array(spec)
-            np.testing.assert_array_equal(view, array)
-            assert not view.flags.writeable
-            attached.close()
-        finally:
-            segment.close()
-            segment.unlink()
-
-    def test_empty_array_publication(self):
-        from repro.utils.shm import attach_array
-
-        array = np.empty(0, dtype=np.int64)
-        segment, spec = publish_array(array)
-        try:
-            attached, view = attach_array(spec)
-            assert view.shape == (0,)
-            attached.close()
-        finally:
-            segment.close()
-            segment.unlink()
-
-    def test_registry_close_unlinks_everything(self):
-        registry = SegmentRegistry()
-        specs = [registry.publish(np.arange(10)) for _ in range(3)]
-        assert len({spec.name for spec in specs}) == 3
-        registry.close()
-        assert registry.closed
-        registry.close()  # idempotent
-        for spec in specs:
-            with pytest.raises(FileNotFoundError):
-                segment = shared_memory.SharedMemory(name=spec.name)
-                segment.close()
-        with pytest.raises(RuntimeError):
-            registry.publish(np.arange(4))

@@ -2,9 +2,9 @@
 
 The failure model these scenarios pin (ROADMAP item 2c): a worker that dies
 mid-batch turns the query into a typed ``ExecutionError`` promptly, the same
-executor answers the next query correctly with a rebuilt worker, nothing the
-dead worker published is left in ``/dev/shm``, and ``close()`` returns within
-its deadline even when a worker cannot be terminated politely.
+executor answers the next query correctly with a rebuilt worker, ``/dev/shm``
+lists nothing new, and ``close()`` returns within its deadline even when a
+worker cannot be terminated politely.
 
 ``pytest-timeout`` is not available, so every scenario runs its blocking
 call in a thread and bounds it with ``join(timeout=...)``: a regression fails
@@ -123,14 +123,12 @@ def children():
 
 
 @pytest.fixture
-def runtime(graph, monkeypatch):
-    """``(cloud, executor, matcher, /dev/shm before anything was published)``,
-    every array forced through shared memory so a stranded block would show.
+def runtime(graph):
+    """``(cloud, executor, matcher, /dev/shm before the scenario)``.
 
     Closing it checks that no child process outlives the scenario: the
     children alive at its start are the baseline, not an empty set.
     """
-    monkeypatch.setattr(executors_module, "_SHIP_THRESHOLD_ENTRIES", 1)
     before = set(os.listdir("/dev/shm"))
     children_before = children()
     cloud = MemoryCloud.from_graph(graph, ClusterConfig(machine_count=4))
@@ -147,9 +145,9 @@ def runtime(graph, monkeypatch):
 @pytest.mark.parametrize(
     "where, patched, after",
     [
-        # Inside an exploration unit, its table published and not yet reported.
-        ("explore", "publish_array", True),
-        # Inside a join unit, the handle matrix attached.
+        # Inside an exploration unit, its table built and not yet reported.
+        ("explore", "match_stwig", True),
+        # Inside a join unit, the table matrix received.
         ("join", "machine_result_rows", False),
     ],
 )
@@ -183,8 +181,7 @@ def test_sigkill_mid_batch_fails_the_query_and_the_executor_recovers(
     assert f"worker {victim} died" in message and "machine" in message
     kind = "ExploreTask" if where == "explore" else "JoinTask"
     assert kind in message
-    # What the dead worker published and never reported is already swept,
-    # and the failed query released every table of its earlier stages.
+    # Nothing of the failed query is left behind.
     assert set(os.listdir("/dev/shm")) == resident
 
     finished, result, error = bounded(lambda: matcher.match(query))
@@ -238,10 +235,10 @@ def test_sigstop_does_not_hang_close(runtime, query, expected):
 def test_stealing_queries_strand_nothing_on_a_resident_executor(
     runtime, query, expected, monkeypatch
 ):
-    """A stolen-from machine's table is coalesced inline on the driver, so
-    the join batch has to publish it itself — and must take it back when the
-    batch ends: ``/dev/shm`` after query *k* lists what it listed after
-    query 1, however long the executor stays resident."""
+    """A stolen-from machine's table is coalesced on the driver and rides
+    the join batch's pipes like any other: ``/dev/shm`` after query *k*
+    lists what it listed after query 1, however long the executor stays
+    resident."""
     monkeypatch.setattr(executors_module, "_STEAL_MIN_ROOTS", 8)
     cloud, executor, matcher, before = runtime
     listings = []
@@ -252,7 +249,7 @@ def test_stealing_queries_strand_nothing_on_a_resident_executor(
         listings.append(sorted(os.listdir("/dev/shm")))
     counters = executor.transport_counters
     assert counters["explore_coalesced"] > 0, "no machine was stolen from"
-    assert counters["join_publications"] >= len(listings), "no join batch published a table"
+    assert counters["join_publications"] == 0
     assert all(listing == listings[0] for listing in listings), list(map(len, listings))
     finished, _, error = bounded(lambda: (matcher.close(), executor.close(), cloud.close()))
     assert finished and error is None

@@ -12,6 +12,8 @@ the rows.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,7 +22,6 @@ from hypothesis import strategies as st
 from repro.core.bindings import BindingTable
 from repro.core.matcher import match_stwig
 from repro.core.result import _BLOCK_ROWS, STwigTable, _row_blocks
-from repro.core.tasks import TableHandle
 from repro.core.stwig import STwig
 from repro.errors import ExecutionError
 from repro.graph.labeled_graph import NODE_DTYPE, OFFSET_DTYPE, LabeledGraph
@@ -214,9 +215,10 @@ def assert_is_flat_table(table: STwigTable, expected) -> np.ndarray:
         blocks = list(table.row_blocks(block_rows))
         assert all(len(block) <= block_rows for block in blocks)
         assert np.array_equal(np.concatenate(blocks + [flat[:0]]), flat)
-    packed = TableHandle.of(table).materialize()
-    assert packed.row_count == table.row_count
-    assert np.array_equal(packed.to_array(), flat)
+    # The process backend's transport: the table crosses a pipe as a pickle.
+    shipped = pickle.loads(pickle.dumps(table, pickle.HIGHEST_PROTOCOL))
+    assert shipped.row_count == table.row_count and shipped.groups == table.groups
+    assert np.array_equal(shipped.to_array(), flat)
     return flat
 
 

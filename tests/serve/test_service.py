@@ -366,15 +366,21 @@ class TestLifecycle:
             assert release.wait(5), "test deadlock: release never set"
             return real_match(q, limit=limit)
 
+        closes = []
         monkeypatch.setattr(service.matcher, "match", blocking_match)
+        monkeypatch.setattr(service.matcher, "close", lambda: closes.append(1))
         worker = threading.Thread(target=service.submit, args=(query,))
         worker.start()
         assert entered.wait(5)
         with pytest.raises(ServiceError, match="drain timeout"):
             service.close(drain_timeout=0.05)
+        assert closes == []  # the runtime stays up for the query still running
         release.set()
         worker.join(timeout=5)
-        service.close()  # second close now drains cleanly
+        service.close()  # second close now drains cleanly and tears down
+        assert closes == [1]
+        service.close()
+        assert closes == [1]
 
     def test_caller_cloud_stays_open(self, service_graph):
         cloud = MemoryCloud.from_graph(service_graph, ClusterConfig(machine_count=2))

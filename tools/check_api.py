@@ -17,7 +17,7 @@ write path, the standalone ``hash_join``, the tuple-era result mutators,
 the growable-table / set-view / dict-view members, the per-backend service
 dict, ``start_method``, the join-order sampler, the two budget subclasses,
 the row-shaped exploration (``_row_blocks``' ``stwig`` parameter,
-``_stwig_blocks``, ``TableHandle.from_array``), the per-edge generator oracles
+``_stwig_blocks``, ``TableHandle``'s ``from_array``), the per-edge generator oracles
 and the dataset cache (test and benchmark code, now in ``tests/helpers.py``
 and ``benchmarks/dataset_cache.py``), and the join's cross-batch publication
 cache with its handle fingerprints, the in-place snapshot reload
@@ -32,8 +32,12 @@ worker processes (``publish_cloud`` / ``rebuild_cloud`` / ``CloudHandle``,
 paper's evaluation periphery (the ``repro.bench`` harness, the
 ``repro.serve.bench`` client driver, ``explore_neighborhood``) with what
 only it used (``use_edge_statistics``, ``EdgeStatistics.from_cloud``, the
-label index's vectorized filters, ``repro.utils.timer``): the names are gone
-from the API, and nothing in ``src/`` may bring them back.
+label index's vectorized filters, ``repro.utils.timer``), and the
+shared-memory transport of the process backend (``TableHandle``,
+``SharedArraySpec``, ``SegmentRegistry``, ``publish_array`` /
+``sweep_blocks``, ``_SHIP_THRESHOLD_ENTRIES``, ``attached_matrix`` /
+``release_matrix``, any ``shared_memory`` import): the names are gone from
+the API, and nothing in ``src/`` may bring them back.
 
 And it keeps the front door single (``FRONT_DOOR``): ``repro.api`` is the one
 place a source becomes a cloud and a service is put in front of it, so the
@@ -114,7 +118,6 @@ RETIRED_SPELLINGS = [
     "CooperativeJoinBudget",
     "distinct_pairs, stwig",
     "_stwig_blocks(",
-    "TableHandle.from_array(",
     "generate_power_law_scalar",
     "generate_rmat_scalar",
     "generate_gnm_scalar",
@@ -147,6 +150,15 @@ RETIRED_SPELLINGS = [
     "has_label_mask",
     "filter_ids_with_label",
     "repro.utils.timer",
+    "TableHandle",
+    "SharedArraySpec",
+    "SegmentRegistry",
+    "publish_array(",
+    "sweep_blocks(",
+    "_SHIP_THRESHOLD_ENTRIES",
+    "attached_matrix(",
+    "release_matrix(",
+    "shared_memory",
 ]
 
 #: Constructor spellings banned per file (glob under the repo root): a second
