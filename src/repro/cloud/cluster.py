@@ -29,16 +29,23 @@ import numpy as np
 from repro.cloud.config import ClusterConfig
 from repro.cloud.machine import Machine
 from repro.cloud.metrics import CloudMetrics
-from repro.errors import CloudError, NodeNotFoundError
+from repro.errors import CloudError, NodeNotFoundError, PartitionError
 from repro.graph.label_table import LabelTable
-from repro.graph.labeled_graph import OFFSET_DTYPE, LabeledGraph, NodeCell
-from repro.graph.partition import PartitionAssignment, cross_machine_label_pairs
+from repro.graph.labeled_graph import NODE_DTYPE, OFFSET_DTYPE, LabeledGraph, NodeCell
+from repro.graph.partition import cross_machine_label_pairs
 from repro.utils.arrays import (
     dense_table_profitable,
     dense_value_table,
     sorted_lookup,
-    table_position_lookup,
 )
+
+
+def _tag_dtype(tag_count: int) -> np.dtype:
+    """The smallest signed dtype holding tags ``0..tag_count - 1`` and -1."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if tag_count <= np.iinfo(dtype).max + 1:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
 
 
 #: Column names of one machine's CSR partition inside the cloud image.
@@ -92,10 +99,9 @@ class MemoryCloud:
         # The loaded state: nothing until _install (which documents each).
         self._load_generation = 0
         self._columns: Dict[str, np.ndarray] | None = None
-        self._assignment: PartitionAssignment | None = None
-        self._global_node_ids: np.ndarray | None = None
         self._global_label_ids: np.ndarray | None = None
-        self._label_by_node: np.ndarray | None = None
+        self._tags: np.ndarray | None = None
+        self._tag_ids: np.ndarray | None = None
         self._label_table: LabelTable | None = None
         self._graph_node_count = 0
         self._graph_edge_count = 0
@@ -198,11 +204,6 @@ class MemoryCloud:
         self._columns = {
             name: columns[name] for name in column_names(self.config.machine_count)
         }
-        self._assignment = PartitionAssignment.from_arrays(
-            self.config.machine_count,
-            columns["graph/node_ids"],
-            columns["assignment/machines"],
-        )
         for machine in self.machines:
             machine.label_table = machine.label_index.label_table = label_table
             machine.adopt_partition(
@@ -211,17 +212,22 @@ class MemoryCloud:
                     for column in MACHINE_COLUMNS
                 )
             )
-        # Cluster-wide sorted node IDs + parallel label IDs: batch_has_label
-        # answers a whole candidate array with one lookup (a dense
-        # node->label-ID table when the ID domain allows, else a binary
-        # search) while the *accounting* stays per-owner-machine.
-        node_ids = self._global_node_ids = columns["graph/node_ids"]
+        # One tag per node, label_id * machine_count + owner: a neighbor's
+        # label (for hasLabel) and owner (for charging the probe) come out
+        # of one gather.  Dense ID domains index the tags by node ID (-1 =
+        # no such node); sparse ones keep them parallel to the sorted IDs.
+        node_ids = columns["graph/node_ids"]
         label_ids = self._global_label_ids = columns["graph/label_ids"]
-        self._label_by_node = (
-            dense_value_table(node_ids, label_ids, dtype=np.int32)
-            if dense_table_profitable(node_ids, probe_count=0)
-            else None
-        )
+        machine_count = self.config.machine_count
+        dtype = _tag_dtype(len(label_table) * machine_count)
+        tags = label_ids.astype(dtype)
+        tags *= machine_count
+        tags += columns["assignment/machines"].astype(dtype, copy=False)
+        if dense_table_profitable(node_ids, probe_count=0):
+            self._tags = dense_value_table(node_ids, tags, dtype=dtype)
+            self._tag_ids = None
+        else:
+            self._tags, self._tag_ids = tags, node_ids
         self._label_table = label_table
         self._graph_node_count = len(node_ids)
         self._graph_edge_count = int(edge_count)
@@ -350,34 +356,47 @@ class MemoryCloud:
 
         The metrics record one hasLabel probe per candidate, charged against
         each candidate's owner machine exactly as if each had been probed
-        individually; only the Python call overhead is batched away.  Pass
-        ``owners`` (from :meth:`owners_of_array`) to reuse a precomputed
-        owner array across several probes of the same candidates.
+        individually (:meth:`charge_label_probes`); only the Python call
+        overhead is batched away.  Pass ``owners`` to charge those machines
+        instead of the candidates' own.
 
         IDs that are not nodes of the loaded graph yield ``False`` (when
-        ``owners`` is precomputed) or raise ``PartitionError`` (when owner
-        resolution runs here); neighbor lists always contain graph nodes.
+        ``owners`` is passed) or raise ``PartitionError`` (when owner
+        resolution runs here).
         """
-        if self._assignment is None:
-            raise CloudError("no graph has been loaded into the cloud")
-        if len(node_ids) == 0:
-            return np.empty(0, dtype=bool)
+        tags = self._tags_of(node_ids)
         if owners is None:
-            owners = self._assignment.machine_array_for(node_ids)
-        for owner, count in enumerate(
-            np.bincount(owners, minlength=len(self.machines)).tolist()
-        ):
-            self.metrics.record_label_probes(requester, owner, count)
-        label_id = self._label_table.id_of(label) if self._label_table else -1
+            owners = self._owners_of_tags(node_ids, tags)
+        self.charge_label_probes(requester, owners)
+        # A never-interned label (-1) matches nothing; comparing would match
+        # the absent IDs, whose -1 tags floor-divide to -1.
+        label_id = self._label_table.id_of(label)
         if label_id < 0:
-            return np.zeros(len(node_ids), dtype=bool)
-        if self._label_by_node is not None:
-            # Dense ID domain: one gather + compare instead of a binary
-            # search per candidate (absent/out-of-range IDs read as -1).
-            labels, found = table_position_lookup(self._label_by_node, node_ids)
-            return found & (labels == label_id)
-        positions, found = sorted_lookup(self._global_node_ids, node_ids)
-        return found & (self._global_label_ids[positions] == label_id)
+            return np.zeros(len(tags), dtype=bool)
+        return tags // self.machine_count == label_id
+
+    def labels_and_owners(self, node_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(label IDs, owners)`` of graph nodes, from one tag gather.
+
+        The STwig matcher's probe path: every ID must be a node of the loaded
+        graph — CSR neighbor lists are, by construction — so no domain check
+        runs.  Charges nothing; pair with :meth:`charge_label_probes`.
+        """
+        if self._tag_ids is None:
+            tags = self._tags[node_ids]
+        else:
+            tags = self._tags[np.searchsorted(self._tag_ids, node_ids)]
+        return np.divmod(tags, self.machine_count)
+
+    def charge_label_probes(self, requester: int, owners: np.ndarray) -> None:
+        """Charge one hasLabel probe from ``requester`` per entry of ``owners``.
+
+        Each probe goes against the machine it names, with the message and
+        byte accounting of that many per-node :meth:`has_label` calls.
+        """
+        counts = np.bincount(owners, minlength=self.machine_count)
+        for owner, count in enumerate(counts.tolist()):
+            self.metrics.record_label_probes(requester, owner, count)
 
     def get_local_ids_array(self, machine_id: int, label: str) -> np.ndarray:
         """``Index.getID(label)`` on one machine: its *local* nodes with ``label``.
@@ -412,15 +431,39 @@ class MemoryCloud:
 
     def owner_of(self, node_id: int) -> int:
         """Return the machine ID that stores ``node_id``."""
-        if self._assignment is None:
-            raise CloudError("no graph has been loaded into the cloud")
-        return self._assignment.machine_of(node_id)
+        return int(self.owners_of_array(np.array([node_id], dtype=NODE_DTYPE))[0])
 
     def owners_of_array(self, node_ids: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`owner_of` over an array of node IDs."""
-        if self._assignment is None:
+        """Vectorized :meth:`owner_of` over an array of node IDs.
+
+        Raises:
+            PartitionError: if any ID is not a node of the loaded graph.
+        """
+        return self._owners_of_tags(node_ids, self._tags_of(node_ids))
+
+    def _tags_of(self, node_ids: np.ndarray) -> np.ndarray:
+        """The tag of every ID in ``node_ids``; -1 for an ID that is no node."""
+        if self._tags is None:
             raise CloudError("no graph has been loaded into the cloud")
-        return self._assignment.machine_array_for(node_ids)
+        node_ids = np.asarray(node_ids, dtype=NODE_DTYPE)
+        if self._tag_ids is None:
+            within = (node_ids >= 0) & (node_ids < len(self._tags))
+            if within.all():
+                return self._tags[node_ids]
+            tags = np.full(len(node_ids), -1, dtype=self._tags.dtype)
+            tags[within] = self._tags[node_ids[within]]
+            return tags
+        positions, found = sorted_lookup(self._tag_ids, node_ids)
+        tags = np.full(len(node_ids), -1, dtype=self._tags.dtype)
+        tags[found] = self._tags[positions[found]]
+        return tags
+
+    def _owners_of_tags(self, node_ids: np.ndarray, tags: np.ndarray) -> np.ndarray:
+        absent = tags < 0
+        if absent.any():
+            missing = np.asarray(node_ids)[absent]
+            raise PartitionError(f"node {int(missing[0])} has no machine assignment")
+        return tags % self.machine_count
 
     def label_pairs_between(self, machine_a: int, machine_b: int) -> Set[FrozenSet[str]]:
         """Label pairs connected by at least one edge between two machines.

@@ -12,8 +12,10 @@ parallel sorted ``numpy`` arrays (local node IDs + their label IDs), so
 * ``hasLabel`` is a binary search plus one integer comparison, and
 * ``getID`` returns a cached sorted per-label ID array.
 
-The batched ``hasLabel`` the STwig matcher uses is cluster-wide
-(:meth:`MemoryCloud.batch_has_label <repro.cloud.cluster.MemoryCloud.batch_has_label>`).
+The batched ``hasLabel`` the STwig matcher uses is cluster-wide: one
+gather from the cloud's per-node label/owner tags
+(:meth:`MemoryCloud.labels_and_owners <repro.cloud.cluster.MemoryCloud.labels_and_owners>`;
+:meth:`~repro.cloud.cluster.MemoryCloud.batch_has_label` for arbitrary IDs).
 """
 
 from __future__ import annotations

@@ -14,18 +14,20 @@ whose root resides on that machine:
    distinct query leaves map to distinct data nodes.
 
 Steps 2-3 run *batched across all roots* (:func:`_resolve_slots`): the
-neighbor slices of every root are concatenated once and each leaf slot is
-resolved with a single vectorized label probe (or binding intersection)
-over that flat array, leaving every slot as a CSR column — flat values
-plus per-root bounds.  That is where :func:`match_stwig` stops: it returns
-the factorized :class:`~repro.core.result.STwigTable`, whose row count and
-binding distincts are arithmetic on the slots.  Step 4 happens at the join,
+neighbor slices of every root are concatenated once, every neighbor's label
+and owner come out of one gather from the cloud's per-node tags, and each
+leaf slot is resolved with one compare against those labels (or one
+binding intersection) over that flat array, leaving every slot as a CSR
+column — flat values plus per-root bounds.  That is where
+:func:`match_stwig` stops: it returns the factorized
+:class:`~repro.core.result.STwigTable`, whose row count and binding
+distincts are arithmetic on the slots.  Step 4 happens at the join,
 and only for the rows the join reads (``STwigTable.row_blocks`` /
 ``to_array``, after the final binding filter has shrunk the slots).  The
 communication accounting is faithful to the per-node model — one
-``hasLabel`` probe is charged per neighbor, per unbound leaf, only for roots
-still alive (a root whose earlier slot came up empty stops probing, exactly
-like a per-node loop).
+``hasLabel`` probe is charged per neighbor, per unbound leaf, against the
+neighbor's owner, only for roots still alive (a root whose earlier slot came
+up empty stops probing, exactly like a per-node loop).
 """
 
 from __future__ import annotations
@@ -106,47 +108,60 @@ def _resolve_slots(
     neighbors, counts = cloud.load_neighbors_batch(
         roots, requester=machine_id, owner=machine_id
     )
-    entry_root = np.repeat(np.arange(len(roots), dtype=OFFSET_DTYPE), counts)
-    owners: Optional[np.ndarray] = None  # computed on the first unbound leaf
+    # Root i's cell is neighbors[cells[i] : cells[i + 1]].
+    cells = np.zeros(len(roots) + 1, dtype=OFFSET_DTYPE)
+    np.cumsum(counts, out=cells[1:])
+    kept_before = np.zeros(len(neighbors) + 1, dtype=OFFSET_DTYPE)
+    # Every neighbor's label and owner, from one tag gather on the first
+    # unbound leaf; each later leaf reuses them.
+    labels: Optional[np.ndarray] = None
+    owners: Optional[np.ndarray] = None
 
     # Resolve each leaf slot over the flat neighbor array; a root dies when a
     # slot comes up empty, and dead roots are excluded from later probes.
-    alive = np.ones(len(roots), dtype=bool)
+    # entry_alive stays None while every root is alive.
+    living = len(roots)
+    entry_alive: Optional[np.ndarray] = None
     slot_kept: List[np.ndarray] = []
     slot_lengths: List[np.ndarray] = []
     for leaf, leaf_label in zip(stwig.leaves, leaf_labels):
-        entry_alive = alive[entry_root]
         if bindings is not None and bindings.is_bound(leaf):
             # Membership in the binding set already implies the right label,
             # so no label probe (and no network traffic) is needed.
-            kept = entry_alive & bindings.membership_mask(leaf, neighbors)
+            kept = bindings.membership_mask(leaf, neighbors)
         else:
-            if owners is None:
-                owners = cloud.owners_of_array(neighbors)
-            probe_at = np.flatnonzero(entry_alive)
-            hit = cloud.batch_has_label(
-                neighbors[probe_at],
-                leaf_label,
-                requester=machine_id,
-                owners=owners[probe_at],
+            if labels is None:
+                labels, owners = cloud.labels_and_owners(neighbors)
+            cloud.charge_label_probes(
+                machine_id, owners if entry_alive is None else owners[entry_alive]
             )
-            kept = np.zeros(len(neighbors), dtype=bool)
-            kept[probe_at[hit]] = True
-        lengths = np.bincount(entry_root[kept], minlength=len(roots))
-        alive &= lengths.astype(bool)
-        if not alive.any():
+            # Graph nodes' labels are >= 0, so a never-interned label (-1)
+            # keeps nothing.
+            kept = labels == cloud.label_table.id_of(leaf_label)
+        if entry_alive is not None:
+            kept &= entry_alive
+        np.cumsum(kept, out=kept_before[1:])
+        lengths = kept_before[cells[1:]] - kept_before[cells[:-1]]
+        alive = lengths > 0
+        survivors = int(np.count_nonzero(alive))
+        if survivors == 0:
             return None
+        if survivors < living:
+            living = survivors
+            entry_alive = np.repeat(alive, counts)
         slot_kept.append(kept)
         slot_lengths.append(lengths)
     # Only the surviving roots leave: a root a later slot killed takes the
     # entries it had in the earlier ones with it.
-    roots = roots[alive]
-    entry_alive = alive[entry_root]
-    slot_values = [neighbors[kept & entry_alive] for kept in slot_kept]
+    if entry_alive is not None:
+        roots = roots[alive]
+        slot_kept = [kept & entry_alive for kept in slot_kept]
+        slot_lengths = [lengths[alive] for lengths in slot_lengths]
+    slot_values = [neighbors[kept] for kept in slot_kept]
     slot_bounds = []
     for lengths in slot_lengths:
         bounds = np.zeros(len(roots) + 1, dtype=OFFSET_DTYPE)
-        np.cumsum(lengths[alive], out=bounds[1:])
+        np.cumsum(lengths, out=bounds[1:])
         slot_bounds.append(bounds)
     return roots, slot_values, slot_bounds
 

@@ -1,7 +1,7 @@
 """Sparse-ID remapping: external node IDs <-> the dense domain ``0..n-1``.
 
-Every hot path of the engine — the partition map, the cluster-wide
-``_label_by_node`` table, each machine's ``_dense_rows`` — runs O(1) dense
+Every hot path of the engine — the partition map, the cloud's per-node
+label/owner tag table, each machine's ``_dense_rows`` — runs O(1) dense
 fancy-indexing only when the node-ID domain is (nearly) contiguous
 (:func:`repro.utils.arrays.dense_table_profitable`).  Synthetic generators
 produce ``0..n-1`` by construction; real datasets do not: DBLP author keys

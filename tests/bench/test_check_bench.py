@@ -79,3 +79,29 @@ def test_a_failed_op_or_a_missing_phase_fails(tmp_path, run, capsys, section):
     run["workloads"]["enumerate_process"][section] = None  # the run itself died
     assert check(tmp_path, run) == 1
     assert f"enumerate_process {section}: no result" in capsys.readouterr().out
+
+
+def test_a_zero_throughput_is_a_finding_not_a_crash(tmp_path, run, capsys):
+    metrics = run["workloads"]["cold_update"]["end_to_end"]["metrics"]
+    metrics["ops_per_s"]["value"] = 0.0  # every op of the phase failed
+    metrics["rows_per_s"]["value"] = 0.0
+    run["workloads"]["enumerate_all"]["end_to_end"]["metrics"]["latency_p50_ms"]["value"] *= 3
+    assert check(tmp_path, run) == 1
+    out = capsys.readouterr().out
+    assert "cold_update ops_per_s: 0 vs" in out and "cold_update rows_per_s: 0 vs" in out
+    # The other findings and the summary survive.
+    assert "enumerate_all latency_p50_ms" in out and "3 finding(s)" in out
+
+
+def test_a_workload_missing_from_the_last_entry_is_a_finding(tmp_path, run, capsys):
+    trajectory = json.loads(TRAJECTORY.read_text(encoding="utf-8"))
+    del trajectory["entries"][-1]["end_to_end"]["enumerate_process"]
+    path = tmp_path / "trajectory.json"
+    path.write_text(json.dumps(trajectory), encoding="utf-8")
+    run["workloads"]["limit1k_explore"]["end_to_end"]["metrics"]["ops_per_s"]["value"] /= 3
+    run_path = tmp_path / "run.json"
+    run_path.write_text(json.dumps(run), encoding="utf-8")
+    assert check_bench.main([str(run_path), str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "enumerate_process: no reading at PR" in out
+    assert "limit1k_explore ops_per_s" in out and "2 finding(s)" in out

@@ -28,9 +28,12 @@ from repro.core.head_selection import full_load_sets
 from repro.core.planner import MatcherConfig, QueryPlan, QueryPlanner
 from repro.core.result import STwigTable
 from repro.core.stwig import STwig
+from repro.cloud.cluster import MemoryCloud
+from repro.graph.label_table import LabelTable
 from repro.graph.labeled_graph import LabeledGraph
 from repro.query.generators import dfs_query
 from repro.query.query_graph import QueryGraph
+from repro.storage.delta import DeltaLog
 
 from tests.helpers import (
     bound_set,
@@ -379,6 +382,30 @@ def per_node_explore(cloud, plan):
     return rows, bound
 
 
+def relabeled_graph(graph, *, id_scale=1, label_pad=0):
+    """``graph`` with node IDs ``id * id_scale + 7`` (a sparse domain when
+    ``id_scale`` is large) and ``label_pad`` unused labels interned ahead of
+    its own (so its label IDs, and the cloud's tags, grow)."""
+    labels = LabelTable(
+        [f"unused{index}" for index in range(label_pad)] + list(graph.label_table.labels())
+    )
+    return LabeledGraph.from_csr(
+        labels,
+        graph.node_id_array() * id_scale + 7,
+        graph.label_id_array() + label_pad,
+        graph.offset_array(),
+        graph.neighbor_array() * id_scale + 7,
+        graph.edge_count,
+    )
+
+
+def with_absent_leaf(query):
+    """``query`` plus a leaf labelled ``absent`` on its first node."""
+    first = query.nodes()[0]
+    labels = {**query.labels(), "ghost": "absent"}
+    return QueryGraph(labels, [*query.edges(), (first, "ghost")])
+
+
 class TestPerNodeCounterModel:
     """Whole-pipeline parity against an independent model: the batched
     exploration charges exactly what a per-node loop over ``get_local_ids_array`` /
@@ -386,20 +413,69 @@ class TestPerNodeCounterModel:
     loads and label probes, and the messages and bytes they imply — and
     builds the same rows and bindings."""
 
+    @staticmethod
+    def assert_parity(cloud, plan, probed=True):
+        modelled, engine = CloudMetrics(), CloudMetrics()
+        rows, bound = per_node_explore(cloud.with_metrics(modelled), plan)
+        outcome = explore(cloud.with_metrics(engine), plan)
+        assert engine.snapshot() == modelled.snapshot()
+        if probed:
+            assert engine.local_loads and engine.local_label_probes
+        assert [[table.rows for table in machine] for machine in outcome.tables] == rows
+        for node in plan.query.nodes():
+            assert bound_set(outcome.bindings, node) == bound.get(node)
+
     @pytest.mark.parametrize("seed, machine_count", [(1, 1), (2, 3), (3, 4)])
     def test_explore_charges_what_the_per_node_model_charges(self, seed, machine_count):
         graph = seeded_graph(seed=seed, nodes=60, edges=170, labels=2 + seed % 2)
         cloud = make_cloud(graph, machine_count=machine_count)
         for query in canonical_queries(graph, seed=seed + 20):
-            plan = QueryPlanner(cloud).plan(query)
-            modelled, engine = CloudMetrics(), CloudMetrics()
-            rows, bound = per_node_explore(cloud.with_metrics(modelled), plan)
-            outcome = explore(cloud.with_metrics(engine), plan)
-            assert engine.snapshot() == modelled.snapshot()
-            assert engine.local_loads and engine.local_label_probes
-            assert [[table.rows for table in machine] for machine in outcome.tables] == rows
-            for node in query.nodes():
-                assert bound_set(outcome.bindings, node) == bound.get(node)
+            self.assert_parity(cloud, QueryPlanner(cloud).plan(query))
+
+    def test_sparse_node_ids_take_the_sorted_fallback(self):
+        graph = relabeled_graph(seeded_graph(seed=4, nodes=60, edges=170, labels=3), id_scale=1000)
+        cloud = make_cloud(graph, machine_count=3)
+        assert cloud._tag_ids is not None  # no dense table over 60k IDs
+        for query in canonical_queries(graph, seed=24):
+            self.assert_parity(cloud, QueryPlanner(cloud).plan(query))
+
+    def test_tags_past_int16_are_int32(self):
+        machine_count = 4
+        pad = 2**15 // machine_count  # labels x machines >= 2^15
+        graph = relabeled_graph(seeded_graph(seed=5, nodes=60, edges=170, labels=3), label_pad=pad)
+        cloud = make_cloud(graph, machine_count=machine_count)
+        assert cloud._tags.dtype == np.int32
+        for query in canonical_queries(graph, seed=25):
+            self.assert_parity(cloud, QueryPlanner(cloud).plan(query))
+
+    def test_reopened_cloud_tags_come_from_the_merged_log(self, tmp_path):
+        graph = seeded_graph(seed=6, nodes=60, edges=170, labels=3)
+        make_cloud(graph, machine_count=3).save_snapshot(tmp_path / "snap")
+        log = DeltaLog(tmp_path / "snap")
+        log.append_nodes([(60, "fresh"), (61, graph.label(0))])
+        log.append_edges([(60, 0), (60, 1), (61, 0), (61, 60), (2, 3)])
+        cloud = MemoryCloud.open_snapshot(tmp_path / "snap")
+        fresh_mask = cloud.batch_has_label(np.array([60, 61]), "fresh", requester=0)
+        assert fresh_mask.tolist() == [True, False]
+        fresh = QueryGraph({"x": graph.label(0), "y": "fresh"}, [("x", "y")])
+        for query in [fresh, *canonical_queries(graph, seed=26)]:
+            self.assert_parity(cloud, QueryPlanner(cloud).plan(query))
+
+    def test_a_label_absent_from_the_graph_matches_nothing(self):
+        graph = seeded_graph(seed=2, nodes=60, edges=170, labels=2)
+        cloud = make_cloud(graph, machine_count=3)
+        star = QueryGraph(
+            {"r": graph.label(0), "x": graph.label(1), "ghost": "absent"},
+            [("r", "x"), ("r", "ghost")],
+        )
+        # The absent leaf probed after (and before) a real one, charged per
+        # neighbor of every root still alive.
+        for leaves in [("x", "ghost"), ("ghost", "x")]:
+            self.assert_parity(cloud, manual_plan(star, [STwig("r", leaves)], 3))
+        # The planner roots an absent label first: nothing is loaded at all.
+        for query in canonical_queries(graph, seed=22):
+            query = with_absent_leaf(query)
+            self.assert_parity(cloud, QueryPlanner(cloud).plan(query), probed=False)
 
 
 class TestBatchedRootPartition:

@@ -132,3 +132,20 @@ class TestMatchSTwigDistributed:
         all_rows(cloud, STwig("qa", ("qb", "qc")), query)
         snapshot = cloud.metrics.snapshot()
         assert snapshot["remote_label_probes"] > 0
+
+    def test_one_tag_gather_per_call_whatever_the_leaf_count(self, data_graph, query, monkeypatch):
+        cloud = MemoryCloud.from_graph(data_graph, ClusterConfig(machine_count=3))
+        gathered = []
+        real = cloud.labels_and_owners
+
+        def counting(node_ids):
+            gathered.append(len(node_ids))
+            return real(node_ids)
+
+        monkeypatch.setattr(cloud, "labels_and_owners", counting)
+        stwig = STwig("qa", ("qb", "qc"))
+        expected = all_rows(single_machine_cloud(data_graph), stwig, query)
+        assert all_rows(cloud, stwig, query) == expected
+        # One match_stwig call per machine, each gathering its flat neighbor
+        # array's tags once for both unbound leaves.
+        assert len(gathered) == cloud.machine_count

@@ -19,7 +19,8 @@ import pytest
 from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import ClusterConfig
 from repro.cloud.machine import Machine
-from repro.errors import GraphError, NodeNotFoundError
+from repro.cloud.metrics import CloudMetrics
+from repro.errors import GraphError, NodeNotFoundError, PartitionError
 from repro.graph.builder import GraphBuilder
 from repro.graph.label_table import NO_LABEL, LabelTable
 from repro.graph.labeled_graph import LabeledGraph
@@ -218,6 +219,22 @@ class TestBatchedOperators:
         owners = np.zeros(3, dtype=np.int32)
         mask = cloud.batch_has_label(probe, "b", requester=0, owners=owners)
         assert mask.tolist() == [False, True, False]
+
+    @pytest.mark.parametrize("scale", [1, 10**9], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("probe", [[3], [-1], [100], [1, 5, 10**12]])
+    def test_owner_resolution_rejects_non_graph_ids(self, scale, probe):
+        graph = LabeledGraph.from_edges(
+            {1: "a", 5 * scale: "b", 9 * scale: "a"}, [(1, 5 * scale), (5 * scale, 9 * scale)]
+        )
+        cloud = make_cloud(graph, machine_count=2)
+        ids = np.array(probe, dtype=np.int64)
+        with pytest.raises(PartitionError):
+            cloud.owners_of_array(ids)
+        with pytest.raises(PartitionError):
+            cloud.batch_has_label(ids, "b", requester=0)
+        with pytest.raises(PartitionError):
+            cloud.owner_of(int(ids[-1]))
+        assert cloud.metrics.snapshot() == CloudMetrics().snapshot()  # nothing charged
 
 
 

@@ -36,8 +36,9 @@ label index's vectorized filters, ``repro.utils.timer``), and the
 shared-memory transport of the process backend (``TableHandle``,
 ``SharedArraySpec``, ``SegmentRegistry``, ``publish_array`` /
 ``sweep_blocks``, ``_SHIP_THRESHOLD_ENTRIES``, ``attached_matrix`` /
-``release_matrix``, any ``shared_memory`` import): the names are gone from
-the API, and nothing in ``src/`` may bring them back.
+``release_matrix``, any ``shared_memory`` import), and the cloud's
+node->label table beside its per-node label/owner tags (``_label_by_node``):
+the names are gone from the API, and nothing in ``src/`` may bring them back.
 
 And it keeps the front door single (``FRONT_DOOR``): ``repro.api`` is the one
 place a source becomes a cloud and a service is put in front of it, so the
@@ -159,6 +160,7 @@ RETIRED_SPELLINGS = [
     "attached_matrix(",
     "release_matrix(",
     "shared_memory",
+    "_label_by_node",
 ]
 
 #: Constructor spellings banned per file (glob under the repo root): a second

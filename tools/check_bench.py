@@ -4,11 +4,13 @@
     python tools/check_bench.py run.json BENCH_e2e.json
 
 Exit 1, one line per finding, when an operation failed (or a run came back
-incorrect, or not at all) in either phase of any workload, or when one of the
-28 end-to-end readings is worse than the last ``BENCH_e2e.json`` entry's
-median by more than twice the metric's ``bound`` in ``BENCHMARK.json`` — twice,
-because one run on a shared CI host is noisier than the ten-pair median a PR
-is judged by.  Both sides are in the benchmark's reference-host units.
+incorrect, or not at all) in either phase of any workload, when the last
+``BENCH_e2e.json`` entry has no medians for a workload, or when one of the 28
+end-to-end readings is worse than that entry's median by more than twice the
+metric's ``bound`` in ``BENCHMARK.json`` — twice, because one run on a shared
+CI host is noisier than the ten-pair median a PR is judged by.  A
+higher-is-better reading of 0 is always a finding.  Both sides are in the
+benchmark's reference-host units.
 """
 
 from __future__ import annotations
@@ -34,11 +36,20 @@ def findings(run: dict, last: dict, benchmark: dict) -> List[str]:
                     f"{workload} {section}: {result['failed']} of {result['attempted']} "
                     f"ops failed (correct: {result['correct']})"
                 )
-        for metric in benchmark["end_to_end"] if phases.get("end_to_end") else ():
+        if not phases.get("end_to_end"):
+            continue
+        medians = last["end_to_end"].get(workload)
+        if medians is None:
+            rows.append(f"{workload}: no reading at PR {last['pr']} to hold the run against")
+            continue
+        for metric in benchmark["end_to_end"]:
             name, allowed = metric["name"], 2 * metric["bound"]
-            was = last["end_to_end"][workload][name]
+            was = medians[name]
             now = phases["end_to_end"]["metrics"][name]["value"]
-            worse = now / was - 1 if metric["better"] == "lower" else was / now - 1
+            if metric["better"] == "lower":
+                worse = now / was - 1
+            else:  # a reading of 0 (every op failed) is infinitely worse
+                worse = was / now - 1 if now > 0 else float("inf")
             if worse > allowed:
                 rows.append(
                     f"{workload} {name}: {now:.6g} vs {was:.6g} {metric['unit']} at PR "
