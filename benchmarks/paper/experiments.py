@@ -91,7 +91,7 @@ def _measured_index_costs(graph: LabeledGraph) -> Dict[str, Dict[str, object]]:
     cloud = build_cloud(graph, machine_count=1)
     measured["STwig"] = {
         "measured_entries": sum(
-            machine.label_index.size_in_entries() for machine in cloud.machines
+            machine.index_size_in_entries() for machine in cloud.machines
         ),
         "measured_build_s": round(time.perf_counter() - started, 4),
     }

@@ -2,7 +2,6 @@
 
 from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import ClusterConfig, NetworkModel
-from repro.cloud.label_index import LabelIndex
 from repro.cloud.machine import Machine
 from repro.cloud.metrics import CloudMetrics
 
@@ -11,6 +10,5 @@ __all__ = [
     "ClusterConfig",
     "NetworkModel",
     "Machine",
-    "LabelIndex",
     "CloudMetrics",
 ]

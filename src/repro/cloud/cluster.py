@@ -8,6 +8,13 @@ algorithms are written against:
   machine, local nodes only, exactly as in the paper)
 * ``Index.hasLabel(id, label)`` -> :meth:`MemoryCloud.has_label`
 
+Each fact of the loaded image has one owner.  The partition map is the
+``assignment/machines`` column, placed once by the configured partitioner
+(:func:`~repro.graph.partition.place_nodes`); each :class:`Machine` holds
+its CSR partition and answers the local index calls over it; the cloud's
+per-node tags (label and owner in one integer) answer the cluster-wide
+probes.
+
 Every call is issued *by* a machine (the ``requester``); when the requested
 cell lives on a different machine the access is charged to the
 :class:`~repro.cloud.metrics.CloudMetrics` as network traffic.  During graph
@@ -32,7 +39,7 @@ from repro.cloud.metrics import CloudMetrics
 from repro.errors import CloudError, NodeNotFoundError, PartitionError
 from repro.graph.label_table import LabelTable
 from repro.graph.labeled_graph import NODE_DTYPE, OFFSET_DTYPE, LabeledGraph, NodeCell
-from repro.graph.partition import cross_machine_label_pairs
+from repro.graph.partition import cross_machine_label_pairs, place_nodes
 from repro.utils.arrays import (
     dense_table_profitable,
     dense_value_table,
@@ -131,13 +138,14 @@ class MemoryCloud:
         recording cross-machine label-pair metadata.
         """
         started = time.perf_counter()
-        assignment = self.config.partitioner.assign(graph, self.config.machine_count)
         node_ids = graph.node_id_array()
         label_ids = graph.label_id_array()
         offsets = graph.offset_array()
         neighbors = graph.neighbor_array()
         counts = np.diff(offsets)
-        machine_of_row = assignment.machine_array_for(node_ids)
+        machine_of_row = place_nodes(
+            self.config.partitioner, node_ids, self.config.machine_count
+        )
 
         columns: Dict[str, np.ndarray] = {
             "graph/node_ids": node_ids,
@@ -205,7 +213,7 @@ class MemoryCloud:
             name: columns[name] for name in column_names(self.config.machine_count)
         }
         for machine in self.machines:
-            machine.label_table = machine.label_index.label_table = label_table
+            machine.label_table = label_table
             machine.adopt_partition(
                 *(
                     columns[f"machine{machine.machine_id}/{column}"]
@@ -346,28 +354,20 @@ class MemoryCloud:
         return neighbors, counts
 
     def batch_has_label(
-        self,
-        node_ids: np.ndarray,
-        label: str,
-        requester: int,
-        owners: np.ndarray | None = None,
+        self, node_ids: np.ndarray, label: str, requester: int
     ) -> np.ndarray:
         """Batched ``Index.hasLabel``: a boolean mask over ``node_ids``.
 
         The metrics record one hasLabel probe per candidate, charged against
         each candidate's owner machine exactly as if each had been probed
         individually (:meth:`charge_label_probes`); only the Python call
-        overhead is batched away.  Pass ``owners`` to charge those machines
-        instead of the candidates' own.
+        overhead is batched away.
 
-        IDs that are not nodes of the loaded graph yield ``False`` (when
-        ``owners`` is passed) or raise ``PartitionError`` (when owner
-        resolution runs here).
+        Raises:
+            PartitionError: if any ID is not a node of the loaded graph.
         """
         tags = self._tags_of(node_ids)
-        if owners is None:
-            owners = self._owners_of_tags(node_ids, tags)
-        self.charge_label_probes(requester, owners)
+        self.charge_label_probes(requester, self._owners_of_tags(node_ids, tags))
         # A never-interned label (-1) matches nothing; comparing would match
         # the absent IDs, whose -1 tags floor-divide to -1.
         label_id = self._label_table.id_of(label)
@@ -401,12 +401,11 @@ class MemoryCloud:
     def get_local_ids_array(self, machine_id: int, label: str) -> np.ndarray:
         """``Index.getID(label)`` on one machine: its *local* nodes with ``label``.
 
-        One index lookup is charged.  The sorted ``NODE_DTYPE`` array cached
-        by the machine's label index is returned directly (no copy), which
-        is what the batched STwig matcher consumes.  Treat it as read-only.
+        One index lookup is charged.  The sorted ``NODE_DTYPE`` array the
+        machine caches is returned directly (no copy), which is what the
+        batched STwig matcher consumes.  Treat it as read-only.
         """
-        machine = self._machine(machine_id)
-        ids = machine.label_index.get_ids_array(label)
+        ids = self._machine(machine_id).get_ids_array(label)
         self.metrics.record_index_lookup(machine_id, len(ids))
         return ids
 
@@ -422,7 +421,7 @@ class MemoryCloud:
         owner = self.owner_of(node_id)
         requester_id = owner if requester is None else requester
         self.metrics.record_label_probe(requester_id, owner)
-        label = self.machines[owner].label_index.label_of(node_id)
+        label = self.machines[owner].label_of(node_id)
         if label is None:
             raise NodeNotFoundError(node_id, f"machine {owner}")
         return label
@@ -534,10 +533,6 @@ class MemoryCloud:
     def partition_sizes(self) -> List[int]:
         """Number of nodes per machine."""
         return [machine.node_count for machine in self.machines]
-
-    def memory_footprint_entries(self) -> int:
-        """Total store size across machines, in entries (Table 1 index-size proxy)."""
-        return sum(machine.memory_footprint_entries() for machine in self.machines)
 
     def global_label_frequencies(self) -> Dict[str, int]:
         """Label -> total node count across the whole cluster.

@@ -2,9 +2,14 @@
 
 Each machine owns a disjoint partition of the data graph: for every local
 node it stores a cell (label + full neighbor ID list, mirroring Trinity's
-flat cell store) and a local :class:`~repro.cloud.label_index.LabelIndex`.
-Neighbor lists include *remote* neighbors — the cell knows the IDs of its
-neighbors regardless of where those neighbors live, exactly as in Trinity.
+flat cell store), and it is the paper's local string index over those cells
+— ``Index.getID(label)`` (:meth:`Machine.get_ids_array`, a per-label ID
+array cached on first use) and ``Index.hasLabel(id, label)``
+(:meth:`Machine.has_label`), both read off the partition's own ID and label
+columns.  The index is linear in the partition size, which is the property
+Table 1 highlights (:meth:`Machine.index_size_in_entries`).  Neighbor lists
+include *remote* neighbors — the cell knows the IDs of its neighbors
+regardless of where those neighbors live, exactly as in Trinity.
 
 Instead of one Python ``NodeCell`` object per node, the partition is four
 ``numpy`` arrays (sorted local node IDs, parallel label IDs, CSR offsets,
@@ -17,13 +22,12 @@ returns a zero-copy view for the matcher's batched filtering.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.cloud.label_index import LabelIndex
 from repro.errors import NodeNotFoundError
-from repro.graph.label_table import LabelTable
+from repro.graph.label_table import NO_LABEL, LabelTable
 from repro.utils.arrays import (
     dense_position_table,
     dense_table_profitable,
@@ -44,12 +48,12 @@ class Machine:
     def __init__(self, machine_id: int, label_table: LabelTable | None = None) -> None:
         self.machine_id = machine_id
         self.label_table = label_table if label_table is not None else LabelTable()
-        self.label_index = LabelIndex(self.label_table)
         self._ids = np.empty(0, dtype=NODE_DTYPE)
         self._label_ids = np.empty(0, dtype=LABEL_DTYPE)
         self._offsets = np.zeros(1, dtype=OFFSET_DTYPE)
         self._neighbors = np.empty(0, dtype=NODE_DTYPE)
         self._dense_rows: np.ndarray | None = None
+        self._by_label: Dict[int, np.ndarray] = {}
 
     # -- loading -----------------------------------------------------------
 
@@ -71,7 +75,7 @@ class Machine:
         self._offsets = offsets
         self._neighbors = neighbors
         self._dense_rows = None
-        self.label_index.adopt(node_ids, label_ids)
+        self._by_label = {}
 
     # -- local access ------------------------------------------------------
 
@@ -147,9 +151,36 @@ class Machine:
             self._dense_rows = dense_position_table(self._ids)
         return self._dense_rows
 
+    # -- label index ---------------------------------------------------------
+
+    def get_ids_array(self, label: str) -> np.ndarray:
+        """Local Index.getID: sorted local node IDs carrying ``label``.
+
+        The array is cached per label until the next :meth:`adopt_partition`
+        and returned without a copy; treat it as read-only.
+        """
+        label_id = self.label_table.id_of(label)
+        if label_id == NO_LABEL:
+            return np.empty(0, dtype=NODE_DTYPE)
+        cached = self._by_label.get(label_id)
+        if cached is None:
+            cached = self._by_label[label_id] = self._ids[self._label_ids == label_id]
+        return cached
+
     def has_label(self, node_id: int, label: str) -> bool:
-        """Local Index.hasLabel for a node stored on this machine."""
-        return self.label_index.has_label(node_id, label)
+        """Local Index.hasLabel: True if local node ``node_id`` carries ``label``."""
+        label_id = self.label_table.id_of(label)
+        if label_id == NO_LABEL:
+            return False
+        row = self._row_of(node_id)
+        return row is not None and int(self._label_ids[row]) == label_id
+
+    def label_of(self, node_id: int) -> str | None:
+        """The label of a local node, or None if it is not stored here."""
+        row = self._row_of(node_id)
+        if row is None:
+            return None
+        return self.label_table.label_of(int(self._label_ids[row]))
 
     # -- introspection -------------------------------------------------------
 
@@ -158,20 +189,19 @@ class Machine:
         """Number of (distinct) nodes stored on this machine."""
         return len(self._ids)
 
-    def memory_footprint_entries(self) -> int:
-        """Approximate store size in entries (cells + adjacency + index)."""
-        return (
-            len(self._ids) + len(self._neighbors) + self.label_index.size_in_entries()
-        )
+    def index_size_in_entries(self) -> int:
+        """Label index size in entries: one per local node plus one per
+        distinct local label (Table 1's index-size column)."""
+        return len(self._ids) + len(np.unique(self._label_ids))
 
     def storage_nbytes(self) -> int:
-        """Bytes held by the partition's CSR arrays and label index."""
-        return (
-            self._ids.nbytes
-            + self._label_ids.nbytes
-            + self._offsets.nbytes
-            + self._neighbors.nbytes
-            + self.label_index.storage_nbytes()
+        """Bytes held by the four CSR columns and the cached per-label IDs."""
+        return sum(
+            array.nbytes
+            for array in (
+                self._ids, self._label_ids, self._offsets, self._neighbors,
+                *self._by_label.values(),
+            )
         )
 
     def _row_of(self, node_id: int) -> int | None:

@@ -6,7 +6,6 @@ from repro.graph.labeled_graph import LabeledGraph, NodeCell
 from repro.graph.partition import (
     BlockPartitioner,
     HashPartitioner,
-    PartitionAssignment,
     Partitioner,
     RoundRobinPartitioner,
 )
@@ -23,5 +22,4 @@ __all__ = [
     "HashPartitioner",
     "RoundRobinPartitioner",
     "BlockPartitioner",
-    "PartitionAssignment",
 ]

@@ -8,116 +8,51 @@ hashing function)".  :class:`HashPartitioner` reproduces that policy;
 ablation benchmarks can check that the engine's results are partition
 invariant.
 
-Assignments are two parallel arrays and nothing else — sorted node IDs and
-their machine IDs, computed vectorized from the graph's CSR columns — so
-loading a million-node graph builds no Python dict; a loaded cloud stores
-the machine array in its image and :meth:`from_arrays` takes it back.
+A partitioner reads nothing but the sorted node IDs and returns their
+machines as one parallel array, computed vectorized — so loading a
+million-node graph builds no Python dict.  :func:`place_nodes` is the one
+call site: it checks that array once, and the cloud stores it in its image
+as ``assignment/machines``, the partition map a snapshot reopens with.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.errors import PartitionError
-from repro.graph.labeled_graph import NODE_DTYPE, OFFSET_DTYPE, LabeledGraph
-from repro.utils.arrays import (
-    dense_position_table,
-    dense_table_profitable,
-    dense_value_table,
-    fast_unique,
-    sorted_lookup,
-    table_position_lookup,
-)
+from repro.graph.labeled_graph import OFFSET_DTYPE, LabeledGraph
+from repro.utils.arrays import dense_position_table, dense_table_profitable, fast_unique
 from repro.utils.validation import require_positive
 
 #: dtype of machine-ID arrays.
 MACHINE_DTYPE = np.int32
 
 
-class PartitionAssignment:
-    """The result of partitioning: node -> machine, array-backed."""
+def place_nodes(
+    partitioner: Partitioner, node_ids: np.ndarray, machine_count: int
+) -> np.ndarray:
+    """The machine of every node in ``node_ids``, checked once.
 
-    def __init__(
-        self, machine_count: int, *, sorted_ids: np.ndarray, machines: np.ndarray
-    ) -> None:
-        """Adopt ``sorted_ids`` (ascending, duplicate-free) and the parallel
-        ``machines`` array; neither is copied when its dtype already fits."""
-        self.machine_count = machine_count
-        self._sorted_ids = np.asarray(sorted_ids, dtype=NODE_DTYPE)
-        self._machines = np.asarray(machines, dtype=MACHINE_DTYPE)
-        self._dense_cache: Optional[tuple] = None
+    The one way a cloud places nodes (a graph load and the delta-log
+    overlay both come here): runs ``partitioner`` and returns its output
+    as a ``MACHINE_DTYPE`` array parallel to ``node_ids``.
 
-    @classmethod
-    def from_arrays(
-        cls, machine_count: int, sorted_ids: np.ndarray, machines: np.ndarray
-    ) -> "PartitionAssignment":
-        """Adopt pre-built (sorted node IDs, machine IDs) arrays (no copies)."""
-        return cls(machine_count, sorted_ids=sorted_ids, machines=machines)
-
-    def machine_array_for(self, node_ids: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`machine_of` over an array of node IDs.
-
-        Dense (0..n-ish) ID domains — every generator produces them — are
-        answered with one fancy-indexing gather off a node->machine table;
-        sparse domains fall back to binary search.
-
-        Raises:
-            PartitionError: if any ID in ``node_ids`` has no assignment.
-        """
-        dense = self._dense_table()
-        if dense is not None and len(node_ids):
-            values = np.asarray(node_ids)
-            owners, found = table_position_lookup(dense, values)
-            if found.all():
-                return owners
-            missing = values[~found]
-            raise PartitionError(
-                f"node {int(missing[0])} has no machine assignment"
-            )
-        positions, found = sorted_lookup(self._sorted_ids, node_ids)
-        if len(node_ids) and not found.all():
-            missing = np.asarray(node_ids)[~found]
-            raise PartitionError(
-                f"node {int(missing[0])} has no machine assignment"
-            )
-        return self._machines[positions]
-
-    def _dense_table(self):
-        """Lazy node->machine table (-1 = unassigned), None when too sparse."""
-        if self._dense_cache is None:
-            if dense_table_profitable(self._sorted_ids, probe_count=0):
-                self._dense_cache = (
-                    dense_value_table(
-                        self._sorted_ids, self._machines, dtype=MACHINE_DTYPE
-                    ),
-                )
-            else:
-                self._dense_cache = (None,)
-        return self._dense_cache[0]
-
-    def machine_of(self, node_id: int) -> int:
-        """Return the machine that owns ``node_id`` (O(1) on dense domains)."""
-        dense = self._dense_table()
-        if dense is not None:
-            if 0 <= node_id < len(dense):
-                machine = int(dense[node_id])
-                if machine >= 0:
-                    return machine
-            raise PartitionError(f"node {node_id} has no machine assignment")
-        positions, found = sorted_lookup(
-            self._sorted_ids, np.array([node_id], dtype=NODE_DTYPE)
+    Raises:
+        PartitionError: unless the output is an integer array of
+            ``len(node_ids)`` machines, each in ``[0, machine_count)``.
+    """
+    machines = np.asarray(partitioner.assign(node_ids, machine_count))
+    name = type(partitioner).__name__
+    if machines.shape != (len(node_ids),) or machines.dtype.kind not in "iu":
+        raise PartitionError(
+            f"{name} returned a {machines.dtype} array of shape {machines.shape} "
+            f"for {len(node_ids)} nodes"
         )
-        if not found[0]:
-            raise PartitionError(f"node {node_id} has no machine assignment")
-        return int(self._machines[positions[0]])
-
-    def sizes(self) -> List[int]:
-        """Return the number of nodes on each machine, indexed by machine ID."""
-        return np.bincount(
-            self._machines, minlength=self.machine_count
-        ).tolist()
+    if len(machines) and not (0 <= machines.min() and machines.max() < machine_count):
+        raise PartitionError(f"{name} placed a node outside machines [0, {machine_count})")
+    return machines.astype(MACHINE_DTYPE, copy=False)
 
 
 def pack_label_pairs(
@@ -202,10 +137,14 @@ def cross_machine_label_pairs(
 
 
 class Partitioner:
-    """Strategy interface mapping every node of a graph to a machine."""
+    """Strategy interface mapping every node to a machine."""
 
-    def assign(self, graph: LabeledGraph, machine_count: int) -> PartitionAssignment:
-        """Assign every node of ``graph`` to one of ``machine_count`` machines."""
+    def assign(self, node_ids: np.ndarray, machine_count: int) -> np.ndarray:
+        """The machine, one of ``machine_count``, of every node in ``node_ids``.
+
+        ``node_ids`` is sorted ascending; the result is an integer array
+        parallel to it (:func:`place_nodes` checks it).
+        """
         raise NotImplementedError
 
 
@@ -218,38 +157,32 @@ class HashPartitioner(Partitioner):
 
     _MULTIPLIER = 2654435761  # Knuth's multiplicative hash constant.
 
-    def assign(self, graph: LabeledGraph, machine_count: int) -> PartitionAssignment:
+    def assign(self, node_ids: np.ndarray, machine_count: int) -> np.ndarray:
         require_positive(machine_count, "machine_count")
-        node_ids = graph.node_id_array()
-        machines = (
+        return (
             ((node_ids * self._MULTIPLIER) >> 16) % machine_count
         ).astype(MACHINE_DTYPE)
-        return PartitionAssignment.from_arrays(machine_count, node_ids, machines)
 
 
 class RoundRobinPartitioner(Partitioner):
     """Assign nodes to machines cyclically in sorted-ID order."""
 
-    def assign(self, graph: LabeledGraph, machine_count: int) -> PartitionAssignment:
+    def assign(self, node_ids: np.ndarray, machine_count: int) -> np.ndarray:
         require_positive(machine_count, "machine_count")
-        node_ids = graph.node_id_array()
-        machines = (
+        return (
             np.arange(len(node_ids), dtype=np.int64) % machine_count
         ).astype(MACHINE_DTYPE)
-        return PartitionAssignment.from_arrays(machine_count, node_ids, machines)
 
 
 class BlockPartitioner(Partitioner):
     """Assign contiguous ID ranges to machines (worst-case locality skew)."""
 
-    def assign(self, graph: LabeledGraph, machine_count: int) -> PartitionAssignment:
+    def assign(self, node_ids: np.ndarray, machine_count: int) -> np.ndarray:
         require_positive(machine_count, "machine_count")
-        node_ids = graph.node_id_array()
         block = max(1, (len(node_ids) + machine_count - 1) // machine_count)
-        machines = np.minimum(
+        return np.minimum(
             np.arange(len(node_ids), dtype=np.int64) // block, machine_count - 1
         ).astype(MACHINE_DTYPE)
-        return PartitionAssignment.from_arrays(machine_count, node_ids, machines)
 
 
 #: Stable names of the built-in partitioners, as snapshot manifests record them.

@@ -38,6 +38,7 @@ from repro.graph.partition import (
     pack_label_pairs,
     partitioner_from_name,
     partitioner_name,
+    place_nodes,
 )
 from repro.storage.delta import (
     DeltaLog,
@@ -268,14 +269,10 @@ def _overlay(
     machines = columns["assignment/machines"]
     columns = {**columns, "graph/label_ids": label_ids}
     if len(inserted):
-        new_ids = delta.node_ids[delta.is_new]
-        new_nodes = LabeledGraph.from_csr(
-            delta.label_table, new_ids, delta.label_ids[delta.is_new],
-            np.zeros(len(new_ids) + 1, dtype=OFFSET_DTYPE),
-            np.empty(0, dtype=NODE_DTYPE), 0,
+        placed = place_nodes(
+            config.partitioner, delta.node_ids[delta.is_new], machine_count
         )
-        placed = config.partitioner.assign(new_nodes, machine_count)
-        machines = np.insert(machines, inserted, placed.machine_array_for(new_ids))
+        machines = np.insert(machines, inserted, placed)
         columns["graph/node_ids"] = node_ids
         columns["assignment/machines"] = machines
 

@@ -66,7 +66,7 @@ class TestRoundtrip:
         assert len(store.neighbor_slice(3)) == 0
 
     def test_label_of_and_degree_of(self, store):
-        assert store.label_index.label_of(2) == "b"
+        assert store.label_of(2) == "b"
         _, counts = store.load_rows(np.array([1, 3], dtype=np.int64))
         assert counts.tolist() == [2, 0]
 
@@ -79,8 +79,8 @@ class TestRoundtrip:
             store.load_rows(np.array([1, 99], dtype=np.int64))
 
     def test_owns_and_node_ids(self, store):
-        assert store.label_index.label_of(1) == "a"
-        assert store.label_index.label_of(42) is None
+        assert store.label_of(1) == "a"
+        assert store.label_of(42) is None
         assert store.node_count == 3
 
     def test_duplicate_store_last_wins(self, store):
@@ -88,7 +88,7 @@ class TestRoundtrip:
         # the partition wholesale — including the lazily built row table.
         store.load_rows(np.array([1, 2, 3] * 8, dtype=np.int64))
         table, columns = csr_from_cells([(1, "z", (9,))])
-        store.label_table = store.label_index.label_table = table
+        store.label_table = table
         store.adopt_partition(*columns)
         assert store.load(1) == NodeCell(1, "z", (9,))
         assert store.node_count == 1
@@ -112,15 +112,17 @@ class TestRoundtrip:
 class TestFootprint:
     def test_payload_bytes_formula(self, store):
         # CSR columns: 3 IDs and 3 neighbors of 8 bytes, 3 label IDs of 4,
-        # 4 offsets of 8; the label index shares the ID and label columns
-        # and reports them again.
+        # 4 offsets of 8; the label index reads the ID and label columns and
+        # adds nothing until a getID caches an answer.
         csr = 3 * 8 + 3 * 8 + 3 * 4 + 4 * 8
-        assert store.storage_nbytes() == csr + (3 * 8 + 3 * 4)
+        assert store.storage_nbytes() == csr
 
     def test_footprint_includes_index(self, store):
-        assert store.storage_nbytes() > store.label_index.storage_nbytes() > 0
-        # Entries: 3 cells + 3 adjacency + (3 index rows + 2 label buckets).
-        assert store.memory_footprint_entries() == 3 + 3 + 5
+        before = store.storage_nbytes()
+        cached = store.get_ids_array("a")
+        assert len(cached) and store.storage_nbytes() == before + cached.nbytes
+        # Index entries: 3 index rows + 2 label buckets.
+        assert store.index_size_in_entries() == 3 + 2
 
     def test_blob_payload_much_smaller_than_object_store(self):
         """The paper's Section 2.2 claim: flat blobs beat per-object storage."""

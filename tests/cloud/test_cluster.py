@@ -113,7 +113,7 @@ class TestMetadata:
         assert cloud.global_label_frequencies() == small_graph.label_frequencies()
 
     def test_memory_footprint_positive(self, cloud):
-        assert cloud.memory_footprint_entries() > 0
+        assert all(machine.storage_nbytes() > 0 for machine in cloud.machines)
 
     def test_repr(self, cloud):
         assert "machines=3" in repr(cloud)

@@ -1,16 +1,20 @@
-"""Unit tests for the per-machine label index ("string index")."""
+"""Unit tests for a machine's label index (the paper's "string index").
+
+The index is no object of its own: ``Machine`` answers ``Index.getID`` and
+``Index.hasLabel`` over its partition's ID and label columns.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.cloud.label_index import LabelIndex
+from repro.cloud.machine import Machine
 
-from tests.helpers import label_index_from_pairs
+from tests.helpers import machine_from_cells
 
 
-def make_index() -> LabelIndex:
-    return label_index_from_pairs([(5, "a"), (3, "a"), (7, "b")])
+def make_index() -> Machine:
+    return machine_from_cells(0, [(5, "a", ()), (3, "a", ()), (7, "b", ())])
 
 
 class TestLookups:
@@ -25,6 +29,7 @@ class TestLookups:
         assert index.has_label(5, "a")
         assert not index.has_label(5, "b")
         assert not index.has_label(99, "a")
+        assert not index.has_label(5, "zzz")
 
     def test_label_of(self):
         index = make_index()
@@ -33,14 +38,11 @@ class TestLookups:
 
 
 class TestStatistics:
-    def test_labels_sorted(self):
-        assert make_index().labels() == ("a", "b")
-
     def test_label_frequency(self):
         index = make_index()
-        assert index.label_frequency("a") == 2
-        assert index.label_frequency("b") == 1
-        assert index.label_frequency("nope") == 0
+        assert len(index.get_ids_array("a")) == 2
+        assert len(index.get_ids_array("b")) == 1
+        assert len(index.get_ids_array("nope")) == 0
 
     def test_node_count(self):
         assert make_index().node_count == 3
@@ -48,7 +50,7 @@ class TestStatistics:
     def test_size_linear_in_content(self):
         # The whole point of the STwig approach: the only index is linear.
         index = make_index()
-        assert index.size_in_entries() == 3 + 2
+        assert index.index_size_in_entries() == 3 + 2
 
     def test_incremental_add_keeps_sorted(self):
         # The index has no incremental add any more (the name is historical):
@@ -57,9 +59,11 @@ class TestStatistics:
         index = make_index()
         assert index.get_ids_array("a").tolist() == [3, 5]  # fills the per-label cache
         a, b = index.label_table.id_of("a"), index.label_table.id_of("b")
-        index.adopt(
+        index.adopt_partition(
             np.array([1, 3, 5, 7], dtype=np.int64),
             np.array([a, a, a, b], dtype=np.int32),
+            np.zeros(5, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
         )
         assert index.get_ids_array("a").tolist() == [1, 3, 5]
         assert index.node_count == 4

@@ -7,18 +7,17 @@ import pytest
 from repro.cloud.machine import Machine
 from repro.errors import NodeNotFoundError
 
-from tests.helpers import machine_from_cells
+from tests.helpers import csr_from_cells, machine_from_cells
+
+CELLS = [
+    (10, "a", (11, 12)),
+    (11, "b", (10,)),
+    (12, "c", (10, 99)),  # 99 lives on another machine
+]
 
 
 def make_machine() -> Machine:
-    return machine_from_cells(
-        2,
-        [
-            (10, "a", (11, 12)),
-            (11, "b", (10,)),
-            (12, "c", (10, 99)),  # 99 lives on another machine
-        ],
-    )
+    return machine_from_cells(2, CELLS)
 
 
 class TestStorage:
@@ -43,7 +42,7 @@ class TestStorage:
 
 class TestLocalIndex:
     def test_get_ids(self):
-        assert make_machine().label_index.get_ids_array("a").tolist() == [10]
+        assert make_machine().get_ids_array("a").tolist() == [10]
 
     def test_has_label(self):
         machine = make_machine()
@@ -51,9 +50,20 @@ class TestLocalIndex:
         assert not machine.has_label(11, "a")
 
     def test_memory_footprint_counts_cells_adjacency_index(self):
-        machine = make_machine()
-        # 3 cells + 5 adjacency entries (2 + 1 + 2) + (3 node entries + 3 label buckets).
-        assert machine.memory_footprint_entries() == 3 + 5 + 6
+        table, columns = csr_from_cells(CELLS)
+        machine = Machine(2, table)
+        machine.adopt_partition(*columns)
+        # Right after adoption: the four CSR columns, each counted once (the
+        # index reads the ID and label columns, it holds no copy of them).
+        adopted = sum(column.nbytes for column in columns)
+        assert machine.storage_nbytes() == adopted == 3 * 8 + 3 * 4 + 4 * 8 + 5 * 8
+        # A getID caches its answer, and the footprint grows by exactly it.
+        ids = machine.get_ids_array("a")
+        assert machine.storage_nbytes() == adopted + ids.nbytes
+        machine.get_ids_array("a")  # served from the cache: no growth
+        assert machine.storage_nbytes() == adopted + ids.nbytes
+        # Index size: 3 node entries + 3 label buckets.
+        assert machine.index_size_in_entries() == 3 + 3
 
     def test_repr(self):
         assert "id=2" in repr(make_machine())

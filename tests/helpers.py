@@ -36,9 +36,8 @@ source for those fixtures:
 * :func:`generate_power_law_scalar` / :func:`generate_rmat_scalar` /
   :func:`generate_gnm_scalar` — the original one-draw-per-edge samplers, the
   vectorized generators' seeded degree/label-distribution reference;
-* :func:`csr_from_cells` / :func:`machine_from_cells` /
-  :func:`label_index_from_pairs` — CSR columns, a standalone `Machine`,
-  and a `LabelIndex` adopted from hand-written cells.
+* :func:`csr_from_cells` / :func:`machine_from_cells` — CSR columns and a
+  standalone `Machine` adopted from hand-written cells.
 
 All randomness is seed-parameterized, never global.
 """
@@ -53,7 +52,6 @@ import numpy as np
 from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import ClusterConfig
 from repro.cloud.metrics import CloudMetrics
-from repro.cloud.label_index import LabelIndex
 from repro.cloud.machine import Machine
 from repro.core.join import multiway_join
 from repro.core.stwig import STwig
@@ -581,7 +579,7 @@ def striped_path_cloud(length: int = 6, machine_count: int = 3) -> MemoryCloud:
     )
 
 
-# -- standalone machines / indexes -----------------------------------------
+# -- standalone machines --------------------------------------------------
 
 
 def csr_from_cells(
@@ -615,16 +613,3 @@ def machine_from_cells(
     machine.adopt_partition(*columns)
     return machine
 
-
-def label_index_from_pairs(pairs: Iterable[Tuple[int, str]]) -> LabelIndex:
-    """A :class:`LabelIndex` adopted from ``(node_id, label)`` pairs."""
-    ordered = sorted(pairs)
-    index = LabelIndex()
-    index.adopt(
-        np.array([node_id for node_id, _ in ordered], dtype=NODE_DTYPE),
-        np.array(
-            [index.label_table.intern(label) for _, label in ordered],
-            dtype=LABEL_DTYPE,
-        ),
-    )
-    return index

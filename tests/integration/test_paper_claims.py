@@ -26,10 +26,10 @@ class TestIndexClaims:
         small = generate_rmat(500, 6.0, label_density=0.02, seed=1)
         large = generate_rmat(2000, 6.0, label_density=0.02, seed=1)
         small_entries = sum(
-            m.label_index.size_in_entries() for m in build_cloud(small, 2).machines
+            m.index_size_in_entries() for m in build_cloud(small, 2).machines
         )
         large_entries = sum(
-            m.label_index.size_in_entries() for m in build_cloud(large, 2).machines
+            m.index_size_in_entries() for m in build_cloud(large, 2).machines
         )
         ratio = large_entries / small_entries
         assert 3.0 <= ratio <= 5.0  # 4x nodes -> ~4x index entries

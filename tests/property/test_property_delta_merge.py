@@ -27,7 +27,6 @@ from repro.graph.labeled_graph import LABEL_DTYPE, NODE_DTYPE, LabeledGraph
 from repro.graph.partition import (
     BlockPartitioner,
     HashPartitioner,
-    PartitionAssignment,
     Partitioner,
     RoundRobinPartitioner,
 )
@@ -60,9 +59,9 @@ class FixedPartitioner(Partitioner):
     def __init__(self, node_ids: np.ndarray, machines: np.ndarray) -> None:
         self._arrays = (np.array(node_ids), np.array(machines))
 
-    def assign(self, graph, machine_count: int) -> PartitionAssignment:
-        assert np.array_equal(graph.node_id_array(), self._arrays[0])
-        return PartitionAssignment.from_arrays(machine_count, *self._arrays)
+    def assign(self, node_ids: np.ndarray, machine_count: int) -> np.ndarray:
+        assert np.array_equal(node_ids, self._arrays[0])
+        return self._arrays[1]
 
 
 @st.composite

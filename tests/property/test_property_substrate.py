@@ -37,17 +37,17 @@ class TestBlobStoreProperties:
         for node in graph.nodes():
             machine = cloud.machines[cloud.owner_of(node)]
             assert machine.load(node) == graph.cell(node)
-            assert machine.label_index.label_of(node) == graph.label(node)
+            assert machine.label_of(node) == graph.label(node)
             assert len(machine.neighbor_slice(node)) == graph.degree(node)
 
     @RELAXED
     @given(graph=labeled_graphs(), machine_count=st.integers(1, 4))
     def test_blob_payload_matches_formula(self, graph, machine_count):
         cloud = MemoryCloud.from_graph(graph, ClusterConfig(machine_count=machine_count))
-        # Per node: an 8-byte ID, a 4-byte label ID and an 8-byte offset, the
-        # first two again in the label index; 8 bytes per stored neighbor
-        # (each edge twice); one closing offset per machine.
-        expected = (8 + 4 + 8 + 8 + 4) * graph.node_count + 8 * 2 * graph.edge_count
+        # Per node: an 8-byte ID, a 4-byte label ID and an 8-byte offset,
+        # each counted once; 8 bytes per stored neighbor (each edge twice);
+        # one closing offset per machine.
+        expected = (8 + 4 + 8) * graph.node_count + 8 * 2 * graph.edge_count
         expected += 8 * machine_count
         assert sum(m.storage_nbytes() for m in cloud.machines) == expected
 

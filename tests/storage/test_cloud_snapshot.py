@@ -328,8 +328,10 @@ def per_machine_label_sum(cloud):
     """The reference count: every machine's label index, summed."""
     totals = {}
     for machine in cloud.machines:
-        for label in machine.label_index.labels():
-            totals[label] = totals.get(label, 0) + machine.label_index.label_frequency(label)
+        for label in cloud.label_table.labels():
+            count = len(machine.get_ids_array(label))
+            if count:
+                totals[label] = totals.get(label, 0) + count
     return totals
 
 

@@ -37,8 +37,11 @@ shared-memory transport of the process backend (``TableHandle``,
 ``SharedArraySpec``, ``SegmentRegistry``, ``publish_array`` /
 ``sweep_blocks``, ``_SHIP_THRESHOLD_ENTRIES``, ``attached_matrix`` /
 ``release_matrix``, any ``shared_memory`` import), and the cloud's
-node->label table beside its per-node label/owner tags (``_label_by_node``):
-the names are gone from the API, and nothing in ``src/`` may bring them back.
+node->label table beside its per-node label/owner tags (``_label_by_node``),
+and the second copies of the image's facts (``PartitionAssignment`` and its
+``machine_array_for``, the ``LabelIndex`` a machine kept as ``label_index``,
+``memory_footprint_entries``): the names are gone from the API, and nothing
+in ``src/`` may bring them back.
 
 And it keeps the front door single (``FRONT_DOOR``): ``repro.api`` is the one
 place a source becomes a cloud and a service is put in front of it, so the
@@ -161,6 +164,11 @@ RETIRED_SPELLINGS = [
     "release_matrix(",
     "shared_memory",
     "_label_by_node",
+    "PartitionAssignment",
+    "LabelIndex",
+    "label_index",
+    "machine_array_for(",
+    "memory_footprint_entries",
 ]
 
 #: Constructor spellings banned per file (glob under the repo root): a second
