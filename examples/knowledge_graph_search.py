@@ -17,7 +17,6 @@ import random
 
 from repro import ClusterConfig, MemoryCloud, SubgraphMatcher
 from repro.core.planner import MatcherConfig
-from repro.graph.builder import GraphBuilder
 from repro.graph.labeled_graph import LabeledGraph
 from repro.query.query_graph import QueryGraph
 
@@ -37,36 +36,30 @@ def build_knowledge_graph(
     (affiliation), paper-topic (about).
     """
     rng = random.Random(seed)
-    builder = GraphBuilder()
-
+    ids = {}
     offset = 0
-    person_ids = list(range(offset, offset + people)); offset += people
-    paper_ids = list(range(offset, offset + papers)); offset += papers
-    venue_ids = list(range(offset, offset + venues)); offset += venues
-    inst_ids = list(range(offset, offset + institutions)); offset += institutions
-    topic_ids = list(range(offset, offset + topics)); offset += topics
+    for kind, count in [
+        ("person", people),
+        ("paper", papers),
+        ("venue", venues),
+        ("institution", institutions),
+        ("topic", topics),
+    ]:
+        ids[kind] = list(range(offset, offset + count))
+        offset += count
+    labels = {node: kind for kind, nodes in ids.items() for node in nodes}
 
-    for node in person_ids:
-        builder.add_node(node, "person")
-    for node in paper_ids:
-        builder.add_node(node, "paper")
-    for node in venue_ids:
-        builder.add_node(node, "venue")
-    for node in inst_ids:
-        builder.add_node(node, "institution")
-    for node in topic_ids:
-        builder.add_node(node, "topic")
-
-    for person in person_ids:
-        builder.add_edge(person, rng.choice(inst_ids))
-    for paper in paper_ids:
+    edges = []
+    for person in ids["person"]:
+        edges.append((person, rng.choice(ids["institution"])))
+    for paper in ids["paper"]:
         author_count = rng.randint(1, 4)
-        for author in rng.sample(person_ids, author_count):
-            builder.add_edge(paper, author)
-        builder.add_edge(paper, rng.choice(venue_ids))
-        for topic in rng.sample(topic_ids, rng.randint(1, 3)):
-            builder.add_edge(paper, topic)
-    return builder.build()
+        for author in rng.sample(ids["person"], author_count):
+            edges.append((paper, author))
+        edges.append((paper, rng.choice(ids["venue"])))
+        for topic in rng.sample(ids["topic"], rng.randint(1, 3)):
+            edges.append((paper, topic))
+    return LabeledGraph.from_edges(labels, edges)
 
 
 def coauthors_same_institution_query() -> QueryGraph:

@@ -25,7 +25,10 @@ Quickstart — :mod:`repro.api` is the documented entry point::
         print(result.match_count, "matches")   # original dataset IDs
 
 The composable layers underneath (``MemoryCloud`` + ``SubgraphMatcher``,
-``QueryService``) remain public for callers that need finer control.
+``QueryService``) remain public for callers that need finer control.  A
+graph of one's own is a ``LabeledGraph``, built one way: ``from_arrays``
+over endpoint arrays, or ``from_edges`` over a node -> label mapping and an
+edge list, which checks its input and calls ``from_arrays``.
 """
 
 from repro.cloud.cluster import MemoryCloud
@@ -34,7 +37,6 @@ from repro.core.engine import SubgraphMatcher
 from repro.core.planner import MatcherConfig, QueryPlan
 from repro.core.result import MatchResult, MatchTable
 from repro.errors import ReproError
-from repro.graph.builder import GraphBuilder
 from repro.graph.labeled_graph import LabeledGraph
 from repro.query.parser import parse_query
 from repro.query.query_graph import QueryGraph
@@ -43,7 +45,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "LabeledGraph",
-    "GraphBuilder",
     "QueryGraph",
     "parse_query",
     "MemoryCloud",

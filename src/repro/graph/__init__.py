@@ -1,6 +1,5 @@
 """Labeled-graph substrate: containers, IO, statistics, partitioning."""
 
-from repro.graph.builder import GraphBuilder
 from repro.graph.label_table import LabelTable
 from repro.graph.labeled_graph import LabeledGraph, NodeCell
 from repro.graph.partition import (
@@ -15,7 +14,6 @@ __all__ = [
     "LabeledGraph",
     "LabelTable",
     "NodeCell",
-    "GraphBuilder",
     "GraphStats",
     "compute_stats",
     "Partitioner",

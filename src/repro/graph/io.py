@@ -16,12 +16,23 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import GraphError
-from repro.graph.builder import GraphBuilder
 from repro.graph.labeled_graph import LabeledGraph
 
 
 def write_label_file(path: str | Path, labels: Dict[int, str]) -> None:
-    """Write a ``node_id<TAB>label`` file."""
+    """Write a ``node_id<TAB>label`` file.
+
+    Raises:
+        GraphError: before anything is written, for a label the reader
+            would not give back unchanged: empty, holding a tab, CR or LF,
+            or with leading or trailing whitespace.
+    """
+    for node_id, label in labels.items():
+        if not label or label != label.strip() or any(c in label for c in "\t\r\n"):
+            raise GraphError(
+                f"node {node_id}: label {label!r} does not survive a label file "
+                "(empty, tab, CR, LF, or leading/trailing whitespace)"
+            )
     path = Path(path)
     with path.open("w", encoding="utf-8") as handle:
         for node_id in sorted(labels):
@@ -29,7 +40,11 @@ def write_label_file(path: str | Path, labels: Dict[int, str]) -> None:
 
 
 def read_label_file(path: str | Path) -> Dict[int, str]:
-    """Read a ``node_id<TAB>label`` file."""
+    """Read a ``node_id<TAB>label`` file.
+
+    A node ID may repeat with the same label; with a different one it is an
+    error naming the line.
+    """
     labels: Dict[int, str] = {}
     path = Path(path)
     with path.open("r", encoding="utf-8") as handle:
@@ -46,7 +61,11 @@ def read_label_file(path: str | Path) -> Dict[int, str]:
                 raise GraphError(
                     f"{path}:{line_number}: node ID {parts[0]!r} is not an integer"
                 )
-            labels[node_id] = parts[1]
+            if labels.setdefault(node_id, parts[1]) != parts[1]:
+                raise GraphError(
+                    f"{path}:{line_number}: node {node_id} relabeled from "
+                    f"{labels[node_id]!r} to {parts[1]!r}"
+                )
     return labels
 
 
@@ -98,7 +117,4 @@ def load_graph(prefix: str | Path) -> LabeledGraph:
     """Load a graph previously written by :func:`save_graph`."""
     labels = read_label_file(Path(f"{prefix}.labels"))
     edges = read_edge_file(Path(f"{prefix}.edges"))
-    builder = GraphBuilder()
-    builder.add_nodes(labels)
-    builder.add_edges(edges)
-    return builder.build()
+    return LabeledGraph.from_edges(labels, edges)

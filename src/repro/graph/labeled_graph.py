@@ -17,7 +17,6 @@ examples (Figure 1) and its definition of subgraph matching (Definition 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -56,9 +55,11 @@ class NodeCell:
 class LabeledGraph:
     """An undirected, vertex-labeled graph with integer node IDs.
 
-    The graph is immutable once constructed via :class:`GraphBuilder` or the
-    :meth:`from_edges` convenience constructor; all query-time structures
-    (the memory cloud, the baselines) only read from it.
+    The graph is immutable once constructed: :meth:`from_arrays` builds it
+    from endpoint arrays in one bulk pass, :meth:`from_edges` from a label
+    mapping and an edge list through the same pass, and the constructor
+    adopts ready CSR columns (a snapshot's).  All query-time structures (the
+    memory cloud, the baselines) only read from it.
 
     Internally the graph is four arrays plus a shared label table:
 
@@ -67,43 +68,12 @@ class LabeledGraph:
     * ``offset_array()`` / ``neighbor_array()`` — CSR adjacency whose rows
       are sorted, duplicate-free neighbor *node IDs*.
 
-    The tuple/str accessors of the original dict-based container are kept
-    source-compatible on top of this layout.
+    The tuple/str accessors (``neighbors``, ``label``, ``nodes_with_label``)
+    serve the VF2/Ullmann oracles and ``query/generators.py``; the engine
+    reads the arrays.
     """
 
     def __init__(
-        self,
-        labels: Mapping[int, str],
-        adjacency: Mapping[int, Tuple[int, ...]],
-        edge_count: int,
-    ) -> None:
-        """Build a graph from label/adjacency mappings.
-
-        Most callers should use :class:`repro.graph.builder.GraphBuilder`
-        or :meth:`from_edges` instead of this constructor.
-        """
-        missing = set(adjacency) - set(labels)
-        if missing:
-            raise GraphError(
-                f"adjacency refers to {len(missing)} nodes without labels "
-                f"(e.g. {sorted(missing)[:5]})"
-            )
-        table = LabelTable()
-        ordered = sorted(labels)
-        node_ids = np.array(ordered, dtype=NODE_DTYPE)
-        label_ids = np.array(
-            [table.intern(labels[node]) for node in ordered], dtype=LABEL_DTYPE
-        )
-        rows = [sorted(adjacency.get(node, ())) for node in ordered]
-        offsets = np.zeros(len(ordered) + 1, dtype=OFFSET_DTYPE)
-        if rows:
-            np.cumsum([len(row) for row in rows], out=offsets[1:])
-        neighbors = np.fromiter(
-            chain.from_iterable(rows), dtype=NODE_DTYPE, count=int(offsets[-1])
-        )
-        self._init_csr(table, node_ids, label_ids, offsets, neighbors, edge_count)
-
-    def _init_csr(
         self,
         label_table: LabelTable,
         node_ids: np.ndarray,
@@ -112,6 +82,12 @@ class LabeledGraph:
         neighbors: np.ndarray,
         edge_count: int,
     ) -> None:
+        """Adopt CSR columns as they are (no copies, no checks).
+
+        ``node_ids`` must be sorted ascending and each CSR row sorted.
+        :meth:`from_arrays` and :meth:`from_edges` build consistent columns
+        from an edge list; a snapshot adopts its saved ones.
+        """
         self._label_table = label_table
         self._node_ids = node_ids
         self._label_ids = label_ids
@@ -132,25 +108,6 @@ class LabeledGraph:
         self.id_map = None
 
     # -- construction -----------------------------------------------------
-
-    @classmethod
-    def from_csr(
-        cls,
-        label_table: LabelTable,
-        node_ids: np.ndarray,
-        label_ids: np.ndarray,
-        offsets: np.ndarray,
-        neighbors: np.ndarray,
-        edge_count: int,
-    ) -> "LabeledGraph":
-        """Adopt pre-built CSR arrays (no copies; arrays must be consistent).
-
-        ``node_ids`` must be sorted ascending and each CSR row sorted; this
-        is the fast path used by :class:`~repro.graph.builder.GraphBuilder`.
-        """
-        graph = cls.__new__(cls)
-        graph._init_csr(label_table, node_ids, label_ids, offsets, neighbors, edge_count)
-        return graph
 
     @classmethod
     def from_arrays(
@@ -252,9 +209,7 @@ class LabeledGraph:
         offsets = np.zeros(n + 1, dtype=OFFSET_DTYPE)
         np.cumsum(counts, out=offsets[1:])
         neighbors = node_ids[targets]
-        return cls.from_csr(
-            label_table, node_ids, label_ids, offsets, neighbors, edge_count
-        )
+        return cls(label_table, node_ids, label_ids, offsets, neighbors, edge_count)
 
     @classmethod
     def from_edges(
@@ -262,18 +217,35 @@ class LabeledGraph:
         labels: Mapping[int, str],
         edges: Iterable[Tuple[int, int]],
     ) -> "LabeledGraph":
-        """Build a graph from a label mapping and an edge iterable.
+        """Build a graph from a node-ID -> label mapping and an edge iterable.
 
-        Self-loops are rejected; duplicate edges are collapsed.
+        Labels are interned in ascending node-ID order; self-loops are
+        rejected and duplicate edges collapsed (by :meth:`from_arrays`).
+
+        Raises:
+            GraphError: on a node ID that is not an ``int``, an edge endpoint
+                that is not a key of ``labels``, or a self-loop.
         """
-        from repro.graph.builder import GraphBuilder
-
-        builder = GraphBuilder()
-        for node_id, label in labels.items():
-            builder.add_node(node_id, label)
-        for u, v in edges:
-            builder.add_edge(u, v)
-        return builder.build()
+        for node_id in labels:
+            if not isinstance(node_id, int):
+                raise GraphError(f"node IDs must be ints, got {type(node_id).__name__}")
+        ordered = sorted(labels)
+        table = LabelTable()
+        label_ids = [table.intern(labels[node_id]) for node_id in ordered]
+        pairs = [(u, v) for u, v in edges]
+        # Checked here, not left to from_arrays: the int64 cast below would
+        # truncate an endpoint such as 0.5 to a labeled node.
+        unlabeled = [node for pair in pairs for node in pair if node not in labels]
+        if unlabeled:
+            raise GraphError(f"edge endpoint {unlabeled[0]!r} has no label")
+        endpoints = np.array(pairs, dtype=NODE_DTYPE).reshape(-1, 2)
+        return cls.from_arrays(
+            table,
+            np.array(ordered, dtype=NODE_DTYPE),
+            np.array(label_ids, dtype=LABEL_DTYPE),
+            endpoints[:, 0],
+            endpoints[:, 1],
+        )
 
     # -- basic accessors --------------------------------------------------
 

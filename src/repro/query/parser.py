@@ -55,7 +55,20 @@ def parse_query(text: str) -> QueryGraph:
 
 
 def format_query(query: QueryGraph) -> str:
-    """Render a :class:`QueryGraph` back into the textual format."""
+    """Render a :class:`QueryGraph` back into the textual format.
+
+    Raises:
+        QueryError: for a node name or label that :func:`parse_query` would
+            not read back as the same token: empty, holding whitespace, or
+            holding ``#`` (which starts a comment).
+    """
+    for name in query.nodes():
+        for token in (name, query.label(name)):
+            if "#" in token or token.split() != [token]:
+                raise QueryError(
+                    f"query node {name!r}: {token!r} is not a single token "
+                    "(empty, whitespace, or '#')"
+                )
     lines = [f"node {name} {query.label(name)}" for name in query.nodes()]
     lines.extend(f"edge {u} {v}" for u, v in query.edges())
     return "\n".join(lines) + "\n"

@@ -92,7 +92,7 @@ def image_graph(
         for machine_id in range(machine_count)
     ]
     if machine_count == 1:
-        return LabeledGraph.from_csr(
+        return LabeledGraph(
             label_table, node_ids, columns["graph/label_ids"],
             *partitions[0][2:], edge_count,
         )
@@ -110,7 +110,7 @@ def image_graph(
             offsets[:-1][rows_m] - offsets_m[:-1], local_counts
         )
         neighbors[scatter] = neighbors_m
-    return LabeledGraph.from_csr(
+    return LabeledGraph(
         label_table, node_ids, columns["graph/label_ids"],
         offsets, neighbors, edge_count,
     )

@@ -389,7 +389,7 @@ def relabeled_graph(graph, *, id_scale=1, label_pad=0):
     labels = LabelTable(
         [f"unused{index}" for index in range(label_pad)] + list(graph.label_table.labels())
     )
-    return LabeledGraph.from_csr(
+    return LabeledGraph(
         labels,
         graph.node_id_array() * id_scale + 7,
         graph.label_id_array() + label_pad,

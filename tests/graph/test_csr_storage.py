@@ -2,7 +2,7 @@
 
 Covers the tentpole invariants of the CSR refactor:
 
-* round-trip ``GraphBuilder`` -> ``LabeledGraph`` -> partition -> ``Machine``
+* round-trip ``LabeledGraph`` -> partition -> ``Machine``
   preserves every neighbor set exactly;
 * the CSR arrays agree with a reference dict-of-sets adjacency;
 * label-table interning is stable (IDs never change once assigned);
@@ -21,7 +21,6 @@ from repro.cloud.config import ClusterConfig
 from repro.cloud.machine import Machine
 from repro.cloud.metrics import CloudMetrics
 from repro.errors import GraphError, NodeNotFoundError, PartitionError
-from repro.graph.builder import GraphBuilder
 from repro.graph.label_table import NO_LABEL, LabelTable
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.partition import RoundRobinPartitioner
@@ -232,7 +231,7 @@ class TestBatchedOperators:
 
 class TestEdgeCases:
     def test_empty_graph(self):
-        graph = GraphBuilder().build()
+        graph = LabeledGraph.from_edges({}, [])
         assert graph.node_count == 0
         assert graph.edge_count == 0
         assert list(graph.edges()) == []
@@ -252,7 +251,7 @@ class TestEdgeCases:
 
     def test_self_loop_rejected_at_build(self):
         with pytest.raises(GraphError):
-            GraphBuilder().add_node(1, "a").add_edge(1, 1)
+            LabeledGraph.from_edges({1: "a"}, [(1, 1)])
 
     def test_missing_node_raises(self):
         graph = LabeledGraph.from_edges({0: "a"}, [])

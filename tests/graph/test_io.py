@@ -51,6 +51,31 @@ class TestLabelFile:
         path.write_text("")
         assert read_label_file(path) == {}
 
+    @pytest.mark.parametrize("label", ["a ", " a", "", "x\ty", "x\ny", "x\ry"])
+    def test_label_that_would_not_round_trip_is_refused_before_writing(
+        self, tmp_path, label
+    ):
+        path = tmp_path / "nodes.labels"
+        with pytest.raises(GraphError, match="node 7"):
+            write_label_file(path, {1: "ok", 7: label})
+        assert not path.exists()
+
+    def test_inner_space_round_trips(self, tmp_path):
+        path = tmp_path / "nodes.labels"
+        write_label_file(path, {1: "two words"})
+        assert read_label_file(path) == {1: "two words"}
+
+    def test_relabel_names_path_and_line(self, tmp_path):
+        path = tmp_path / "nodes.labels"
+        path.write_text("0\ta\n1\tb\n0\tc\n")
+        with pytest.raises(GraphError, match=rf"{path}:3: node 0 relabeled"):
+            read_label_file(path)
+
+    def test_repeat_with_same_label_accepted(self, tmp_path):
+        path = tmp_path / "nodes.labels"
+        path.write_text("0\ta\n1\tb\n0\ta\n")
+        assert read_label_file(path) == {0: "a", 1: "b"}
+
 
 class TestEdgeFile:
     def test_roundtrip(self, tmp_path):
@@ -110,6 +135,12 @@ class TestGraphRoundtrip:
             sample_graph.edges()
         )
         assert sorted(load_graph(tmp_path / "graph.v2").edges()) == [(7, 8)]
+
+    def test_unwritable_label_writes_neither_file(self, tmp_path):
+        graph = LabeledGraph.from_edges({0: "a", 1: "a "}, [(0, 1)])
+        with pytest.raises(GraphError, match="node 1"):
+            save_graph(tmp_path / "g", graph)
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_graph_roundtrip(self, tmp_path):
         empty = LabeledGraph.from_edges({}, [])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import GraphError, NodeNotFoundError
@@ -36,8 +37,34 @@ class TestConstruction:
         assert graph.neighbors(0) == ()
 
     def test_adjacency_without_label_rejected(self):
-        with pytest.raises(GraphError):
-            LabeledGraph({0: "a"}, {0: (1,), 1: (0,)}, 1)
+        with pytest.raises(GraphError, match="edge endpoint 1 has no label"):
+            LabeledGraph.from_edges({0: "a"}, [(0, 1)])
+
+    @pytest.mark.parametrize("node_id", ["x", np.int64(1), 1.0])
+    def test_non_int_node_id_rejected(self, node_id):
+        with pytest.raises(GraphError, match="node IDs must be ints"):
+            LabeledGraph.from_edges({node_id: "a", 2: "b"}, [])
+
+    def test_float_endpoint_rejected_not_truncated(self):
+        # np.asarray(0.5, int64) would be node 0: the endpoint is checked first.
+        with pytest.raises(GraphError, match="edge endpoint 0.5 has no label"):
+            LabeledGraph.from_edges({0: "a", 1: "b"}, [(0.5, 1)])
+
+    def test_numpy_int_endpoint_accepted(self):
+        graph = LabeledGraph.from_edges({0: "a", 1: "b"}, [(np.int64(0), 1)])
+        assert graph.neighbors(1) == (0,)
+
+    def test_empty_graph(self):
+        graph = LabeledGraph.from_edges({}, [])
+        assert graph.node_count == 0
+        assert graph.edge_count == 0
+        assert graph.label_table.labels() == ()
+
+    def test_labels_interned_in_ascending_node_order(self):
+        graph = LabeledGraph.from_edges({9: "z", 2: "y", 5: "z", 1: "x"}, [(9, 2)])
+        assert graph.label_table.labels() == ("x", "y", "z")
+        assert graph.label_id_array().tolist() == [0, 1, 2, 2]
+        assert graph.neighbors(2) == (9,)
 
 
 class TestAccessors:

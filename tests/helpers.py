@@ -56,7 +56,6 @@ from repro.cloud.machine import Machine
 from repro.core.join import multiway_join
 from repro.core.stwig import STwig
 from repro.errors import GraphError, StorageError
-from repro.graph.builder import GraphBuilder
 from repro.graph.label_table import LabelTable
 from repro.graph.labeled_graph import (
     LABEL_DTYPE,
@@ -334,8 +333,6 @@ def oracle_replay(base: LabeledGraph, records) -> LabeledGraph:
 def _rejection_sampled(model: str, node_labels, target_edges: int, draw_edge) -> LabeledGraph:
     """``target_edges`` distinct non-loop edges, one ``draw_edge()`` and one
     set probe per candidate, under the vectorized samplers' retry budget."""
-    builder = GraphBuilder()
-    builder.add_nodes(node_labels)
     seen: set = set()
     attempts = rejected_loops = rejected_duplicates = 0
     while len(seen) < target_edges and attempts < target_edges * SAMPLING_BUDGET:
@@ -349,9 +346,8 @@ def _rejection_sampled(model: str, node_labels, target_edges: int, draw_edge) ->
             rejected_duplicates += 1
             continue
         seen.add(key)
-        builder.add_edge(*key)
     return attach_generation_report(
-        builder.build(),
+        LabeledGraph.from_edges(node_labels, seen),
         GenerationReport(
             model=model,
             target_edges=target_edges,
@@ -445,8 +441,6 @@ def generate_gnm_scalar(
     node_labels = assign_uniform_labels(
         range(node_count), make_label_collection(label_count), seed=rng
     )
-    builder = GraphBuilder()
-    builder.add_nodes(node_labels)
     seen: set = set()
     if node_count > 1 and edge_count > max_edges // 2:
         all_pairs = [(u, v) for u in range(node_count) for v in range(u + 1, node_count)]
@@ -458,9 +452,8 @@ def generate_gnm_scalar(
             v = rng.randrange(node_count)
             if u != v:
                 seen.add((u, v) if u < v else (v, u))
-    builder.add_edges(seen)
     return attach_generation_report(
-        builder.build(),
+        LabeledGraph.from_edges(node_labels, seen),
         GenerationReport(model="gnm-scalar", target_edges=edge_count, achieved_edges=len(seen)),
     )
 

@@ -251,7 +251,7 @@ class TestCloudOverlay:
         saw, above its domain or below it (a negative ID): the open warns and
         serves dense IDs, the compaction refuses."""
         count = base.node_count
-        dense = LabeledGraph.from_csr(
+        dense = LabeledGraph(
             LabelTable(base.label_table.labels()),
             np.arange(count, dtype=NODE_DTYPE),
             np.array(base.label_id_array(), dtype=LABEL_DTYPE),

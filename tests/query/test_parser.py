@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.errors import QueryError
 from repro.query.parser import format_query, parse_query
+from repro.query.query_graph import QueryGraph
 
 
 class TestParse:
@@ -66,6 +69,17 @@ class TestFormat:
         text = "node a x\nnode b y\nedge a b\n"
         query = parse_query(text)
         assert parse_query(format_query(query)).edges() == query.edges()
+
+    @pytest.mark.parametrize(
+        "labels",
+        [{"u": "C#", "v": "b"}, {"u": "a b", "v": "b"}, {"u#": "a", "v": "b"},
+         {"u v": "a", "v": "b"}, {"u": "", "v": "b"}, {"u": "a\tb", "v": "b"}],
+    )
+    def test_text_that_would_parse_differently_is_refused(self, labels):
+        first, second = labels
+        query = QueryGraph(labels, [(first, second)])
+        with pytest.raises(QueryError, match=re.escape(f"query node {first!r}")):
+            format_query(query)
 
     def test_format_contains_all_nodes(self):
         query = parse_query("node a x\nnode b y\nedge a b")

@@ -40,8 +40,11 @@ shared-memory transport of the process backend (``TableHandle``,
 node->label table beside its per-node label/owner tags (``_label_by_node``),
 and the second copies of the image's facts (``PartitionAssignment`` and its
 ``machine_array_for``, the ``LabelIndex`` a machine kept as ``label_index``,
-``memory_footprint_entries``): the names are gone from the API, and nothing
-in ``src/`` may bring them back.
+``memory_footprint_entries``), and the second and third ways to build a
+graph beside ``LabeledGraph.from_arrays`` (``GraphBuilder`` in
+``graph.builder`` with its ``add_edges_array``, and ``from_csr`` /
+``_init_csr``, whose CSR adoption is now the constructor): the names are
+gone from the API, and nothing in ``src/`` may bring them back.
 
 And it keeps the front door single (``FRONT_DOOR``): ``repro.api`` is the one
 place a source becomes a cloud and a service is put in front of it, so the
@@ -169,6 +172,11 @@ RETIRED_SPELLINGS = [
     "label_index",
     "machine_array_for(",
     "memory_footprint_entries",
+    "GraphBuilder",
+    "graph.builder",
+    "from_csr(",
+    "_init_csr",
+    "add_edges_array",
 ]
 
 #: Constructor spellings banned per file (glob under the repo root): a second
