@@ -54,10 +54,9 @@ def cached_graph(
     graph = factory()
     info["generate_seconds"] = time.perf_counter() - started
     started = time.perf_counter()
-    # The cache serves graphs: the planner's label-pair keys (an O(graph)
-    # pass) would never be read.
-    one_machine = ClusterConfig(machine_count=1, track_label_pairs=False)
-    MemoryCloud.from_graph(graph, one_machine).save_snapshot(target)
+    # One machine: its partition is the graph's CSR, and with no machine
+    # pair there are no label-pair keys to derive or store.
+    MemoryCloud.from_graph(graph, ClusterConfig(machine_count=1)).save_snapshot(target)
     info["save_seconds"] = time.perf_counter() - started
     info["source"] = "generated"
     return graph, info

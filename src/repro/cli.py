@@ -71,7 +71,8 @@ from repro.graph.generators import (
 from repro.graph.io import save_graph
 from repro.ingest import ingest_dblp_xml
 from repro.query.parser import format_query, parse_query
-from repro.storage import DeltaLog, compact_snapshot, read_manifest
+from repro.storage import DeltaLog, DeltaRecord, compact_snapshot, read_manifest
+from repro.storage.delta import normalize_records
 
 
 def _row_limit(text: str) -> Optional[int]:
@@ -426,15 +427,19 @@ def _command_open(args: argparse.Namespace) -> int:
 
 
 def _command_append(args: argparse.Namespace) -> int:
-    read_manifest(args.snapshot)  # fail early on a non-snapshot directory
+    manifest = read_manifest(args.snapshot)  # fail early on a non-snapshot directory
     log = DeltaLog(args.snapshot)
+    records = [DeltaRecord("node", int(node_id), label=label) for node_id, label in args.node]
+    records += [DeltaRecord("edge", u, v) for u, v in args.edge]
     try:
-        appended = log.append_nodes(
-            (int(node_id), label) for node_id, label in args.node
+        # Refuse what every later open would: digest the log as it would read.
+        normalize_records(
+            log.read() + records, manifest.labels,
+            manifest.attach("graph/node_ids"), manifest.attach("graph/label_ids"),
         )
+        appended = log.append(records)
     except StorageError as error:
         raise SystemExit(str(error))
-    appended += log.append_edges((u, v) for u, v in args.edge)
     print(
         f"appended {appended} records ({log.count()} total pending); "
         "they overlay at open time until 'compact' folds them in"

@@ -18,10 +18,10 @@ probes.
 Every call is issued *by* a machine (the ``requester``); when the requested
 cell lives on a different machine the access is charged to the
 :class:`~repro.cloud.metrics.CloudMetrics` as network traffic.  During graph
-loading the cloud also records, for every pair of machines, the set of label
-pairs connected by a cross-machine edge — the preprocessing the paper uses
-to build the query-specific *cluster graph* without touching the data graph
-at query time (Section 5.3).
+loading the cloud also records, for every pair of distinct machines, the
+set of label pairs connected by an edge between them — the preprocessing
+the paper uses to build the query-specific *cluster graph* without touching
+the data graph at query time (Section 5.3).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import copy
 import threading
 import time
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 import numpy as np
 
@@ -39,10 +39,16 @@ from repro.cloud.metrics import CloudMetrics
 from repro.errors import CloudError, NodeNotFoundError, PartitionError
 from repro.graph.label_table import LabelTable
 from repro.graph.labeled_graph import NODE_DTYPE, OFFSET_DTYPE, LabeledGraph, NodeCell
-from repro.graph.partition import cross_machine_label_pairs, place_nodes
+from repro.graph.partition import (
+    PackedLabelPairs,
+    cross_machine_label_pairs,
+    label_pair_keys,
+    place_nodes,
+)
 from repro.utils.arrays import (
     dense_table_profitable,
     dense_value_table,
+    membership_mask,
     sorted_lookup,
 )
 
@@ -113,10 +119,7 @@ class MemoryCloud:
         self._graph_node_count = 0
         self._graph_edge_count = 0
         self._id_map = None
-        self._label_pair_base = 1
-        self._label_pairs_packed: Dict[Tuple[int, int], np.ndarray] = {}
-        self._label_pairs_cache: Dict[Tuple[int, int], Set[FrozenSet[str]]] = {}
-        self._backing: List = []
+        self._label_pairs: PackedLabelPairs = (1, {})
 
     # -- construction --------------------------------------------------------
 
@@ -169,10 +172,8 @@ class MemoryCloud:
             for column, array in zip(MACHINE_COLUMNS, partition):
                 columns[f"machine{machine_id}/{column}"] = array
 
-        label_pairs = (
-            cross_machine_label_pairs(graph, machine_of_row, self.config.machine_count)
-            if self.config.track_label_pairs
-            else (1, {})
+        label_pairs = cross_machine_label_pairs(
+            graph, machine_of_row, self.config.machine_count
         )
         # Every machine shares the graph's label table, so label IDs stay
         # comparable cluster-wide and CSR slices are adopted verbatim.
@@ -193,8 +194,7 @@ class MemoryCloud:
         label_table: LabelTable,
         edge_count: int,
         id_map=None,
-        label_pairs: Tuple[int, Dict[Tuple[int, int], np.ndarray]] = (1, {}),
-        backing: Sequence = (),
+        label_pairs: PackedLabelPairs,
     ) -> None:
         """Make ``columns`` this cloud's loaded state — the one way in.
 
@@ -202,9 +202,7 @@ class MemoryCloud:
         :mod:`repro.storage.cloud_snapshot` (``np.memmap`` views, with the
         columns a pending delta log changed in RAM).  ``columns`` holds one
         array per :func:`column_names` entry, adopted without copying;
-        ``label_pairs`` is in :meth:`packed_label_pairs` form.  ``backing``
-        is whatever must stay referenced while the views are alive (attach
-        handles).
+        ``label_pairs`` is in :meth:`packed_label_pairs` form.
         """
         # Runtime workers and plan caches keyed on this cloud compare
         # generations to detect a reload.
@@ -242,13 +240,9 @@ class MemoryCloud:
         # External->dense IdMap of an ingested graph: result materialization
         # reports the caller's IDs through it.
         self._id_map = id_map
-        # Per machine pair, sorted packed (label_lo * base + label_hi) keys:
-        # the form the cluster-graph probe binary-searches; decoded into
-        # label-string sets lazily (label_pairs_between).
-        self._label_pair_base = int(label_pairs[0])
-        self._label_pairs_packed = dict(label_pairs[1])
-        self._label_pairs_cache = {}
-        self._backing = list(backing)
+        # Per machine pair i < j, sorted packed label-pair keys: the form
+        # the cluster-graph probe binary-searches.
+        self._label_pairs = (int(label_pairs[0]), dict(label_pairs[1]))
 
     def columns(self) -> Dict[str, np.ndarray]:
         """The loaded cloud as named arrays — its whole bulk state.
@@ -269,13 +263,14 @@ class MemoryCloud:
             raise CloudError("no graph has been loaded into the cloud")
         return dict(self._columns)
 
-    def packed_label_pairs(self) -> Tuple[int, Dict[Tuple[int, int], np.ndarray]]:
+    def packed_label_pairs(self) -> PackedLabelPairs:
         """``(base, {(machine_lo, machine_hi): sorted packed keys})``.
 
-        The label-pair metadata in the form snapshots persist it; each key
-        is ``label_lo * base + label_hi`` over label-table IDs.
+        The label-pair metadata in the form snapshots persist it: an entry
+        per machine pair ``machine_lo < machine_hi`` joined by an edge (see
+        :func:`~repro.graph.partition.pack_label_pairs`).
         """
-        return self._label_pair_base, dict(self._label_pairs_packed)
+        return self._label_pairs[0], dict(self._label_pairs[1])
 
     # -- persistent snapshots -------------------------------------------------
 
@@ -464,29 +459,6 @@ class MemoryCloud:
             raise PartitionError(f"node {int(missing[0])} has no machine assignment")
         return tags % self.machine_count
 
-    def label_pairs_between(self, machine_a: int, machine_b: int) -> Set[FrozenSet[str]]:
-        """Label pairs connected by at least one edge between two machines.
-
-        Includes ``machine_a == machine_b`` (intra-machine edges).  Returns
-        an empty set when label-pair tracking is disabled.  The packed keys
-        are decoded to label-string sets on first access and cached.
-        """
-        key = (machine_a, machine_b) if machine_a <= machine_b else (machine_b, machine_a)
-        cached = self._label_pairs_cache.get(key)
-        if cached is None:
-            packed = self._label_pairs_packed.get(key)
-            if packed is None or self._label_table is None:
-                cached = set()
-            else:
-                names = self._label_table.labels()
-                base = self._label_pair_base
-                cached = {
-                    frozenset((names[value // base], names[value % base]))
-                    for value in packed.tolist()
-                }
-            self._label_pairs_cache[key] = cached
-        return set(cached)
-
     def machines_share_label_pairs(
         self, machine_a: int, machine_b: int, label_pairs: Set[FrozenSet[str]]
     ) -> bool:
@@ -494,26 +466,20 @@ class MemoryCloud:
 
         The membership probe the cluster-graph build runs per machine pair:
         a handful of query label pairs binary-searched against the packed
-        key array, without ever decoding the (potentially huge) pair set.
+        key array.  A machine shares no pair with itself (no key is kept).
         """
-        key = (machine_a, machine_b) if machine_a <= machine_b else (machine_b, machine_a)
-        packed = self._label_pairs_packed.get(key)
-        if packed is None or len(packed) == 0 or self._label_table is None:
+        base, pairs = self._label_pairs
+        packed = pairs.get((min(machine_a, machine_b), max(machine_a, machine_b)))
+        if packed is None:
             return False
-        base = self._label_pair_base
-        probes = []
-        for pair in label_pairs:
-            items = tuple(pair)
-            first = self._label_table.id_of(items[0])
-            second = self._label_table.id_of(items[-1])
-            if first < 0 or second < 0:
-                continue
-            lo, hi = (first, second) if first <= second else (second, first)
-            probes.append(lo * base + hi)
-        if not probes:
-            return False
-        _, found = sorted_lookup(packed, np.asarray(probes, dtype=np.int64))
-        return bool(found.any())
+        ids = np.array(
+            [[self._label_table.id_of(label) for label in (min(pair), max(pair))]
+             for pair in label_pairs],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        ids = ids[(ids >= 0).all(axis=1)]  # a label the graph lacks crosses nowhere
+        probes = label_pair_keys(ids[:, 0], ids[:, 1], base)
+        return bool(membership_mask(packed, probes).any())
 
     @property
     def machine_count(self) -> int:

@@ -107,16 +107,11 @@ class ClusterConfig:
         partitioner: node -> machine assignment policy (paper default:
             hash partitioning).
         network: message/byte cost model for simulated communication time.
-        track_label_pairs: whether to record, for every pair of machines,
-            the label pairs connected by a cross-machine edge.  This is the
-            metadata the paper's *cluster graph* is built from; disabling it
-            saves memory when the optimization is not needed.
     """
 
     machine_count: int = 4
     partitioner: Partitioner = field(default_factory=HashPartitioner)
     network: NetworkModel = field(default_factory=NetworkModel)
-    track_label_pairs: bool = True
 
     def validate(self) -> None:
         require_positive(self.machine_count, "machine_count")

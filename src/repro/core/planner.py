@@ -258,7 +258,7 @@ class QueryPlanner:
         )
 
         machine_count = self.cloud.machine_count
-        if config.use_load_set_pruning and self.cloud.config.track_label_pairs:
+        if config.use_load_set_pruning:
             adjacency = build_cluster_graph(self.cloud, query)
             distances = cluster_distances(adjacency)
             load_sets = compute_load_sets(

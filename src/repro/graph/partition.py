@@ -23,7 +23,12 @@ import numpy as np
 
 from repro.errors import PartitionError
 from repro.graph.labeled_graph import OFFSET_DTYPE, LabeledGraph
-from repro.utils.arrays import dense_position_table, dense_table_profitable, fast_unique
+from repro.utils.arrays import (
+    dense_position_table,
+    dense_table_profitable,
+    fast_unique,
+    membership_mask,
+)
 from repro.utils.validation import require_positive
 
 #: dtype of machine-ID arrays.
@@ -55,26 +60,32 @@ def place_nodes(
     return machines.astype(MACHINE_DTYPE, copy=False)
 
 
+#: Label-pair metadata: ``(base, {(machine_lo, machine_hi): sorted keys})``.
+PackedLabelPairs = Tuple[int, Dict[Tuple[int, int], np.ndarray]]
+
+
 def pack_label_pairs(
-    label_u: np.ndarray,
-    label_v: np.ndarray,
-    machine_u: np.ndarray,
-    machine_v: np.ndarray,
+    label_ids: np.ndarray,
+    machines: np.ndarray,
+    source_rows: np.ndarray,
+    target_rows: np.ndarray,
     label_count: int,
     machine_count: int,
-) -> Tuple[int, Dict[Tuple[int, int], np.ndarray]]:
-    """Packed label-pair keys per machine pair, from edge-endpoint arrays.
+) -> PackedLabelPairs:
+    """Packed label-pair keys per machine pair, from edge-endpoint rows.
 
-    Each undirected edge is given once as the (label ID, machine) of both
-    endpoints, in either orientation.  Returns ``(base, {(machine_lo,
-    machine_hi): sorted packed keys})`` with each key ``label_lo * base +
-    label_hi`` and ``base = max(label_count, 1)``.  Fully vectorized: every
-    edge is reduced to a packed ``(machine pair, label pair)`` integer and
-    deduplicated in one pass.
+    Each undirected edge is given once, as the rows of its two endpoints in
+    the parallel ``label_ids`` / ``machines`` columns.  Only edges between
+    two machines count (the paper's cluster graph, Section 5.3, has no
+    self-loops), so ``machine_lo < machine_hi`` in every entry of the
+    returned :data:`PackedLabelPairs`; ``base = max(label_count, 1)`` and
+    each key is :func:`label_pair_keys`' ``label_lo * base + label_hi``.
     """
     machine_count = max(machine_count, 1)
     label_count = max(label_count, 1)
     pair_span = label_count * label_count
+    machine_u, machine_v = machines[source_rows], machines[target_rows]
+    label_u, label_v = label_ids[source_rows], label_ids[target_rows]
     # ((machine_lo * M + machine_hi) * L + label_lo) * L + label_hi, folded
     # into one int64 array so a million-edge load holds one wide temporary.
     packed = np.minimum(machine_u, machine_v).astype(np.int64)
@@ -92,15 +103,44 @@ def pack_label_pairs(
     label_keys = packed % pair_span
     pairs: Dict[Tuple[int, int], np.ndarray] = {}
     for machine_key in np.unique(machine_keys).tolist():
-        start, stop = np.searchsorted(machine_keys, [machine_key, machine_key + 1])
-        pair = (machine_key // machine_count, machine_key % machine_count)
-        pairs[pair] = label_keys[start:stop]
+        low, high = divmod(machine_key, machine_count)
+        if low < high:  # an edge inside one machine is no cluster-graph edge
+            start, stop = np.searchsorted(machine_keys, [machine_key, machine_key + 1])
+            pairs[low, high] = label_keys[start:stop]
     return label_count, pairs
+
+
+def label_pair_keys(label_a: np.ndarray, label_b: np.ndarray, base: int) -> np.ndarray:
+    """The packed key ``label_lo * base + label_hi`` of each label-ID pair:
+    what :func:`pack_label_pairs` stores and the cluster-graph probe seeks."""
+    keys = np.minimum(label_a, label_b).astype(np.int64)
+    keys *= base
+    keys += np.maximum(label_a, label_b)
+    return keys
+
+
+def merge_label_pairs(stored: PackedLabelPairs, fresh: PackedLabelPairs) -> PackedLabelPairs:
+    """The union of two packed label-pair sets, in ``fresh``'s base (the
+    label count, so ``stored`` is re-encoded when labels were added).  A
+    machine pair ``fresh`` adds no key to keeps ``stored``'s very array."""
+    stored_base, stored_pairs = stored
+    base, fresh_pairs = fresh
+    pairs = {
+        pair: keys if base == stored_base
+        else keys // stored_base * base + keys % stored_base
+        for pair, keys in stored_pairs.items()
+    }
+    for pair, keys in fresh_pairs.items():
+        held = pairs.get(pair, keys[:0])
+        unseen = keys[~membership_mask(held, keys)]
+        if len(unseen):
+            pairs[pair] = np.insert(held, np.searchsorted(held, unseen), unseen)
+    return base, pairs
 
 
 def cross_machine_label_pairs(
     graph: LabeledGraph, machine_of_row: np.ndarray, machine_count: int
-) -> Tuple[int, Dict[Tuple[int, int], np.ndarray]]:
+) -> PackedLabelPairs:
     """Label pairs connected by an edge, per (unordered) machine pair.
 
     The load-time metadata the paper builds the query-specific *cluster
@@ -110,6 +150,9 @@ def cross_machine_label_pairs(
     """
     node_ids = graph.node_id_array()
     label_ids = graph.label_id_array()
+    if machine_count < 2:  # no machine pair, so no edge is read
+        rows = np.empty(0, dtype=OFFSET_DTYPE)
+        return pack_label_pairs(label_ids, machine_of_row, rows, rows, len(graph.label_table), 1)
     neighbors = graph.neighbor_array()
     counts = np.diff(graph.offset_array())
     source_rows = np.repeat(np.arange(len(node_ids), dtype=OFFSET_DTYPE), counts)
@@ -127,12 +170,8 @@ def cross_machine_label_pairs(
     else:
         target_rows = np.searchsorted(node_ids, targets)
     return pack_label_pairs(
-        label_ids[source_rows],
-        label_ids[target_rows],
-        machine_of_row[source_rows],
-        machine_of_row[target_rows],
-        len(graph.label_table),
-        machine_count,
+        label_ids, machine_of_row, source_rows, target_rows,
+        len(graph.label_table), machine_count,
     )
 
 

@@ -4,9 +4,10 @@ The cloud exposes its image (:meth:`MemoryCloud.columns
 <repro.cloud.cluster.MemoryCloud.columns>` plus a little plain metadata);
 this module persists it.  A snapshot stores the image once, under the
 names :func:`~repro.cloud.cluster.column_names` lists, plus the packed
-``labelpairs/{a}_{b}`` keys, which the planner needs at open and which
-would cost a pass over the graph to derive.  It stores no global CSR: each
-adjacency list lives in its owner's partition only.
+``labelpairs/{a}_{b}`` keys of every machine pair ``a < b``, which the
+planner needs at open and which would cost a pass over the graph to
+derive.  It stores no global CSR: each adjacency list lives in its owner's
+partition only.
 
 Every reader opens a snapshot one way (:func:`_open_image`): attach the
 image's columns as read-only ``np.memmap`` views, in their stored shape,
@@ -23,7 +24,6 @@ are the public spellings of the save and the open here.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Sequence, Tuple
 
@@ -34,7 +34,9 @@ from repro.cloud.config import ClusterConfig
 from repro.graph.label_table import LabelTable
 from repro.graph.labeled_graph import NODE_DTYPE, OFFSET_DTYPE, LabeledGraph
 from repro.graph.partition import (
+    PackedLabelPairs,
     cross_machine_label_pairs,
+    merge_label_pairs,
     pack_label_pairs,
     partitioner_from_name,
     partitioner_name,
@@ -55,7 +57,6 @@ from repro.storage.snapshot import (
     read_manifest,
     write_snapshot,
 )
-from repro.utils.arrays import membership_mask
 
 
 def cluster_config_from_manifest(manifest: SnapshotManifest) -> ClusterConfig:
@@ -67,7 +68,6 @@ def cluster_config_from_manifest(manifest: SnapshotManifest) -> ClusterConfig:
     return ClusterConfig(
         machine_count=manifest.machine_count,
         partitioner=partitioner_from_name(manifest.cloud.get("partitioner", "hash")),
-        track_label_pairs=bool(manifest.cloud.get("track_label_pairs", True)),
     )
 
 
@@ -127,17 +127,15 @@ def save_cloud_snapshot(
     arrays = cloud.columns()
     # The label-pair keys are derived from the image but stored with it:
     # the planner needs them at open, and deriving them costs O(graph).
-    label_pair_base, label_pairs = cloud.packed_label_pairs()
-    label_pair_keys = []
-    for (low, high), packed in sorted(label_pairs.items()):
-        arrays[f"labelpairs/{low}_{high}"] = packed
-        label_pair_keys.append([int(low), int(high)])
+    base, label_pairs = cloud.packed_label_pairs()
+    pairs = sorted(label_pairs)
+    for low, high in pairs:
+        arrays[f"labelpairs/{low}_{high}"] = label_pairs[low, high]
     cloud_meta = {
         "machine_count": cloud.machine_count,
         "partitioner": partitioner_name(cloud.config.partitioner),
-        "track_label_pairs": cloud.config.track_label_pairs,
-        "label_pair_base": int(label_pair_base),
-        "label_pairs": label_pair_keys,
+        "label_pair_base": int(base),
+        "label_pairs": [[int(low), int(high)] for low, high in pairs],
     }
     return write_snapshot(
         directory,
@@ -155,44 +153,31 @@ def _open_image(
     manifest: SnapshotManifest,
     records: Sequence[DeltaRecord],
     config: ClusterConfig,
+    *,
+    with_label_pairs: bool = True,
 ) -> Tuple[Dict[str, np.ndarray], dict]:
     """Attach ``manifest``'s image in its stored shape and merge ``records``.
 
     The one way every reader opens a snapshot.  Returns the columns and the
     rest of :meth:`MemoryCloud._install`'s keywords.  ``config`` places the
-    nodes the log adds (its partitioner) and says whether label pairs are
-    wanted (its ``track_label_pairs``); its machine count is not consulted.
+    nodes the log adds (its partitioner); its machine count is not
+    consulted.  A graph reader passes ``with_label_pairs=False``: it gets
+    no label-pair keys, and none are attached or derived for it.
     """
-    columns, handles = manifest.attach_image()
-    label_pairs: Dict[Tuple[int, int], np.ndarray] = {}
-    if config.track_label_pairs:
-        label_pairs, pair_handles = attach_columns(
-            {
-                (int(low), int(high)): manifest.spec(f"labelpairs/{low}_{high}")
-                for low, high in manifest.cloud.get("label_pairs", ())
-            }
-        )
-        handles += pair_handles
+    columns = manifest.attach_image()
     label_table = LabelTable(manifest.labels)
     edge_count = manifest.edge_count
-    packed_pairs = (int(manifest.cloud.get("label_pair_base", 1)), label_pairs)
+    delta = None
     if records:
-        columns, label_table, edge_count, packed_pairs = _overlay(
-            config, manifest, records, columns, packed_pairs
+        columns, delta, edge_count = _overlay(config, manifest, records, columns)
+        label_table = delta.label_table
+    id_map = covering_id_map(manifest, columns["graph/node_ids"])
+    state = dict(label_table=label_table, edge_count=edge_count, id_map=id_map)
+    if with_label_pairs:
+        state["label_pairs"] = _image_label_pairs(
+            manifest, delta, columns, label_table, edge_count
         )
-    elif config.track_label_pairs and not manifest.cloud.get("track_label_pairs", True):
-        # Installing the (absent) stored keys would tell the planner that no
-        # label pair crosses machines, and it would prune every load set.
-        packed_pairs = _derived_label_pairs(
-            columns, manifest.machine_count, label_table, edge_count
-        )
-    return columns, dict(
-        label_table=label_table,
-        edge_count=edge_count,
-        id_map=covering_id_map(manifest, columns["graph/node_ids"]),
-        label_pairs=packed_pairs,
-        backing=handles,
-    )
+    return columns, state
 
 
 def parsed_snapshot_graph(
@@ -201,8 +186,10 @@ def parsed_snapshot_graph(
     """The graph of an already-parsed snapshot, ``records`` merged in: the
     image opened in its stored shape (:func:`_open_image`), then
     :func:`image_graph`."""
-    config = replace(cluster_config_from_manifest(manifest), track_label_pairs=False)
-    columns, state = _open_image(manifest, records, config)
+    columns, state = _open_image(
+        manifest, records, cluster_config_from_manifest(manifest),
+        with_label_pairs=False,
+    )
     graph = image_graph(
         columns, manifest.machine_count, state["label_table"], state["edge_count"]
     )
@@ -239,12 +226,11 @@ def _overlay(
     manifest: SnapshotManifest,
     records: Sequence[DeltaRecord],
     columns: Dict[str, np.ndarray],
-    packed_pairs: Tuple[int, Dict[Tuple[int, int], np.ndarray]],
-) -> Tuple[Dict[str, np.ndarray], LabelTable, int, Tuple[int, Dict]]:
+) -> Tuple[Dict[str, np.ndarray], NormalizedLog, int]:
     """Splice pending ``records`` into the attached image of ``manifest``.
 
-    Returns the merged ``(columns, label table, edge count, packed label
-    pairs)``.  Costs the log plus one block copy of each column the log
+    Returns the merged columns, the normalized log and the merged edge
+    count.  Costs the log plus one block copy of each column the log
     changes; every other column stays the ``np.memmap`` view it was
     attached as:
 
@@ -256,7 +242,6 @@ def _overlay(
     * Each machine's partition takes the node records it owns and the
       half-edges leaving its nodes through :func:`splice_csr`, so a machine
       no record touches keeps all four of its columns file-backed.
-    * Label pairs: see :func:`_overlay_label_pairs`.
     """
     machine_count = manifest.machine_count
     delta = normalize_records(
@@ -293,76 +278,58 @@ def _overlay(
         columns.update(zip(names, partition))
         added += added_here
     # The stored CSR is symmetric, so new half-edges come in mirrored pairs.
-    edge_count = manifest.edge_count + added // 2
-
-    label_pairs: Tuple[int, Dict] = (1, {})
-    if config.track_label_pairs:
-        label_pairs = _overlay_label_pairs(
-            manifest, delta, columns, edge_count, packed_pairs
-        )
-    return columns, delta.label_table, edge_count, label_pairs
+    return columns, delta, manifest.edge_count + added // 2
 
 
-def _derived_label_pairs(
+def _image_label_pairs(
+    manifest: SnapshotManifest,
+    delta: NormalizedLog | None,
     columns: Dict[str, np.ndarray],
-    machine_count: int,
     label_table: LabelTable,
     edge_count: int,
-) -> Tuple[int, Dict[Tuple[int, int], np.ndarray]]:
-    """Packed label pairs re-derived from an image's partitions: O(graph)."""
-    return cross_machine_label_pairs(
-        image_graph(columns, machine_count, label_table, edge_count),
-        columns["assignment/machines"],
-        machine_count,
-    )
-
-
-def _overlay_label_pairs(
-    manifest: SnapshotManifest,
-    delta: NormalizedLog,
-    columns: Dict[str, np.ndarray],
-    edge_count: int,
-    packed_pairs: Tuple[int, Dict[Tuple[int, int], np.ndarray]],
-) -> Tuple[int, Dict[Tuple[int, int], np.ndarray]]:
-    """The merged image's packed label pairs, derived from the log alone.
+) -> PackedLabelPairs:
+    """The opened image's packed label pairs; ``delta`` is the merged log.
 
     Nodes keep their machine and (unless relabelled) their label, so every
-    stored key stays true: the result is the stored keys — re-encoded when
-    the log interned a label, because the packing base is the label count —
-    united with the keys of the log's edges; a machine pair the log adds
-    nothing to keeps its file-backed array.  Only a relabelled node can make
-    a stored key vanish; then, and when the snapshot stored no keys at all
-    (it was saved without tracking), they are re-derived from the merged
-    partitions, which is the one O(graph) step an overlay can take.
+    stored key of a machine pair ``a < b`` stays true (an older writer's
+    ``a_a`` arrays are never attached): the result is those keys united
+    with the log's (:func:`merge_label_pairs`).  After a relabel, and for a
+    snapshot an older writer saved with ``"track_label_pairs": false``, the
+    keys are re-derived from the merged partitions, the one O(graph) step
+    an open can take; a one-machine image has none to derive.
     """
     machine_count = manifest.machine_count
-    node_ids, label_ids = columns["graph/node_ids"], columns["graph/label_ids"]
-    machines = columns["assignment/machines"]
-    if not delta.is_new.all() or not manifest.cloud.get("track_label_pairs", True):
-        return _derived_label_pairs(
-            columns, machine_count, delta.label_table, edge_count
+    if (
+        machine_count == 1
+        or not manifest.cloud.get("track_label_pairs", True)
+        or (delta is not None and not delta.is_new.all())
+    ):
+        return cross_machine_label_pairs(
+            image_graph(columns, machine_count, label_table, edge_count),
+            columns["assignment/machines"],
+            machine_count,
         )
-
-    forward = delta.sources < delta.targets
-    source_rows = np.searchsorted(node_ids, delta.sources[forward])
-    target_rows = np.searchsorted(node_ids, delta.targets[forward])
-    base, fresh_pairs = pack_label_pairs(
-        label_ids[source_rows], label_ids[target_rows],
-        machines[source_rows], machines[target_rows],
-        len(delta.label_table), machine_count,
+    stored = (
+        int(manifest.cloud.get("label_pair_base", 1)),
+        attach_columns(
+            {
+                (low, high): manifest.spec(f"labelpairs/{low}_{high}")
+                for low, high in manifest.cloud.get("label_pairs", ())
+                if low < high
+            }
+        ),
     )
-    stored_base, stored_pairs = packed_pairs
-    pairs = {
-        pair: keys if base == stored_base
-        else keys // stored_base * base + keys % stored_base
-        for pair, keys in stored_pairs.items()
-    }
-    for pair, keys in fresh_pairs.items():
-        held = pairs.get(pair, keys[:0])
-        unseen = keys[~membership_mask(held, keys)]
-        if len(unseen):
-            pairs[pair] = np.insert(held, np.searchsorted(held, unseen), unseen)
-    return base, pairs
+    if delta is None:
+        return stored
+    node_ids = columns["graph/node_ids"]
+    forward = delta.sources < delta.targets
+    fresh = pack_label_pairs(
+        columns["graph/label_ids"], columns["assignment/machines"],
+        np.searchsorted(node_ids, delta.sources[forward]),
+        np.searchsorted(node_ids, delta.targets[forward]),
+        len(label_table), machine_count,
+    )
+    return merge_label_pairs(stored, fresh)
 
 
 def open_cloud_snapshot(

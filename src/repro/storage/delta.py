@@ -69,11 +69,16 @@ class DeltaRecord:
         """The record's serialized log line (no newline).
 
         Raises:
-            StorageError: for a node label the line grammar cannot read
-                back — empty, padded with whitespace, or holding a tab,
-                CR or LF.
+            StorageError: for a self-loop edge, which no merge accepts, or
+                a node label the line grammar cannot read back — empty,
+                padded with whitespace, or holding a tab, CR or LF.
         """
         if self.op == "edge":
+            if self.node_id == self.other:
+                raise StorageError(
+                    f"edge {self.node_id}-{self.other}: a self-loop cannot be "
+                    "written to a delta log"
+                )
             return f"edge\t{self.node_id}\t{self.other}"
         label = self.label
         if not label or label != label.strip() or any(c in label for c in "\t\r\n"):

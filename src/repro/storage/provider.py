@@ -2,10 +2,9 @@
 
 An :class:`MmapArraySpec` describes one array inside a snapshot's data
 file (path + offset + shape + dtype), as :class:`MmapColumnWriter` wrote
-it.  :func:`attach_spec` maps it back as a read-only ``np.memmap`` view plus
-a handle that must stay referenced (and eventually closed) while the view
-is alive, so the array outlives the process and a reopen touches no bytes
-until they are faulted in.
+it.  :func:`attach_spec` maps it back as a read-only ``np.memmap`` view, so
+the array outlives the process and a reopen touches no bytes until they
+are faulted in.
 """
 
 from __future__ import annotations
@@ -47,57 +46,25 @@ class MmapArraySpec:
         return int(np.prod(self.shape, dtype=np.int64)) * np.dtype(self.dtype).itemsize
 
 
-class _ClosedHandle:
-    """No-op attach handle for empty arrays (nothing is mapped)."""
+def attach_spec(spec: MmapArraySpec) -> np.ndarray:
+    """Attach ``spec`` as a read-only ``np.memmap`` view.
 
-    def close(self) -> None:
-        """Nothing to release."""
-
-
-class _MmapHandle:
-    """Attach handle keeping one ``np.memmap``'s mapping alive.
-
-    The view is valid while the handle is open, and :meth:`close` releases
-    the mapping (views must not be dereferenced afterwards).
-    """
-
-    def __init__(self, mapped: np.memmap) -> None:
-        self._mapped = mapped
-
-    def close(self) -> None:
-        mapped, self._mapped = self._mapped, None
-        if mapped is not None and mapped._mmap is not None:
-            mapped._mmap.close()
-
-
-def attach_spec(spec: MmapArraySpec):
-    """Attach ``spec`` read-only, returning ``(handle, view)``.
-
-    The handle must stay referenced while the view is used and exposes an
-    idempotent ``close()``.
+    The view owns its mapping: it stays valid for as long as it (or an
+    array derived from it) is referenced, and is unmapped when collected.
+    An empty array maps nothing and comes back as a plain empty array.
     """
     shape = tuple(spec.shape)
     if int(np.prod(shape, dtype=np.int64)) == 0:
-        return _ClosedHandle(), np.empty(shape, dtype=np.dtype(spec.dtype))
-    view = np.memmap(
+        return np.empty(shape, dtype=np.dtype(spec.dtype))
+    return np.memmap(
         spec.path, dtype=np.dtype(spec.dtype), mode="r",
         offset=spec.offset, shape=shape,
     )
-    return _MmapHandle(view), view
 
 
-def attach_columns(specs: Mapping) -> Tuple[Dict, List]:
-    """Attach a ``{key: spec}`` map, returning ``({key: view}, handles)``.
-
-    The handles keep the views mapped; whoever adopts the views keeps the
-    list referenced for as long as it uses them.
-    """
-    views: Dict = {}
-    handles: List = []
-    for key, spec in specs.items():
-        handle, views[key] = attach_spec(spec)
-        handles.append(handle)
-    return views, handles
+def attach_columns(specs: Mapping) -> Dict:
+    """Attach a ``{key: spec}`` map, returning ``{key: view}``."""
+    return {key: attach_spec(spec) for key, spec in specs.items()}
 
 
 class MmapColumnWriter:
@@ -158,8 +125,5 @@ class MmapColumnWriter:
 
 def verify_checksum(spec: MmapArraySpec, expected: int) -> bool:
     """Re-read one mmap array and compare its CRC32 against ``expected``."""
-    handle, view = attach_spec(spec)
-    try:
-        return zlib.crc32(np.ascontiguousarray(view).tobytes()) == expected
-    finally:
-        handle.close()
+    view = attach_spec(spec)
+    return zlib.crc32(np.ascontiguousarray(view).tobytes()) == expected

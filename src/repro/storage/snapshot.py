@@ -21,13 +21,14 @@ image exactly as it lives in RAM:
 
 Arrays are named as the image's columns
 (:func:`~repro.cloud.cluster.column_names`), plus ``labelpairs/{a}_{b}``
-(packed cross-machine label-pair keys).  Version 1 snapshots also stored a
-global ``graph/offsets|neighbors`` copy and an ``assignment/ids`` alias;
-readers ignore both.  A directory of the retired graph-only kind (the four
-``graph/*`` CSR columns, no cloud section) is read at parse as a
-one-machine image: its CSR is ``machine0/*``, and its all-zero partition
-map is built in RAM (:attr:`SnapshotManifest.resident`).  Nothing after
-the parse tells the two apart.
+(packed label-pair keys of the edges between machines ``a < b``; the
+``a_a`` arrays an older writer also stored are never attached).  Version 1
+snapshots also stored a global ``graph/offsets|neighbors`` copy and an
+``assignment/ids`` alias; readers ignore both.  A directory of the retired
+graph-only kind (the four ``graph/*`` CSR columns, no cloud section) is
+read at parse as a one-machine image: its CSR is ``machine0/*``, and its
+all-zero partition map is built in RAM (:attr:`SnapshotManifest.resident`).
+Nothing after the parse tells the two apart.
 
 Both writes (``columns.bin`` then ``manifest.json``) go through temporary
 files and ``os.replace``, so a crashed save or compaction never leaves a
@@ -68,8 +69,8 @@ MANIFEST_NAME = "manifest.json"
 DATA_NAME = "columns.bin"
 DELTA_LOG_NAME = "deltas.log"
 
-#: The cloud section a graph-only manifest is read with (no label-pair keys).
-GRAPH_ONLY_CLOUD = {"machine_count": 1, "partitioner": "hash", "track_label_pairs": False}
+#: The cloud section a graph-only manifest is read with (one machine: no keys).
+GRAPH_ONLY_CLOUD = {"machine_count": 1, "partitioner": "hash"}
 
 
 @dataclass
@@ -114,16 +115,16 @@ class SnapshotManifest:
             raise StorageError(f"snapshot {self.directory} has no array {name!r}")
         return spec
 
-    def attach(self, name: str):
-        """Attach array ``name``, returning ``(handle, view)``."""
+    def attach(self, name: str) -> np.ndarray:
+        """Attach array ``name`` as a read-only view."""
         return attach_spec(self.spec(name))
 
-    def attach_image(self) -> Tuple[Dict[str, np.ndarray], List]:
-        """Attach every image column as a read-only view: ``(views, handles)``.
+    def attach_image(self) -> Dict[str, np.ndarray]:
+        """Attach every image column as a read-only view.
 
         The :attr:`resident` columns are the in-RAM arrays themselves.
         """
-        views, handles = attach_columns(
+        views = attach_columns(
             {
                 name: self.spec(name)
                 for name in column_names(self.machine_count)
@@ -131,7 +132,7 @@ class SnapshotManifest:
             }
         )
         views.update(self.resident)
-        return views, handles
+        return views
 
     @property
     def machine_count(self) -> int:
@@ -167,14 +168,7 @@ class SnapshotManifest:
             return None
         from repro.ingest.idmap import IdMap
 
-        def attach_copy(name: str) -> np.ndarray:
-            handle, view = self.attach(name)
-            try:
-                return np.array(view)
-            finally:
-                handle.close()
-
-        return IdMap.from_manifest(self.id_map, attach_copy)
+        return IdMap.from_manifest(self.id_map, lambda name: np.array(self.attach(name)))
 
 
 def covering_id_map(manifest: SnapshotManifest, node_ids: np.ndarray):

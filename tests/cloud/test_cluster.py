@@ -9,7 +9,7 @@ from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import ClusterConfig
 from repro.errors import CloudError, ConfigurationError
 from repro.graph.labeled_graph import LabeledGraph
-from repro.graph.partition import RoundRobinPartitioner
+from repro.graph.partition import BlockPartitioner, RoundRobinPartitioner
 
 
 @pytest.fixture
@@ -95,19 +95,30 @@ class TestTrinityOperators:
 
 class TestMetadata:
     def test_label_pairs_between_machines(self, cloud, small_graph):
-        # Every cross-machine edge's label pair must be recorded.
-        for u, v in small_graph.edges():
-            mu, mv = cloud.owner_of(u), cloud.owner_of(v)
-            pairs = cloud.label_pairs_between(mu, mv)
-            assert frozenset((small_graph.label(u), small_graph.label(v))) in pairs
+        # Every cross-machine edge's label pair is recorded, and no pair of
+        # a machine with itself is (blocks put edges inside a machine).
+        blocks = MemoryCloud.from_graph(
+            small_graph, ClusterConfig(machine_count=2, partitioner=BlockPartitioner())
+        )
+        for each in (cloud, blocks):
+            for u, v in small_graph.edges():
+                mu, mv = each.owner_of(u), each.owner_of(v)
+                pair = {frozenset((small_graph.label(u), small_graph.label(v)))}
+                assert each.machines_share_label_pairs(mu, mv, pair) == (mu != mv)
+            _base, pairs = each.packed_label_pairs()
+            assert pairs and all(low < high for low, high in pairs)
 
     def test_label_pairs_symmetric(self, cloud):
-        assert cloud.label_pairs_between(0, 1) == cloud.label_pairs_between(1, 0)
+        everything = {frozenset((a, b)) for a in "abc" for b in "abc"}
+        for a in range(3):
+            for b in range(3):
+                assert cloud.machines_share_label_pairs(a, b, everything) == (
+                    cloud.machines_share_label_pairs(b, a, everything)
+                ) == (a != b)
 
-    def test_label_pairs_disabled(self, small_graph):
-        config = ClusterConfig(machine_count=2, track_label_pairs=False)
-        cloud = MemoryCloud.from_graph(small_graph, config)
-        assert cloud.label_pairs_between(0, 1) == set()
+    def test_one_machine_derives_no_keys(self, small_graph):
+        cloud = MemoryCloud.from_graph(small_graph, ClusterConfig(machine_count=1))
+        assert cloud.packed_label_pairs() == (3, {})
 
     def test_global_label_frequencies(self, cloud, small_graph):
         assert cloud.global_label_frequencies() == small_graph.label_frequencies()

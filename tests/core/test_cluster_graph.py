@@ -48,10 +48,16 @@ class TestBuildClusterGraph:
         # a-b data edge appear in the cluster graph.
         query = QueryGraph({"x": "a", "y": "b"}, [("x", "y")])
         adjacency = build_cluster_graph(striped_cloud, query)
-        for machine, neighbors in adjacency.items():
-            for neighbor in neighbors:
-                pairs = striped_cloud.label_pairs_between(machine, neighbor)
-                assert frozenset(("a", "b")) in pairs
+        base, packed = striped_cloud.packed_label_pairs()
+        a, b = sorted(striped_cloud.label_table.id_of(label) for label in "ab")
+        crossing = {pair for pair, keys in packed.items() if a * base + b in keys}
+        assert crossing
+        assert {
+            (machine, neighbor)
+            for machine, neighbors in adjacency.items()
+            for neighbor in neighbors
+            if machine < neighbor
+        } == crossing
 
     def test_irrelevant_query_gives_empty_graph(self, striped_cloud):
         query = QueryGraph({"x": "zz", "y": "ww"}, [("x", "y")])

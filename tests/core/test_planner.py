@@ -86,17 +86,6 @@ class TestConfigKnobs:
         validate_cover(query, plan.stwigs)
         assert all(len(stwig.leaves) <= 2 for stwig in plan.stwigs)
 
-    def test_label_pair_tracking_disabled_falls_back_to_full_sets(self, query):
-        config = ClusterConfig(machine_count=3, track_label_pairs=False)
-        cloud = MemoryCloud.from_graph(paper_figure5_graph(), config)
-        plan = QueryPlanner(cloud).plan(query)
-        for machine in range(3):
-            for index in range(len(plan.stwigs)):
-                if index != plan.head_index:
-                    assert plan.load_set(machine, index) == frozenset(
-                        set(range(3)) - {machine}
-                    )
-
 
 class TestQueryFingerprint:
     def test_insensitive_to_construction_order(self):

@@ -28,6 +28,9 @@ source for those fixtures:
   ``np.memmap`` views of a snapshot file (the rest live in RAM);
 * :func:`write_graph_only_snapshot` — a snapshot directory of the retired
   graph-only kind, as its writer laid it out;
+* :func:`write_older_cloud_snapshot` — a cloud snapshot as the writer that
+  kept a ``track_label_pairs`` flag laid it out: with ``labelpairs/i_i``
+  arrays, or (untracked) with no keys at all;
 * :func:`bound_set` — a query node's binding array as a set, for
   assertions that do not care about order;
 * :func:`oracle_replay` — delta-log replay by rebuilding the whole graph
@@ -78,7 +81,7 @@ from repro.graph.stats import GenerationReport, attach_generation_report
 from repro.query.generators import dfs_query, random_query_from_graph
 from repro.query.query_graph import QueryGraph
 from repro.storage.provider import MmapColumnWriter
-from repro.storage.snapshot import SNAPSHOT_FORMAT
+from repro.storage.snapshot import SNAPSHOT_FORMAT, write_snapshot
 from repro.utils.rng import ensure_rng
 
 # -- match-set comparison --------------------------------------------------
@@ -167,6 +170,55 @@ def write_graph_only_snapshot(graph: LabeledGraph, directory):
         "data_file": "columns.bin", "arrays": entries,
     }
     (directory / "manifest.json").write_text(json.dumps(doc))
+    return directory
+
+
+def write_older_cloud_snapshot(
+    graph: LabeledGraph, directory, machine_count: int, *, track_label_pairs: bool = True
+):
+    """``graph`` on ``machine_count`` hash-placed machines, saved as the
+    writer that kept a ``track_label_pairs`` flag laid it out.
+
+    Tracked, it stored the keys of every machine pair ``i <= j``: the
+    ``labelpairs/i_i`` arrays hold each machine's own edges' label pairs.
+    Untracked, it stored no keys and a base of 1.  Either way the image
+    columns are the ones a cloud saves today.
+    """
+    cloud = MemoryCloud.from_graph(graph, ClusterConfig(machine_count=machine_count))
+    arrays = cloud.columns()
+    base, pairs = cloud.packed_label_pairs() if track_label_pairs else (1, {})
+    if track_label_pairs:
+        sources = np.repeat(graph.node_id_array(), np.diff(graph.offset_array()))
+        targets = graph.neighbor_array()
+        owners = cloud.owners_of_array(sources)
+        same = owners == cloud.owners_of_array(targets)
+        label_ids = graph.label_id_array()
+        source_labels = label_ids[np.searchsorted(graph.node_id_array(), sources)]
+        target_labels = label_ids[np.searchsorted(graph.node_id_array(), targets)]
+        for machine in range(machine_count):
+            mine = same & (owners == machine)
+            low = np.minimum(source_labels[mine], target_labels[mine]).astype(np.int64)
+            high = np.maximum(source_labels[mine], target_labels[mine])
+            keys = np.unique(low * base + high)
+            if len(keys):
+                pairs[(machine, machine)] = keys
+    for (low, high), keys in sorted(pairs.items()):
+        arrays[f"labelpairs/{low}_{high}"] = keys
+    write_snapshot(
+        directory,
+        arrays,
+        node_count=cloud.node_count,
+        edge_count=cloud.edge_count,
+        labels=cloud.label_table.labels(),
+        cloud={
+            "machine_count": machine_count,
+            "partitioner": "hash",
+            "track_label_pairs": track_label_pairs,
+            "label_pair_base": base,
+            "label_pairs": [list(pair) for pair in sorted(pairs)],
+        },
+        id_map=cloud.id_map,
+    )
     return directory
 
 

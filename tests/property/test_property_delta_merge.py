@@ -233,7 +233,12 @@ class TestCloudOverlay:
             MemoryCloud.from_graph(
                 base, ClusterConfig(machine_count=machine_count, partitioner=partitioner)
             ).save_snapshot(snapshot)
-            DeltaLog(snapshot).append(records)
+            # Written line by line: DeltaLog.append refuses a self-loop, but
+            # an older writer or a hand edit can still leave one in a log.
+            DeltaLog(snapshot).path.write_text(
+                "".join(f"{record.op}\t{record.node_id}\t{record.label or record.other}\n"
+                        for record in records)
+            )
             for reader in (MemoryCloud.open_snapshot, open_graph_snapshot):
                 with pytest.raises(StorageError) as overlay_error:
                     reader(snapshot)

@@ -27,6 +27,7 @@ from tests.helpers import (
     memmapped_columns,
     oracle_replay,
     write_graph_only_snapshot,
+    write_older_cloud_snapshot,
 )
 
 #: Every image column of the fixture cloud (3 machines).
@@ -76,11 +77,13 @@ class TestCloudRoundTrip:
     def test_label_pair_metadata_survives(self, tmp_path, cloud):
         cloud.save_snapshot(tmp_path / "snap")
         reopened = MemoryCloud.open_snapshot(tmp_path / "snap")
-        for a in range(3):
-            for b in range(3):
-                assert reopened.label_pairs_between(a, b) == (
-                    cloud.label_pairs_between(a, b)
-                )
+        base, pairs = cloud.packed_label_pairs()
+        reopened_base, reopened_pairs = reopened.packed_label_pairs()
+        assert reopened_base == base
+        assert sorted(reopened_pairs) == sorted(pairs) == [(0, 1), (0, 2), (1, 2)]
+        for pair, keys in pairs.items():
+            assert isinstance(reopened_pairs[pair], np.memmap)
+            assert np.array_equal(reopened_pairs[pair], keys)
 
     def test_partitioner_recorded_and_restored(self, tmp_path, graph):
         config = ClusterConfig(machine_count=2, partitioner=RoundRobinPartitioner())
@@ -101,23 +104,23 @@ class TestCloudRoundTrip:
 
 
 #: The on-disk vocabulary of a 3-machine cloud snapshot of the fixture
-#: graph, format version 2: the image once, then the label-pair keys.
-#: ``MemoryCloud.columns()`` keys on the same names; a change here means
-#: older snapshots stop reopening on the fast path.
+#: graph, format version 2: the image once, then the label-pair keys of
+#: each machine pair i < j.  ``MemoryCloud.columns()`` keys on the same
+#: names; a change here means older snapshots stop reopening on the fast
+#: path.  (An older writer also stored ``labelpairs/i_i`` and a
+#: ``track_label_pairs`` flag; ``TestFormatPin`` opens that layout too.)
 PINNED_ARRAY_NAMES = [
     "graph/node_ids", "graph/label_ids", "assignment/machines",
     "machine0/node_ids", "machine0/label_ids", "machine0/offsets", "machine0/neighbors",
     "machine1/node_ids", "machine1/label_ids", "machine1/offsets", "machine1/neighbors",
     "machine2/node_ids", "machine2/label_ids", "machine2/offsets", "machine2/neighbors",
-    "labelpairs/0_0", "labelpairs/0_1", "labelpairs/0_2",
-    "labelpairs/1_1", "labelpairs/1_2", "labelpairs/2_2",
+    "labelpairs/0_1", "labelpairs/0_2", "labelpairs/1_2",
 ]
 PINNED_CLOUD_SECTION = {
     "machine_count": 3,
     "partitioner": "hash",
-    "track_label_pairs": True,
     "label_pair_base": 4,
-    "label_pairs": [[0, 0], [0, 1], [0, 2], [1, 1], [1, 2], [2, 2]],
+    "label_pairs": [[0, 1], [0, 2], [1, 2]],
 }
 PINNED_MANIFEST_KEYS = {
     "format", "version", "generation", "created_unix", "node_count",
@@ -144,6 +147,17 @@ class TestFormatPin:
         assert memmapped_columns(reopened) == set(reopened.columns()) == {
             name for name in PINNED_ARRAY_NAMES if not name.startswith("labelpairs/")
         }
+
+    def test_older_layout_opens_on_the_fast_path(self, tmp_path, cloud, graph):
+        """A snapshot with ``labelpairs/i_i`` arrays and a ``track_label_pairs``
+        flag opens file-backed as the same image, its ``i_i`` keys unread."""
+        directory = write_older_cloud_snapshot(graph, tmp_path / "snap", 3)
+        doc = read_manifest(directory)
+        assert doc.cloud["track_label_pairs"] is True
+        assert [0, 0] in doc.cloud["label_pairs"] and "labelpairs/2_2" in doc.arrays
+        with MemoryCloud.open_snapshot(directory) as reopened:
+            assert memmapped_columns(reopened) == IMAGE
+            assert_same_image(reopened, cloud)
 
 
 class TestFallbackPaths:
@@ -284,10 +298,9 @@ class TestOverlayMerge:
             assert match_rows(overlay, query, "process") == serial
 
     def test_untracked_snapshot_opened_by_a_tracking_cloud(self, tmp_path, graph):
-        """No stored keys to extend: the pairs come from the merged partitions."""
-        MemoryCloud.from_graph(
-            graph, ClusterConfig(machine_count=3, track_label_pairs=False)
-        ).save_snapshot(tmp_path / "snap")
+        """An older writer's untracked snapshot stores no keys to extend: the
+        pairs come from the merged partitions."""
+        write_older_cloud_snapshot(graph, tmp_path / "snap", 3, track_label_pairs=False)
         DeltaLog(tmp_path / "snap").append_edges([(0, 79)])
         overlay = MemoryCloud.open_snapshot(
             tmp_path / "snap", ClusterConfig(machine_count=3)
@@ -303,22 +316,20 @@ class TestOverlayMerge:
     def test_untracked_snapshot_cleanly_opened_by_a_tracking_cloud(
         self, tmp_path, graph, cloud, executor
     ):
-        """The same mismatch with no log pending used to install *no* label
+        """The same snapshot with no log pending once installed *no* label
         pairs: the planner then saw a cluster graph without edges, pruned
         every load set and served a fraction of the rows, silently."""
-        tracking = ClusterConfig(machine_count=3)
+        config = ClusterConfig(machine_count=3)
         query = dfs_query(graph, 4, seed=2)
         expected = match_rows(cloud, query)
         assert len(expected) > 50
-        MemoryCloud.from_graph(
-            graph, ClusterConfig(machine_count=3, track_label_pairs=False)
-        ).save_snapshot(tmp_path / "snap")
-        with MemoryCloud.open_snapshot(tmp_path / "snap", tracking) as reopened:
+        write_older_cloud_snapshot(graph, tmp_path / "snap", 3, track_label_pairs=False)
+        with MemoryCloud.open_snapshot(tmp_path / "snap", config) as reopened:
             assert match_rows(reopened, query, executor) == expected
             assert memmapped_columns(reopened) == IMAGE  # still file-backed
             assert_same_image(reopened, cloud)
         with api.connect(
-            tmp_path / "snap", cluster_config=tracking, executor=executor
+            tmp_path / "snap", cluster_config=config, executor=executor
         ) as db:
             assert sorted(db.query(query).rows) == expected
         cloud.close()
@@ -492,7 +503,7 @@ def write_v1_snapshot(cloud, graph, directory):
         **columns,
     }
     for low, high in v2.cloud["label_pairs"]:
-        arrays[f"labelpairs/{low}_{high}"] = v2.attach(f"labelpairs/{low}_{high}")[1]
+        arrays[f"labelpairs/{low}_{high}"] = v2.attach(f"labelpairs/{low}_{high}")
     write_snapshot(
         directory, arrays, node_count=graph.node_count, edge_count=graph.edge_count,
         labels=graph.label_table.labels(), cloud=v2.cloud,
@@ -575,7 +586,7 @@ class TestGraphOnlySnapshots:
     """A directory of the retired graph-only kind reads as a one-machine image."""
 
     #: What such a directory opens as without ``machines=``.
-    ONE_MACHINE = ClusterConfig(machine_count=1, track_label_pairs=False)
+    ONE_MACHINE = ClusterConfig(machine_count=1)
 
     @pytest.fixture
     def legacy(self, tmp_path, graph):

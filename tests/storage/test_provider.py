@@ -21,31 +21,24 @@ class TestAttachDispatch:
         with MmapColumnWriter(tmp_path / "data.bin") as writer:
             spec = writer.publish(array)
         assert isinstance(spec, MmapArraySpec)
-        handle, view = attach_spec(spec)
-        try:
-            np.testing.assert_array_equal(view, array)
-            assert view.dtype == np.int32
-        finally:
-            handle.close()
+        view = attach_spec(spec)
+        assert isinstance(view, np.memmap)
+        np.testing.assert_array_equal(view, array)
+        assert view.dtype == np.int32
 
     def test_mmap_view_is_read_only(self, tmp_path):
         with MmapColumnWriter(tmp_path / "data.bin") as writer:
             spec = writer.publish(np.arange(4, dtype=np.int64))
-        handle, view = attach_spec(spec)
-        try:
-            with pytest.raises((ValueError, TypeError)):
-                view[0] = 99
-        finally:
-            handle.close()
+        view = attach_spec(spec)
+        with pytest.raises((ValueError, TypeError)):
+            view[0] = 99
 
     def test_empty_array_attaches_without_mapping(self, tmp_path):
         with MmapColumnWriter(tmp_path / "data.bin") as writer:
             spec = writer.publish(np.empty(0, dtype=np.int64))
-        handle, view = attach_spec(spec)
+        view = attach_spec(spec)
         assert view.shape == (0,)
         assert view.dtype == np.int64
-        handle.close()  # idempotent no-op handle
-        handle.close()
 
 
 class TestMmapProvider:
@@ -80,11 +73,7 @@ class TestMmapProvider:
         with MmapColumnWriter(path) as writer:
             spec = writer.publish(np.arange(5, dtype=np.int64))
         assert path.is_file()
-        handle, view = attach_spec(spec)
-        try:
-            np.testing.assert_array_equal(view, np.arange(5))
-        finally:
-            handle.close()
+        np.testing.assert_array_equal(attach_spec(spec), np.arange(5))
 
     def test_spec_nbytes(self):
         spec = MmapArraySpec(path="x", offset=0, shape=(3, 4), dtype="int64")

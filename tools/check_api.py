@@ -43,7 +43,12 @@ and the second copies of the image's facts (``PartitionAssignment`` and its
 ``memory_footprint_entries``), and the second and third ways to build a
 graph beside ``LabeledGraph.from_arrays`` (``GraphBuilder`` in
 ``graph.builder`` with its ``add_edges_array``, and ``from_csr`` /
-``_init_csr``, whose CSR adoption is now the constructor): the names are
+``_init_csr``, whose CSR adoption is now the constructor), and the label-pair
+knob and decoder with the attach handles (``track_label_pairs=`` /
+``config.track_label_pairs``, ``label_pairs_between`` and its
+``_label_pairs_cache``, ``_MmapHandle`` / ``_ClosedHandle`` and
+``_install``'s ``backing=``; the manifest key ``"track_label_pairs"`` stays
+legal, because the reader honours it in older snapshots): the names are
 gone from the API, and nothing in ``src/`` may bring them back.
 
 And it keeps the front door single (``FRONT_DOOR``): ``repro.api`` is the one
@@ -177,6 +182,13 @@ RETIRED_SPELLINGS = [
     "from_csr(",
     "_init_csr",
     "add_edges_array",
+    "track_label_pairs=",
+    "config.track_label_pairs",
+    "label_pairs_between",
+    "_label_pairs_cache",
+    "_MmapHandle",
+    "_ClosedHandle",
+    "backing=",
 ]
 
 #: Constructor spellings banned per file (glob under the repo root): a second
