@@ -12,8 +12,10 @@ Each fact of the loaded image has one owner.  The partition map is the
 ``assignment/machines`` column, placed once by the configured partitioner
 (:func:`~repro.graph.partition.place_nodes`); each :class:`Machine` holds
 its CSR partition and answers the local index calls over it; the cloud's
-per-node tags (label and owner in one integer) answer the cluster-wide
-probes.
+per-node columns answer the cluster-wide probes: one :class:`NodeIndex`
+over the sorted node IDs turns an ID into its position, and at that
+position sit the node's tag (label and owner in one integer) and its row in
+its owner's partition.
 
 Every call is issued *by* a machine (the ``requester``); when the requested
 cell lives on a different machine the access is charged to the
@@ -45,16 +47,11 @@ from repro.graph.partition import (
     label_pair_keys,
     place_nodes,
 )
-from repro.utils.arrays import (
-    dense_table_profitable,
-    dense_value_table,
-    membership_mask,
-    sorted_lookup,
-)
+from repro.utils.arrays import NodeIndex, membership_mask
 
 
 def _tag_dtype(tag_count: int) -> np.dtype:
-    """The smallest signed dtype holding tags ``0..tag_count - 1`` and -1."""
+    """The smallest signed dtype holding tags ``0..tag_count - 1``."""
     for dtype in (np.int8, np.int16, np.int32):
         if tag_count <= np.iinfo(dtype).max + 1:
             return np.dtype(dtype)
@@ -113,8 +110,9 @@ class MemoryCloud:
         self._load_generation = 0
         self._columns: Dict[str, np.ndarray] | None = None
         self._global_label_ids: np.ndarray | None = None
+        self._index = NodeIndex(np.empty(0, dtype=NODE_DTYPE))
         self._tags: np.ndarray | None = None
-        self._tag_ids: np.ndarray | None = None
+        self._rows: np.ndarray | None = None
         self._label_table: LabelTable | None = None
         self._graph_node_count = 0
         self._graph_edge_count = 0
@@ -218,22 +216,26 @@ class MemoryCloud:
                     for column in MACHINE_COLUMNS
                 )
             )
-        # One tag per node, label_id * machine_count + owner: a neighbor's
-        # label (for hasLabel) and owner (for charging the probe) come out
-        # of one gather.  Dense ID domains index the tags by node ID (-1 =
-        # no such node); sparse ones keep them parallel to the sorted IDs.
+        # The per-node columns, parallel to the sorted node IDs that
+        # _index resolves.  One tag per node, label_id * machine_count +
+        # owner: a neighbor's label (for hasLabel) and owner (for charging
+        # the probe) come out of one gather.  Each node's row in its
+        # owner's partition is its rank among that machine's nodes, in ID
+        # order; it is derived here and never persisted.
         node_ids = columns["graph/node_ids"]
         label_ids = self._global_label_ids = columns["graph/label_ids"]
+        machines = columns["assignment/machines"]
         machine_count = self.config.machine_count
+        self._index = NodeIndex(node_ids)
         dtype = _tag_dtype(len(label_table) * machine_count)
         tags = label_ids.astype(dtype)
         tags *= machine_count
-        tags += columns["assignment/machines"].astype(dtype, copy=False)
-        if dense_table_profitable(node_ids, probe_count=0):
-            self._tags = dense_value_table(node_ids, tags, dtype=dtype)
-            self._tag_ids = None
-        else:
-            self._tags, self._tag_ids = tags, node_ids
+        tags += machines.astype(dtype, copy=False)
+        self._tags = tags
+        self._rows = np.empty(len(node_ids), dtype=OFFSET_DTYPE)
+        for machine_id in range(machine_count):
+            local = machines == machine_id
+            self._rows[local] = np.arange(np.count_nonzero(local), dtype=OFFSET_DTYPE)
         self._label_table = label_table
         self._graph_node_count = len(node_ids)
         self._graph_edge_count = int(edge_count)
@@ -337,51 +339,36 @@ class MemoryCloud:
         count.  One load is charged per cell against ``owner``, with the
         same message/byte accounting as :meth:`load`.  The STwig matcher's
         root loads are local by construction, so the caller always knows
-        the owner; owner resolution was never charged.
+        the owner; owner resolution was never charged.  Each ID is resolved
+        once, its owner checked off its tag, and the machine handed its
+        partition rows.
 
         Raises:
+            CloudError: if ``owner`` is not a machine of the cluster.
             NodeNotFoundError: if any ID is not stored on ``owner``.
         """
-        neighbors, counts = self.machines[owner].load_rows(node_ids)
+        machine = self._machine(owner)
+        positions, found = self._index.find(node_ids)
+        if found.any():  # else the column may be empty: no tag to read
+            found &= self._tags[positions] % self.machine_count == owner
+        if not found.all():
+            missing = np.asarray(node_ids)[~found]
+            raise NodeNotFoundError(int(missing[0]), f"machine {owner}")
+        neighbors, counts = machine.load_rows(self._rows[positions])
         self.metrics.record_loads(
             requester, owner, len(node_ids), int(counts.sum())
         )
         return neighbors, counts
-
-    def batch_has_label(
-        self, node_ids: np.ndarray, label: str, requester: int
-    ) -> np.ndarray:
-        """Batched ``Index.hasLabel``: a boolean mask over ``node_ids``.
-
-        The metrics record one hasLabel probe per candidate, charged against
-        each candidate's owner machine exactly as if each had been probed
-        individually (:meth:`charge_label_probes`); only the Python call
-        overhead is batched away.
-
-        Raises:
-            PartitionError: if any ID is not a node of the loaded graph.
-        """
-        tags = self._tags_of(node_ids)
-        self.charge_label_probes(requester, self._owners_of_tags(node_ids, tags))
-        # A never-interned label (-1) matches nothing; comparing would match
-        # the absent IDs, whose -1 tags floor-divide to -1.
-        label_id = self._label_table.id_of(label)
-        if label_id < 0:
-            return np.zeros(len(tags), dtype=bool)
-        return tags // self.machine_count == label_id
 
     def labels_and_owners(self, node_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(label IDs, owners)`` of graph nodes, from one tag gather.
 
         The STwig matcher's probe path: every ID must be a node of the loaded
         graph — CSR neighbor lists are, by construction — so no domain check
-        runs.  Charges nothing; pair with :meth:`charge_label_probes`.
+        runs, and on a contiguous ID domain the IDs are the tag positions.
+        Charges nothing; pair with :meth:`charge_label_probes`.
         """
-        if self._tag_ids is None:
-            tags = self._tags[node_ids]
-        else:
-            tags = self._tags[np.searchsorted(self._tag_ids, node_ids)]
-        return np.divmod(tags, self.machine_count)
+        return np.divmod(self._tags[self._index.positions(node_ids)], self.machine_count)
 
     def charge_label_probes(self, requester: int, owners: np.ndarray) -> None:
         """Charge one hasLabel probe from ``requester`` per entry of ``owners``.
@@ -433,31 +420,14 @@ class MemoryCloud:
         Raises:
             PartitionError: if any ID is not a node of the loaded graph.
         """
-        return self._owners_of_tags(node_ids, self._tags_of(node_ids))
-
-    def _tags_of(self, node_ids: np.ndarray) -> np.ndarray:
-        """The tag of every ID in ``node_ids``; -1 for an ID that is no node."""
         if self._tags is None:
             raise CloudError("no graph has been loaded into the cloud")
         node_ids = np.asarray(node_ids, dtype=NODE_DTYPE)
-        if self._tag_ids is None:
-            within = (node_ids >= 0) & (node_ids < len(self._tags))
-            if within.all():
-                return self._tags[node_ids]
-            tags = np.full(len(node_ids), -1, dtype=self._tags.dtype)
-            tags[within] = self._tags[node_ids[within]]
-            return tags
-        positions, found = sorted_lookup(self._tag_ids, node_ids)
-        tags = np.full(len(node_ids), -1, dtype=self._tags.dtype)
-        tags[found] = self._tags[positions[found]]
-        return tags
-
-    def _owners_of_tags(self, node_ids: np.ndarray, tags: np.ndarray) -> np.ndarray:
-        absent = tags < 0
-        if absent.any():
-            missing = np.asarray(node_ids)[absent]
+        positions, found = self._index.find(node_ids)
+        if not found.all():
+            missing = node_ids[~found]
             raise PartitionError(f"node {int(missing[0])} has no machine assignment")
-        return tags % self.machine_count
+        return self._tags[positions] % self.machine_count
 
     def machines_share_label_pairs(
         self, machine_a: int, machine_b: int, label_pairs: Set[FrozenSet[str]]

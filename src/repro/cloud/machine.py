@@ -17,7 +17,10 @@ and one flat neighbor array).  :meth:`adopt_partition` is the only way in:
 it adopts the cloud installer's CSR columns without copying, and from then
 on the machine is read-only — graph updates go through the snapshot delta
 log and a reload, never through a per-cell write.  :meth:`neighbor_slice`
-returns a zero-copy view for the matcher's batched filtering.
+returns a zero-copy view for the per-node operators; :meth:`load_rows` is
+the batched path's CSR gather, over rows the cloud resolved.  A machine
+keeps no lookup table beyond its partition: the cloud's per-node columns
+are the only per-node lookup tables.
 """
 
 from __future__ import annotations
@@ -28,12 +31,6 @@ import numpy as np
 
 from repro.errors import NodeNotFoundError
 from repro.graph.label_table import NO_LABEL, LabelTable
-from repro.utils.arrays import (
-    dense_position_table,
-    dense_table_profitable,
-    sorted_lookup,
-    table_position_lookup,
-)
 from repro.graph.labeled_graph import (
     LABEL_DTYPE,
     NODE_DTYPE,
@@ -52,7 +49,6 @@ class Machine:
         self._label_ids = np.empty(0, dtype=LABEL_DTYPE)
         self._offsets = np.zeros(1, dtype=OFFSET_DTYPE)
         self._neighbors = np.empty(0, dtype=NODE_DTYPE)
-        self._dense_rows: np.ndarray | None = None
         self._by_label: Dict[int, np.ndarray] = {}
 
     # -- loading -----------------------------------------------------------
@@ -74,7 +70,6 @@ class Machine:
         self._label_ids = label_ids
         self._offsets = offsets
         self._neighbors = neighbors
-        self._dense_rows = None
         self._by_label = {}
 
     # -- local access ------------------------------------------------------
@@ -105,26 +100,15 @@ class Machine:
             raise NodeNotFoundError(node_id, f"machine {self.machine_id}")
         return self._neighbors[self._offsets[row] : self._offsets[row + 1]]
 
-    def load_rows(self, node_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched neighbor gather for many locally stored nodes.
+    def load_rows(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Batched neighbor gather of many CSR rows of this partition.
 
         Returns ``(neighbors, counts)`` where ``neighbors`` is the
-        concatenation of each node's sorted neighbor IDs and ``counts`` the
-        per-node neighbor counts (parallel to ``node_ids``).
-
-        Raises:
-            NodeNotFoundError: if any ID is not stored on this machine.
+        concatenation of each row's sorted neighbor IDs and ``counts`` the
+        per-row neighbor counts (parallel to ``rows``).  A pure gather: the
+        cloud resolved the node IDs to rows (its per-node row column) and
+        checked that this machine owns them, so nothing is checked here.
         """
-        if len(node_ids) == 0:
-            return np.empty(0, dtype=NODE_DTYPE), np.empty(0, dtype=OFFSET_DTYPE)
-        dense = self._dense_row_table(len(node_ids))
-        if dense is not None:
-            rows, valid = table_position_lookup(dense, node_ids)
-        else:
-            rows, valid = sorted_lookup(self._ids, node_ids)
-        if not valid.all():
-            missing = np.asarray(node_ids)[~valid]
-            raise NodeNotFoundError(int(missing[0]), f"machine {self.machine_id}")
         starts = self._offsets[rows]
         counts = self._offsets[rows + 1] - starts
         out_offsets = np.zeros(len(rows) + 1, dtype=OFFSET_DTYPE)
@@ -134,22 +118,6 @@ class Machine:
             + np.repeat(starts - out_offsets[:-1], counts)
         )
         return self._neighbors[gather], counts
-
-    def _dense_row_table(self, probe_count: int) -> np.ndarray | None:
-        """Lazy id->row table for :meth:`load_rows` (None when too sparse).
-
-        Built at most once per partition generation (invalidated by
-        :meth:`adopt_partition`) so the hot batched-load
-        path resolves rows with one gather instead of a binary search per
-        node.  Only the *build* is memoized: a borderline domain that a
-        tiny first batch left table-less is re-evaluated (the check is
-        O(1)) when a larger batch arrives.
-        """
-        if self._dense_rows is None and dense_table_profitable(
-            self._ids, probe_count
-        ):
-            self._dense_rows = dense_position_table(self._ids)
-        return self._dense_rows
 
     # -- label index ---------------------------------------------------------
 
@@ -205,9 +173,9 @@ class Machine:
         )
 
     def _row_of(self, node_id: int) -> int | None:
-        # Scalar counterpart of utils.arrays.sorted_lookup (kept inline: this
-        # sits under per-node load() and an array round-trip per call
-        # would dominate).
+        # The per-node oracle's own scalar binary search (the batched path
+        # resolves rows through the cloud's NodeIndex; an array round-trip
+        # per call would dominate here).
         position = int(np.searchsorted(self._ids, node_id))
         if position < len(self._ids) and int(self._ids[position]) == node_id:
             return position

@@ -27,11 +27,9 @@ class EdgeStatistics:
         self,
         label_frequencies: Mapping[str, int],
         pair_frequencies: Mapping[FrozenSet[str], int],
-        edge_count: int,
     ) -> None:
         self._label_frequencies = dict(label_frequencies)
         self._pair_frequencies = dict(pair_frequencies)
-        self._edge_count = max(1, edge_count)
 
     # -- constructors -----------------------------------------------------
 
@@ -42,22 +40,13 @@ class EdgeStatistics:
         for u, v in graph.edges():
             key = frozenset((graph.label(u), graph.label(v)))
             pairs[key] = pairs.get(key, 0) + 1
-        return cls(graph.label_frequencies(), pairs, graph.edge_count)
+        return cls(graph.label_frequencies(), pairs)
 
     # -- lookups -------------------------------------------------------------
-
-    def label_frequency(self, label: str) -> int:
-        """Number of nodes with ``label`` (0 if unseen)."""
-        return self._label_frequencies.get(label, 0)
 
     def pair_frequency(self, label_a: str, label_b: str) -> int:
         """Number of data edges whose endpoint labels are {label_a, label_b}."""
         return self._pair_frequencies.get(frozenset((label_a, label_b)), 0)
-
-    @property
-    def total_edges(self) -> int:
-        """Number of edges the statistics were collected from."""
-        return self._edge_count
 
     def size_in_entries(self) -> int:
         """Statistics footprint (labels + label pairs) — stays tiny."""

@@ -17,8 +17,6 @@ sampler is the parity tests' reference (``tests/helpers.py``).
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.graph.generators.labels import (
@@ -48,11 +46,6 @@ def power_law_weight_array(
     gamma = 1.0 / (exponent - 1.0)
     raw = np.arange(1, node_count + 1, dtype=np.float64) ** -gamma
     return raw * (average_degree / raw.mean())
-
-
-def power_law_weights(node_count: int, exponent: float, average_degree: float) -> List[float]:
-    """List view of :func:`power_law_weight_array`."""
-    return power_law_weight_array(node_count, exponent, average_degree).tolist()
 
 
 def generate_power_law(

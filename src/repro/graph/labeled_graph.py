@@ -139,7 +139,7 @@ class LabeledGraph:
             GraphError: on self-loops, duplicate node IDs, mismatched array
                 lengths, or edge endpoints missing from ``node_ids``.
         """
-        from repro.utils.arrays import fast_unique, sorted_lookup
+        from repro.utils.arrays import NodeIndex, fast_unique
 
         node_ids = np.asarray(node_ids, dtype=NODE_DTYPE)
         label_ids = np.asarray(label_ids, dtype=LABEL_DTYPE)
@@ -168,22 +168,14 @@ class LabeledGraph:
             )
 
         n = len(node_ids)
-        if n and node_ids[0] == 0 and node_ids[-1] == n - 1:
-            # Contiguous 0..n-1 domain (every generator): rows ARE the IDs.
-            rows_u, rows_v = src, dst
-            bad_mask = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
-            if bad_mask.any():
-                at = int(np.argmax(bad_mask))
-                bad = int(src[at]) if not 0 <= src[at] < n else int(dst[at])
-                raise GraphError(f"edge endpoint {bad} has no label")
-        else:
-            rows_u, found_u = sorted_lookup(node_ids, src)
-            rows_v, found_v = sorted_lookup(node_ids, dst)
-            missing = ~(found_u & found_v)
-            if missing.any():
-                at = int(np.argmax(missing))
-                bad = int(src[at]) if not found_u[at] else int(dst[at])
-                raise GraphError(f"edge endpoint {bad} has no label")
+        index = NodeIndex(node_ids)
+        rows_u, found_u = index.find(src)
+        rows_v, found_v = index.find(dst)
+        missing = ~(found_u & found_v)
+        if missing.any():
+            at = int(np.argmax(missing))
+            bad = int(src[at]) if not found_u[at] else int(dst[at])
+            raise GraphError(f"edge endpoint {bad} has no label")
 
         # Canonicalize to (low row, high row) and collapse duplicates with a
         # single packed-key unique; rows (not IDs) keep the key < n**2.
@@ -278,10 +270,6 @@ class LabeledGraph:
         sources = np.repeat(self._node_ids, counts)
         forward = sources < self._neighbors
         yield from zip(sources[forward].tolist(), self._neighbors[forward].tolist())
-
-    def has_node(self, node_id: int) -> bool:
-        """True if ``node_id`` is a node of the graph."""
-        return node_id in self._row_of
 
     def has_edge(self, u: int, v: int) -> bool:
         """True if there is an edge between ``u`` and ``v``."""

@@ -23,12 +23,7 @@ import numpy as np
 
 from repro.errors import PartitionError
 from repro.graph.labeled_graph import OFFSET_DTYPE, LabeledGraph
-from repro.utils.arrays import (
-    dense_position_table,
-    dense_table_profitable,
-    fast_unique,
-    membership_mask,
-)
+from repro.utils.arrays import NodeIndex, fast_unique, membership_mask
 from repro.utils.validation import require_positive
 
 #: dtype of machine-ID arrays.
@@ -159,16 +154,8 @@ def cross_machine_label_pairs(
     forward = node_ids[source_rows] < neighbors
     source_rows = source_rows[forward]
     targets = neighbors[forward]
-    # Neighbors are graph nodes, so their rows resolve without a miss check:
-    # a contiguous 0..n-1 domain (every generator, every ingest) makes the
-    # row the ID itself; otherwise one gather off a dense table where the
-    # domain allows, and only then a binary search per edge.
-    if len(node_ids) and node_ids[0] == 0 and node_ids[-1] == len(node_ids) - 1:
-        target_rows = targets
-    elif dense_table_profitable(node_ids, probe_count=len(targets)):
-        target_rows = dense_position_table(node_ids)[targets]
-    else:
-        target_rows = np.searchsorted(node_ids, targets)
+    # Neighbors are graph nodes, so their rows resolve without a miss check.
+    target_rows = NodeIndex(node_ids).positions(targets)
     return pack_label_pairs(
         label_ids, machine_of_row, source_rows, target_rows,
         len(graph.label_table), machine_count,

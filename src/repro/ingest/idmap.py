@@ -1,9 +1,11 @@
 """Sparse-ID remapping: external node IDs <-> the dense domain ``0..n-1``.
 
-Every hot path of the engine — the partition map, the cloud's per-node
-label/owner tag table, each machine's ``_dense_rows`` — runs O(1) dense
-fancy-indexing only when the node-ID domain is (nearly) contiguous
-(:func:`repro.utils.arrays.dense_table_profitable`).  Synthetic generators
+Every node lookup of the engine goes through one
+:class:`~repro.utils.arrays.NodeIndex`, and its hot paths — the cloud's
+label/owner tags and partition rows, the graph builder, the label-pair
+pass — read a node's position as the ID itself, with no table and no
+search, only when the node IDs are exactly ``0..n-1``; a gapped domain
+pays a position-table gather and a sparse one a binary search.  Synthetic generators
 produce ``0..n-1`` by construction; real datasets do not: DBLP author keys
 are strings, SNAP edge lists have gaps, and hashed IDs span the full 64-bit
 range.  Rather than teaching every lookup table about sparse domains, the

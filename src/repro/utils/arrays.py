@@ -4,7 +4,8 @@ The storage substrate answers almost every membership question the same
 way: binary-search a sorted ID array and check the landing position.  The
 helpers here centralize that idiom (including the empty-array and
 past-the-end edge cases) so the index, machine store, partition map, and
-matcher do not each hand-roll it.
+matcher do not each hand-roll it.  :class:`NodeIndex` is the one place
+that decides how a node ID becomes a position in a sorted ID column.
 """
 
 from __future__ import annotations
@@ -104,33 +105,6 @@ def dense_membership_table(sorted_ids: np.ndarray) -> np.ndarray:
     return table
 
 
-def dense_value_table(
-    sorted_ids: np.ndarray, values: np.ndarray, dtype=np.int64
-) -> np.ndarray:
-    """Dense table mapping an ID to its parallel value (-1 = absent).
-
-    The single home of the ``full(-1); table[ids] = values`` idiom: the
-    table spans ``[0, sorted_ids[-1]]`` and the -1 sentinel marks IDs with
-    no entry.  Only call when :func:`dense_table_profitable` approved the
-    domain.
-    """
-    table = np.full(int(sorted_ids[-1]) + 1, -1, dtype=dtype)
-    table[sorted_ids] = values
-    return table
-
-
-def dense_position_table(sorted_ids: np.ndarray) -> np.ndarray:
-    """Dense table mapping an ID to its row in ``sorted_ids`` (-1 = absent).
-
-    The positional counterpart of :func:`dense_membership_table`, for
-    callers that need the row index (CSR offset lookups, parallel-array
-    gathers) rather than a membership bit.
-    """
-    return dense_value_table(
-        sorted_ids, np.arange(len(sorted_ids), dtype=np.int64)
-    )
-
-
 def table_membership_mask(table: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Membership of ``values`` in a :func:`dense_membership_table` table.
 
@@ -148,25 +122,58 @@ def table_membership_mask(table: np.ndarray, values: np.ndarray) -> np.ndarray:
     return mask
 
 
-def table_position_lookup(
-    table: np.ndarray, values: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(entries, found)`` of ``values`` via a :func:`dense_value_table`.
+class NodeIndex:
+    """Where each value sits in one sorted, duplicate-free ID column.
 
-    Works for any -1-sentinel dense table (row positions, machine IDs,
-    label IDs).  Entries of absent values are clamped to 0 with ``found``
-    False, the same contract as :func:`sorted_lookup`.
+    The one owner of "how a node ID becomes a position": the cloud's tag and
+    row columns, the graph builder and the label-pair pass all resolve IDs
+    through it.  The mode is picked once, at construction:
+
+    * identity when the column is exactly ``0..n-1`` (every generator and
+      every ingest): a value *is* its position;
+    * a dense position table (-1 = absent) spanning ``[0, max ID]`` when
+      :func:`dense_table_profitable` approves the domain on its own size;
+    * binary search (:func:`sorted_lookup`) otherwise.
     """
-    if len(values) == 0:
-        return (
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=bool),
-        )
-    within = (values >= 0) & (values < len(table))
-    if within.all():
-        positions = table[values]
-    else:
-        positions = np.full(len(values), -1, dtype=np.int64)
-        positions[within] = table[values[within]]
-    found = positions >= 0
-    return np.where(found, positions, 0), found
+
+    def __init__(self, sorted_ids: np.ndarray) -> None:
+        self._ids = sorted_ids
+        count = len(sorted_ids)
+        self._identity = count > 0 and int(sorted_ids[0]) == 0 and int(sorted_ids[-1]) == count - 1
+        self._table: np.ndarray | None = None
+        if not self._identity and dense_table_profitable(sorted_ids, probe_count=0):
+            self._table = np.full(int(sorted_ids[-1]) + 1, -1, dtype=np.int64)
+            self._table[sorted_ids] = np.arange(count, dtype=np.int64)
+
+    def find(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(positions, found)`` of ``values``, with :func:`sorted_lookup`'s
+        contract: a position is valid wherever ``found`` is True, and an
+        in-range index otherwise."""
+        if not self._identity and self._table is None:
+            return sorted_lookup(self._ids, values)
+        values = np.asarray(values)
+        domain = len(self._ids) if self._identity else len(self._table)
+        within = (values >= 0) & (values < domain)
+        if self._identity:
+            # The common case (neighbor IDs of a loaded graph) returns the
+            # values themselves: no gather, no copy.
+            return (values, within) if within.all() else (np.where(within, values, 0), within)
+        if within.all():
+            positions = self._table[values]
+        else:
+            positions = np.full(len(values), -1, dtype=np.int64)
+            positions[within] = self._table[values[within]]
+        found = positions >= 0
+        return (positions, found) if found.all() else (np.where(found, positions, 0), found)
+
+    def positions(self, values: np.ndarray) -> np.ndarray:
+        """Positions of ``values``, every one of which is in the column.
+
+        Checks nothing: an absent value gets an arbitrary position (or, on
+        the table and identity paths, an ``IndexError``).
+        """
+        if self._identity:
+            return values
+        if self._table is not None:
+            return self._table[values]
+        return np.searchsorted(self._ids, values)

@@ -4,7 +4,8 @@ The paper stores cells in flat memory blobs rather than as heap objects.
 The standalone ``BlobCellStore`` demonstration of that point is gone; the
 store the engine actually runs on — a :class:`Machine`'s CSR columns — *is*
 the flat layout, so the same round-trip and footprint claims are asserted
-against it here.
+against it here; the batched claims go through the cloud's
+``load_neighbors_batch``, which resolves IDs to rows for the machine.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ import sys
 import numpy as np
 import pytest
 
+from repro.cloud.cluster import MemoryCloud
 from repro.cloud.machine import Machine
 from repro.errors import NodeNotFoundError
 from repro.graph.generators.erdos_renyi import generate_gnm
-from repro.graph.labeled_graph import NodeCell
+from repro.graph.labeled_graph import LabeledGraph, NodeCell
 
-from tests.helpers import csr_from_cells, machine_from_cells
+from tests.helpers import csr_from_cells, machine_from_cells, make_cloud
 
 
 @pytest.fixture
@@ -31,6 +33,21 @@ def store() -> Machine:
             (2, "b", (1,)),
             (3, "a", ()),
         ],
+    )
+
+
+@pytest.fixture
+def cloud() -> MemoryCloud:
+    """A one-machine cloud of four cells; node 4 has no neighbors."""
+    return make_cloud(
+        LabeledGraph.from_edges({1: "a", 2: "b", 3: "a", 4: "b"}, [(1, 2), (1, 3)])
+    )
+
+
+def load_batch(cloud: MemoryCloud, node_ids):
+    """Batched load of ``node_ids`` from machine 0 (the only one)."""
+    return cloud.load_neighbors_batch(
+        np.array(node_ids, dtype=np.int64), requester=0, owner=0
     )
 
 
@@ -65,41 +82,46 @@ class TestRoundtrip:
         assert store.load(3).neighbors == ()
         assert len(store.neighbor_slice(3)) == 0
 
-    def test_label_of_and_degree_of(self, store):
+    def test_label_of_and_degree_of(self, store, cloud):
         assert store.label_of(2) == "b"
-        _, counts = store.load_rows(np.array([1, 3], dtype=np.int64))
+        _, counts = load_batch(cloud, [1, 4])
         assert counts.tolist() == [2, 0]
 
-    def test_missing_node_raises(self, store):
+    def test_missing_node_raises(self, store, cloud):
         with pytest.raises(NodeNotFoundError):
             store.load(99)
         with pytest.raises(NodeNotFoundError):
             store.neighbor_slice(99)
         with pytest.raises(NodeNotFoundError):
-            store.load_rows(np.array([1, 99], dtype=np.int64))
+            load_batch(cloud, [1, 99])
 
     def test_owns_and_node_ids(self, store):
         assert store.label_of(1) == "a"
         assert store.label_of(42) is None
         assert store.node_count == 3
 
-    def test_duplicate_store_last_wins(self, store):
+    def test_duplicate_store_last_wins(self, store, cloud):
         # A machine is written only by adoption, and adopting again replaces
-        # the partition wholesale — including the lazily built row table.
-        store.load_rows(np.array([1, 2, 3] * 8, dtype=np.int64))
+        # the partition wholesale; a cloud reload replaces its lookup
+        # columns with it.
+        _, counts = load_batch(cloud, [1, 2, 3] * 8)
+        assert counts.tolist() == [2, 1, 1] * 8
         table, columns = csr_from_cells([(1, "z", (9,))])
         store.label_table = table
         store.adopt_partition(*columns)
         assert store.load(1) == NodeCell(1, "z", (9,))
         assert store.node_count == 1
+        cloud.load_graph(LabeledGraph.from_edges({1: "z", 9: "z"}, [(1, 9)]))
+        assert load_batch(cloud, [1])[0].tolist() == [9]
         with pytest.raises(NodeNotFoundError):
-            store.load_rows(np.array([2], dtype=np.int64))
+            load_batch(cloud, [2])
 
     def test_large_node_ids_supported(self):
         huge = 2**62
         blob = machine_from_cells(0, [(huge, "x", (huge - 1,))])
         assert blob.load(huge).neighbors == (huge - 1,)
-        neighbors, counts = blob.load_rows(np.array([huge], dtype=np.int64))
+        cloud = make_cloud(LabeledGraph.from_edges({huge: "x", huge - 1: "x"}, [(huge, huge - 1)]))
+        neighbors, counts = load_batch(cloud, [huge])
         assert neighbors.tolist() == [huge - 1] and counts.tolist() == [1]
 
     def test_matches_graph_cells(self):

@@ -36,6 +36,7 @@ from repro.query.query_graph import QueryGraph
 from repro.storage.delta import DeltaLog
 
 from tests.helpers import (
+    batch_has_label,
     bound_set,
     canonical_queries,
     make_cloud,
@@ -435,7 +436,8 @@ class TestPerNodeCounterModel:
     def test_sparse_node_ids_take_the_sorted_fallback(self):
         graph = relabeled_graph(seeded_graph(seed=4, nodes=60, edges=170, labels=3), id_scale=1000)
         cloud = make_cloud(graph, machine_count=3)
-        assert cloud._tag_ids is not None  # no dense table over 60k IDs
+        # No dense table over 60k IDs: node IDs resolve by binary search.
+        assert not cloud._index._identity and cloud._index._table is None
         for query in canonical_queries(graph, seed=24):
             self.assert_parity(cloud, QueryPlanner(cloud).plan(query))
 
@@ -455,7 +457,7 @@ class TestPerNodeCounterModel:
         log.append_nodes([(60, "fresh"), (61, graph.label(0))])
         log.append_edges([(60, 0), (60, 1), (61, 0), (61, 60), (2, 3)])
         cloud = MemoryCloud.open_snapshot(tmp_path / "snap")
-        fresh_mask = cloud.batch_has_label(np.array([60, 61]), "fresh", requester=0)
+        fresh_mask = batch_has_label(cloud, np.array([60, 61]), "fresh", requester=0)
         assert fresh_mask.tolist() == [True, False]
         fresh = QueryGraph({"x": graph.label(0), "y": "fresh"}, [("x", "y")])
         for query in [fresh, *canonical_queries(graph, seed=26)]:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.vf2 import vf2_match
-from repro.errors import ConfigurationError
+from repro.errors import CloudError, ConfigurationError
 from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import (
     EXECUTOR_ENV_VAR,
@@ -591,7 +591,7 @@ class TestProcessRuntimeLifecycle:
         try:
             first = [result.table.row_count for result in executor.run(cloud, tasks)]
             resident = set(os.listdir("/dev/shm"))
-            with pytest.raises(IndexError):
+            with pytest.raises(CloudError, match="machine 99 out of range"):
                 executor.run(cloud, tasks + [no_such_machine])
             with pytest.raises(RuntimeError, match="merge failed"):
                 executor.run(cloud, tasks, on_result=boom)

@@ -27,9 +27,13 @@ def stats() -> EdgeStatistics:
 
 class TestCollection:
     def test_label_frequencies(self, stats):
-        assert stats.label_frequency("a") == 2
-        assert stats.label_frequency("b") == 2
-        assert stats.label_frequency("zzz") == 0
+        # The planner's f(v) reads label frequencies off the cloud; the
+        # statistics hold one entry per label, counted in their footprint.
+        cloud = MemoryCloud.from_graph(tiny_example_graph(), ClusterConfig(machine_count=2))
+        frequencies = cloud.global_label_frequencies()
+        assert frequencies["a"] == 2 and frequencies["b"] == 2
+        assert "zzz" not in frequencies
+        assert stats.size_in_entries() == len(frequencies) + 5
 
     def test_pair_frequencies(self, stats):
         # tiny graph edges: a-b x2, a-c x2, b-c x1, c-d x1, d-b x1.
@@ -37,7 +41,13 @@ class TestCollection:
         assert stats.pair_frequency("b", "a") == 2
         assert stats.pair_frequency("c", "d") == 1
         assert stats.pair_frequency("a", "d") == 0
-        assert stats.total_edges == 7
+        # Every one of the 7 edges is counted under exactly one pair.
+        labels = "abcd"
+        assert sum(
+            stats.pair_frequency(low, high)
+            for at, low in enumerate(labels)
+            for high in labels[at:]
+        ) == 7
 
     def test_size_in_entries_is_small(self, stats):
         assert stats.size_in_entries() <= 4 + 5

@@ -6,7 +6,8 @@ Covers the tentpole invariants of the CSR refactor:
   preserves every neighbor set exactly;
 * the CSR arrays agree with a reference dict-of-sets adjacency;
 * label-table interning is stable (IDs never change once assigned);
-* batched cloud operators (``load_neighbors_batch``, ``batch_has_label``)
+* batched cloud operators (``load_neighbors_batch``, and the tests'
+  ``batch_has_label`` over ``labels_and_owners``)
   agree with their per-node counterparts, including metric accounting;
 * empty graphs, isolated nodes, and self-loops behave.
 """
@@ -20,14 +21,17 @@ from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import ClusterConfig
 from repro.cloud.machine import Machine
 from repro.cloud.metrics import CloudMetrics
-from repro.errors import GraphError, NodeNotFoundError, PartitionError
+from repro.errors import CloudError, GraphError, NodeNotFoundError, PartitionError
+from repro.graph.generators.power_law import generate_power_law
 from repro.graph.label_table import NO_LABEL, LabelTable
 from repro.graph.labeled_graph import LabeledGraph
-from repro.graph.partition import RoundRobinPartitioner
+from repro.graph.partition import BlockPartitioner, RoundRobinPartitioner
 
 from tests.helpers import (
+    batch_has_label,
     machine_from_cells,
     make_cloud,
+    path_graph,
     seeded_graph,
 )
 
@@ -140,9 +144,14 @@ class TestRoundTripThroughMachines:
             )
 
     def test_load_rows_on_empty_machine_raises_not_found(self):
-        machine = Machine(machine_id=0)
-        with pytest.raises(NodeNotFoundError):
-            machine.load_rows(np.array([5], dtype=np.int64))
+        # A block partition of two nodes over three machines leaves
+        # machine 2 empty; neither an absent ID nor a node stored elsewhere
+        # loads from it.
+        cloud = make_cloud(path_graph(2), machine_count=3, partitioner=BlockPartitioner())
+        assert cloud.partition_sizes()[2] == 0
+        for node in (5, 0):
+            with pytest.raises(NodeNotFoundError):
+                cloud.load_neighbors_batch(np.array([node], dtype=np.int64), requester=0, owner=2)
 
 
 class TestBatchedOperators:
@@ -196,6 +205,18 @@ class TestBatchedOperators:
         with pytest.raises(NodeNotFoundError):
             cloud.load_neighbors_batch(nodes[:1], requester=0, owner=wrong_owner)
 
+    @pytest.mark.parametrize("owner", [-1, 3])
+    def test_load_neighbors_batch_refuses_a_machine_out_of_range(self, owner):
+        # Neither charged to a machine that does not exist (-1 once read
+        # machine 2's cells through a negative index) nor a bare IndexError.
+        cloud = make_cloud(generate_power_law(200, 4, seed=1), machine_count=3)
+        nodes = cloud.get_local_ids_array(2, cloud.label_table.labels()[0])[:3]
+        cloud.reset_metrics()
+        with pytest.raises(CloudError, match=f"machine {owner} out of range"):
+            cloud.load_neighbors_batch(nodes, requester=0, owner=owner)
+        assert cloud.metrics.snapshot() == CloudMetrics().snapshot()
+        assert not any(cloud.metrics.per_pair_messages.values())
+
     def test_batch_has_label_matches_per_node(self):
         graph = seeded_graph(seed=17)
         batch_cloud = make_cloud(graph, machine_count=4)
@@ -204,7 +225,7 @@ class TestBatchedOperators:
         label = graph.label(int(nodes[0]))
         batch_cloud.reset_metrics()
         scalar_cloud.reset_metrics()
-        mask = batch_cloud.batch_has_label(nodes, label, requester=2)
+        mask = batch_has_label(batch_cloud, nodes, label, requester=2)
         expected = [scalar_cloud.has_label(int(n), label, requester=2) for n in nodes]
         assert mask.tolist() == expected
         assert batch_cloud.metrics.snapshot() == scalar_cloud.metrics.snapshot()
@@ -222,7 +243,7 @@ class TestBatchedOperators:
         with pytest.raises(PartitionError):
             cloud.owners_of_array(ids)
         with pytest.raises(PartitionError):
-            cloud.batch_has_label(ids, "b", requester=0)
+            batch_has_label(cloud, ids, "b", requester=0)
         with pytest.raises(PartitionError):
             cloud.owner_of(int(ids[-1]))
         assert cloud.metrics.snapshot() == CloudMetrics().snapshot()  # nothing charged

@@ -25,13 +25,14 @@ from repro.graph.generators.lookalike import (
     patents_like,
     wordnet_like,
 )
-from repro.graph.generators.power_law import generate_power_law, power_law_weights
+from repro.graph.generators.power_law import generate_power_law
 from repro.graph.generators.rmat import RmatParameters, generate_rmat
 from repro.graph.stats import compute_stats, degree_summary, generation_report
 from tests.helpers import (
     generate_gnm_scalar,
     generate_power_law_scalar,
     generate_rmat_scalar,
+    power_law_weights,
 )
 
 

@@ -99,7 +99,6 @@ class TestAccessors:
         assert not path_graph.has_edge(99, 0)
 
     def test_has_node_and_contains(self, path_graph):
-        assert path_graph.has_node(2)
         assert 2 in path_graph
         assert 99 not in path_graph
 

@@ -17,6 +17,8 @@ source for those fixtures:
 * :func:`make_cloud` — a `MemoryCloud` with the given machine count;
 * :func:`counter_snapshot` — a full ``CloudMetrics.snapshot()`` dict with
   the given counters set and every other one zero;
+* :func:`batch_has_label` — batched ``Index.hasLabel`` over the matcher's
+  cloud operators, charged like per-node probes;
 * :func:`injective_products` / :func:`nested_loop_stwig_rows` — the
   nested-loop STwig row builder, the matcher's row-for-row reference;
 * :func:`injective_mask` / :func:`oracle_join` — the row-sort injectivity
@@ -38,9 +40,13 @@ source for those fixtures:
   reference;
 * :func:`generate_power_law_scalar` / :func:`generate_rmat_scalar` /
   :func:`generate_gnm_scalar` — the original one-draw-per-edge samplers, the
-  vectorized generators' seeded degree/label-distribution reference;
+  vectorized generators' seeded degree/label-distribution reference
+  (:func:`power_law_weights` is the Chung–Lu sampler's weight list);
 * :func:`csr_from_cells` / :func:`machine_from_cells` — CSR columns and a
-  standalone `Machine` adopted from hand-written cells.
+  standalone `Machine` adopted from hand-written cells;
+* :func:`domain_graph` / :func:`installed_cloud` — a graph moved onto one
+  of the :data:`NODE_ID_DOMAINS` and a cloud installed along one of the
+  :data:`INSTALL_PATHS`, the node-lookup tests' inputs.
 
 All randomness is seed-parameterized, never global.
 """
@@ -48,6 +54,7 @@ All randomness is seed-parameterized, never global.
 from __future__ import annotations
 
 from itertools import product
+from pathlib import Path
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -73,13 +80,14 @@ from repro.graph.generators.labels import (
     label_count_for_density,
     make_label_collection,
 )
-from repro.graph.generators.power_law import generate_power_law, power_law_weights
+from repro.graph.generators.power_law import generate_power_law, power_law_weight_array
 from repro.graph.generators.rmat import RmatParameters
 from repro.graph.generators.sampling import SAMPLING_BUDGET
 from repro.graph.partition import RoundRobinPartitioner
 from repro.graph.stats import GenerationReport, attach_generation_report
 from repro.query.generators import dfs_query, random_query_from_graph
 from repro.query.query_graph import QueryGraph
+from repro.storage.delta import DeltaLog
 from repro.storage.provider import MmapColumnWriter
 from repro.storage.snapshot import SNAPSHOT_FORMAT, write_snapshot
 from repro.utils.rng import ensure_rng
@@ -411,6 +419,12 @@ def _rejection_sampled(model: str, node_labels, target_edges: int, draw_edge) ->
     )
 
 
+def power_law_weights(node_count: int, exponent: float, average_degree: float) -> List[float]:
+    """List view of the generator's expected-degree weights, the scalar
+    sampler's input."""
+    return power_law_weight_array(node_count, exponent, average_degree).tolist()
+
+
 def generate_power_law_scalar(
     node_count: int,
     average_degree: float,
@@ -616,6 +630,23 @@ def counter_snapshot(**counts: int) -> Dict[str, int]:
     return {**snapshot, **counts}
 
 
+def batch_has_label(
+    cloud: MemoryCloud, node_ids: np.ndarray, label: str, requester: int
+) -> np.ndarray:
+    """Batched ``Index.hasLabel``: a boolean mask over ``node_ids``.
+
+    Spelled with the matcher's operators (``labels_and_owners`` +
+    ``charge_label_probes``): one probe is charged per ID against its
+    owner, exactly as that many per-node ``has_label`` calls would be.  An
+    ID that is no node raises ``PartitionError`` before anything is charged.
+    """
+    cloud.owners_of_array(node_ids)
+    labels, owners = cloud.labels_and_owners(node_ids)
+    cloud.charge_label_probes(requester, owners)
+    # A never-interned label (-1) matches no node's label (>= 0).
+    return labels == cloud.label_table.id_of(label)
+
+
 def striped_path_cloud(length: int = 6, machine_count: int = 3) -> MemoryCloud:
     """A path graph striped round-robin so consecutive nodes alternate machines."""
     return MemoryCloud.from_graph(
@@ -658,3 +689,65 @@ def machine_from_cells(
     machine.adopt_partition(*columns)
     return machine
 
+
+
+# -- node-ID domains and install paths --------------------------------------
+
+#: The node-ID domains a cloud must resolve alike: ``0..n-1`` (every
+#: generator), ``3k + 1`` (gapped, yet dense enough for a position table)
+#: and sorted random 62-bit IDs (binary search).
+NODE_ID_DOMAINS = ("contiguous", "gapped", "sparse")
+
+#: The ways an image reaches a cloud (see :func:`installed_cloud`).
+INSTALL_PATHS = ("from_graph", "snapshot", "grown", "resized")
+
+
+def domain_graph(graph: LabeledGraph, domain: str) -> LabeledGraph:
+    """``graph`` (node IDs ``0..n-1``) with its IDs mapped, in order, onto
+    ``domain``; the CSR columns keep their shape."""
+    count = graph.node_count
+    assert np.array_equal(graph.node_id_array(), np.arange(count))
+    if domain == "contiguous":
+        ids = np.arange(count, dtype=NODE_DTYPE)
+    elif domain == "gapped":
+        ids = 3 * np.arange(count, dtype=NODE_DTYPE) + 1
+    else:
+        draws = np.random.default_rng(62).integers(0, 2**62, size=count, dtype=NODE_DTYPE)
+        ids = np.sort(draws)
+        assert (ids[1:] > ids[:-1]).all()
+    return LabeledGraph(
+        graph.label_table,
+        ids,
+        graph.label_id_array(),
+        graph.offset_array(),
+        ids[graph.neighbor_array()],
+        graph.edge_count,
+    )
+
+
+def installed_cloud(
+    graph: LabeledGraph, path: str, directory, machine_count: int = 4
+) -> MemoryCloud:
+    """``graph`` in a ``machine_count``-machine cloud, installed along ``path``.
+
+    ``from_graph`` partitions it in memory; ``snapshot`` saves it to
+    ``directory`` and reopens it; ``grown`` reopens it with a delta log that
+    adds two labeled nodes past the largest ID (a gap on every domain) and
+    three edges; ``resized`` reopens it at one machine fewer.
+    """
+    cloud = MemoryCloud.from_graph(graph, ClusterConfig(machine_count=machine_count))
+    if path == "from_graph":
+        return cloud
+    directory = Path(directory)
+    cloud.save_snapshot(directory)
+    if path == "grown":
+        first, second = graph.node_id_array()[:2].tolist()
+        top = int(graph.node_id_array()[-1])
+        log = DeltaLog(directory)
+        log.append_nodes([(top + 2, graph.label(first)), (top + 9, graph.label(second))])
+        log.append_edges([(top + 2, first), (top + 9, second), (top + 2, top + 9)])
+    if path == "resized":
+        return MemoryCloud.open_snapshot(
+            directory, ClusterConfig(machine_count=machine_count - 1)
+        )
+    return MemoryCloud.open_snapshot(directory)

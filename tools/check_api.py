@@ -48,8 +48,12 @@ knob and decoder with the attach handles (``track_label_pairs=`` /
 ``config.track_label_pairs``, ``label_pairs_between`` and its
 ``_label_pairs_cache``, ``_MmapHandle`` / ``_ClosedHandle`` and
 ``_install``'s ``backing=``; the manifest key ``"track_label_pairs"`` stays
-legal, because the reader honours it in older snapshots): the names are
-gone from the API, and nothing in ``src/`` may bring them back.
+legal, because the reader honours it in older snapshots), and the node
+lookups beside ``NodeIndex`` (the cloud's ID-indexed tag copy and its
+``_tag_ids``, a machine's graph-sized ``_dense_rows`` /
+``_dense_row_table``, ``dense_value_table`` / ``dense_position_table`` /
+``table_position_lookup``) with the test-only ``batch_has_label``: the
+names are gone from the API, and nothing in ``src/`` may bring them back.
 
 And it keeps the front door single (``FRONT_DOOR``): ``repro.api`` is the one
 place a source becomes a cloud and a service is put in front of it, so the
@@ -189,6 +193,13 @@ RETIRED_SPELLINGS = [
     "_MmapHandle",
     "_ClosedHandle",
     "backing=",
+    "_tag_ids",
+    "_dense_rows",
+    "_dense_row_table",
+    "dense_value_table",
+    "dense_position_table",
+    "table_position_lookup",
+    "batch_has_label",
 ]
 
 #: Constructor spellings banned per file (glob under the repo root): a second
