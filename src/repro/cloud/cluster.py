@@ -329,36 +329,56 @@ class MemoryCloud:
         )
         return neighbors
 
-    def load_neighbors_batch(
-        self, node_ids: np.ndarray, requester: int, owner: int
+    def load_cells(
+        self, node_ids: np.ndarray, cuts: np.ndarray, requester: int | None = None
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched ``Cloud.Load`` of many cells stored on machine ``owner``.
+        """Batched ``Cloud.Load`` of the cells ``node_ids[cuts[m] : cuts[m + 1]]``
+        stored on each machine ``m``.
 
-        Returns ``(neighbors, counts)``: the concatenated neighbor IDs of
-        every requested cell (in input order) plus each cell's neighbor
-        count.  One load is charged per cell against ``owner``, with the
-        same message/byte accounting as :meth:`load`.  The STwig matcher's
-        root loads are local by construction, so the caller always knows
-        the owner; owner resolution was never charged.  Each ID is resolved
-        once, its owner checked off its tag, and the machine handed its
-        partition rows.
+        Returns ``(neighbors, counts)``: every cell's neighbor IDs, in input
+        order, and each cell's neighbor count.  One load is charged per cell
+        against its machine, issued by ``requester`` (``None``: the machine
+        itself, a local load, as the STwig matcher's root loads are), with
+        the accounting of :meth:`load`.  Each ID is resolved once, its owner
+        checked off its tag, and each machine handed its partition rows.
 
         Raises:
-            CloudError: if ``owner`` is not a machine of the cluster.
-            NodeNotFoundError: if any ID is not stored on ``owner``.
+            CloudError: if ``cuts`` is not one range per machine covering
+                ``node_ids``.
+            NodeNotFoundError: if any ID is not stored on its range's machine.
         """
-        machine = self._machine(owner)
+        node_ids = np.asarray(node_ids)
+        cuts = np.asarray(cuts)
+        machine_count = self.machine_count
+        sizes = cuts[1:] - cuts[:-1]
+        if len(cuts) != machine_count + 1 or cuts[0] != 0 or cuts[-1] != len(node_ids) or (
+            sizes < 0
+        ).any():
+            raise CloudError(
+                f"cuts {cuts.tolist()} do not cut {len(node_ids)} cells into one range "
+                f"per machine of {machine_count}"
+            )
+        owners = np.repeat(np.arange(machine_count), sizes)
         positions, found = self._index.find(node_ids)
         if found.any():  # else the column may be empty: no tag to read
-            found &= self._tags[positions] % self.machine_count == owner
+            found &= self._tags[positions] % machine_count == owners
         if not found.all():
-            missing = np.asarray(node_ids)[~found]
-            raise NodeNotFoundError(int(missing[0]), f"machine {owner}")
-        neighbors, counts = machine.load_rows(self._rows[positions])
-        self.metrics.record_loads(
-            requester, owner, len(node_ids), int(counts.sum())
-        )
-        return neighbors, counts
+            first = int(np.flatnonzero(~found)[0])
+            raise NodeNotFoundError(int(node_ids[first]), f"machine {owners[first]}")
+        rows = self._rows[positions]
+        loaded = [(np.empty(0, dtype=NODE_DTYPE), np.empty(0, dtype=OFFSET_DTYPE))]
+        for machine in np.flatnonzero(sizes).tolist():
+            start, stop = int(cuts[machine]), int(cuts[machine + 1])
+            loaded.append(self.machines[machine].load_rows(rows[start:stop]))
+            self.metrics.record_loads(
+                machine if requester is None else requester,
+                machine,
+                stop - start,
+                int(loaded[-1][1].sum()),
+            )
+        if len(loaded) == 2:
+            return loaded[1]
+        return tuple(np.concatenate(column) for column in zip(*loaded))
 
     def labels_and_owners(self, node_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(label IDs, owners)`` of graph nodes, from one tag gather.
@@ -370,15 +390,16 @@ class MemoryCloud:
         """
         return np.divmod(self._tags[self._index.positions(node_ids)], self.machine_count)
 
-    def charge_label_probes(self, requester: int, owners: np.ndarray) -> None:
-        """Charge one hasLabel probe from ``requester`` per entry of ``owners``.
-
-        Each probe goes against the machine it names, with the message and
-        byte accounting of that many per-node :meth:`has_label` calls.
-        """
-        counts = np.bincount(owners, minlength=self.machine_count)
-        for owner, count in enumerate(counts.tolist()):
-            self.metrics.record_label_probes(requester, owner, count)
+    def charge_label_probes(self, requesters, owners: np.ndarray) -> None:
+        """Charge one hasLabel probe per entry of ``owners``, issued by the
+        parallel ``requesters`` (or one machine ID for all), with the
+        accounting of that many :meth:`has_label` calls: one ``bincount``
+        over (requester, owner) pairs counts them all."""
+        machine_count = self.machine_count
+        pairs = np.bincount(np.asarray(requesters) * machine_count + owners)
+        for pair in np.flatnonzero(pairs).tolist():
+            requester, owner = divmod(pair, machine_count)
+            self.metrics.record_label_probes(requester, owner, int(pairs[pair]))
 
     def get_local_ids_array(self, machine_id: int, label: str) -> np.ndarray:
         """``Index.getID(label)`` on one machine: its *local* nodes with ``label``.
@@ -388,7 +409,7 @@ class MemoryCloud:
         batched STwig matcher consumes.  Treat it as read-only.
         """
         ids = self._machine(machine_id).get_ids_array(label)
-        self.metrics.record_index_lookup(machine_id, len(ids))
+        self.metrics.record_index_lookup()
         return ids
 
     def has_label(self, node_id: int, label: str, requester: int | None = None) -> bool:
@@ -514,11 +535,13 @@ class MemoryCloud:
         """A shallow view of this cloud recording into ``metrics``.
 
         Machines, the partition map, and every cached array are shared; only
-        the metrics sink differs.  The executors run each per-machine task
-        against its own scoped view and merge the isolated counters back in
-        machine-ID order, so concurrent backends aggregate to exactly the
-        serial model's metrics.  The engine gives every *query* such a view
-        too, so overlapping queries never read each other's counters.
+        the metrics sink differs.  The executors run each unit against its
+        own scoped view and merge the isolated counters back in (task,
+        chunk) order, so concurrent backends aggregate to the serial
+        model's metrics: all of them at no row limit; under a limit only
+        the loads, label probes and index lookups (the racing joins may
+        ship and build differently).  The engine gives every *query* such
+        a view too, so overlapping queries never read each other's counters.
 
         Views remember their owning cloud (:attr:`runtime_owner`): runtime
         workers key on the owner, not on the view.

@@ -44,11 +44,11 @@ class RuntimeConfig:
             which they inherit; tasks and results cross their pipes).
             ``None`` defers to the ``REPRO_EXECUTOR`` environment variable.
         workers: how many worker processes the process backend forks;
-            ``None`` forks ``min(machine_count, cpu_count)``.
-        stealing: whether the process backend splits skewed machines'
-            exploration roots into chunks idle workers can steal.
-            Results and metrics are schedule-independent; this is a
-            wall-clock knob only.
+            ``None`` forks one per host CPU (``os.cpu_count()``).
+        stealing: whether the process backend cuts each exploration
+            stage's roots into a few chunks per worker, which idle workers
+            take from the queue; off, every stage is one unit.  Results
+            are schedule-independent; this is a wall-clock knob only.
     """
 
     backend: Optional[str] = None

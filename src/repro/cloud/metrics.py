@@ -92,9 +92,8 @@ class CloudMetrics:
         self._record_messages(requester, owner, count, 24)
         self._record_messages(owner, requester, count, 1)
 
-    def record_index_lookup(self, machine: int, result_count: int) -> None:
-        """Record a local Index.getID(label) lookup returning ``result_count`` IDs."""
-        del machine, result_count  # local only; kept for symmetry / future use
+    def record_index_lookup(self) -> None:
+        """Record a local Index.getID(label) lookup (local: no message)."""
         self.index_lookups += 1
 
     def record_result_transfer(self, sender: int, receiver: int, rows: int, row_width: int) -> None:

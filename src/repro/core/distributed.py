@@ -124,9 +124,7 @@ def assemble_results(
         )
         for machine_id in range(cloud.machine_count)
     ]
-    final = np.concatenate(
-        [result.rows for result in executor.run(cloud, tasks)], axis=0
-    )
+    final = np.concatenate(executor.run(cloud, tasks), axis=0)
     # Under a parallel schedule machines may overshoot the shared budget
     # slightly (each saw a stale lower bound of the others' production);
     # the machine-ordered concatenation is still an exact prefix, so one

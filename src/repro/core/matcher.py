@@ -13,21 +13,19 @@ whose root resides on that machine:
 4. the per-slot candidate lists are combined into rows, enforcing that
    distinct query leaves map to distinct data nodes.
 
-Steps 2-3 run *batched across all roots* (:func:`_resolve_slots`): the
-neighbor slices of every root are concatenated once, every neighbor's label
-and owner come out of one gather from the cloud's per-node tags, and each
-leaf slot is resolved with one compare against those labels (or one
-binding intersection) over that flat array, leaving every slot as a CSR
-column — flat values plus per-root bounds.  That is where
-:func:`match_stwig` stops: it returns the factorized
-:class:`~repro.core.result.STwigTable`, whose row count and binding
-distincts are arithmetic on the slots.  Step 4 happens at the join,
-and only for the rows the join reads (``STwigTable.row_blocks`` /
-``to_array``, after the final binding filter has shrunk the slots).  The
-communication accounting is faithful to the per-node model — one
-``hasLabel`` probe is charged per neighbor, per unbound leaf, against the
-neighbor's owner, only for roots still alive (a root whose earlier slot came
-up empty stops probing, exactly like a per-node loop).
+The simulated machines are an accounting model, not separate passes: one
+kernel, :func:`match_stage`, runs steps 2-3 for a whole exploration stage
+over its owner-ordered roots (from :func:`_stage_root_partition`), machine
+``m``'s being ``roots[cuts[m] : cuts[m + 1]]``: one batched cell load, one
+gather of every neighbor's label and owner from the cloud's per-node tags,
+and one compare (or binding intersection) per leaf slot, leaving each slot
+a CSR column — flat values plus per-root bounds.  It returns the factorized
+:class:`~repro.core.result.StageTable`; step 4 happens at the join, for
+the rows the join reads.  :func:`match_stwig` is the kernel over one
+machine's roots.  The accounting is the per-node model's, machine by
+machine: one local load per root, and one ``hasLabel`` probe per neighbor
+per unbound leaf, from the root's machine to the neighbor's owner, only for
+roots still alive (a root whose earlier slot came up empty stops probing).
 """
 
 from __future__ import annotations
@@ -38,9 +36,9 @@ import numpy as np
 
 from repro.cloud.cluster import MemoryCloud
 from repro.core.bindings import BindingTable
-from repro.core.result import STwigTable
+from repro.core.result import StageTable, STwigTable
 from repro.core.stwig import STwig
-from repro.graph.labeled_graph import NODE_DTYPE, OFFSET_DTYPE
+from repro.graph.labeled_graph import OFFSET_DTYPE
 from repro.query.query_graph import QueryGraph
 
 
@@ -52,7 +50,8 @@ def match_stwig(
     bindings: Optional[BindingTable] = None,
     roots: Optional[np.ndarray] = None,
 ) -> STwigTable:
-    """Find all matches of ``stwig`` rooted on ``machine_id``.
+    """Find all matches of ``stwig`` rooted on ``machine_id``: the kernel
+    over that machine's roots alone, which a fused stage equals range by range.
 
     Args:
         cloud: the memory cloud holding the data graph.
@@ -61,10 +60,8 @@ def match_stwig(
         query: the query graph (provides label constraints).
         bindings: optional binding table from previously processed STwigs.
         roots: optional precomputed local root candidates (a sorted
-            ``NODE_DTYPE`` array).  The exploration driver partitions each
-            stage's candidates by owner once and hands every machine its
-            slice, so the binding array is not re-scanned per machine; when
-            omitted the candidates are derived here.
+            ``NODE_DTYPE`` array); when omitted they are the machine's share
+            of :func:`_stage_root_partition`.
 
     Returns:
         The :class:`STwigTable` with columns ``(root, *leaves)``: no row is
@@ -72,50 +69,75 @@ def match_stwig(
         nodes may be remote.
     """
     if roots is None:
-        roots = _root_candidates(
-            cloud, machine_id, stwig, query.label(stwig.root), bindings
+        roots, cuts = _stage_root_partition(
+            cloud, stwig, query.label(stwig.root), bindings, machine_id
         )
+    else:
+        cuts = np.where(np.arange(cloud.machine_count + 1) > machine_id, len(roots), 0)
+    return match_stage(cloud, stwig, query, bindings, roots, cuts).table
+
+
+def match_stage(
+    cloud: MemoryCloud,
+    stwig: STwig,
+    query: QueryGraph,
+    bindings: Optional[BindingTable],
+    roots: np.ndarray,
+    cuts: np.ndarray,
+) -> StageTable:
+    """Every match of ``stwig`` rooted at ``roots``, in one pass.
+
+    ``roots`` are owner-ordered: machine ``m``'s are ``roots[cuts[m] :
+    cuts[m + 1]]``, ascending, and its matches are that range of the
+    returned :class:`StageTable` — row for row what a pass over those roots
+    alone builds, charged the same.  Roots are independent, so any
+    consecutive chunk of them (with ``cuts`` clipped to it) yields that
+    chunk of the stage.
+    """
     labels = [query.label(node) for node in stwig.nodes]
-    slots = _resolve_slots(cloud, machine_id, stwig, labels[1:], bindings, roots)
+    slots = _resolve_slots(cloud, stwig, labels[1:], bindings, roots, cuts)
     if slots is None:
-        return STwigTable(stwig.nodes)
+        none = np.zeros(cloud.machine_count + 1, dtype=np.int64)
+        return StageTable(STwigTable(stwig.nodes), none, none)
     # Injectivity only needs checking between columns of equal label: a data
     # node has one label, so differently-labeled columns cannot collide.
     by_label: Dict[str, List[int]] = {}
     for index, label in enumerate(labels):
         by_label.setdefault(label, []).append(index)
     groups = [tuple(group) for group in by_label.values() if len(group) > 1]
-    return STwigTable.from_slots(stwig.nodes, groups, *slots)
+    roots, values, bounds, cuts = slots
+    return STwigTable.from_slots(stwig.nodes, groups, roots, values, bounds, cuts=cuts)
 
 
 def _resolve_slots(
     cloud: MemoryCloud,
-    machine_id: int,
     stwig: STwig,
     leaf_labels: Sequence[str],
     bindings: Optional[BindingTable],
     roots: np.ndarray,
-) -> Optional[Tuple[np.ndarray, List[np.ndarray], List[np.ndarray]]]:
-    """``(roots, values, bounds)``: the roots with a candidate for every leaf.
+    cuts: np.ndarray,
+) -> Optional[Tuple[np.ndarray, List[np.ndarray], List[np.ndarray], np.ndarray]]:
+    """``(roots, values, bounds, cuts)``: the roots with a candidate for every leaf.
 
     ``values[k][bounds[k][i] : bounds[k][i + 1]]`` are the neighbors of
-    ``roots[i]`` that may fill leaf ``k``, in neighbor order.  ``None``
-    means no root has a candidate for every leaf.
+    ``roots[i]`` that may fill leaf ``k``, in neighbor order, and ``cuts``
+    the machine ranges of the surviving roots.  ``None`` means no root has a
+    candidate for every leaf.
     """
     # Load every root's cell once (one Cloud.Load each, as in Algorithm 1),
-    # gathered in a single batched call into one flat neighbor array.  Roots
-    # are local to this machine by construction, so the owner is known.
-    neighbors, counts = cloud.load_neighbors_batch(
-        roots, requester=machine_id, owner=machine_id
-    )
+    # gathered in a single batched call into one flat neighbor array.  Each
+    # machine loads its own roots: the loads are local.
+    neighbors, counts = cloud.load_cells(roots, cuts)
     # Root i's cell is neighbors[cells[i] : cells[i + 1]].
     cells = np.zeros(len(roots) + 1, dtype=OFFSET_DTYPE)
     np.cumsum(counts, out=cells[1:])
     kept_before = np.zeros(len(neighbors) + 1, dtype=OFFSET_DTYPE)
     # Every neighbor's label and owner, from one tag gather on the first
-    # unbound leaf; each later leaf reuses them.
+    # unbound leaf, and the machine probing it (its root's); each later leaf
+    # reuses them.
     labels: Optional[np.ndarray] = None
     owners: Optional[np.ndarray] = None
+    requesters: Optional[np.ndarray] = None
 
     # Resolve each leaf slot over the flat neighbor array; a root dies when a
     # slot comes up empty, and dead roots are excluded from later probes.
@@ -132,9 +154,12 @@ def _resolve_slots(
         else:
             if labels is None:
                 labels, owners = cloud.labels_and_owners(neighbors)
-            cloud.charge_label_probes(
-                machine_id, owners if entry_alive is None else owners[entry_alive]
-            )
+                sizes = cuts[1:] - cuts[:-1]
+                requesters = np.repeat(np.repeat(np.arange(len(sizes)), sizes), counts)
+            if entry_alive is None:
+                cloud.charge_label_probes(requesters, owners)
+            else:
+                cloud.charge_label_probes(requesters[entry_alive], owners[entry_alive])
             # Graph nodes' labels are >= 0, so a never-interned label (-1)
             # keeps nothing.
             kept = labels == cloud.label_table.id_of(leaf_label)
@@ -155,6 +180,7 @@ def _resolve_slots(
     # entries it had in the earlier ones with it.
     if entry_alive is not None:
         roots = roots[alive]
+        cuts = np.concatenate(([0], np.cumsum(alive)))[cuts]
         slot_kept = [kept & entry_alive for kept in slot_kept]
         slot_lengths = [lengths[alive] for lengths in slot_lengths]
     slot_values = [neighbors[kept] for kept in slot_kept]
@@ -163,26 +189,38 @@ def _resolve_slots(
         bounds = np.zeros(len(roots) + 1, dtype=OFFSET_DTYPE)
         np.cumsum(lengths, out=bounds[1:])
         slot_bounds.append(bounds)
-    return roots, slot_values, slot_bounds
+    return roots, slot_values, slot_bounds, cuts
 
 
-def _root_candidates(
+def _stage_root_partition(
     cloud: MemoryCloud,
-    machine_id: int,
     stwig: STwig,
     root_label: str,
     bindings: Optional[BindingTable],
-) -> np.ndarray:
-    """Local root candidates as a sorted ``NODE_DTYPE`` array.
+    machine: Optional[int] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One stage's root candidates, owner-ordered, and their machine cuts.
 
-    Uses the binding array when the root is bound; the owner-restricted
-    slice is returned directly (no list round-trip), so the batched loads
-    consume it as-is.
+    Machine ``m``'s candidates are ``roots[cuts[m] : cuts[m + 1]]``, in
+    ascending ID order.  A bound root's binding array is split by owner with
+    one ``owners_of_array`` and one stable argsort; an unbound root is each
+    machine's local label index answer, charged one index lookup per
+    machine as in the per-node model.  Owner resolution is proxy-side
+    partition-map arithmetic and is not charged.  ``machine`` keeps that
+    machine's candidates alone.
     """
+    machine_count = cloud.machine_count
     if bindings is not None and bindings.is_bound(stwig.root):
         bound = bindings.candidates_array(stwig.root)
-        if bound is None or len(bound) == 0:
-            return np.empty(0, dtype=NODE_DTYPE)
         owners = cloud.owners_of_array(bound)
-        return bound[owners == machine_id]
-    return cloud.get_local_ids_array(machine_id, root_label)
+        if machine is not None:
+            mine = owners == machine
+            bound, owners = bound[mine], owners[mine]
+        order = np.argsort(owners, kind="stable")
+        return bound[order], np.searchsorted(owners[order], np.arange(machine_count + 1))
+    machines = range(machine_count) if machine is None else [machine]
+    local = [cloud.get_local_ids_array(m, root_label) for m in machines]
+    sizes = np.zeros(machine_count, dtype=np.int64)
+    sizes[list(machines)] = [len(ids) for ids in local]
+    roots = local[0] if len(local) == 1 else np.concatenate(local)
+    return roots, np.concatenate(([0], np.cumsum(sizes)))

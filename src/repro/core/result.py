@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, prod
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -295,15 +295,18 @@ class STwigTable:
 
     @classmethod
     def from_slots(
-        cls, columns, groups, roots, slot_values, slot_bounds, root_keep=None, entry_keeps=None
-    ) -> "STwigTable":
+        cls, columns, groups, roots, slot_values, slot_bounds, root_keep=None, entry_keeps=None,
+        cuts=None,
+    ):
         """Normalize raw slot columns: mask, count the rows, drop the dead roots.
 
         ``groups`` are the column-index groups of equal label (0 = root);
         ``root_keep`` / ``entry_keeps[k]`` mask the roots and slot ``k``'s
         entries (``None`` = all).  A root's row count is the product over
         label groups of its injective picks (a plain length for a lone
-        leaf); a root whose count is 0 is dead and leaves the table.
+        leaf); a root whose count is 0 is dead and leaves the table.  Given
+        ``cuts``, machine ranges of the roots, the result is the
+        :class:`StageTable` that keeps each range apart.
 
         Raises:
             ExecutionError: when the candidate count is too large to index.
@@ -338,10 +341,12 @@ class STwigTable:
                 f"{int(roots[worst])}): too many to enumerate"
             )
         live = per_root > 0
+        kept = np.arange(len(roots))  # the input positions of the roots left
         if not live.all() or any(keep is not None for keep in keeps):
             roots, slot_values, slot_bounds = _compress(
                 roots, slot_values, slot_bounds, lengths, live, keeps
             )
+            per_root, kept = per_root[live], kept[live]
         if row_count and groups:
             # A label group's factor is its injective count, not its product.
             factors = {1 + slot: b[1:] - b[:-1] for slot, b in enumerate(slot_bounds)}
@@ -359,7 +364,12 @@ class STwigTable:
                 roots, slot_values, slot_bounds = _compress(
                     roots, slot_values, slot_bounds, lengths, live
                 )
-        return cls(columns, groups, roots, slot_values, slot_bounds, row_count)
+                per_root, kept = per_root[live], kept[live]
+        table = cls(columns, groups, roots, slot_values, slot_bounds, row_count)
+        if cuts is None:
+            return table
+        cuts = np.searchsorted(kept, cuts)
+        return StageTable(table, cuts, np.concatenate(([0], np.cumsum(per_root)))[cuts].astype(np.int64))
 
     def select(self, root_keep, entry_keeps) -> "STwigTable":
         """The rows whose root and every slot entry pass their mask (``None`` = all):
@@ -397,22 +407,54 @@ class STwigTable:
         label group shorter than the group.  Only those roots' group columns
         are multiplied out; everywhere else the slot column is the answer.
         """
+        return self._distincts(np.array([0, len(self.roots)]))[0]
+
+    def _distincts(self, cuts: np.ndarray) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+        """:meth:`distincts`, and per root range ``roots[cuts[m] : cuts[m + 1]]``
+        its own distinct values counted and summed over the columns."""
         used = [self.roots, *self.slot_values]
+        # Each used entry's range: slot entries follow their roots.
+        ranges = np.arange(len(cuts) - 1)
+        where = [np.repeat(ranges, cuts[1:] - cuts[:-1])] + [
+            np.repeat(ranges, np.diff(bounds[cuts])) for bounds in self.slot_bounds
+        ]
         for group in self.groups:
             bounds = [self.slot_bounds[column - 1] for column in group]
             lengths = [b[1:] - b[:-1] for b in bounds]
             tight = np.logical_or.reduce([length < len(group) for length in lengths])
             if tight.any():
                 values = [self.slot_values[column - 1] for column in group]
+                # Root positions stand in for the roots: the group's
+                # injectivity never reads column 0.
+                positions = np.arange(len(self.roots))
                 crowded = STwigTable(
                     range(1 + len(group)),
                     [tuple(range(1, 1 + len(group)))],
-                    *_compress(self.roots, values, bounds, lengths, tight),
+                    *_compress(positions, values, bounds, lengths, tight),
                 ).to_array()
                 for position, (column, length) in enumerate(zip(group, lengths)):
-                    loose = used[column][np.repeat(~tight, length)]
-                    used[column] = np.concatenate([loose, crowded[:, 1 + position]])
-        return {name: fast_unique(column) for name, column in zip(self.columns, used)}
+                    loose = np.repeat(~tight, length)
+                    used[column] = np.concatenate([used[column][loose], crowded[:, 1 + position]])
+                    owners = np.searchsorted(cuts, crowded[:, 0], side="right") - 1
+                    where[column] = np.concatenate([where[column][loose], owners])
+        distincts, counts = {}, np.zeros(len(ranges), dtype=np.int64)
+        for name, column, column_ranges in zip(self.columns, used, where):
+            distincts[name], column_counts = _range_distincts(column, column_ranges, len(ranges))
+            counts += column_counts
+        return distincts, counts
+
+    def _root_range(self, start: int, stop: int, row_count: int) -> "STwigTable":
+        """Roots ``start:stop``, which hold ``row_count`` rows, as a table of
+        their own over views of this one's columns."""
+        if start == 0 and stop == len(self.roots):
+            return self
+        if start == stop:
+            return STwigTable(self.columns, self.groups)
+        values = [v[b[start] : b[stop]] for v, b in zip(self.slot_values, self.slot_bounds)]
+        bounds = [b[start : stop + 1] - b[start] for b in self.slot_bounds]
+        return STwigTable(
+            self.columns, self.groups, self.roots[start:stop], values, bounds, row_count
+        )
 
     @classmethod
     def concatenate(cls, tables: Sequence["STwigTable"]) -> "STwigTable":
@@ -434,6 +476,60 @@ class STwigTable:
 
     def __repr__(self) -> str:
         return f"STwigTable(columns={self.columns}, roots={len(self.roots)}, rows={self.row_count})"
+
+
+class StageTable(NamedTuple):
+    """One exploration stage's matches over owner-ordered roots: one table,
+    in which machine ``m``'s roots ``table.roots[root_cuts[m] : root_cuts[m
+    + 1]]`` hold its ``row_cuts[m + 1] - row_cuts[m]`` rows."""
+
+    table: STwigTable
+    root_cuts: np.ndarray
+    row_cuts: np.ndarray
+
+    @classmethod
+    def concatenate(cls, chunks: Sequence["StageTable"]) -> "StageTable":
+        """Consecutive root chunks of one stage as one stage table."""
+        if len(chunks) == 1:
+            return chunks[0]
+        return cls(
+            STwigTable.concatenate([chunk.table for chunk in chunks]),
+            sum(chunk.root_cuts for chunk in chunks),
+            sum(chunk.row_cuts for chunk in chunks),
+        )
+
+    def machine_tables(self) -> List[STwigTable]:
+        """Each machine's range as a table of its own (views, no copy)."""
+        cuts, rows = self.root_cuts.tolist(), self.row_cuts.tolist()
+        return [
+            self.table._root_range(cuts[m], cuts[m + 1], rows[m + 1] - rows[m])
+            for m in range(len(cuts) - 1)
+        ]
+
+    def distincts(self) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+        """The stage's binding contribution: every column's sorted distinct
+        values, and per machine the distinct values its own range holds,
+        summed over the columns (what it ships to the proxy)."""
+        return self.table._distincts(self.root_cuts)
+
+
+def _range_distincts(values: np.ndarray, ranges: np.ndarray, count: int):
+    """``(sorted distinct values, per range 0..count-1 its distinct count)``
+    from one sort of value-major keys, ``ranges`` naming each value's range."""
+    if not len(values):
+        return values.copy(), np.zeros(count, dtype=np.int64)
+    low = int(values.min())
+    if count * (int(values.max()) - low + 1) >= 1 << 62:
+        # IDs too sparse for value * count + range to fit: rank them first.
+        distinct, ranks = np.unique(values, return_inverse=True)
+        keys = fast_unique(ranks * count + ranges)
+    else:
+        keys = fast_unique((values - low) * count + ranges)
+        key_values = keys // count
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(key_values[1:], key_values[:-1], out=first[1:])
+        distinct = key_values[first] + low
+    return distinct, np.bincount(keys % count, minlength=count)
 
 
 @dataclass

@@ -2,18 +2,20 @@
 
 The runtime's :meth:`~repro.runtime.Executor.run` interface is a uniform
 task graph: the engine describes *what* to compute — one
-:class:`ExploreTask` per (stage, machine), one :class:`JoinTask` per
+:class:`ExploreTask` per exploration stage, one :class:`JoinTask` per
 machine — and backends differ only in *scheduling* (inline, or worker
-processes with work stealing).  Tasks and results are plain values: an
-exploration result carries its factorized
-:class:`~repro.core.result.STwigTable` itself (no STwig row exists yet), and
+processes with work stealing).  A stage's simulated machines are ranges of
+its roots, not tasks: a backend cuts the roots into chunks by its own
+worker count.  Tasks and results are plain values: an exploration result
+is the stage's factorized :class:`~repro.core.result.StageTable` (no STwig
+row exists yet), a join result the machine's final-column-ordered rows, and
 the process backend pickles them down and back up its pipes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -21,22 +23,24 @@ from repro.core.result import STwigTable
 from repro.core.stwig import STwig
 from repro.graph.labeled_graph import NODE_DTYPE
 
+
 @dataclass
 class ExploreTask:
-    """One machine's share of one exploration stage.
+    """One exploration stage: ``stwig`` over all of the stage's roots.
 
-    ``roots`` is this machine's owner-partitioned root candidate array (the
-    driver computes and charges the partition once per stage); backends may
-    split it further into chunks for work stealing — chunked sub-results
-    concatenate in chunk order to exactly the unchunked table, because
-    ``match_stwig`` keeps root order and charges per root/neighbor.
+    ``roots`` are owner-ordered, machine ``m``'s being ``roots[cuts[m] :
+    cuts[m + 1]]`` (the driver computes and charges the partition once per
+    stage).  Backends may cut ``roots`` into consecutive chunks for work
+    stealing, on any boundary: chunk results concatenate in chunk order to
+    exactly the unchunked stage, because the kernel keeps root order and
+    charges per root/neighbor.
     """
 
-    machine_id: int
     stwig: STwig
     query: object
     bindings: object
     roots: np.ndarray
+    cuts: np.ndarray
 
 
 @dataclass
@@ -54,32 +58,6 @@ class JoinTask:
     tables: Sequence[Sequence[STwigTable]]  # [machine_id][stwig_index]
     bindings: object
     row_limit: Optional[int] = None
-
-
-@dataclass
-class ExploreResult:
-    """One :class:`ExploreTask`'s outcome: the factorized table plus its
-    per-column sorted-distinct arrays (the binding contribution the proxy
-    merges, computed where the table was built)."""
-
-    machine_id: int
-    table: STwigTable
-    distincts: Dict[str, np.ndarray] = field(default_factory=dict)
-
-
-@dataclass
-class JoinResult:
-    """One :class:`JoinTask`'s outcome: final-column-ordered result rows."""
-
-    machine_id: int
-    rows: np.ndarray
-
-
-def explore_result(machine_id: int, table: STwigTable) -> ExploreResult:
-    """Package a ``match_stwig`` table (every backend's one way to) with its
-    per-column distincts."""
-    distincts = table.distincts() if table.row_count else {}
-    return ExploreResult(machine_id, table, distincts)
 
 
 def empty_rows(width: int) -> np.ndarray:

@@ -1,14 +1,15 @@
 """Cluster execution runtime: pluggable task-graph executors.
 
-The engine's two distributed phases — STwig exploration and the per-machine
-gather+join — are described as batches of :class:`ExploreTask` /
-:class:`JoinTask` and submitted through the uniform
+The engine's two distributed phases — STwig exploration, one
+:class:`ExploreTask` per stage, and the per-machine gather+join, one
+:class:`JoinTask` per machine — are submitted through the uniform
 :meth:`Executor.run` loop; the two backends (serial / worker processes
-forked from the loaded cloud, with work stealing) differ only in how the
-loop's units get run while preserving, exactly, the serial model's results
-and communication counters.  The graph never leaves the process that
+forked from the loaded cloud, with work stealing over root chunks) differ
+only in how the loop's units get run while preserving, exactly, the serial
+model's results (and every counter the schedule cannot change; see
+:mod:`repro.runtime.executors`).  The graph never leaves the process that
 loaded it: workers inherit it, and only tasks and their results (factorized
-STwig tables, result rows) cross the workers' pipes.  See
+stage tables, result rows) cross the workers' pipes.  See
 :mod:`repro.runtime.executors` for the backends and :mod:`repro.core.tasks`
 for the task/result types.
 
@@ -24,12 +25,7 @@ from repro.cloud.config import (
     RuntimeConfig,
     resolve_backend,
 )
-from repro.core.tasks import (
-    ExploreResult,
-    ExploreTask,
-    JoinResult,
-    JoinTask,
-)
+from repro.core.tasks import ExploreTask, JoinTask
 from repro.runtime.executors import (
     Executor,
     ExecutorSpec,
@@ -43,9 +39,7 @@ __all__ = [
     "EXECUTOR_ENV_VAR",
     "Executor",
     "ExecutorSpec",
-    "ExploreResult",
     "ExploreTask",
-    "JoinResult",
     "JoinTask",
     "ProcessExecutor",
     "RuntimeConfig",

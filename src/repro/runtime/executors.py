@@ -3,41 +3,49 @@
 The paper's query engine is distributed: every machine matches STwigs over
 its partition *concurrently*, and every machine assembles its share of the
 answer concurrently.  The reproduction models that cluster with one
-process; the engine describes each fan-out as a batch of tasks
-(:class:`~repro.core.tasks.ExploreTask` / :class:`~repro.core.tasks.JoinTask`)
-and :meth:`Executor.run` — the one fan-out loop — schedules them.  A
-backend is only *how the loop's units get run*:
+process, and its machines are an accounting model: the engine describes
+each exploration stage as one :class:`~repro.core.tasks.ExploreTask` over
+all of the stage's roots, and the join as one
+:class:`~repro.core.tasks.JoinTask` per machine; :meth:`Executor.run` — the
+one fan-out loop — schedules them.  A backend is only *how the loop's
+units get run*:
 
-* :class:`SerialExecutor` — runs units inline, in machine order.  This is
-  the parity oracle: the other backend must produce row-for-row identical
-  results **and** identical communication counters.
+* :class:`SerialExecutor` — runs units inline, in task order, each stage
+  as one unit.  This is the parity oracle: the other backend must produce
+  row-for-row identical results.
 * :class:`ProcessExecutor` — worker processes it owns (one duplex pipe
   each, watched together with the process sentinels), forked from the
   driver once the cloud is loaded: each worker runs its units against the
   cloud it inherited, so the graph never crosses a process boundary (a
   reload restarts the workers).  The pipes are the one transport: a
   batch's tasks go down each pipe as one pickle, and each unit's result
-  (an exploration unit's factorized table, a join unit's rows) comes back
-  pickled on its worker's pipe.
+  (an exploration chunk's factorized stage table, a join unit's rows) comes
+  back pickled on its worker's pipe.
 
-Work stealing: a backend whose units run concurrently has the loop split
-each exploration task's root array into bounded chunks queued
-individually, so idle workers steal from skewed machines.  Chunked
-sub-results concatenate in chunk order to exactly the unchunked table
-(``match_stwig`` keeps root order and charges per root/neighbor),
-and join tasks are never split, so the cooperative budget's exact-prefix
-guarantee survives any schedule.
+Work stealing: a backend whose units run concurrently has the loop cut
+each stage's roots into a few bounded chunks per worker, queued
+individually, so host parallelism follows the worker count, never the
+simulated machine count.  A chunk may cut through a machine's range: chunks
+concatenate in chunk order to exactly the unchunked stage.  Join tasks are
+never split, so the cooperative budget's exact-prefix guarantee survives
+any schedule.
 
 Metric faithfulness is structural: every unit runs against a
 metrics-scoped view of the cloud (:meth:`MemoryCloud.with_metrics`), and
 the loop merges the isolated counters back in (task, chunk) order.
-Counter totals are sums, so any schedule aggregates to exactly the serial
-model's metrics — the invariant the parity suite asserts.
+Counter totals are sums, so with no row limit every schedule reproduces
+the serial counters, all of them.  Under a row limit the machines' joins
+race for one shared budget, so what they ship and build (``messages``,
+``bytes_transferred``, ``result_rows_shipped``, ``result_rows_filtered``,
+``join_rows_materialized``, ``join_peak_intermediate_rows``,
+``stwig_rows_built``) may differ between schedules, while the rows do not;
+``local_loads``, ``remote_loads``, ``local_label_probes``,
+``remote_label_probes`` and ``index_lookups`` stay the serial model's under
+any limit.
 """
 
 from __future__ import annotations
 
-import itertools
 import mmap
 import multiprocessing
 import os
@@ -51,7 +59,7 @@ from collections import deque
 from contextlib import closing, suppress
 from dataclasses import replace
 from multiprocessing.connection import wait
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,33 +68,24 @@ from repro.cloud.config import RuntimeConfig, resolve_backend
 from repro.cloud.metrics import CloudMetrics
 from repro.core.distributed import machine_result_rows
 from repro.core.join import JoinBudget
-from repro.core.matcher import match_stwig
-from repro.core.result import STwigTable
-from repro.core.tasks import (
-    ExploreResult,
-    ExploreTask,
-    JoinResult,
-    JoinTask,
-    explore_result,
-)
+from repro.core.matcher import match_stage
+from repro.core.result import StageTable
+from repro.core.tasks import ExploreTask, JoinTask
 from repro.errors import ConfigurationError, ExecutionError
-from repro.utils.arrays import fast_unique
 
-#: Work stealing: a machine's stage roots are split into at most
-#: ``_STEAL_MAX_CHUNKS`` chunks of at least ``_STEAL_MIN_ROOTS`` roots each
-#: (machines below twice the minimum stay unsplit — there is nothing worth
-#: stealing).  Bounded chunking caps the coalesce cost on the driver while
-#: still letting idle workers take work from skewed machines.
+#: Work stealing: a stage's roots are cut into up to ``_STEAL_CHUNKS_PER_WORKER``
+#: chunks per worker, of at least ``_STEAL_MIN_ROOTS`` roots each (stages
+#: below twice the minimum stay whole), which bounds the coalesce cost.
 _STEAL_MIN_ROOTS = 4_096
-_STEAL_MAX_CHUNKS = 4
+_STEAL_CHUNKS_PER_WORKER = 2
 
 
-def _root_chunks(roots: np.ndarray, stealing: bool) -> List[np.ndarray]:
-    """Split one machine's stage roots into bounded stealable chunks."""
-    count = len(roots)
-    if not stealing or count < 2 * _STEAL_MIN_ROOTS:
-        return [roots]
-    return np.array_split(roots, min(_STEAL_MAX_CHUNKS, count // _STEAL_MIN_ROOTS))
+def _root_chunks(count: int, parts: int) -> List[Tuple[int, int]]:
+    """Cut a stage's ``count`` roots into at most ``parts`` bounded chunks,
+    as consecutive ``(start, stop)`` ranges."""
+    parts = max(1, min(parts, count // _STEAL_MIN_ROOTS))
+    cuts = [count * part // parts for part in range(parts + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def _shared_join_limit(tasks: Sequence[object]) -> Optional[int]:
@@ -121,27 +120,27 @@ class _UnitRunner:
         self._slots = [0] * cloud.machine_count if slots is None else slots
 
     def run(self, task: object, start: int, stop: int) -> Tuple[object, CloudMetrics]:
-        """One unit — a join task, or ``task.roots[start:stop]`` of an
-        exploration task — against isolated metrics: ``(result, metrics)``."""
+        """One unit — a join task, or the chunk ``task.roots[start:stop]`` of
+        an exploration stage — against isolated metrics: ``(result, metrics)``."""
         metrics = CloudMetrics()
         scoped = self._cloud.with_metrics(metrics)
         if isinstance(task, ExploreTask):
-            table = match_stwig(
-                scoped, task.machine_id, task.stwig, task.query,
-                bindings=task.bindings, roots=task.roots[start:stop],
+            stage = match_stage(
+                scoped, task.stwig, task.query, task.bindings,
+                task.roots[start:stop], np.clip(task.cuts, start, stop) - start,
             )
-            return explore_result(task.machine_id, table), metrics
+            return stage, metrics
         rows = machine_result_rows(
             scoped, task.plan, task.tables, task.machine_id, task.bindings,
             budget=JoinBudget(self._limit, self._slots, task.machine_id),
             filtered_cache=self._filtered.setdefault(id(task.tables), {}),
         )
-        return JoinResult(task.machine_id, rows), metrics
+        return rows, metrics
 
 
 class _Unit(NamedTuple):
     """One schedulable piece of a batch: a join task, or the chunk
-    ``task.roots[start:stop]`` of an exploration task."""
+    ``task.roots[start:stop]`` of an exploration stage."""
 
     task_index: int
     chunk_index: int
@@ -151,47 +150,22 @@ class _Unit(NamedTuple):
     stop: int
 
 
-def _coalesce(task: object, chunks: Sequence[object]) -> object:
-    """One task's result from its units' results, in chunk order."""
-    if len(chunks) == 1:
-        return chunks[0]
-    # A chunk-split (stolen-from) machine: its factorized parts concatenate
-    # (disjoint roots, in chunk order) into one table.
-    table = STwigTable.concatenate([chunk.table for chunk in chunks])
-    distincts = {
-        node: fast_unique(
-            np.concatenate([chunk.distincts[node] for chunk in chunks if chunk.distincts])
-        )
-        for node in (table.columns if table.row_count else ())
-    }
-    return ExploreResult(task.machine_id, table, distincts)
-
-
 class Executor(ABC):
     """The fan-out loop; a backend supplies only :meth:`_run_units`."""
 
     name: str = "abstract"
 
-    #: Whether exploration tasks are split into stealable chunks — worth it
+    #: Whether exploration stages are cut into stealable chunks — worth it
     #: only for a backend whose units run concurrently.
     stealing: bool = False
 
-    def run(
-        self,
-        cloud: MemoryCloud,
-        tasks: Sequence[object],
-        on_result: Optional[Callable[[int, object], None]] = None,
-    ) -> List[object]:
+    def run(self, cloud: MemoryCloud, tasks: Sequence[object]) -> List[object]:
         """Run a batch of tasks, returning one result per task in task order.
 
-        Tasks are :class:`~repro.core.tasks.ExploreTask` (result:
-        :class:`~repro.core.tasks.ExploreResult`) or
-        :class:`~repro.core.tasks.JoinTask` (result:
-        :class:`~repro.core.tasks.JoinResult`).  ``on_result(index,
-        result)`` is invoked exactly once per task, from the calling
-        thread, as soon as that task's result is complete — possibly out
-        of task order — so the caller can overlap per-task post-processing
-        (the proxy's binding merge) with the remaining tasks.
+        Tasks are :class:`~repro.core.tasks.ExploreTask` (result: the
+        stage's :class:`~repro.core.result.StageTable`) or
+        :class:`~repro.core.tasks.JoinTask` (result: the machine's
+        final-column-ordered rows).
 
         All join tasks of one batch share a single cooperative row budget:
         every machine joins against its machine-ordered
@@ -201,44 +175,40 @@ class Executor(ABC):
         of the unlimited result on every backend.
 
         Each unit's isolated :class:`CloudMetrics` are merged into
-        ``cloud.metrics`` in (task, chunk) order after the batch; totals
-        are sums, so every schedule reproduces the serial counters.  A
-        failed batch merges nothing.
+        ``cloud.metrics`` in (task, chunk) order after the batch.  A failed
+        batch merges nothing.
         """
         units: List[_Unit] = []
         # buffers[task][chunk] -> (result, metrics) once that unit completed.
         buffers: List[List[Optional[tuple]]] = []
+        parts = _STEAL_CHUNKS_PER_WORKER * self._parallelism() if self.stealing else 1
         for index, task in enumerate(tasks):
             if isinstance(task, ExploreTask):
-                chunks = _root_chunks(task.roots, self.stealing)
+                chunks = _root_chunks(len(task.roots), parts)
             elif isinstance(task, JoinTask):
-                chunks = [()]
+                chunks = [(0, 0)]
             else:
                 raise ExecutionError(f"unknown task type {type(task).__name__}")
-            # Chunks are consecutive slices: each starts where the last stopped.
-            stops = list(itertools.accumulate(map(len, chunks)))
             units.extend(
-                _Unit(index, chunk_index, len(chunks), task, stop - len(chunk), stop)
-                for chunk_index, (chunk, stop) in enumerate(zip(chunks, stops))
+                _Unit(index, chunk_index, len(chunks), task, start, stop)
+                for chunk_index, (start, stop) in enumerate(chunks)
             )
             buffers.append([None] * len(chunks))
-        pending = [len(chunks) for chunks in buffers]
-        results: List[object] = [None] * len(tasks)
         with closing(self._run_units(cloud, tasks, units)) as completed:
             for unit, result, metrics in completed:
-                index = unit.task_index
-                buffers[index][unit.chunk_index] = (result, metrics)
-                pending[index] -= 1
-                if pending[index] == 0:
-                    results[index] = _coalesce(
-                        unit.task, [chunk for chunk, _ in buffers[index]]
-                    )
-                    if on_result is not None:
-                        on_result(index, results[index])
+                buffers[unit.task_index][unit.chunk_index] = (result, metrics)
+        results = []
         for chunks in buffers:
             for _, metrics in chunks:
                 cloud.metrics.merge(metrics)
+            # Only a stage is ever cut: its chunks concatenate in chunk order.
+            pieces = [result for result, _ in chunks]
+            results.append(pieces[0] if len(pieces) == 1 else StageTable.concatenate(pieces))
         return results
+
+    def _parallelism(self) -> int:
+        """How many units the backend runs at once (what chunking follows)."""
+        return 1
 
     @abstractmethod
     def _run_units(
@@ -246,10 +216,10 @@ class Executor(ABC):
     ) -> Iterator[Tuple[_Unit, object, CloudMetrics]]:
         """Run every unit, yielding ``(unit, result, metrics)`` as each completes.
 
-        ``result`` is the unit's :class:`~repro.core.tasks.ExploreResult` /
-        :class:`~repro.core.tasks.JoinResult`, ``metrics`` the isolated
-        counters it ran against.  Any order is allowed; :meth:`run`
-        closes the generator if the batch is abandoned.
+        ``result`` is the unit's :class:`~repro.core.result.StageTable` or
+        result rows, ``metrics`` the isolated counters it ran against.  Any
+        order is allowed; :meth:`run` closes the generator if the batch is
+        abandoned.
         """
 
     def close(self) -> None:
@@ -263,7 +233,7 @@ class Executor(ABC):
 
 
 class SerialExecutor(Executor):
-    """Inline execution in task (= machine) order — the parity oracle.
+    """Inline execution in task order, a stage at a time — the parity oracle.
 
     Sequential join tasks share one filtered-table cache, exactly like the
     historical single-loop assembly; the cooperative budget views, consumed
@@ -420,11 +390,10 @@ class ProcessExecutor(Executor):
 
     ``transport_counters`` exposes the backend's data movement:
 
-    * ``explore_coalesced`` — chunk-split (stolen-from) machines whose parts
-      the driver concatenated (work stealing only; zero when tasks are
-      unsplit);
-    * ``driver_table_receives`` — the non-empty chunk tables those machines'
-      parts arrived as;
+    * ``explore_coalesced`` — stages cut into chunks whose tables the driver
+      concatenated (work stealing only; zero when stages are unsplit);
+    * ``driver_table_receives`` — the non-empty chunk tables those stages
+      arrived as;
     * ``explore_publications``, ``join_publications``, ``join_cache_hits``
       — always 0: nothing is published outside the pipes.  The names stay
       for the benchmark's per-layer table, until its next baseline break.
@@ -443,6 +412,10 @@ class ProcessExecutor(Executor):
              "join_publications", "join_cache_hits"), 0,
         )
         self._finalizer = weakref.finalize(self, _ProcessState.teardown, self._state)
+
+    def _parallelism(self) -> int:
+        # Default sizing: one worker per host CPU, whatever the machine count.
+        return self._workers or os.cpu_count() or 1
 
     def _ensure_workers(self, cloud: MemoryCloud) -> List[_Worker]:
         # Key the workers on the *owning* cloud, never on the per-query
@@ -470,8 +443,7 @@ class ProcessExecutor(Executor):
         spent = [worker for worker in state.workers if not worker.usable()]
         _retire(spent)
         state.workers = [worker for worker in state.workers if worker not in spent]
-        # Default sizing: one worker per machine, capped at the host CPUs.
-        size = self._workers or min(owner.machine_count, os.cpu_count() or 1)
+        size = self._parallelism()
         while len(state.workers) < size:
             state.workers.append(_Worker(owner, state.slots, state.workers))
         return state.workers
@@ -513,12 +485,16 @@ class ProcessExecutor(Executor):
                     continue
                 if outcome is None:
                     unit = units[worker.sent[0]]
+                    task = unit.task
+                    part = (
+                        f"machine {task.machine_id}" if isinstance(task, JoinTask)
+                        else f"stage {task.stwig}"
+                    )
                     worker.process.join(_CLOSE_DEADLINE_S)
                     outcome = "error", worker.sent[0], ExecutionError(
                         f"worker {worker.process.pid} died (exit code "
-                        f"{worker.process.exitcode}) running the {type(unit.task).__name__} "
-                        f"of machine {unit.task.machine_id}, chunk "
-                        f"{unit.chunk_index + 1}/{unit.chunk_count}"
+                        f"{worker.process.exitcode}) running the {type(task).__name__} "
+                        f"of {part}, chunk {unit.chunk_index + 1}/{unit.chunk_count}"
                     )
                     worker.sent.clear()
                 else:
@@ -549,8 +525,8 @@ class ProcessExecutor(Executor):
                         raise body
                     unit, (result, metrics) = units[unit_index], body
                     if unit.chunk_count > 1 and result.table.row_count:
-                        # A chunk of a split (stolen-from) machine, which the
-                        # loop concatenates on the driver.
+                        # A chunk of a split stage, which the loop
+                        # concatenates on the driver.
                         self.transport_counters["driver_table_receives"] += 1
                     yield unit, result, metrics
             finally:

@@ -5,7 +5,7 @@ The standalone ``BlobCellStore`` demonstration of that point is gone; the
 store the engine actually runs on — a :class:`Machine`'s CSR columns — *is*
 the flat layout, so the same round-trip and footprint claims are asserted
 against it here; the batched claims go through the cloud's
-``load_neighbors_batch``, which resolves IDs to rows for the machine.
+``load_cells``, which resolves IDs to rows for the machine.
 """
 
 from __future__ import annotations
@@ -46,9 +46,7 @@ def cloud() -> MemoryCloud:
 
 def load_batch(cloud: MemoryCloud, node_ids):
     """Batched load of ``node_ids`` from machine 0 (the only one)."""
-    return cloud.load_neighbors_batch(
-        np.array(node_ids, dtype=np.int64), requester=0, owner=0
-    )
+    return cloud.load_cells(np.array(node_ids, dtype=np.int64), [0, len(node_ids)])
 
 
 def graph_machine(graph) -> Machine:

@@ -166,6 +166,6 @@ class TestAggregation:
     def test_simulated_compute_counts_local_ops(self):
         metrics = CloudMetrics()
         metrics.record_load(1, 1, 1)
-        metrics.record_index_lookup(1, 5)
+        metrics.record_index_lookup()
         model = NetworkModel(latency_per_message=0.0, seconds_per_byte=0.0, local_op_cost=1.0)
         assert metrics.simulated_compute_seconds(model) == pytest.approx(2.0)

@@ -22,6 +22,7 @@ from tests.helpers import (
     NODE_ID_DOMAINS,
     domain_graph,
     installed_cloud,
+    load_neighbors_batch,
     seeded_graph,
 )
 
@@ -110,7 +111,7 @@ def test_every_node_resolves_to_its_own_cell(domain, path, base_graph, tmp_path)
     for machine in range(cloud.machine_count):
         local = owners == machine
         assert np.array_equal(columns[f"machine{machine}/node_ids"][rows[local]], ids[local])
-        neighbors, counts = cloud.load_neighbors_batch(ids[local], requester=0, owner=machine)
+        neighbors, counts = load_neighbors_batch(cloud, ids[local], requester=0, owner=machine)
         expected = [cloud.load_neighbors(node) for node in ids[local].tolist()]
         assert counts.tolist() == [len(cell) for cell in expected]
         assert neighbors.tolist() == [node for cell in expected for node in cell.tolist()]

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from repro.core.bindings import BindingTable
-from repro.core.exploration import _BindingMerger
-from repro.core.result import STwigTable
+from repro.core.exploration import _merge_bindings
+from repro.core.result import StageTable, STwigTable
 from repro.core.stwig import STwig
-from repro.core.tasks import explore_result
 from repro.errors import QueryError
 from repro.graph.labeled_graph import NODE_DTYPE
 from repro.query.query_graph import QueryGraph
@@ -25,14 +24,14 @@ def query() -> QueryGraph:
 
 def merge_machine_columns(query, bindings, node, per_machine):
     """Bind ``node`` the way the proxy does after one STwig: every machine's
-    distinct column values are unioned by the merger, then ``bind`` narrows."""
+    range of the stage table contributes its distinct column values, the
+    merge unions them, then ``bind`` narrows."""
     stwig = STwig(node, ())
-    merger = _BindingMerger(make_cloud(path_graph(2)), stwig.nodes)
-    for machine_id, values in enumerate(per_machine):
-        roots = np.array(sorted(values), dtype=NODE_DTYPE)
-        table = STwigTable(stwig.nodes, roots=roots, row_count=len(roots))
-        merger.absorb(machine_id, explore_result(machine_id, table))
-    merger.bind_into(bindings)
+    ranges = [np.array(sorted(values), dtype=NODE_DTYPE) for values in per_machine]
+    cuts = np.concatenate(([0], np.cumsum([len(roots) for roots in ranges])))
+    table = STwigTable(stwig.nodes, roots=np.concatenate(ranges), row_count=int(cuts[-1]))
+    cloud = make_cloud(path_graph(2), machine_count=len(per_machine))
+    _merge_bindings(cloud, stwig.nodes, StageTable(table, cuts, cuts), bindings)
 
 
 class TestBasicBinding:

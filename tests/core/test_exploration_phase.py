@@ -492,9 +492,10 @@ class TestBatchedRootPartition:
         from repro.core.exploration import _stage_root_partition
 
         for stwig in plan.stwigs:
-            partition = _stage_root_partition(
+            roots, cuts = _stage_root_partition(
                 cloud, stwig, query.label(stwig.root), outcome.bindings
             )
+            partition = [roots[cuts[m] : cuts[m + 1]] for m in range(len(cuts) - 1)]
             assert len(partition) == cloud.machine_count
             bound = outcome.bindings.candidates_array(stwig.root)
             recombined = np.concatenate(partition) if partition else np.empty(0)

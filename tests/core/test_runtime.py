@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.vf2 import vf2_match
-from repro.errors import CloudError, ConfigurationError
+from repro.errors import ConfigurationError, NodeNotFoundError
 from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import (
     EXECUTOR_ENV_VAR,
@@ -180,11 +180,11 @@ class TestBackendParity:
         observed_limits = []
 
         class RecordingExecutor(ProcessExecutor):  # noqa: B903
-            def run(self, cloud, tasks, on_result=None):
+            def run(self, cloud, tasks):
                 observed_limits.extend(
                     task.row_limit for task in tasks if isinstance(task, JoinTask)
                 )
-                return super().run(cloud, tasks, on_result=on_result)
+                return super().run(cloud, tasks)
 
         cloud = MemoryCloud.from_graph(parity_graph, ClusterConfig(machine_count=4))
         executor = RecordingExecutor(workers=2)
@@ -324,7 +324,7 @@ def shm_listing():
 class TestProcessRuntimeLifecycle:
     def test_process_query_touches_no_shared_memory(self):
         """One transport, the pipes: in a fresh interpreter, an unlimited and
-        a limited process query (a machine split for stealing) return
+        a limited process query (a stage cut into chunks for stealing) return
         serial's rows without loading ``multiprocessing.shared_memory``,
         leave ``/dev/shm`` as they found it, and write nothing to stderr."""
         if not os.path.isdir("/dev/shm"):
@@ -351,7 +351,7 @@ class TestProcessRuntimeLifecycle:
                 split = matcher.executor.transport_counters["explore_coalesced"]
             cloud.close()
             assert len(expected[0]) > 5 and actual == expected
-            assert split > 0, "no machine was split"
+            assert split > 0, "no stage was split"
             assert "multiprocessing.shared_memory" not in sys.modules
             assert sorted(os.listdir("/dev/shm")) == before
             """
@@ -563,12 +563,13 @@ class TestProcessRuntimeLifecycle:
     def test_worker_error_does_not_leak_shipped_blocks(self, parity_graph, parity_queries):
         """A failed batch strands nothing, and leaves the executor usable.
 
-        One exploration batch fails inside a worker (a task for a machine
-        that does not exist) and another is abandoned by the driver (its
-        ``on_result`` raises).  Both errors surface, ``/dev/shm`` holds
-        exactly what it held before, and the next batch answers as the
-        first did: the sibling units in flight were drained.
+        One exploration batch fails inside a worker (a stage whose cuts put
+        every root on the last machine, which does not store them).  The
+        error surfaces, ``/dev/shm`` holds exactly what it held before, and
+        the next batch answers as the first did: the sibling units in
+        flight were drained.
         """
+        from repro.core.matcher import _stage_root_partition
         from repro.core.planner import QueryPlanner
         from repro.core.tasks import ExploreTask
 
@@ -577,26 +578,21 @@ class TestProcessRuntimeLifecycle:
         cloud = MemoryCloud.from_graph(parity_graph, ClusterConfig(machine_count=4))
         query = parity_queries[0]
         stwig = QueryPlanner(cloud).plan(query).stwigs[0]
-        label = query.label(stwig.root)
-        tasks = [
-            ExploreTask(machine, stwig, query, None, cloud.get_local_ids_array(machine, label))
-            for machine in range(4)
-        ]
-        no_such_machine = ExploreTask(99, stwig, query, None, tasks[0].roots)
-
-        def boom(index, result):
-            raise RuntimeError("driver-side merge failed")
+        roots, cuts = _stage_root_partition(cloud, stwig, query.label(stwig.root), None)
+        assert cuts[3] > 0, "machine 3 holds every root: nothing would be misplaced"
+        stage = ExploreTask(stwig, query, None, roots, cuts)
+        misplaced = ExploreTask(stwig, query, None, roots, np.array([0, 0, 0, 0, len(roots)]))
 
         executor = ProcessExecutor(workers=2)
         try:
-            first = [result.table.row_count for result in executor.run(cloud, tasks)]
+            first = [result.table.row_count for result in executor.run(cloud, [stage, stage])]
             resident = set(os.listdir("/dev/shm"))
-            with pytest.raises(CloudError, match="machine 99 out of range"):
-                executor.run(cloud, tasks + [no_such_machine])
-            with pytest.raises(RuntimeError, match="merge failed"):
-                executor.run(cloud, tasks, on_result=boom)
+            with pytest.raises(NodeNotFoundError, match="machine 3"):
+                executor.run(cloud, [stage, misplaced, stage])
             assert set(os.listdir("/dev/shm")) == resident
-            assert [result.table.row_count for result in executor.run(cloud, tasks)] == first
+            assert [
+                result.table.row_count for result in executor.run(cloud, [stage, stage])
+            ] == first
         finally:
             executor.close()
             cloud.close()
@@ -671,21 +667,19 @@ class TestProcessRuntimeLifecycle:
         assert pickled == [os.getpid()] * (4 * len(plan.stwigs))
 
     def test_root_chunks_partition_exactly(self):
-        """Chunking for stealing is an exact order-preserving partition,
-        and joins/small machines are never split."""
-        from repro.runtime.executors import (
-            _STEAL_MAX_CHUNKS,
-            _STEAL_MIN_ROOTS,
-            _root_chunks,
-        )
+        """Chunking for stealing is an exact order-preserving partition of a
+        stage's roots, bounded per worker, and small stages are never split."""
+        from repro.runtime.executors import _STEAL_MIN_ROOTS, _root_chunks
 
-        small = np.arange(2 * _STEAL_MIN_ROOTS - 1, dtype=np.int64)
-        assert len(_root_chunks(small, True)) == 1
-        large = np.arange(10 * _STEAL_MIN_ROOTS, dtype=np.int64)
-        assert len(_root_chunks(large, False)) == 1
-        chunks = _root_chunks(large, True)
-        assert 2 <= len(chunks) <= _STEAL_MAX_CHUNKS
-        np.testing.assert_array_equal(np.concatenate(chunks), large)
+        assert _root_chunks(2 * _STEAL_MIN_ROOTS - 1, 4) == [(0, 2 * _STEAL_MIN_ROOTS - 1)]
+        large = 10 * _STEAL_MIN_ROOTS + 3
+        assert _root_chunks(large, 1) == [(0, large)]
+        chunks = _root_chunks(large, 4)
+        assert len(chunks) == 4
+        # Consecutive, covering, no chunk below the floor.
+        assert chunks[0][0] == 0 and chunks[-1][1] == large
+        assert all(stop == start for (_, stop), (start, _) in zip(chunks, chunks[1:]))
+        assert min(stop - start for start, stop in chunks) >= _STEAL_MIN_ROOTS
 
 
 class TestSingleExecutionPath:
@@ -702,9 +696,9 @@ class TestSingleExecutionPath:
         batches = []
         inherited_run = SerialExecutor.run
 
-        def spy(self, cloud, tasks, on_result=None):
+        def spy(self, cloud, tasks):
             batches.append({type(task) for task in tasks})
-            return inherited_run(self, cloud, tasks, on_result)
+            return inherited_run(self, cloud, tasks)
 
         monkeypatch.setattr(SerialExecutor, "run", spy)
         cloud = MemoryCloud.from_graph(parity_graph, ClusterConfig(machine_count=4))

@@ -145,8 +145,8 @@ def runtime(graph):
 @pytest.mark.parametrize(
     "where, patched, after",
     [
-        # Inside an exploration unit, its table built and not yet reported.
-        ("explore", "match_stwig", True),
+        # Inside an exploration unit, its stage chunk built and not yet reported.
+        ("explore", "match_stage", True),
         # Inside a join unit, the table matrix received.
         ("join", "machine_result_rows", False),
     ],
@@ -178,9 +178,9 @@ def test_sigkill_mid_batch_fails_the_query_and_the_executor_recovers(
     thread.join(timeout=DEADLINE_S)
     assert not thread.is_alive(), f"query still waiting on a dead worker ({where})"
     message = str(failed["error"])
-    assert f"worker {victim} died" in message and "machine" in message
-    kind = "ExploreTask" if where == "explore" else "JoinTask"
-    assert kind in message
+    assert f"worker {victim} died" in message and "chunk" in message
+    kind, part = ("ExploreTask", "stage") if where == "explore" else ("JoinTask", "machine")
+    assert kind in message and part in message
     # Nothing of the failed query is left behind.
     assert set(os.listdir("/dev/shm")) == resident
 
@@ -235,7 +235,7 @@ def test_sigstop_does_not_hang_close(runtime, query, expected):
 def test_stealing_queries_strand_nothing_on_a_resident_executor(
     runtime, query, expected, monkeypatch
 ):
-    """A stolen-from machine's table is coalesced on the driver and rides
+    """A stage cut into stolen chunks is coalesced on the driver and rides
     the join batch's pipes like any other: ``/dev/shm`` after query *k*
     lists what it listed after query 1, however long the executor stays
     resident."""
@@ -248,7 +248,7 @@ def test_stealing_queries_strand_nothing_on_a_resident_executor(
         assert result.rows == expected
         listings.append(sorted(os.listdir("/dev/shm")))
     counters = executor.transport_counters
-    assert counters["explore_coalesced"] > 0, "no machine was stolen from"
+    assert counters["explore_coalesced"] > 0, "no stage was cut into chunks"
     assert counters["join_publications"] == 0
     assert all(listing == listings[0] for listing in listings), list(map(len, listings))
     finished, _, error = bounded(lambda: (matcher.close(), executor.close(), cloud.close()))

@@ -6,8 +6,9 @@ Covers the tentpole invariants of the CSR refactor:
   preserves every neighbor set exactly;
 * the CSR arrays agree with a reference dict-of-sets adjacency;
 * label-table interning is stable (IDs never change once assigned);
-* batched cloud operators (``load_neighbors_batch``, and the tests'
-  ``batch_has_label`` over ``labels_and_owners``)
+* batched cloud operators (``load_cells``, through the tests'
+  one-machine ``load_neighbors_batch``, and ``batch_has_label`` over
+  ``labels_and_owners``)
   agree with their per-node counterparts, including metric accounting;
 * empty graphs, isolated nodes, and self-loops behave.
 """
@@ -29,6 +30,7 @@ from repro.graph.partition import BlockPartitioner, RoundRobinPartitioner
 
 from tests.helpers import (
     batch_has_label,
+    load_neighbors_batch,
     machine_from_cells,
     make_cloud,
     path_graph,
@@ -151,7 +153,7 @@ class TestRoundTripThroughMachines:
         assert cloud.partition_sizes()[2] == 0
         for node in (5, 0):
             with pytest.raises(NodeNotFoundError):
-                cloud.load_neighbors_batch(np.array([node], dtype=np.int64), requester=0, owner=2)
+                load_neighbors_batch(cloud, np.array([node], dtype=np.int64), requester=0, owner=2)
 
 
 class TestBatchedOperators:
@@ -169,8 +171,8 @@ class TestBatchedOperators:
         nodes = np.array(sorted(graph.nodes())[:20], dtype=np.int64)
         checked = 0
         for owner, local in self.nodes_by_owner(cloud, nodes):
-            batch_neighbors, counts = cloud.load_neighbors_batch(
-                local, requester=0, owner=owner
+            batch_neighbors, counts = load_neighbors_batch(
+                cloud, local, requester=0, owner=owner
             )
             cursor = 0
             for node, count in zip(local.tolist(), counts.tolist()):
@@ -192,7 +194,7 @@ class TestBatchedOperators:
         scalar_cloud.reset_metrics()
         # Requester 1 makes one owner's batch local and the others remote.
         for owner, local in self.nodes_by_owner(batch_cloud, nodes):
-            batch_cloud.load_neighbors_batch(local, requester=1, owner=owner)
+            load_neighbors_batch(batch_cloud, local, requester=1, owner=owner)
         for node in nodes.tolist():
             scalar_cloud.load(node, requester=1)
         assert batch_cloud.metrics.snapshot() == scalar_cloud.metrics.snapshot()
@@ -203,17 +205,18 @@ class TestBatchedOperators:
         nodes = np.array(sorted(graph.nodes())[:20], dtype=np.int64)
         wrong_owner = (int(cloud.owner_of(int(nodes[0]))) + 1) % 3
         with pytest.raises(NodeNotFoundError):
-            cloud.load_neighbors_batch(nodes[:1], requester=0, owner=wrong_owner)
+            load_neighbors_batch(cloud, nodes[:1], requester=0, owner=wrong_owner)
 
     @pytest.mark.parametrize("owner", [-1, 3])
     def test_load_neighbors_batch_refuses_a_machine_out_of_range(self, owner):
         # Neither charged to a machine that does not exist (-1 once read
-        # machine 2's cells through a negative index) nor a bare IndexError.
+        # machine 2's cells through a negative index) nor a bare IndexError:
+        # cuts that name no such machine's range are refused.
         cloud = make_cloud(generate_power_law(200, 4, seed=1), machine_count=3)
         nodes = cloud.get_local_ids_array(2, cloud.label_table.labels()[0])[:3]
         cloud.reset_metrics()
-        with pytest.raises(CloudError, match=f"machine {owner} out of range"):
-            cloud.load_neighbors_batch(nodes, requester=0, owner=owner)
+        with pytest.raises(CloudError, match="one range per machine"):
+            load_neighbors_batch(cloud, nodes, requester=0, owner=owner)
         assert cloud.metrics.snapshot() == CloudMetrics().snapshot()
         assert not any(cloud.metrics.per_pair_messages.values())
 

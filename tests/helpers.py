@@ -19,6 +19,8 @@ source for those fixtures:
   the given counters set and every other one zero;
 * :func:`batch_has_label` — batched ``Index.hasLabel`` over the matcher's
   cloud operators, charged like per-node probes;
+* :func:`load_neighbors_batch` — ``MemoryCloud.load_cells`` over one
+  machine's cells, issued by any requester;
 * :func:`injective_products` / :func:`nested_loop_stwig_rows` — the
   nested-loop STwig row builder, the matcher's row-for-row reference;
 * :func:`injective_mask` / :func:`oracle_join` — the row-sort injectivity
@@ -645,6 +647,15 @@ def batch_has_label(
     cloud.charge_label_probes(requester, owners)
     # A never-interned label (-1) matches no node's label (>= 0).
     return labels == cloud.label_table.id_of(label)
+
+
+def load_neighbors_batch(
+    cloud: MemoryCloud, node_ids: np.ndarray, requester: int, owner: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Batched ``Cloud.Load`` of cells stored on machine ``owner``, each
+    requested by ``requester``: ``MemoryCloud.load_cells`` over one range."""
+    cuts = np.where(np.arange(cloud.machine_count + 1) > owner, len(node_ids), 0)
+    return cloud.load_cells(node_ids, cuts, requester)
 
 
 def striped_path_cloud(length: int = 6, machine_count: int = 3) -> MemoryCloud:

@@ -3,10 +3,11 @@
 The task-graph runtime's contract is that scheduling — serial inline,
 process pool with work stealing on or off, or every batch's units run in
 an arbitrary drawn order — never shows through in what a query returns:
-the same rows in the same order, the same truncation flag, and (for
-unlimited queries) identical merged communication metrics, because
-per-chunk metric deltas are summed in (task, chunk) order no matter which
-worker ran which chunk when.
+the same rows in the same order, the same truncation flag, and identical
+merged communication metrics — all of them for unlimited queries, the
+exploration counters (loads, label probes, index lookups) under a limit —
+because per-chunk metric deltas are summed in (task, chunk) order no
+matter which worker ran which chunk when.
 Hypothesis drives random query/limit choices against module-scoped
 matchers, one per schedule, with the chunk floor forced low enough that
 stealing genuinely splits machines at this graph scale.
@@ -48,6 +49,16 @@ class ShuffledExecutor(SerialExecutor):
         units = list(units)
         self.rng.shuffle(units)
         return super()._run_units(cloud, tasks, units)
+
+
+#: The counters no schedule and no row limit changes.
+SCHEDULE_FREE = (
+    "local_loads",
+    "remote_loads",
+    "local_label_probes",
+    "remote_label_probes",
+    "index_lookups",
+)
 
 
 def _executor_for(backend, stealing):
@@ -111,8 +122,12 @@ def test_results_are_schedule_independent(schedule_env, data):
             assert result.metrics == expected.metrics, schedule
             assert not result.stats.truncated, schedule
         else:
-            # Limited queries: exact prefix + truncation parity; metrics
-            # are schedule-dependent by design (cooperative budget racing)
-            # so they are deliberately not compared here.
+            # Limited queries: exact prefix + truncation parity.  What the
+            # joins ship and build is schedule-dependent by design (they
+            # race for one cooperative budget); the exploration counters,
+            # which no limit changes, are not.
             assert result.rows == expected.rows[:k], schedule
             assert result.stats.truncated == (k < expected.match_count), schedule
+            assert {name: result.metrics[name] for name in SCHEDULE_FREE} == {
+                name: expected.metrics[name] for name in SCHEDULE_FREE
+            }, schedule

@@ -52,8 +52,14 @@ legal, because the reader honours it in older snapshots), and the node
 lookups beside ``NodeIndex`` (the cloud's ID-indexed tag copy and its
 ``_tag_ids``, a machine's graph-sized ``_dense_rows`` /
 ``_dense_row_table``, ``dense_value_table`` / ``dense_position_table`` /
-``table_position_lookup``) with the test-only ``batch_has_label``: the
-names are gone from the API, and nothing in ``src/`` may bring them back.
+``table_position_lookup``) with the test-only ``batch_has_label``, and the
+per-machine exploration loop (``ExploreResult`` / ``explore_result``, the
+proxy's ``_BindingMerger`` and ``Executor.run``'s ``on_result``, the
+executor's per-machine distinct merge ``_coalesce`` and
+``_STEAL_MAX_CHUNKS``, ``matcher._root_candidates``) with ``JoinResult`` and
+the one-machine ``load_neighbors_batch`` (now ``load_cells``; its spelling
+lives on in ``tests/helpers.py``): the names are gone from the API, and
+nothing in ``src/`` may bring them back.
 
 And it keeps the front door single (``FRONT_DOOR``): ``repro.api`` is the one
 place a source becomes a cloud and a service is put in front of it, so the
@@ -200,6 +206,15 @@ RETIRED_SPELLINGS = [
     "dense_position_table",
     "table_position_lookup",
     "batch_has_label",
+    "_BindingMerger",
+    "explore_result",
+    "ExploreResult",
+    "JoinResult",
+    "_root_candidates",
+    "on_result",
+    "_coalesce(",
+    "_STEAL_MAX_CHUNKS",
+    "load_neighbors_batch",
 ]
 
 #: Constructor spellings banned per file (glob under the repo root): a second
