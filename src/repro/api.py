@@ -224,7 +224,9 @@ class Session:
         ``result.external_array()`` (the dataset's original IDs) hand it
         out as it is, and ``result.rows``, ``result.external_rows()`` and
         ``result.as_dicts()`` convert it to Python tuples / dicts anew on
-        every call.
+        every call — a large answer with one shared Python object per
+        distinct node, a narrow one with one per cell
+        (:func:`~repro.core.result.rows_as_tuples`).
 
         Args:
             q: a :class:`QueryGraph` or query text for

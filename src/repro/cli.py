@@ -59,7 +59,7 @@ from typing import Iterator, List, Optional, Sequence
 from repro import api
 from repro.cloud.config import EXECUTOR_BACKENDS, resolve_backend
 from repro.core.planner import MatcherConfig
-from repro.core.result import MatchResult
+from repro.core.result import MatchResult, rows_as_tuples
 from repro.errors import StorageError
 from repro.graph.generators import (
     generate_gnm,
@@ -295,10 +295,9 @@ def _connect(args: argparse.Namespace, **knobs) -> api.Session:
 
 def _first_assignments(result: MatchResult, count: int) -> List[dict]:
     """The first ``count`` matches as dicts; only those rows leave the array."""
-    head = result.to_array()[:count]
-    if result.id_map is not None:
-        head = result.id_map.to_external(head)
-    return [dict(zip(result.columns, row)) for row in head.tolist()]
+    image = None if result.id_map is None else result.id_map.to_external
+    rows = rows_as_tuples(result.to_array()[:count], image)
+    return [dict(zip(result.columns, row)) for row in rows]
 
 
 def _command_query(args: argparse.Namespace) -> int:

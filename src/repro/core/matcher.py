@@ -30,7 +30,7 @@ roots still alive (a root whose earlier slot came up empty stops probing).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -137,7 +137,7 @@ def _resolve_slots(
     # reuses them.
     labels: Optional[np.ndarray] = None
     owners: Optional[np.ndarray] = None
-    requesters: Optional[np.ndarray] = None
+    requesters: Union[int, np.ndarray, None] = None
 
     # Resolve each leaf slot over the flat neighbor array; a root dies when a
     # slot comes up empty, and dead roots are excluded from later probes.
@@ -154,12 +154,12 @@ def _resolve_slots(
         else:
             if labels is None:
                 labels, owners = cloud.labels_and_owners(neighbors)
-                sizes = cuts[1:] - cuts[:-1]
-                requesters = np.repeat(np.repeat(np.arange(len(sizes)), sizes), counts)
-            if entry_alive is None:
-                cloud.charge_label_probes(requesters, owners)
-            else:
-                cloud.charge_label_probes(requesters[entry_alive], owners[entry_alive])
+                requesters = _requesters(cuts, counts)
+            probing = slice(None) if entry_alive is None else entry_alive
+            cloud.charge_label_probes(
+                requesters if isinstance(requesters, int) else requesters[probing],
+                owners[probing],
+            )
             # Graph nodes' labels are >= 0, so a never-interned label (-1)
             # keeps nothing.
             kept = labels == cloud.label_table.id_of(leaf_label)
@@ -190,6 +190,16 @@ def _resolve_slots(
         np.cumsum(lengths, out=bounds[1:])
         slot_bounds.append(bounds)
     return roots, slot_values, slot_bounds, cuts
+
+
+def _requesters(cuts: np.ndarray, counts: np.ndarray) -> Union[int, np.ndarray]:
+    """The machine probing each neighbor entry (its root's): one machine ID
+    when a single range holds every root, else one per entry."""
+    sizes = cuts[1:] - cuts[:-1]
+    occupied = np.flatnonzero(sizes)
+    if len(occupied) == 1:
+        return int(occupied[0])
+    return np.repeat(np.repeat(np.arange(len(sizes)), sizes), counts)
 
 
 def _stage_root_partition(

@@ -12,14 +12,19 @@ array: the join's output and the final answer.  Nothing edits either
 :class:`MatchTable` plus the query's metadata.  ``to_array()`` (and
 ``MatchResult.external_array()``) are the primary accessors; ``rows`` /
 ``external_rows()`` / ``as_dicts()`` convert that array to Python objects
-on every call, column by column (:func:`rows_as_tuples`), and keep nothing.
+on every call (:func:`rows_as_tuples`, the one conversion) and keep
+nothing.  The conversion builds one Python object per *distinct* value
+when the answer's value span is no wider than its cell count (a large
+answer: every node it names becomes one shared ``int``, or one ``str`` of
+a string-ID dataset) and one per cell otherwise (a limit-k answer on a
+large graph, sparse IDs); the lists are equal either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, prod
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,18 +43,46 @@ _MAX_EXACT_ROWS = float(1 << 53)
 RowsLike = Union[Iterable[Tuple[int, ...]], np.ndarray]
 
 
-def rows_as_tuples(array: np.ndarray) -> List[tuple]:
-    """An ``(n, width)`` array as a list of ``n`` tuples of Python scalars.
+def rows_as_tuples(
+    array: np.ndarray, image: Callable[[np.ndarray], np.ndarray] | None = None
+) -> List[tuple]:
+    """An ``(n, width)`` integer array as a list of ``n`` tuples of Python
+    scalars: the values themselves, or their ``image`` (a vectorized map
+    such as :meth:`~repro.ingest.idmap.IdMap.to_external`).
 
-    Built column-wise — one ``tolist`` per column, then one ``zip`` — which
-    allocates ``width`` intermediate lists instead of one per row.  The
-    cyclic collector is paused meanwhile: tuples of ints cannot form a cycle,
-    and traversing them is a third of the conversion on a 250k-row answer.
+    Built column-wise — one list per column, then one ``zip`` — in one of
+    two regimes, chosen by the data alone:
+
+    * *dense*, when the value span ``max - min + 1`` is no wider than the
+      cell count: a presence mask over ``[min, max]`` finds the distinct
+      values, one ``tolist`` turns them (or their images) into one Python
+      object each, and each column is an object-array gather of those
+      objects, so a node that fills many cells is one shared object;
+    * *sparse* otherwise (a limit-k answer on a large graph, sparse 62-bit
+      IDs): one ``tolist`` per column of the array (or of its image, mapped
+      in one call), one object per cell.
+
+    Both give equal lists.  The cyclic collector is paused meanwhile: tuples
+    of ints and strings cannot form a cycle, and traversing them is a third
+    of the conversion on a 250k-row answer.
     """
-    if array.shape[1] == 0:
-        return [()] * len(array)
+    count, width = array.shape
+    if not count or not width:
+        return [()] * count
+    low = int(array.min())
+    span = int(array.max()) - low + 1
     with paused_gc():
-        return list(zip(*[array[:, index].tolist() for index in range(array.shape[1])]))
+        if span > array.size:
+            mapped = array if image is None else image(array)
+            return list(zip(*[mapped[:, index].tolist() for index in range(width)]))
+        columns = [array[:, index] for index in range(width)]
+        present = np.zeros(span, dtype=bool)
+        for column in columns:
+            present[column - low] = True
+        distinct = np.flatnonzero(present) + low
+        table = np.empty(span, dtype=object)
+        table[present] = (distinct if image is None else image(distinct)).tolist()
+        return list(zip(*[table[column - low].tolist() for column in columns]))
 
 
 class MatchTable:
@@ -413,11 +446,15 @@ class STwigTable:
         """:meth:`distincts`, and per root range ``roots[cuts[m] : cuts[m + 1]]``
         its own distinct values counted and summed over the columns."""
         used = [self.roots, *self.slot_values]
-        # Each used entry's range: slot entries follow their roots.
         ranges = np.arange(len(cuts) - 1)
-        where = [np.repeat(ranges, cuts[1:] - cuts[:-1])] + [
-            np.repeat(ranges, np.diff(bounds[cuts])) for bounds in self.slot_bounds
-        ]
+        occupied = np.flatnonzero(cuts[1:] - cuts[:-1])
+        # Each used entry's range (slot entries follow their roots); none
+        # when one range holds every root.
+        where = None
+        if len(occupied) > 1:
+            where = [np.repeat(ranges, cuts[1:] - cuts[:-1])] + [
+                np.repeat(ranges, np.diff(bounds[cuts])) for bounds in self.slot_bounds
+            ]
         for group in self.groups:
             bounds = [self.slot_bounds[column - 1] for column in group]
             lengths = [b[1:] - b[:-1] for b in bounds]
@@ -435,9 +472,15 @@ class STwigTable:
                 for position, (column, length) in enumerate(zip(group, lengths)):
                     loose = np.repeat(~tight, length)
                     used[column] = np.concatenate([used[column][loose], crowded[:, 1 + position]])
-                    owners = np.searchsorted(cuts, crowded[:, 0], side="right") - 1
-                    where[column] = np.concatenate([where[column][loose], owners])
-        distincts, counts = {}, np.zeros(len(ranges), dtype=np.int64)
+                    if where is not None:
+                        owners = np.searchsorted(cuts, crowded[:, 0], side="right") - 1
+                        where[column] = np.concatenate([where[column][loose], owners])
+        counts = np.zeros(len(ranges), dtype=np.int64)
+        if where is None:
+            distincts = {name: fast_unique(column) for name, column in zip(self.columns, used)}
+            counts[occupied] = sum(len(values) for values in distincts.values())
+            return distincts, counts
+        distincts = {}
         for name, column, column_ranges in zip(self.columns, used, where):
             distincts[name], column_counts = _range_distincts(column, column_ranges, len(ranges))
             counts += column_counts
@@ -581,8 +624,8 @@ class MatchResult:
     The array always holds the engine's internal (dense) node IDs.  For a
     graph that came through the ingestion layer, ``id_map`` carries the
     external<->dense bijection and the ``external_*`` accessors (and
-    :meth:`as_dicts`) translate back to the caller's original IDs with one
-    vectorized gather over the final array, never per intermediate row.
+    :meth:`as_dicts`) translate back to the caller's original IDs with
+    vectorized gathers over the final array, never per intermediate row.
     """
 
     def __init__(
@@ -636,8 +679,16 @@ class MatchResult:
         return rows_as_tuples(self.to_array())
 
     def external_rows(self) -> List[Tuple]:
-        """:meth:`external_array` as a new list of tuples of Python scalars."""
-        return rows_as_tuples(self.external_array())
+        """:meth:`external_array` as a new list of tuples of Python scalars.
+
+        Converted from the dense array (:func:`rows_as_tuples`), mapping
+        through the :attr:`id_map` only what the regime needs: the distinct
+        IDs of a large answer (one shared ``int`` or ``str`` per node, no
+        2-D external array), or the whole array of a narrow one.
+        """
+        id_map = self.id_map
+        image = None if id_map is None or id_map.is_identity else id_map.to_external
+        return rows_as_tuples(self.to_array(), image)
 
     def as_dicts(self) -> List[Dict[str, int]]:
         """Matches as dictionaries keyed by query-node name.

@@ -122,9 +122,10 @@ class LabeledGraph:
         """Bulk-ingest a graph from ``(src, dst)`` edge arrays.
 
         This is the array-native loading path the vectorized generators feed:
-        the CSR offset/neighbor columns are assembled with one sort and one
-        ``np.unique`` over the whole edge set instead of a Python call per
-        edge.
+        the CSR offset/neighbor columns are assembled in one buffer of both
+        edge directions with one sort over the whole edge set (and one more
+        over half of it to collapse duplicates) instead of a Python call per
+        edge, each intermediate freed once used.
 
         Args:
             label_table: shared label-interning table for ``label_ids``.
@@ -139,21 +140,23 @@ class LabeledGraph:
             GraphError: on self-loops, duplicate node IDs, mismatched array
                 lengths, or edge endpoints missing from ``node_ids``.
         """
-        from repro.utils.arrays import NodeIndex, fast_unique
+        from repro.utils.arrays import NodeIndex
 
-        node_ids = np.asarray(node_ids, dtype=NODE_DTYPE)
-        label_ids = np.asarray(label_ids, dtype=LABEL_DTYPE)
+        # The graph's own copies: nothing the caller does later reaches it.
+        node_ids = np.array(node_ids, dtype=NODE_DTYPE)
+        label_ids = np.array(label_ids, dtype=LABEL_DTYPE)
         if node_ids.shape != label_ids.shape:
             raise GraphError(
                 f"node_ids and label_ids must be parallel, got "
                 f"{len(node_ids)} vs {len(label_ids)}"
             )
-        order = np.argsort(node_ids, kind="stable")
-        node_ids = node_ids[order]
-        label_ids = label_ids[order]
         if len(node_ids) > 1 and not (node_ids[1:] > node_ids[:-1]).all():
-            duplicate = node_ids[1:][node_ids[1:] == node_ids[:-1]]
-            raise GraphError(f"duplicate node ID {int(duplicate[0])}")
+            order = np.argsort(node_ids, kind="stable")
+            node_ids = node_ids[order]
+            label_ids = label_ids[order]
+            if not (node_ids[1:] > node_ids[:-1]).all():
+                duplicate = node_ids[1:][node_ids[1:] == node_ids[:-1]]
+                raise GraphError(f"duplicate node ID {int(duplicate[0])}")
 
         src = np.asarray(src, dtype=NODE_DTYPE).ravel()
         dst = np.asarray(dst, dtype=NODE_DTYPE).ravel()
@@ -161,46 +164,62 @@ class LabeledGraph:
             raise GraphError(
                 f"src and dst must be parallel, got {len(src)} vs {len(dst)}"
             )
-        loops = src == dst
-        if loops.any():
+        if (src == dst).any():
             raise GraphError(
-                f"self-loop on node {int(src[np.argmax(loops)])} is not allowed"
+                f"self-loop on node {int(src[np.argmax(src == dst)])} is not allowed"
             )
 
         n = len(node_ids)
         index = NodeIndex(node_ids)
         rows_u, found_u = index.find(src)
         rows_v, found_v = index.find(dst)
-        missing = ~(found_u & found_v)
-        if missing.any():
-            at = int(np.argmax(missing))
+        found = found_u & found_v
+        if not found.all():
+            at = int(np.argmin(found))
             bad = int(src[at]) if not found_u[at] else int(dst[at])
             raise GraphError(f"edge endpoint {bad} has no label")
+        del found, found_u, found_v
 
-        # Canonicalize to (low row, high row) and collapse duplicates with a
-        # single packed-key unique; rows (not IDs) keep the key < n**2.
-        lo = np.minimum(rows_u, rows_v).astype(np.int64)
-        hi = np.maximum(rows_u, rows_v).astype(np.int64)
-        keys = lo * n + hi
-        if not assume_unique:
-            keys = fast_unique(keys)
+        # One buffer holds both directions of every edge.  Its first half
+        # gets the canonical (low row * n + high row) keys — rows, not IDs,
+        # keep a key < n**2 — collapsed by one sort when duplicates may
+        # exist; the mirrored keys (high * n + low) follow them.
+        buffer = np.empty(2 * len(src), dtype=np.int64)
+        keys = buffer[: len(src)]
+        np.minimum(rows_u, rows_v, out=keys)
+        np.maximum(rows_u, rows_v, out=buffer[len(src) :])
+        del rows_u, rows_v
+        keys *= n
+        keys += buffer[len(src) :]
+        if not assume_unique and len(keys) > 1:
+            keys.sort()
+            first = np.empty(len(keys), dtype=bool)
+            first[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            if not first.all():
+                # Compact in place, then move to a buffer of the new size.
+                count = int(np.count_nonzero(first))
+                keys[:count] = keys[first]
+                buffer = np.empty(2 * count, dtype=np.int64)
+                buffer[:count] = keys[:count]
+                keys = buffer[:count]
+            del first
         edge_count = len(keys)
-        lo = keys // n
-        hi = keys % n
+        mirrored = buffer[edge_count:]
+        np.remainder(keys, n, out=mirrored)
+        mirrored *= n
+        mirrored += keys // n
+        del keys, mirrored
 
-        # Mirror each edge and sort once into CSR row order: the packed
-        # (source * n + target) key orders by source row first, then by
-        # target row — and target rows ascend with neighbor IDs, which is
-        # exactly the CSR invariant.  One flat int64 sort beats a two-key
-        # lexsort roughly 2x at the million-edge scale.
-        packed = np.concatenate((keys, hi * n + lo))
-        packed.sort()
-        sources = packed // n
-        targets = packed % n
-        counts = np.bincount(sources, minlength=n)
-        offsets = np.zeros(n + 1, dtype=OFFSET_DTYPE)
-        np.cumsum(counts, out=offsets[1:])
-        neighbors = node_ids[targets]
+        # Sort once into CSR row order: a (source * n + target) key orders by
+        # source row first, then by target row — and target rows ascend with
+        # neighbor IDs, which is exactly the CSR invariant.  Row r's entries
+        # are the keys in [r * n, (r + 1) * n); what is left of each key
+        # after the source is its target row.
+        buffer.sort()
+        offsets = np.searchsorted(buffer, np.arange(n + 1, dtype=np.int64) * n)
+        np.remainder(buffer, n, out=buffer)
+        neighbors = buffer if index.is_identity else node_ids[buffer]
         return cls(label_table, node_ids, label_ids, offsets, neighbors, edge_count)
 
     @classmethod

@@ -145,6 +145,11 @@ class NodeIndex:
             self._table = np.full(int(sorted_ids[-1]) + 1, -1, dtype=np.int64)
             self._table[sorted_ids] = np.arange(count, dtype=np.int64)
 
+    @property
+    def is_identity(self) -> bool:
+        """Whether every value is its own position (the column is ``0..n-1``)."""
+        return self._identity
+
     def find(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(positions, found)`` of ``values``, with :func:`sorted_lookup`'s
         contract: a position is valid wherever ``found`` is True, and an

@@ -49,15 +49,18 @@ source for those fixtures:
 * :func:`domain_graph` / :func:`installed_cloud` — a graph moved onto one
   of the :data:`NODE_ID_DOMAINS` and a cloud installed along one of the
   :data:`INSTALL_PATHS`, the node-lookup tests' inputs.
+* :func:`traced` — what a call allocates, held and at its peak, under
+  ``tracemalloc`` (the memory-bound tests' one instrument).
 
 All randomness is seed-parameterized, never global.
 """
 
 from __future__ import annotations
 
+import tracemalloc
 from itertools import product
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -762,3 +765,18 @@ def installed_cloud(
             directory, ClusterConfig(machine_count=machine_count - 1)
         )
     return MemoryCloud.open_snapshot(directory)
+
+
+def traced(build: Callable[[], object]) -> Tuple[object, int, int]:
+    """``(value, held, peak)``: ``build()``'s value, and the bytes Python
+    allocations made during the call that are still live after it (what
+    the value keeps) and at their peak, as ``tracemalloc`` counts them."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        value = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, held - before, peak - before
