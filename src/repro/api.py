@@ -137,6 +137,11 @@ def load_dataset(
     )
 
 
+def _shape(config: ClusterConfig) -> tuple:
+    """Everything a cluster configuration fixes about a loaded cloud."""
+    return config.machine_count, type(config.partitioner), config.network
+
+
 def _resolve(
     source: Union[DatasetSource, MemoryCloud],
     *,
@@ -148,9 +153,10 @@ def _resolve(
     """Any source -> ``(loaded cloud, whether the caller now owns it)``.
 
     The only place in the serving stack that constructs a cloud: a
-    :class:`MemoryCloud` is borrowed as it is, a snapshot directory is
-    attached (in its recorded cluster shape unless one is given), anything
-    else goes through :func:`load_dataset` and is partitioned.
+    :class:`MemoryCloud` is borrowed as it is (a shape it was not loaded
+    in is refused), a snapshot directory is attached (in its recorded
+    cluster shape unless one is given), anything else goes through
+    :func:`load_dataset` and is partitioned.
     """
     if machines is not None and cluster_config is not None:
         raise ConfigurationError(
@@ -158,6 +164,14 @@ def _resolve(
             "cluster_config=, not both"
         )
     if isinstance(source, MemoryCloud):
+        own = source.config
+        if (machines is not None and machines != own.machine_count) or (
+            cluster_config is not None and _shape(cluster_config) != _shape(own)
+        ):
+            raise ConfigurationError(
+                f"the cloud is loaded on {own.machine_count} machines and cannot be "
+                "reshaped: pass its graph, not the cloud, to serve another cluster shape"
+            )
         return source, False
     if machines is not None:
         cluster_config = ClusterConfig(machine_count=machines)

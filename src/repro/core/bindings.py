@@ -82,7 +82,7 @@ class BindingTable:
     def membership_mask(self, node: str, values: np.ndarray) -> np.ndarray:
         """Boolean mask marking which ``values`` lie in the binding of ``node``.
 
-        The matcher's leaf filters and the gather's final binding filter
+        The matcher's leaf filters and exploration's final binding filter
         probe the same binding against many large candidate arrays; on the
         usual dense ID domains the answers come from a cached O(1) lookup
         table (built once per binding generation), falling back to binary

@@ -29,6 +29,7 @@ from repro.core.planner import MatcherConfig, QueryPlan, QueryPlanner
 from repro.core.result import MatchResult, StageStats
 from repro.query.query_graph import QueryGraph
 from repro.runtime import Executor, ExecutorSpec, create_executor
+from repro.utils.validation import is_row_limit, require
 
 
 class SubgraphMatcher:
@@ -117,7 +118,12 @@ class SubgraphMatcher:
         Returns:
             A :class:`MatchResult` with the matches and execution metadata
             (wall-clock time, simulated cluster time, communication counters).
+
+        Raises:
+            ConfigurationError: ``limit`` is neither ``None`` nor a
+                non-negative integer; nothing has run.
         """
+        require(is_row_limit(limit), f"limit must be None or a non-negative integer, got {limit!r}")
         stats = StageStats()
         started = time.perf_counter()
 

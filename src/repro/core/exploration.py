@@ -12,6 +12,15 @@ tables stay on their machines; only each machine's distinct column values
 machine per stage, and the proxy intersects their union into the running
 :class:`~repro.core.bindings.BindingTable`, so later STwigs explore only
 nodes that can still participate in a full match (Section 4.2, step 2).
+
+Exploration ends with the final binding filter (unless
+``use_final_binding_filter`` is off, or some stage came up empty): every
+stage keeps only the rows whose values all survived into the final binding
+sets — one sorted-membership mask per column, one
+:meth:`~repro.core.result.STwigTable.select` over the whole stage with its
+machine cuts, no row built.  Each machine filters its own range, so the
+stage still holds the per-machine row counts it had before (``held_cuts``):
+the join charges the rows a sender dropped to ``result_rows_filtered``.
 """
 
 from __future__ import annotations
@@ -24,26 +33,23 @@ from repro.cloud.cluster import MemoryCloud
 from repro.core.bindings import BindingTable
 from repro.core.matcher import _stage_root_partition
 from repro.core.planner import QueryPlan
-from repro.core.result import StageTable, STwigTable
+from repro.core.result import StageTable
 from repro.core.tasks import ExploreTask
-
-#: Per-machine tables: explored[machine_id][stwig_index] -> STwigTable.
-ExplorationTables = List[List[STwigTable]]
 
 
 class ExplorationOutcome:
-    """The per-machine factorized tables (``tables[machine_id][stwig_index]``,
-    each machine's range of its stage's table), the final bindings, and
-    whether some STwig matched nothing (``empty``: no answers)."""
+    """One :class:`~repro.core.result.StageTable` per STwig (``tables[i]``;
+    a skipped STwig's is empty), the final bindings, and whether some STwig
+    matched nothing (``empty``: no answers)."""
 
-    def __init__(self, tables: ExplorationTables, bindings: BindingTable, empty: bool) -> None:
+    def __init__(self, tables: List[StageTable], bindings: BindingTable, empty: bool) -> None:
         self.tables = tables
         self.bindings = bindings
         self.empty = empty
 
     def total_rows(self) -> int:
-        """Total intermediate rows produced across machines and STwigs."""
-        return sum(table.row_count for machine in self.tables for table in machine)
+        """Total intermediate rows exploration held, before the final filter."""
+        return sum(int(stage.held[-1]) for stage in self.tables)
 
     def release(self) -> None:
         """Does nothing: the tables are plain values, freed with the outcome.
@@ -80,7 +86,7 @@ def explore(cloud: MemoryCloud, plan: QueryPlan, executor=None) -> ExplorationOu
         roots, cuts = _stage_root_partition(
             cloud, stwig, query.label(stwig.root), stage_filter
         )
-        [stage] = executor.run(cloud, [ExploreTask(stwig, query, stage_filter, roots, cuts)])
+        stage = executor.run(cloud, ExploreTask(stwig, query, stage_filter, roots, cuts))
         stages.append(stage)
         _merge_bindings(cloud, stwig.nodes, stage, bindings)
         if config.use_binding_filter and bindings.any_empty():
@@ -88,14 +94,36 @@ def explore(cloud: MemoryCloud, plan: QueryPlan, executor=None) -> ExplorationOu
             # the remaining STwigs get empty tables.
             break
 
-    skipped = [STwigTable(stwig.nodes) for stwig in plan.stwigs[len(stages):]]
-    tables: ExplorationTables = [
-        [*machine, *skipped] for machine in zip(*(stage.machine_tables() for stage in stages))
-    ]
     empty = len(stages) < len(plan.stwigs) or any(
         stage.table.row_count == 0 for stage in stages
     )
-    return ExplorationOutcome(tables, bindings, empty)
+    if config.use_final_binding_filter and not empty:
+        stages = [_final_filter(stage, bindings) for stage in stages]
+    stages += [
+        StageTable.empty(stwig.nodes, cloud.machine_count)
+        for stwig in plan.stwigs[len(stages):]
+    ]
+    return ExplorationOutcome(stages, bindings, empty)
+
+
+def _final_filter(stage: StageTable, bindings: BindingTable) -> StageTable:
+    """Drop the stage's rows whose values fell out of the final binding sets.
+
+    Every full match assigns each query node a value that survived *all*
+    STwigs mentioning it, i.e. a value in the final binding set; rows
+    violating that for any column can therefore never contribute to an
+    answer.  Earlier-explored stages were built against weaker binding
+    information, so this backward pass can shrink them substantially before
+    the join.  One mask per column, on the roots and the slot columns.
+    """
+    table = stage.table
+    keeps = []
+    for column, values in zip(table.columns, (table.roots, *table.slot_values)):
+        keep = bindings.membership_mask(column, values)
+        keeps.append(None if keep.all() else keep)
+    if all(keep is None for keep in keeps):
+        return stage
+    return table.select(keeps[0], keeps[1:], stage.root_cuts)._replace(held_cuts=stage.row_cuts)
 
 
 def _merge_bindings(

@@ -117,9 +117,9 @@ class JoinBudget:
     scheduling.  Higher-ID machines stop early whenever lower IDs have
     already filled the budget — that early stop is the parallel win.
 
-    The guarantee is per *machine-ordered task*: the work-stealing runtime
-    may split exploration stages into chunks, but join tasks are never
-    split (two chunks of one machine would race the same slot), so any
+    The guarantee is per *machine*: the work-stealing runtime may split
+    exploration stages into chunks, but a machine's join is never split
+    (two chunks of one machine would race the same slot), so any
     schedule — including stolen, out-of-order completion — still yields an
     exact prefix.
     """
@@ -399,25 +399,22 @@ def _stream_stages(
         return
     plan = plans[stage]
     lo, counts, offsets = plan.match_runs(partial)
-    if int(offsets[-1]) == 0:
+    total = int(offsets[-1])
+    if total == 0:
         return
+    # Expand only as many probe rows as the remaining budget can consume,
+    # one chunk of match pairs at a time (unbudgeted: one chunk of every
+    # pair).  Chunks grow geometrically in case downstream stages keep
+    # dropping rows (no partner / injectivity), so a sparse tail costs
+    # O(log) extra passes, never a full re-expansion.
     remaining = budget.remaining()
-    if remaining is None:
-        out = plan.expand(partial, lo, counts, offsets, 0, len(counts), counters)
-        if len(out):
-            _stream_stages(out, plans, stage + 1, budget, counters, pieces)
-        return
-    # Budgeted: expand only as many probe rows as the remaining budget can
-    # consume, one chunk of match pairs at a time.  Chunks grow
-    # geometrically in case downstream stages keep dropping rows (no
-    # partner / injectivity), so a sparse tail costs O(log) extra passes,
-    # never a full re-expansion.
+    chunk = total if remaining is None else max(remaining, _LIMIT_CHUNK)
     row_position = 0
-    chunk = max(remaining, _LIMIT_CHUNK)
     while row_position < len(counts) and not budget.exhausted():
         pair_position = int(offsets[row_position])
         row_end = int(np.searchsorted(offsets, pair_position + chunk, side="left"))
-        row_end = min(max(row_end, row_position + 1), len(counts))
+        if row_end >= len(counts) or offsets[row_end] == total:
+            row_end = len(counts)  # the last chunk: unmatched rows ride along
         out = plan.expand(partial, lo, counts, offsets, row_position, row_end, counters)
         row_position = row_end
         if len(out):

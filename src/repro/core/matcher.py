@@ -97,8 +97,7 @@ def match_stage(
     labels = [query.label(node) for node in stwig.nodes]
     slots = _resolve_slots(cloud, stwig, labels[1:], bindings, roots, cuts)
     if slots is None:
-        none = np.zeros(cloud.machine_count + 1, dtype=np.int64)
-        return StageTable(STwigTable(stwig.nodes), none, none)
+        return StageTable.empty(stwig.nodes, cloud.machine_count)
     # Injectivity only needs checking between columns of equal label: a data
     # node has one label, so differently-labeled columns cannot collide.
     by_label: Dict[str, List[int]] = {}

@@ -44,14 +44,18 @@ RowsLike = Union[Iterable[Tuple[int, ...]], np.ndarray]
 
 
 def rows_as_tuples(
-    array: np.ndarray, image: Callable[[np.ndarray], np.ndarray] | None = None
-) -> List[tuple]:
+    array: np.ndarray,
+    image: Callable[[np.ndarray], np.ndarray] | None = None,
+    keys: Sequence[str] | None = None,
+) -> List:
     """An ``(n, width)`` integer array as a list of ``n`` tuples of Python
     scalars: the values themselves, or their ``image`` (a vectorized map
-    such as :meth:`~repro.ingest.idmap.IdMap.to_external`).
+    such as :meth:`~repro.ingest.idmap.IdMap.to_external`).  Given ``keys``,
+    one per column, each row is a dict keyed by them instead.
 
-    Built column-wise — one list per column, then one ``zip`` — in one of
-    two regimes, chosen by the data alone:
+    Built column-wise — one list per column, then one ``zip`` whose rows
+    become the tuples (or dicts) one at a time — in one of two regimes,
+    chosen by the data alone:
 
     * *dense*, when the value span ``max - min + 1`` is no wider than the
       cell count: a presence mask over ``[min, max]`` finds the distinct
@@ -68,21 +72,26 @@ def rows_as_tuples(
     """
     count, width = array.shape
     if not count or not width:
-        return [()] * count
+        return [()] * count if keys is None else [{} for _ in range(count)]
     low = int(array.min())
     span = int(array.max()) - low + 1
     with paused_gc():
         if span > array.size:
             mapped = array if image is None else image(array)
-            return list(zip(*[mapped[:, index].tolist() for index in range(width)]))
-        columns = [array[:, index] for index in range(width)]
-        present = np.zeros(span, dtype=bool)
-        for column in columns:
-            present[column - low] = True
-        distinct = np.flatnonzero(present) + low
-        table = np.empty(span, dtype=object)
-        table[present] = (distinct if image is None else image(distinct)).tolist()
-        return list(zip(*[table[column - low].tolist() for column in columns]))
+            rows = zip(*[mapped[:, index].tolist() for index in range(width)])
+        else:
+            columns = [array[:, index] for index in range(width)]
+            present = np.zeros(span, dtype=bool)
+            for column in columns:
+                present[column - low] = True
+            distinct = np.flatnonzero(present) + low
+            table = np.empty(span, dtype=object)
+            table[present] = (distinct if image is None else image(distinct)).tolist()
+            rows = zip(*[table[column - low].tolist() for column in columns])
+        # Rebound inside the block: the column lists die before the
+        # collector resumes, never traversed by the collection it may start.
+        rows = list(rows) if keys is None else [dict(zip(keys, row)) for row in rows]
+    return rows
 
 
 class MatchTable:
@@ -169,7 +178,7 @@ class MatchTable:
 
     def as_dicts(self) -> List[Dict[str, int]]:
         """Rows as dictionaries keyed by query-node name."""
-        return [dict(zip(self.columns, row)) for row in self.rows]
+        return rows_as_tuples(self._data, keys=self.columns)
 
     # -- columns -----------------------------------------------------------
 
@@ -404,12 +413,14 @@ class STwigTable:
         cuts = np.searchsorted(kept, cuts)
         return StageTable(table, cuts, np.concatenate(([0], np.cumsum(per_root)))[cuts].astype(np.int64))
 
-    def select(self, root_keep, entry_keeps) -> "STwigTable":
+    def select(self, root_keep, entry_keeps, cuts=None):
         """The rows whose root and every slot entry pass their mask (``None`` = all):
-        the flat table's row filter, since a row survives iff each column does."""
+        the flat table's row filter, since a row survives iff each column does.
+        Given ``cuts``, machine ranges of the roots, the :class:`StageTable`
+        that keeps each range apart."""
         return STwigTable.from_slots(
             self.columns, self.groups, self.roots, self.slot_values, self.slot_bounds,
-            root_keep, entry_keeps,
+            root_keep, entry_keeps, cuts,
         )
 
     def row_blocks(self, block_rows: int = _BLOCK_ROWS) -> Iterator[np.ndarray]:
@@ -524,15 +535,24 @@ class STwigTable:
 class StageTable(NamedTuple):
     """One exploration stage's matches over owner-ordered roots: one table,
     in which machine ``m``'s roots ``table.roots[root_cuts[m] : root_cuts[m
-    + 1]]`` hold its ``row_cuts[m + 1] - row_cuts[m]`` rows."""
+    + 1]]`` hold its ``row_cuts[m + 1] - row_cuts[m]`` rows.  ``held_cuts``
+    are the row cuts the stage held before the final binding filter
+    (``None``: not filtered, so ``row_cuts``)."""
 
     table: STwigTable
     root_cuts: np.ndarray
     row_cuts: np.ndarray
+    held_cuts: np.ndarray | None = None
+
+    @classmethod
+    def empty(cls, columns, machine_count: int) -> "StageTable":
+        """A stage without a row on any of ``machine_count`` machines."""
+        none = np.zeros(machine_count + 1, dtype=np.int64)
+        return cls(STwigTable(columns), none, none)
 
     @classmethod
     def concatenate(cls, chunks: Sequence["StageTable"]) -> "StageTable":
-        """Consecutive root chunks of one stage as one stage table."""
+        """Consecutive root chunks of one (unfiltered) stage as one stage table."""
         if len(chunks) == 1:
             return chunks[0]
         return cls(
@@ -541,13 +561,17 @@ class StageTable(NamedTuple):
             sum(chunk.row_cuts for chunk in chunks),
         )
 
-    def machine_tables(self) -> List[STwigTable]:
-        """Each machine's range as a table of its own (views, no copy)."""
-        cuts, rows = self.root_cuts.tolist(), self.row_cuts.tolist()
-        return [
-            self.table._root_range(cuts[m], cuts[m + 1], rows[m + 1] - rows[m])
-            for m in range(len(cuts) - 1)
-        ]
+    @property
+    def held(self) -> np.ndarray:
+        """The row cuts before the final binding filter."""
+        return self.row_cuts if self.held_cuts is None else self.held_cuts
+
+    def machine_table(self, machine: int) -> STwigTable:
+        """Machine ``machine``'s range as a table of its own (views, no copy)."""
+        cuts, rows = self.root_cuts, self.row_cuts
+        return self.table._root_range(
+            int(cuts[machine]), int(cuts[machine + 1]), int(rows[machine + 1] - rows[machine])
+        )
 
     def distincts(self) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
         """The stage's binding contribution: every column's sorted distinct
@@ -686,16 +710,21 @@ class MatchResult:
         IDs of a large answer (one shared ``int`` or ``str`` per node, no
         2-D external array), or the whole array of a narrow one.
         """
-        id_map = self.id_map
-        image = None if id_map is None or id_map.is_identity else id_map.to_external
-        return rows_as_tuples(self.to_array(), image)
+        return self._external()
 
     def as_dicts(self) -> List[Dict[str, int]]:
         """Matches as dictionaries keyed by query-node name.
 
-        Values are external IDs when the result carries an :attr:`id_map`.
+        Values are external IDs when the result carries an :attr:`id_map`;
+        the dicts are built row by row from the conversion's column lists,
+        so no list of row tuples exists beside them.
         """
-        return [dict(zip(self.columns, row)) for row in self.external_rows()]
+        return self._external(self.columns)
+
+    def _external(self, keys: Sequence[str] | None = None) -> List:
+        id_map = self.id_map
+        image = None if id_map is None or id_map.is_identity else id_map.to_external
+        return rows_as_tuples(self.to_array(), image, keys)
 
     def __repr__(self) -> str:
         return (

@@ -1,15 +1,16 @@
 """Task-graph primitives of the executor API: tasks and their results.
 
-The runtime's :meth:`~repro.runtime.Executor.run` interface is a uniform
-task graph: the engine describes *what* to compute — one
-:class:`ExploreTask` per exploration stage, one :class:`JoinTask` per
-machine — and backends differ only in *scheduling* (inline, or worker
-processes with work stealing).  A stage's simulated machines are ranges of
-its roots, not tasks: a backend cuts the roots into chunks by its own
-worker count.  Tasks and results are plain values: an exploration result
-is the stage's factorized :class:`~repro.core.result.StageTable` (no STwig
-row exists yet), a join result the machine's final-column-ordered rows, and
-the process backend pickles them down and back up its pipes.
+The runtime's :meth:`~repro.runtime.Executor.run` interface runs one task at
+a time: the engine describes *what* to compute — one :class:`ExploreTask`
+per exploration stage, one :class:`JoinTask` per query — and backends differ
+only in *scheduling* (inline, or worker processes with work stealing).  A
+backend cuts a task into units: a stage into chunks of its roots, by its
+own worker count (a stage's simulated machines are ranges of its roots,
+not units), a join into one unit per machine.  Tasks and results are plain
+values: an exploration result is the stage's factorized
+:class:`~repro.core.result.StageTable` (no STwig row exists yet), a join
+result the machines' final-column-ordered rows in machine order, and the
+process backend pickles them down and back up its pipes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.result import STwigTable
+from repro.core.result import StageTable
 from repro.core.stwig import STwig
 from repro.graph.labeled_graph import NODE_DTYPE
 
@@ -45,17 +46,15 @@ class ExploreTask:
 
 @dataclass
 class JoinTask:
-    """One machine's gather+join over the exploration table matrix.
+    """One query's gather+join over its exploration stage tables.
 
-    Join tasks are **never** split for work stealing: the cooperative
-    budget's exact-prefix guarantee is per machine-ordered task, and all
-    join tasks of one :meth:`~repro.runtime.Executor.run` call share one
-    budget (``row_limit`` must agree across them).
+    Its units are the machines, never split for work stealing: the
+    cooperative budget's exact-prefix guarantee is per machine, and every
+    machine joins against its own view of one budget of ``row_limit`` rows.
     """
 
-    machine_id: int
     plan: object
-    tables: Sequence[Sequence[STwigTable]]  # [machine_id][stwig_index]
+    tables: Sequence[StageTable]  # [stwig_index]
     bindings: object
     row_limit: Optional[int] = None
 

@@ -2,14 +2,14 @@
 
 The engine's two distributed phases — STwig exploration, one
 :class:`ExploreTask` per stage, and the per-machine gather+join, one
-:class:`JoinTask` per machine — are submitted through the uniform
-:meth:`Executor.run` loop; the two backends (serial / worker processes
-forked from the loaded cloud, with work stealing over root chunks) differ
-only in how the loop's units get run while preserving, exactly, the serial
-model's results (and every counter the schedule cannot change; see
-:mod:`repro.runtime.executors`).  The graph never leaves the process that
-loaded it: workers inherit it, and only tasks and their results (factorized
-stage tables, result rows) cross the workers' pipes.  See
+:class:`JoinTask` per query whose units are the machines — are submitted
+through the uniform :meth:`Executor.run` loop; the two backends (serial /
+worker processes forked from the loaded cloud, with work stealing over root
+chunks) differ only in how the loop's units get run while preserving,
+exactly, the serial model's results (and every counter the schedule cannot
+change; see :mod:`repro.runtime.executors`).  The graph never leaves the
+process that loaded it: workers inherit it, and only tasks and their
+results (factorized stage tables, result rows) cross the workers' pipes.  See
 :mod:`repro.runtime.executors` for the backends and :mod:`repro.core.tasks`
 for the task/result types.
 

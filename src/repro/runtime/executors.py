@@ -5,12 +5,13 @@ its partition *concurrently*, and every machine assembles its share of the
 answer concurrently.  The reproduction models that cluster with one
 process, and its machines are an accounting model: the engine describes
 each exploration stage as one :class:`~repro.core.tasks.ExploreTask` over
-all of the stage's roots, and the join as one
-:class:`~repro.core.tasks.JoinTask` per machine; :meth:`Executor.run` — the
-one fan-out loop — schedules them.  A backend is only *how the loop's
-units get run*:
+all of the stage's roots, and a query's join as one
+:class:`~repro.core.tasks.JoinTask`; :meth:`Executor.run` — the one
+fan-out loop — cuts a task into units (root chunks of a stage, the
+machines of a join) and schedules them.  A backend is only *how the
+loop's units get run*:
 
-* :class:`SerialExecutor` — runs units inline, in task order, each stage
+* :class:`SerialExecutor` — runs units inline, in unit order, each stage
   as one unit.  This is the parity oracle: the other backend must produce
   row-for-row identical results.
 * :class:`ProcessExecutor` — worker processes it owns (one duplex pipe
@@ -18,21 +19,21 @@ units get run*:
   driver once the cloud is loaded: each worker runs its units against the
   cloud it inherited, so the graph never crosses a process boundary (a
   reload restarts the workers).  The pipes are the one transport: a
-  batch's tasks go down each pipe as one pickle, and each unit's result
-  (an exploration chunk's factorized stage table, a join unit's rows) comes
-  back pickled on its worker's pipe.
+  batch's task goes down each pipe as one pickle, and each unit's result
+  (an exploration chunk's factorized stage table, a machine's join rows)
+  comes back pickled on its worker's pipe.
 
 Work stealing: a backend whose units run concurrently has the loop cut
 each stage's roots into a few bounded chunks per worker, queued
 individually, so host parallelism follows the worker count, never the
 simulated machine count.  A chunk may cut through a machine's range: chunks
-concatenate in chunk order to exactly the unchunked stage.  Join tasks are
-never split, so the cooperative budget's exact-prefix guarantee survives
-any schedule.
+concatenate in chunk order to exactly the unchunked stage.  A machine's
+join is never split, so the cooperative budget's exact-prefix guarantee
+survives any schedule.
 
 Metric faithfulness is structural: every unit runs against a
 metrics-scoped view of the cloud (:meth:`MemoryCloud.with_metrics`), and
-the loop merges the isolated counters back in (task, chunk) order.
+the loop merges the isolated counters back in unit order.
 Counter totals are sums, so with no row limit every schedule reproduces
 the serial counters, all of them.  Under a row limit the machines' joins
 race for one shared budget, so what they ship and build (``messages``,
@@ -88,64 +89,44 @@ def _root_chunks(count: int, parts: int) -> List[Tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _shared_join_limit(tasks: Sequence[object]) -> Optional[int]:
-    """The single row limit shared by every join task of one batch."""
-    limits = {task.row_limit for task in tasks if isinstance(task, JoinTask)}
-    if len(limits) > 1:
-        raise ExecutionError(
-            "join tasks submitted in one Executor.run batch must share one "
-            f"row_limit, got {limits}"
-        )
-    return limits.pop() if limits else None
-
-
 class _UnitRunner:
-    """What one process does with the units of one batch it is handed.
+    """What one process does with the units of one task it is handed.
 
-    The serial executor holds one per batch; every worker of the process
-    backend holds one per batch, over the units it happens to be dealt.
-    Each distinct table matrix a batch's join tasks carry (all of them share
-    the exploration matrix) gets one binding-filtered-table cache — so a
-    source table is filtered once per runner however many machines' joins
-    load it, while every receiver is still charged its own transfer.
+    The serial executor holds one per task; every worker of the process
+    backend holds one per task, over the units it happens to be dealt.
     """
 
-    def __init__(self, cloud: MemoryCloud, limit: Optional[int], slots=None) -> None:
+    def __init__(self, cloud: MemoryCloud, slots=None) -> None:
         self._cloud = cloud
-        self._limit = limit
-        self._filtered: Dict[int, dict] = {}
         # One produced-count slot per machine, single writer each.  A shared
         # mapping's aligned 8-byte loads/stores are atomic, and a stale read
         # of another machine's slot only under-counts — the safe direction.
         self._slots = [0] * cloud.machine_count if slots is None else slots
 
-    def run(self, task: object, start: int, stop: int) -> Tuple[object, CloudMetrics]:
-        """One unit — a join task, or the chunk ``task.roots[start:stop]`` of
-        an exploration stage — against isolated metrics: ``(result, metrics)``."""
+    def run(self, task: object, unit: "_Unit") -> Tuple[object, CloudMetrics]:
+        """One unit against isolated metrics: ``(result, metrics)``."""
         metrics = CloudMetrics()
         scoped = self._cloud.with_metrics(metrics)
         if isinstance(task, ExploreTask):
+            start, stop = unit.start, unit.stop
             stage = match_stage(
                 scoped, task.stwig, task.query, task.bindings,
                 task.roots[start:stop], np.clip(task.cuts, start, stop) - start,
             )
             return stage, metrics
+        machine = unit.index
         rows = machine_result_rows(
-            scoped, task.plan, task.tables, task.machine_id, task.bindings,
-            budget=JoinBudget(self._limit, self._slots, task.machine_id),
-            filtered_cache=self._filtered.setdefault(id(task.tables), {}),
+            scoped, task.plan, task.tables, machine, task.bindings,
+            budget=JoinBudget(task.row_limit, self._slots, machine),
         )
         return rows, metrics
 
 
 class _Unit(NamedTuple):
-    """One schedulable piece of a batch: a join task, or the chunk
-    ``task.roots[start:stop]`` of an exploration stage."""
+    """One schedulable piece of a task: the chunk ``roots[start:stop]`` of
+    an exploration stage, or machine ``index``'s join."""
 
-    task_index: int
-    chunk_index: int
-    chunk_count: int
-    task: object
+    index: int
     start: int
     stop: int
 
@@ -159,52 +140,42 @@ class Executor(ABC):
     #: only for a backend whose units run concurrently.
     stealing: bool = False
 
-    def run(self, cloud: MemoryCloud, tasks: Sequence[object]) -> List[object]:
-        """Run a batch of tasks, returning one result per task in task order.
+    def run(self, cloud: MemoryCloud, task: object) -> object:
+        """Run one task and return its result.
 
-        Tasks are :class:`~repro.core.tasks.ExploreTask` (result: the
-        stage's :class:`~repro.core.result.StageTable`) or
-        :class:`~repro.core.tasks.JoinTask` (result: the machine's
-        final-column-ordered rows).
-
-        All join tasks of one batch share a single cooperative row budget:
-        every machine joins against its machine-ordered
-        :class:`~repro.core.join.JoinBudget` view of one slot
-        array, so machines stop as soon as lower IDs have produced enough
-        rows and the driver's ordered concatenation stays an exact prefix
-        of the unlimited result on every backend.
+        An :class:`~repro.core.tasks.ExploreTask`'s units are chunks of its
+        roots (result: the stage's :class:`~repro.core.result.StageTable`);
+        a :class:`~repro.core.tasks.JoinTask`'s are the machines (result:
+        their final-column-ordered rows, concatenated in machine order).
+        Every machine joins against its machine-ordered
+        :class:`~repro.core.join.JoinBudget` view of one slot array, so
+        machines stop as soon as lower IDs have produced enough rows and
+        the concatenation stays an exact prefix of the unlimited result on
+        every backend.
 
         Each unit's isolated :class:`CloudMetrics` are merged into
-        ``cloud.metrics`` in (task, chunk) order after the batch.  A failed
-        batch merges nothing.
+        ``cloud.metrics`` in unit order after the task.  A failed task
+        merges nothing.
         """
-        units: List[_Unit] = []
-        # buffers[task][chunk] -> (result, metrics) once that unit completed.
-        buffers: List[List[Optional[tuple]]] = []
-        parts = _STEAL_CHUNKS_PER_WORKER * self._parallelism() if self.stealing else 1
-        for index, task in enumerate(tasks):
-            if isinstance(task, ExploreTask):
-                chunks = _root_chunks(len(task.roots), parts)
-            elif isinstance(task, JoinTask):
-                chunks = [(0, 0)]
-            else:
-                raise ExecutionError(f"unknown task type {type(task).__name__}")
-            units.extend(
-                _Unit(index, chunk_index, len(chunks), task, start, stop)
-                for chunk_index, (start, stop) in enumerate(chunks)
-            )
-            buffers.append([None] * len(chunks))
-        with closing(self._run_units(cloud, tasks, units)) as completed:
+        if isinstance(task, ExploreTask):
+            parts = _STEAL_CHUNKS_PER_WORKER * self._parallelism() if self.stealing else 1
+            chunks = _root_chunks(len(task.roots), parts)
+        elif isinstance(task, JoinTask):
+            chunks = [(0, 0)] * cloud.machine_count
+        else:
+            raise ExecutionError(f"unknown task type {type(task).__name__}")
+        units = [_Unit(index, start, stop) for index, (start, stop) in enumerate(chunks)]
+        # done[unit] -> (result, metrics) once that unit completed.
+        done: List[Optional[tuple]] = [None] * len(units)
+        with closing(self._run_units(cloud, task, units)) as completed:
             for unit, result, metrics in completed:
-                buffers[unit.task_index][unit.chunk_index] = (result, metrics)
-        results = []
-        for chunks in buffers:
-            for _, metrics in chunks:
-                cloud.metrics.merge(metrics)
-            # Only a stage is ever cut: its chunks concatenate in chunk order.
-            pieces = [result for result, _ in chunks]
-            results.append(pieces[0] if len(pieces) == 1 else StageTable.concatenate(pieces))
-        return results
+                done[unit.index] = (result, metrics)
+        for _, metrics in done:
+            cloud.metrics.merge(metrics)
+        results = [result for result, _ in done]
+        if isinstance(task, JoinTask):
+            return np.concatenate(results, axis=0)
+        return StageTable.concatenate(results)
 
     def _parallelism(self) -> int:
         """How many units the backend runs at once (what chunking follows)."""
@@ -212,13 +183,14 @@ class Executor(ABC):
 
     @abstractmethod
     def _run_units(
-        self, cloud: MemoryCloud, tasks: Sequence[object], units: Sequence[_Unit]
+        self, cloud: MemoryCloud, task: object, units: Sequence[_Unit]
     ) -> Iterator[Tuple[_Unit, object, CloudMetrics]]:
-        """Run every unit, yielding ``(unit, result, metrics)`` as each completes.
+        """Run every unit of ``task``, yielding ``(unit, result, metrics)``
+        as each completes.
 
         ``result`` is the unit's :class:`~repro.core.result.StageTable` or
         result rows, ``metrics`` the isolated counters it ran against.  Any
-        order is allowed; :meth:`run` closes the generator if the batch is
+        order is allowed; :meth:`run` closes the generator if the task is
         abandoned.
         """
 
@@ -233,20 +205,18 @@ class Executor(ABC):
 
 
 class SerialExecutor(Executor):
-    """Inline execution in task order, a stage at a time — the parity oracle.
+    """Inline execution in unit order, a stage at a time — the parity oracle.
 
-    Sequential join tasks share one filtered-table cache, exactly like the
-    historical single-loop assembly; the cooperative budget views, consumed
-    in machine order, telescope to the historical remaining countdown
-    (including the skip-everything early exit).
+    The machines' budget views, consumed in machine order, telescope to one
+    remaining countdown (including the skip-everything early exit).
     """
 
     name = "serial"
 
-    def _run_units(self, cloud, tasks, units):
-        runner = _UnitRunner(cloud, _shared_join_limit(tasks))
+    def _run_units(self, cloud, task, units):
+        runner = _UnitRunner(cloud)
         for unit in units:
-            yield (unit, *runner.run(unit.task, unit.start, unit.stop))
+            yield (unit, *runner.run(task, unit))
 
 
 # -- process backend ---------------------------------------------------------
@@ -258,18 +228,6 @@ _CLOSE_DEADLINE_S = 1.0
 _START_METHOD = "fork"
 
 
-class _Open(NamedTuple):
-    """A batch's first message to a worker: everything its units share.
-
-    The message is pickled once per batch, so what the tasks share by
-    identity (plan, query, bindings, the exploration table matrix) crosses
-    each pipe once and arrives shared.
-    """
-
-    tasks: Sequence[object]
-    limit: Optional[int]
-
-
 def _worker_main(conn, cloud: MemoryCloud, slots: np.ndarray, inherited: Sequence) -> None:
     """A worker's life: serve batches over ``conn`` until the driver hangs up.
 
@@ -277,12 +235,13 @@ def _worker_main(conn, cloud: MemoryCloud, slots: np.ndarray, inherited: Sequenc
     worker's units run against it, sharing the image's pages.  ``slots`` is
     the join budget's shared mapping, inherited the same way.
 
-    The driver's messages are ``(opening, units, final)``: the pickled
-    :class:`_Open` with a worker's first units of a batch (``None`` after),
-    one ``(unit index, task index, start, stop)`` per unit dealt — each
-    answered by one ``(status, unit index, body)`` — and whether the batch
-    holds nothing more for this worker; a bare ``None`` says so afterwards.
-    Errors are transported, never raised: the driver drains the batch and
+    The driver's messages are ``(opening, units, final)``: the pickled task
+    with a worker's first units of a batch (``None`` after), one unit per
+    unit dealt — each answered by one ``(status, unit index, body)`` — and
+    whether the batch holds nothing more for this worker; a bare ``None``
+    says so afterwards.  A batch is one task: everything its units share
+    (plan, query, bindings, stage tables) crosses each pipe once.  Errors
+    are transported, never raised: the driver drains the batch and
     re-raises.
     """
     for other in inherited:
@@ -291,23 +250,23 @@ def _worker_main(conn, cloud: MemoryCloud, slots: np.ndarray, inherited: Sequenc
         other.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the driver's to handle
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # not a handler the driver installed
-    opened = runner = None
+    task = runner = None
     while True:
         try:
             opening, dealt, final = conn.recv() or (None, (), True)
         except EOFError:
             return
         if opening is not None:
-            opened = pickle.loads(opening)
-            runner = _UnitRunner(cloud, opened.limit, slots)
-        for unit_index, task_index, start, stop in dealt:
+            task = pickle.loads(opening)
+            runner = _UnitRunner(cloud, slots)
+        for unit in dealt:
             try:
-                outcome = "ok", unit_index, runner.run(opened.tasks[task_index], start, stop)
+                outcome = "ok", unit.index, runner.run(task, unit)
             except Exception as error:  # noqa: BLE001 - transported to the driver
-                outcome = "error", unit_index, error
+                outcome = "error", unit.index, error
             conn.send(outcome)
         if final:
-            opened = runner = None
+            task = runner = None
 
 
 class _Worker:
@@ -328,7 +287,7 @@ class _Worker:
         theirs.close()
         #: Unit indexes handed over and not yet answered, oldest first.
         self.sent: List[int] = []
-        #: True while the worker holds a batch open: from its :class:`_Open`
+        #: True while the worker holds a batch open: from its pickled task
         #: until it has been told the batch holds nothing more for it.
         self.opened = False
 
@@ -448,13 +407,13 @@ class ProcessExecutor(Executor):
             state.workers.append(_Worker(owner, state.slots, state.workers))
         return state.workers
 
-    def _outcomes(self, units: Sequence[_Unit], messages: deque, opening: bytes):
-        """Deal ``messages`` (the unit queue) to the workers and yield each
-        ``(status, unit index, body)`` as it comes back; a worker found dead
-        yields the error of the unit it was running."""
+    def _outcomes(self, task: object, units: Sequence[_Unit], messages: deque, opening: bytes):
+        """Deal ``messages`` (the queue of ``task``'s ``units``) to the
+        workers and yield each ``(status, unit index, body)`` as it comes
+        back; a worker found dead yields the error of the unit it was running."""
         workers = self._state.workers
 
-        def hand(worker: _Worker, dealt: List[tuple]) -> None:
+        def hand(worker: _Worker, dealt: List[_Unit]) -> None:
             if not dealt:
                 return
             final = not messages
@@ -464,7 +423,7 @@ class ProcessExecutor(Executor):
                 messages.extendleft(reversed(dealt))  # dead: the queue is the others'
                 return
             worker.opened = not final
-            worker.sent.extend(message[0] for message in dealt)
+            worker.sent.extend(unit.index for unit in dealt)
 
         # One unit each and one to look ahead, in one message per worker.
         dealt = [messages.popleft() for _ in range(min(len(messages), 2 * len(workers)))]
@@ -484,17 +443,16 @@ class ProcessExecutor(Executor):
                 elif worker.process.sentinel not in ready:
                     continue
                 if outcome is None:
-                    unit = units[worker.sent[0]]
-                    task = unit.task
+                    index = worker.sent[0]
                     part = (
-                        f"machine {task.machine_id}" if isinstance(task, JoinTask)
+                        f"machine {index}" if isinstance(task, JoinTask)
                         else f"stage {task.stwig}"
                     )
                     worker.process.join(_CLOSE_DEADLINE_S)
-                    outcome = "error", worker.sent[0], ExecutionError(
+                    outcome = "error", index, ExecutionError(
                         f"worker {worker.process.pid} died (exit code "
                         f"{worker.process.exitcode}) running the {type(task).__name__} "
-                        f"of {part}, chunk {unit.chunk_index + 1}/{unit.chunk_count}"
+                        f"of {part}, chunk {index + 1}/{len(units)}"
                     )
                     worker.sent.clear()
                 else:
@@ -504,37 +462,32 @@ class ProcessExecutor(Executor):
         if messages:
             raise ExecutionError("no live worker is left to run the batch")
 
-    def _run_units(self, cloud, tasks, units):
-        join_limit = _shared_join_limit(tasks)
+    def _run_units(self, cloud, task, units):
+        # A stage cut into chunks, which the loop concatenates on the driver.
+        split = isinstance(task, ExploreTask) and len(units) > 1
         # One batch owns the pipes, the budget slots and the transport
         # counters at a time.
         with self._lock:
             workers = self._ensure_workers(cloud)
-            self.transport_counters["explore_coalesced"] += len(
-                {unit.task_index for unit in units if unit.chunk_count > 1}
-            )
-            if join_limit is not None:
+            self.transport_counters["explore_coalesced"] += split
+            if isinstance(task, JoinTask):
                 self._state.slots[:] = 0
-            opening = pickle.dumps(_Open(tasks, join_limit), pickle.HIGHEST_PROTOCOL)
-            messages = deque(
-                (index, unit.task_index, unit.start, unit.stop) for index, unit in enumerate(units)
-            )
+            opening = pickle.dumps(task, pickle.HIGHEST_PROTOCOL)
+            messages = deque(units)
             try:
-                for status, unit_index, body in self._outcomes(units, messages, opening):
+                for status, unit_index, body in self._outcomes(task, units, messages, opening):
                     if status == "error":
                         raise body
-                    unit, (result, metrics) = units[unit_index], body
-                    if unit.chunk_count > 1 and result.table.row_count:
-                        # A chunk of a split stage, which the loop
-                        # concatenates on the driver.
+                    result, metrics = body
+                    if split and result.table.row_count:
                         self.transport_counters["driver_table_receives"] += 1
-                    yield unit, result, metrics
+                    yield units[unit_index], result, metrics
             finally:
                 # A failed or abandoned batch: nothing more is dealt, and the
                 # units already handed over are waited for, so every live
                 # worker is back between batches.
                 messages.clear()
-                for _ in self._outcomes(units, messages, opening):
+                for _ in self._outcomes(task, units, messages, opening):
                     pass
                 for worker in workers:
                     if worker.opened:

@@ -53,6 +53,7 @@ from repro.core.result import MatchResult
 from repro.errors import AdmissionError, ConfigurationError, ServiceError
 from repro.query.query_graph import QueryGraph
 from repro.runtime import ExecutorSpec
+from repro.utils.validation import is_row_limit
 
 
 @dataclass(frozen=True)
@@ -98,8 +99,8 @@ class ServiceConfig:
                 raise ConfigurationError(f"{name} must be non-negative, got {value}")
         for name in ("limit", "max_row_budget"):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigurationError(f"{name} must be positive, got {value}")
+            if not is_row_limit(value) or value == 0:
+                raise ConfigurationError(f"{name} must be None or positive, got {value!r}")
 
 
 @dataclass
@@ -242,9 +243,11 @@ class QueryService:
         with self._state:
             if self._closed:
                 raise ServiceError("query service is closed")
-            if budget is not None and budget < 0:
+            if not is_row_limit(budget):
                 self._stats.rejected += 1
-                raise AdmissionError(f"row budget must be non-negative, got {budget}")
+                raise AdmissionError(
+                    f"row budget must be None or a non-negative integer, got {budget!r}"
+                )
             if config.max_row_budget is not None and (
                 budget is None or budget > config.max_row_budget
             ):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import NoReturn
 
 from repro.errors import ConfigurationError
@@ -23,6 +24,14 @@ def require_non_negative(value: float, name: str) -> None:
     """Raise unless ``value`` is zero or positive."""
     if value < 0:
         _fail(f"{name} must be non-negative, got {value!r}")
+
+
+def is_row_limit(value: object) -> bool:
+    """Whether ``value`` is a row limit: ``None`` (unlimited) or a
+    non-negative integer — a numpy integer counts, a ``bool`` does not."""
+    return value is None or (
+        isinstance(value, Integral) and not isinstance(value, bool) and value >= 0
+    )
 
 
 def _fail(message: str) -> NoReturn:

@@ -28,16 +28,17 @@ class TestExplore:
         cloud = make_cloud()
         plan = QueryPlanner(cloud).plan(query)
         outcome = explore(cloud, plan)
-        assert len(outcome.tables) == cloud.machine_count
-        assert all(len(machine) == len(plan.stwigs) for machine in outcome.tables)
+        assert len(outcome.tables) == len(plan.stwigs)
+        for stage in outcome.tables:
+            assert len(stage.root_cuts) == len(stage.row_cuts) == cloud.machine_count + 1
 
     def test_table_columns_match_stwigs(self, query):
         cloud = make_cloud()
         plan = QueryPlanner(cloud).plan(query)
         outcome = explore(cloud, plan)
-        for machine_tables in outcome.tables:
-            for stwig, table in zip(plan.stwigs, machine_tables):
-                assert table.columns == stwig.nodes
+        for stwig, stage in zip(plan.stwigs, outcome.tables):
+            for machine in range(cloud.machine_count):
+                assert stage.machine_table(machine).columns == stwig.nodes
 
     def test_bindings_cover_all_query_nodes(self, query):
         cloud = make_cloud()
@@ -69,22 +70,24 @@ class TestExplore:
         assert outcome.empty
 
     def test_total_rows_counts_all_tables(self, query):
+        # The rows exploration held: every stage's rows before the final
+        # binding filter, which leaves at most as many.
         cloud = make_cloud()
         plan = QueryPlanner(cloud).plan(query)
         outcome = explore(cloud, plan)
-        assert outcome.total_rows() == sum(
-            table.row_count for machine in outcome.tables for table in machine
+        raw_plan = QueryPlanner(cloud, MatcherConfig(use_final_binding_filter=False)).plan(query)
+        raw = explore(cloud, raw_plan)
+        assert outcome.total_rows() == raw.total_rows() == sum(
+            stage.table.row_count for stage in raw.tables
         )
+        assert sum(stage.table.row_count for stage in outcome.tables) <= outcome.total_rows()
         assert outcome.total_rows() > 0
 
     def test_rows_for_stwig(self, query):
         cloud = make_cloud()
         plan = QueryPlanner(cloud).plan(query)
         outcome = explore(cloud, plan)
-        per_stwig = [
-            sum(machine[index].row_count for machine in outcome.tables)
-            for index in range(len(plan.stwigs))
-        ]
+        per_stwig = [int(stage.held[-1]) for stage in outcome.tables]
         assert all(per_stwig), "every STwig of a satisfiable query matches somewhere"
         assert sum(per_stwig) == outcome.total_rows()
 
@@ -108,7 +111,7 @@ class TestExplore:
         pattern = dfs_query(paper_figure5_graph(), 5, seed=2)
         plan = QueryPlanner(cloud).plan(pattern)
         outcome = explore(cloud, plan)
-        for machine_id, machine_tables in enumerate(outcome.tables):
-            for table in machine_tables:
-                for row in table.rows:
+        for machine_id in range(cloud.machine_count):
+            for stage in outcome.tables:
+                for row in stage.machine_table(machine_id).rows:
                     assert cloud.owner_of(row[0]) == machine_id

@@ -15,6 +15,7 @@ These tests pin down the array-native exploration phase:
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ class TestBindingNarrowing:
         edges = [(1, 2), (2, 3), (3, 1), (4, 5)]
         return LabeledGraph.from_edges(labels, edges)
 
-    def setup_outcome(self, machine_count=3):
+    def setup_outcome(self, machine_count=3, config=MatcherConfig()):
         query = QueryGraph(
             {"qa": "a", "qb": "b", "qc": "c"},
             [("qa", "qb"), ("qb", "qc"), ("qc", "qa")],
@@ -79,7 +80,7 @@ class TestBindingNarrowing:
             STwig("qc", ("qa",)),
         ]
         cloud = make_cloud(self.triangle_with_decoy(), machine_count=machine_count)
-        plan = manual_plan(query, stwigs, machine_count)
+        plan = manual_plan(query, stwigs, machine_count, config)
         return cloud, plan, explore(cloud, plan)
 
     def test_each_stage_narrows_shared_nodes(self):
@@ -90,28 +91,28 @@ class TestBindingNarrowing:
 
     def test_decoy_survives_first_stage_only(self):
         # STwig 0 (qa -> qb) has no narrowing information yet: the decoy
-        # edge must appear in its tables, proving the later intersection
-        # (not stage-0 filtering) removed it.
+        # edge must appear in its table as explored, proving the later
+        # intersection (not stage-0 filtering) removed it.  The final
+        # binding filter, which exploration ends with, drops it again.
+        raw = self.setup_outcome(config=MatcherConfig(use_final_binding_filter=False))[2]
+        assert set(raw.tables[0].table.distincts()["qa"].tolist()) == {1, 4}
         _, _, outcome = self.setup_outcome()
-        stage0_qa = set()
-        for machine_tables in outcome.tables:
-            stage0_qa |= set(machine_tables[0].distincts()["qa"].tolist())
-        assert stage0_qa == {1, 4}
+        assert set(outcome.tables[0].table.distincts()["qa"].tolist()) == {1}
 
     def test_final_binding_is_sequential_intersection(self):
         # binding(x) == the running intersection over STwigs mentioning x of
         # the union over machines of that STwig's x-column — exactly the
-        # per-stage bind() sequence the proxy performs.
-        cloud, plan, outcome = self.setup_outcome()
+        # per-stage bind() sequence the proxy performs.  The stage tables as
+        # explored, before the final binding filter.
+        config = MatcherConfig(use_final_binding_filter=False)
+        cloud, plan, outcome = self.setup_outcome(config=config)
         for node in plan.query.nodes():
             expected = None
-            for stwig_index, stwig in enumerate(plan.stwigs):
+            for stwig, stage in zip(plan.stwigs, outcome.tables):
                 if node not in stwig.nodes:
                     continue
-                union = set()
-                for machine_tables in outcome.tables:
-                    table = machine_tables[stwig_index]
-                    union |= set(table.to_array()[:, table.columns.index(node)].tolist())
+                table = stage.table
+                union = set(table.to_array()[:, table.columns.index(node)].tolist())
                 expected = union if expected is None else expected & union
             assert bound_set(outcome.bindings, node) == expected
 
@@ -157,16 +158,13 @@ class TestEarlyExitPadding:
 
     def test_padding_shape_is_uniform(self):
         cloud, plan, outcome = self.wipeout_setup()
-        for machine_tables in outcome.tables:
-            assert len(machine_tables) == len(plan.stwigs)
-            for stwig, table in zip(plan.stwigs, machine_tables):
-                assert table.columns == stwig.nodes
+        assert len(outcome.tables) == len(plan.stwigs)
+        for stwig, stage in zip(plan.stwigs, outcome.tables):
+            assert stage.table.columns == stwig.nodes
+            assert len(stage.root_cuts) == len(stage.row_cuts) == cloud.machine_count + 1
         # The skipped stage (index 3) is empty everywhere; the earlier
         # stages produced the path rows before the wipe-out.
-        stage_rows = [
-            sum(machine[index].row_count for machine in outcome.tables)
-            for index in range(len(plan.stwigs))
-        ]
+        stage_rows = [stage.table.row_count for stage in outcome.tables]
         assert stage_rows[0] > 0
         assert stage_rows[2] == stage_rows[3] == 0
 
@@ -297,18 +295,19 @@ class TestFilteredShippingAccounting:
         )
 
     def test_filtered_gather_equals_gather_then_filter(self):
-        # Per machine and STwig, filtering each part before the union gives
-        # the table that filtering the unioned parts gives, row for row.
+        # Per machine and STwig, the gather of stages filtered at the end of
+        # exploration is the unfiltered gather with its rows masked by the
+        # final bindings, row for row.
         graph = seeded_graph(seed=1, nodes=80, edges=260, labels=2)
         cloud = make_cloud(graph, machine_count=4)
-        plan = QueryPlanner(cloud).plan(dfs_query(graph, 6, seed=4))
-        outcome = explore(cloud, plan)
+        query = dfs_query(graph, 6, seed=4)
+        plan = QueryPlanner(cloud).plan(query)
+        raw_plan = QueryPlanner(cloud, MatcherConfig(use_final_binding_filter=False)).plan(query)
+        outcome, raw = explore(cloud, plan), explore(cloud, raw_plan)
         dropped = 0
         for machine_id in range(cloud.machine_count):
-            filtered = _gather_machine_tables(
-                cloud, plan, outcome.tables, machine_id, outcome.bindings, {}
-            )
-            whole = _gather_machine_tables(cloud, plan, outcome.tables, machine_id, None, {})
+            filtered = _gather_machine_tables(cloud, plan, outcome.tables, machine_id)
+            whole = _gather_machine_tables(cloud, raw_plan, raw.tables, machine_id)
             for before_union, after_union in zip(filtered, whole):
                 # Filtering the slots of each part is masking the unioned rows.
                 rows = after_union.to_array()
@@ -326,8 +325,8 @@ class TestFilteredShippingAccounting:
         assert delta_filtered["bytes_transferred"] < delta_unfiltered["bytes_transferred"]
 
     def test_exploration_counters_identical_either_way(self):
-        # The gather filter is join-phase only: exploration communication
-        # must not depend on use_final_binding_filter.
+        # The final binding filter charges nothing: exploration
+        # communication must not depend on use_final_binding_filter.
         def exploration_delta(use_filter):
             graph = seeded_graph(seed=1, nodes=80, edges=260, labels=2)
             cloud = make_cloud(graph, machine_count=4)
@@ -416,13 +415,19 @@ class TestPerNodeCounterModel:
 
     @staticmethod
     def assert_parity(cloud, plan, probed=True):
+        # The model has no final binding filter: the stages as explored.
+        config = replace(plan.config, use_final_binding_filter=False)
+        plan = replace(plan, config=config)
         modelled, engine = CloudMetrics(), CloudMetrics()
         rows, bound = per_node_explore(cloud.with_metrics(modelled), plan)
         outcome = explore(cloud.with_metrics(engine), plan)
         assert engine.snapshot() == modelled.snapshot()
         if probed:
             assert engine.local_loads and engine.local_label_probes
-        assert [[table.rows for table in machine] for machine in outcome.tables] == rows
+        assert [
+            [stage.machine_table(machine).rows for stage in outcome.tables]
+            for machine in range(cloud.machine_count)
+        ] == rows
         for node in plan.query.nodes():
             assert bound_set(outcome.bindings, node) == bound.get(node)
 

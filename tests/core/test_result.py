@@ -318,6 +318,26 @@ class TestMatchResult:
         )
         assert np.shares_memory(identity.external_array(), table.to_array())
 
+    def test_as_dicts_keeps_no_row_tuples_beside_the_dicts(self):
+        """The dicts are built from the conversion's column lists, row by
+        row: on a dense 100,000 x 5 answer the traced peak exceeds what is
+        returned by at most 5 MB (the list of row tuples alone is ~10 MB)."""
+        import tracemalloc
+
+        array = np.random.default_rng(0).integers(0, 4_000, size=(100_000, 5))
+        columns = tuple("abcde")
+        result = MatchResult(columns, MatchTable(columns, array.astype(NODE_DTYPE)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            dicts = result.as_dicts()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - held <= 5_000_000, (held - base, peak - base)
+        assert dicts[:2] == [dict(zip(columns, row)) for row in array[:2].tolist()]
+        assert len(dicts) == len(array)
+
     def test_default_stats(self):
         result = MatchResult(query_nodes=("a",), matches=MatchTable(("a",)))
         assert isinstance(result.stats, StageStats)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.api as api
 import repro.core.join as join_module
 from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import ClusterConfig, RuntimeConfig
@@ -24,8 +25,10 @@ from repro.core.exploration import explore
 from repro.core.join import multiway_join
 from repro.core.planner import QueryPlanner
 from repro.core.result import MatchTable
+from repro.errors import AdmissionError, ConfigurationError
 from repro.graph.generators.power_law import generate_power_law
 from repro.query.generators import dfs_query
+from repro.query.parser import parse_query
 from repro.query.query_graph import QueryGraph
 from repro.workloads.datasets import tiny_example_graph
 
@@ -338,3 +341,40 @@ class TestEngineTruncatedFlag:
         result = matcher.match(query, limit=1)
         assert result.match_count == 1
         assert result.stats.truncated is True
+
+
+class TestRowLimitValidation:
+    """A row limit is ``None`` or a non-negative integer, checked before any
+    work: ``match`` raises :class:`ConfigurationError`, a session rejects
+    the query (counted as rejected, not failed)."""
+
+    BAD = [-1, 2.5, True, "3", np.bool_(True)]
+    QUERY = "node qa a\nnode qb b\nedge qa qb"
+
+    @pytest.mark.parametrize("limit", BAD, ids=repr)
+    def test_match_refuses_before_planning(self, limit):
+        cloud = MemoryCloud.from_graph(tiny_example_graph(), ClusterConfig(machine_count=3))
+        with SubgraphMatcher(cloud) as matcher:
+            with pytest.raises(ConfigurationError, match="non-negative integer"):
+                matcher.match(parse_query(self.QUERY), limit=limit)
+            assert matcher.planner.plan_cache_info()["misses"] == 0
+        assert not any(cloud.metrics.snapshot().values())
+
+    @pytest.mark.parametrize("limit", BAD, ids=repr)
+    def test_session_rejects(self, limit):
+        with api.connect("tiny", machines=3) as db:
+            with pytest.raises(AdmissionError, match="non-negative integer"):
+                db.query(self.QUERY, limit=limit)
+            stats = db.service.stats()
+            assert (stats.rejected, stats.failed, stats.submitted) == (1, 0, 0)
+
+    @pytest.mark.parametrize("limit", [0, 1, np.int64(1), np.int32(5), None], ids=repr)
+    def test_integers_are_limits(self, limit):
+        cloud = MemoryCloud.from_graph(tiny_example_graph(), ClusterConfig(machine_count=3))
+        with SubgraphMatcher(cloud) as matcher:
+            full = matcher.match(parse_query(self.QUERY)).rows
+            assert len(full) > 1
+            result = matcher.match(parse_query(self.QUERY), limit=limit)
+        assert result.rows == full[: None if limit is None else int(limit)]
+        with api.connect("tiny", machines=3) as db:
+            assert db.query(self.QUERY, limit=limit).rows == result.rows

@@ -172,19 +172,18 @@ class TestBackendParity:
         self, parity_graph, parity_queries
     ):
         """Regression: a limit= query must fan out through ``Executor.run``
-        as one JoinTask per machine carrying the probe budget, not fall
-        back to a sequential gather (the pre-streaming-budget behavior)."""
+        as one JoinTask carrying the probe budget, not fall back to a
+        sequential gather (the pre-streaming-budget behavior)."""
         from repro.core.tasks import JoinTask
 
         query = parity_queries[0]
         observed_limits = []
 
         class RecordingExecutor(ProcessExecutor):  # noqa: B903
-            def run(self, cloud, tasks):
-                observed_limits.extend(
-                    task.row_limit for task in tasks if isinstance(task, JoinTask)
-                )
-                return super().run(cloud, tasks)
+            def run(self, cloud, task):
+                if isinstance(task, JoinTask):
+                    observed_limits.append(task.row_limit)
+                return super().run(cloud, task)
 
         cloud = MemoryCloud.from_graph(parity_graph, ClusterConfig(machine_count=4))
         executor = RecordingExecutor(workers=2)
@@ -194,9 +193,9 @@ class TestBackendParity:
         finally:
             executor.close()
             cloud.close()
-        # One join fan-out — a JoinTask per machine — each carrying the
-        # probe budget (limit + 1 proves truncation exactly).
-        assert observed_limits == [26] * 4
+        # One join fan-out — one JoinTask, whose units are the machines —
+        # carrying the probe budget (limit + 1 proves truncation exactly).
+        assert observed_limits == [26]
         assert result.match_count <= 25
 
     def test_vf2_cross_check(self, parity_graph, parity_queries):
@@ -257,9 +256,7 @@ def oracle_arrays(graph, queries):
             }
             shares = [np.empty((0, query.node_count), dtype=np.int64)]
             for machine_id in range(cloud.machine_count):
-                tables = _gather_machine_tables(
-                    cloud, plan, exploration.tables, machine_id, exploration.bindings, {}
-                )
+                tables = _gather_machine_tables(cloud, plan, exploration.tables, machine_id)
                 if all(table.row_count for table in tables):
                     order = select_join_order(tables, distinct_counts)
                     shares.append(oracle_join(tables, order, query.nodes()))
@@ -560,18 +557,23 @@ class TestProcessRuntimeLifecycle:
             executor.close()
             cloud.close()
 
-    def test_worker_error_does_not_leak_shipped_blocks(self, parity_graph, parity_queries):
+    def test_worker_error_does_not_leak_shipped_blocks(
+        self, parity_graph, parity_queries, monkeypatch
+    ):
         """A failed batch strands nothing, and leaves the executor usable.
 
-        One exploration batch fails inside a worker (a stage whose cuts put
-        every root on the last machine, which does not store them).  The
-        error surfaces, ``/dev/shm`` holds exactly what it held before, and
-        the next batch answers as the first did: the sibling units in
+        One exploration stage, cut into chunks, fails inside the workers (its
+        cuts put every root on the last machine, which does not store them).
+        The error surfaces, ``/dev/shm`` holds exactly what it held before,
+        and the next batch answers as the first did: the sibling units in
         flight were drained.
         """
+        import repro.runtime.executors as executors_module
         from repro.core.matcher import _stage_root_partition
         from repro.core.planner import QueryPlanner
         from repro.core.tasks import ExploreTask
+
+        monkeypatch.setattr(executors_module, "_STEAL_MIN_ROOTS", 2)
 
         if not os.path.isdir("/dev/shm"):
             pytest.skip("needs a /dev/shm listing to see stranded blocks")
@@ -585,14 +587,12 @@ class TestProcessRuntimeLifecycle:
 
         executor = ProcessExecutor(workers=2)
         try:
-            first = [result.table.row_count for result in executor.run(cloud, [stage, stage])]
+            first = executor.run(cloud, stage).table.row_count
             resident = set(os.listdir("/dev/shm"))
             with pytest.raises(NodeNotFoundError, match="machine 3"):
-                executor.run(cloud, [stage, misplaced, stage])
+                executor.run(cloud, misplaced)
             assert set(os.listdir("/dev/shm")) == resident
-            assert [
-                result.table.row_count for result in executor.run(cloud, [stage, stage])
-            ] == first
+            assert executor.run(cloud, stage).table.row_count == first
         finally:
             executor.close()
             cloud.close()
@@ -637,11 +637,12 @@ class TestProcessRuntimeLifecycle:
     def test_join_batch_pickles_the_handle_matrix_once(
         self, parity_graph, parity_queries, monkeypatch
     ):
-        """Four join tasks over two workers: the 4 x S table matrix is
-        pickled once for the whole batch (the batch's opening message, whose
-        bytes go down each pipe once) — not once per task, not even once per
-        worker.  Counted here, in the driver, not by a public counter: the
-        workers pickle their exploration tables in their own processes."""
+        """A join's four machine units over two workers: the S stage tables
+        are pickled once for the whole batch (the batch's opening message,
+        whose bytes go down each pipe once) — not once per machine, not even
+        once per worker.  Counted here, in the driver, not by a public
+        counter: the workers pickle their exploration tables in their own
+        processes."""
         from repro.core.distributed import assemble_results
         from repro.core.result import STwigTable
 
@@ -664,7 +665,7 @@ class TestProcessRuntimeLifecycle:
             executor.close()
             cloud.close()
         assert joined.row_count > 0
-        assert pickled == [os.getpid()] * (4 * len(plan.stwigs))
+        assert pickled == [os.getpid()] * len(plan.stwigs)
 
     def test_root_chunks_partition_exactly(self):
         """Chunking for stealing is an exact order-preserving partition of a
@@ -696,17 +697,17 @@ class TestSingleExecutionPath:
         batches = []
         inherited_run = SerialExecutor.run
 
-        def spy(self, cloud, tasks):
-            batches.append({type(task) for task in tasks})
-            return inherited_run(self, cloud, tasks)
+        def spy(self, cloud, task):
+            batches.append(type(task))
+            return inherited_run(self, cloud, task)
 
         monkeypatch.setattr(SerialExecutor, "run", spy)
         cloud = MemoryCloud.from_graph(parity_graph, ClusterConfig(machine_count=4))
         plan = QueryPlanner(cloud).plan(parity_queries[0])
         outcome = explore(cloud, plan)
-        assert batches == [{ExploreTask}] * len(plan.stwigs)
+        assert batches == [ExploreTask] * len(plan.stwigs)
         joined = assemble_results(cloud, plan, outcome)
-        assert batches[-1] == {JoinTask}
+        assert batches == [ExploreTask] * len(plan.stwigs) + [JoinTask]
         assert joined.row_count > 0
 
     def test_thread_backend_is_gone(self, monkeypatch, tmp_path):

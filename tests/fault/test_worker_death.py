@@ -157,7 +157,7 @@ def test_sigkill_mid_batch_fails_the_query_and_the_executor_recovers(
     cloud, executor, matcher, before = runtime
     trap = Trap()
     trap.patch(monkeypatch, patched, after)
-    executor.run(cloud, [])  # workers up, trap inherited
+    executor._ensure_workers(cloud)  # workers up, trap inherited
     resident = set(os.listdir("/dev/shm"))
     workers = {worker.pid for worker in workers_of(executor)}
     assert len(workers) == 2

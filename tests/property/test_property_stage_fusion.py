@@ -4,15 +4,19 @@ Exploration runs each stage as one pass over its owner-ordered roots
 (``match_stage``); the simulated machines are ranges of that pass.  The
 reference is the per-machine ``match_stwig`` over ``_stage_root_partition``'s
 slice for that machine.  For random graphs and queries, every partitioner in
-``PARTITIONERS`` and machine counts {1, 2, 3, 8}, each ``outcome.tables[m][i]``
-must hold the reference's roots, slot values, slot bounds and row count; the
-stage's counters (``CloudMetrics.snapshot()`` and ``per_pair_messages``) must
-be the per-machine passes' plus each machine's binding-sync transfer; and any
-cut of the stage's roots into consecutive chunks, as a work-stealing backend
-makes, must concatenate back to the same stage.
+``PARTITIONERS`` and machine counts {1, 2, 3, 8}, machine ``m``'s range of each
+``outcome.tables[i]`` (explored with the final binding filter off, which the
+reference does not apply) must hold the reference's roots, slot values, slot
+bounds and row count; the stage's counters (``CloudMetrics.snapshot()`` and
+``per_pair_messages``) must be the per-machine passes' plus each machine's
+binding-sync transfer; and any cut of the stage's roots into consecutive
+chunks, as a work-stealing backend makes, must concatenate back to the same
+stage.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,6 +65,7 @@ def counters(metrics: CloudMetrics):
 
 def assert_fusion(cloud: MemoryCloud, plan, chunk_count: int) -> None:
     """Explore ``plan`` and hold every stage to the per-machine passes."""
+    plan = replace(plan, config=replace(plan.config, use_final_binding_filter=False))
     query, machine_count = plan.query, cloud.machine_count
     explored = CloudMetrics()
     outcome = explore(cloud.with_metrics(explored), plan)
@@ -120,8 +125,8 @@ def assert_fusion(cloud: MemoryCloud, plan, chunk_count: int) -> None:
         fused.merge(kernel)
         assert stage.table.row_count == sum(table.row_count for table in tables)
         for machine, table in enumerate(tables):
-            assert_same_table(stage.machine_tables()[machine], table)
-            assert_same_table(outcome.tables[machine][index], table)
+            assert_same_table(stage.machine_table(machine), table)
+            assert_same_table(outcome.tables[index].machine_table(machine), table)
         assert counters(fused) == counters(reference)
         for node in stwig.nodes:
             assert (

@@ -232,6 +232,11 @@ class TestAdmissionControl:
             ServiceConfig(limit=0).validate()
         with pytest.raises(ConfigurationError):
             ServiceConfig(admission_timeout=-1).validate()
+        # A session default that no query could be admitted under.
+        for bad in (2.5, True, "3", -1):
+            for name in ("limit", "max_row_budget"):
+                with pytest.raises(ConfigurationError, match=name):
+                    ServiceConfig(**{name: bad}).validate()
 
     def test_interrupt_releases_slot_and_close_returns(
         self, monkeypatch, tiny_service_cloud

@@ -20,6 +20,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.graph.generators.power_law import generate_power_law
+from repro.graph.partition import BlockPartitioner
 from repro.graph.io import save_graph
 from repro.ingest import ingest_edges
 from repro.query.generators import dfs_query
@@ -123,6 +124,20 @@ class TestOneResolver:
 
     def test_a_cloud_is_borrowed_as_it_is(self, tiny_cloud):
         assert api._resolve(tiny_cloud) == (tiny_cloud, False)
+
+    def test_a_cloud_is_never_served_in_a_shape_it_does_not_have(self, tiny_cloud):
+        """A loaded cloud keeps its machines: asking for others is refused,
+        not silently answered on the cloud's own three."""
+        for shape in (
+            {"machines": 8},
+            {"cluster_config": ClusterConfig(machine_count=2)},
+            {"cluster_config": ClusterConfig(machine_count=3, partitioner=BlockPartitioner())},
+        ):
+            with pytest.raises(ConfigurationError, match="loaded on 3 machines"):
+                api.connect(tiny_cloud, **shape)
+        for shape in ({"machines": 3}, {"cluster_config": ClusterConfig(machine_count=3)}):
+            with api.connect(tiny_cloud, **shape) as db:
+                assert db.cloud is tiny_cloud
 
 
 class TestSessionLifecycle:

@@ -215,6 +215,11 @@ RETIRED_SPELLINGS = [
     "_coalesce(",
     "_STEAL_MAX_CHUNKS",
     "load_neighbors_batch",
+    "FilteredTables",
+    "_filtered_table",
+    "filtered_cache",
+    "_shared_join_limit",
+    "ExplorationTables",
 ]
 
 #: Constructor spellings banned per file (glob under the repo root): a second
