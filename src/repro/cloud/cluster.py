@@ -8,14 +8,16 @@ algorithms are written against:
   machine, local nodes only, exactly as in the paper)
 * ``Index.hasLabel(id, label)`` -> :meth:`MemoryCloud.has_label`
 
-Each fact of the loaded image has one owner.  The partition map is the
-``assignment/machines`` column, placed once by the configured partitioner
-(:func:`~repro.graph.partition.place_nodes`); each :class:`Machine` holds
-its CSR partition and answers the local index calls over it; the cloud's
+Each fact of the loaded image has one owner.  The image is one global CSR
+in node-ID order (``graph/node_ids|label_ids|offsets|neighbors``); a cloud
+built from a graph adopts the graph's own arrays, so it holds no second
+copy of the adjacency.  The partition map is the ``assignment/machines``
+column, placed once by the configured partitioner
+(:func:`~repro.graph.partition.place_nodes`); each :class:`Machine` is an
+owner over those columns and answers the local index calls; the cloud's
 per-node columns answer the cluster-wide probes: one :class:`NodeIndex`
-over the sorted node IDs turns an ID into its position, and at that
-position sit the node's tag (label and owner in one integer) and its row in
-its owner's partition.
+over the sorted node IDs turns an ID into its row, and at that row sit the
+node's tag (label and owner in one integer) and its CSR slice.
 
 Every call is issued *by* a machine (the ``requester``); when the requested
 cell lives on a different machine the access is charged to the
@@ -36,7 +38,7 @@ from typing import Dict, FrozenSet, List, Set, Tuple
 import numpy as np
 
 from repro.cloud.config import ClusterConfig
-from repro.cloud.machine import Machine
+from repro.cloud.machine import EMPTY_IMAGE, Machine
 from repro.cloud.metrics import CloudMetrics
 from repro.errors import CloudError, NodeNotFoundError, PartitionError
 from repro.graph.label_table import LabelTable
@@ -58,26 +60,10 @@ def _tag_dtype(tag_count: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
-#: Column names of one machine's CSR partition inside the cloud image.
-MACHINE_COLUMNS = ("node_ids", "label_ids", "offsets", "neighbors")
-
-
-def column_names(machine_count: int) -> Tuple[str, ...]:
-    """Names of every array in a ``machine_count``-machine cloud's image.
-
-    These are the snapshot manifest's array names; :meth:`MemoryCloud.columns`
-    keys on them.
-    """
-    return (
-        "graph/node_ids",
-        "graph/label_ids",
-        "assignment/machines",
-        *(
-            f"machine{machine_id}/{column}"
-            for machine_id in range(machine_count)
-            for column in MACHINE_COLUMNS
-        ),
-    )
+#: Names of the arrays of a cloud's image, in order: the global CSR and the
+#: partition map.  These are the snapshot manifest's array names;
+#: :meth:`MemoryCloud.columns` keys on them.
+IMAGE_COLUMNS: Tuple[str, ...] = tuple(EMPTY_IMAGE)
 
 
 class MemoryCloud:
@@ -112,7 +98,6 @@ class MemoryCloud:
         self._global_label_ids: np.ndarray | None = None
         self._index = NodeIndex(np.empty(0, dtype=NODE_DTYPE))
         self._tags: np.ndarray | None = None
-        self._rows: np.ndarray | None = None
         self._label_table: LabelTable | None = None
         self._graph_node_count = 0
         self._graph_edge_count = 0
@@ -133,54 +118,33 @@ class MemoryCloud:
     def load_graph(self, graph: LabeledGraph) -> float:
         """Partition and load ``graph``; returns the wall-clock loading seconds.
 
-        Loading performs exactly the work Table 2 measures: assigning every
-        node to a machine, materializing its cell (label + neighbor IDs) in
-        that machine's store, building the per-machine label index, and
-        recording cross-machine label-pair metadata.
+        Loading performs the work Table 2 measures that a shared-memory
+        image still needs: assigning every node to a machine and recording
+        cross-machine label-pair metadata.  The graph's CSR arrays become
+        the image as they are (no copy), so every machine's cells are its
+        owned rows of the graph's own adjacency.
         """
         started = time.perf_counter()
-        node_ids = graph.node_id_array()
-        label_ids = graph.label_id_array()
-        offsets = graph.offset_array()
-        neighbors = graph.neighbor_array()
-        counts = np.diff(offsets)
-        machine_of_row = place_nodes(
-            self.config.partitioner, node_ids, self.config.machine_count
+        machines = place_nodes(
+            self.config.partitioner, graph.node_id_array(), self.config.machine_count
         )
-
-        columns: Dict[str, np.ndarray] = {
-            "graph/node_ids": node_ids,
-            "graph/label_ids": label_ids,
-            "assignment/machines": machine_of_row,
+        columns = {
+            "graph/node_ids": graph.node_id_array(),
+            "graph/label_ids": graph.label_id_array(),
+            "graph/offsets": graph.offset_array(),
+            "graph/neighbors": graph.neighbor_array(),
+            "assignment/machines": machines,
         }
-        for machine_id in range(self.config.machine_count):
-            local = machine_of_row == machine_id
-            local_counts = counts[local]
-            local_offsets = np.zeros(len(local_counts) + 1, dtype=OFFSET_DTYPE)
-            np.cumsum(local_counts, out=local_offsets[1:])
-            starts = offsets[:-1][local]
-            # Gather each local row out of the graph's flat neighbor array.
-            gather = (
-                np.arange(local_offsets[-1], dtype=OFFSET_DTYPE)
-                + np.repeat(starts - local_offsets[:-1], local_counts)
-            )
-            partition = (
-                node_ids[local], label_ids[local], local_offsets, neighbors[gather]
-            )
-            for column, array in zip(MACHINE_COLUMNS, partition):
-                columns[f"machine{machine_id}/{column}"] = array
-
-        label_pairs = cross_machine_label_pairs(
-            graph, machine_of_row, self.config.machine_count
-        )
         # Every machine shares the graph's label table, so label IDs stay
-        # comparable cluster-wide and CSR slices are adopted verbatim.
+        # comparable cluster-wide.
         self._install(
             columns,
             label_table=graph.label_table,
             edge_count=graph.edge_count,
             id_map=getattr(graph, "id_map", None),
-            label_pairs=label_pairs,
+            label_pairs=cross_machine_label_pairs(
+                graph, machines, self.config.machine_count
+            ),
         )
         self.loading_seconds = time.perf_counter() - started
         return self.loading_seconds
@@ -196,46 +160,37 @@ class MemoryCloud:
     ) -> None:
         """Make ``columns`` this cloud's loaded state — the one way in.
 
-        Called by :meth:`load_graph` (freshly partitioned arrays) and by
-        :mod:`repro.storage.cloud_snapshot` (``np.memmap`` views, with the
-        columns a pending delta log changed in RAM).  ``columns`` holds one
-        array per :func:`column_names` entry, adopted without copying;
-        ``label_pairs`` is in :meth:`packed_label_pairs` form.
+        Called by :meth:`load_graph` (the graph's arrays and a fresh
+        partition map) and by :mod:`repro.storage.cloud_snapshot`
+        (``np.memmap`` views, with the columns a pending delta log changed
+        in RAM).  ``columns`` holds one array per :data:`IMAGE_COLUMNS`
+        entry, adopted without copying; ``label_pairs`` is in
+        :meth:`packed_label_pairs` form.
         """
         # Runtime workers and plan caches keyed on this cloud compare
         # generations to detect a reload.
         self._load_generation += 1
-        self._columns = {
-            name: columns[name] for name in column_names(self.config.machine_count)
-        }
-        for machine in self.machines:
-            machine.label_table = label_table
-            machine.adopt_partition(
-                *(
-                    columns[f"machine{machine.machine_id}/{column}"]
-                    for column in MACHINE_COLUMNS
-                )
-            )
-        # The per-node columns, parallel to the sorted node IDs that
-        # _index resolves.  One tag per node, label_id * machine_count +
-        # owner: a neighbor's label (for hasLabel) and owner (for charging
-        # the probe) come out of one gather.  Each node's row in its
-        # owner's partition is its rank among that machine's nodes, in ID
-        # order; it is derived here and never persisted.
+        self._columns = {name: columns[name] for name in IMAGE_COLUMNS}
+        # Each machine is its owner ID over the image; the per-label ID
+        # arrays the machines' index calls cache are split in one dict.
+        by_label: Dict[int, Dict[int, np.ndarray]] = {}
+        self.machines = [
+            Machine(machine_id, self._columns, label_table, by_label)
+            for machine_id in range(self.config.machine_count)
+        ]
+        # The per-node tag column, parallel to the sorted node IDs that
+        # _index resolves: label_id * machine_count + owner, so a neighbor's
+        # label (for hasLabel) and owner (for charging the probe) come out
+        # of one gather.
         node_ids = columns["graph/node_ids"]
         label_ids = self._global_label_ids = columns["graph/label_ids"]
-        machines = columns["assignment/machines"]
         machine_count = self.config.machine_count
         self._index = NodeIndex(node_ids)
         dtype = _tag_dtype(len(label_table) * machine_count)
         tags = label_ids.astype(dtype)
         tags *= machine_count
-        tags += machines.astype(dtype, copy=False)
+        tags += columns["assignment/machines"].astype(dtype, copy=False)
         self._tags = tags
-        self._rows = np.empty(len(node_ids), dtype=OFFSET_DTYPE)
-        for machine_id in range(machine_count):
-            local = machines == machine_id
-            self._rows[local] = np.arange(np.count_nonzero(local), dtype=OFFSET_DTYPE)
         self._label_table = label_table
         self._graph_node_count = len(node_ids)
         self._graph_edge_count = int(edge_count)
@@ -249,17 +204,16 @@ class MemoryCloud:
     def columns(self) -> Dict[str, np.ndarray]:
         """The loaded cloud as named arrays — its whole bulk state.
 
-        Keys are the snapshot manifest's array names (:func:`column_names`):
-        ``assignment/machines`` (each node's owner, parallel to
-        ``graph/node_ids``: the partition map),
-        ``machine{i}/node_ids|label_ids|offsets|neighbors`` (each machine's
-        CSR partition) and ``graph/node_ids|label_ids`` (the cluster-wide
-        label arrays).  No two entries are the same array.  Snapshot save
-        consumes exactly this map, and feeding it back through the
-        installer yields an equivalent cloud.  A snapshot-opened cloud's
-        entries are ``np.memmap`` views of the file, except the columns a
-        merged delta log changed and a graph-only snapshot's partition map.
-        Treat the arrays as read-only.
+        Keys are the snapshot manifest's array names (:data:`IMAGE_COLUMNS`):
+        ``graph/node_ids|label_ids|offsets|neighbors`` (the global CSR, in
+        node-ID order) and ``assignment/machines`` (each node's owner,
+        parallel to ``graph/node_ids``: the partition map).  No two entries
+        are the same array.  Snapshot save consumes exactly this map, and
+        feeding it back through the installer yields an equivalent cloud.
+        A graph-built cloud's CSR entries are the graph's own arrays; a
+        snapshot-opened cloud's entries are ``np.memmap`` views of the file,
+        except the columns a merged delta log changed and a graph-only
+        snapshot's partition map.  Treat the arrays as read-only.
         """
         if self._columns is None:
             raise CloudError("no graph has been loaded into the cloud")
@@ -340,7 +294,8 @@ class MemoryCloud:
         against its machine, issued by ``requester`` (``None``: the machine
         itself, a local load, as the STwig matcher's root loads are), with
         the accounting of :meth:`load`.  Each ID is resolved once, its owner
-        checked off its tag, and each machine handed its partition rows.
+        checked off its tag, and every cell gathered out of the global CSR in
+        one pass.
 
         Raises:
             CloudError: if ``cuts`` is not one range per machine covering
@@ -359,26 +314,29 @@ class MemoryCloud:
                 f"per machine of {machine_count}"
             )
         owners = np.repeat(np.arange(machine_count), sizes)
-        positions, found = self._index.find(node_ids)
+        rows, found = self._index.find(node_ids)
         if found.any():  # else the column may be empty: no tag to read
-            found &= self._tags[positions] % machine_count == owners
+            found &= self._tags[rows] % machine_count == owners
         if not found.all():
             first = int(np.flatnonzero(~found)[0])
             raise NodeNotFoundError(int(node_ids[first]), f"machine {owners[first]}")
-        rows = self._rows[positions]
-        loaded = [(np.empty(0, dtype=NODE_DTYPE), np.empty(0, dtype=OFFSET_DTYPE))]
+        offsets = self._columns["graph/offsets"]
+        starts = offsets[rows]
+        counts = offsets[rows + 1] - starts
+        cells = np.zeros(len(rows) + 1, dtype=OFFSET_DTYPE)
+        np.cumsum(counts, out=cells[1:])
+        gather = np.arange(cells[-1], dtype=OFFSET_DTYPE) + np.repeat(
+            starts - cells[:-1], counts
+        )
         for machine in np.flatnonzero(sizes).tolist():
             start, stop = int(cuts[machine]), int(cuts[machine + 1])
-            loaded.append(self.machines[machine].load_rows(rows[start:stop]))
             self.metrics.record_loads(
                 machine if requester is None else requester,
                 machine,
                 stop - start,
-                int(loaded[-1][1].sum()),
+                int(cells[stop] - cells[start]),
             )
-        if len(loaded) == 2:
-            return loaded[1]
-        return tuple(np.concatenate(column) for column in zip(*loaded))
+        return self._columns["graph/neighbors"][gather], counts
 
     def labels_and_owners(self, node_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(label IDs, owners)`` of graph nodes, from one tag gather.

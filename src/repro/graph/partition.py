@@ -133,6 +133,11 @@ def merge_label_pairs(stored: PackedLabelPairs, fresh: PackedLabelPairs) -> Pack
     return base, pairs
 
 
+#: Neighbor entries :func:`cross_machine_label_pairs` reads per row block:
+#: its temporaries stay a few MB whatever the graph's size.
+LABEL_PAIR_BLOCK = 1 << 18
+
+
 def cross_machine_label_pairs(
     graph: LabeledGraph, machine_of_row: np.ndarray, machine_count: int
 ) -> PackedLabelPairs:
@@ -140,26 +145,40 @@ def cross_machine_label_pairs(
 
     The load-time metadata the paper builds the query-specific *cluster
     graph* from (Section 5.3).  ``machine_of_row`` is the owner of each row
-    of ``graph``.  Reads every undirected edge's endpoints off the CSR and
-    returns them in :func:`pack_label_pairs` form.
+    of ``graph``.  Reads every undirected edge's endpoints off the CSR, in
+    row blocks of about :data:`LABEL_PAIR_BLOCK` neighbor entries (a row is
+    never split), packs each block's keys and returns their union
+    (:func:`merge_label_pairs`).
     """
+    label_count = max(len(graph.label_table), 1)
+    if machine_count < 2:  # no machine pair, so no edge is read
+        return label_count, {}
     node_ids = graph.node_id_array()
     label_ids = graph.label_id_array()
-    if machine_count < 2:  # no machine pair, so no edge is read
-        rows = np.empty(0, dtype=OFFSET_DTYPE)
-        return pack_label_pairs(label_ids, machine_of_row, rows, rows, len(graph.label_table), 1)
+    offsets = graph.offset_array()
     neighbors = graph.neighbor_array()
-    counts = np.diff(graph.offset_array())
-    source_rows = np.repeat(np.arange(len(node_ids), dtype=OFFSET_DTYPE), counts)
-    forward = node_ids[source_rows] < neighbors
-    source_rows = source_rows[forward]
-    targets = neighbors[forward]
     # Neighbors are graph nodes, so their rows resolve without a miss check.
-    target_rows = NodeIndex(node_ids).positions(targets)
-    return pack_label_pairs(
-        label_ids, machine_of_row, source_rows, target_rows,
-        len(graph.label_table), machine_count,
-    )
+    index = NodeIndex(node_ids)
+    # The row holding every LABEL_PAIR_BLOCK-th neighbor entry starts a block.
+    firsts = np.searchsorted(
+        offsets, np.arange(0, offsets[-1], LABEL_PAIR_BLOCK), side="right"
+    ) - 1
+    bounds = np.append(np.unique(firsts), len(node_ids)).tolist()
+    pairs: PackedLabelPairs = (label_count, {})
+    for low, high in zip(bounds[:-1], bounds[1:]):
+        block = offsets[low : high + 1]
+        source_rows = np.repeat(np.arange(low, high, dtype=OFFSET_DTYPE), np.diff(block))
+        targets = neighbors[block[0] : block[-1]]
+        forward = node_ids[source_rows] < targets
+        targets = targets[forward]
+        pairs = merge_label_pairs(
+            pairs,
+            pack_label_pairs(
+                label_ids, machine_of_row, source_rows[forward],
+                index.positions(targets), label_count, machine_count,
+            ),
+        )
+    return pairs
 
 
 class Partitioner:

@@ -3,19 +3,20 @@
 The cloud exposes its image (:meth:`MemoryCloud.columns
 <repro.cloud.cluster.MemoryCloud.columns>` plus a little plain metadata);
 this module persists it.  A snapshot stores the image once, under the
-names :func:`~repro.cloud.cluster.column_names` lists, plus the packed
+names :data:`~repro.cloud.cluster.IMAGE_COLUMNS` lists — one global CSR in
+node-ID order plus the partition map — and the packed
 ``labelpairs/{a}_{b}`` keys of every machine pair ``a < b``, which the
 planner needs at open and which would cost a pass over the graph to
-derive.  It stores no global CSR: each adjacency list lives in its owner's
-partition only.
+derive.
 
 Every reader opens a snapshot one way (:func:`_open_image`): attach the
-image's columns as read-only ``np.memmap`` views, in their stored shape,
-and merge a pending delta log into them (:func:`_overlay`: the log plus one
-copy of each column it changes; every other column stays the file view).
-A cloud of the stored machine count installs that image; whatever needs
-the graph — :func:`~repro.storage.snapshot.open_graph_snapshot`, a cloud of
-another machine count — derives it through :func:`image_graph`.
+image's columns as read-only ``np.memmap`` views and merge a pending delta
+log into them (:func:`_overlay`: the log plus one copy of each column it
+changes; every other column stays the file view).  A cloud of the stored
+machine count installs that image; a cloud of another machine count places
+the nodes afresh over the same columns and re-derives the label pairs;
+:func:`~repro.storage.snapshot.open_graph_snapshot` adopts the columns as
+a graph's CSR.
 
 :meth:`MemoryCloud.save_snapshot` and :meth:`MemoryCloud.open_snapshot`
 are the public spellings of the save and the open here.
@@ -29,10 +30,10 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.cloud.cluster import MACHINE_COLUMNS, MemoryCloud
+from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import ClusterConfig
 from repro.graph.label_table import LabelTable
-from repro.graph.labeled_graph import NODE_DTYPE, OFFSET_DTYPE, LabeledGraph
+from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.partition import (
     PackedLabelPairs,
     cross_machine_label_pairs,
@@ -48,7 +49,6 @@ from repro.storage.delta import (
     NormalizedLog,
     normalize_records,
     splice_csr,
-    upsert_rows,
 )
 from repro.storage.provider import attach_columns
 from repro.storage.snapshot import (
@@ -71,48 +71,16 @@ def cluster_config_from_manifest(manifest: SnapshotManifest) -> ClusterConfig:
     )
 
 
-def image_graph(
-    columns: Dict[str, np.ndarray],
-    machine_count: int,
-    label_table: LabelTable,
-    edge_count: int,
-) -> LabeledGraph:
-    """The graph an image holds — the one way from a cloud image to a
-    :class:`LabeledGraph`, for every reader that needs the graph rather
-    than the cloud.
+#: The image's global CSR columns, in :class:`LabeledGraph` argument order.
+_CSR_COLUMNS = ("graph/node_ids", "graph/label_ids", "graph/offsets", "graph/neighbors")
 
-    One O(graph) pass, the inverse of ``load_graph``'s per-machine gather:
-    every machine's rows land at their position in global (sorted node ID)
-    row order.  A lone machine's partition already is the graph's CSR, so
-    its columns are adopted as they are.
-    """
-    node_ids = columns["graph/node_ids"]
-    partitions = [
-        tuple(columns[f"machine{machine_id}/{column}"] for column in MACHINE_COLUMNS)
-        for machine_id in range(machine_count)
-    ]
-    if machine_count == 1:
-        return LabeledGraph(
-            label_table, node_ids, columns["graph/label_ids"],
-            *partitions[0][2:], edge_count,
-        )
-    # Global row of every machine-local row (empty partitions index nothing).
-    rows = [np.searchsorted(node_ids, ids_m) for ids_m, *_ in partitions]
-    counts = np.zeros(len(node_ids), dtype=OFFSET_DTYPE)
-    for rows_m, (_ids_m, _labels_m, offsets_m, _neighbors_m) in zip(rows, partitions):
-        counts[rows_m] = np.diff(offsets_m)
-    offsets = np.zeros(len(node_ids) + 1, dtype=OFFSET_DTYPE)
-    np.cumsum(counts, out=offsets[1:])
-    neighbors = np.empty(int(offsets[-1]), dtype=NODE_DTYPE)
-    for rows_m, (_ids_m, _labels_m, offsets_m, neighbors_m) in zip(rows, partitions):
-        local_counts = np.diff(offsets_m)
-        scatter = np.arange(int(offsets_m[-1]), dtype=OFFSET_DTYPE) + np.repeat(
-            offsets[:-1][rows_m] - offsets_m[:-1], local_counts
-        )
-        neighbors[scatter] = neighbors_m
+
+def _csr_graph(
+    columns: Dict[str, np.ndarray], label_table: LabelTable, edge_count: int
+) -> LabeledGraph:
+    """The graph an image holds: its global CSR columns, adopted as they are."""
     return LabeledGraph(
-        label_table, node_ids, columns["graph/label_ids"],
-        offsets, neighbors, edge_count,
+        label_table, *(columns[name] for name in _CSR_COLUMNS), edge_count
     )
 
 
@@ -184,15 +152,12 @@ def parsed_snapshot_graph(
     manifest: SnapshotManifest, records: Sequence[DeltaRecord]
 ) -> LabeledGraph:
     """The graph of an already-parsed snapshot, ``records`` merged in: the
-    image opened in its stored shape (:func:`_open_image`), then
-    :func:`image_graph`."""
+    image opened in its stored shape (:func:`_open_image`), its CSR adopted."""
     columns, state = _open_image(
         manifest, records, cluster_config_from_manifest(manifest),
         with_label_pairs=False,
     )
-    graph = image_graph(
-        columns, manifest.machine_count, state["label_table"], state["edge_count"]
-    )
+    graph = _csr_graph(columns, state["label_table"], state["edge_count"])
     graph.id_map = state["id_map"]
     return graph
 
@@ -211,7 +176,7 @@ def open_parsed_snapshot(
     cloud = MemoryCloud(config or cluster_config_from_manifest(manifest))
     if manifest.machine_count != cloud.machine_count:
         # Another cluster shape: no stored partitioning describes the cloud
-        # asked for, so make one from the graph the image holds.
+        # asked for, so place the nodes afresh over the image's own columns.
         cloud.load_graph(parsed_snapshot_graph(manifest, records))
         return cloud
     started = time.perf_counter()
@@ -234,51 +199,31 @@ def _overlay(
     changes; every other column stays the ``np.memmap`` view it was
     attached as:
 
+    * The global CSR takes the node records and half-edges in one
+      :func:`splice_csr`: ``graph/node_ids`` is copied only when the log
+      adds nodes, ``graph/label_ids`` only for them or a relabel, and
+      ``graph/offsets|neighbors`` only when it adds nodes or edges.
     * Assignment is sticky: a node the snapshot holds keeps its stored
       machine (as on a clean open); only nodes the log adds are placed, by
-      ``config``'s partitioner.  ``assignment/machines`` and
-      ``graph/node_ids`` are copied only when there are such nodes,
-      ``graph/label_ids`` only for them or a relabel.
-    * Each machine's partition takes the node records it owns and the
-      half-edges leaving its nodes through :func:`splice_csr`, so a machine
-      no record touches keeps all four of its columns file-backed.
+      ``config``'s partitioner, and ``assignment/machines`` is copied only
+      for them.
     """
-    machine_count = manifest.machine_count
+    base_ids = columns["graph/node_ids"]
     delta = normalize_records(
-        records, manifest.labels, columns["graph/node_ids"], columns["graph/label_ids"]
+        records, manifest.labels, base_ids, columns["graph/label_ids"]
     )
-    node_ids, label_ids, inserted = upsert_rows(
-        columns["graph/node_ids"], columns["graph/label_ids"],
-        delta.node_ids, delta.label_ids,
+    csr, added = splice_csr(
+        tuple(columns[name] for name in _CSR_COLUMNS),
+        delta.node_ids, delta.label_ids, delta.sources, delta.targets,
     )
     machines = columns["assignment/machines"]
-    columns = {**columns, "graph/label_ids": label_ids}
-    if len(inserted):
-        placed = place_nodes(
-            config.partitioner, delta.node_ids[delta.is_new], machine_count
-        )
-        machines = np.insert(machines, inserted, placed)
-        columns["graph/node_ids"] = node_ids
-        columns["assignment/machines"] = machines
-
-    named_owner = machines[np.searchsorted(node_ids, delta.node_ids)]
-    source_owner = machines[np.searchsorted(node_ids, delta.sources)]
-    added = 0
-    for machine_id in range(machine_count):
-        names = [f"machine{machine_id}/{column}" for column in MACHINE_COLUMNS]
-        named_here = named_owner == machine_id
-        leaving = source_owner == machine_id
-        if not (named_here.any() or leaving.any()):
-            continue
-        partition, added_here = splice_csr(
-            tuple(columns[name] for name in names),
-            delta.node_ids[named_here], delta.label_ids[named_here],
-            delta.sources[leaving], delta.targets[leaving],
-        )
-        columns.update(zip(names, partition))
-        added += added_here
+    new_ids = delta.node_ids[delta.is_new]
+    if len(new_ids):
+        placed = place_nodes(config.partitioner, new_ids, manifest.machine_count)
+        machines = np.insert(machines, np.searchsorted(base_ids, new_ids), placed)
+    merged = {**dict(zip(_CSR_COLUMNS, csr)), "assignment/machines": machines}
     # The stored CSR is symmetric, so new half-edges come in mirrored pairs.
-    return columns, delta, manifest.edge_count + added // 2
+    return merged, delta, manifest.edge_count + added // 2
 
 
 def _image_label_pairs(
@@ -295,8 +240,8 @@ def _image_label_pairs(
     ``a_a`` arrays are never attached): the result is those keys united
     with the log's (:func:`merge_label_pairs`).  After a relabel, and for a
     snapshot an older writer saved with ``"track_label_pairs": false``, the
-    keys are re-derived from the merged partitions, the one O(graph) step
-    an open can take; a one-machine image has none to derive.
+    keys are re-derived from the merged CSR, the one O(graph) step an open
+    can take; a one-machine image has none to derive.
     """
     machine_count = manifest.machine_count
     if (
@@ -305,7 +250,7 @@ def _image_label_pairs(
         or (delta is not None and not delta.is_new.all())
     ):
         return cross_machine_label_pairs(
-            image_graph(columns, machine_count, label_table, edge_count),
+            _csr_graph(columns, label_table, edge_count),
             columns["assignment/machines"],
             machine_count,
         )
@@ -344,9 +289,11 @@ def open_cloud_snapshot(
     partitioner) recorded in the manifest is used, so a cloud round-trips
     through save/open unchanged.  For that machine count the image is
     installed as opened (:func:`_open_image`): its columns are the file's
-    ``np.memmap`` views, except those a pending delta log changed (and a
-    graph-only snapshot's partition map), which live in RAM.  Another
-    machine count is partitioned afresh from the image's graph.  ``manifest.json`` and ``deltas.log`` are each parsed
+    ``np.memmap`` views, except those a pending delta log changed, a
+    graph-only snapshot's partition map and a version 2 image's scattered
+    adjacency, which live in RAM.  Another machine count places the nodes
+    afresh over the same columns (a new partition map and label pairs, no
+    copy of the CSR).  ``manifest.json`` and ``deltas.log`` are each parsed
     once.
     """
     manifest = read_manifest(directory, verify=verify)

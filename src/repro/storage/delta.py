@@ -10,7 +10,7 @@ in place — the same discipline LogBase applies to its cloud storage:
 * **merge** — one way, for every reader, and not a rebuild:
   :func:`normalize_records` digests the log (the only Python loop, and it
   is over the log), and :mod:`repro.storage.cloud_snapshot` splices it into
-  each machine's partition of the attached image with :func:`splice_csr` —
+  the attached image's global CSR with one :func:`splice_csr` —
   only the rows an endpoint touches are searched, each changed column is
   written in one block copy, and every other column stays the very array
   (``np.memmap`` view) it was.  Cost: the log, plus a copy of what it
@@ -266,31 +266,6 @@ def normalize_records(
     )
 
 
-def upsert_rows(
-    node_ids: np.ndarray,
-    label_ids: np.ndarray,
-    named: np.ndarray,
-    named_labels: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(node_ids, label_ids)`` with the sorted ``named`` IDs (re)labelled.
-
-    IDs the columns hold take their new label, the others become rows.
-    Also returns the position in the old ``node_ids`` each new row was
-    inserted before (parallel columns insert there too).  A column nothing
-    changes in comes back as the object handed in; a changed one is copied
-    once per kind of change.
-    """
-    rows, held = sorted_lookup(node_ids, named)
-    if held.any():
-        label_ids = np.array(label_ids)  # the base may be a read-only view
-        label_ids[rows[held]] = named_labels[held]
-    inserted = np.searchsorted(node_ids, named[~held])
-    if len(inserted):
-        node_ids = np.insert(node_ids, inserted, named[~held])
-        label_ids = np.insert(label_ids, inserted, named_labels[~held])
-    return node_ids, label_ids, inserted
-
-
 def _positions_in_rows(
     neighbors: np.ndarray, starts: np.ndarray, stops: np.ndarray, targets: np.ndarray
 ) -> np.ndarray:
@@ -323,8 +298,9 @@ def splice_csr(
     offsets, neighbors)`` CSR; returns the new quadruple and the number of
     half-edges it did not already hold.
 
-    ``named`` / ``named_labels`` are sorted node records (see
-    :func:`upsert_rows`); ``sources`` / ``targets`` are directed half-edges
+    ``named`` / ``named_labels`` are sorted node records: an ID the columns
+    hold is relabelled, any other becomes a row.  ``sources`` / ``targets``
+    are directed half-edges
     sorted by ``(source, target)`` and duplicate-free, every source a row
     of the result.  Only the touched rows are searched; a half-edge its row
     already holds is dropped.  Each column that changes is written in one
@@ -332,8 +308,16 @@ def splice_csr(
     not is returned as the very object handed in, so ``np.memmap`` views
     stay file-backed.
     """
-    base_ids, _base_labels, offsets, neighbors = csr
-    node_ids, label_ids, inserted = upsert_rows(*csr[:2], named, named_labels)
+    base_ids, label_ids, offsets, neighbors = csr
+    node_ids = base_ids
+    rows, held = sorted_lookup(base_ids, named)
+    if held.any():
+        label_ids = np.array(label_ids)  # the base may be a read-only view
+        label_ids[rows[held]] = named_labels[held]
+    inserted = np.searchsorted(base_ids, named[~held])
+    if len(inserted):
+        node_ids = np.insert(base_ids, inserted, named[~held])
+        label_ids = np.insert(label_ids, inserted, named_labels[~held])
     # Row of each source in the old columns (for a new node: where its row
     # goes, an empty row) bounds the slice its target is searched in.
     old_rows = np.searchsorted(base_ids, sources)

@@ -20,15 +20,25 @@ image exactly as it lives in RAM:
     merged into the image at open time.
 
 Arrays are named as the image's columns
-(:func:`~repro.cloud.cluster.column_names`), plus ``labelpairs/{a}_{b}``
+(:data:`~repro.cloud.cluster.IMAGE_COLUMNS`: the global CSR
+``graph/node_ids|label_ids|offsets|neighbors`` in node-ID order and the
+partition map ``assignment/machines``), plus ``labelpairs/{a}_{b}``
 (packed label-pair keys of the edges between machines ``a < b``; the
-``a_a`` arrays an older writer also stored are never attached).  Version 1
-snapshots also stored a global ``graph/offsets|neighbors`` copy and an
-``assignment/ids`` alias; readers ignore both.  A directory of the retired
-graph-only kind (the four ``graph/*`` CSR columns, no cloud section) is
-read at parse as a one-machine image: its CSR is ``machine0/*``, and its
-all-zero partition map is built in RAM (:attr:`SnapshotManifest.resident`).
-Nothing after the parse tells the two apart.
+``a_a`` arrays an older writer also stored are never attached).  That is
+format version 3.  Older layouts still open:
+
+* version 2 stored no global adjacency: each machine's CSR partition
+  (``machine{i}/node_ids|label_ids|offsets|neighbors``) held its owned
+  rows.  :meth:`SnapshotManifest.attach_image` scatters the partitions into
+  the global ``graph/offsets|neighbors`` in RAM, one O(graph) pass;
+* version 1 stored the version 2 arrays plus the global CSR and an
+  ``assignment/ids`` alias: it is read as a version 3 image, its
+  partitions and alias unread;
+* a directory of the retired graph-only kind (the four ``graph/*`` CSR
+  columns, no cloud section) is read at parse as a one-machine image whose
+  all-zero partition map is built in RAM (:attr:`SnapshotManifest.resident`).
+
+Nothing after the attach tells the layouts apart.
 
 Both writes (``columns.bin`` then ``manifest.json``) go through temporary
 files and ``os.replace``, so a crashed save or compaction never leaves a
@@ -48,8 +58,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cloud.cluster import MACHINE_COLUMNS, column_names
+from repro.cloud.cluster import IMAGE_COLUMNS
 from repro.errors import StorageError
+from repro.graph.labeled_graph import NODE_DTYPE, OFFSET_DTYPE
 from repro.graph.partition import MACHINE_DTYPE
 from repro.storage.provider import (
     MmapArraySpec,
@@ -62,7 +73,7 @@ from repro.storage.provider import (
 #: Format tag stored in (and required of) every manifest.
 SNAPSHOT_FORMAT = "repro-csr-snapshot"
 #: Highest manifest version this reader understands.
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 #: File names inside a snapshot directory.
 MANIFEST_NAME = "manifest.json"
@@ -71,6 +82,9 @@ DELTA_LOG_NAME = "deltas.log"
 
 #: The cloud section a graph-only manifest is read with (one machine: no keys).
 GRAPH_ONLY_CLOUD = {"machine_count": 1, "partitioner": "hash"}
+
+#: The columns of each machine's CSR partition in a version 2 image.
+_V2_PARTITION_COLUMNS = ("node_ids", "label_ids", "offsets", "neighbors")
 
 
 @dataclass
@@ -94,6 +108,8 @@ class SnapshotManifest:
             node IDs are the caller's own.
         resident: image columns the data file does not hold, built at
             parse (only a graph-only snapshot's partition map).
+        partitioned: a version 2 cloud image, whose adjacency the data
+            file holds only as per-machine partitions.
     """
 
     directory: Path
@@ -107,6 +123,7 @@ class SnapshotManifest:
     cloud: dict = field(default_factory=dict)
     id_map: Optional[dict] = None
     resident: Dict[str, np.ndarray] = field(default_factory=dict)
+    partitioned: bool = False
 
     def spec(self, name: str) -> MmapArraySpec:
         """The spec of array ``name``; raises StorageError when absent."""
@@ -122,17 +139,21 @@ class SnapshotManifest:
     def attach_image(self) -> Dict[str, np.ndarray]:
         """Attach every image column as a read-only view.
 
-        The :attr:`resident` columns are the in-RAM arrays themselves.
+        The :attr:`resident` columns are the in-RAM arrays themselves, and
+        a :attr:`partitioned` image's ``graph/offsets|neighbors`` are
+        scattered out of its partitions into RAM.
         """
-        views = attach_columns(
-            {
-                name: self.spec(name)
-                for name in column_names(self.machine_count)
-                if name not in self.resident
-            }
+        if not self.partitioned:
+            stored = [name for name in IMAGE_COLUMNS if name not in self.resident]
+            views = attach_columns({name: self.spec(name) for name in stored})
+            views.update(self.resident)
+            return views
+        stored = _v2_names(self.machine_count)
+        views = attach_columns({name: self.spec(name) for name in stored})
+        views["graph/offsets"], views["graph/neighbors"] = _scatter_partitions(
+            views, self.machine_count
         )
-        views.update(self.resident)
-        return views
+        return {name: views[name] for name in IMAGE_COLUMNS}
 
     @property
     def machine_count(self) -> int:
@@ -169,6 +190,47 @@ class SnapshotManifest:
         from repro.ingest.idmap import IdMap
 
         return IdMap.from_manifest(self.id_map, lambda name: np.array(self.attach(name)))
+
+
+def _v2_names(machine_count: int) -> Tuple[str, ...]:
+    """The image arrays a version 2 cloud snapshot of ``machine_count``
+    machines stored."""
+    return (
+        "graph/node_ids",
+        "graph/label_ids",
+        "assignment/machines",
+        *(
+            f"machine{machine_id}/{column}"
+            for machine_id in range(machine_count)
+            for column in _V2_PARTITION_COLUMNS
+        ),
+    )
+
+
+def _scatter_partitions(
+    views: Dict[str, np.ndarray], machine_count: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The global ``(offsets, neighbors)`` of a version 2 image's partitions.
+
+    The version 2 reader: one O(graph) pass, the inverse of the per-machine
+    gather that writer's loader ran.  A machine's partition rows are its
+    owned nodes in ID order, and each lands at its global row.
+    """
+    owners = views["assignment/machines"]
+    rows = [np.flatnonzero(owners == machine) for machine in range(machine_count)]
+    counts = np.zeros(len(owners), dtype=OFFSET_DTYPE)
+    for machine, rows_m in enumerate(rows):
+        counts[rows_m] = np.diff(views[f"machine{machine}/offsets"])
+    offsets = np.zeros(len(owners) + 1, dtype=OFFSET_DTYPE)
+    np.cumsum(counts, out=offsets[1:])
+    neighbors = np.empty(int(offsets[-1]), dtype=NODE_DTYPE)
+    for machine, rows_m in enumerate(rows):
+        local = views[f"machine{machine}/offsets"]
+        scatter = np.arange(int(local[-1]), dtype=OFFSET_DTYPE) + np.repeat(
+            offsets[:-1][rows_m] - local[:-1], counts[rows_m]
+        )
+        neighbors[scatter] = views[f"machine{machine}/neighbors"]
+    return offsets, neighbors
 
 
 def covering_id_map(manifest: SnapshotManifest, node_ids: np.ndarray):
@@ -214,15 +276,15 @@ def write_snapshot(
 ) -> SnapshotManifest:
     """Write a snapshot directory from named arrays (the low-level writer).
 
-    ``arrays`` must include every image column of the ``cloud`` section's
-    machine count (:func:`~repro.cloud.cluster.column_names`); the one
-    caller is :meth:`MemoryCloud.save_snapshot
+    ``arrays`` must include every image column
+    (:data:`~repro.cloud.cluster.IMAGE_COLUMNS`); the one caller is
+    :meth:`MemoryCloud.save_snapshot
     <repro.cloud.cluster.MemoryCloud.save_snapshot>`.  Data and manifest are
     written to temporaries and moved into place, so a concurrent reader
     sees either the old snapshot or the new one; on any failure the
     temporaries are removed before the error propagates.
     """
-    for name in column_names(int(cloud["machine_count"])):
+    for name in IMAGE_COLUMNS:
         if name not in arrays:
             raise StorageError(f"snapshot is missing required array {name!r}")
     if id_map is not None and id_map.is_identity:
@@ -335,20 +397,26 @@ def _manifest_from_doc(target: Path, doc: dict) -> SnapshotManifest:
         checksums[name] = int(entry.get("crc32", 0))
 
     cloud = doc.get("cloud")
-    resident: Dict[str, np.ndarray] = {}
-    if cloud is None:
-        # Graph-only: one machine whose partition is the whole CSR.
+    graph_only = cloud is None
+    if graph_only:  # one machine whose partition is the whole CSR
         cloud = dict(GRAPH_ONLY_CLOUD)
-        for column in MACHINE_COLUMNS:
-            name = f"graph/{column}"
-            if name not in arrays:
-                raise _missing_array(target, name)
-            arrays[f"machine0/{column}"] = arrays[name]
-            checksums[f"machine0/{column}"] = checksums[name]
+    partitioned = version == 2 and not graph_only
+    if partitioned:
+        required = _v2_names(int(cloud["machine_count"]))
+    else:  # a graph-only snapshot's partition map is built below, in RAM
+        required = [
+            name for name in IMAGE_COLUMNS
+            if not (graph_only and name == "assignment/machines")
+        ]
+    for name in required:
+        if name not in arrays:
+            raise StorageError(f"snapshot {target} is missing required array {name!r}")
+    resident: Dict[str, np.ndarray] = {}
+    if graph_only:
         resident["assignment/machines"] = np.zeros(
             arrays["graph/node_ids"].shape, dtype=MACHINE_DTYPE
         )
-    manifest = SnapshotManifest(
+    return SnapshotManifest(
         directory=target,
         version=version,
         generation=int(doc.get("generation", 1)),
@@ -360,15 +428,8 @@ def _manifest_from_doc(target: Path, doc: dict) -> SnapshotManifest:
         cloud=cloud,
         id_map=doc.get("id_map"),
         resident=resident,
+        partitioned=partitioned,
     )
-    for name in column_names(manifest.machine_count):
-        if name not in arrays and name not in resident:
-            raise _missing_array(target, name)
-    return manifest
-
-
-def _missing_array(target: Path, name: str) -> StorageError:
-    return StorageError(f"snapshot {target} is missing required array {name!r}")
 
 
 def open_graph_snapshot(directory: str | Path, *, verify: bool = False):
@@ -376,9 +437,9 @@ def open_graph_snapshot(directory: str | Path, *, verify: bool = False):
 
     The image is opened as every reader opens it — attached, a pending
     delta log merged in (:func:`repro.storage.cloud_snapshot.parsed_snapshot_graph`)
-    — and the graph derived from it.  Columns the derivation does not
-    change (node and label IDs; a one-machine image's whole CSR) stay
-    read-only ``np.memmap`` views.
+    — and its global CSR adopted as the graph's.  Columns the log does not
+    change stay read-only ``np.memmap`` views (all four on a clean open of
+    a version 3 snapshot).
 
     Returns the graph; its ``snapshot_manifest`` attribute carries the
     parsed :class:`SnapshotManifest` for callers that need the metadata.

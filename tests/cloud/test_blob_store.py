@@ -21,7 +21,7 @@ from repro.errors import NodeNotFoundError
 from repro.graph.generators.erdos_renyi import generate_gnm
 from repro.graph.labeled_graph import LabeledGraph, NodeCell
 
-from tests.helpers import csr_from_cells, machine_from_cells, make_cloud
+from tests.helpers import machine_from_cells, make_cloud
 
 
 @pytest.fixture
@@ -98,18 +98,17 @@ class TestRoundtrip:
         assert store.label_of(42) is None
         assert store.node_count == 3
 
-    def test_duplicate_store_last_wins(self, store, cloud):
-        # A machine is written only by adoption, and adopting again replaces
-        # the partition wholesale; a cloud reload replaces its lookup
-        # columns with it.
+    def test_duplicate_store_last_wins(self, cloud):
+        # A machine is never written: a reload installs fresh machines over
+        # the new image, and the cloud's lookup columns with them, while a
+        # machine of the old image still reads the old one.
         _, counts = load_batch(cloud, [1, 2, 3] * 8)
         assert counts.tolist() == [2, 1, 1] * 8
-        table, columns = csr_from_cells([(1, "z", (9,))])
-        store.label_table = table
-        store.adopt_partition(*columns)
-        assert store.load(1) == NodeCell(1, "z", (9,))
-        assert store.node_count == 1
+        before = cloud.machines[0]
         cloud.load_graph(LabeledGraph.from_edges({1: "z", 9: "z"}, [(1, 9)]))
+        assert cloud.machines[0].load(1) == NodeCell(1, "z", (9,))
+        assert cloud.machines[0].node_count == 2
+        assert before.load(1) == NodeCell(1, "a", (2, 3))
         assert load_batch(cloud, [1])[0].tolist() == [9]
         with pytest.raises(NodeNotFoundError):
             load_batch(cloud, [2])

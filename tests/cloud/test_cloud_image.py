@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cloud.cluster import MemoryCloud, column_names
+from repro.cloud.cluster import IMAGE_COLUMNS, MemoryCloud
 from repro.cloud.config import ClusterConfig
 from repro.core.engine import SubgraphMatcher
 from repro.errors import CloudError
@@ -84,7 +84,7 @@ def test_cloud_image_round_trip(
     config = ClusterConfig(machine_count=machine_count, partitioner=partitioner())
     original = MemoryCloud.from_graph(graph, config)
     image = original.columns()
-    assert tuple(image) == column_names(machine_count)
+    assert tuple(image) == IMAGE_COLUMNS
     expected = run(original, "serial")
 
     restored = transport(original, tmp_path_factory.mktemp("image"))

@@ -11,6 +11,8 @@ from repro.errors import CloudError, ConfigurationError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.partition import BlockPartitioner, RoundRobinPartitioner
 
+from tests.helpers import local_node_ids
+
 
 @pytest.fixture
 def small_graph() -> LabeledGraph:
@@ -54,14 +56,14 @@ class TestTrinityOperators:
             assert cell.neighbors == small_graph.neighbors(node)
 
     def test_local_load_not_charged_as_remote(self, cloud):
-        node = int(cloud.columns()["machine0/node_ids"][0])
+        node = int(local_node_ids(cloud, 0)[0])
         before = cloud.metrics.remote_loads
         cloud.load(node, requester=0)
         assert cloud.metrics.remote_loads == before
         assert cloud.metrics.local_loads > 0
 
     def test_remote_load_charged(self, cloud):
-        node = int(cloud.columns()["machine1/node_ids"][0])
+        node = int(local_node_ids(cloud, 1)[0])
         before = cloud.metrics.remote_loads
         cloud.load(node, requester=0)
         assert cloud.metrics.remote_loads == before + 1

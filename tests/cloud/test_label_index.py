@@ -6,9 +6,10 @@ The index is no object of its own: ``Machine`` answers ``Index.getID`` and
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro.cloud.cluster import MemoryCloud
+from repro.cloud.config import ClusterConfig
 from repro.cloud.machine import Machine
+from repro.graph.labeled_graph import LabeledGraph
 
 from tests.helpers import machine_from_cells
 
@@ -54,16 +55,16 @@ class TestStatistics:
 
     def test_incremental_add_keeps_sorted(self):
         # The index has no incremental add any more (the name is historical):
-        # growing it means adopting the larger arrays, which must replace the
-        # contents and drop the per-label ID arrays cached from the old ones.
-        index = make_index()
-        assert index.get_ids_array("a").tolist() == [3, 5]  # fills the per-label cache
-        a, b = index.label_table.id_of("a"), index.label_table.id_of("b")
-        index.adopt_partition(
-            np.array([1, 3, 5, 7], dtype=np.int64),
-            np.array([a, a, a, b], dtype=np.int32),
-            np.zeros(5, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
+        # growing it means loading the larger graph, which installs fresh
+        # machines whose per-label ID arrays hold nothing cached from the
+        # old image.
+        cloud = MemoryCloud.from_graph(
+            LabeledGraph.from_edges({5: "a", 3: "a", 7: "b"}, [(3, 7)]),
+            ClusterConfig(machine_count=1),
         )
-        assert index.get_ids_array("a").tolist() == [1, 3, 5]
-        assert index.node_count == 4
+        assert cloud.machines[0].get_ids_array("a").tolist() == [3, 5]  # cached
+        cloud.load_graph(
+            LabeledGraph.from_edges({1: "a", 3: "a", 5: "a", 7: "b"}, [(3, 7)])
+        )
+        assert cloud.machines[0].get_ids_array("a").tolist() == [1, 3, 5]
+        assert cloud.machines[0].node_count == 4

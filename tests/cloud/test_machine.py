@@ -50,11 +50,11 @@ class TestLocalIndex:
         assert not machine.has_label(11, "a")
 
     def test_memory_footprint_counts_cells_adjacency_index(self):
-        table, columns = csr_from_cells(CELLS)
-        machine = Machine(2, table)
-        machine.adopt_partition(*columns)
-        # Right after adoption: the four CSR columns, each counted once (the
-        # index reads the ID and label columns, it holds no copy of them).
+        _, columns = csr_from_cells(CELLS)
+        machine = make_machine()
+        # Before any getID: the four CSR columns of its cells, each counted
+        # once (the index reads the ID and label columns, it holds no copy
+        # of them).
         adopted = sum(column.nbytes for column in columns)
         assert machine.storage_nbytes() == adopted == 3 * 8 + 3 * 4 + 4 * 8 + 5 * 8
         # A getID caches its answer, and the footprint grows by exactly it.

@@ -23,6 +23,7 @@ from tests.helpers import (
     domain_graph,
     installed_cloud,
     load_neighbors_batch,
+    local_node_ids,
     seeded_graph,
 )
 
@@ -107,10 +108,9 @@ def test_every_node_resolves_to_its_own_cell(domain, path, base_graph, tmp_path)
     columns = cloud.columns()
     ids = columns["graph/node_ids"]
     owners = cloud.owners_of_array(ids)
-    rows = cloud._rows[cloud._index.positions(ids)]
     for machine in range(cloud.machine_count):
         local = owners == machine
-        assert np.array_equal(columns[f"machine{machine}/node_ids"][rows[local]], ids[local])
+        assert np.array_equal(local_node_ids(cloud, machine), ids[local])
         neighbors, counts = load_neighbors_batch(cloud, ids[local], requester=0, owner=machine)
         expected = [cloud.load_neighbors(node) for node in ids[local].tolist()]
         assert counts.tolist() == [len(cell) for cell in expected]
@@ -124,11 +124,25 @@ def test_machines_hold_only_what_storage_nbytes_counts(domain, base_graph):
     with SubgraphMatcher(cloud, executor="serial") as matcher:
         for seed in range(8):
             matcher.match(dfs_query(graph, 3 + seed % 4, seed=seed))
+    image = cloud.columns()
+    owners = image["assignment/machines"]
+    degrees = np.diff(image["graph/offsets"])
     for machine in cloud.machines:
-        held = [
-            array
-            for value in vars(machine).values()
-            for array in (value.values() if isinstance(value, dict) else [value])
-            if isinstance(array, np.ndarray)
+        # Every array a machine holds is one of the cloud's columns, shared.
+        held = [value for value in vars(machine).values() if isinstance(value, np.ndarray)]
+        assert held and all(
+            any(array is column for column in image.values()) for array in held
+        )
+        # Its footprint: its cells as their own CSR, plus its cached getIDs.
+        nodes = int(np.count_nonzero(owners == machine.machine_id))
+        neighbors = int(degrees[owners == machine.machine_id].sum())
+        cached = [
+            split[machine.machine_id]
+            for split in machine._by_label.values()
+            if machine.machine_id in split
         ]
-        assert sum(array.nbytes for array in held) == machine.storage_nbytes()
+        assert cached
+        assert machine.storage_nbytes() == (
+            nodes * (8 + 4) + (nodes + 1) * 8 + neighbors * 8
+            + sum(array.nbytes for array in cached)
+        )

@@ -16,6 +16,8 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.partition import RoundRobinPartitioner
 from repro.query.query_graph import QueryGraph
 
+from tests.helpers import local_node_ids
+
 
 @pytest.fixture
 def striped_cloud() -> MemoryCloud:
@@ -96,7 +98,7 @@ class TestClusterDistances:
         adjacency = build_cluster_graph(striped_cloud, query)
         distances = cluster_distances(adjacency)
         for machine in striped_cloud.machines:
-            for node in striped_cloud.columns()[f"machine{machine.machine_id}/node_ids"].tolist():
+            for node in local_node_ids(striped_cloud, machine.machine_id).tolist():
                 for neighbor in striped_cloud.load(node).neighbors:
                     other = striped_cloud.owner_of(neighbor)
                     assert distances[(machine.machine_id, other)] <= 1

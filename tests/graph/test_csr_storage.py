@@ -31,6 +31,7 @@ from repro.graph.partition import BlockPartitioner, RoundRobinPartitioner
 from tests.helpers import (
     batch_has_label,
     load_neighbors_batch,
+    local_node_ids,
     machine_from_cells,
     make_cloud,
     path_graph,
@@ -114,7 +115,7 @@ class TestRoundTripThroughMachines:
         cloud = make_cloud(graph, machine_count=machine_count)
         seen = set()
         for machine in cloud.machines:
-            for node in cloud.columns()[f"machine{machine.machine_id}/node_ids"].tolist():
+            for node in local_node_ids(cloud, machine.machine_id).tolist():
                 cell = machine.load(node)
                 assert cell.neighbors == graph.neighbors(node)
                 assert cell.label == graph.label(node)
@@ -295,6 +296,6 @@ class TestEdgeCases:
         matched = {
             node
             for machine_id in range(cloud.machine_count)
-            for node in cloud.columns()[f"machine{machine_id}/node_ids"].tolist()
+            for node in local_node_ids(cloud, machine_id).tolist()
         }
         assert matched == {7, 1000, 500_000_000}

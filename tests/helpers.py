@@ -30,6 +30,8 @@ source for those fixtures:
   pairs and counts, values and dtypes;
 * :func:`memmapped_columns` — which of a cloud's image columns are
   ``np.memmap`` views of a snapshot file (the rest live in RAM);
+* :func:`write_raw_snapshot` — a snapshot directory of any layout, written
+  unchecked (the older writers' stand-in);
 * :func:`write_graph_only_snapshot` — a snapshot directory of the retired
   graph-only kind, as its writer laid it out;
 * :func:`write_older_cloud_snapshot` — a cloud snapshot as the writer that
@@ -45,7 +47,10 @@ source for those fixtures:
   vectorized generators' seeded degree/label-distribution reference
   (:func:`power_law_weights` is the Chung–Lu sampler's weight list);
 * :func:`csr_from_cells` / :func:`machine_from_cells` — CSR columns and a
-  standalone `Machine` adopted from hand-written cells;
+  standalone `Machine` owning hand-written cells;
+* :func:`local_node_ids` — the nodes one machine of a cloud owns;
+* :func:`v2_partition_arrays` — a cloud's image in the version 2 snapshot
+  layout (per-machine CSR partitions, no global adjacency);
 * :func:`domain_graph` / :func:`installed_cloud` — a graph moved onto one
   of the :data:`NODE_ID_DOMAINS` and a cloud installed along one of the
   :data:`INSTALL_PATHS`, the node-lookup tests' inputs.
@@ -88,7 +93,7 @@ from repro.graph.generators.labels import (
 from repro.graph.generators.power_law import generate_power_law, power_law_weight_array
 from repro.graph.generators.rmat import RmatParameters
 from repro.graph.generators.sampling import SAMPLING_BUDGET
-from repro.graph.partition import RoundRobinPartitioner
+from repro.graph.partition import MACHINE_DTYPE, RoundRobinPartitioner
 from repro.graph.stats import GenerationReport, attach_generation_report
 from repro.query.generators import dfs_query, random_query_from_graph
 from repro.query.query_graph import QueryGraph
@@ -156,34 +161,43 @@ def memmapped_columns(cloud: MemoryCloud) -> set:
     }
 
 
+def write_raw_snapshot(directory, arrays: Dict[str, np.ndarray], **doc) -> Path:
+    """``arrays`` plus a manifest of ``doc``'s fields (version 1 and
+    generation 1 unless ``doc`` says otherwise), written with no check of
+    the layout: how the tests lay out snapshots of older writers."""
+    import json
+
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    entries = []
+    with MmapColumnWriter(directory / "columns.bin") as writer:
+        for name, array in arrays.items():
+            spec = writer.publish(np.asarray(array))
+            entries.append({"name": name, "offset": spec.offset,
+                            "shape": list(spec.shape), "dtype": spec.dtype})
+        for entry, crc in zip(entries, writer.checksums()):
+            entry["crc32"] = crc
+    doc = {
+        "format": SNAPSHOT_FORMAT, "version": 1, "generation": 1,
+        "created_unix": 0.0, "data_file": "columns.bin", "arrays": entries, **doc,
+    }
+    (directory / "manifest.json").write_text(json.dumps(doc))
+    return directory
+
+
 def write_graph_only_snapshot(graph: LabeledGraph, directory):
     """``graph`` as the retired graph-only writer laid it out: the four
     ``graph/*`` CSR columns and a manifest without a cloud section."""
-    import json
-
-    directory.mkdir(parents=True)
     arrays = {
         "graph/node_ids": graph.node_id_array(),
         "graph/label_ids": graph.label_id_array(),
         "graph/offsets": graph.offset_array(),
         "graph/neighbors": graph.neighbor_array(),
     }
-    entries = []
-    with MmapColumnWriter(directory / "columns.bin") as writer:
-        for name, array in arrays.items():
-            spec = writer.publish(array)
-            entries.append({"name": name, "offset": spec.offset,
-                            "shape": list(spec.shape), "dtype": spec.dtype})
-        for entry, crc in zip(entries, writer.checksums()):
-            entry["crc32"] = crc
-    doc = {
-        "format": SNAPSHOT_FORMAT, "version": 2, "generation": 1,
-        "created_unix": 0.0, "node_count": graph.node_count,
-        "edge_count": graph.edge_count, "labels": list(graph.label_table.labels()),
-        "data_file": "columns.bin", "arrays": entries,
-    }
-    (directory / "manifest.json").write_text(json.dumps(doc))
-    return directory
+    return write_raw_snapshot(
+        directory, arrays, version=2, node_count=graph.node_count,
+        edge_count=graph.edge_count, labels=list(graph.label_table.labels()),
+    )
 
 
 def write_older_cloud_snapshot(
@@ -697,11 +711,54 @@ def csr_from_cells(
 def machine_from_cells(
     machine_id: int, cells: Iterable[Tuple[int, str, Tuple[int, ...]]]
 ) -> Machine:
-    """A :class:`Machine` adopted from ``(node_id, label, neighbors)`` cells."""
-    table, columns = csr_from_cells(cells)
-    machine = Machine(machine_id, table)
-    machine.adopt_partition(*columns)
-    return machine
+    """A :class:`Machine` owning every one of ``(node_id, label, neighbors)``
+    cells: their CSR as the image, all placed on ``machine_id``."""
+    table, (ids, label_ids, offsets, neighbors) = csr_from_cells(cells)
+    columns = {
+        "graph/node_ids": ids,
+        "graph/label_ids": label_ids,
+        "graph/offsets": offsets,
+        "graph/neighbors": neighbors,
+        "assignment/machines": np.full(len(ids), machine_id, dtype=MACHINE_DTYPE),
+    }
+    return Machine(machine_id, columns, table)
+
+
+def local_node_ids(cloud: MemoryCloud, machine_id: int) -> np.ndarray:
+    """The sorted IDs of the nodes ``machine_id`` owns, off the image's
+    partition map."""
+    columns = cloud.columns()
+    return columns["graph/node_ids"][columns["assignment/machines"] == machine_id]
+
+
+def v2_partition_arrays(cloud: MemoryCloud) -> Dict[str, np.ndarray]:
+    """``cloud``'s image as a version 2 snapshot stored it: per machine, the
+    CSR partition of its owned rows (``machine{i}/node_ids|label_ids|
+    offsets|neighbors``), beside the node, label and partition-map columns.
+
+    Gathered row by row from the per-node oracle, independent of the
+    snapshot reader's vectorized scatter.
+    """
+    columns = cloud.columns()
+    arrays = {
+        name: columns[name]
+        for name in ("graph/node_ids", "graph/label_ids", "assignment/machines")
+    }
+    owners = columns["assignment/machines"]
+    for machine in cloud.machines:
+        local = owners == machine.machine_id
+        ids = columns["graph/node_ids"][local]
+        cells = [machine.neighbor_slice(node) for node in ids.tolist()]
+        offsets = np.zeros(len(cells) + 1, dtype=OFFSET_DTYPE)
+        np.cumsum([len(cell) for cell in cells], out=offsets[1:])
+        prefix = f"machine{machine.machine_id}/"
+        arrays[prefix + "node_ids"] = ids
+        arrays[prefix + "label_ids"] = columns["graph/label_ids"][local]
+        arrays[prefix + "offsets"] = offsets
+        arrays[prefix + "neighbors"] = (
+            np.concatenate(cells) if cells else np.empty(0, dtype=NODE_DTYPE)
+        )
+    return arrays
 
 
 

@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import repro.api as api
 from repro.baselines.vf2 import vf2_match
-from repro.cloud.cluster import MemoryCloud, column_names
+from repro.cloud.cluster import IMAGE_COLUMNS, MemoryCloud
 from repro.cloud.config import ClusterConfig
 from repro.core.engine import SubgraphMatcher
 from repro.graph.generators import generate_gnm
-from repro.graph.partition import BlockPartitioner, RoundRobinPartitioner
+from repro.graph.partition import (
+    BlockPartitioner,
+    RoundRobinPartitioner,
+    partitioner_name,
+)
 from repro.query.generators import dfs_query
 from repro.query.query_graph import QueryGraph
 from repro.errors import StorageError
@@ -20,18 +27,19 @@ from repro.storage.delta import DeltaLog, DeltaRecord, compact_snapshot
 from repro.storage.snapshot import (
     open_graph_snapshot,
     read_manifest,
-    write_snapshot,
 )
 from tests.helpers import (
     assert_same_image,
     memmapped_columns,
     oracle_replay,
+    v2_partition_arrays,
     write_graph_only_snapshot,
     write_older_cloud_snapshot,
+    write_raw_snapshot,
 )
 
-#: Every image column of the fixture cloud (3 machines).
-IMAGE = set(column_names(3))
+#: Every image column (the same names at every machine count).
+IMAGE = set(IMAGE_COLUMNS)
 
 
 @pytest.fixture
@@ -104,16 +112,14 @@ class TestCloudRoundTrip:
 
 
 #: The on-disk vocabulary of a 3-machine cloud snapshot of the fixture
-#: graph, format version 2: the image once, then the label-pair keys of
-#: each machine pair i < j.  ``MemoryCloud.columns()`` keys on the same
-#: names; a change here means older snapshots stop reopening on the fast
-#: path.  (An older writer also stored ``labelpairs/i_i`` and a
+#: graph, format version 3: the image once (the global CSR, then the
+#: partition map), then the label-pair keys of each machine pair i < j.
+#: ``MemoryCloud.columns()`` keys on the same names; a change here means
+#: older snapshots stop reopening on the fast path.  (An older writer also stored ``labelpairs/i_i`` and a
 #: ``track_label_pairs`` flag; ``TestFormatPin`` opens that layout too.)
 PINNED_ARRAY_NAMES = [
-    "graph/node_ids", "graph/label_ids", "assignment/machines",
-    "machine0/node_ids", "machine0/label_ids", "machine0/offsets", "machine0/neighbors",
-    "machine1/node_ids", "machine1/label_ids", "machine1/offsets", "machine1/neighbors",
-    "machine2/node_ids", "machine2/label_ids", "machine2/offsets", "machine2/neighbors",
+    "graph/node_ids", "graph/label_ids", "graph/offsets", "graph/neighbors",
+    "assignment/machines",
     "labelpairs/0_1", "labelpairs/0_2", "labelpairs/1_2",
 ]
 PINNED_CLOUD_SECTION = {
@@ -136,7 +142,7 @@ class TestFormatPin:
 
         cloud.save_snapshot(tmp_path / "snap")
         doc = json.loads((tmp_path / "snap" / "manifest.json").read_text())
-        assert SNAPSHOT_VERSION == doc["version"] == 2
+        assert SNAPSHOT_VERSION == doc["version"] == 3
         assert set(doc) == PINNED_MANIFEST_KEYS
         assert [entry["name"] for entry in doc["arrays"]] == PINNED_ARRAY_NAMES
         assert set(doc["arrays"][0]) == {"name", "offset", "shape", "dtype", "crc32"}
@@ -175,9 +181,8 @@ class TestFallbackPaths:
         reopened = MemoryCloud.open_snapshot(
             tmp_path / "snap", ClusterConfig(machine_count=2)
         )
-        # Partitioned afresh from the stored CSR, whose node and label
-        # columns the graph adopted as they were.
-        assert memmapped_columns(reopened) == {"graph/node_ids", "graph/label_ids"}
+        # Placed afresh over the stored CSR, adopted as it was.
+        assert memmapped_columns(reopened) == IMAGE - {"assignment/machines"}
         assert reopened.machine_count == 2
         assert reopened.node_count == graph.node_count
 
@@ -186,9 +191,8 @@ class TestFallbackPaths:
         reopened = MemoryCloud.open_snapshot(
             tmp_path / "snap", ClusterConfig(machine_count=5)
         )
-        # Partitioned afresh from the image's graph, which adopted the stored
-        # cluster-wide node and label columns.
-        assert memmapped_columns(reopened) == {"graph/node_ids", "graph/label_ids"}
+        # Placed afresh over the image's own CSR: only the partition map is new.
+        assert memmapped_columns(reopened) == IMAGE - {"assignment/machines"}
         assert reopened.machine_count == 5
         assert reopened.edge_count == cloud.edge_count
 
@@ -274,15 +278,8 @@ class TestOverlayMerge:
         cloud.save_snapshot(tmp_path / "snap")
         DeltaLog(tmp_path / "snap").append_edges([(0, 79), (1, 78)])
         overlay = MemoryCloud.open_snapshot(tmp_path / "snap")
-        # Only the partitions owning an endpoint got new adjacency columns.
-        touched = {overlay.owner_of(node) for node in (0, 1, 78, 79)}
-        assert touched and touched != {0, 1, 2}, "the log must leave a partition alone"
-        untouched = {
-            "graph/node_ids", "graph/label_ids", "assignment/machines",
-            *(f"machine{m}/{column}" for m in range(3) for column in ("node_ids", "label_ids")),
-            *(f"machine{m}/{column}" for m in set(range(3)) - touched
-              for column in ("offsets", "neighbors")),
-        }
+        # Only the adjacency got new columns.
+        untouched = {"graph/node_ids", "graph/label_ids", "assignment/machines"}
         assert memmapped_columns(overlay) == untouched
         columns = overlay.columns()
         for name in untouched:
@@ -487,59 +484,60 @@ class TestPlanCacheInvalidation:
         assert sorted(third.rows) == sorted(first.rows)
 
 
-def write_v1_snapshot(cloud, graph, directory):
-    """``cloud`` in the version 1 layout: the image plus the global CSR and
-    the ``assignment/ids`` alias that version 2 dropped."""
-    import json
-
-    v2 = cloud.save_snapshot(directory)
-    columns = cloud.columns()
-    arrays = {
-        "graph/node_ids": graph.node_id_array(),
-        "graph/label_ids": graph.label_id_array(),
-        "graph/offsets": graph.offset_array(),
-        "graph/neighbors": graph.neighbor_array(),
-        "assignment/ids": columns["graph/node_ids"],
-        **columns,
+def write_old_snapshot(cloud, directory, version):
+    """``cloud`` in the version 2 layout (per-machine CSR partitions, no
+    global adjacency) or the version 1 one (those plus the global CSR and
+    the ``assignment/ids`` alias)."""
+    base, label_pairs = cloud.packed_label_pairs()
+    arrays = v2_partition_arrays(cloud)
+    if version == 1:
+        columns = cloud.columns()
+        arrays["graph/offsets"] = columns["graph/offsets"]
+        arrays["graph/neighbors"] = columns["graph/neighbors"]
+        arrays["assignment/ids"] = columns["graph/node_ids"]
+    for low, high in sorted(label_pairs):
+        arrays[f"labelpairs/{low}_{high}"] = label_pairs[low, high]
+    cloud_section = {
+        "machine_count": cloud.machine_count,
+        "partitioner": partitioner_name(cloud.config.partitioner),
+        "label_pair_base": base,
+        "label_pairs": [list(pair) for pair in sorted(label_pairs)],
     }
-    for low, high in v2.cloud["label_pairs"]:
-        arrays[f"labelpairs/{low}_{high}"] = v2.attach(f"labelpairs/{low}_{high}")
-    write_snapshot(
-        directory, arrays, node_count=graph.node_count, edge_count=graph.edge_count,
-        labels=graph.label_table.labels(), cloud=v2.cloud,
+    return write_raw_snapshot(
+        directory, arrays, version=version, node_count=cloud.node_count,
+        edge_count=cloud.edge_count, labels=list(cloud.label_table.labels()),
+        cloud=cloud_section,
     )
-    manifest_path = directory / "manifest.json"
-    doc = json.loads(manifest_path.read_text())
-    doc["version"] = 1
-    manifest_path.write_text(json.dumps(doc))
-    return directory
 
 
 class TestVersion1Snapshots:
-    """A version 1 cloud directory is a superset of version 2: its three
-    extra arrays are never read, and compaction rewrites it as version 2."""
-
-    DROPPED = {"graph/offsets", "graph/neighbors", "assignment/ids"}
+    """A version 1 cloud directory is a superset of version 3: its global
+    CSR is the image, its partitions and ``assignment/ids`` alias are never
+    read, and compaction rewrites it as version 3."""
 
     @pytest.fixture
     def snapshots(self, tmp_path, cloud, graph):
-        cloud.save_snapshot(tmp_path / "v2")
-        return write_v1_snapshot(cloud, graph, tmp_path / "v1"), tmp_path / "v2"
+        cloud.save_snapshot(tmp_path / "v3")
+        return write_old_snapshot(cloud, tmp_path / "v1", 1), tmp_path / "v3"
 
     def test_layouts(self, snapshots):
-        v1, v2 = (read_manifest(directory) for directory in snapshots)
-        assert (v1.version, v2.version) == (1, 2)
-        assert set(v1.arrays) - set(v2.arrays) == self.DROPPED
-        assert not set(v2.arrays) & self.DROPPED
+        v1, v3 = (read_manifest(directory) for directory in snapshots)
+        assert (v1.version, v3.version) == (1, 3)
+        extra = set(v1.arrays) - set(v3.arrays)
+        assert extra == {"assignment/ids"} | {
+            f"machine{m}/{column}"
+            for m in range(3) for column in ("node_ids", "label_ids", "offsets", "neighbors")
+        }
+        assert not set(v3.arrays) - set(v1.arrays)
 
     def test_opens_identically(self, snapshots, graph):
         query = two_edge_path_query(graph)
-        v1, v2 = snapshots
-        with MemoryCloud.open_snapshot(v1) as old, MemoryCloud.open_snapshot(v2) as new:
+        v1, v3 = snapshots
+        with MemoryCloud.open_snapshot(v1) as old, MemoryCloud.open_snapshot(v3) as new:
             assert memmapped_columns(old) == IMAGE
             assert_same_image(old, new)
             assert match_rows(old, query) == match_rows(new, query)
-        # Another machine count: both repartition the graph derived from the image.
+        # Another machine count: both place the image's nodes afresh.
         five = ClusterConfig(machine_count=5)
         old, new = (MemoryCloud.open_snapshot(directory, five) for directory in snapshots)
         assert_same_image(old, MemoryCloud.from_graph(graph, five))
@@ -567,19 +565,107 @@ class TestVersion1Snapshots:
         assert np.array_equal(old.neighbor_array(), new.neighbor_array())
         assert old.edge_count == new.edge_count == graph.edge_count + 1
 
-    def test_compacts_to_version_2(self, snapshots, graph):
+    def test_compacts_to_version_3(self, snapshots, graph):
         query = two_edge_path_query(graph)
-        v1, v2 = snapshots
+        v1, v3 = snapshots
         for directory in snapshots:
             DeltaLog(directory).append_edges([(0, 2), (1, 3)])
             compact_snapshot(directory)
         compacted = read_manifest(v1)
-        assert compacted.version == 2
-        assert list(compacted.arrays) == list(read_manifest(v2).arrays)
-        with MemoryCloud.open_snapshot(v1) as old, MemoryCloud.open_snapshot(v2) as new:
+        assert compacted.version == 3
+        assert list(compacted.arrays) == list(read_manifest(v3).arrays)
+        with MemoryCloud.open_snapshot(v1) as old, MemoryCloud.open_snapshot(v3) as new:
             assert memmapped_columns(old) == IMAGE
             assert_same_image(old, new)
             assert match_rows(old, query) == match_rows(new, query)
+
+
+#: A version 2 snapshot committed as written by the last version 2 writer:
+#: ``generate_gnm(40, 90, label_count=3, seed=41)`` on three hash-placed
+#: machines, stored as per-machine CSR partitions with no global adjacency.
+V2_FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "v2_snapshot"
+
+
+class TestVersion2Snapshots:
+    """A version 2 image opens through the partition scatter, serves what its
+    graph serves, and compaction rewrites it as version 3."""
+
+    THREE = ClusterConfig(machine_count=3)
+    RECORDS = [
+        DeltaRecord("node", 5000, label="L1"),
+        DeltaRecord("edge", 5000, 0),
+        DeltaRecord("edge", 1, 38),
+        DeltaRecord("edge", 2, 39),
+    ]
+
+    @pytest.fixture
+    def v2_graph(self):
+        return generate_gnm(40, 90, label_count=3, seed=41)
+
+    @pytest.fixture
+    def snapshot(self, tmp_path):
+        shutil.copytree(V2_FIXTURE, tmp_path / "v2")
+        return tmp_path / "v2"
+
+    @staticmethod
+    def served(cloud, graph):
+        """Rows and counters of a few queries, on both executors."""
+        answers = []
+        for seed in range(3):
+            query = dfs_query(graph, 3 + seed % 2, seed=seed)
+            for executor in ("serial", "process"):
+                with SubgraphMatcher(cloud, executor=executor, workers=2) as matcher:
+                    result = matcher.match(query)
+                answers.append((sorted(result.rows), result.metrics))
+        return answers
+
+    def test_fixture_is_a_version_2_image(self):
+        manifest = read_manifest(V2_FIXTURE, verify=True)
+        assert (manifest.version, manifest.machine_count, manifest.partitioned) == (2, 3, True)
+        assert "graph/offsets" not in manifest.arrays
+        assert "machine2/neighbors" in manifest.arrays
+
+    def test_opens_clean_as_its_graph(self, v2_graph):
+        with MemoryCloud.open_snapshot(V2_FIXTURE) as opened:
+            # The scattered adjacency lives in RAM; the rest is the file's.
+            assert memmapped_columns(opened) == IMAGE - {"graph/offsets", "graph/neighbors"}
+            expected = MemoryCloud.from_graph(v2_graph, self.THREE)
+            assert_same_image(opened, expected)
+            assert self.served(opened, v2_graph) == self.served(expected, v2_graph)
+        derived = open_graph_snapshot(V2_FIXTURE)
+        for column in ("node_id_array", "label_id_array", "offset_array", "neighbor_array"):
+            assert np.array_equal(getattr(derived, column)(), getattr(v2_graph, column)())
+
+    def test_opens_with_a_pending_log(self, snapshot, v2_graph):
+        DeltaLog(snapshot).append(self.RECORDS)
+        merged = oracle_replay(v2_graph, self.RECORDS)
+        with MemoryCloud.open_snapshot(snapshot) as opened:
+            # Hash placement depends on the ID alone, so the whole image matches.
+            expected = MemoryCloud.from_graph(merged, self.THREE)
+            assert_same_image(opened, expected)
+            assert self.served(opened, merged) == self.served(expected, merged)
+
+    @pytest.mark.parametrize("machine_count", [1, 3, 11])
+    def test_scatter_restores_every_partition_map(self, tmp_path, graph, machine_count):
+        """Eleven block-placed machines leave the last one empty."""
+        config = ClusterConfig(machine_count=machine_count, partitioner=BlockPartitioner())
+        cloud = MemoryCloud.from_graph(graph, config)
+        directory = write_old_snapshot(cloud, tmp_path / "v2", 2)
+        assert read_manifest(directory).partitioned
+        with MemoryCloud.open_snapshot(directory) as opened:
+            assert_same_image(opened, cloud)
+            assert opened.partition_sizes() == cloud.partition_sizes()
+        assert (cloud.partition_sizes()[-1] == 0) == (machine_count == 11)
+
+    def test_compacts_to_version_3(self, snapshot, v2_graph):
+        DeltaLog(snapshot).append(self.RECORDS)
+        manifest = compact_snapshot(snapshot)
+        assert (manifest.version, manifest.generation, manifest.partitioned) == (3, 2, False)
+        assert list(manifest.arrays) == PINNED_ARRAY_NAMES
+        merged = oracle_replay(v2_graph, self.RECORDS)
+        with MemoryCloud.open_snapshot(snapshot) as compacted:
+            assert memmapped_columns(compacted) == IMAGE
+            assert_same_image(compacted, MemoryCloud.from_graph(merged, self.THREE))
 
 
 class TestGraphOnlySnapshots:
@@ -598,7 +684,7 @@ class TestGraphOnlySnapshots:
         with MemoryCloud.open_snapshot(legacy) as opened:
             assert opened.machine_count == 1
             # The partition map lives in RAM; the CSR is the file's.
-            assert memmapped_columns(opened) == set(column_names(1)) - {"assignment/machines"}
+            assert memmapped_columns(opened) == IMAGE - {"assignment/machines"}
             assert_same_image(opened, MemoryCloud.from_graph(graph, self.ONE_MACHINE))
             assert match_rows(opened, query, executor) == match_rows(cloud, query)
         with api.connect(legacy, executor=executor) as db:
@@ -626,16 +712,16 @@ class TestGraphOnlySnapshots:
         for column in ("node_id_array", "label_id_array", "offset_array", "neighbor_array"):
             assert np.array_equal(getattr(merged, column)(), getattr(expected, column)())
 
-    def test_compacts_to_a_one_machine_version_2_snapshot(self, legacy, graph):
+    def test_compacts_to_a_one_machine_version_3_snapshot(self, legacy, graph):
         query = two_edge_path_query(graph)
         DeltaLog(legacy).append_edges([(0, 2), (1, 3)])
         with MemoryCloud.open_snapshot(legacy) as overlay:
             expected = match_rows(overlay, query)
         manifest = compact_snapshot(legacy)
-        assert (manifest.version, manifest.generation, manifest.machine_count) == (2, 2, 1)
+        assert (manifest.version, manifest.generation, manifest.machine_count) == (3, 2, 1)
         assert not manifest.resident
         with MemoryCloud.open_snapshot(legacy) as compacted:
-            assert memmapped_columns(compacted) == set(column_names(1))
+            assert memmapped_columns(compacted) == IMAGE
             assert match_rows(compacted, query) == expected
 
     def test_a_missing_csr_column_is_named(self, legacy):

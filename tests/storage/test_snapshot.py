@@ -127,16 +127,16 @@ class TestManifestValidation:
         path = tmp_path / "snap" / MANIFEST_NAME
         doc = json.loads(path.read_text())
         doc["arrays"] = [
-            entry for entry in doc["arrays"] if entry["name"] != "machine1/offsets"
+            entry for entry in doc["arrays"] if entry["name"] != "graph/offsets"
         ]
         path.write_text(json.dumps(doc))
-        with pytest.raises(StorageError, match="machine1/offsets"):
+        with pytest.raises(StorageError, match="graph/offsets"):
             read_manifest(tmp_path / "snap")
 
     def test_corrupted_data_fails_verification(self, tmp_path, graph):
         save(graph, tmp_path / "snap")
         manifest = read_manifest(tmp_path / "snap")
-        spec = manifest.spec("machine0/neighbors")
+        spec = manifest.spec("graph/neighbors")
         with open(tmp_path / "snap" / DATA_NAME, "r+b") as handle:
             handle.seek(spec.offset)
             handle.write(b"\xff" * 8)

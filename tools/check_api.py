@@ -58,8 +58,13 @@ proxy's ``_BindingMerger`` and ``Executor.run``'s ``on_result``, the
 executor's per-machine distinct merge ``_coalesce`` and
 ``_STEAL_MAX_CHUNKS``, ``matcher._root_candidates``) with ``JoinResult`` and
 the one-machine ``load_neighbors_batch`` (now ``load_cells``; its spelling
-lives on in ``tests/helpers.py``): the names are gone from the API, and
-nothing in ``src/`` may bring them back.
+lives on in ``tests/helpers.py``), and the per-machine CSR copies of the
+image (``MACHINE_COLUMNS`` / ``column_names``, now ``IMAGE_COLUMNS``,
+``Machine.adopt_partition`` / ``load_rows``, the cloud's per-node ``_rows``
+column, the ``image_graph`` gather-inverse, which survives as the version
+2 snapshot reader's private scatter, and ``upsert_rows``, now inside
+``splice_csr``): the names are gone from the API, and nothing in ``src/``
+may bring them back.
 
 And it keeps the front door single (``FRONT_DOOR``): ``repro.api`` is the one
 place a source becomes a cloud and a service is put in front of it, so the
@@ -220,6 +225,13 @@ RETIRED_SPELLINGS = [
     "filtered_cache",
     "_shared_join_limit",
     "ExplorationTables",
+    "MACHINE_COLUMNS",
+    "column_names(",
+    "adopt_partition(",
+    "load_rows(",
+    "self._rows",
+    "image_graph(",
+    "upsert_rows(",
 ]
 
 #: Constructor spellings banned per file (glob under the repo root): a second
