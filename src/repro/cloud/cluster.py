@@ -493,13 +493,12 @@ class MemoryCloud:
         """A shallow view of this cloud recording into ``metrics``.
 
         Machines, the partition map, and every cached array are shared; only
-        the metrics sink differs.  The executors run each unit against its
-        own scoped view and merge the isolated counters back in (task,
-        chunk) order, so concurrent backends aggregate to the serial
-        model's metrics: all of them at no row limit; under a limit only
-        the loads, label probes and index lookups (the racing joins may
-        ship and build differently).  The engine gives every *query* such
-        a view too, so overlapping queries never read each other's counters.
+        the metrics sink differs.  The executors run each exploration chunk
+        against its own scoped view and merge the isolated counters back in
+        chunk order, so concurrent backends aggregate to the serial model's
+        metrics, all of them, with or without a row limit.  The engine gives
+        every *query* such a view too, so overlapping queries never read
+        each other's counters.
 
         Views remember their owning cloud (:attr:`runtime_owner`): runtime
         workers key on the owner, not on the view.

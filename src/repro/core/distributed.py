@@ -13,11 +13,12 @@ machine then assembles its share of the answer:
   block-pipelined multi-way join.
 
 The final answer is the union of all machines' joined results — without
-deduplication, because disjointness is guaranteed by construction.  A
-result limit is threaded through as a *remaining* budget: each machine's
-join only runs for the rows still needed, and the assembly reports whether
-the limit actually cut anything off (a query with exactly ``limit`` matches
-is not truncated).
+deduplication, because disjointness is guaranteed by construction.  The
+machines join in machine order, in the calling process on every backend
+(executors run exploration only).  A result limit is one *remaining*
+countdown: each machine's join only runs for the rows still needed, and the
+assembly reports whether the limit actually cut anything off (a query with
+exactly ``limit`` matches is not truncated).
 
 The final binding filter ran at the end of exploration, once per stage on
 its slots (:mod:`repro.core.exploration`): the gather reads machine ranges
@@ -39,7 +40,6 @@ import numpy as np
 
 from repro.cloud.cluster import MemoryCloud
 from repro.core.exploration import ExplorationOutcome
-from repro.core.tasks import JoinTask, empty_rows
 from repro.core.join import (
     JoinBudget,
     JoinCounters,
@@ -48,6 +48,7 @@ from repro.core.join import (
 )
 from repro.core.planner import QueryPlan
 from repro.core.result import MatchTable, StageTable, STwigTable
+from repro.graph.labeled_graph import NODE_DTYPE
 
 
 @dataclass
@@ -72,19 +73,21 @@ def assemble_results(
 ) -> JoinOutcome:
     """Run the distributed join phase and return the global result table.
 
+    The machines join one after another, ``0..M-1``, with
+    :func:`machine_result_rows` against one :class:`JoinBudget`, in the
+    calling process on every backend: each machine resumes the countdown
+    where the previous one left it, so the concatenation is an exact
+    prefix of the unlimited result, and every counter is the same on every
+    schedule.
+
     Args:
         cloud: the memory cloud (used for communication accounting).
         plan: the query plan being executed.
         exploration: the stage tables and bindings exploration left.
         result_limit: stop once this many global matches are assembled.
-        executor: the :class:`~repro.runtime.Executor` receiving the
-            query's one :class:`~repro.core.tasks.JoinTask` (a process
-            backend pickles its stage tables once); ``None`` uses a
-            :class:`~repro.runtime.SerialExecutor`.  Every machine joins
-            against its own machine-ordered :class:`JoinBudget` view of the
-            shared budget, which keeps the concatenated rows an exact
-            prefix of the unlimited result on every backend (lower machine
-            IDs are never starved of budget by higher ones).
+        executor: accepted and unused: the join no longer runs through an
+            executor.  The keyword stays for the benchmark's replay, and
+            leaves with it (ROADMAP item 1c).
 
     Returns:
         A :class:`JoinOutcome` whose table has the query nodes in sorted
@@ -100,19 +103,16 @@ def assemble_results(
     # Probe for one row beyond the limit: reaching limit+1 proves a real
     # match was cut, while a query with exactly `limit` matches runs the
     # same joins it would have anyway and comes back un-truncated.
-    probe_limit = None if result_limit is None else result_limit + 1
-
-    if executor is None:
-        # Deferred import: repro.runtime imports this module.
-        from repro.runtime.executors import SerialExecutor
-
-        executor = SerialExecutor()
-    task = JoinTask(plan, exploration.tables, exploration.bindings, probe_limit)
-    final = executor.run(cloud, task)
-    # Under a parallel schedule machines may overshoot the shared budget
-    # slightly (each saw a stale lower bound of the others' production);
-    # the machine-ordered concatenation is still an exact prefix, so one
-    # final slice restores the precise limit.
+    budget = JoinBudget(None if result_limit is None else result_limit + 1)
+    final = np.concatenate(
+        [
+            machine_result_rows(
+                cloud, plan, exploration.tables, machine, exploration.bindings, budget=budget
+            )
+            for machine in range(cloud.machine_count)
+        ],
+        axis=0,
+    )
     truncated = result_limit is not None and len(final) > result_limit
     if truncated:
         final = final[:result_limit]
@@ -136,29 +136,26 @@ def machine_result_rows(
     the column pairs the query's labels allow to collide.  The join order is
     computed here, from the gathered tables' row counts and the sizes of the
     final binding sets (``bindings``; a missing one counts as 1) — integers
-    every machine, backend and direct caller sees alike, so all derive the
-    same order.  Every runtime executor backend (inline, process pool)
-    calls exactly this function, so the communication accounting — result
-    transfers, sender-side filter counts — is structurally identical across
-    backends.  The returned array is the caller's own: it never aliases
+    every machine and direct caller sees alike, so all derive the same
+    order.  The returned array is the caller's own: it never aliases
     ``tables``.
 
-    ``budget`` is this machine's view of the (possibly shared) join budget;
-    the plain ``remaining`` countdown is a convenience spelling for direct
-    callers.  A budget already exhausted on entry skips the gather entirely
-    — no transfers, no metrics, no row built.
+    ``budget`` is the query's countdown, shared with the machines joined
+    before this one; the plain ``remaining`` countdown is a convenience
+    spelling for direct callers.  A budget already exhausted on entry skips
+    the gather entirely — no transfers, no metrics, no row built.
     """
     query = plan.query
     final_columns = query.nodes()
     if budget is None:
         budget = JoinBudget(remaining)
     if budget.exhausted():
-        return empty_rows(len(final_columns))
+        return _empty_rows(len(final_columns))
     machine_tables = _gather_machine_tables(cloud, plan, tables, machine_id)
     if any(table.row_count == 0 for table in machine_tables):
         # An empty R_k(q_t) (in particular an empty local head table)
         # makes the whole join empty: this machine contributes nothing.
-        return empty_rows(len(final_columns))
+        return _empty_rows(len(final_columns))
     distinct_counts = {
         column: len(bindings.candidates_array(column))
         for column in final_columns
@@ -223,3 +220,8 @@ def _gather_machine_tables(
                 parts.append(remote)
         tables.append(STwigTable.concatenate(parts))
     return tables
+
+
+def _empty_rows(width: int) -> np.ndarray:
+    """A zero-row result-row block of the given width."""
+    return np.empty((0, width), dtype=NODE_DTYPE)

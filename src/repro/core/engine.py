@@ -150,9 +150,7 @@ class SubgraphMatcher:
         stats.stwig_result_rows = exploration.total_rows()
 
         join_started = time.perf_counter()
-        join_outcome = assemble_results(
-            scoped, plan, exploration, limit, executor=self._executor
-        )
+        join_outcome = assemble_results(scoped, plan, exploration, limit)
         matches = join_outcome.table
         stats.join_seconds = time.perf_counter() - join_started
         # Truncation is what the join phase observed, not an after-the-fact

@@ -26,8 +26,8 @@ this module assembles them into full matches:
   Stage joins always probe with the flowing partial (build on the stage
   table), so output rows appear in nested head-row-major order and any
   budget cut is an exact row prefix of the unlimited join — the invariant
-  that keeps limits, block pipelining, and cooperative multi-machine
-  budgets (see :class:`JoinBudget`) row-for-row deterministic.
+  that keeps limits, block pipelining, and a budget resumed machine after
+  machine (see :class:`JoinBudget`) row-for-row deterministic.
 
 Rows flow through the stages at the *output's* width and column order from
 the first head block on (columns a later stage fills are simply not written
@@ -95,59 +95,32 @@ class JoinCounters:
 
 
 class JoinBudget:
-    """Remaining-row budget threaded through every stage of a join.
+    """Remaining-row countdown threaded through every stage of a join.
 
-    The budget is *cooperative*: producers call :meth:`note_produced` as
-    result rows are emitted, and every stage polls :meth:`remaining` to
-    bound how much it expands next.  ``remaining()`` may shrink between
-    polls (other machines producing into a shared budget); it never grows.
-    A conservative (stale) read is always safe — it can only make a stage
-    expand rows that a later clip discards, never miss rows.
-
-    A budget is machine ``machine_id``'s view of one ``limit`` (``None`` =
-    unlimited) shared by every machine's join; without ``slots`` it is a
-    single consumer's plain countdown.  ``slots[k]`` is the monotone count
-    of rows machine ``k`` has produced — each slot has exactly one writer,
-    so no lock is needed (a plain list in-process, an int64 array over a
-    shared anonymous mapping for the process backend).
-    Machine ``k``'s remaining budget is ``limit`` minus the production of
-    machines ``0..k`` *only*: a machine never yields budget to a higher ID,
-    so the driver's machine-ordered concatenation truncated to the limit is
-    always the exact row prefix of the unlimited join, regardless of
-    scheduling.  Higher-ID machines stop early whenever lower IDs have
-    already filled the budget — that early stop is the parallel win.
-
-    The guarantee is per *machine*: the work-stealing runtime may split
-    exploration stages into chunks, but a machine's join is never split
-    (two chunks of one machine would race the same slot), so any
-    schedule — including stolen, out-of-order completion — still yields an
-    exact prefix.
+    Producers call :meth:`note_produced` as result rows are emitted, and
+    every stage polls :meth:`remaining` to bound how much it expands next.
+    ``limit`` ``None`` is unlimited.  A query's machines join one after
+    another, in machine order, against one budget: each machine's join
+    resumes the countdown where the previous one left it, so the
+    machine-ordered concatenation is an exact row prefix of the unlimited
+    join and a machine the budget has filled before it starts does nothing.
     """
 
-    def __init__(self, limit: Optional[int], slots=None, machine_id: int = 0) -> None:
-        self._limit = limit
-        self._slots = [0] if slots is None else slots
-        self._machine_id = machine_id
+    def __init__(self, limit: Optional[int]) -> None:
+        self._remaining = limit
 
     def remaining(self) -> Optional[int]:
         """Rows still wanted; ``None`` means unlimited."""
-        if self._limit is None:
-            return None
-        produced = 0
-        for machine in range(self._machine_id + 1):
-            produced += int(self._slots[machine])
-        return self._limit - produced
+        return self._remaining
 
     def note_produced(self, rows: int) -> None:
         """Record ``rows`` result rows emitted against this budget."""
-        # Single writer per slot; += on list/array items is read-modify-write
-        # of our own slot only, so no other writer can interleave.
-        self._slots[self._machine_id] += rows
+        if self._remaining is not None:
+            self._remaining -= rows
 
     def exhausted(self) -> bool:
         """True once the budget is filled (never true when unlimited)."""
-        remaining = self.remaining()
-        return remaining is not None and remaining <= 0
+        return self._remaining is not None and self._remaining <= 0
 
 
 def _may_collide(labels: Optional[Mapping[str, object]], first: str, second: str) -> bool:
@@ -382,8 +355,8 @@ def _stream_stages(
     recursed through every later stage before the next chunk is expanded,
     so result rows appear in nested probe-major order (the unlimited join's
     order) and the budget observed before each expansion reflects all
-    output already produced — by this machine and, under a cooperative
-    budget, by lower-ID machines too.
+    output already produced — by this join and by the machines that joined
+    against the same budget before it.
     """
     if stage == len(plans):
         remaining = budget.remaining()
@@ -447,8 +420,8 @@ def multiway_join(
         block_size: size of the leading-table blocks for the pipelined join
             (at least 1); ``None`` disables pipelining and joins everything
             at once.
-        budget: an externally shared :class:`JoinBudget` (one machine's
-            view of the query's budget).  Overrides ``row_limit``;
+        budget: a :class:`JoinBudget` the caller keeps (the query's one
+            countdown, resumed machine after machine).  Overrides ``row_limit``;
             rows produced here are noted against it as they stream out.
         counters: optional :class:`JoinCounters` accumulating
             materialization counts for this join.

@@ -1,28 +1,25 @@
-"""Task-graph primitives of the executor API: tasks and their results.
+"""The executor API's one task: an exploration stage.
 
-The runtime's :meth:`~repro.runtime.Executor.run` interface runs one task at
-a time: the engine describes *what* to compute — one :class:`ExploreTask`
-per exploration stage, one :class:`JoinTask` per query — and backends differ
-only in *scheduling* (inline, or worker processes with work stealing).  A
-backend cuts a task into units: a stage into chunks of its roots, by its
-own worker count (a stage's simulated machines are ranges of its roots,
-not units), a join into one unit per machine.  Tasks and results are plain
-values: an exploration result is the stage's factorized
-:class:`~repro.core.result.StageTable` (no STwig row exists yet), a join
-result the machines' final-column-ordered rows in machine order, and the
-process backend pickles them down and back up its pipes.
+The runtime's :meth:`~repro.runtime.Executor.run` interface runs one
+:class:`ExploreTask` at a time: the engine describes *what* to compute, one
+task per exploration stage, and backends differ only in *scheduling*
+(inline, or worker processes with work stealing).  A backend cuts a stage
+into chunks of its roots, by its own worker count (a stage's simulated
+machines are ranges of its roots, not units).  Tasks and results are plain
+values: the result is the stage's factorized
+:class:`~repro.core.result.StageTable` (no STwig row exists yet), and the
+process backend pickles them down and back up its pipes.  The join is not
+a task: :func:`~repro.core.distributed.assemble_results` runs it in the
+calling process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.result import StageTable
 from repro.core.stwig import STwig
-from repro.graph.labeled_graph import NODE_DTYPE
 
 
 @dataclass
@@ -42,23 +39,3 @@ class ExploreTask:
     bindings: object
     roots: np.ndarray
     cuts: np.ndarray
-
-
-@dataclass
-class JoinTask:
-    """One query's gather+join over its exploration stage tables.
-
-    Its units are the machines, never split for work stealing: the
-    cooperative budget's exact-prefix guarantee is per machine, and every
-    machine joins against its own view of one budget of ``row_limit`` rows.
-    """
-
-    plan: object
-    tables: Sequence[StageTable]  # [stwig_index]
-    bindings: object
-    row_limit: Optional[int] = None
-
-
-def empty_rows(width: int) -> np.ndarray:
-    """A zero-row result-row block of the given width."""
-    return np.empty((0, width), dtype=NODE_DTYPE)

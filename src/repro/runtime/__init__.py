@@ -1,17 +1,16 @@
 """Cluster execution runtime: pluggable task-graph executors.
 
-The engine's two distributed phases — STwig exploration, one
-:class:`ExploreTask` per stage, and the per-machine gather+join, one
-:class:`JoinTask` per query whose units are the machines — are submitted
-through the uniform :meth:`Executor.run` loop; the two backends (serial /
-worker processes forked from the loaded cloud, with work stealing over root
-chunks) differ only in how the loop's units get run while preserving,
-exactly, the serial model's results (and every counter the schedule cannot
-change; see :mod:`repro.runtime.executors`).  The graph never leaves the
-process that loaded it: workers inherit it, and only tasks and their
-results (factorized stage tables, result rows) cross the workers' pipes.  See
+The engine's exploration phase, one :class:`ExploreTask` per stage, is
+submitted through the uniform :meth:`Executor.run` loop; the two backends
+(serial / worker processes forked from the loaded cloud, with work stealing
+over root chunks) differ only in how the loop's units get run while
+preserving, exactly, the serial model's results and counters.  The graph
+never leaves the process that loaded it: workers inherit it, and only tasks
+and their results (factorized stage tables) cross the workers' pipes.  The
+join runs in the calling process on every backend
+(:func:`~repro.core.distributed.assemble_results`).  See
 :mod:`repro.runtime.executors` for the backends and :mod:`repro.core.tasks`
-for the task/result types.
+for the task type.
 
 Backend selection::
 
@@ -25,7 +24,7 @@ from repro.cloud.config import (
     RuntimeConfig,
     resolve_backend,
 )
-from repro.core.tasks import ExploreTask, JoinTask
+from repro.core.tasks import ExploreTask
 from repro.runtime.executors import (
     Executor,
     ExecutorSpec,
@@ -40,7 +39,6 @@ __all__ = [
     "Executor",
     "ExecutorSpec",
     "ExploreTask",
-    "JoinTask",
     "ProcessExecutor",
     "RuntimeConfig",
     "SerialExecutor",

@@ -1,15 +1,13 @@
 """Pluggable executors behind the uniform ``Executor.run`` task interface.
 
 The paper's query engine is distributed: every machine matches STwigs over
-its partition *concurrently*, and every machine assembles its share of the
-answer concurrently.  The reproduction models that cluster with one
-process, and its machines are an accounting model: the engine describes
-each exploration stage as one :class:`~repro.core.tasks.ExploreTask` over
-all of the stage's roots, and a query's join as one
-:class:`~repro.core.tasks.JoinTask`; :meth:`Executor.run` — the one
-fan-out loop — cuts a task into units (root chunks of a stage, the
-machines of a join) and schedules them.  A backend is only *how the
-loop's units get run*:
+its partition *concurrently*.  The reproduction models that cluster with
+one process, and its machines are an accounting model: the engine
+describes each exploration stage as one
+:class:`~repro.core.tasks.ExploreTask` over all of the stage's roots, and
+:meth:`Executor.run` — the one fan-out loop — cuts it into units (chunks of
+its roots) and schedules them.  A backend is only *how the loop's units
+get run*:
 
 * :class:`SerialExecutor` — runs units inline, in unit order, each stage
   as one unit.  This is the parity oracle: the other backend must produce
@@ -19,35 +17,28 @@ loop's units get run*:
   driver once the cloud is loaded: each worker runs its units against the
   cloud it inherited, so the graph never crosses a process boundary (a
   reload restarts the workers).  The pipes are the one transport: a
-  batch's task goes down each pipe as one pickle, and each unit's result
-  (an exploration chunk's factorized stage table, a machine's join rows)
-  comes back pickled on its worker's pipe.
+  batch's task goes down each pipe as one pickle, and each chunk's
+  factorized stage table comes back pickled on its worker's pipe.
+
+The join is not an executor task: the machines join in machine order in
+the calling process, against one countdown
+(:func:`~repro.core.distributed.assemble_results`).
 
 Work stealing: a backend whose units run concurrently has the loop cut
 each stage's roots into a few bounded chunks per worker, queued
 individually, so host parallelism follows the worker count, never the
 simulated machine count.  A chunk may cut through a machine's range: chunks
-concatenate in chunk order to exactly the unchunked stage.  A machine's
-join is never split, so the cooperative budget's exact-prefix guarantee
-survives any schedule.
+concatenate in chunk order to exactly the unchunked stage.
 
 Metric faithfulness is structural: every unit runs against a
 metrics-scoped view of the cloud (:meth:`MemoryCloud.with_metrics`), and
-the loop merges the isolated counters back in unit order.
-Counter totals are sums, so with no row limit every schedule reproduces
-the serial counters, all of them.  Under a row limit the machines' joins
-race for one shared budget, so what they ship and build (``messages``,
-``bytes_transferred``, ``result_rows_shipped``, ``result_rows_filtered``,
-``join_rows_materialized``, ``join_peak_intermediate_rows``,
-``stwig_rows_built``) may differ between schedules, while the rows do not;
-``local_loads``, ``remote_loads``, ``local_label_probes``,
-``remote_label_probes`` and ``index_lookups`` stay the serial model's under
-any limit.
+the loop merges the isolated counters back in unit order.  Counter totals
+are sums, so every schedule reproduces the serial counters, all of them,
+with or without a row limit.
 """
 
 from __future__ import annotations
 
-import mmap
 import multiprocessing
 import os
 import pickle
@@ -67,11 +58,9 @@ import numpy as np
 from repro.cloud.cluster import MemoryCloud
 from repro.cloud.config import RuntimeConfig, resolve_backend
 from repro.cloud.metrics import CloudMetrics
-from repro.core.distributed import machine_result_rows
-from repro.core.join import JoinBudget
 from repro.core.matcher import match_stage
 from repro.core.result import StageTable
-from repro.core.tasks import ExploreTask, JoinTask
+from repro.core.tasks import ExploreTask
 from repro.errors import ConfigurationError, ExecutionError
 
 #: Work stealing: a stage's roots are cut into up to ``_STEAL_CHUNKS_PER_WORKER``
@@ -89,46 +78,30 @@ def _root_chunks(count: int, parts: int) -> List[Tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-class _UnitRunner:
-    """What one process does with the units of one task it is handed.
-
-    The serial executor holds one per task; every worker of the process
-    backend holds one per task, over the units it happens to be dealt.
-    """
-
-    def __init__(self, cloud: MemoryCloud, slots=None) -> None:
-        self._cloud = cloud
-        # One produced-count slot per machine, single writer each.  A shared
-        # mapping's aligned 8-byte loads/stores are atomic, and a stale read
-        # of another machine's slot only under-counts — the safe direction.
-        self._slots = [0] * cloud.machine_count if slots is None else slots
-
-    def run(self, task: object, unit: "_Unit") -> Tuple[object, CloudMetrics]:
-        """One unit against isolated metrics: ``(result, metrics)``."""
-        metrics = CloudMetrics()
-        scoped = self._cloud.with_metrics(metrics)
-        if isinstance(task, ExploreTask):
-            start, stop = unit.start, unit.stop
-            stage = match_stage(
-                scoped, task.stwig, task.query, task.bindings,
-                task.roots[start:stop], np.clip(task.cuts, start, stop) - start,
-            )
-            return stage, metrics
-        machine = unit.index
-        rows = machine_result_rows(
-            scoped, task.plan, task.tables, machine, task.bindings,
-            budget=JoinBudget(task.row_limit, self._slots, machine),
-        )
-        return rows, metrics
-
-
 class _Unit(NamedTuple):
     """One schedulable piece of a task: the chunk ``roots[start:stop]`` of
-    an exploration stage, or machine ``index``'s join."""
+    an exploration stage, ``index``-th in the stage."""
 
     index: int
     start: int
     stop: int
+
+
+def _run_unit(
+    cloud: MemoryCloud, task: ExploreTask, unit: _Unit
+) -> Tuple[StageTable, CloudMetrics]:
+    """One chunk of a stage against isolated metrics: ``(table, metrics)``.
+
+    The serial executor runs every chunk with it; a process-backend worker
+    runs the chunks it is dealt.
+    """
+    metrics = CloudMetrics()
+    start, stop = unit.start, unit.stop
+    stage = match_stage(
+        cloud.with_metrics(metrics), task.stwig, task.query, task.bindings,
+        task.roots[start:stop], np.clip(task.cuts, start, stop) - start,
+    )
+    return stage, metrics
 
 
 class Executor(ABC):
@@ -140,42 +113,27 @@ class Executor(ABC):
     #: only for a backend whose units run concurrently.
     stealing: bool = False
 
-    def run(self, cloud: MemoryCloud, task: object) -> object:
-        """Run one task and return its result.
+    def run(self, cloud: MemoryCloud, task: ExploreTask) -> StageTable:
+        """Run one exploration stage and return its
+        :class:`~repro.core.result.StageTable`.
 
-        An :class:`~repro.core.tasks.ExploreTask`'s units are chunks of its
-        roots (result: the stage's :class:`~repro.core.result.StageTable`);
-        a :class:`~repro.core.tasks.JoinTask`'s are the machines (result:
-        their final-column-ordered rows, concatenated in machine order).
-        Every machine joins against its machine-ordered
-        :class:`~repro.core.join.JoinBudget` view of one slot array, so
-        machines stop as soon as lower IDs have produced enough rows and
-        the concatenation stays an exact prefix of the unlimited result on
-        every backend.
-
-        Each unit's isolated :class:`CloudMetrics` are merged into
-        ``cloud.metrics`` in unit order after the task.  A failed task
-        merges nothing.
+        The stage's units are chunks of its roots.  Each unit's isolated
+        :class:`CloudMetrics` are merged into ``cloud.metrics`` in unit
+        order after the task.  A failed task merges nothing.
         """
-        if isinstance(task, ExploreTask):
-            parts = _STEAL_CHUNKS_PER_WORKER * self._parallelism() if self.stealing else 1
-            chunks = _root_chunks(len(task.roots), parts)
-        elif isinstance(task, JoinTask):
-            chunks = [(0, 0)] * cloud.machine_count
-        else:
+        if not isinstance(task, ExploreTask):
             raise ExecutionError(f"unknown task type {type(task).__name__}")
+        parts = _STEAL_CHUNKS_PER_WORKER * self._parallelism() if self.stealing else 1
+        chunks = _root_chunks(len(task.roots), parts)
         units = [_Unit(index, start, stop) for index, (start, stop) in enumerate(chunks)]
-        # done[unit] -> (result, metrics) once that unit completed.
+        # done[unit] -> (table, metrics) once that unit completed.
         done: List[Optional[tuple]] = [None] * len(units)
         with closing(self._run_units(cloud, task, units)) as completed:
             for unit, result, metrics in completed:
                 done[unit.index] = (result, metrics)
         for _, metrics in done:
             cloud.metrics.merge(metrics)
-        results = [result for result, _ in done]
-        if isinstance(task, JoinTask):
-            return np.concatenate(results, axis=0)
-        return StageTable.concatenate(results)
+        return StageTable.concatenate([result for result, _ in done])
 
     def _parallelism(self) -> int:
         """How many units the backend runs at once (what chunking follows)."""
@@ -183,15 +141,14 @@ class Executor(ABC):
 
     @abstractmethod
     def _run_units(
-        self, cloud: MemoryCloud, task: object, units: Sequence[_Unit]
-    ) -> Iterator[Tuple[_Unit, object, CloudMetrics]]:
-        """Run every unit of ``task``, yielding ``(unit, result, metrics)``
+        self, cloud: MemoryCloud, task: ExploreTask, units: Sequence[_Unit]
+    ) -> Iterator[Tuple[_Unit, StageTable, CloudMetrics]]:
+        """Run every unit of ``task``, yielding ``(unit, table, metrics)``
         as each completes.
 
-        ``result`` is the unit's :class:`~repro.core.result.StageTable` or
-        result rows, ``metrics`` the isolated counters it ran against.  Any
-        order is allowed; :meth:`run` closes the generator if the task is
-        abandoned.
+        ``table`` is the chunk's :class:`~repro.core.result.StageTable`,
+        ``metrics`` the isolated counters it ran against.  Any order is
+        allowed; :meth:`run` closes the generator if the task is abandoned.
         """
 
     def close(self) -> None:
@@ -205,18 +162,13 @@ class Executor(ABC):
 
 
 class SerialExecutor(Executor):
-    """Inline execution in unit order, a stage at a time — the parity oracle.
-
-    The machines' budget views, consumed in machine order, telescope to one
-    remaining countdown (including the skip-everything early exit).
-    """
+    """Inline execution in unit order, a stage at a time — the parity oracle."""
 
     name = "serial"
 
     def _run_units(self, cloud, task, units):
-        runner = _UnitRunner(cloud)
         for unit in units:
-            yield (unit, *runner.run(task, unit))
+            yield (unit, *_run_unit(cloud, task, unit))
 
 
 # -- process backend ---------------------------------------------------------
@@ -228,19 +180,18 @@ _CLOSE_DEADLINE_S = 1.0
 _START_METHOD = "fork"
 
 
-def _worker_main(conn, cloud: MemoryCloud, slots: np.ndarray, inherited: Sequence) -> None:
+def _worker_main(conn, cloud: MemoryCloud, inherited: Sequence) -> None:
     """A worker's life: serve batches over ``conn`` until the driver hangs up.
 
     ``cloud`` is the driver's loaded cloud as the fork copied it: the
-    worker's units run against it, sharing the image's pages.  ``slots`` is
-    the join budget's shared mapping, inherited the same way.
+    worker's units run against it, sharing the image's pages.
 
     The driver's messages are ``(opening, units, final)``: the pickled task
     with a worker's first units of a batch (``None`` after), one unit per
     unit dealt — each answered by one ``(status, unit index, body)`` — and
     whether the batch holds nothing more for this worker; a bare ``None``
     says so afterwards.  A batch is one task: everything its units share
-    (plan, query, bindings, stage tables) crosses each pipe once.  Errors
+    (STwig, query, bindings, roots) crosses each pipe once.  Errors
     are transported, never raised: the driver drains the batch and
     re-raises.
     """
@@ -250,7 +201,7 @@ def _worker_main(conn, cloud: MemoryCloud, slots: np.ndarray, inherited: Sequenc
         other.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the driver's to handle
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # not a handler the driver installed
-    task = runner = None
+    task = None
     while True:
         try:
             opening, dealt, final = conn.recv() or (None, (), True)
@@ -258,30 +209,27 @@ def _worker_main(conn, cloud: MemoryCloud, slots: np.ndarray, inherited: Sequenc
             return
         if opening is not None:
             task = pickle.loads(opening)
-            runner = _UnitRunner(cloud, slots)
         for unit in dealt:
             try:
-                outcome = "ok", unit.index, runner.run(task, unit)
+                outcome = "ok", unit.index, _run_unit(cloud, task, unit)
             except Exception as error:  # noqa: BLE001 - transported to the driver
                 outcome = "error", unit.index, error
             conn.send(outcome)
         if final:
-            task = runner = None
+            task = None
 
 
 class _Worker:
     """One worker process the executor owns, and the driver's end of its pipe."""
 
-    def __init__(
-        self, cloud: MemoryCloud, slots: np.ndarray, siblings: Sequence["_Worker"]
-    ) -> None:
+    def __init__(self, cloud: MemoryCloud, siblings: Sequence["_Worker"]) -> None:
         # Forked, whatever the platform's default start method: the worker
-        # must inherit ``cloud`` and ``slots`` rather than receive them.
+        # must inherit ``cloud`` rather than receive it.
         context = multiprocessing.get_context(_START_METHOD)
         self.conn, theirs = context.Pipe()
         inherited = [sibling.conn for sibling in siblings] + [self.conn]
         self.process = context.Process(
-            target=_worker_main, args=(theirs, cloud, slots, inherited), daemon=True
+            target=_worker_main, args=(theirs, cloud, inherited), daemon=True
         )
         self.process.start()
         theirs.close()
@@ -312,8 +260,8 @@ def _retire(workers: Sequence[_Worker]) -> None:
 
 
 class _ProcessState:
-    """The workers owned by one :class:`ProcessExecutor`, the cloud load
-    they were forked from, and the join budget's slots they share.
+    """The workers owned by one :class:`ProcessExecutor` and the cloud load
+    they were forked from.
 
     Kept outside the executor so a ``weakref.finalize`` can tear it down
     without keeping the executor alive: dropping the last reference to an
@@ -324,10 +272,6 @@ class _ProcessState:
         self.workers: List[_Worker] = []
         self.cloud_ref = lambda: None
         self.load_generation = -1
-        #: One int64 produced-row count per machine, in an anonymous shared
-        #: mapping made before the generation's workers fork: every worker,
-        #: replacements included, inherits it.
-        self.slots = np.zeros(0, dtype=np.int64)
 
     def teardown(self) -> None:
         workers, self.workers = self.workers, []
@@ -394,7 +338,6 @@ class ProcessExecutor(Executor):
                 previous.deregister_runtime_resource(self)
             state.cloud_ref = weakref.ref(owner)
             state.load_generation = owner.load_generation
-            state.slots = np.frombuffer(mmap.mmap(-1, 8 * owner.machine_count), dtype=np.int64)
             # The cloud tears this executor's workers down on close().
             owner.register_runtime_resource(self)
         # A worker that died, or that a broken batch left mid-conversation,
@@ -404,7 +347,7 @@ class ProcessExecutor(Executor):
         state.workers = [worker for worker in state.workers if worker not in spent]
         size = self._parallelism()
         while len(state.workers) < size:
-            state.workers.append(_Worker(owner, state.slots, state.workers))
+            state.workers.append(_Worker(owner, state.workers))
         return state.workers
 
     def _outcomes(self, task: object, units: Sequence[_Unit], messages: deque, opening: bytes):
@@ -444,15 +387,11 @@ class ProcessExecutor(Executor):
                     continue
                 if outcome is None:
                     index = worker.sent[0]
-                    part = (
-                        f"machine {index}" if isinstance(task, JoinTask)
-                        else f"stage {task.stwig}"
-                    )
                     worker.process.join(_CLOSE_DEADLINE_S)
                     outcome = "error", index, ExecutionError(
                         f"worker {worker.process.pid} died (exit code "
                         f"{worker.process.exitcode}) running the {type(task).__name__} "
-                        f"of {part}, chunk {index + 1}/{len(units)}"
+                        f"of stage {task.stwig}, chunk {index + 1}/{len(units)}"
                     )
                     worker.sent.clear()
                 else:
@@ -464,14 +403,11 @@ class ProcessExecutor(Executor):
 
     def _run_units(self, cloud, task, units):
         # A stage cut into chunks, which the loop concatenates on the driver.
-        split = isinstance(task, ExploreTask) and len(units) > 1
-        # One batch owns the pipes, the budget slots and the transport
-        # counters at a time.
+        split = len(units) > 1
+        # One batch owns the pipes and the transport counters at a time.
         with self._lock:
             workers = self._ensure_workers(cloud)
             self.transport_counters["explore_coalesced"] += split
-            if isinstance(task, JoinTask):
-                self._state.slots[:] = 0
             opening = pickle.dumps(task, pickle.HIGHEST_PROTOCOL)
             messages = deque(units)
             try:

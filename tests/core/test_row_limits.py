@@ -148,44 +148,30 @@ class TestMultiwayJoinLimitPushdown:
 
 
 class TestCooperativeBudget:
-    def test_machine_order_semantics(self):
-        slots = [0, 0, 0]
-        limit = 10
-        views = [
-            join_module.JoinBudget(limit, slots, m) for m in range(3)
-        ]
-        # Machine 0 never sees higher-ID production: even after machine 2
-        # produces, machine 0's remaining budget is untouched.
-        views[2].note_produced(4)
-        assert views[0].remaining() == 10
-        assert views[2].remaining() == 6
-        views[0].note_produced(7)
-        assert views[0].remaining() == 3
-        assert views[1].remaining() == 3
-        assert views[2].remaining() == -1
-        assert views[2].exhausted()
-        assert not views[0].exhausted()
+    """A query's machines cooperate on one ``JoinBudget(limit)`` countdown,
+    each resuming it where the previous machine left it."""
 
     def test_unlimited_view(self):
-        budget = join_module.JoinBudget(None, [0, 0], 1)
+        budget = join_module.JoinBudget(None)
+        assert budget.remaining() is None
+        budget.note_produced(5)
         assert budget.remaining() is None
         assert not budget.exhausted()
 
     def test_sequential_views_telescope_to_local_countdown(self):
-        """Consumed in machine order, the shared views equal the slot-less
-        ``JoinBudget(limit)`` countdown fed the same productions."""
-        slots = [0, 0, 0]
+        """Fed machine by machine, the countdown is the limit minus every
+        row produced so far, and a machine it has filled gets nothing."""
         limit = 9
-        local = join_module.JoinBudget(limit)
-        for machine_id, produced in enumerate((4, 3, 5)):
-            shared_view = join_module.JoinBudget(limit, slots, machine_id)
-            assert shared_view.remaining() == local.remaining()
-            assert shared_view.exhausted() == local.exhausted()
-            grant = min(produced, shared_view.remaining())
-            shared_view.note_produced(grant)
-            local.note_produced(grant)
-        assert shared_view.remaining() == local.remaining() == 0
-        assert shared_view.exhausted() and local.exhausted()
+        budget = join_module.JoinBudget(limit)
+        produced_so_far = 0
+        for wanted in (4, 3, 5, 2):
+            assert budget.remaining() == limit - produced_so_far
+            assert budget.exhausted() == (produced_so_far >= limit)
+            grant = max(0, min(wanted, budget.remaining()))
+            budget.note_produced(grant)
+            produced_so_far += grant
+        assert produced_so_far == limit
+        assert budget.remaining() == 0 and budget.exhausted()
 
 
 class TestLimitStopsRowConstruction:
@@ -227,8 +213,9 @@ class TestLimitSweepOnAJoinHeavyQuery:
 
     @staticmethod
     def peak_bound(limit: int) -> int:
-        # Geometric chunk growth plus per-machine overshoot under the
-        # cooperative budget's stale reads: never a function of the matches.
+        # Geometric chunk growth (a chunk starts at the remaining budget or
+        # _LIMIT_CHUNK and doubles while later stages drop rows): never a
+        # function of the matches.
         chunk = join_module._LIMIT_CHUNK
         return max(8 * chunk, 16 * (limit + chunk))
 

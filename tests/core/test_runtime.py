@@ -107,34 +107,28 @@ class TestBackendParity:
         assert pairs == reference_pairs
 
     def test_limited_queries_identical_rows(self, parity_graph, parity_queries):
-        """Limited queries: row-for-row + truncation parity on every backend.
-
-        Metrics are deliberately *not* compared for the parallel backend: the
-        cooperative shared budget lets concurrently running machines do
-        gather/join work the serial schedule's early exit would skip, so
-        limited-query communication counters are schedule-dependent.  The
-        rows and the truncated flag stay deterministic — that is the
-        prefix-parity invariant the streaming budgeted join guarantees.
-        """
-        reference, _ = run_backend(parity_graph, parity_queries, "serial", limit=50)
-        outputs, _ = run_backend(parity_graph, parity_queries, "process", limit=50)
+        """Limited queries: row-for-row, truncation and counter parity on
+        every backend — the join runs machine after machine in the calling
+        process, so the early exit of a filled budget is the serial one."""
+        reference, reference_pairs = run_backend(parity_graph, parity_queries, "serial", limit=50)
+        outputs, pairs = run_backend(parity_graph, parity_queries, "process", limit=50)
         for serial_out, backend_out in zip(reference, outputs):
             assert backend_out["rows"] == serial_out["rows"]
             assert backend_out["truncated"] == serial_out["truncated"]
+            assert backend_out["metrics"] == serial_out["metrics"]
+        assert pairs == reference_pairs
 
     @pytest.mark.parametrize("stealing", (False, True))
     @pytest.mark.parametrize("workers", (4, 2, 1))
     def test_join_cache_shared_per_worker_keeps_parity(
         self, parity_graph, parity_queries, monkeypatch, workers, stealing
     ):
-        """A worker attaches the handle matrix once per batch and shares one
-        binding-filtered-table cache between the join tasks it is dealt —
-        one machine's (4 workers), two machines' (2) or all four (1).  Rows,
-        row order and every ``CloudMetrics`` counter must not notice: a
-        cache hit still charges the receiver's transfer and the sender-side
-        filter (``result_rows_shipped`` / ``result_rows_filtered`` are part
-        of the compared snapshot), and a limit-k answer is still the exact
-        k-prefix with the serial truncation flag."""
+        """Whatever the worker count and stealing, rows, row order and every
+        ``CloudMetrics`` counter match serial's — the receiver's transfers
+        and the sender-side filter too (``result_rows_shipped`` /
+        ``result_rows_filtered`` are part of the compared snapshot) — and a
+        limit-k answer is still the exact k-prefix with the serial
+        truncation flag."""
         import repro.runtime.executors as executors_module
 
         if stealing:
@@ -168,34 +162,42 @@ class TestBackendParity:
             assert out_a["rows"] == out_b["rows"]
             assert out_a["truncated"] == out_b["truncated"]
 
-    def test_limited_queries_dispatch_through_executor(
-        self, parity_graph, parity_queries
+    def test_limited_queries_join_in_the_calling_process(
+        self, parity_graph, parity_queries, monkeypatch
     ):
-        """Regression: a limit= query must fan out through ``Executor.run``
-        as one JoinTask carrying the probe budget, not fall back to a
-        sequential gather (the pre-streaming-budget behavior)."""
-        from repro.core.tasks import JoinTask
+        """A limit-25 process query explores in the workers and joins in the
+        calling process: ``machine_result_rows`` runs once per machine, in
+        machine order, in that process, against one budget whose first
+        ``remaining()`` is the probe limit 26 (limit + 1 proves truncation
+        exactly).  A call in a worker would fail the query."""
+        import repro.core.distributed as distributed_module
 
+        caller = os.getpid()
+        calls = []
+        original = distributed_module.machine_result_rows
+
+        def spy(cloud, plan, tables, machine_id, bindings, remaining=None, budget=None):
+            if os.getpid() != caller:
+                raise AssertionError("a worker ran a machine's join")
+            calls.append((os.getpid(), machine_id, budget, budget.remaining()))
+            return original(cloud, plan, tables, machine_id, bindings, remaining, budget)
+
+        monkeypatch.setattr(distributed_module, "machine_result_rows", spy)
         query = parity_queries[0]
-        observed_limits = []
-
-        class RecordingExecutor(ProcessExecutor):  # noqa: B903
-            def run(self, cloud, task):
-                if isinstance(task, JoinTask):
-                    observed_limits.append(task.row_limit)
-                return super().run(cloud, task)
-
         cloud = MemoryCloud.from_graph(parity_graph, ClusterConfig(machine_count=4))
-        executor = RecordingExecutor(workers=2)
+        executor = ProcessExecutor(workers=2)
         try:
             with SubgraphMatcher(cloud, MatcherConfig(), executor=executor) as m:
                 result = m.match(query, limit=25)
+                workers = [worker.process.pid for worker in executor._state.workers]
         finally:
             executor.close()
             cloud.close()
-        # One join fan-out — one JoinTask, whose units are the machines —
-        # carrying the probe budget (limit + 1 proves truncation exactly).
-        assert observed_limits == [26]
+        assert len(workers) == 2 and caller not in workers
+        assert [machine for _, machine, _, _ in calls] == [0, 1, 2, 3]
+        assert {pid for pid, _, _, _ in calls} == {caller}
+        assert len({id(budget) for _, _, budget, _ in calls}) == 1
+        assert calls[0][3] == 26
         assert result.match_count <= 25
 
     def test_vf2_cross_check(self, parity_graph, parity_queries):
@@ -634,39 +636,6 @@ class TestProcessRuntimeLifecycle:
             assert backend_out["metrics"] == serial_out["metrics"]
         assert pairs == reference_pairs
 
-    def test_join_batch_pickles_the_handle_matrix_once(
-        self, parity_graph, parity_queries, monkeypatch
-    ):
-        """A join's four machine units over two workers: the S stage tables
-        are pickled once for the whole batch (the batch's opening message,
-        whose bytes go down each pipe once) — not once per machine, not even
-        once per worker.  Counted here, in the driver, not by a public
-        counter: the workers pickle their exploration tables in their own
-        processes."""
-        from repro.core.distributed import assemble_results
-        from repro.core.result import STwigTable
-
-        pickled = []
-        reduce_table = STwigTable.__reduce_ex__
-
-        def counting(table, protocol):
-            pickled.append(os.getpid())
-            return reduce_table(table, protocol)
-
-        monkeypatch.setattr(STwigTable, "__reduce_ex__", counting)
-        cloud = MemoryCloud.from_graph(parity_graph, ClusterConfig(machine_count=4))
-        plan = QueryPlanner(cloud, MatcherConfig()).plan(parity_queries[0])
-        executor = ProcessExecutor(workers=2)
-        try:
-            outcome = explore(cloud, plan, executor=executor)
-            assert pickled == [], "the driver sends no table down a pipe to explore"
-            joined = assemble_results(cloud, plan, outcome, executor=executor)
-        finally:
-            executor.close()
-            cloud.close()
-        assert joined.row_count > 0
-        assert pickled == [os.getpid()] * len(plan.stwigs)
-
     def test_root_chunks_partition_exactly(self):
         """Chunking for stealing is an exact order-preserving partition of a
         stage's roots, bounded per worker, and small stages are never split."""
@@ -692,7 +661,7 @@ class TestSingleExecutionPath:
         from repro.core.distributed import assemble_results
         from repro.core.exploration import explore
         from repro.core.planner import QueryPlanner
-        from repro.core.tasks import ExploreTask, JoinTask
+        from repro.core.tasks import ExploreTask
 
         batches = []
         inherited_run = SerialExecutor.run
@@ -707,7 +676,7 @@ class TestSingleExecutionPath:
         outcome = explore(cloud, plan)
         assert batches == [ExploreTask] * len(plan.stwigs)
         joined = assemble_results(cloud, plan, outcome)
-        assert batches == [ExploreTask] * len(plan.stwigs) + [JoinTask]
+        assert batches == [ExploreTask] * len(plan.stwigs), "the join is no executor task"
         assert joined.row_count > 0
 
     def test_thread_backend_is_gone(self, monkeypatch, tmp_path):

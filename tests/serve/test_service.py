@@ -98,15 +98,10 @@ class TestConcurrentSubmission:
             for thread in threads:
                 thread.join()
             assert errors == []
-            for result, limit, (rows, metrics) in zip(outputs, limits, oracle):
+            for result, (rows, metrics) in zip(outputs, oracle):
+                # Every counter is schedule-independent, limited or not.
                 assert result.rows == rows
-                if limit is None:
-                    # Unlimited queries have schedule-independent counters.
-                    # Limited ones run under the cooperative shared budget,
-                    # where parallel backends may do gather work a serial
-                    # schedule's early exit skips — rows stay exact
-                    # prefixes, but the metrics are schedule-dependent.
-                    assert result.metrics == metrics
+                assert result.metrics == metrics
 
     def test_repeated_fingerprints_hit_plan_cache_exactly(
         self, service_queries, service_cloud

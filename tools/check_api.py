@@ -63,7 +63,9 @@ image (``MACHINE_COLUMNS`` / ``column_names``, now ``IMAGE_COLUMNS``,
 ``Machine.adopt_partition`` / ``load_rows``, the cloud's per-node ``_rows``
 column, the ``image_graph`` gather-inverse, which survives as the version
 2 snapshot reader's private scatter, and ``upsert_rows``, now inside
-``splice_csr``): the names are gone from the API, and nothing in ``src/``
+``splice_csr``), and the join as an executor task (``JoinTask``, the
+budget's ``mmap.mmap(`` slot array the workers inherited as
+``state.slots``): the names are gone from the API, and nothing in ``src/``
 may bring them back.
 
 And it keeps the front door single (``FRONT_DOOR``): ``repro.api`` is the one
@@ -232,6 +234,9 @@ RETIRED_SPELLINGS = [
     "self._rows",
     "image_graph(",
     "upsert_rows(",
+    "JoinTask",
+    "state.slots",
+    "mmap.mmap(",
 ]
 
 #: Constructor spellings banned per file (glob under the repo root): a second
